@@ -23,6 +23,13 @@ Strategies:
 Richer scheduling disciplines would slot in as further ScheduleStrategy
 variants; the three above cover deterministic replay, randomized probing,
 and complete desk-scale exploration.
+
+Cost: a step pops the head of its plan's cursor, and a wait on an
+AfterEvent pattern is one lookup in an index of the history that the call
+builds as it goes (each event is projected once per field set that some
+pattern constrains; enumeration branches carry copies). Neither grows with
+the history. What still grows per event is ``apply_event`` copying the
+history tuple to append to it.
 """
 
 from __future__ import annotations
@@ -33,9 +40,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .world import (
     Action,
+    ActionTemplate,
+    AfterEvent,
     ByDate,
     Condition,
     Event,
+    HistoryLog,
     Trigger,
     WorldState,
     action_from_dict,
@@ -160,44 +170,123 @@ ScheduleStrategy = RoundRobin | SeededRandom | Exhaustive
 # plan cursors
 # ---------------------------------------------------------------------------
 
+class _EventIndex:
+    """The history seen through the AfterEvent patterns the plans wait on.
+
+    For each set of fields that some queried pattern constrains, holds the
+    projection of every history event onto those fields. A ``contract_id``
+    projects to the action's own id and to every id its reason references,
+    as ``ActionTemplate.matches`` reads it. A wait check is one set lookup,
+    and each event is projected once per field set. The index catches up
+    with the history it is shown, so one index follows one line of history:
+    branches of an enumeration carry copies.
+    """
+
+    __slots__ = ("indexed", "seen")
+
+    def __init__(self):
+        self.indexed = 0
+        self.seen: dict[tuple[str, ...], set[tuple]] = {}
+
+    def copy(self) -> "_EventIndex":
+        other = _EventIndex()
+        other.indexed = self.indexed
+        other.seen = {fields: set(keys) for fields, keys in self.seen.items()}
+        return other
+
+    def fired(self, pattern: ActionTemplate, history: HistoryLog) -> bool:
+        if len(history) > self.indexed:
+            for event in history[self.indexed:]:
+                for fields, keys in self.seen.items():
+                    keys.update(_projections(fields, event.action))
+            self.indexed = len(history)
+        fields, wanted = [], []
+        for name in _PATTERN_FIELDS:
+            value = getattr(pattern, name)
+            if value is not None:
+                fields.append(name)
+                wanted.append(value)
+        fields = tuple(fields)
+        keys = self.seen.get(fields)
+        if keys is None:
+            keys = self.seen[fields] = set()
+            for event in history:
+                keys.update(_projections(fields, event.action))
+        return tuple(wanted) in keys
+
+
+_PATTERN_FIELDS = ("kind", "actor", "counterparty", "amount", "good_id", "contract_id", "message")
+
+
+def _projections(fields: tuple[str, ...], action: Action) -> list[tuple]:
+    """Every tuple of ``fields`` values under which a pattern matches ``action``."""
+    values = tuple(getattr(action, f) for f in fields)
+    if "contract_id" not in fields:
+        return [values]
+    at = fields.index("contract_id")
+    refs = action.reason.contract_ids if action.reason else ()
+    return [values[:at] + (cid,) + values[at + 1:] for cid in (action.contract_id, *refs)]
+
+
 class _Cursor:
-    """Mutable view over one plan's remaining steps.
+    """Mutable view over one plan's remaining steps, kept as a stack whose
+    last element is the head.
 
     Branches are resolved the moment they reach the head (against the then-
     current ground state); stops truncate the plan.
     """
 
-    __slots__ = ("agent", "steps")
+    __slots__ = ("agent", "stack")
 
-    def __init__(self, agent: str, steps: Sequence[PlanStep]):
+    def __init__(self, agent: str, steps: Sequence[PlanStep] = ()):
         self.agent = agent
-        self.steps = list(steps)
+        self.stack = list(reversed(steps))
 
     def clone(self) -> "_Cursor":
-        return _Cursor(self.agent, self.steps)
+        other = _Cursor(self.agent)
+        other.stack = self.stack.copy()
+        return other
 
-    def settle(self, world: WorldState, choices: Mapping[str, bool]) -> None:
+    def settle(self, world: WorldState, choices: Mapping[str, bool], index: _EventIndex) -> None:
         """Resolve branches/satisfied waits/stops until a Do or a block."""
-        while self.steps:
-            head = self.steps[0]
+        stack = self.stack
+        while stack:
+            head = stack[-1]
             if isinstance(head, Stop):
-                self.steps = []
+                stack.clear()
             elif isinstance(head, Branch):
+                stack.pop()
                 taken = head.then_steps if eval_condition(head.condition, world, choices) else head.else_steps
-                self.steps = list(taken) + self.steps[1:]
+                stack.extend(reversed(taken))
             elif isinstance(head, WaitFor):
-                if trigger_fired(head.trigger, world.history, world.clock, world, choices):
-                    self.steps = self.steps[1:]
+                trigger = head.trigger
+                if isinstance(trigger, AfterEvent):
+                    fired = index.fired(trigger.pattern, world.history)
                 else:
+                    fired = trigger_fired(trigger, world.history, world.clock, world, choices)
+                if not fired:
                     return
+                stack.pop()
             else:
                 return
 
     def head(self) -> Optional[PlanStep]:
-        return self.steps[0] if self.steps else None
+        return self.stack[-1] if self.stack else None
 
     def finished(self) -> bool:
-        return not self.steps
+        return not self.stack
+
+
+def _settle_all(cursors: Sequence[_Cursor], world: WorldState,
+                choices: Mapping[str, bool], index: _EventIndex) -> None:
+    """Settle every plan against a new state, so that none skips a state.
+
+    ``run`` calls this after each event and clock advance, as
+    ``enumerate_interleavings`` does at each node, so every scheduled trace
+    is one of the enumerated ones.
+    """
+    for cursor in cursors:
+        cursor.settle(world, choices, index)
 
 
 def _validate_plans(world: WorldState, plans: Iterable[Plan]) -> list[Plan]:
@@ -240,10 +329,12 @@ def run(
         return traces[0]
 
     cursors = [_Cursor(p.agent, p.steps) for p in ordered]
+    index = _EventIndex()
     rng = random.Random(strategy.seed) if isinstance(strategy, SeededRandom) else None
     start = len(world.history)
     schedule: list[int] = []
     cycle = 0
+    _settle_all(cursors, world, choices, index)
 
     while True:
         cycle += 1
@@ -251,34 +342,28 @@ def run(
         if rng is None:
             # round-robin: give each plan (name order) one chance per cycle
             for cursor in cursors:
-                cursor.settle(world, choices)
                 head = cursor.head()
                 if isinstance(head, Do):
                     world = apply_event(world, head.action, world.clock)
-                    cursor.steps = cursor.steps[1:]
+                    cursor.stack.pop()
+                    _settle_all(cursors, world, choices, index)
                     schedule.append(cycle)
                     stepped = True
         else:
-            runnable = []
-            for cursor in cursors:
-                cursor.settle(world, choices)
-                if isinstance(cursor.head(), Do):
-                    runnable.append(cursor)
+            runnable = [cursor for cursor in cursors if isinstance(cursor.head(), Do)]
             if runnable:
                 chosen = rng.choice(runnable)
                 head = chosen.head()
                 world = apply_event(world, head.action, world.clock)
-                chosen.steps = chosen.steps[1:]
+                chosen.stack.pop()
+                _settle_all(cursors, world, choices, index)
                 schedule.append(cycle)
                 stepped = True
 
         if stepped:
             continue
 
-        # nothing moved: settle, then finish, release a by-date wait,
-        # or report deadlock
-        for cursor in cursors:
-            cursor.settle(world, choices)
+        # nothing moved: finish, release a by-date wait, or report deadlock
         if all(c.finished() for c in cursors):
             break
         wake_dates = []
@@ -304,6 +389,7 @@ def run(
                 clock=wake,
                 overdraft_allowed=world.overdraft_allowed,
             )
+            _settle_all(cursors, world, choices, index)
             continue
         raise DeadlockDetected(blocked)
 
@@ -365,13 +451,12 @@ def enumerate_interleavings(
     seen: dict[tuple, Progression] = {}
     start = len(world.history)
     for assignment in assignments:
-        stack: list[tuple[WorldState, list[_Cursor]]] = [
-            (world, [_Cursor(p.agent, p.steps) for p in ordered])
+        stack: list[tuple[WorldState, list[_Cursor], _EventIndex]] = [
+            (world, [_Cursor(p.agent, p.steps) for p in ordered], _EventIndex())
         ]
         while stack:
-            state, cursors = stack.pop()
-            for cursor in cursors:
-                cursor.settle(state, assignment)
+            state, cursors, index = stack.pop()
+            _settle_all(cursors, state, assignment, index)
             enabled = [i for i, c in enumerate(cursors) if isinstance(c.head(), Do)]
             if not enabled:
                 wake_dates = [
@@ -390,19 +475,21 @@ def enumerate_interleavings(
                         clock=min(wake_dates),
                         overdraft_allowed=state.overdraft_allowed,
                     )
-                    stack.append((advanced, [c.clone() for c in cursors]))
+                    stack.append((advanced, cursors, index))
                     continue
                 progression = Progression(events=state.history[start:], world=state)
                 seen.setdefault(progression.key(), progression)
                 continue
-            # reversed so the lowest-named agent is explored first
+            # reversed so the lowest-named agent is explored first; that
+            # last child takes over this node's cursors and index
             for i in reversed(enabled):
-                next_cursors = [c.clone() for c in cursors]
+                last = i == enabled[0]
+                next_cursors = cursors if last else [c.clone() for c in cursors]
                 head = next_cursors[i].head()
                 assert isinstance(head, Do)
                 next_state = apply_event(state, head.action, state.clock)
-                next_cursors[i].steps = next_cursors[i].steps[1:]
-                stack.append((next_state, next_cursors))
+                next_cursors[i].stack.pop()
+                stack.append((next_state, next_cursors, index if last else index.copy()))
 
     return tuple(seen[k] for k in sorted(seen))
 

@@ -185,6 +185,8 @@ def parse_quantity(text: str) -> Quantity:
 
     Decimal literals convert exactly: "0.05" becomes 1/20, never a float.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"expected a quantity string, got {text!r}")
     s = text.strip()
     if _INT_RE.match(s):
         return Quantity(int(s))

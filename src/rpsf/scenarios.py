@@ -1331,7 +1331,10 @@ def _spec_for_instance(data: Mapping) -> ScenarioSpec:
         if params:
             raise ParameterViolation(
                 f"file scenario {frozen['name']!r} takes no parameters")
-        return instance_from_dict(frozen)
+        try:
+            return instance_from_dict(frozen)
+        except ValueError as exc:
+            raise ValueError(f"file scenario {frozen['name']!r}: {exc}") from None
 
     return ScenarioSpec(
         name=frozen["name"],
@@ -1348,10 +1351,22 @@ def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
     Returns (scenario specs by name, raw position definitions); position
     dicts are interpreted by the legality module.
     """
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read scenario file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"scenario file {path!r}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario file {path!r}: expected a JSON object at the top level, "
+                         f"got {type(data).__name__}")
+    scenarios, positions = data.get("scenarios", []), data.get("positions", [])
+    for key, entries in (("scenarios", scenarios), ("positions", positions)):
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError(f"scenario file {path!r}: {key!r} must be a list of JSON objects")
     specs: dict[str, ScenarioSpec] = {}
-    for entry in data.get("scenarios", []):
+    for entry in scenarios:
         spec = _spec_for_instance(entry)
         specs[spec.name] = spec
-    return specs, list(data.get("positions", []))
+    return specs, positions

@@ -203,3 +203,34 @@ class TestEnumerate:
                               "--bound", "3")
         assert code == 2
         assert "BoundExceeded" in err
+
+
+class TestBadScenarioFile:
+    """Malformed --scenario-file input is a usage error, never a traceback."""
+
+    def _fails_cleanly(self, capsys, path):
+        code, _, err = invoke(capsys, "run", "bad", "--scenario-file", str(path))
+        assert code == 2
+        assert "Traceback" not in err
+        return err
+
+    def test_top_level_array(self, capsys, tmp_path):
+        path = tmp_path / "scenarios.json"
+        path.write_text("[]")
+        assert "JSON object" in self._fails_cleanly(capsys, path)
+
+    def test_balance_that_is_not_a_quantity_string(self, capsys, tmp_path):
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps({"scenarios": [{
+            "name": "bad", "agents": [{"name": "X"}], "balances": {"X": 100}}]}))
+        err = self._fails_cleanly(capsys, path)
+        assert "'bad'" in err and "quantity string" in err and "100" in err
+
+    def test_entries_that_are_not_objects(self, capsys, tmp_path):
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps({"scenarios": [1]}))
+        assert "list of JSON objects" in self._fails_cleanly(capsys, path)
+
+    def test_missing_file(self, capsys, tmp_path):
+        err = self._fails_cleanly(capsys, tmp_path / "absent.json")
+        assert "absent.json" in err and "No such file" in err

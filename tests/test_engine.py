@@ -148,6 +148,25 @@ class TestRun:
         progression = run(trio, plans, RoundRobin())
         assert progression.events[-1].action.message == "rich"
 
+    def test_branch_resolves_when_it_reaches_the_head(self, trio):
+        # A's branch reaches the head right after A pays (A holds 99), before
+        # C's payment restores A to 100; another plan's turn must not delay it
+        def ack(message):
+            return Do(Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT, actor="A", message=message))
+
+        plans = [
+            Plan("A", (Do(Action(kind=ActionKind.PAY, actor="A", counterparty="B",
+                                 amount=q(1), message="a")),
+                       Branch(BalanceAtLeast("A", q(100)), (ack("rich"),),
+                              (ack("poor"),)))),
+            Plan("C", (Do(Action(kind=ActionKind.PAY, actor="C", counterparty="A",
+                                 amount=q(1), message="c")),)),
+        ]
+        progression = run(trio, plans, RoundRobin())
+        assert [e.action.message for e in progression.events] == ["a", "c", "poor"]
+        keys = {p.key() for p in enumerate_interleavings(trio, plans, bound=8)}
+        assert progression.key() in keys
+
     def test_stop_truncates(self, trio):
         plans = [Plan("A", (Stop(), Do(Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT,
                                               actor="A"))))]
@@ -247,3 +266,45 @@ class TestEnumerate:
         # B finishes, A stays blocked forever: still one maximal trace
         assert len(traces) == 1
         assert [e.action.message for e in traces[0].events] == ["go", "done"]
+
+
+class TestWaitCost:
+    """Wait checks read an index of the history, not the history itself."""
+
+    @staticmethod
+    def ping_pong(rounds):
+        """Two plans in which every payment waits for the other side's last one."""
+        from rpsf.world import ContractRecord, Reason, Stage
+
+        a_steps, b_steps = [], []
+        for k in range(rounds):
+            a_steps.append(Do(Action(kind=ActionKind.PAY, actor="A", counterparty="B",
+                                     amount=q(3), reason=Reason(contract_ids=("acct",)),
+                                     message=f"a{k}")))
+            a_steps.append(wait_for(kind="pay", actor="B", message=f"b{k}"))
+            b_steps.append(wait_for(kind="pay", actor="A", message=f"a{k}"))
+            b_steps.append(Do(Action(kind=ActionKind.PAY, actor="B", counterparty="A",
+                                     amount=q(2), reason=Reason(contract_ids=("acct",)),
+                                     message=f"b{k}")))
+        account = ContractRecord(contract_id="acct", parties=frozenset({"A", "B"}),
+                                 initiator="B", clauses=(),
+                                 signatures=frozenset({"A", "B"}), stage=Stage.ACTIVE)
+        world = make_world(agents=[Agent("A"), Agent("B")],
+                           balances={"A": q(3 * rounds), "B": q(0)}, contracts=[account])
+        return world, [Plan("A", tuple(a_steps)), Plan("B", tuple(b_steps))]
+
+    @pytest.mark.parametrize("rounds", [100, 400])
+    def test_pattern_matches_per_event_stay_constant(self, rounds, monkeypatch):
+        calls = 0
+        original = ActionTemplate.matches
+
+        def counted(self, action):
+            nonlocal calls
+            calls += 1
+            return original(self, action)
+
+        world, plans = self.ping_pong(rounds)
+        monkeypatch.setattr(ActionTemplate, "matches", counted)
+        progression = run(world, plans, RoundRobin())
+        assert len(progression.events) == 2 * rounds
+        assert calls <= 2 * len(progression.events)
