@@ -71,8 +71,8 @@ def _load_extras(path: Optional[str]):
         return {}, {}
     specs, position_defs = load_scenario_file(path)
     positions = {}
-    for entry in position_defs:
-        position = position_from_dict(entry)
+    for i, entry in enumerate(position_defs):
+        position = position_from_dict(entry, f"positions[{i}]")
         positions[position.name] = position
     return specs, positions
 

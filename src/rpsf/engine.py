@@ -35,7 +35,7 @@ history tuple to append to it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .world import (
@@ -48,16 +48,14 @@ from .world import (
     HistoryLog,
     Trigger,
     WorldState,
-    action_from_dict,
     action_to_dict,
-    condition_from_dict,
-    condition_to_dict,
-    eval_condition,
-    event_to_dict,
     apply_event,
+    codec_row,
+    codec_union,
+    eval_condition,
     trigger_fired,
-    trigger_from_dict,
-    trigger_to_dict,
+    value_to_dict,
+    world_to_dict,
 )
 
 
@@ -71,7 +69,7 @@ class DeadlockDetected(EngineError):
     def __init__(self, blocked: Mapping[str, Trigger]):
         self.blocked = dict(blocked)
         detail = "; ".join(
-            f"{agent} waiting on {trigger_to_dict(trigger)}"
+            f"{agent} waiting on {value_to_dict(trigger)}"
             for agent, trigger in sorted(self.blocked.items())
         )
         super().__init__(f"deadlock: {detail}")
@@ -380,15 +378,7 @@ def run(
                 raise HorizonExceeded(
                     f"next scheduled activity at day {wake} exceeds horizon {horizon}"
                 )
-            world = WorldState(
-                agents=world.agents,
-                accounts=world.accounts,
-                goods=world.goods,
-                contracts=world.contracts,
-                history=world.history,
-                clock=wake,
-                overdraft_allowed=world.overdraft_allowed,
-            )
+            world = replace(world, clock=wake)
             _settle_all(cursors, world, choices, index)
             continue
         raise DeadlockDetected(blocked)
@@ -466,16 +456,7 @@ def enumerate_interleavings(
                     and c.head().trigger.day > state.clock
                 ]
                 if wake_dates:
-                    advanced = WorldState(
-                        agents=state.agents,
-                        accounts=state.accounts,
-                        goods=state.goods,
-                        contracts=state.contracts,
-                        history=state.history,
-                        clock=min(wake_dates),
-                        overdraft_allowed=state.overdraft_allowed,
-                    )
-                    stack.append((advanced, cursors, index))
+                    stack.append((replace(state, clock=min(wake_dates)), cursors, index))
                     continue
                 progression = Progression(events=state.history[start:], world=state)
                 seen.setdefault(progression.key(), progression)
@@ -498,53 +479,16 @@ def enumerate_interleavings(
 # plan serialization (scenario files, witness output)
 # ---------------------------------------------------------------------------
 
-def step_to_dict(step: PlanStep) -> dict:
-    if isinstance(step, Do):
-        return {"do": action_to_dict(step.action)}
-    if isinstance(step, WaitFor):
-        return {"wait_for": trigger_to_dict(step.trigger)}
-    if isinstance(step, Branch):
-        return {
-            "branch": {
-                "condition": condition_to_dict(step.condition),
-                "then": [step_to_dict(s) for s in step.then_steps],
-                "else": [step_to_dict(s) for s in step.else_steps],
-            }
-        }
-    if isinstance(step, Stop):
-        return {"stop": True}
-    raise TypeError(f"unknown plan step {step!r}")
-
-
-def step_from_dict(data: Mapping) -> PlanStep:
-    if "do" in data:
-        return Do(action_from_dict(data["do"]))
-    if "wait_for" in data:
-        return WaitFor(trigger_from_dict(data["wait_for"]))
-    if "branch" in data:
-        d = data["branch"]
-        return Branch(
-            condition=condition_from_dict(d["condition"]),
-            then_steps=tuple(step_from_dict(s) for s in d.get("then", [])),
-            else_steps=tuple(step_from_dict(s) for s in d.get("else", [])),
-        )
-    if data.get("stop"):
-        return Stop()
-    raise ValueError(f"cannot parse plan step {data!r}")
-
-
-def plan_to_dict(plan: Plan) -> dict:
-    return {"agent": plan.agent, "steps": [step_to_dict(s) for s in plan.steps]}
-
-
-def plan_from_dict(data: Mapping) -> Plan:
-    return Plan(agent=data["agent"], steps=tuple(step_from_dict(s) for s in data.get("steps", [])))
+codec_row(Do, "action")
+codec_row(WaitFor, "trigger")
+codec_row(Branch, "condition then=then_steps else=else_steps", defaults={"then_steps": ()})
+codec_row(Stop, "")
+codec_union(PlanStep, do=Do, wait_for=WaitFor, branch=Branch, stop=Stop)
+codec_row(Plan, "agent steps", defaults={"steps": ()})
 
 
 def progression_to_dict(progression: Progression, include_world: bool = False) -> dict:
-    from .world import world_to_dict
-
-    out: dict = {"events": [event_to_dict(e) for e in progression.events]}
+    out: dict = {"events": [value_to_dict(e) for e in progression.events]}
     if include_world:
         out["final_world"] = world_to_dict(progression.world, include_history=False)
     return out

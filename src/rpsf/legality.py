@@ -24,14 +24,14 @@ scenario files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .engine import Progression
 from .money import Quantity, ZERO, total_div
 from .scenarios import ScenarioInstance
-from .world import ActionKind, ContractRecord, HistoryLog, WorldState
+from .world import ActionKind, ContractRecord, HistoryLog, WorldState, codec_row, value_from_dict
 
 
 class Verdict(str, Enum):
@@ -362,15 +362,6 @@ class LegalPosition:
     rules: tuple[Rule, ...]
     default: Verdict = Verdict.HALAL
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode.value,
-            "default": self.default.value,
-            "rules": [{"name": r.name, "detector": r.detector, "verdict": r.verdict.value}
-                      for r in self.rules],
-        }
-
 
 def judge(position: LegalPosition, instance: ScenarioInstance, progression: Progression) -> Judgement:
     """Evaluate the position's rules in order; first match wins.
@@ -429,22 +420,18 @@ BUILTIN_POSITIONS: dict[str, LegalPosition] = {
 }
 
 
-def position_from_dict(data: Mapping) -> LegalPosition:
-    """Assemble a custom position from a scenario-file rule list."""
-    rules = tuple(
-        Rule(
-            name=entry.get("name", entry["detector"]),
-            detector=entry["detector"],
-            verdict=Verdict(entry.get("verdict", "haram")),
-        )
-        for entry in data.get("rules", [])
-    )
-    return LegalPosition(
-        name=data["name"],
-        mode=Mode(data.get("mode", "descriptive")),
-        rules=rules,
-        default=Verdict(data.get("default", "halal")),
-    )
+codec_row(Rule, "name detector verdict", defaults={"name": None})
+codec_row(LegalPosition, "name mode rules default",
+          defaults={"mode": Mode.DESCRIPTIVE, "rules": ()})
+
+
+def position_from_dict(data: Mapping, path: str = "") -> LegalPosition:
+    """Assemble a custom position from a scenario-file rule list; a rule
+    without a name is named after its detector."""
+    position = value_from_dict(LegalPosition, data, path)
+    return replace(position, rules=tuple(
+        rule if rule.name is not None else replace(rule, name=rule.detector)
+        for rule in position.rules))
 
 
 def get_position(name: str, extra: Mapping[str, LegalPosition] | None = None) -> LegalPosition:

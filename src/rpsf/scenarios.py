@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
-from .engine import Branch, Do, Plan, Stop, WaitFor, plan_from_dict, plan_to_dict
+from .engine import Branch, Do, Plan, Stop, WaitFor
 from .money import Quantity, ZERO, parse_quantity, total_div
 from .world import (
     Action,
@@ -43,11 +44,10 @@ from .world import (
     Stage,
     Trigger,
     WorldState,
-    contract_from_dict,
-    contract_to_dict,
-    good_from_dict,
-    good_to_dict,
+    codec_row,
     make_world,
+    value_from_dict,
+    value_to_dict,
 )
 
 
@@ -75,7 +75,6 @@ class ScenarioSpec:
     summary: str
     params: tuple[ParamSpec, ...]
     build: Callable[[Mapping[str, object]], "ScenarioInstance"]
-    expected: Mapping[str, str] = field(default_factory=dict)
 
     def defaults(self) -> dict[str, object]:
         return {p.name: p.default for p in self.params}
@@ -611,57 +610,20 @@ def _monetization_agents(i: Quantity, down: Quantity, endow_x: Quantity,
     )
 
 
-def _build_tawarruq_pi(params: Mapping[str, object]) -> ScenarioInstance:
-    """Idealized four-step monetization: the portion is worth exactly p.
+def _build_tawarruq_pi(params: Mapping[str, object], granular: bool) -> ScenarioInstance:
+    """Four-step monetization: request, preparation, spot purchase of the
+    portion, credit sale at p - c + q*p due at day t, spot buy-back at
+    p - c/2.
 
-    Request, preparation, spot purchase at p, credit sale at p - c + q*p due
-    at day t, spot buy-back at p - c/2. X's flows equal the savings-account
-    profile.
+    Idealized (not ``granular``): the portion is worth exactly p, which must
+    be a whole number of blocks, and X's flows equal the savings-account
+    profile. Block-granular: the portion costs p', the smallest block
+    multiple at or above p, and the credit sale splits payment: p' - p
+    immediately and p - c + q*p at day t, so X's day-0 net is exactly -p
+    despite paying p'.
     """
     p, c, i, t, block, portion, credit_total, down, deferred, buyback = \
-        _tawarruq_prices(params, granular=False)
-    settle = "pi-settle"
-    spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
-    world = _monetization_agents(i, down, endow_x=p,
-                                 drift=params.get("value_drift", ZERO))
-    plans = (
-        Plan("X", (
-            do(ActionKind.REQUEST_PREPARE_GOOD, "X", counterparty="Z", good_id="G",
-               good_spec=spec),
-            wait(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=deferred),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "X", counterparty="Y", amount=deferred,
-               reason=ref(settle)),
-        )),
-        Plan("Y", (
-            wait(kind=ActionKind.SPOT_SALE, actor="Z", counterparty="X", good_id="G"),
-            do(ActionKind.BUY_ON_CREDIT, "Y", counterparty="X", amount=credit_total,
-               down_payment=down, due_date=t, good_id="G", contract_id=settle),
-            do(ActionKind.SPOT_SALE, "Y", counterparty="Z", amount=buyback, good_id="G"),
-            wait_day(t),
-            do(ActionKind.PAY, "Y", counterparty="X", amount=deferred, reason=ref(settle)),
-        )),
-        Plan("Z", (
-            wait(kind=ActionKind.REQUEST_PREPARE_GOOD, counterparty="Z"),
-            do(ActionKind.PREPARE_GOOD, "Z", good_id="G", good_spec=spec),
-            do(ActionKind.SPOT_SALE, "Z", counterparty="X", amount=portion, good_id="G"),
-        )),
-    )
-    return ScenarioInstance(
-        name="tawarruq_pi", params=params, world=world, plans=plans,
-        principals=("X", "Y", "Z"), horizon=t,
-        expected={"CONVENTIONAL": "halal", "STRICT_FUNCTIONAL": "haram"},
-    )
-
-
-def _build_tawarruq_pi_prime(params: Mapping[str, object]) -> ScenarioInstance:
-    """Block-granular monetization: the portion costs p', the smallest block
-    multiple at or above p.
-
-    The credit sale splits payment: p' - p immediately and p - c + q*p at
-    day t, so X's day-0 net is exactly -p despite paying p'.
-    """
-    p, c, i, t, block, portion, credit_total, down, deferred, buyback = \
-        _tawarruq_prices(params, granular=True)
+        _tawarruq_prices(params, granular=granular)
     settle = "pi-settle"
     spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
     world = _monetization_agents(i, down, endow_x=portion,
@@ -689,8 +651,8 @@ def _build_tawarruq_pi_prime(params: Mapping[str, object]) -> ScenarioInstance:
         )),
     )
     return ScenarioInstance(
-        name="tawarruq_pi_prime", params=params, world=world, plans=plans,
-        principals=("X", "Y", "Z"), horizon=t,
+        name="tawarruq_pi_prime" if granular else "tawarruq_pi", params=params,
+        world=world, plans=plans, principals=("X", "Y", "Z"), horizon=t,
         expected={"CONVENTIONAL": "halal", "STRICT_FUNCTIONAL": "haram"},
     )
 
@@ -1099,6 +1061,16 @@ def _q(n: int, d: int = 1) -> Quantity:
     return Quantity(n, d)
 
 
+def _monetization_params(block: int) -> tuple[ParamSpec, ...]:
+    return (ParamSpec("p", _q(1000), "savings to place"),
+            ParamSpec("c", _q(2), "transaction cost"),
+            ParamSpec("q", _q(1, 20), "rate: increment per unit principal"),
+            ParamSpec("t", 365, "deferral period in days"),
+            ParamSpec("block", _q(block), "good block size"),
+            ParamSpec("value_drift", _q(0),
+                      "revaluation of the portion at buy-back; constant value assumed"))
+
+
 _CATALOGUE: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="loan_with_interest", family="loan",
@@ -1157,61 +1129,31 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="tawarruq_pi", family="tawarruq",
         summary="Idealized monetization: portion worth exactly p, four trades.",
-        params=(ParamSpec("p", _q(1000), "savings to place"),
-                ParamSpec("c", _q(2), "transaction cost"),
-                ParamSpec("q", _q(1, 20), "rate: increment per unit principal"),
-                ParamSpec("t", 365, "deferral period in days"),
-                ParamSpec("block", _q(10), "good block size"),
-                ParamSpec("value_drift", _q(0),
-                          "revaluation of the portion at buy-back; constant value assumed")),
-        build=_build_tawarruq_pi,
+        params=_monetization_params(block=10),
+        build=partial(_build_tawarruq_pi, granular=False),
     ),
     ScenarioSpec(
         name="tawarruq_pi_prime", family="tawarruq",
         summary="Block-granular monetization: portion costs the smallest block multiple >= p.",
-        params=(ParamSpec("p", _q(1000), "savings to place"),
-                ParamSpec("c", _q(2), "transaction cost"),
-                ParamSpec("q", _q(1, 20), "rate: increment per unit principal"),
-                ParamSpec("t", 365, "deferral period in days"),
-                ParamSpec("block", _q(30), "good block size"),
-                ParamSpec("value_drift", _q(0),
-                          "revaluation of the portion at buy-back; constant value assumed")),
-        build=_build_tawarruq_pi_prime,
+        params=_monetization_params(block=30),
+        build=partial(_build_tawarruq_pi, granular=True),
     ),
     ScenarioSpec(
         name="tawarruq_pi_double_prime", family="tawarruq",
         summary="Contract-backed monetization: C1, C2, C3 signed, informs reference them.",
-        params=(ParamSpec("p", _q(1000), "savings to place"),
-                ParamSpec("c", _q(2), "transaction cost"),
-                ParamSpec("q", _q(1, 20), "rate: increment per unit principal"),
-                ParamSpec("t", 365, "deferral period in days"),
-                ParamSpec("block", _q(30), "good block size"),
-                ParamSpec("value_drift", _q(0),
-                          "revaluation of the portion at buy-back; constant value assumed")),
+        params=_monetization_params(block=30),
         build=_build_tawarruq_pi_double_prime,
     ),
     ScenarioSpec(
         name="tawarruq_pi_triple_prime", family="tawarruq",
         summary="Preparation-ordered monetization: prepare all contracts, sign C3, C2, C1.",
-        params=(ParamSpec("p", _q(1000), "savings to place"),
-                ParamSpec("c", _q(2), "transaction cost"),
-                ParamSpec("q", _q(1, 20), "rate: increment per unit principal"),
-                ParamSpec("t", 365, "deferral period in days"),
-                ParamSpec("block", _q(30), "good block size"),
-                ParamSpec("value_drift", _q(0),
-                          "revaluation of the portion at buy-back; constant value assumed")),
+        params=_monetization_params(block=30),
         build=_build_tawarruq_pi_triple_prime,
     ),
     ScenarioSpec(
         name="tawarruq_single_contract", family="tawarruq",
         summary="Monetization packaged in a single contract with three signatures.",
-        params=(ParamSpec("p", _q(1000), "savings to place"),
-                ParamSpec("c", _q(2), "transaction cost"),
-                ParamSpec("q", _q(1, 20), "rate: increment per unit principal"),
-                ParamSpec("t", 365, "deferral period in days"),
-                ParamSpec("block", _q(30), "good block size"),
-                ParamSpec("value_drift", _q(0),
-                          "revaluation of the portion at buy-back; constant value assumed")),
+        params=_monetization_params(block=30),
         build=_build_tawarruq_single_contract,
     ),
     ScenarioSpec(
@@ -1272,11 +1214,10 @@ def instantiate(
     spec = get_spec(name, extra)
     resolved = _resolve(spec.params, params or {})
     instance = spec.build(resolved)
-    expected = dict(spec.expected) or dict(instance.expected)
     return ScenarioInstance(
         name=spec.name, params=resolved, world=instance.world, plans=instance.plans,
         principals=instance.principals, horizon=instance.horizon,
-        choice_points=instance.choice_points, expected=expected,
+        choice_points=instance.choice_points, expected=dict(instance.expected),
     )
 
 
@@ -1284,79 +1225,77 @@ def instantiate(
 # scenario files
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
+class _FileScenario:
+    """One scenario as a scenario file holds it: the world's levels flattened
+    next to the plans, plus the catalogue text of the entry."""
+
+    name: str
+    agents: tuple[Agent, ...] = ()
+    balances: dict[str, Quantity] = field(default_factory=dict)
+    goods: tuple[Good, ...] = ()
+    contracts: tuple[ContractRecord, ...] = ()
+    overdraft_allowed: bool = False
+    plans: tuple[Plan, ...] = ()
+    principals: tuple[str, ...] = ()
+    horizon: int = 3650
+    choice_points: dict[str, bool] = field(default_factory=dict)
+    family: str = "custom"
+    summary: str = "user-defined scenario"
+
+    def instance(self) -> ScenarioInstance:
+        world = make_world(agents=self.agents, balances=self.balances, goods=self.goods,
+                           contracts=self.contracts, overdraft_allowed=self.overdraft_allowed)
+        return ScenarioInstance(
+            name=self.name, params={}, world=world, plans=self.plans,
+            principals=self.principals, horizon=self.horizon,
+            choice_points=self.choice_points,
+        )
+
+
+codec_row(_FileScenario, "name agents balances goods contracts overdraft_allowed plans "
+          "principals horizon choice_points family summary", omit="family summary")
+
+
 def instance_to_dict(instance: ScenarioInstance) -> dict:
     world = instance.world
-    return {
-        "name": instance.name,
-        "agents": [{"name": a.name, "role": a.role.value}
-                   for a in sorted(world.agents.values(), key=lambda a: a.name)],
-        "balances": {name: str(world.accounts[name]) for name in sorted(world.accounts)},
-        "goods": [good_to_dict(world.goods[g]) for g in sorted(world.goods)],
-        "contracts": [contract_to_dict(world.contracts[c]) for c in sorted(world.contracts)],
-        "overdraft_allowed": world.overdraft_allowed,
-        "plans": [plan_to_dict(p) for p in instance.plans],
-        "principals": list(instance.principals),
-        "horizon": instance.horizon,
-        "choice_points": dict(instance.choice_points),
-    }
+    return value_to_dict(_FileScenario(
+        name=instance.name,
+        agents=tuple(world.agents[name] for name in sorted(world.agents)),
+        balances={name: world.accounts[name] for name in sorted(world.accounts)},
+        goods=tuple(world.goods[g] for g in sorted(world.goods)),
+        contracts=tuple(world.contracts[c] for c in sorted(world.contracts)),
+        overdraft_allowed=world.overdraft_allowed,
+        plans=tuple(instance.plans),
+        principals=tuple(instance.principals),
+        horizon=instance.horizon,
+        choice_points=dict(instance.choice_points),
+    ))
 
 
 def instance_from_dict(data: Mapping) -> ScenarioInstance:
-    world = make_world(
-        agents=[Agent(a["name"], Role(a.get("role", "person")))
-                for a in data.get("agents", [])],
-        balances={name: parse_quantity(value)
-                  for name, value in data.get("balances", {}).items()},
-        goods=[good_from_dict(g) for g in data.get("goods", [])],
-        contracts=[contract_from_dict(c) for c in data.get("contracts", [])],
-        overdraft_allowed=bool(data.get("overdraft_allowed", False)),
-    )
-    plans = tuple(plan_from_dict(p) for p in data.get("plans", []))
-    return ScenarioInstance(
-        name=data["name"],
-        params={},
-        world=world,
-        plans=plans,
-        principals=tuple(data.get("principals", ())),
-        horizon=int(data.get("horizon", 3650)),
-        choice_points={k: bool(v) for k, v in data.get("choice_points", {}).items()},
-        expected={},
-    )
+    return value_from_dict(_FileScenario, data).instance()
 
 
-def _spec_for_instance(data: Mapping) -> ScenarioSpec:
-    frozen = dict(data)
-
-    def build(params: Mapping[str, object]) -> ScenarioInstance:
-        if params:
-            raise ParameterViolation(
-                f"file scenario {frozen['name']!r} takes no parameters")
-        try:
-            return instance_from_dict(frozen)
-        except ValueError as exc:
-            raise ValueError(f"file scenario {frozen['name']!r}: {exc}") from None
-
-    return ScenarioSpec(
-        name=frozen["name"],
-        family=frozen.get("family", "custom"),
-        summary=frozen.get("summary", "user-defined scenario"),
-        params=(),
-        build=build,
-    )
+def _build_file_scenario(instance: ScenarioInstance, params: Mapping[str, object]) -> ScenarioInstance:
+    if params:
+        raise ParameterViolation(f"file scenario {instance.name!r} takes no parameters")
+    return instance
 
 
 def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
     """Load user scenarios (and custom legal positions) from a JSON file.
 
-    Returns (scenario specs by name, raw position definitions); position
-    dicts are interpreted by the legality module.
+    Every scenario is decoded and checked here, whether or not a command
+    uses it. Returns (scenario specs by name, raw position definitions);
+    position dicts are interpreted by the legality module.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read scenario file {path!r}: {exc.strerror}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
         raise ValueError(f"scenario file {path!r}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"scenario file {path!r}: expected a JSON object at the top level, "
@@ -1366,7 +1305,16 @@ def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError(f"scenario file {path!r}: {key!r} must be a list of JSON objects")
     specs: dict[str, ScenarioSpec] = {}
-    for entry in scenarios:
-        spec = _spec_for_instance(entry)
-        specs[spec.name] = spec
+    for i, entry in enumerate(scenarios):
+        try:
+            scenario = value_from_dict(_FileScenario, entry, f"scenarios[{i}]")
+        except ValueError as exc:
+            name = entry.get("name")
+            if isinstance(name, str):
+                raise ValueError(f"file scenario {name!r}: {exc}") from None
+            raise
+        specs[scenario.name] = ScenarioSpec(
+            name=scenario.name, family=scenario.family, summary=scenario.summary, params=(),
+            build=partial(_build_file_scenario, scenario.instance()),
+        )
     return specs, positions

@@ -27,9 +27,12 @@ information, coercion); annotations are author-supplied, never inferred.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import attrgetter
+from types import UnionType
+from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union, get_args,
+                    get_origin, get_type_hints)
 
 from .money import Quantity, ZERO, parse_quantity
 
@@ -916,312 +919,291 @@ def replay(initial: WorldState, history: Iterable[Event]) -> WorldState:
 
 
 # ---------------------------------------------------------------------------
-# serialization (stable field names, exact quantities)
+# JSON codec: one table drives encoding and decoding
 # ---------------------------------------------------------------------------
+#
+# Every serialized class has a row: its JSON keys in output order, the
+# fields left out while they hold their default, and decode defaults for
+# keys that a file may leave out although the class requires them. Every
+# tagged union (triggers, conditions, plan steps) gives the tag key of each
+# member. A member is written {tag: true} when it has no fields, {tag:
+# value} when it has one and {tag: {...}} when it has more, or flat when
+# its own row holds the tag as a key (ChoiceIs). Field types come from the
+# annotations: a quantity is a string, an enum its value, a tuple an array
+# and a frozenset a sorted array. Decoding takes exactly one JSON type per
+# field type and names the JSON path of whatever does not fit.
 
-def _q(value: Optional[Quantity]) -> Optional[str]:
-    return None if value is None else str(value)
-
-
-def template_to_dict(t: ActionTemplate) -> dict:
-    out: dict = {}
-    if t.kind is not None:
-        out["kind"] = t.kind.value
-    for name in ("actor", "counterparty", "good_id", "contract_id", "message"):
-        value = getattr(t, name)
-        if value is not None:
-            out[name] = value
-    if t.amount is not None:
-        out["amount"] = str(t.amount)
-    return out
-
-
-def template_from_dict(data: Mapping) -> ActionTemplate:
-    return ActionTemplate(
-        kind=ActionKind(data["kind"]) if "kind" in data else None,
-        actor=data.get("actor"),
-        counterparty=data.get("counterparty"),
-        amount=parse_quantity(data["amount"]) if "amount" in data else None,
-        good_id=data.get("good_id"),
-        contract_id=data.get("contract_id"),
-        message=data.get("message"),
-    )
+@dataclass(frozen=True, slots=True)
+class _Row:
+    keys: tuple[tuple[str, str], ...]  # (JSON key, field name) in output order
+    omit: frozenset[str]
+    defaults: Mapping[str, object]
 
 
-def trigger_to_dict(trigger: Trigger) -> dict:
-    if isinstance(trigger, Always):
-        return {"always": True}
-    if isinstance(trigger, ByDate):
-        return {"by_date": trigger.day}
-    if isinstance(trigger, AfterEvent):
-        return {"after_event": template_to_dict(trigger.pattern)}
-    if isinstance(trigger, ConditionMet):
-        return {"condition": condition_to_dict(trigger.condition)}
-    raise TypeError(f"unknown trigger {trigger!r}")
+_ROWS: dict[type, _Row] = {}
+_UNIONS: dict[frozenset, dict[str, type]] = {}  # member classes -> {tag: member}
+_TAGS: dict[type, str] = {}
+_CODECS: dict[object, tuple[Optional[Callable], Callable]] = {}
+_KEEP = object()  # the "default" of a field that is written whatever it holds
 
 
-def trigger_from_dict(data: Mapping) -> Trigger:
-    if data.get("always"):
-        return Always()
-    if "by_date" in data:
-        return ByDate(int(data["by_date"]))
-    if "after_event" in data:
-        return AfterEvent(template_from_dict(data["after_event"]))
-    if "condition" in data:
-        return ConditionMet(condition_from_dict(data["condition"]))
-    raise ValueError(f"cannot parse trigger {data!r}")
+def codec_row(cls: type, keys: str, omit: str = "",
+              defaults: Mapping[str, object] | None = None) -> None:
+    """Add a dataclass to the JSON table.
+
+    ``keys`` lists every field's JSON key in output order, as ``key=field``
+    where the two differ. ``omit`` names the fields left out while they hold
+    their default, ``*`` for all that have one. ``defaults`` gives the value
+    of a key that a file may leave out although the class has no default.
+    """
+    pairs = tuple(tuple(k.split("=", 1)) if "=" in k else (k, k) for k in keys.split())
+    declared = fields(cls)
+    if sorted(name for _, name in pairs) != sorted(f.name for f in declared):
+        raise TypeError(f"codec row of {cls.__name__} must name each field once")
+    if omit == "*":
+        omitted = frozenset(f.name for f in declared if _has_default(f))
+    else:
+        omitted = frozenset(omit.split())
+    _ROWS[cls] = _Row(pairs, omitted, dict(defaults or {}))
 
 
-def condition_to_dict(cond: Condition) -> dict:
-    if isinstance(cond, ChoiceIs):
-        return {"choice": cond.name, "value": cond.value}
-    if isinstance(cond, BalanceAtLeast):
-        return {"balance_at_least": {"agent": cond.agent, "amount": str(cond.amount)}}
-    if isinstance(cond, OwnsGood):
-        return {"owns_good": {"agent": cond.agent, "good_id": cond.good_id}}
-    if isinstance(cond, ContractInStage):
-        return {"contract_stage": {"contract_id": cond.contract_id, "stage": cond.stage.value}}
-    raise TypeError(f"unknown condition {cond!r}")
+def codec_union(union: object, **tags: type) -> None:
+    """Add a tagged union to the JSON table; each keyword is a member's tag."""
+    members = frozenset(tags.values())
+    if members != frozenset(get_args(union)):
+        raise TypeError(f"codec union {union!r} must tag each member once")
+    _UNIONS[members] = tags
+    for tag, member in tags.items():
+        _TAGS[member] = tag
 
 
-def condition_from_dict(data: Mapping) -> Condition:
-    if "choice" in data:
-        return ChoiceIs(data["choice"], bool(data.get("value", True)))
-    if "balance_at_least" in data:
-        d = data["balance_at_least"]
-        return BalanceAtLeast(d["agent"], parse_quantity(d["amount"]))
-    if "owns_good" in data:
-        d = data["owns_good"]
-        return OwnsGood(d["agent"], d["good_id"])
-    if "contract_stage" in data:
-        d = data["contract_stage"]
-        return ContractInStage(d["contract_id"], Stage(d["stage"]))
-    raise ValueError(f"cannot parse condition {data!r}")
+def value_to_dict(value: object) -> object:
+    """The JSON value of an instance of a class in the table."""
+    return _codec(type(value))[0](value)
 
 
-def clause_to_dict(clause: Clause) -> dict:
-    out = {
-        "obliged_party": clause.obliged_party,
-        "obliged_action": template_to_dict(clause.obliged_action),
-        "trigger": trigger_to_dict(clause.trigger),
-    }
-    if clause.deadline is not None:
-        out["deadline"] = clause.deadline
-    return out
+def value_from_dict(tp: object, data: object, path: str = "") -> object:
+    """Decode ``data`` as a ``tp``; a ValueError names the JSON path at fault."""
+    try:
+        return _codec(tp)[1](data, path)
+    except RecursionError:
+        raise _fail(path, "nested too deeply") from None
 
 
-def clause_from_dict(data: Mapping) -> Clause:
-    return Clause(
-        obliged_party=data["obliged_party"],
-        obliged_action=template_from_dict(data["obliged_action"]),
-        trigger=trigger_from_dict(data.get("trigger", {"always": True})),
-        deadline=data.get("deadline"),
-    )
+def _codec(tp: object) -> tuple[Optional[Callable], Callable]:
+    """(encoder, decoder) of a type, built on first use. The encoder is None
+    where a value is its own JSON; the decoder takes (data, path)."""
+    if tp not in _CODECS:
+        _CODECS[tp] = _build_codec(tp)
+    return _CODECS[tp]
 
 
-def terms_to_dict(terms: RepaymentTerms) -> dict:
-    return {
-        "principal": str(terms.principal),
-        "rate": str(terms.rate),
-        "fixed_cost": str(terms.fixed_cost),
-        "period": terms.period,
-    }
+def _has_default(f) -> bool:
+    return f.default is not MISSING or f.default_factory is not MISSING
 
 
-def terms_from_dict(data: Mapping) -> RepaymentTerms:
-    return RepaymentTerms(
-        principal=parse_quantity(data["principal"]),
-        rate=parse_quantity(data["rate"]),
-        fixed_cost=parse_quantity(data.get("fixed_cost", "0")),
-        period=int(data.get("period", 0)),
-    )
+def _non_none(args: tuple) -> object:
+    members = tuple(a for a in args if a is not type(None))
+    return members[0] if len(members) == 1 else Union[members]
 
 
-def contract_to_dict(record: ContractRecord) -> dict:
-    out = {
-        "contract_id": record.contract_id,
-        "parties": sorted(record.parties),
-        "initiator": record.initiator,
-        "clauses": [clause_to_dict(c) for c in record.clauses],
-        "references": sorted(record.references),
-        "signatures": sorted(record.signatures),
-        "stage": record.stage.value,
-    }
-    if record.terms is not None:
-        out["terms"] = terms_to_dict(record.terms)
-    return out
+def _join(path: str, key: object) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
-def contract_from_dict(data: Mapping) -> ContractRecord:
-    return ContractRecord(
-        contract_id=data["contract_id"],
-        parties=frozenset(data["parties"]),
-        initiator=data["initiator"],
-        clauses=tuple(clause_from_dict(c) for c in data.get("clauses", [])),
-        references=frozenset(data.get("references", [])),
-        signatures=frozenset(data.get("signatures", [])),
-        stage=Stage(data.get("stage", "drafted")),
-        terms=terms_from_dict(data["terms"]) if "terms" in data else None,
-    )
+def _fail(path: str, message: str) -> ValueError:
+    return ValueError(f"{path}: {message}" if path else message)
 
 
-def good_to_dict(good: Good) -> dict:
-    return {
-        "good_id": good.good_id,
-        "kind": good.kind,
-        "owner": good.owner,
-        "market_value": _q(good.market_value),
-        "block_size": str(good.block_size),
-        "is_money": good.is_money,
-    }
+def _show(data: object) -> str:
+    text = json.dumps(data, default=repr)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
-def good_from_dict(data: Mapping) -> Good:
-    return Good(
-        good_id=data["good_id"],
-        kind=data.get("kind", "asset"),
-        owner=data["owner"],
-        market_value=parse_quantity(data["market_value"]) if data.get("market_value") else None,
-        block_size=parse_quantity(data.get("block_size", "1")),
-        is_money=bool(data.get("is_money", False)),
-    )
+def _expect(data: object, kind: type, what: str, path: str) -> object:
+    if type(data) is not kind:
+        raise _fail(path, f"expected {what}, got {_show(data)}")
+    return data
 
 
-def reason_to_dict(reason: Reason) -> dict:
-    out: dict = {}
-    if reason.text:
-        out["text"] = reason.text
-    if reason.contract_ids:
-        out["contract_ids"] = list(reason.contract_ids)
-    if reason.event_refs:
-        out["event_refs"] = list(reason.event_refs)
-    return out
+_JSON_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
 
 
-def reason_from_dict(data: Mapping) -> Reason:
-    return Reason(
-        text=data.get("text", ""),
-        contract_ids=tuple(data.get("contract_ids", ())),
-        event_refs=tuple(data.get("event_refs", ())),
-    )
+def _build_codec(tp: object) -> tuple[Optional[Callable], Callable]:
+    if tp in _ROWS:
+        return _row_codec(tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        if type(None) not in args:  # each member writes and reads its own tag
+            return value_to_dict, _union_decoder(_UNIONS[frozenset(args)])
+        enc, dec = _codec(_non_none(args))
+        return (None if enc is None else (lambda v: None if v is None else enc(v)),
+                lambda data, path: None if data is None else dec(data, path))
+    if origin in (tuple, frozenset):  # an array; a frozenset's is sorted
+        enc, dec = _codec(args[0])
+        if origin is tuple:
+            encode = list if enc is None else (lambda v: [enc(x) for x in v])
+        else:
+            encode = sorted if enc is None else (lambda v: sorted(enc(x) for x in v))
+        return encode, lambda data, path: origin(
+            dec(x, f"{path}[{i}]") for i, x in enumerate(_expect(data, list, "an array", path)))
+    if origin is dict:
+        enc, dec = _codec(args[1])
+        return (dict if enc is None else (lambda v: {k: enc(x) for k, x in v.items()}),
+                lambda data, path: {k: dec(x, _join(path, k))
+                                    for k, x in _expect(data, dict, "an object", path).items()})
+    if tp is Quantity:
+        def decode_quantity(data, path):
+            try:
+                return parse_quantity(data)
+            except ValueError as exc:
+                raise _fail(path, str(exc)) from None
+        return str, decode_quantity
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {m.value: m for m in tp}
+        choices = ", ".join(repr(v) for v in members)
+
+        def decode_enum(data, path):
+            member = members.get(data) if type(data) is str else None
+            if member is None:
+                raise _fail(path, f"expected one of {choices}, got {_show(data)}")
+            return member
+        return attrgetter("value"), decode_enum
+    if tp in _JSON_NAMES:
+        what = _JSON_NAMES[tp]
+        return None, lambda data, path: _expect(data, tp, what, path)
+    raise TypeError(f"no JSON form for {tp!r}")
+
+
+def _row_codec(cls: type) -> tuple[Callable, Callable]:
+    """A row's encoder and decoder. A tagged member's encoder writes, and its
+    decoder reads, the object that holds its tag."""
+    row = _ROWS[cls]
+    hints = get_type_hints(cls)
+    declared = {f.name: f for f in fields(cls)}
+    tag = _TAGS.get(cls)
+    keys = [key for key, _ in row.keys]
+    flat = tag is None or tag in keys
+
+    # The encoder is compiled: one statement per key, in key order, as a
+    # hand-written encoder reads. Actions and events are encoded on hot
+    # paths, where a loop over the row costs three times as much.
+    env: dict = {"__name__": __name__}
+    lines, decoders = [], []
+    for i, (key, name) in enumerate(row.keys):
+        f, tp = declared[name], hints[name]
+        default = _KEEP
+        if name in row.omit:
+            default = f.default if f.default is not MISSING else f.default_factory()
+        decoders.append((key, name, _codec(tp)[1],
+                         name not in row.defaults and not _has_default(f)))
+        if default is None and get_origin(tp) in (Union, UnionType):
+            tp = _non_none(get_args(tp))  # left out while None: the encoder never sees None
+        enc = env[f"enc{i}"] = _codec(tp)[0]
+        env[f"default{i}"] = default
+        value = f"obj.{name}"
+        line = f"out[{key!r}] = {value if enc is None else f'enc{i}({value})'}"
+        if default is None:
+            line = f"if {value} is not None: {line}"
+        elif default is not _KEEP:
+            line = f"if {value} != default{i}: {line}"
+        lines.append(line)
+    if flat:
+        result = "out"
+    elif not keys:
+        result = f"{{{tag!r}: True}}"
+    elif len(keys) == 1:
+        result = f"{{{tag!r}: out[{keys[0]!r}]}}"
+    else:
+        result = f"{{{tag!r}: out}}"
+    source = "".join(f"    {line}\n" for line in ["out = {}", *lines, f"return {result}"])
+    exec(compile(f"def encode(obj):\n{source}", f"<codec row {cls.__name__}>", "exec"), env)
+
+    def decode(data, path):
+        _expect(data, dict, "an object", path)
+        kwargs = {}
+        for key, name, dec, required in decoders:
+            if key in data:
+                kwargs[name] = dec(data[key], _join(path, key))
+            elif name in row.defaults:
+                kwargs[name] = row.defaults[name]
+            elif required:
+                raise _fail(path, f"missing required key {key!r}")
+        return cls(**kwargs)
+
+    if flat:
+        return env["encode"], decode
+    if not keys:
+        def decode_bare(data, path):
+            if data[tag] is not True:
+                raise _fail(_join(path, tag), f"expected true, got {_show(data[tag])}")
+            return cls()
+        return env["encode"], decode_bare
+    if len(keys) == 1:
+        _, name, dec, _ = decoders[0]
+        return env["encode"], lambda data, path: cls(**{name: dec(data[tag], _join(path, tag))})
+    return env["encode"], lambda data, path: decode(data[tag], _join(path, tag))
+
+
+def _union_decoder(tags: Mapping[str, type]) -> Callable:
+    expected = "an object with one of the keys " + ", ".join(repr(t) for t in tags)
+
+    def decode(data, path):
+        if type(data) is dict:
+            for tag, member in tags.items():
+                if tag in data:
+                    return _codec(member)[1](data, path)
+        raise _fail(path, f"expected {expected}, got {_show(data)}")
+    return decode
+
+
+codec_row(Agent, "name role")
+codec_row(Account, "owner balance")
+codec_row(Good, "good_id kind owner market_value block_size is_money",
+          defaults={"kind": "asset", "market_value": None})
+codec_row(GoodSpec, "kind market_value block_size is_money",
+          defaults={"kind": "asset", "market_value": None})
+codec_row(Reason, "text contract_ids event_refs", omit="*")
+codec_row(ActionTemplate, "kind actor counterparty good_id contract_id message amount", omit="*")
+codec_row(Always, "")
+codec_row(AfterEvent, "pattern")
+codec_row(ByDate, "day")
+codec_row(ConditionMet, "condition")
+codec_union(Trigger, always=Always, by_date=ByDate, after_event=AfterEvent, condition=ConditionMet)
+codec_row(ChoiceIs, "choice=name value")
+codec_row(BalanceAtLeast, "agent amount")
+codec_row(OwnsGood, "agent good_id")
+codec_row(ContractInStage, "contract_id stage")
+codec_union(Condition, choice=ChoiceIs, balance_at_least=BalanceAtLeast, owns_good=OwnsGood,
+            contract_stage=ContractInStage)
+codec_row(Clause, "obliged_party obliged_action trigger deadline", omit="deadline")
+codec_row(RepaymentTerms, "principal rate fixed_cost period")
+codec_row(ContractRecord,
+          "contract_id parties initiator clauses references signatures stage terms",
+          omit="terms", defaults={"clauses": ()})
+codec_row(Action, "kind actor counterparty amount down_payment due_date good_id contract_id "
+          "reason channel message tags signing trigger on_credit parties clauses "
+          "references terms good_spec", omit="*")
+codec_row(Event, "seq date action delta")
 
 
 def action_to_dict(action: Action) -> dict:
-    out: dict = {"kind": action.kind.value, "actor": action.actor}
-    if action.counterparty is not None:
-        out["counterparty"] = action.counterparty
-    if action.amount is not None:
-        out["amount"] = str(action.amount)
-    if action.down_payment is not None:
-        out["down_payment"] = str(action.down_payment)
-    if action.due_date is not None:
-        out["due_date"] = action.due_date
-    if action.good_id is not None:
-        out["good_id"] = action.good_id
-    if action.contract_id is not None:
-        out["contract_id"] = action.contract_id
-    if action.reason is not None:
-        out["reason"] = reason_to_dict(action.reason)
-    if action.channel is not None:
-        out["channel"] = action.channel
-    if action.message is not None:
-        out["message"] = action.message
-    if action.tags:
-        out["tags"] = sorted(tag.value for tag in action.tags)
-    if action.signing != SigningMode.BOTH_PARTIES:
-        out["signing"] = action.signing.value
-    if action.trigger is not None:
-        out["trigger"] = trigger_to_dict(action.trigger)
-    if action.on_credit:
-        out["on_credit"] = True
-    if action.parties:
-        out["parties"] = list(action.parties)
-    if action.clauses:
-        out["clauses"] = [clause_to_dict(c) for c in action.clauses]
-    if action.references:
-        out["references"] = list(action.references)
-    if action.terms is not None:
-        out["terms"] = terms_to_dict(action.terms)
-    if action.good_spec is not None:
-        spec = action.good_spec
-        out["good_spec"] = {
-            "kind": spec.kind,
-            "market_value": _q(spec.market_value),
-            "block_size": str(spec.block_size),
-            "is_money": spec.is_money,
-        }
-    return out
-
-
-def action_from_dict(data: Mapping) -> Action:
-    spec = None
-    if "good_spec" in data:
-        d = data["good_spec"]
-        spec = GoodSpec(
-            kind=d.get("kind", "asset"),
-            market_value=parse_quantity(d["market_value"]) if d.get("market_value") else None,
-            block_size=parse_quantity(d.get("block_size", "1")),
-            is_money=bool(d.get("is_money", False)),
-        )
-    return Action(
-        kind=ActionKind(data["kind"]),
-        actor=data["actor"],
-        counterparty=data.get("counterparty"),
-        amount=parse_quantity(data["amount"]) if "amount" in data else None,
-        down_payment=parse_quantity(data["down_payment"]) if "down_payment" in data else None,
-        due_date=data.get("due_date"),
-        good_id=data.get("good_id"),
-        contract_id=data.get("contract_id"),
-        reason=reason_from_dict(data["reason"]) if "reason" in data else None,
-        channel=data.get("channel"),
-        message=data.get("message"),
-        tags=frozenset(EthicalTag(t) for t in data.get("tags", [])),
-        signing=SigningMode(data.get("signing", "both-parties")),
-        trigger=trigger_from_dict(data["trigger"]) if "trigger" in data else None,
-        on_credit=bool(data.get("on_credit", False)),
-        parties=tuple(data.get("parties", ())),
-        clauses=tuple(clause_from_dict(c) for c in data.get("clauses", [])),
-        references=tuple(data.get("references", ())),
-        terms=terms_from_dict(data["terms"]) if "terms" in data else None,
-        good_spec=spec,
-    )
-
-
-def event_to_dict(event: Event) -> dict:
-    return {
-        "seq": event.seq,
-        "date": event.date,
-        "action": action_to_dict(event.action),
-        "delta": event.delta,
-    }
-
-
-def event_from_dict(data: Mapping) -> Event:
-    return Event(
-        seq=int(data["seq"]),
-        date=int(data["date"]),
-        action=action_from_dict(data["action"]),
-        delta=data.get("delta", ""),
-    )
+    return _codec(Action)[0](action)
 
 
 def world_to_dict(world: WorldState, include_history: bool = True) -> dict:
+    encode_event = _codec(Event)[0]
     out = {
         "clock": world.clock,
         "overdraft_allowed": world.overdraft_allowed,
-        "agents": [
-            {"name": a.name, "role": a.role.value}
-            for a in sorted(world.agents.values(), key=lambda a: a.name)
-        ],
-        "accounts": [
-            {"owner": name, "balance": str(world.accounts[name])}
-            for name in sorted(world.accounts)
-        ],
-        "goods": [good_to_dict(world.goods[g]) for g in sorted(world.goods)],
-        "contracts": [contract_to_dict(world.contracts[c]) for c in sorted(world.contracts)],
+        "agents": [value_to_dict(world.agents[name]) for name in sorted(world.agents)],
+        "accounts": [value_to_dict(Account(name, world.accounts[name]))
+                     for name in sorted(world.accounts)],
+        "goods": [value_to_dict(world.goods[g]) for g in sorted(world.goods)],
+        "contracts": [value_to_dict(world.contracts[c]) for c in sorted(world.contracts)],
     }
     if include_history:
-        out["history"] = [event_to_dict(e) for e in world.history]
+        out["history"] = [encode_event(e) for e in world.history]
     return out
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rpsf.cli import main
 from rpsf.engine import Do, Plan
 from rpsf.money import Quantity
@@ -205,14 +207,53 @@ class TestEnumerate:
         assert "BoundExceeded" in err
 
 
+_GOOD = {"name": "p", "agents": [{"name": "X"}]}
+
+
 class TestBadScenarioFile:
     """Malformed --scenario-file input is a usage error, never a traceback."""
+
+    @pytest.mark.parametrize(("document", "diagnostic"), [
+        ({"scenarios": [{"name": "p", "plans": [1]}]},
+         "scenarios[0].plans[0]: expected an object, got 1"),
+        ({"scenarios": [{}]}, "scenarios[0]: missing required key 'name'"),
+        ({"scenarios": [{"name": "p", "agents": "XY"}]},
+         'scenarios[0].agents: expected an array, got "XY"'),
+        ({"scenarios": [{**_GOOD, "goods": [{"good_id": "S", "kind": "asset"}]}]},
+         "scenarios[0].goods[0]: missing required key 'owner'"),
+        ({"scenarios": [_GOOD], "positions": [{"name": "P", "rules": [{"name": "r"}]}]},
+         "positions[0].rules[0]: missing required key 'detector'"),
+        ({"scenarios": [{**_GOOD, "horizon": "30"}]},
+         'scenarios[0].horizon: expected an integer, got "30"'),
+        ({"scenarios": [{**_GOOD, "overdraft_allowed": "false"}]},
+         'scenarios[0].overdraft_allowed: expected a boolean, got "false"'),
+    ])
+    def test_diagnostic_names_the_json_path(self, capsys, tmp_path, document, diagnostic):
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps(document))
+        code, _, err = invoke(capsys, "run", "p", "--scenario-file", str(path))
+        assert code == 2
+        assert diagnostic in err and "Traceback" not in err
 
     def _fails_cleanly(self, capsys, path):
         code, _, err = invoke(capsys, "run", "bad", "--scenario-file", str(path))
         assert code == 2
         assert "Traceback" not in err
         return err
+
+    def test_nesting_too_deep_for_the_parser(self, capsys, tmp_path):
+        path = tmp_path / "scenarios.json"
+        path.write_text('{"scenarios": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert "recursion" in self._fails_cleanly(capsys, path)
+
+    def test_plan_nested_too_deep_for_the_decoder(self, capsys, tmp_path):
+        step = {"stop": True}
+        for _ in range(250):
+            step = {"branch": {"condition": {"choice": "c"}, "then": [step]}}
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps({"scenarios": [{**_GOOD, "plans": [
+            {"agent": "X", "steps": [step]}]}]}))
+        assert "scenarios[0]: nested too deeply" in self._fails_cleanly(capsys, path)
 
     def test_top_level_array(self, capsys, tmp_path):
         path = tmp_path / "scenarios.json"

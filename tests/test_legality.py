@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rpsf.engine import Plan, RoundRobin, run
+from rpsf.engine import Plan, RoundRobin, enumerate_interleavings, run
 from rpsf.legality import (
     BUILTIN_POSITIONS,
     CONVENTIONAL,
@@ -229,3 +229,16 @@ class TestJudgements:
         for name in scenario_names():
             instance, progression = run_default(name)
             assert judge(CONVENTIONAL, instance, progression).verdict == Verdict.HALAL
+
+
+@pytest.mark.parametrize(("name", "params"), [(name, {}) for name in scenario_names()]
+                         + [("ina_two_party", {"single_contract": "true"})])
+def test_declared_verdicts_hold_on_every_interleaving(name, params):
+    instance = instantiate(name, params)
+    traces = enumerate_interleavings(instance.world, instance.plans, bound=60,
+                                     choice_points=instance.choice_points)
+    assert traces and instance.expected
+    for trace in traces:
+        for position, verdict in instance.expected.items():
+            judgement = judge(BUILTIN_POSITIONS[position], instance, trace)
+            assert judgement.verdict.value == verdict, (position, trace.key())

@@ -11,6 +11,7 @@ from rpsf.money import Quantity
 from rpsf.scenarios import (
     ParameterViolation,
     UnknownScenario,
+    instance_from_dict,
     instance_to_dict,
     instantiate,
     load_scenario_file,
@@ -325,3 +326,22 @@ class TestScenarioFiles:
         specs, _ = load_scenario_file(str(path))
         with pytest.raises(ParameterViolation):
             specs["ina_two_party"].build({"p": "10"})
+
+    @pytest.mark.parametrize(("name", "params"), [(name, {}) for name in ALL_SCENARIOS]
+                             + [("ina_two_party", {"single_contract": "true"})])
+    def test_written_instance_loads_back_identical(self, name, params):
+        instance = instantiate(name, params)
+        written = json.dumps(instance_to_dict(instance))
+        loaded = instance_from_dict(json.loads(written))
+        assert loaded.world == instance.world
+        assert loaded.plans == instance.plans
+        assert (loaded.principals, loaded.horizon, dict(loaded.choice_points)) == \
+            (instance.principals, instance.horizon, dict(instance.choice_points))
+        assert json.dumps(instance_to_dict(loaded)) == written
+
+    def test_decoding_errors_name_the_json_path(self):
+        entry = {"name": "p", "agents": [{"name": "X"}], "plans": [
+            {"agent": "X", "steps": [{"do": {"kind": "pay", "actor": "X", "due_date": "5"}}]}]}
+        with pytest.raises(ValueError, match=r"^plans\[0\]\.steps\[0\]\.do\.due_date: "
+                                             r"expected an integer, got \"5\"$"):
+            instance_from_dict(entry)
