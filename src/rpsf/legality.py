@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import Progression
 from .money import Quantity, ZERO, total_div
@@ -299,49 +299,8 @@ class Rule:
     verdict: Verdict = Verdict.HARAM
 
     def evaluate(self, ctx: _Context) -> Optional[tuple[Verdict, tuple[Evidence, ...]]]:
-        if self.detector == "riba":
-            findings = detect_riba(ctx.world.contracts, ctx.history)
-            if findings:
-                evidence = tuple(
-                    Evidence(rule=self.name, events=f.events, contracts=(f.link,),
-                             note=f"increment {f.increment} on principal {f.principal} "
-                                  f"over {f.duration} days")
-                    for f in findings
-                )
-                return self.verdict, evidence
-        elif self.detector == "ethical-tags":
-            findings = detect_ethical_tags(ctx.history)
-            if findings:
-                return self.verdict, tuple(
-                    Evidence(rule=self.name, events=f.events, note=f.note)
-                    for f in findings
-                )
-        elif self.detector == "ina":
-            findings = detect_ina(ctx.history)
-            if findings:
-                return self.verdict, tuple(_ina_evidence(self.name, f) for f in findings)
-        elif self.detector == "ina-single-contract":
-            findings = [f for f in detect_ina(ctx.history) if f.single_contract]
-            if findings:
-                return self.verdict, tuple(_ina_evidence(self.name, f) for f in findings)
-        elif self.detector == "loan-profile":
-            profiles = loan_profiles(ctx.progression)
-            if profiles:
-                evidence = tuple(
-                    Evidence(rule=self.name, events=refs,
-                             note=f"{agent}: {p} out, {r} back after {days} days")
-                    for agent, p, r, days, refs in profiles
-                )
-                return self.verdict, evidence
-        elif self.detector == "unvalued-goods":
-            goods = unvalued_goods(ctx.world, ctx.history)
-            if goods:
-                return self.verdict, (
-                    Evidence(rule=self.name, note=f"unvalued goods traded: {', '.join(goods)}"),
-                )
-        else:
-            raise ValueError(f"unknown detector {self.detector!r}")
-        return None
+        evidence = DETECTORS[self.detector](self.name, ctx)
+        return (self.verdict, evidence) if evidence else None
 
 
 def _ina_evidence(rule: str, finding: InaFinding) -> Evidence:
@@ -353,6 +312,34 @@ def _ina_evidence(rule: str, finding: InaFinding) -> Evidence:
              + (" under a single contract" if finding.single_contract else
                 " under separate contracts"),
     )
+
+
+def _unvalued_evidence(rule: str, ctx: _Context) -> tuple[Evidence, ...]:
+    goods = unvalued_goods(ctx.world, ctx.history)
+    if not goods:
+        return ()
+    return (Evidence(rule=rule, note=f"unvalued goods traded: {', '.join(goods)}"),)
+
+
+# Each detector maps (rule name, context) to the rule's evidence; a rule
+# fires when its detector returns any.
+DETECTORS: dict[str, Callable[[str, _Context], tuple[Evidence, ...]]] = {
+    "riba": lambda rule, ctx: tuple(
+        Evidence(rule=rule, events=f.events, contracts=(f.link,),
+                 note=f"increment {f.increment} on principal {f.principal} "
+                      f"over {f.duration} days")
+        for f in detect_riba(ctx.world.contracts, ctx.history)),
+    "ethical-tags": lambda rule, ctx: tuple(
+        Evidence(rule=rule, events=f.events, note=f.note)
+        for f in detect_ethical_tags(ctx.history)),
+    "ina": lambda rule, ctx: tuple(_ina_evidence(rule, f) for f in detect_ina(ctx.history)),
+    "ina-single-contract": lambda rule, ctx: tuple(
+        _ina_evidence(rule, f) for f in detect_ina(ctx.history) if f.single_contract),
+    "loan-profile": lambda rule, ctx: tuple(
+        Evidence(rule=rule, events=refs, note=f"{agent}: {p} out, {r} back after {days} days")
+        for agent, p, r, days, refs in loan_profiles(ctx.progression)),
+    "unvalued-goods": _unvalued_evidence,
+}
 
 
 @dataclass(frozen=True)
@@ -427,8 +414,14 @@ codec_row(LegalPosition, "name mode rules default",
 
 def position_from_dict(data: Mapping, path: str = "") -> LegalPosition:
     """Assemble a custom position from a scenario-file rule list; a rule
-    without a name is named after its detector."""
+    without a name is named after its detector, and a detector not in
+    ``DETECTORS`` is an error that names its JSON path."""
     position = value_from_dict(LegalPosition, data, path)
+    for i, rule in enumerate(position.rules):
+        if rule.detector not in DETECTORS:
+            where = f"{path}.rules[{i}].detector" if path else f"rules[{i}].detector"
+            raise ValueError(f"{where}: unknown detector {rule.detector!r}; "
+                             f"known: {sorted(DETECTORS)}")
     return replace(position, rules=tuple(
         rule if rule.name is not None else replace(rule, name=rule.detector)
         for rule in position.rules))

@@ -61,9 +61,14 @@ class ParameterViolation(Exception):
 
 @dataclass(frozen=True)
 class ParamSpec:
+    """A catalogue parameter. ``check`` bounds a quantity: "positive",
+    "nonnegative", or "" for no bound; an integer is a period in days and
+    at least one."""
+
     name: str
     default: object
     doc: str = ""
+    check: str = ""
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,12 @@ def _as_duration(name: str, value: object) -> int:
     days = int(value)
     if days < 0:
         raise ParameterViolation(f"parameter {name} must be nonnegative")
+    if days < 1:
+        raise ParameterViolation(f"{name} must be at least one day")
     return days
+
+
+_CHECKS = {"positive": lambda q: q > ZERO, "nonnegative": lambda q: q >= ZERO}
 
 
 def _resolve(spec_params: Sequence[ParamSpec], overrides: Mapping[str, object]) -> dict[str, object]:
@@ -151,7 +161,9 @@ def _resolve(spec_params: Sequence[ParamSpec], overrides: Mapping[str, object]) 
     for p in spec_params:
         value = overrides.get(p.name, p.default)
         if isinstance(p.default, Quantity):
-            resolved[p.name] = _as_quantity(p.name, value)
+            value = resolved[p.name] = _as_quantity(p.name, value)
+            if p.check and not _CHECKS[p.check](value):
+                raise ParameterViolation(f"parameter {p.name} must be {p.check}, got {value}")
         elif isinstance(p.default, bool):
             if isinstance(value, str):
                 value = value.lower() in ("1", "true", "yes")
@@ -161,16 +173,6 @@ def _resolve(spec_params: Sequence[ParamSpec], overrides: Mapping[str, object]) 
         else:
             resolved[p.name] = str(value)
     return resolved
-
-
-def _require_positive(name: str, value: Quantity) -> None:
-    if value <= ZERO:
-        raise ParameterViolation(f"parameter {name} must be positive, got {value}")
-
-
-def _require_nonnegative(name: str, value: Quantity) -> None:
-    if value < ZERO:
-        raise ParameterViolation(f"parameter {name} must be nonnegative, got {value}")
 
 
 def _block_multiple(value: Quantity, block: Quantity) -> bool:
@@ -201,12 +203,6 @@ def _build_loan_with_interest(params: Mapping[str, object]) -> ScenarioInstance:
     """
     p, c, c2, i = (params[k] for k in ("p", "c", "c2", "i"))
     t = params["t"]
-    _require_positive("p", p)
-    _require_nonnegative("c", c)
-    _require_nonnegative("c2", c2)
-    _require_nonnegative("i", i)
-    if t < 1:
-        raise ParameterViolation("t must be at least one day")
     if p - c < ZERO:
         raise ParameterViolation("costs c exceed the principal")
     out_leg = p - c
@@ -257,11 +253,6 @@ def _build_savings_account(params: Mapping[str, object]) -> ScenarioInstance:
     """
     p, c, q = params["p"], params["c"], params["q"]
     t = params["t"]
-    _require_positive("p", p)
-    _require_nonnegative("c", c)
-    _require_nonnegative("q", q)
-    if t < 1:
-        raise ParameterViolation("t must be at least one day")
     terms = RepaymentTerms(principal=p, rate=q, fixed_cost=c, period=t)
     repayment = terms.repayment()
     if repayment < ZERO:
@@ -321,10 +312,6 @@ def _build_ina(params: Mapping[str, object]) -> ScenarioInstance:
     p, i = params["p"], params["i"]
     t = params["t"]
     single = params["single_contract"]
-    _require_positive("p", p)
-    _require_nonnegative("i", i)
-    if t < 1:
-        raise ParameterViolation("t must be at least one day")
     credit_price = p + i
     settle = "ina-settle"
     good = Good(good_id="S", kind="asset", owner="Y", market_value=p)
@@ -405,10 +392,6 @@ def _build_tawarruq_classic(params: Mapping[str, object]) -> ScenarioInstance:
     """
     p, i = params["p"], params["i"]
     t = params["t"]
-    _require_positive("p", p)
-    _require_nonnegative("i", i)
-    if t < 1:
-        raise ParameterViolation("t must be at least one day")
     credit_price = p + i
     czx, cxy, cyz, settle = "czx", "cxy", "cyz", "credit-settle"
     world = make_world(
@@ -467,11 +450,6 @@ def _build_contractus_trinus(params: Mapping[str, object]) -> ScenarioInstance:
     """
     invest, fee, premium = params["invest"], params["profit_fee"], params["premium"]
     t = params["t"]
-    _require_positive("invest", invest)
-    _require_nonnegative("profit_fee", fee)
-    _require_nonnegative("premium", premium)
-    if t < 1:
-        raise ParameterViolation("t must be at least one day")
     partnership, profit_sale, insurance = "partnership", "profit-sale", "insurance"
     clauses = (
         Clause("A", ActionTemplate(kind=ActionKind.PAY, actor="A", counterparty="B",
@@ -523,11 +501,6 @@ def _build_murabaha(params: Mapping[str, object]) -> ScenarioInstance:
     """
     price, markup, fee = params["price"], params["markup"], params["fee"]
     t = params["t"]
-    _require_positive("price", price)
-    _require_nonnegative("markup", markup)
-    _require_nonnegative("fee", fee)
-    if t < 1:
-        raise ParameterViolation("t must be at least one day")
     resale = price + markup
     promise, settle = "murabaha-promise", "murabaha-settle"
     world = make_world(
@@ -573,12 +546,6 @@ def _tawarruq_prices(params: Mapping[str, object], granular: bool):
     p, c, q = params["p"], params["c"], params["q"]
     t, block = params["t"], params["block"]
     drift = params.get("value_drift", ZERO)
-    _require_positive("p", p)
-    _require_nonnegative("c", c)
-    _require_nonnegative("q", q)
-    _require_positive("block", block)
-    if t < 1:
-        raise ParameterViolation("t must be at least one day")
     i = q * p
     if granular:
         portion = _ceil_to_block(p, block)
@@ -707,151 +674,127 @@ def _monetization_trades(spec: GoodSpec, portion, credit_total, down, deferred,
     return x_tail, y_tail, z_tail
 
 
-def _build_tawarruq_pi_double_prime(params: Mapping[str, object]) -> ScenarioInstance:
+def _build_contract_backed(params: Mapping[str, object], name: str, contracts: Sequence[str],
+                           heads: Callable, expected: Mapping[str, str]) -> ScenarioInstance:
+    """Block-granular monetization with contracts behind the trades.
+
+    ``heads(cl1, cl2, cl3)`` gives the X, Y and Z steps that prepare and sign
+    the contracts holding the three clauses; the shared trades follow, citing
+    ``contracts``, the contract of each clause in turn.
+    """
+    p, c, i, t, block, portion, credit_total, down, deferred, buyback = \
+        _tawarruq_prices(params, granular=True)
+    spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
+    world = _monetization_agents(i, down, endow_x=portion,
+                                 drift=params.get("value_drift", ZERO))
+    tails = _monetization_trades(spec, portion, credit_total, down, deferred, buyback, t,
+                                 "pi-settle", *contracts)
+    clauses = _monetization_contracts(portion, credit_total, buyback)
+    plans = tuple(Plan(agent, head + tail)
+                  for agent, head, tail in zip(("X", "Y", "Z"), heads(*clauses), tails))
+    return ScenarioInstance(
+        name=name, params=params, world=world, plans=plans,
+        principals=("X", "Y", "Z"), horizon=t, expected=dict(expected),
+    )
+
+
+def _double_prime_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> tuple[tuple, tuple, tuple]:
     """Contract-backed monetization: C1, C2, C3 signed in that order before
     any trading, each giving the next mover its assurance; informs reference
     the contracts as the trades progress.
     """
-    p, c, i, t, block, portion, credit_total, down, deferred, buyback = \
-        _tawarruq_prices(params, granular=True)
-    settle = "pi-settle"
-    spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
-    cl1, cl2, cl3 = _monetization_contracts(portion, credit_total, buyback)
-    world = _monetization_agents(i, down, endow_x=portion,
-                                 drift=params.get("value_drift", ZERO))
-    x_tail, y_tail, z_tail = _monetization_trades(
-        spec, portion, credit_total, down, deferred, buyback, t, settle, "C1", "C2", "C3")
-    plans = (
-        # who signs first within each pair is left free; the contract-level
-        # order C1, C2, C3 is forced by the activation waits
-        Plan("X", (
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C1"),
-            do(ActionKind.SIGN_CONTRACT, "X", contract_id="C1"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C1"),
-            do(ActionKind.PREPARE_CONTRACT, "X", contract_id="C2", parties=("X", "Y"),
-               clauses=(cl2,), references=("C1",)),
-            do(ActionKind.SIGN_CONTRACT, "X", contract_id="C2"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C3"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C3"),
-        ) + x_tail),
-        Plan("Y", (
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C2"),
-            do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C2"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="X", contract_id="C2"),
-            do(ActionKind.PREPARE_CONTRACT, "Y", contract_id="C3", parties=("Y", "Z"),
-               clauses=(cl3,), references=("C2",)),
-            do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C3"),
-        ) + y_tail),
-        Plan("Z", (
-            do(ActionKind.PREPARE_CONTRACT, "Z", contract_id="C1", parties=("X", "Z"),
-               clauses=(cl1,)),
-            do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C1"),
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C3"),
-            do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C3"),
-        ) + z_tail),
+    # who signs first within each pair is left free; the contract-level
+    # order C1, C2, C3 is forced by the activation waits
+    x = (
+        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C1"),
+        do(ActionKind.SIGN_CONTRACT, "X", contract_id="C1"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C1"),
+        do(ActionKind.PREPARE_CONTRACT, "X", contract_id="C2", parties=("X", "Y"),
+           clauses=(cl2,), references=("C1",)),
+        do(ActionKind.SIGN_CONTRACT, "X", contract_id="C2"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C3"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C3"),
     )
-    return ScenarioInstance(
-        name="tawarruq_pi_double_prime", params=params, world=world, plans=plans,
-        principals=("X", "Y", "Z"), horizon=t,
-        expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "halal",
-                  "STRICT_FUNCTIONAL": "haram"},
+    y = (
+        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C2"),
+        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C2"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="X", contract_id="C2"),
+        do(ActionKind.PREPARE_CONTRACT, "Y", contract_id="C3", parties=("Y", "Z"),
+           clauses=(cl3,), references=("C2",)),
+        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C3"),
     )
+    z = (
+        do(ActionKind.PREPARE_CONTRACT, "Z", contract_id="C1", parties=("X", "Z"),
+           clauses=(cl1,)),
+        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C1"),
+        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C3"),
+        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C3"),
+    )
+    return x, y, z
 
 
-def _build_tawarruq_pi_triple_prime(params: Mapping[str, object]) -> ScenarioInstance:
+def _triple_prime_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> tuple[tuple, tuple, tuple]:
     """Preparation-ordered monetization: all three contracts are prepared
     before any is signed, and signing runs C3, then C2, then C1 - the party
     whose assurance depends on the rest commits last.
     """
-    p, c, i, t, block, portion, credit_total, down, deferred, buyback = \
-        _tawarruq_prices(params, granular=True)
-    settle = "pi-settle"
-    spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
-    cl1, cl2, cl3 = _monetization_contracts(portion, credit_total, buyback)
-    world = _monetization_agents(i, down, endow_x=portion,
-                                 drift=params.get("value_drift", ZERO))
-    x_tail, y_tail, z_tail = _monetization_trades(
-        spec, portion, credit_total, down, deferred, buyback, t, settle, "C1", "C2", "C3")
-    plans = (
-        # preparation chains through the references; every signature on Cn
-        # waits for C(n+1) to be fully signed, leaving the order within each
-        # signing pair free
-        Plan("X", (
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C1"),
-            do(ActionKind.PREPARE_CONTRACT, "X", contract_id="C2", parties=("X", "Y"),
-               clauses=(cl2,), references=("C1",)),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C3"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C3"),
-            do(ActionKind.SIGN_CONTRACT, "X", contract_id="C2"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C2"),
-            do(ActionKind.SIGN_CONTRACT, "X", contract_id="C1"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C1"),
-        ) + x_tail),
-        Plan("Y", (
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C2"),
-            do(ActionKind.PREPARE_CONTRACT, "Y", contract_id="C3", parties=("Y", "Z"),
-               clauses=(cl3,), references=("C2",)),
-            do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C3"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C3"),
-            do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C2"),
-        ) + y_tail),
-        Plan("Z", (
-            do(ActionKind.PREPARE_CONTRACT, "Z", contract_id="C1", parties=("X", "Z"),
-               clauses=(cl1,)),
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C3"),
-            do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C3"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="X", contract_id="C2"),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C2"),
-            do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C1"),
-        ) + z_tail),
+    # preparation chains through the references; every signature on Cn
+    # waits for C(n+1) to be fully signed, leaving the order within each
+    # signing pair free
+    x = (
+        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C1"),
+        do(ActionKind.PREPARE_CONTRACT, "X", contract_id="C2", parties=("X", "Y"),
+           clauses=(cl2,), references=("C1",)),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C3"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C3"),
+        do(ActionKind.SIGN_CONTRACT, "X", contract_id="C2"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C2"),
+        do(ActionKind.SIGN_CONTRACT, "X", contract_id="C1"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C1"),
     )
-    return ScenarioInstance(
-        name="tawarruq_pi_triple_prime", params=params, world=world, plans=plans,
-        principals=("X", "Y", "Z"), horizon=t,
-        expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "halal"},
+    y = (
+        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C2"),
+        do(ActionKind.PREPARE_CONTRACT, "Y", contract_id="C3", parties=("Y", "Z"),
+           clauses=(cl3,), references=("C2",)),
+        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C3"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C3"),
+        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C2"),
     )
+    z = (
+        do(ActionKind.PREPARE_CONTRACT, "Z", contract_id="C1", parties=("X", "Z"),
+           clauses=(cl1,)),
+        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C3"),
+        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C3"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="X", contract_id="C2"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C2"),
+        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C1"),
+    )
+    return x, y, z
 
 
-def _build_tawarruq_single_contract(params: Mapping[str, object]) -> ScenarioInstance:
+def _single_contract_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> tuple[tuple, tuple, tuple]:
     """The whole monetization packaged in one contract with three signatures.
 
     Removes the contract-preparation choreography; the trades follow the
     same order as the contract-backed variant.
     """
-    p, c, i, t, block, portion, credit_total, down, deferred, buyback = \
-        _tawarruq_prices(params, granular=True)
-    settle = "pi-settle"
-    package = "package"
-    spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
-    cl1, cl2, cl3 = _monetization_contracts(portion, credit_total, buyback)
-    world = _monetization_agents(i, down, endow_x=portion,
-                                 drift=params.get("value_drift", ZERO))
-    x_tail, y_tail, z_tail = _monetization_trades(
-        spec, portion, credit_total, down, deferred, buyback, t, settle,
-        package, package, package)
-    plans = (
-        # three signatures in any order once the package is prepared
-        Plan("X", (
-            do(ActionKind.PREPARE_CONTRACT, "X", contract_id=package,
-               parties=("X", "Y", "Z"), clauses=(cl1, cl2, cl3)),
-            do(ActionKind.SIGN_CONTRACT, "X", contract_id=package),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id=package),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id=package),
-        ) + x_tail),
-        Plan("Y", (
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id=package),
-            do(ActionKind.SIGN_CONTRACT, "Y", contract_id=package),
-        ) + y_tail),
-        Plan("Z", (
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id=package),
-            do(ActionKind.SIGN_CONTRACT, "Z", contract_id=package),
-        ) + z_tail),
+    # three signatures in any order once the package is prepared
+    x = (
+        do(ActionKind.PREPARE_CONTRACT, "X", contract_id="package",
+           parties=("X", "Y", "Z"), clauses=(cl1, cl2, cl3)),
+        do(ActionKind.SIGN_CONTRACT, "X", contract_id="package"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="package"),
+        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="package"),
     )
-    return ScenarioInstance(
-        name="tawarruq_single_contract", params=params, world=world, plans=plans,
-        principals=("X", "Y", "Z"), horizon=t,
-        expected={"CONVENTIONAL": "halal"},
+    y = (
+        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="package"),
+        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="package"),
     )
+    z = (
+        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="package"),
+        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="package"),
+    )
+    return x, y, z
 
 
 def _build_brokered_loan(params: Mapping[str, object]) -> ScenarioInstance:
@@ -865,10 +808,6 @@ def _build_brokered_loan(params: Mapping[str, object]) -> ScenarioInstance:
     t = params["t"]
     guarantee = params["guarantee"]
     collateral_value = params["collateral_value"]
-    _require_positive("p", p)
-    _require_nonnegative("i", i)
-    if t < 1:
-        raise ParameterViolation("t must be at least one day")
     if guarantee not in ("pledge-of-goods", "goods-on-default", "income-share"):
         raise ParameterViolation(f"unknown guarantee variant {guarantee!r}")
     if guarantee != "income-share" and collateral_value <= p:
@@ -985,11 +924,6 @@ def _build_unethical(params: Mapping[str, object]) -> ScenarioInstance:
     variant = params["variant"]
     p, c, i = params["loan_p"], params["loan_c"], params["loan_i"]
     t = params["t"]
-    _require_positive("loan_p", p)
-    _require_nonnegative("loan_c", c)
-    _require_nonnegative("loan_i", i)
-    if t < 1:
-        raise ParameterViolation("t must be at least one day")
     variants = ("rain_promise", "used_car_sale", "extortion", "interest_loan", "all")
     if variant not in variants:
         raise ParameterViolation(f"variant must be one of {variants}")
@@ -1062,11 +996,11 @@ def _q(n: int, d: int = 1) -> Quantity:
 
 
 def _monetization_params(block: int) -> tuple[ParamSpec, ...]:
-    return (ParamSpec("p", _q(1000), "savings to place"),
-            ParamSpec("c", _q(2), "transaction cost"),
-            ParamSpec("q", _q(1, 20), "rate: increment per unit principal"),
+    return (ParamSpec("p", _q(1000), "savings to place", "positive"),
+            ParamSpec("c", _q(2), "transaction cost", "nonnegative"),
+            ParamSpec("q", _q(1, 20), "rate: increment per unit principal", "nonnegative"),
             ParamSpec("t", 365, "deferral period in days"),
-            ParamSpec("block", _q(block), "good block size"),
+            ParamSpec("block", _q(block), "good block size", "positive"),
             ParamSpec("value_drift", _q(0),
                       "revaluation of the portion at buy-back; constant value assumed"))
 
@@ -1075,27 +1009,27 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="loan_with_interest", family="loan",
         summary="Two linked transfers: p - c out now, p + i + c2 back at day t.",
-        params=(ParamSpec("p", _q(100), "principal"),
-                ParamSpec("c", _q(0), "lender's provision cost"),
-                ParamSpec("c2", _q(0), "additional costs charged back"),
-                ParamSpec("i", _q(10), "increment over the principal"),
+        params=(ParamSpec("p", _q(100), "principal", "positive"),
+                ParamSpec("c", _q(0), "lender's provision cost", "nonnegative"),
+                ParamSpec("c2", _q(0), "additional costs charged back", "nonnegative"),
+                ParamSpec("i", _q(10), "increment over the principal", "nonnegative"),
                 ParamSpec("t", 365, "loan period in days")),
         build=_build_loan_with_interest,
     ),
     ScenarioSpec(
         name="savings_account_with_interest", family="loan",
         summary="Deposit p now; the bank repays p - c + q*p after t days.",
-        params=(ParamSpec("p", _q(1000), "principal deposited"),
-                ParamSpec("c", _q(2), "fixed transaction cost"),
-                ParamSpec("q", _q(1, 20), "rate: increment per unit principal"),
+        params=(ParamSpec("p", _q(1000), "principal deposited", "positive"),
+                ParamSpec("c", _q(2), "fixed transaction cost", "nonnegative"),
+                ParamSpec("q", _q(1, 20), "rate: increment per unit principal", "nonnegative"),
                 ParamSpec("t", 365, "deposit period in days")),
         build=_build_savings_account,
     ),
     ScenarioSpec(
         name="ina_two_party", family="sale-repurchase",
         summary="Spot sale at p, credit buy-back at p + i: a synthesized loan.",
-        params=(ParamSpec("p", _q(100), "spot price"),
-                ParamSpec("i", _q(10), "credit markup"),
+        params=(ParamSpec("p", _q(100), "spot price", "positive"),
+                ParamSpec("i", _q(10), "credit markup", "nonnegative"),
                 ParamSpec("t", 365, "credit period in days"),
                 ParamSpec("single_contract", False, "package both sales in one contract")),
         build=_build_ina,
@@ -1103,26 +1037,26 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="tawarruq_classic", family="tawarruq",
         summary="Three-party asset round trip synthesizing a loan of p at markup i.",
-        params=(ParamSpec("p", _q(100), "asset spot price"),
-                ParamSpec("i", _q(10), "credit markup"),
+        params=(ParamSpec("p", _q(100), "asset spot price", "positive"),
+                ParamSpec("i", _q(10), "credit markup", "nonnegative"),
                 ParamSpec("t", 365, "credit period in days")),
         build=_build_tawarruq_classic,
     ),
     ScenarioSpec(
         name="contractus_trinus", family="triple-contract",
         summary="Partnership + fixed profit sale + principal insurance.",
-        params=(ParamSpec("invest", _q(100), "invested principal"),
-                ParamSpec("profit_fee", _q(15), "fixed price of the profit share"),
-                ParamSpec("premium", _q(5), "insurance premium on the principal"),
+        params=(ParamSpec("invest", _q(100), "invested principal", "positive"),
+                ParamSpec("profit_fee", _q(15), "fixed price of the profit share", "nonnegative"),
+                ParamSpec("premium", _q(5), "insurance premium on the principal", "nonnegative"),
                 ParamSpec("t", 365, "partnership period in days")),
         build=_build_contractus_trinus,
     ),
     ScenarioSpec(
         name="murabaha", family="cost-plus",
         summary="Bank buys G and resells it on credit at price + markup.",
-        params=(ParamSpec("price", _q(100), "bank's purchase price for G"),
-                ParamSpec("markup", _q(10), "cost-plus margin"),
-                ParamSpec("fee", _q(2), "mediation compensation"),
+        params=(ParamSpec("price", _q(100), "bank's purchase price for G", "positive"),
+                ParamSpec("markup", _q(10), "cost-plus margin", "nonnegative"),
+                ParamSpec("fee", _q(2), "mediation compensation", "nonnegative"),
                 ParamSpec("t", 365, "credit period in days")),
         build=_build_murabaha,
     ),
@@ -1142,25 +1076,32 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
         name="tawarruq_pi_double_prime", family="tawarruq",
         summary="Contract-backed monetization: C1, C2, C3 signed, informs reference them.",
         params=_monetization_params(block=30),
-        build=_build_tawarruq_pi_double_prime,
+        build=partial(_build_contract_backed, name="tawarruq_pi_double_prime",
+                      contracts=("C1", "C2", "C3"), heads=_double_prime_heads,
+                      expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "halal",
+                                "STRICT_FUNCTIONAL": "haram"}),
     ),
     ScenarioSpec(
         name="tawarruq_pi_triple_prime", family="tawarruq",
         summary="Preparation-ordered monetization: prepare all contracts, sign C3, C2, C1.",
         params=_monetization_params(block=30),
-        build=_build_tawarruq_pi_triple_prime,
+        build=partial(_build_contract_backed, name="tawarruq_pi_triple_prime",
+                      contracts=("C1", "C2", "C3"), heads=_triple_prime_heads,
+                      expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "halal"}),
     ),
     ScenarioSpec(
         name="tawarruq_single_contract", family="tawarruq",
         summary="Monetization packaged in a single contract with three signatures.",
         params=_monetization_params(block=30),
-        build=_build_tawarruq_single_contract,
+        build=partial(_build_contract_backed, name="tawarruq_single_contract",
+                      contracts=("package",) * 3, heads=_single_contract_heads,
+                      expected={"CONVENTIONAL": "halal"}),
     ),
     ScenarioSpec(
         name="brokered_loan", family="loan",
         summary="Broker-mediated loan with willingness choice point and guarantee variants.",
-        params=(ParamSpec("p", _q(100), "principal"),
-                ParamSpec("i", _q(0), "increment over the principal"),
+        params=(ParamSpec("p", _q(100), "principal", "positive"),
+                ParamSpec("i", _q(0), "increment over the principal", "nonnegative"),
                 ParamSpec("t", 365, "loan period in days"),
                 ParamSpec("guarantee", "pledge-of-goods",
                           "pledge-of-goods | goods-on-default | income-share"),
@@ -1173,9 +1114,9 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
         summary="Chance-contingent promise, hidden-defect sale, coercion, interest pair.",
         params=(ParamSpec("variant", "all",
                           "rain_promise | used_car_sale | extortion | interest_loan | all"),
-                ParamSpec("loan_p", _q(100), "loan-pair principal"),
-                ParamSpec("loan_c", _q(2), "loan-pair provision cost"),
-                ParamSpec("loan_i", _q(10), "loan-pair increment"),
+                ParamSpec("loan_p", _q(100), "loan-pair principal", "positive"),
+                ParamSpec("loan_c", _q(2), "loan-pair provision cost", "nonnegative"),
+                ParamSpec("loan_i", _q(10), "loan-pair increment", "nonnegative"),
                 ParamSpec("t", 365, "loan-pair period in days")),
         build=_build_unethical,
     ),
@@ -1212,13 +1153,7 @@ def instantiate(
 ) -> ScenarioInstance:
     """Build a scenario instance; deterministic for given (name, params)."""
     spec = get_spec(name, extra)
-    resolved = _resolve(spec.params, params or {})
-    instance = spec.build(resolved)
-    return ScenarioInstance(
-        name=spec.name, params=resolved, world=instance.world, plans=instance.plans,
-        principals=instance.principals, horizon=instance.horizon,
-        choice_points=instance.choice_points, expected=dict(instance.expected),
-    )
+    return spec.build(_resolve(spec.params, params or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -1300,6 +1235,10 @@ def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
     if not isinstance(data, dict):
         raise ValueError(f"scenario file {path!r}: expected a JSON object at the top level, "
                          f"got {type(data).__name__}")
+    unknown = sorted(data.keys() - {"scenarios", "positions"})
+    if unknown:
+        raise ValueError(f"scenario file {path!r}: unknown key {unknown[0]!r}; "
+                         "known: ['positions', 'scenarios']")
     scenarios, positions = data.get("scenarios", []), data.get("positions", [])
     for key, entries in (("scenarios", scenarios), ("positions", positions)):
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):

@@ -743,87 +743,34 @@ def promise_to_contract(
         raise ValidationError("promise contract needs an id")
     actor, other = promise.actor, promise.counterparty
 
-    if promise.kind == ActionKind.PROMISE_PAY:
-        _need(promise, "amount")
-        clauses = (
-            Clause(
-                obliged_party=actor,
-                obliged_action=ActionTemplate(
-                    kind=ActionKind.PAY, actor=actor, counterparty=other,
-                    amount=promise.amount, contract_id=cid,
-                ),
-                deadline=promise.due_date,
-            ),
-        )
-    elif promise.kind == ActionKind.PROMISE_ACCEPT_PAYMENT:
-        _need(promise, "amount")
-        clauses = (
-            Clause(
-                obliged_party=actor,
-                obliged_action=ActionTemplate(
-                    kind=ActionKind.RECEIVE_PAYMENT, actor=actor, counterparty=other,
-                    amount=promise.amount, contract_id=cid,
-                ),
-                deadline=promise.due_date,
-            ),
-        )
+    _need(promise, "amount")
+    kind, trigger, good, bound = ActionKind.PAY, Always(), None, cid
+    if promise.kind == ActionKind.PROMISE_ACCEPT_PAYMENT:
+        kind = ActionKind.RECEIVE_PAYMENT
     elif promise.kind == ActionKind.PROMISE_BUY_ON_CONDITION:
-        _need(promise, "amount")
         if promise.good_id is None:
             raise ValidationError("promise-buy-on-condition requires a good")
+        kind = ActionKind.BUY_ON_CREDIT if promise.on_credit else ActionKind.SPOT_SALE
+        good, bound = promise.good_id, None
         trigger = promise.trigger or AfterEvent(
-            ActionTemplate(kind=ActionKind.PREPARE_GOOD, good_id=promise.good_id)
-        )
-        if promise.on_credit:
-            obliged = ActionTemplate(
-                kind=ActionKind.BUY_ON_CREDIT, actor=actor, counterparty=other,
-                amount=promise.amount, good_id=promise.good_id,
-            )
-        else:
-            # a spot purchase is executed by the seller, so the discharging
-            # event has the counterparty as its actor
-            obliged = ActionTemplate(
-                kind=ActionKind.SPOT_SALE, actor=other, counterparty=actor,
-                amount=promise.amount, good_id=promise.good_id,
-            )
-        clauses = (
-            Clause(obliged_party=actor, obliged_action=obliged, trigger=trigger,
-                   deadline=promise.due_date),
-        )
+            ActionTemplate(kind=ActionKind.PREPARE_GOOD, good_id=good))
     elif promise.kind == ActionKind.PROMISE_INSURANCE_PAYOUT:
-        _need(promise, "amount")
-        premium = promise.down_payment
-        if premium is None:
+        if promise.down_payment is None:
             raise ValidationError("promise-insurance-payout requires a premium (down_payment)")
-        clauses = (
-            Clause(
-                obliged_party=actor,
-                obliged_action=ActionTemplate(
-                    kind=ActionKind.PAY, actor=actor, counterparty=other,
-                    amount=promise.amount, contract_id=cid,
-                ),
-                trigger=AfterEvent(
-                    ActionTemplate(kind=ActionKind.PAY, actor=other,
-                                   counterparty=actor, amount=premium)
-                ),
-                deadline=promise.due_date,
-            ),
-        )
-    else:  # PROMISE_MANAGE_FUNDS
-        _need(promise, "amount")
-        clauses = (
-            Clause(
-                obliged_party=actor,
-                obliged_action=ActionTemplate(
-                    kind=ActionKind.PAY, actor=actor, counterparty=other,
-                    amount=promise.amount, contract_id=cid,
-                ),
-                trigger=AfterEvent(
-                    ActionTemplate(kind=ActionKind.PAY, actor=other, counterparty=actor)
-                ),
-                deadline=promise.due_date,
-            ),
-        )
+        trigger = AfterEvent(ActionTemplate(kind=ActionKind.PAY, actor=other, counterparty=actor,
+                                            amount=promise.down_payment))
+    elif promise.kind == ActionKind.PROMISE_MANAGE_FUNDS:
+        trigger = AfterEvent(ActionTemplate(kind=ActionKind.PAY, actor=other, counterparty=actor))
+    # a spot purchase is executed by the seller, so the discharging event has
+    # the counterparty as its actor
+    doer, receiver = (other, actor) if kind == ActionKind.SPOT_SALE else (actor, other)
+    clauses = (Clause(
+        obliged_party=actor,
+        obliged_action=ActionTemplate(kind=kind, actor=doer, counterparty=receiver,
+                                      amount=promise.amount, good_id=good, contract_id=bound),
+        trigger=trigger,
+        deadline=promise.due_date,
+    ),)
 
     parties = frozenset({actor, other})
     if signing_mode == SigningMode.BOTH_PARTIES:
@@ -931,7 +878,8 @@ def replay(initial: WorldState, history: Iterable[Event]) -> WorldState:
 # its own row holds the tag as a key (ChoiceIs). Field types come from the
 # annotations: a quantity is a string, an enum its value, a tuple an array
 # and a frozenset a sorted array. Decoding takes exactly one JSON type per
-# field type and names the JSON path of whatever does not fit.
+# field type, takes no key that the row does not name, and names the JSON
+# path of whatever does not fit.
 
 @dataclass(frozen=True, slots=True)
 class _Row:
@@ -1018,6 +966,12 @@ def _fail(path: str, message: str) -> ValueError:
 def _show(data: object) -> str:
     text = json.dumps(data, default=repr)
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _reject_unknown(data: dict, known: frozenset, path: str) -> None:
+    unknown = data.keys() - known
+    if unknown:
+        raise _fail(path, f"unknown key {sorted(unknown)[0]!r}; known: {sorted(known)}")
 
 
 def _expect(data: object, kind: type, what: str, path: str) -> object:
@@ -1119,8 +1073,10 @@ def _row_codec(cls: type) -> tuple[Callable, Callable]:
     source = "".join(f"    {line}\n" for line in ["out = {}", *lines, f"return {result}"])
     exec(compile(f"def encode(obj):\n{source}", f"<codec row {cls.__name__}>", "exec"), env)
 
+    known = frozenset(keys)
+
     def decode(data, path):
-        _expect(data, dict, "an object", path)
+        _reject_unknown(_expect(data, dict, "an object", path), known, path)
         kwargs = {}
         for key, name, dec, required in decoders:
             if key in data:
@@ -1133,16 +1089,22 @@ def _row_codec(cls: type) -> tuple[Callable, Callable]:
 
     if flat:
         return env["encode"], decode
+    wrapper = frozenset((tag,))
+
+    def inner(data, path):  # the object that holds the tag holds nothing else
+        _reject_unknown(data, wrapper, path)
+        return data[tag]
     if not keys:
         def decode_bare(data, path):
-            if data[tag] is not True:
+            if inner(data, path) is not True:
                 raise _fail(_join(path, tag), f"expected true, got {_show(data[tag])}")
             return cls()
         return env["encode"], decode_bare
     if len(keys) == 1:
         _, name, dec, _ = decoders[0]
-        return env["encode"], lambda data, path: cls(**{name: dec(data[tag], _join(path, tag))})
-    return env["encode"], lambda data, path: decode(data[tag], _join(path, tag))
+        return env["encode"], lambda data, path: cls(**{name: dec(inner(data, path),
+                                                                  _join(path, tag))})
+    return env["encode"], lambda data, path: decode(inner(data, path), _join(path, tag))
 
 
 def _union_decoder(tags: Mapping[str, type]) -> Callable:

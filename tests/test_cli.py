@@ -1,6 +1,8 @@
 """Command-line driver: exit codes, deterministic JSON, scenario files."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +212,18 @@ class TestEnumerate:
 _GOOD = {"name": "p", "agents": [{"name": "X"}]}
 
 
+def test_readme_scenario_file_example_runs(capsys, tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Scenario file format"):]
+    path = tmp_path / "example.json"
+    path.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    code, _, err = invoke(capsys, "run", "my_product", "--scenario-file", str(path))
+    assert code == 0, err
+    code, out, _ = invoke(capsys, "judge", "my_product", "--position", "NO_ROUND_TRIPS",
+                          "--scenario-file", str(path))
+    assert code == 0 and "halal" in out
+
+
 class TestBadScenarioFile:
     """Malformed --scenario-file input is a usage error, never a traceback."""
 
@@ -227,6 +241,18 @@ class TestBadScenarioFile:
          'scenarios[0].horizon: expected an integer, got "30"'),
         ({"scenarios": [{**_GOOD, "overdraft_allowed": "false"}]},
          'scenarios[0].overdraft_allowed: expected a boolean, got "false"'),
+        ({"scenarios": [{**_GOOD, "plans": [{"agent": "X", "steps": [{"do": {
+            "kind": "promise-pay", "actor": "X", "amount": "3", "due_dat": 3}}]}]}]},
+         "scenarios[0].plans[0].steps[0].do: unknown key 'due_dat'; known: ['actor', "),
+        ({"scenarios": [{**_GOOD, "plans": [{"agent": "X", "steps": [{"stop": True, "x": 1}]}]}]},
+         "scenarios[0].plans[0].steps[0]: unknown key 'x'; known: ['stop']"),
+        ({"scenarios": [_GOOD], "scenrios": []},
+         "unknown key 'scenrios'; known: ['positions', 'scenarios']"),
+        ({"scenarios": [_GOOD], "positions": [{"name": "P", "rules": [
+            {"detector": "ina", "verdikt": "haram"}]}]},
+         "positions[0].rules[0]: unknown key 'verdikt'; known: ['detector', 'name', 'verdict']"),
+        ({"scenarios": [_GOOD], "positions": [{"name": "P", "rules": [{"detector": "foo"}]}]},
+         "positions[0].rules[0].detector: unknown detector 'foo'; known: ['ethical-tags', "),
     ])
     def test_diagnostic_names_the_json_path(self, capsys, tmp_path, document, diagnostic):
         path = tmp_path / "scenarios.json"

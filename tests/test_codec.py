@@ -143,7 +143,9 @@ def _paths(node, prefix=()):
 VALID = _valid_file()
 PATHS = list(_paths(VALID))[1:]
 DROP = object()
-REPLACEMENTS = (DROP, None, True, False, 0, -1, 1.5, "", "x", "30", "1/0", [], [1], {}, {"a": 1})
+UNKNOWN = object()  # inserts a key the format does not know beside the chosen one
+REPLACEMENTS = (DROP, UNKNOWN, None, True, False, 0, -1, 1.5, "", "x", "30", "1/0", [], [1], {},
+                {"a": 1})
 COMMANDS = (("run", "brokered_loan"), ("run", "opened", "--format", "json"),
             ("judge", "ina_two_party", "--position", "P"), ("list-scenarios",))
 
@@ -168,6 +170,9 @@ def test_mutated_scenario_file_exits_with_a_documented_code(scenario_path, mutat
             continue  # an earlier mutation removed this path
         if replacement is DROP:
             del parent[path[-1]]
+        elif replacement is UNKNOWN:
+            if isinstance(parent, dict):
+                parent["unknown_key"] = 1
         else:
             parent[path[-1]] = copy.deepcopy(replacement)
     scenario_path.write_text(json.dumps(document))

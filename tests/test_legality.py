@@ -1,6 +1,8 @@
 """Legal positions: detectors, judgements, evidence, scaling invariance."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from rpsf.engine import Plan, RoundRobin, enumerate_interleavings, run
 from rpsf.legality import (
     BUILTIN_POSITIONS,
     CONVENTIONAL,
+    DETECTORS,
     MAJORITY,
     MALAYSIA,
     NonpositivePrincipal,
@@ -224,6 +227,11 @@ class TestJudgements:
         assert judge(position, instance, progression).verdict == Verdict.HARAM
         instance, progression = run_default("savings_account_with_interest")
         assert judge(position, instance, progression).verdict == Verdict.HALAL
+
+    def test_readme_names_every_detector(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"one of the\s+detectors (.*?) and the verdict", readme, re.S).group(1)
+        assert re.findall(r"`([^`]+)`", listed) == list(DETECTORS)
 
     def test_conventional_permits_every_builtin(self):
         for name in scenario_names():
