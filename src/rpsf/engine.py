@@ -5,24 +5,25 @@ joint behaviour is their interleaving. Modeled threads are data, not
 execution threads: the engine is logically sequential and every strategy is
 deterministic given its inputs.
 
-Time: events are stamped with the engine clock. Plans schedule future
-activity with by-date wait steps; the clock advances to the earliest such
-date only when no plan can act, so day-0 activity always completes before
-later-dated activity starts.
+Every scheduler moves through one successor step, ``_step``: either one
+plan applies and pops its head Do, or, when no plan can act, the clock
+advances to the earliest by-date wait after it (``_wake``). Then every plan
+settles against the new state (branches resolve, satisfied waits pass,
+stops end the plan), so no plan skips a state and day-0 activity always
+completes before later-dated activity starts. When no plan can act and no
+wait has a later date, the plans are blocked: ``run`` reports a deadlock
+naming each blocked plan's trigger, and enumeration keeps the trace.
 
-Strategies:
+Strategies differ only in which plans get a chance to step:
 
-  RoundRobin    -- agents cycle in name order; every runnable plan takes
-                   exactly one step per cycle, so no agent is starved.
-  SeededRandom  -- uniformly random runnable plan each turn, from a fixed
-                   seed.
-  Exhaustive    -- all maximal interleavings (see enumerate_interleavings);
-                   run() under this strategy returns the canonically least
-                   progression of that set.
-
-Richer scheduling disciplines would slot in as further ScheduleStrategy
-variants; the three above cover deterministic replay, randomized probing,
-and complete desk-scale exploration.
+  RoundRobin    -- each cycle, every plan in name order; every runnable
+                   plan takes exactly one step per cycle, so no agent is
+                   starved.
+  SeededRandom  -- each cycle, one uniformly random runnable plan, from a
+                   fixed seed.
+  Exhaustive    -- every runnable plan, each in its own branch (see
+                   enumerate_interleavings); run() under this strategy
+                   returns the canonically least progression of that set.
 
 Cost: a step pops the head of its plan's cursor, and a wait on an
 AfterEvent pattern is one lookup in an index of the history that the call
@@ -55,7 +56,6 @@ from .world import (
     eval_condition,
     trigger_fired,
     value_to_dict,
-    world_to_dict,
 )
 
 
@@ -271,20 +271,35 @@ class _Cursor:
     def head(self) -> Optional[PlanStep]:
         return self.stack[-1] if self.stack else None
 
-    def finished(self) -> bool:
-        return not self.stack
-
 
 def _settle_all(cursors: Sequence[_Cursor], world: WorldState,
                 choices: Mapping[str, bool], index: _EventIndex) -> None:
-    """Settle every plan against a new state, so that none skips a state.
-
-    ``run`` calls this after each event and clock advance, as
-    ``enumerate_interleavings`` does at each node, so every scheduled trace
-    is one of the enumerated ones.
-    """
     for cursor in cursors:
         cursor.settle(world, choices, index)
+
+
+def _step(world: WorldState, cursors: Sequence[_Cursor], cursor: Optional[_Cursor],
+          choices: Mapping[str, bool], index: _EventIndex) -> WorldState:
+    """The one successor step every scheduler takes.
+
+    ``cursor`` applies and pops its head ``Do``; with no cursor, the clock
+    advances to ``_wake``. Then every plan settles against the new state,
+    so that none skips a state and every scheduled trace is an enumerated
+    one.
+    """
+    if cursor is None:
+        world = replace(world, clock=_wake(world, cursors))
+    else:
+        world = apply_event(world, cursor.stack.pop().action, world.clock)
+    _settle_all(cursors, world, choices, index)
+    return world
+
+
+def _wake(world: WorldState, cursors: Sequence[_Cursor]) -> Optional[int]:
+    """The earliest by-date wait after the clock, or None."""
+    heads = [c.head() for c in cursors]
+    return min((h.trigger.day for h in heads if isinstance(h, WaitFor)
+                and isinstance(h.trigger, ByDate) and h.trigger.day > world.clock), default=None)
 
 
 def _validate_plans(world: WorldState, plans: Iterable[Plan]) -> list[Plan]:
@@ -321,10 +336,7 @@ def run(
     choices = dict(choices or {})
     ordered = _validate_plans(world, plans)
     if isinstance(strategy, Exhaustive):
-        traces = enumerate_interleavings(world, ordered, bound=_total_steps(ordered), choices=choices)
-        if not traces:
-            return Progression(events=(), world=world)
-        return traces[0]
+        return enumerate_interleavings(world, ordered, bound=_total_steps(ordered), choices=choices)[0]
 
     cursors = [_Cursor(p.agent, p.steps) for p in ordered]
     index = _EventIndex()
@@ -336,58 +348,32 @@ def run(
 
     while True:
         cycle += 1
+        # the strategy picks who gets a chance this cycle: round-robin every
+        # plan in name order, seeded-random one runnable plan
+        chances = cursors
+        if rng is not None:
+            runnable = [c for c in cursors if isinstance(c.head(), Do)]
+            chances = [rng.choice(runnable)] if runnable else []
         stepped = False
-        if rng is None:
-            # round-robin: give each plan (name order) one chance per cycle
-            for cursor in cursors:
-                head = cursor.head()
-                if isinstance(head, Do):
-                    world = apply_event(world, head.action, world.clock)
-                    cursor.stack.pop()
-                    _settle_all(cursors, world, choices, index)
-                    schedule.append(cycle)
-                    stepped = True
-        else:
-            runnable = [cursor for cursor in cursors if isinstance(cursor.head(), Do)]
-            if runnable:
-                chosen = rng.choice(runnable)
-                head = chosen.head()
-                world = apply_event(world, head.action, world.clock)
-                chosen.stack.pop()
-                _settle_all(cursors, world, choices, index)
+        for cursor in chances:
+            if isinstance(cursor.head(), Do):
+                world = _step(world, cursors, cursor, choices, index)
                 schedule.append(cycle)
                 stepped = True
-
         if stepped:
             continue
 
         # nothing moved: finish, release a by-date wait, or report deadlock
-        if all(c.finished() for c in cursors):
+        if not any(c.stack for c in cursors):
             break
-        wake_dates = []
-        blocked: dict[str, Trigger] = {}
-        for cursor in cursors:
-            head = cursor.head()
-            if isinstance(head, WaitFor):
-                blocked[cursor.agent] = head.trigger
-                if isinstance(head.trigger, ByDate) and head.trigger.day > world.clock:
-                    wake_dates.append(head.trigger.day)
-        if wake_dates:
-            wake = min(wake_dates)
-            if wake > horizon:
-                raise HorizonExceeded(
-                    f"next scheduled activity at day {wake} exceeds horizon {horizon}"
-                )
-            world = replace(world, clock=wake)
-            _settle_all(cursors, world, choices, index)
-            continue
-        raise DeadlockDetected(blocked)
+        wake = _wake(world, cursors)
+        if wake is None:
+            raise DeadlockDetected({c.agent: c.head().trigger for c in cursors if c.stack})
+        if wake > horizon:
+            raise HorizonExceeded(f"next scheduled activity at day {wake} exceeds horizon {horizon}")
+        world = _step(world, cursors, None, choices, index)
 
-    return Progression(
-        events=world.history[start:],
-        world=world,
-        schedule=tuple(schedule),
-    )
+    return Progression(events=world.history[start:], world=world, schedule=tuple(schedule))
 
 
 def _total_steps(plans: Sequence[Plan]) -> int:
@@ -441,36 +427,28 @@ def enumerate_interleavings(
     seen: dict[tuple, Progression] = {}
     start = len(world.history)
     for assignment in assignments:
-        stack: list[tuple[WorldState, list[_Cursor], _EventIndex]] = [
-            (world, [_Cursor(p.agent, p.steps) for p in ordered], _EventIndex())
-        ]
+        cursors = [_Cursor(p.agent, p.steps) for p in ordered]
+        index = _EventIndex()
+        _settle_all(cursors, world, assignment, index)
+        stack: list[tuple[WorldState, list[_Cursor], _EventIndex]] = [(world, cursors, index)]
         while stack:
             state, cursors, index = stack.pop()
-            _settle_all(cursors, state, assignment, index)
             enabled = [i for i, c in enumerate(cursors) if isinstance(c.head(), Do)]
             if not enabled:
-                wake_dates = [
-                    c.head().trigger.day
-                    for c in cursors
-                    if isinstance(c.head(), WaitFor) and isinstance(c.head().trigger, ByDate)
-                    and c.head().trigger.day > state.clock
-                ]
-                if wake_dates:
-                    stack.append((replace(state, clock=min(wake_dates)), cursors, index))
-                    continue
-                progression = Progression(events=state.history[start:], world=state)
-                seen.setdefault(progression.key(), progression)
+                if _wake(state, cursors) is None:
+                    progression = Progression(events=state.history[start:], world=state)
+                    seen.setdefault(progression.key(), progression)
+                else:
+                    stack.append((_step(state, cursors, None, assignment, index), cursors, index))
                 continue
             # reversed so the lowest-named agent is explored first; that
             # last child takes over this node's cursors and index
             for i in reversed(enabled):
                 last = i == enabled[0]
-                next_cursors = cursors if last else [c.clone() for c in cursors]
-                head = next_cursors[i].head()
-                assert isinstance(head, Do)
-                next_state = apply_event(state, head.action, state.clock)
-                next_cursors[i].stack.pop()
-                stack.append((next_state, next_cursors, index if last else index.copy()))
+                child = cursors if last else [c.clone() for c in cursors]
+                child_index = index if last else index.copy()
+                stack.append((_step(state, child, child[i], assignment, child_index),
+                              child, child_index))
 
     return tuple(seen[k] for k in sorted(seen))
 
@@ -487,8 +465,5 @@ codec_union(PlanStep, do=Do, wait_for=WaitFor, branch=Branch, stop=Stop)
 codec_row(Plan, "agent steps", defaults={"steps": ()})
 
 
-def progression_to_dict(progression: Progression, include_world: bool = False) -> dict:
-    out: dict = {"events": [value_to_dict(e) for e in progression.events]}
-    if include_world:
-        out["final_world"] = world_to_dict(progression.world, include_history=False)
-    return out
+def progression_to_dict(progression: Progression) -> dict:
+    return {"events": [value_to_dict(e) for e in progression.events]}

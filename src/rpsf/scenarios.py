@@ -141,7 +141,11 @@ def _as_quantity(name: str, value: object) -> Quantity:
 def _as_duration(name: str, value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ParameterViolation(f"parameter {name} must be a day count")
-    days = int(value)
+    try:
+        days = int(value)
+    except ValueError:
+        raise ParameterViolation(
+            f"parameter {name} must be a whole number of days, got {value!r}") from None
     if days < 0:
         raise ParameterViolation(f"parameter {name} must be nonnegative")
     if days < 1:
@@ -314,7 +318,8 @@ def _build_ina(params: Mapping[str, object]) -> ScenarioInstance:
     single = params["single_contract"]
     credit_price = p + i
     settle = "ina-settle"
-    good = Good(good_id="S", kind="asset", owner="Y", market_value=p)
+    good = Good(good_id="S", kind="asset", owner="Y", market_value=p,
+                block_size=Quantity(1, p.den))
     world = make_world(
         agents=[Agent("X"), Agent("Y")],
         balances={"X": p, "Y": i},
@@ -397,7 +402,8 @@ def _build_tawarruq_classic(params: Mapping[str, object]) -> ScenarioInstance:
     world = make_world(
         agents=[Agent("X"), Agent("Y"), Agent("Z", Role.COMPANY)],
         balances={"X": p, "Y": i},
-        goods=[Good(good_id="S", kind="asset", owner="Z", market_value=p)],
+        goods=[Good(good_id="S", kind="asset", owner="Z", market_value=p,
+                    block_size=Quantity(1, p.den))],
     )
     plans = (
         Plan("X", (
@@ -506,7 +512,8 @@ def _build_murabaha(params: Mapping[str, object]) -> ScenarioInstance:
     world = make_world(
         agents=[Agent("A"), Agent("B", Role.COMPANY), Agent("BANK", Role.BANK)],
         balances={"A": fee + resale, "BANK": price},
-        goods=[Good(good_id="G", kind="good", owner="B", market_value=price)],
+        goods=[Good(good_id="G", kind="good", owner="B", market_value=price,
+                    block_size=Quantity(1, price.den))],
     )
     plans = (
         Plan("A", (

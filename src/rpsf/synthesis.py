@@ -54,6 +54,9 @@ ALL_AGENTS = "all"
 
 DESK_SCALE_LIMIT = 8
 
+# goods a search may prepare; grounding discloses it
+MAX_PREPARED_GOODS = 1
+
 
 @dataclass(frozen=True, slots=True)
 class Flow:
@@ -215,7 +218,6 @@ def synthesize(
     agents: Sequence[str] = ("X", "Y", "Z"),
     bound: int = 6,
     perspective=None,
-    max_prepared_goods: int = 1,
 ) -> SynthesisResult:
     """Bounded search for primitive sequences flow-equivalent to the target.
 
@@ -244,12 +246,14 @@ def synthesize(
     for amount in amounts:
         endowment = endowment + amount
     endowment = endowment * max(bound, 1)
+    # the traded good is worth the largest amount, in blocks that divide it
+    good_value = amounts[-1] if amounts else Quantity(1)
+    block = Quantity(1, good_value.den)
     goods = []
     trade_possible = bool(kinds & {"spot-sale", "credit-sale"})
     if "prepare-good" not in kinds and trade_possible:
-        value = amounts[-1] if amounts else Quantity(1)
         goods.append(Good(good_id="g0", kind="asset", owner=agents[1],
-                          market_value=value, block_size=Quantity(1)))
+                          market_value=good_value, block_size=block))
     world0 = make_world(
         agents=[Agent(name, roles[i]) for i, name in enumerate(agents)],
         balances={name: endowment for name in agents},
@@ -260,7 +264,6 @@ def synthesize(
 
     explored = 0
     witnesses: list[Witness] = []
-    good_value = amounts[-1] if amounts else Quantity(1)
 
     def cells_mismatch(nets) -> int:
         count = 0
@@ -302,14 +305,14 @@ def synthesize(
 
     def candidates(state: _SearchState):
         world = state.world
-        if "prepare-good" in kinds and state.prepared < max_prepared_goods:
+        if "prepare-good" in kinds and state.prepared < MAX_PREPARED_GOODS:
             for owner in agents:
                 if not allowed_participants(state.used, [owner]):
                     continue
                 gid = f"g{len(world.goods)}"
                 yield Action(kind=ActionKind.PREPARE_GOOD, actor=owner, good_id=gid,
                              good_spec=GoodSpec(kind="asset", market_value=good_value,
-                                                block_size=Quantity(1)))
+                                                block_size=block))
         for gid in sorted(world.goods):
             owner = world.goods[gid].owner
             for buyer in agents:
@@ -387,7 +390,7 @@ def synthesize(
         "amounts": [str(a) for a in amounts],
         "settlement_dates": list(future_dates),
         "inception_date": 0,
-        "max_prepared_goods": max_prepared_goods,
+        "max_prepared_goods": MAX_PREPARED_GOODS,
         "agent_symmetry": "non-perspective agents enter in a fixed canonical order",
         "coordination_actions": sorted(kinds & set(COORDINATION_PRIMITIVES)),
         "coordination_note": "flow-inert actions are folded into trade skeletons",

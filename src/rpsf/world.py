@@ -1169,5 +1169,5 @@ def world_to_dict(world: WorldState, include_history: bool = True) -> dict:
     return out
 
 
-def world_to_json(world: WorldState, include_history: bool = True) -> str:
-    return json.dumps(world_to_dict(world, include_history), indent=2, sort_keys=False)
+def world_to_json(world: WorldState) -> str:
+    return json.dumps(world_to_dict(world), indent=2, sort_keys=False)

@@ -74,6 +74,19 @@ class TestRun:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1/3", "true"])
+    def test_period_that_is_not_whole_days_is_named(self, capsys, value):
+        code, _, err = invoke(capsys, "run", "loan_with_interest", f"t={value}")
+        assert code == 2
+        assert err == f"error: parameter t must be a whole number of days, got {value!r}\n"
+
+    @pytest.mark.parametrize("argv", [("ina_two_party", "p=1/3"),
+                                      ("tawarruq_classic", "p=1/3"),
+                                      ("murabaha", "price=1/3")])
+    def test_good_at_a_fractional_price_runs(self, capsys, argv):
+        code, _, err = invoke(capsys, "run", *argv)
+        assert (code, err) == (0, "")
+
     def test_unknown_scenario_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "run", "perpetual_motion")
         assert code == 2
@@ -180,6 +193,20 @@ class TestSynthesize:
         assert payload["witness_count"] > 0
         assert payload["grounding"]["settlement_dates"] == [365]
         assert payload["witness_scenarios"]  # re-runnable scenario text
+
+    def test_fractional_target_finds_credit_sales_that_rerun(self, capsys, tmp_path):
+        code, out, _ = invoke(
+            capsys, "synthesize", "--target", "savings_account_with_interest", "p=1001",
+            "q=1/3", "--bound", "4", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["found"] is True
+        for witness in payload["witnesses"]:
+            assert any(a["kind"] == "buy-on-credit" for a in witness["actions"])
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"scenarios": [payload["witness_scenarios"][0]]}))
+        code, _, err = invoke(capsys, "run", "witness-0", "--scenario-file", str(path))
+        assert (code, err) == (0, "")
 
     def test_spot_only_finds_nothing(self, capsys):
         code, out, _ = invoke(

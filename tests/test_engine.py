@@ -89,6 +89,16 @@ class TestRun:
         assert progression.events[0].date == 30
         assert progression.world.clock == 30
 
+    def test_clock_advances_to_the_earliest_wait_date_first(self, trio):
+        plans = [Plan(agent, (WaitFor(ByDate(day)),
+                              Do(Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT, actor=agent))))
+                 for agent, day in (("A", 5), ("B", 2))]
+        traces = [run(trio, plans, strategy) for strategy in (RoundRobin(), SeededRandom(1))]
+        traces += enumerate_interleavings(trio, plans, bound=4)
+        assert len(traces) == 3
+        for progression in traces:
+            assert [(e.date, e.action.actor) for e in progression.events] == [(2, "B"), (5, "A")]
+
     def test_per_plan_order_preserved(self, trio):
         plans = [chat("A", 4), chat("B", 3), chat("C", 2)]
         progression = run(trio, plans, RoundRobin())

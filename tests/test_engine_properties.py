@@ -1,4 +1,8 @@
-"""Engine properties over random inputs: wait checks and scheduled traces."""
+"""Engine properties over random inputs: wait checks, scheduled and
+enumerated traces, replay, conservation and flow equivalence."""
+
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -9,6 +13,7 @@ from rpsf.engine import (  # noqa: E402
     Branch,
     DeadlockDetected,
     Do,
+    Exhaustive,
     Plan,
     RoundRobin,
     SeededRandom,
@@ -18,6 +23,13 @@ from rpsf.engine import (  # noqa: E402
     run,
 )
 from rpsf.money import Quantity  # noqa: E402
+from rpsf.synthesis import (  # noqa: E402
+    ALL_AGENTS,
+    Flow,
+    canonical,
+    equivalent,
+    monetary_projection,
+)
 from rpsf.world import (  # noqa: E402
     Action,
     ActionKind,
@@ -32,7 +44,9 @@ from rpsf.world import (  # noqa: E402
     Reason,
     Stage,
     make_world,
+    replay,
     trigger_fired,
+    world_to_json,
 )
 
 AGENTS = ("A", "B", "C")
@@ -160,21 +174,82 @@ def plan_sets(draw):
     return [Plan(agent, tuple(steps)) for agent, steps in zip(agents, plans)]
 
 
+def plan_world():
+    contract = ContractRecord(contract_id="c1", parties=frozenset(AGENTS), initiator="A",
+                              clauses=(), signatures=frozenset(AGENTS), stage=Stage.ACTIVE)
+    return make_world(agents=[Agent(a) for a in AGENTS],
+                      balances={a: Quantity(100) for a in AGENTS}, contracts=[contract])
+
+
+def scheduled(world, plans, choices, seed):
+    """The RoundRobin and SeededRandom traces that do not deadlock."""
+    out = []
+    for strategy in (RoundRobin(), SeededRandom(seed)):
+        try:
+            out.append(run(world, plans, strategy, choices=choices))
+        except DeadlockDetected:
+            pass
+    return out
+
+
 class TestScheduledTracesAreEnumerated:
     @given(plan_sets(), st.booleans(), st.integers(0, 2**16))
     def test_round_robin_and_seeded_random_are_members(self, plans, choice, seed):
-        contract = ContractRecord(contract_id="c1", parties=frozenset(AGENTS), initiator="A",
-                                  clauses=(), signatures=frozenset(AGENTS),
-                                  stage=Stage.ACTIVE)
-        world = make_world(agents=[Agent(a) for a in AGENTS],
-                           balances={a: Quantity(100) for a in AGENTS},
-                           contracts=[contract])
-        choices = {"x": choice}
+        world, choices = plan_world(), {"x": choice}
         keys = {p.key() for p in enumerate_interleavings(world, plans, bound=8,
                                                           choices=choices)}
-        for strategy in (RoundRobin(), SeededRandom(seed)):
-            try:
-                progression = run(world, plans, strategy, choices=choices)
-            except DeadlockDetected:
-                continue
+        for progression in scheduled(world, plans, choices, seed):
             assert progression.key() in keys
+
+    @given(plan_sets(), st.booleans())
+    def test_exhaustive_run_is_the_least_enumerated_trace(self, plans, choice):
+        world, choices = plan_world(), {"x": choice}
+        least = enumerate_interleavings(world, plans, bound=8, choices=choices)[0]
+        assert run(world, plans, Exhaustive(), choices=choices).key() == least.key()
+
+
+def all_traces(plans, choice, seed):
+    world, choices = plan_world(), {"x": choice}
+    return world, (scheduled(world, plans, choices, seed)
+                   + list(enumerate_interleavings(world, plans, bound=8, choices=choices)))
+
+
+class TestTraces:
+    """Every scheduled and enumerated trace replays, conserves money, and
+    projects to flows on which ``equivalent`` is an equivalence relation."""
+
+    @given(plan_sets(), st.booleans(), st.integers(0, 2**16))
+    def test_replay_is_byte_exact_and_each_event_conserves_money(self, plans, choice, seed):
+        initial, traces = all_traces(plans, choice, seed)
+        money = initial.total_money()
+        for progression in traces:
+            events = progression.events
+            for n in range(1, len(events) + 1):
+                assert replay(initial, events[:n]).total_money() == money
+            # replay restores the ground and contract levels; a clock advance
+            # that no event follows leaves no trace in the history
+            clock = events[-1].date if events else initial.clock
+            assert world_to_json(replay(initial, events)) \
+                == world_to_json(replace(progression.world, clock=clock))
+
+    @given(plan_sets(), st.booleans(), st.integers(0, 2**16), st.sampled_from(AGENTS))
+    def test_equivalent_is_an_equivalence_relation(self, plans, choice, seed, agent):
+        _, traces = all_traces(plans, choice, seed)
+        projections = [monetary_projection(p) for p in traces]
+        # distinct projections of one plan set are seldom equivalent, so each
+        # brings variants that are: the same nets in halved flows or with a
+        # same-day round trip, and nets that differ only away from ``agent``
+        x, y = (a for a in AGENTS if a != agent)
+        flows = list(dict.fromkeys(variant for p in projections for variant in (
+            p,
+            canonical(Flow(f.payer, f.payee, f.amount / 2, f.date) for f in p for _ in "ab"),
+            canonical((*p, Flow(x, y, Quantity(1), 0), Flow(y, x, Quantity(1), 0))),
+            canonical((*p, Flow(x, y, Quantity(1), 0))))))
+        for perspective in (ALL_AGENTS, (agent,)):
+            classes = {a: frozenset(b for b in flows if equivalent(a, b, perspective))
+                       for a in flows}
+            for a, b in product(flows, repeat=2):
+                assert a in classes[a]
+                assert (b in classes[a]) == (a in classes[b])
+                if b in classes[a]:  # transitive: whatever b reaches, a reaches
+                    assert classes[b] <= classes[a]

@@ -10,7 +10,14 @@ import json
 import pytest
 
 from rpsf.cli import main
-from rpsf.engine import DeadlockDetected, Plan, WaitFor, enumerate_interleavings, run
+from rpsf.engine import (
+    DeadlockDetected,
+    Plan,
+    RoundRobin,
+    WaitFor,
+    enumerate_interleavings,
+    run,
+)
 from rpsf.money import Quantity
 from rpsf.scenarios import get_spec, instance_to_dict, instantiate, scenario_names
 from rpsf.world import (
@@ -52,6 +59,121 @@ RUN_JSON = {
     "unethical_examples":
         "f68b98ce7afc149ae6817d2f581cc110e21bb4af9e9515d23c7f321c805969c0",
 }
+# the engine's other paths, per built-in: `run --strategy random --seed 3`
+# and `run --strategy exhaustive` as JSON, `enumerate -v` as JSON, and the
+# repr of the round-robin `Progression.schedule` tuple
+RUN_RANDOM_JSON = {
+    "loan_with_interest":
+        "0322cb650bbb84f6b8bc9c3d1be0ce242f488cf70a359ee5c0aabcc64d5699ee",
+    "savings_account_with_interest":
+        "30717bbc07bee9fd5e5a58266cf8de84326411a821d260774ae390a29932f928",
+    "ina_two_party":
+        "ddec111010ef5c1baf51e625c167aa8f0be21b77aad3acc5242460472a8dcc44",
+    "tawarruq_classic":
+        "9279c930d772a705ddc3f5d98b52da9c4c587b51ea8ea04a50eaa5255a0b76e8",
+    "contractus_trinus":
+        "ae9df377a6fbe93c4048519b0a2cb393dc10e27a6a6577963b67ddb4597e2263",
+    "murabaha":
+        "f12c3ab1cbb3216f72221f1d145e86d59c1a2322883875861e2d76738ad45218",
+    "tawarruq_pi":
+        "45e833a9946b548fcf2eea17c29e0430d49d09edc12b5a2c90735df452b8efa8",
+    "tawarruq_pi_prime":
+        "6442813fbb1cfe3ab31dbbf9d68e94c67e143c8546baedca91487d69588665b2",
+    "tawarruq_pi_double_prime":
+        "3bab05a10a4662fff41b274459a93e961d2ae248574041234a6b7bed67cd431a",
+    "tawarruq_pi_triple_prime":
+        "dbb2bfd3a16e2ecf1fcf3ee4e78d92ed2e77941d5fa6645ee5ca4f88ceb85044",
+    "tawarruq_single_contract":
+        "04e5126592932d07ba7aa9e6a677e13665f236302b66cd099baf3a5da376c6cb",
+    "brokered_loan":
+        "49994f51e3861573cc04f79a391f2b07a40b502aa60a79dff00a4748b2056585",
+    "unethical_examples":
+        "f68b98ce7afc149ae6817d2f581cc110e21bb4af9e9515d23c7f321c805969c0",
+}
+RUN_EXHAUSTIVE_JSON = {
+    "loan_with_interest":
+        "0322cb650bbb84f6b8bc9c3d1be0ce242f488cf70a359ee5c0aabcc64d5699ee",
+    "savings_account_with_interest":
+        "30717bbc07bee9fd5e5a58266cf8de84326411a821d260774ae390a29932f928",
+    "ina_two_party":
+        "ddec111010ef5c1baf51e625c167aa8f0be21b77aad3acc5242460472a8dcc44",
+    "tawarruq_classic":
+        "893845b65c764c503b6c0c45371b71a0215c49dc1b8f28ae7325ebb45f1f37b6",
+    "contractus_trinus":
+        "ae9df377a6fbe93c4048519b0a2cb393dc10e27a6a6577963b67ddb4597e2263",
+    "murabaha":
+        "f12c3ab1cbb3216f72221f1d145e86d59c1a2322883875861e2d76738ad45218",
+    "tawarruq_pi":
+        "45e833a9946b548fcf2eea17c29e0430d49d09edc12b5a2c90735df452b8efa8",
+    "tawarruq_pi_prime":
+        "6442813fbb1cfe3ab31dbbf9d68e94c67e143c8546baedca91487d69588665b2",
+    "tawarruq_pi_double_prime":
+        "77e21afe8873dade991b4e5e63b1f081ad6cdf08b972541b2036c70c2824b4c1",
+    "tawarruq_pi_triple_prime":
+        "172887a629ec128410c707e7b9c17212198ca4ba7093685baf8eb853c655d9fc",
+    "tawarruq_single_contract":
+        "a688f77f06376dba4be9c55026f7be9709226d509e1c0d71dbbe4328ce4392c1",
+    "brokered_loan":
+        "49994f51e3861573cc04f79a391f2b07a40b502aa60a79dff00a4748b2056585",
+    "unethical_examples":
+        "f68b98ce7afc149ae6817d2f581cc110e21bb4af9e9515d23c7f321c805969c0",
+}
+ENUMERATE_ALL_JSON = {
+    "loan_with_interest":
+        "918fadae61e47a1919346f5d0c4b2a0e0cd6084535d1878495e738f315dcdb6a",
+    "savings_account_with_interest":
+        "db5b383e814459a5f08f9520fd2dc82a80796d37c6d0899dc92b5723738d67b5",
+    "ina_two_party":
+        "7b4ada78c1024737e78b972595f026479236eb169aa352c5f7694e70656b2b82",
+    "tawarruq_classic":
+        "4967940c0c3cf9c04fbb288dfdd684b1abe1c1d7ddb26d446889053cea1dc10b",
+    "contractus_trinus":
+        "d5440422028d711a4dbc9db8c7baa9ef8625e01e884cd8460fb21c2370c62f39",
+    "murabaha":
+        "c19cc8c5968d27b970a83a3b7f21750b5ceddc5889aff3c731f7d03a2fccd93b",
+    "tawarruq_pi":
+        "360a7b90a67c2cb025dd76cc47b7cec8299bbc577d5f5a7eab4fa85b1e2fb9d1",
+    "tawarruq_pi_prime":
+        "39981f8f46565f7cb973180712201044c52814639ae3e0cf40904a00a14c3084",
+    "tawarruq_pi_double_prime":
+        "a7b66d9b3279c6959bb64e8311026a5776ad237b042fdeb329ce15e2956e536a",
+    "tawarruq_pi_triple_prime":
+        "3d56012b156badb3af691b2406ce773b6128bec3267ecb1ffbef969c576638ae",
+    "tawarruq_single_contract":
+        "2f42ebcbd1205d9c0f094b67eb4063572badd94abf76bb35421a67c4734fb801",
+    "brokered_loan":
+        "da55590423e11f356f6ffea1c6ee3236e557f7065cf9bec2cd52b43f6fb9af6a",
+    "unethical_examples":
+        "6754e7a857d06ff0f6b59dfeb1df181b90aa87d203a76a69c8dc60a5eada5ccd",
+}
+SCHEDULES = {
+    "loan_with_interest":
+        "695d88df54e5977f961b256a56c391644a7c63dddfdc5f08804b7c4da699e51f",
+    "savings_account_with_interest":
+        "afeeb4830aa586a73e88166e383bb31a1ce5732ca4ff514c452e0127e250d877",
+    "ina_two_party":
+        "23063c2f107df982efbb80e62d8c2b880d2c92efb9aee6f41aa3d50a43aadaed",
+    "tawarruq_classic":
+        "fb1406e68bc9712c61b19f3439891ca710b999d871277bbffbf961a985db46c4",
+    "contractus_trinus":
+        "e8f4f6d5137fe6439f8494104931e3a42d83a68eb2934e989566d3cf1fbae571",
+    "murabaha":
+        "71a45d139863eaf3d094b9df714db9cfa483f4dc86b6dabc6734751832572772",
+    "tawarruq_pi":
+        "df81d35d0e331ca559347711a6df947754e8c975545f4eea8243533d87d44a72",
+    "tawarruq_pi_prime":
+        "df81d35d0e331ca559347711a6df947754e8c975545f4eea8243533d87d44a72",
+    "tawarruq_pi_double_prime":
+        "515b335b0fd30c6191031454fbe6608f962ced6009c06aae70a02ef7e2bfe7fd",
+    "tawarruq_pi_triple_prime":
+        "6b05698814a79c192c6487afe675b17ef6a53b9be97522452e3d98040b0de14b",
+    "tawarruq_single_contract":
+        "45ce94e3007bc64b57423559e8cadd7397c2adb532cdf4112c92cadec0f1af6c",
+    "brokered_loan":
+        "b246ffdd4d1443f14f8416c51d1feab71edf3daf78b01d102e92603a3cd97144",
+    "unethical_examples":
+        "6a04686709e1f2ebe646bfe127a7cff004b8886db64becf2775c317b8ed43c15",
+}
 ENUMERATE_JSON = "4967940c0c3cf9c04fbb288dfdd684b1abe1c1d7ddb26d446889053cea1dc10b"
 SYNTHESIZE_JSON = "89bf9ba3600b44a6de011a370265de134f70ed78a8d1401501c5899f82811281"
 JUDGE_JSON = "c578dae257f1b2d921006e457af2d53ec349ead88a28733cf7e5476aea1d5513"
@@ -60,31 +182,31 @@ JUDGE_JSON = "c578dae257f1b2d921006e457af2d53ec349ead88a28733cf7e5476aea1d5513"
 BAD_VALUES = ("0", "-1", "1/3", "abc", "true")
 PARAMETER_CASES = {
     "loan_with_interest":
-        "e4ab89cc582ca634936af40fa5494b3ba2cc155130a50186d9c1a89d7a1053cf",
+        "0fefa99c49b918b3510b6919a032af3f9b2e6d14f3ebd032998db9fbf7794bc0",
     "savings_account_with_interest":
-        "8d2cd6b3a735cd66fdc381732f318b7281f5f1754a49ccbe1b1856bf54f79b63",
+        "b919c44ea5dd933a9e6d07d4ef1238c84321f7df6e0cdf277ab566f2346a3e47",
     "ina_two_party":
-        "0698e4f316d5766f4b2d8d194e4a5910c07e29e8535699b5aa9b37aa36eebccf",
+        "2cb4ac63689cd2703f271d4ee6e0624ed5965150c7433e33fdcef6dd7dbfcac9",
     "tawarruq_classic":
-        "5dcb6231bfa16f81a2b3e531118e784c595eeb6a2451c2de754760c3409fa018",
+        "bfb478028e3f327a4a7eefa612cc6e2be53cfd75a304a92907140936e38f4cd9",
     "contractus_trinus":
-        "3ed6327ee9bf551cbf62b31e4287e5f46d19c2dd4dc8fda5d668d98e92e456e1",
+        "b420a8754927555daee7ff7fce50c1ad2f6501d85e61525ea98b492494c40cfe",
     "murabaha":
-        "f04c55c6916bd7b20d84ede3cba5238792892965b69a083a9ee394ab38bc670f",
+        "a4f7aa1eb956cd1b451c4bd79d598365da41a61f2f72dc12103f0b7151b1fc7f",
     "tawarruq_pi":
-        "59ff540178b387a89b6e3e449821755ea44af3d764974cca6d6b1c15ccfe2e45",
+        "8bf93c9b8cedf52f5f40bf7f96d5bbc5a992bdebb4abe64d4d13630be7542c4a",
     "tawarruq_pi_prime":
-        "818846e77e5d99eaaf23a053255db028ba12584a7791a8d0363ea72179572771",
+        "6ff188ee0787d01b011362468f587fa4f2da46165761e4dea639bb6f3bd70667",
     "tawarruq_pi_double_prime":
-        "818846e77e5d99eaaf23a053255db028ba12584a7791a8d0363ea72179572771",
+        "6ff188ee0787d01b011362468f587fa4f2da46165761e4dea639bb6f3bd70667",
     "tawarruq_pi_triple_prime":
-        "818846e77e5d99eaaf23a053255db028ba12584a7791a8d0363ea72179572771",
+        "6ff188ee0787d01b011362468f587fa4f2da46165761e4dea639bb6f3bd70667",
     "tawarruq_single_contract":
-        "818846e77e5d99eaaf23a053255db028ba12584a7791a8d0363ea72179572771",
+        "6ff188ee0787d01b011362468f587fa4f2da46165761e4dea639bb6f3bd70667",
     "brokered_loan":
-        "515dfe04a31c5007510f8cafa41c7885ac9aabba4c4c786d1a65bc7903a08308",
+        "6acf4ca684a80065940b1a986c3fe948bc74838261a36fcf2992a82a390a51f3",
     "unethical_examples":
-        "a956a3619994109ab87aa5dbf18ea8a4edaf72fb040148ffaa3e20b6e86562a3",
+        "46b77254e227e1a9256c7338ade134c8080e34fb0df98923122eb34eacddc845",
 }
 # instance_to_dict of each built-in at its defaults
 INSTANCE_JSON = {
@@ -160,6 +282,20 @@ def test_run_json(capsys, name):
     code, out = _stdout(capsys, "run", name, "--format", "json")
     assert code == 0
     assert _digest(out) == RUN_JSON[name]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_engine_paths(capsys, name):
+    for argv, pins in ((("run", "--strategy", "random", "--seed", "3"), RUN_RANDOM_JSON),
+                       (("run", "--strategy", "exhaustive"), RUN_EXHAUSTIVE_JSON),
+                       (("enumerate", "-v"), ENUMERATE_ALL_JSON)):
+        code, out = _stdout(capsys, argv[0], name, *argv[1:], "--format", "json")
+        assert code == 0
+        assert _digest(out) == pins[name], argv
+    instance = instantiate(name)
+    progression = run(instance.world, instance.plans, RoundRobin(), horizon=instance.horizon,
+                      choices=dict(instance.choice_points))
+    assert _digest(repr(progression.schedule)) == SCHEDULES[name]
 
 
 def test_enumerate_verbose_json(capsys):
