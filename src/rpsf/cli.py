@@ -66,6 +66,16 @@ def _parse_overrides(pairs: Sequence[str]) -> dict[str, str]:
     return out
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _load_extras(path: Optional[str]):
     if not path:
         return {}, {}
@@ -372,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", default="X,Y,Z")
     p.add_argument("--bound", type=int, default=6)
     p.add_argument("--perspective", default="X")
-    p.add_argument("--max-witnesses", type=int, default=3,
+    p.add_argument("--max-witnesses", type=_count, default=3,
                    help="witnesses to render (as scenario text in json output)")
     p.add_argument("--scenario-file", help="JSON file with extra scenarios/positions")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -146,11 +146,22 @@ def _as_duration(name: str, value: object) -> int:
     except ValueError:
         raise ParameterViolation(
             f"parameter {name} must be a whole number of days, got {value!r}") from None
-    if days < 0:
-        raise ParameterViolation(f"parameter {name} must be nonnegative")
     if days < 1:
-        raise ParameterViolation(f"{name} must be at least one day")
+        raise ParameterViolation(f"parameter {name} must be at least one day, got {days}")
     return days
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _as_flag(name: str, value: object) -> bool:
+    if isinstance(value, str):
+        flag = _BOOLEANS.get(value.lower())
+        if flag is None:
+            raise ParameterViolation(
+                f"parameter {name} must be true or false (or 1/0, yes/no), got {value!r}")
+        return flag
+    return bool(value)
 
 
 _CHECKS = {"positive": lambda q: q > ZERO, "nonnegative": lambda q: q >= ZERO}
@@ -169,9 +180,7 @@ def _resolve(spec_params: Sequence[ParamSpec], overrides: Mapping[str, object]) 
             if p.check and not _CHECKS[p.check](value):
                 raise ParameterViolation(f"parameter {p.name} must be {p.check}, got {value}")
         elif isinstance(p.default, bool):
-            if isinstance(value, str):
-                value = value.lower() in ("1", "true", "yes")
-            resolved[p.name] = bool(value)
+            resolved[p.name] = _as_flag(p.name, value)
         elif isinstance(p.default, int):
             resolved[p.name] = _as_duration(p.name, value)
         else:

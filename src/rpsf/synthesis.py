@@ -9,11 +9,13 @@ perspective, never by fuzz.
 
 The synthesis search asks whether a target flow profile can be rebuilt
 from a catalogue of permissible primitives. Depth-first enumeration over
-grounded primitive instances, every candidate executed through the world
-transition the engine uses; a witness is a sequence whose projection is
+grounded primitive instances; the search state is only what a trade
+changes - who owns each good, the net cash per (agent, day) and the
+settlements still due - and a witness is a sequence whose projection is
 equivalent to the target and whose goods all return to their initial
-owners. Exhaustion within the bound makes found=False a bound-relative
-non-existence certificate.
+owners. Each witness is re-executed through the engine on first read of
+its progression. Exhaustion within the bound makes found=False a
+bound-relative non-existence certificate.
 
 Grounding (disclosed in SynthesisResult.grounding): trade prices come from
 the target's amount set; every primitive executes at the inception date,
@@ -29,6 +31,7 @@ into their trade skeletons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .engine import BoundExceeded, Do, Plan, Progression, RoundRobin, WaitFor, run
@@ -44,9 +47,10 @@ from .world import (
     GoodSpec,
     Reason,
     Role,
+    ValidationError,
     WorldState,
     action_to_dict,
-    apply_event,
+    apply_event,  # noqa: F401  unused; perfbench/test_perfbench.py wraps this binding
     make_world,
 )
 
@@ -176,8 +180,14 @@ def normalize_catalogue(names: Iterable[str]) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class Witness:
+    """A found sequence; its progression is replayed on first read, then kept."""
+
     actions: tuple[Action, ...]
-    progression: Progression
+    origin: tuple[WorldState, _SearchState] = field(repr=False, compare=False)
+
+    @cached_property
+    def progression(self) -> Progression:
+        return _replay_witness(*self.origin)
 
     def to_dict(self) -> dict:
         return {"actions": [action_to_dict(a) for a in self.actions]}
@@ -204,7 +214,7 @@ class SynthesisResult:
 
 @dataclass
 class _SearchState:
-    world: WorldState
+    owners: dict[str, str]  # good id -> owner
     nets: dict[str, dict[int, Quantity]]
     pending: tuple[tuple[str, str, Quantity, int, str], ...]  # payer, payee, amount, due, settle id
     used: frozenset[str]
@@ -226,6 +236,10 @@ def synthesize(
     started (the asset must make a round trip). Exhaustive over the
     grounded trade skeleton space up to ``bound``, so found=False certifies
     non-existence relative to the bound and the disclosed grounding.
+
+    The search state is the goods' owners plus the nets (and the pending
+    settlements); no trial trade touches a ``WorldState``. A witness's
+    ``progression`` is replayed through ``run`` on its first read.
     """
     if bound > DESK_SCALE_LIMIT:
         raise BoundExceeded(f"bound {bound} exceeds desk-scale limit {DESK_SCALE_LIMIT}")
@@ -259,6 +273,9 @@ def synthesize(
         balances={name: endowment for name in agents},
         goods=goods,
     )
+    # no trial trade reaches apply_event, which would reject a negative price
+    if amounts and amounts[0] < ZERO:
+        raise ValidationError("sums must be nonnegative")
     home = {g.good_id: g.owner for g in goods}
     used0 = frozenset(persp | {g.owner for g in goods})
 
@@ -275,8 +292,8 @@ def synthesize(
                     count += 1
         return count
 
-    def displaced(world: WorldState) -> int:
-        return sum(1 for gid, owner in home.items() if world.goods[gid].owner != owner)
+    def displaced(owners: dict[str, str]) -> int:
+        return sum(1 for gid, owner in home.items() if owners[gid] != owner)
 
     def next_fresh(used: frozenset[str]) -> Optional[str]:
         for name in agents:
@@ -291,30 +308,18 @@ def synthesize(
                 return False
         return True
 
-    def add_net(nets, agent: str, date: int, delta: Quantity):
-        per_day = dict(nets.get(agent, {}))
-        per_day[date] = per_day.get(date, ZERO) + delta
-        if per_day[date] == ZERO:
-            del per_day[date]
-        out = dict(nets)
-        if per_day:
-            out[agent] = per_day
-        else:
-            out.pop(agent, None)
-        return out
-
     def candidates(state: _SearchState):
-        world = state.world
+        owners = state.owners
         if "prepare-good" in kinds and state.prepared < MAX_PREPARED_GOODS:
             for owner in agents:
                 if not allowed_participants(state.used, [owner]):
                     continue
-                gid = f"g{len(world.goods)}"
+                gid = f"g{len(owners)}"
                 yield Action(kind=ActionKind.PREPARE_GOOD, actor=owner, good_id=gid,
                              good_spec=GoodSpec(kind="asset", market_value=good_value,
                                                 block_size=block))
-        for gid in sorted(world.goods):
-            owner = world.goods[gid].owner
+        for gid in sorted(owners):
+            owner = owners[gid]
             for buyer in agents:
                 if buyer == owner or not allowed_participants(state.used, [owner, buyer]):
                     continue
@@ -331,13 +336,14 @@ def synthesize(
                                          contract_id=f"settle-{len(state.actions)}")
 
     def record_witness(state: _SearchState) -> None:
-        progression = _replay_witness(world0, state)
-        witnesses.append(Witness(actions=_full_sequence(state), progression=progression))
+        witnesses.append(Witness(actions=_full_sequence(state), origin=(world0, state)))
 
     def dfs(state: _SearchState) -> None:
         nonlocal explored
         explored += 1
-        if cells_mismatch(state.nets) == 0 and displaced(state.world) == 0:
+        mismatch = cells_mismatch(state.nets)
+        moved = displaced(state.owners)
+        if mismatch == 0 and moved == 0:
             record_witness(state)
         remaining = bound - len(state.actions)
         if remaining == 0:
@@ -345,46 +351,19 @@ def synthesize(
         # a trade moves cash for two agents at one date, so it can fix at
         # most one mismatched cell per perspective agent (max two overall)
         per_action = 1 if len(persp) == 1 else 2
-        lower = max(
-            -(-cells_mismatch(state.nets) // per_action),
-            displaced(state.world),
-        )
-        if lower > remaining:
+        if max(-(-mismatch // per_action), moved) > remaining:
             return
         for action in candidates(state):
-            nets = state.nets
-            pending = state.pending
+            child = _successor(state, action)
             if action.kind == ActionKind.PREPARE_GOOD:
-                new_world = apply_event(state.world, action, 0)
-                new_state = _SearchState(
-                    world=new_world, nets=nets, pending=pending,
-                    used=state.used | {action.actor},
-                    prepared=state.prepared + 1,
-                    actions=state.actions + (action,),
-                )
                 home[action.good_id] = action.actor
-                dfs(new_state)
+                dfs(child)
                 del home[action.good_id]
-                continue
-            new_world = apply_event(state.world, action, 0)
-            if action.kind == ActionKind.SPOT_SALE:
-                nets = add_net(nets, action.counterparty, 0, -action.amount)
-                nets = add_net(nets, action.actor, 0, action.amount)
-            else:  # credit sale: cash moves at the due date via settlement
-                nets = add_net(nets, action.actor, action.due_date, -action.amount)
-                nets = add_net(nets, action.counterparty, action.due_date, action.amount)
-                pending = pending + ((action.actor, action.counterparty, action.amount,
-                                      action.due_date, action.contract_id),)
-            dfs(_SearchState(
-                world=new_world, nets=nets, pending=pending,
-                used=state.used | {action.actor, action.counterparty},
-                prepared=state.prepared,
-                actions=state.actions + (action,),
-            ))
+            else:
+                dfs(child)
 
-    start = _SearchState(world=world0, nets={}, pending=(), used=used0,
-                         prepared=0, actions=())
-    dfs(start)
+    dfs(_SearchState(owners=dict(home), nets={}, pending=(), used=used0,
+                     prepared=0, actions=()))
 
     grounding = {
         "amounts": [str(a) for a in amounts],
@@ -402,6 +381,47 @@ def synthesize(
         bound=bound,
         grounding=grounding,
     )
+
+
+def _successor(state: _SearchState, action: Action) -> _SearchState:
+    """The search state after one trial step; no ``WorldState`` is touched."""
+    owners = dict(state.owners)
+    actions = state.actions + (action,)
+    if action.kind == ActionKind.PREPARE_GOOD:
+        owners[action.good_id] = action.actor
+        return _SearchState(owners=owners, nets=state.nets, pending=state.pending,
+                            used=state.used | {action.actor},
+                            prepared=state.prepared + 1, actions=actions)
+    nets, pending = state.nets, state.pending
+    if action.kind == ActionKind.SPOT_SALE:  # the actor sells for cash now
+        owners[action.good_id] = action.counterparty
+        nets = _pay(nets, action.counterparty, action.actor, 0, action.amount)
+    else:  # the actor buys on credit: cash moves at the due date via settlement
+        owners[action.good_id] = action.actor
+        nets = _pay(nets, action.actor, action.counterparty, action.due_date, action.amount)
+        pending = pending + ((action.actor, action.counterparty, action.amount,
+                              action.due_date, action.contract_id),)
+    return _SearchState(owners=owners, nets=nets, pending=pending,
+                        used=state.used | {action.actor, action.counterparty},
+                        prepared=state.prepared, actions=actions)
+
+
+def _pay(nets: dict[str, dict[int, Quantity]], payer: str, payee: str, date: int,
+         amount: Quantity) -> dict[str, dict[int, Quantity]]:
+    """The nets after one payment between two agents; zero entries drop."""
+    out = dict(nets)
+    for agent, value in ((payer, out.get(payer, {}).get(date, ZERO) - amount),
+                         (payee, out.get(payee, {}).get(date, ZERO) + amount)):
+        per_day = dict(out.get(agent, {}))
+        if value:
+            per_day[date] = value
+        else:
+            per_day.pop(date, None)
+        if per_day:
+            out[agent] = per_day
+        else:
+            out.pop(agent, None)
+    return out
 
 
 def _full_sequence(state: _SearchState) -> tuple[Action, ...]:

@@ -215,6 +215,24 @@ class TestSynthesize:
         assert code == 0
         assert json.loads(out)["found"] is False
 
+    @pytest.mark.parametrize("value, diagnostic", [("-1", "must be nonnegative, got -1"),
+                                                   ("two", "expected a whole number")])
+    def test_bad_max_witnesses_is_usage_error(self, capsys, value, diagnostic):
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--target", "savings_account_with_interest", "--bound", "4",
+                  "--max-witnesses", value, "--format", "json"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --max-witnesses: {diagnostic}" in captured.err
+
+    def test_zero_max_witnesses_renders_none(self, capsys):
+        code, out, _ = invoke(
+            capsys, "synthesize", "--target", "savings_account_with_interest",
+            "--bound", "4", "--max-witnesses", "0", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["witness_count"] == 14
+        assert payload["witnesses"] == payload["witness_scenarios"] == []
+
     def test_unknown_primitive_usage_error(self, capsys):
         code, _, err = invoke(
             capsys, "synthesize", "--target", "savings_account_with_interest",

@@ -182,31 +182,31 @@ JUDGE_JSON = "c578dae257f1b2d921006e457af2d53ec349ead88a28733cf7e5476aea1d5513"
 BAD_VALUES = ("0", "-1", "1/3", "abc", "true")
 PARAMETER_CASES = {
     "loan_with_interest":
-        "0fefa99c49b918b3510b6919a032af3f9b2e6d14f3ebd032998db9fbf7794bc0",
+        "7c93a9d9b3b77060e06bd78f4d27e2c3794c48a7beae40ad17c93db8abf34fa6",
     "savings_account_with_interest":
-        "b919c44ea5dd933a9e6d07d4ef1238c84321f7df6e0cdf277ab566f2346a3e47",
+        "d737b0047b6839558818a91525cb8b65c7ee418c7677c4834225b2d79bcb2992",
     "ina_two_party":
-        "2cb4ac63689cd2703f271d4ee6e0624ed5965150c7433e33fdcef6dd7dbfcac9",
+        "b553a2eb097094fbc883acfba83cc15a6283d1dc764f0ffbf99ae14929478bef",
     "tawarruq_classic":
-        "bfb478028e3f327a4a7eefa612cc6e2be53cfd75a304a92907140936e38f4cd9",
+        "c861733d282a2a799860cd1a22ba0f1172193cf17f98606b42c4f66389dab536",
     "contractus_trinus":
-        "b420a8754927555daee7ff7fce50c1ad2f6501d85e61525ea98b492494c40cfe",
+        "483ed9f2a6f28c865af1eaf58a8ffbfe4dfbc21c42ceb03aa783b161f47501ef",
     "murabaha":
-        "a4f7aa1eb956cd1b451c4bd79d598365da41a61f2f72dc12103f0b7151b1fc7f",
+        "df6768aebef16d7728bc7d88f093adb515fe967014f2d5c36b86c908bfa02114",
     "tawarruq_pi":
-        "8bf93c9b8cedf52f5f40bf7f96d5bbc5a992bdebb4abe64d4d13630be7542c4a",
+        "8f762b3a145505a7c5b6d2dab2eafbe58921f147d66e248ada124e3ce327201d",
     "tawarruq_pi_prime":
-        "6ff188ee0787d01b011362468f587fa4f2da46165761e4dea639bb6f3bd70667",
+        "5983daa2545320169f23ff77220f3f3149ef78d45747a42e5d4b19a7911085cc",
     "tawarruq_pi_double_prime":
-        "6ff188ee0787d01b011362468f587fa4f2da46165761e4dea639bb6f3bd70667",
+        "5983daa2545320169f23ff77220f3f3149ef78d45747a42e5d4b19a7911085cc",
     "tawarruq_pi_triple_prime":
-        "6ff188ee0787d01b011362468f587fa4f2da46165761e4dea639bb6f3bd70667",
+        "5983daa2545320169f23ff77220f3f3149ef78d45747a42e5d4b19a7911085cc",
     "tawarruq_single_contract":
-        "6ff188ee0787d01b011362468f587fa4f2da46165761e4dea639bb6f3bd70667",
+        "5983daa2545320169f23ff77220f3f3149ef78d45747a42e5d4b19a7911085cc",
     "brokered_loan":
-        "6acf4ca684a80065940b1a986c3fe948bc74838261a36fcf2992a82a390a51f3",
+        "820e9fba98f47030b9e5304801183527d4d4dcdea7a2593bc2784f44f7f9c02c",
     "unethical_examples":
-        "46b77254e227e1a9256c7338ade134c8080e34fb0df98923122eb34eacddc845",
+        "d974e1ca8c20daf5db17a2374c92f59075b4a7bd91a6d4ba4d2e4c670e44c473",
 }
 # instance_to_dict of each built-in at its defaults
 INSTANCE_JSON = {

@@ -62,6 +62,23 @@ class TestCatalogue:
         with pytest.raises(ParameterViolation):
             instantiate("tawarruq_classic", {"rate": "1/10"})
 
+    @pytest.mark.parametrize("text, flag", [("1", True), ("TRUE", True), ("Yes", True),
+                                            ("0", False), ("false", False), ("NO", False)])
+    def test_flag_spellings(self, text, flag):
+        instance = instantiate("ina_two_party", {"single_contract": text})
+        assert instance.params["single_contract"] is flag
+
+    @pytest.mark.parametrize("text", ["ture", "", "2", "on"])
+    def test_misspelt_flag_names_the_parameter(self, text):
+        with pytest.raises(ParameterViolation, match="parameter single_contract must be true"):
+            instantiate("ina_two_party", {"single_contract": text})
+
+    @pytest.mark.parametrize("text", ["0", "-1", "-365"])
+    def test_period_under_one_day_has_one_message(self, text):
+        with pytest.raises(ParameterViolation) as exc:
+            instantiate("loan_with_interest", {"t": text})
+        assert str(exc.value) == f"parameter t must be at least one day, got {int(text)}"
+
 
 class TestTawarruqClassic:
     def test_ten_events_and_flows(self):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rpsf import synthesis
 from rpsf.engine import BoundExceeded, Progression, RoundRobin, run
 from rpsf.money import Quantity
 from rpsf.scenarios import instance_from_dict, instantiate
@@ -17,7 +18,7 @@ from rpsf.synthesis import (
     synthesize,
     witness_scenario,
 )
-from rpsf.world import ActionKind
+from rpsf.world import ActionKind, ValidationError
 
 
 def q(n, d=1):
@@ -216,3 +217,39 @@ class TestSynthesize:
         assert result.grounding["amounts"] == ["1000", "1048"]
         assert result.grounding["settlement_dates"] == [365]
         assert "agent_symmetry" in result.grounding
+
+    def test_negative_target_amount_is_rejected_before_the_search(self):
+        target = canonical([Flow("X", "Y", q(-5), 0), Flow("Y", "X", q(10), 7)])
+        for bound in (0, 3):
+            with pytest.raises(ValidationError, match="sums must be nonnegative"):
+                synthesize(target, ["spot-sale", "credit-sale"], bound=bound)
+
+    def test_duplicate_agents_are_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate agent 'X'"):
+            synthesize(savings_target(), ["spot-sale"], agents=("X", "X"), bound=2)
+
+
+class TestLazyReplay:
+    def test_witnesses_replay_only_when_read(self, monkeypatch):
+        target = savings_target()
+        calls = {"run": 0, "replay": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(synthesis, "run", counted("run", synthesis.run))
+        monkeypatch.setattr(synthesis, "_replay_witness",
+                            counted("replay", synthesis._replay_witness))
+        result = synthesize(target, ["spot-sale", "credit-sale", "prepare-good"],
+                            agents=("X", "Y", "Z"), bound=4, perspective=("X",))
+        assert len(result.witnesses) == 14
+        assert calls == {"run": 0, "replay": 0}
+        witness = result.witnesses[3]
+        first = witness.progression
+        assert calls == {"run": 1, "replay": 1}
+        assert witness.progression is first
+        assert calls == {"run": 1, "replay": 1}
+        assert equivalent(monetary_projection(first), target, ("X",))
