@@ -41,6 +41,7 @@ from .synthesis import (
     ALL_AGENTS,
     PRIMITIVES,
     SynthesisResult,
+    check_perspective,
     equivalent,
     monetary_projection,
     net_positions,
@@ -85,6 +86,13 @@ def _load_extras(path: Optional[str]):
         position = position_from_dict(entry, f"positions[{i}]")
         positions[position.name] = position
     return specs, positions
+
+
+def _perspective(text: str):
+    """``all`` or the tuple of comma-separated agent names."""
+    if text == ALL_AGENTS:
+        return ALL_AGENTS
+    return tuple(name.strip() for name in text.split(","))
 
 
 def _strategy(args) -> RoundRobin | SeededRandom | Exhaustive:
@@ -231,13 +239,13 @@ def _cmd_compare(args) -> int:
     extras, _ = _load_extras(args.scenario_file)
     inst_a = instantiate(args.scenario_a, _parse_overrides(args.set_a or []), extra=extras)
     inst_b = instantiate(args.scenario_b, _parse_overrides(args.set_b or []), extra=extras)
+    perspective = _perspective(args.perspective)
+    check_perspective(perspective, set(inst_a.world.agents) | set(inst_b.world.agents))
     strategy = RoundRobin()
     prog_a = _run_instance(inst_a, strategy, None)
     prog_b = _run_instance(inst_b, strategy, None)
     trace_a = monetary_projection(prog_a)
     trace_b = monetary_projection(prog_b)
-    perspective = ALL_AGENTS if args.perspective == ALL_AGENTS else tuple(
-        name.strip() for name in args.perspective.split(","))
     result = equivalent(trace_a, trace_b, perspective)
     payload = {
         "scenario_a": inst_a.name,
@@ -259,14 +267,12 @@ def _cmd_synthesize(args) -> int:
     progression = _run_instance(instance, RoundRobin(), None)
     target = monetary_projection(progression)
     agents = tuple(name.strip() for name in args.agents.split(","))
-    perspective = ALL_AGENTS if args.perspective == ALL_AGENTS else tuple(
-        name.strip() for name in args.perspective.split(","))
     result: SynthesisResult = synthesize(
         target,
         catalogue=[name.strip() for name in args.catalogue.split(",")],
         agents=agents,
         bound=args.bound,
-        perspective=perspective,
+        perspective=_perspective(args.perspective),
     )
     limit = args.max_witnesses
     payload = result.to_dict()

@@ -130,10 +130,22 @@ class Progression:
     world: WorldState
     schedule: tuple[int, ...] = ()
 
-    def key(self) -> tuple:
-        return tuple(
-            (e.date, _freeze(action_to_dict(e.action))) for e in self.events
-        )
+    def key(self, memo: dict[Action, tuple] | None = None) -> tuple:
+        """The trace's identity: each event's date and frozen action.
+
+        ``memo`` maps an action to its frozen form. A caller that keys many
+        traces over the same plans passes one dict to all of them, so each
+        action is serialized once.
+        """
+        if memo is None:
+            memo = {}
+        out = []
+        for e in self.events:
+            frozen = memo.get(e.action)
+            if frozen is None:
+                frozen = memo[e.action] = _freeze(action_to_dict(e.action))
+            out.append((e.date, frozen))
+        return tuple(out)
 
 
 def _freeze(value):
@@ -425,6 +437,7 @@ def enumerate_interleavings(
         assignments.append(assignment)
 
     seen: dict[tuple, Progression] = {}
+    memo: dict[Action, tuple] = {}  # each action's frozen key, for this call only
     start = len(world.history)
     for assignment in assignments:
         cursors = [_Cursor(p.agent, p.steps) for p in ordered]
@@ -437,7 +450,7 @@ def enumerate_interleavings(
             if not enabled:
                 if _wake(state, cursors) is None:
                     progression = Progression(events=state.history[start:], world=state)
-                    seen.setdefault(progression.key(), progression)
+                    seen.setdefault(progression.key(memo), progression)
                 else:
                     stack.append((_step(state, cursors, None, assignment, index), cursors, index))
                 continue

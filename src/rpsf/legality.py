@@ -139,9 +139,10 @@ def detect_riba(contracts: Mapping[str, ContractRecord] | Sequence[ContractRecor
     are therefore invisible to this detector.
     """
     if isinstance(contracts, Mapping):
-        records = list(contracts.values())
-    else:
-        records = list(contracts)
+        contracts = contracts.values()
+    records = [r for r in contracts if r.terms is not None and r.terms.rate > ZERO]
+    if not records:
+        return []
     transfer_index: dict[str, list] = {}
     for entry in _money_transfers(history):
         for cid in entry[4]:
@@ -149,8 +150,6 @@ def detect_riba(contracts: Mapping[str, ContractRecord] | Sequence[ContractRecor
 
     findings: list[RibaFinding] = []
     for record in records:
-        if record.terms is None or record.terms.rate <= ZERO:
-            continue
         linked = transfer_index.get(record.contract_id, [])
         for out_ev, payer, payee, out_amt, _ in linked:
             for back_ev, payer2, payee2, back_amt, _ in linked:
@@ -241,13 +240,12 @@ def loan_profiles(progression: Progression) -> list[tuple[str, Quantity, Quantit
     with a strictly positive gain. This is the functional shadow of an
     interest-bearing loan, whatever the contracts say.
     """
-    from .synthesis import monetary_projection, net_positions
+    from .synthesis import cash_flows, net_positions
 
-    trace = monetary_projection(progression)
-    nets = net_positions(trace)
+    nets = net_positions(cash_flows(progression.events))
     profiles = []
     for agent in sorted(nets):
-        dated = sorted((d, v) for d, v in nets[agent].items() if v != ZERO)
+        dated = sorted(nets[agent].items())
         if len(dated) != 2:
             continue
         (d0, v0), (d1, v1) = dated

@@ -43,11 +43,13 @@ class Quantity:
 
     def __post_init__(self) -> None:
         num, den = self.num, self.den
+        if den == 1:  # already canonical
+            return
         if den == 0:
             raise ValueError("Quantity denominator must be nonzero")
         if den < 0:
             num, den = -num, -den
-        g = gcd(abs(num), den)
+        g = gcd(num, den)
         if g > 1:
             num //= g
             den //= g
@@ -55,22 +57,29 @@ class Quantity:
         object.__setattr__(self, "den", den)
 
     # -- arithmetic ------------------------------------------------------
+    # An operand that is already a Quantity skips _coerce, and equal
+    # denominators add numerators directly; every result still goes
+    # through the constructor, so it is normalised.
 
     def __add__(self, other: QuantityLike) -> "Quantity":
-        o = _coerce(other)
+        o = other if type(other) is Quantity else _coerce(other)
+        if self.den == o.den:
+            return Quantity(self.num + o.num, self.den)
         return Quantity(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other: QuantityLike) -> "Quantity":
-        o = _coerce(other)
+        o = other if type(other) is Quantity else _coerce(other)
+        if self.den == o.den:
+            return Quantity(self.num - o.num, self.den)
         return Quantity(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other: QuantityLike) -> "Quantity":
         return _coerce(other) - self
 
     def __mul__(self, other: QuantityLike) -> "Quantity":
-        o = _coerce(other)
+        o = other if type(other) is Quantity else _coerce(other)
         return Quantity(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -90,11 +99,11 @@ class Quantity:
     # -- order -----------------------------------------------------------
 
     def __lt__(self, other: QuantityLike) -> bool:
-        o = _coerce(other)
+        o = other if type(other) is Quantity else _coerce(other)
         return self.num * o.den < o.num * self.den
 
     def __le__(self, other: QuantityLike) -> bool:
-        o = _coerce(other)
+        o = other if type(other) is Quantity else _coerce(other)
         return self.num * o.den <= o.num * self.den
 
     def __gt__(self, other: QuantityLike) -> bool:
@@ -104,6 +113,8 @@ class Quantity:
         return _coerce(other) <= self
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is Quantity:
+            return self.num == other.num and self.den == other.den
         if isinstance(other, int):
             other = Quantity(other)
         if not isinstance(other, Quantity):

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import BoundExceeded, Do, Plan, Progression, RoundRobin, WaitFor, run
 from .money import Quantity, ZERO
@@ -43,6 +44,7 @@ from .world import (
     Agent,
     AfterEvent,
     ByDate,
+    Event,
     Good,
     GoodSpec,
     Reason,
@@ -81,47 +83,76 @@ def canonical(flows: Iterable[Flow]) -> FlowTrace:
     return tuple(sorted(flows, key=lambda f: (f.date, f.payer, f.payee, f.amount)))
 
 
-def monetary_projection(progression: Progression) -> FlowTrace:
-    """Cash-moving events as a canonical flow trace; everything else drops.
+def cash_flows(events: Iterable[Event]) -> Iterator[Flow]:
+    """The cash-moving events as flows, in event order.
 
     Payments, receipts, spot-sale settlements and credit-sale down payments
     appear at their event dates; deferred credit legs appear through the
     explicit settlement payments that discharge them, at their due dates.
     Zero-sum entries are omitted (amounts in a trace are positive).
     """
-    flows: list[Flow] = []
-    for event in progression.events:
+    for event in events:
         action = event.action
-        amount = action.amount
-        if action.kind == ActionKind.PAY and amount and amount > ZERO:
-            flows.append(Flow(action.actor, action.counterparty, amount, event.date))
-        elif action.kind == ActionKind.RECEIVE_PAYMENT and amount and amount > ZERO:
-            flows.append(Flow(action.counterparty, action.actor, amount, event.date))
-        elif action.kind == ActionKind.SPOT_SALE and amount and amount > ZERO:
-            flows.append(Flow(action.counterparty, action.actor, amount, event.date))
-        elif action.kind == ActionKind.BUY_ON_CREDIT:
-            down = action.down_payment
-            if down and down > ZERO:
-                flows.append(Flow(action.actor, action.counterparty, down, event.date))
-    return canonical(flows)
+        kind = action.kind
+        if kind == ActionKind.PAY:
+            amount, payer, payee = action.amount, action.actor, action.counterparty
+        elif kind == ActionKind.RECEIVE_PAYMENT or kind == ActionKind.SPOT_SALE:
+            amount, payer, payee = action.amount, action.counterparty, action.actor
+        elif kind == ActionKind.BUY_ON_CREDIT:
+            amount, payer, payee = action.down_payment, action.actor, action.counterparty
+        else:
+            continue
+        if amount is not None and amount.num > 0:
+            yield Flow(payer, payee, amount, event.date)
 
 
-def net_positions(trace: FlowTrace) -> dict[str, dict[int, Quantity]]:
+def monetary_projection(progression: Progression) -> FlowTrace:
+    """Cash-moving events (see ``cash_flows``) as a canonical flow trace;
+    everything else drops."""
+    return canonical(cash_flows(progression.events))
+
+
+def net_positions(trace: Iterable[Flow]) -> dict[str, dict[int, Quantity]]:
     """Signed net cash per agent per day; zero entries are dropped.
 
-    Summing any day's entries over all agents gives zero: payments conserve
-    money by construction.
+    Agents and days appear in the order the flows first name them. The sums
+    are integers over the least common denominator of the amounts, and one
+    Quantity is built per nonzero (agent, day). Summing any day's entries
+    over all agents gives zero: payments conserve money by construction.
     """
+    flows = tuple(trace)
+    scale = 1
+    for flow in flows:
+        scale = lcm(scale, flow.amount.den)
+    sums: dict[str, dict[int, int]] = {}
+    for flow in flows:
+        amount, date = flow.amount, flow.date
+        scaled = amount.num * (scale // amount.den)
+        per_day = sums.setdefault(flow.payer, {})
+        per_day[date] = per_day.get(date, 0) - scaled
+        per_day = sums.setdefault(flow.payee, {})
+        per_day[date] = per_day.get(date, 0) + scaled
     nets: dict[str, dict[int, Quantity]] = {}
-    for flow in trace:
-        for agent, sign in ((flow.payer, -1), (flow.payee, 1)):
-            per_day = nets.setdefault(agent, {})
-            per_day[flow.date] = per_day.get(flow.date, ZERO) + flow.amount * sign
-    for agent in list(nets):
-        nets[agent] = {d: v for d, v in nets[agent].items() if v != ZERO}
-        if not nets[agent]:
-            del nets[agent]
+    for agent, per_day in sums.items():
+        kept = {date: Quantity(total, scale) for date, total in per_day.items() if total}
+        if kept:
+            nets[agent] = kept
     return nets
+
+
+def check_perspective(perspective, agents: Iterable[str]) -> None:
+    """Reject perspective names that are not among ``agents``; "all" passes.
+
+    A name outside the agents has no flows, so it would make any two traces
+    equivalent from its point of view.
+    """
+    if perspective == ALL_AGENTS:
+        return
+    known = set(agents)
+    for name in perspective:
+        if name not in known:
+            raise ValueError(f"unknown perspective agent {name!r}; "
+                             f"known agents: {sorted(known)}")
 
 
 def equivalent(a: FlowTrace, b: FlowTrace, perspective=ALL_AGENTS) -> bool:
@@ -235,7 +266,8 @@ def synthesize(
     equivalence over the perspective plus every good ending where it
     started (the asset must make a round trip). Exhaustive over the
     grounded trade skeleton space up to ``bound``, so found=False certifies
-    non-existence relative to the bound and the disclosed grounding.
+    non-existence relative to the bound and the disclosed grounding. A
+    perspective name that is not among ``agents`` is a ValueError.
 
     The search state is the goods' owners plus the nets (and the pending
     settlements); no trial trade touches a ``WorldState``. A witness's
@@ -248,6 +280,8 @@ def synthesize(
     if len(agents) < 2:
         raise ValueError("need at least two agents")
     kinds = normalize_catalogue(catalogue)
+    if perspective is not None:
+        check_perspective(perspective, agents)
     persp: frozenset[str] = frozenset([agents[0]] if perspective is None else (
         set(agents) if perspective == ALL_AGENTS else set(perspective)))
 

@@ -180,8 +180,42 @@ class TestCompare:
         assert len(payload["flows_a"]) == 3
         assert len(payload["flows_b"]) == 2
 
+    @pytest.mark.parametrize("perspective,code", [("X", 0), ("X,Y", 5), ("Y", 5), ("all", 5)])
+    def test_known_perspectives_unchanged(self, capsys, perspective, code):
+        assert invoke(capsys, "compare", "pi_prime", "savings_account_with_interest",
+                      "--perspective", perspective)[0] == code
+
+    @pytest.mark.parametrize("perspective", ["W", "X,W"])
+    def test_unknown_perspective_agent_exits_two(self, capsys, perspective):
+        code, out, err = invoke(capsys, "compare", "pi_prime",
+                                "savings_account_with_interest", "--perspective", perspective)
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown perspective agent 'W'; known agents: ['X', 'Y', 'Z']\n"
+
 
 class TestSynthesize:
+    @pytest.mark.parametrize("perspective", ["W", "X,W"])
+    def test_unknown_perspective_agent_exits_two(self, capsys, perspective):
+        code, out, err = invoke(capsys, "synthesize", "--target",
+                                "savings_account_with_interest", "--perspective", perspective,
+                                "--bound", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown perspective agent 'W'; known agents: ['X', 'Y', 'Z']\n"
+
+    @pytest.mark.parametrize("perspective,summary", [
+        ("X", "found=True witnesses=14 explored=247"),
+        ("X,Y", "found=True witnesses=8 explored=380"),
+        ("all", "found=True witnesses=8 explored=220"),
+    ])
+    def test_known_perspectives_unchanged(self, capsys, perspective, summary):
+        code, out, _ = invoke(capsys, "synthesize", "--target",
+                              "savings_account_with_interest", "--perspective", perspective,
+                              "--bound", "4")
+        assert code == 0
+        assert out.startswith(f"target savings_account_with_interest: {summary} bound=4\n")
+
     def test_finds_witness_and_reports_grounding(self, capsys):
         code, out, _ = invoke(
             capsys, "synthesize", "--target", "savings_account_with_interest",

@@ -318,3 +318,28 @@ class TestWaitCost:
         progression = run(world, plans, RoundRobin())
         assert len(progression.events) == 2 * rounds
         assert calls <= 2 * len(progression.events)
+
+    def test_each_action_is_serialized_once_per_enumeration(self, monkeypatch):
+        from rpsf import engine
+
+        calls = 0
+        original = engine.action_to_dict
+
+        def counted(action):
+            nonlocal calls
+            calls += 1
+            return original(action)
+
+        # a (3,3,3) plan set in which B's second step waits for A's second
+        world = make_world(agents=[Agent("A"), Agent("B"), Agent("C")])
+        a, b, c = chat("A", 3), chat("B", 3), chat("C", 3)
+        b = Plan("B", (b.steps[0], wait_for(kind="acknowledge-receipt", actor="A",
+                                            message="A-1"), *b.steps[1:]))
+        monkeypatch.setattr(engine, "action_to_dict", counted)
+        traces = enumerate_interleavings(world, [a, b, c], bound=10)
+        assert len(traces) == 840
+        assert calls == 9  # one per distinct action, not one per event of every trace
+        monkeypatch.undo()
+        memo = {}
+        assert all(trace.key() == trace.key(memo) for trace in traces)
+        assert len(memo) == 9

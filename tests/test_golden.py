@@ -18,6 +18,7 @@ from rpsf.engine import (
     enumerate_interleavings,
     run,
 )
+from rpsf.legality import BUILTIN_POSITIONS, judge
 from rpsf.money import Quantity
 from rpsf.scenarios import get_spec, instance_to_dict, instantiate, scenario_names
 from rpsf.world import (
@@ -237,6 +238,36 @@ INSTANCE_JSON = {
     "unethical_examples":
         "02a461c2770a23d35ba126fc566e5b082e15b1dc9ab5227e30c6bee7c6073e51",
 }
+# judge(position, instance, trace).to_dict() for every enumerated trace of
+# each built-in at its defaults, under each of the five built-in positions
+JUDGEMENTS = {
+    "loan_with_interest":
+        "fe3ac3620463b297bf9b8ceaf984983860f14e72a63e3bb4664675dde0c059c2",
+    "savings_account_with_interest":
+        "0303f55d611692481fa9e9e69bd11047e315f3b9e3feb93ba56abbddf558dcd1",
+    "ina_two_party":
+        "37ca7e4f8da38c9354a2316f94d9c3fff19db4881cbf1a89145d9d7907175f60",
+    "tawarruq_classic":
+        "c2f8c14584db096fb06451764d048eca5f5b73e067efe49a30bb3d7a4848914f",
+    "contractus_trinus":
+        "b03b9870c0643bedf7801fd464378462fa3aa88c775623c342aeb2008173e551",
+    "murabaha":
+        "f40acc1e4cb47d455882f364cfcda2f31a0c8fcde68cc47c040d9705644118b4",
+    "tawarruq_pi":
+        "7d69c50a0cf37cba65f144dab759ef8f5fc0b6c1e88a5410db76928e2e3fcb93",
+    "tawarruq_pi_prime":
+        "7d69c50a0cf37cba65f144dab759ef8f5fc0b6c1e88a5410db76928e2e3fcb93",
+    "tawarruq_pi_double_prime":
+        "74f5275b437b77d8ccd71f1719b1c9767defe2b04a10e176c14a7645f7b091f3",
+    "tawarruq_pi_triple_prime":
+        "74f5275b437b77d8ccd71f1719b1c9767defe2b04a10e176c14a7645f7b091f3",
+    "tawarruq_single_contract":
+        "7c7ddda722f5e48373adf0eccb3b28cf6aa776470d394974f1409d9b5a577635",
+    "brokered_loan":
+        "5e5ee0b059df385266b358c9b2b83198d96bd93e6ecf6af79bf590ad11f6a3d3",
+    "unethical_examples":
+        "70401fca6661f4a2b80b9d3e4d040d76507ad6310bf2e938983ffc1281365568",
+}
 # the declared verdicts that tests/test_legality.py checks
 EXPECTED = {
     "loan_with_interest": {"CONVENTIONAL": "halal"},
@@ -333,7 +364,7 @@ def _parameter_rows(name: str) -> list[list[str]]:
 
 def test_all_parameter_cases_are_pinned():
     assert sorted(PARAMETER_CASES) == sorted(INSTANCE_JSON) == sorted(EXPECTED) \
-        == sorted(scenario_names())
+        == sorted(JUDGEMENTS) == sorted(scenario_names())
     count = sum(len(get_spec(name).params) for name in scenario_names()) * len(BAD_VALUES)
     assert count == 325
 
@@ -360,6 +391,16 @@ def test_progression_keys():
     instance = instantiate("tawarruq_classic")
     traces = enumerate_interleavings(instance.world, instance.plans, bound=40)
     assert _digest(repr([p.key() for p in traces])) == KEYS
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_judgements_of_every_enumerated_trace(name):
+    instance = instantiate(name)
+    traces = enumerate_interleavings(instance.world, instance.plans, bound=40,
+                                     choice_points=instance.choice_points)
+    rows = [[judge(position, instance, trace).to_dict()
+             for position in BUILTIN_POSITIONS.values()] for trace in traces]
+    assert _digest(json.dumps(rows)) == JUDGEMENTS[name]
 
 
 def test_deadlock_message():

@@ -195,6 +195,20 @@ class TestSynthesize:
             assert equivalent(monetary_projection(witness.progression), target,
                               ALL_AGENTS)
 
+    @pytest.mark.parametrize("perspective", [("W",), ("X", "W"), "W"])
+    def test_unknown_perspective_agent_rejected(self, perspective):
+        with pytest.raises(ValueError, match=r"unknown perspective agent 'W'; "
+                                             r"known agents: \['X', 'Y', 'Z'\]"):
+            synthesize(savings_target(), ["spot-sale"], agents=("X", "Y", "Z"), bound=2,
+                       perspective=perspective)
+
+    @pytest.mark.parametrize("perspective,explored,found", [
+        (None, 247, 14), (("X",), 247, 14), (("X", "Y"), 380, 8), (ALL_AGENTS, 220, 8)])
+    def test_known_perspectives_unchanged(self, perspective, explored, found):
+        result = synthesize(savings_target(), ["spot-sale", "credit-sale", "prepare-good"],
+                            agents=("X", "Y", "Z"), bound=4, perspective=perspective)
+        assert (result.explored, len(result.witnesses)) == (explored, found)
+
     def test_bound_over_desk_scale_rejected(self):
         with pytest.raises(BoundExceeded):
             synthesize((), ["spot-sale"], bound=9)
