@@ -112,16 +112,21 @@ class Quantity:
     def __ge__(self, other: QuantityLike) -> bool:
         return _coerce(other) <= self
 
+    # An int equals the Quantity of it (a bool is no operand, as in _coerce),
+    # so an integral value hashes as its numerator, as fractions.Fraction does.
+
     def __eq__(self, other: object) -> bool:
         if type(other) is Quantity:
             return self.num == other.num and self.den == other.den
-        if isinstance(other, int):
-            other = Quantity(other)
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self.den == 1 and self.num == other
         if not isinstance(other, Quantity):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        if self.den == 1:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self) -> bool:

@@ -10,8 +10,12 @@ perspective, never by fuzz.
 The synthesis search asks whether a target flow profile can be rebuilt
 from a catalogue of permissible primitives. Depth-first enumeration over
 grounded primitive instances; the search state is only what a trade
-changes - who owns each good, the net cash per (agent, day) and the
-settlements still due - and a witness is a sequence whose projection is
+changes - who owns each good, the net cash per (agent, day) as integers
+over the common denominator of the target's amounts, the settlements still
+due, and the counts of mismatched perspective cells and of goods away from
+home, which a trade updates for the two cells and the one good it touches.
+A state's candidate moves are built once per call and shared by every
+state with the same owners, used agents, prepared count and depth. A witness is a sequence whose projection is
 equivalent to the target and whose goods all return to their initial
 owners. Each witness is re-executed through the engine on first read of
 its progression. Exhaustion within the bound makes found=False a
@@ -141,26 +145,37 @@ def net_positions(trace: Iterable[Flow]) -> dict[str, dict[int, Quantity]]:
 
 
 def check_perspective(perspective, agents: Iterable[str]) -> None:
-    """Reject perspective names that are not among ``agents``; "all" passes.
+    """Reject an empty perspective and names that are not among ``agents``;
+    "all" passes.
 
-    A name outside the agents has no flows, so it would make any two traces
-    equivalent from its point of view.
+    An empty perspective, or a name outside the agents, has no flows, so it
+    would make any two traces equivalent from its point of view.
     """
     if perspective == ALL_AGENTS:
         return
+    names = _perspective_agents(perspective)
     known = set(agents)
-    for name in perspective:
+    for name in names:
         if name not in known:
             raise ValueError(f"unknown perspective agent {name!r}; "
                              f"known agents: {sorted(known)}")
+
+
+def _perspective_agents(perspective: Iterable[str]) -> tuple[str, ...]:
+    """The perspective's names in the order given, read once."""
+    names = tuple(perspective)
+    if not names:
+        raise ValueError("empty perspective: name at least one agent, or 'all'")
+    return names
 
 
 def equivalent(a: FlowTrace, b: FlowTrace, perspective=ALL_AGENTS) -> bool:
     """Exact per-(agent, day) net equality over the perspective.
 
     ``perspective`` is either the string "all" (every agent appearing in
-    either trace, plus a per-date conservation check on both sides) or an
-    iterable of agent names to restrict to.
+    either trace, plus a per-date conservation check on both sides) or a
+    nonempty iterable of agent names to restrict to; an empty one is a
+    ValueError.
     """
     nets_a, nets_b = net_positions(a), net_positions(b)
     if perspective == ALL_AGENTS:
@@ -173,7 +188,7 @@ def equivalent(a: FlowTrace, b: FlowTrace, perspective=ALL_AGENTS) -> bool:
             if any(v != ZERO for v in by_date.values()):
                 return False
     else:
-        agents = set(perspective)
+        agents = _perspective_agents(perspective)
     return all(nets_a.get(agent, {}) == nets_b.get(agent, {}) for agent in agents)
 
 
@@ -243,10 +258,25 @@ class SynthesisResult:
         }
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class _Frame:
+    """What every state of one search shares: the common denominator of the
+    target's amounts, the target's perspective cells as integers over it,
+    and the perspective."""
+
+    scale: int
+    target: dict[tuple[str, int], int]
+    perspective: frozenset[str]
+
+
+@dataclass(slots=True)
 class _SearchState:
+    frame: _Frame
     owners: dict[str, str]  # good id -> owner
-    nets: dict[str, dict[int, Quantity]]
+    home: dict[str, str]  # good id -> the owner it must end with
+    nets: dict[tuple[str, int], int]  # (agent, day) -> net cash x frame.scale; no zeros
+    mismatch: int  # perspective cells where nets and frame.target differ
+    displaced: int  # goods whose owner is not their home
     pending: tuple[tuple[str, str, Quantity, int, str], ...]  # payer, payee, amount, due, settle id
     used: frozenset[str]
     prepared: int
@@ -266,12 +296,14 @@ def synthesize(
     equivalence over the perspective plus every good ending where it
     started (the asset must make a round trip). Exhaustive over the
     grounded trade skeleton space up to ``bound``, so found=False certifies
-    non-existence relative to the bound and the disclosed grounding. A
-    perspective name that is not among ``agents`` is a ValueError.
+    non-existence relative to the bound and the disclosed grounding. An
+    empty perspective, or a name that is not among ``agents``, is a
+    ValueError.
 
-    The search state is the goods' owners plus the nets (and the pending
-    settlements); no trial trade touches a ``WorldState``. A witness's
-    ``progression`` is replayed through ``run`` on its first read.
+    The search state is the goods' owners plus the integer nets, the
+    pending settlements and the carried mismatch and displaced counts; no
+    trial trade touches a ``WorldState``. A witness's ``progression`` is
+    replayed through ``run`` on its first read.
     """
     if bound > DESK_SCALE_LIMIT:
         raise BoundExceeded(f"bound {bound} exceeds desk-scale limit {DESK_SCALE_LIMIT}")
@@ -280,14 +312,26 @@ def synthesize(
     if len(agents) < 2:
         raise ValueError("need at least two agents")
     kinds = normalize_catalogue(catalogue)
-    if perspective is not None:
-        check_perspective(perspective, agents)
-    persp: frozenset[str] = frozenset([agents[0]] if perspective is None else (
-        set(agents) if perspective == ALL_AGENTS else set(perspective)))
+    if perspective is None:
+        persp = frozenset([agents[0]])
+    elif perspective == ALL_AGENTS:
+        persp = frozenset(agents)
+    else:
+        names = _perspective_agents(perspective)
+        check_perspective(names, agents)
+        persp = frozenset(names)
 
     amounts = tuple(sorted({f.amount for f in target}))
     future_dates = tuple(sorted({f.date for f in target if f.date > 0}))
-    target_nets = {a: dict(d) for a, d in net_positions(target).items()}
+    # every trade price is a target amount, so the search's nets are integers
+    # over the lcm of the amounts' denominators
+    scale = 1
+    for amount in amounts:
+        scale = lcm(scale, amount.den)
+    target_cells = {(agent, day): value.num * (scale // value.den)
+                    for agent, per_day in net_positions(target).items() if agent in persp
+                    for day, value in per_day.items()}
+    frame = _Frame(scale=scale, target=target_cells, perspective=persp)
 
     roles = [Role.PERSON, Role.BANK] + [Role.COMPANY] * (len(agents) - 2)
     endowment = Quantity(0)
@@ -312,22 +356,17 @@ def synthesize(
         raise ValidationError("sums must be nonnegative")
     home = {g.good_id: g.owner for g in goods}
     used0 = frozenset(persp | {g.owner for g in goods})
+    # a trade moves cash for two agents at one date, so it can fix at most
+    # one mismatched cell per perspective agent (max two overall)
+    per_action = 1 if len(persp) == 1 else 2
 
     explored = 0
     witnesses: list[Witness] = []
-
-    def cells_mismatch(nets) -> int:
-        count = 0
-        for agent in (persp if persp else set(target_nets) | set(nets)):
-            mine = nets.get(agent, {})
-            theirs = target_nets.get(agent, {})
-            for d in set(mine) | set(theirs):
-                if mine.get(d, ZERO) != theirs.get(d, ZERO):
-                    count += 1
-        return count
-
-    def displaced(owners: dict[str, str]) -> int:
-        return sum(1 for gid, owner in home.items() if owners[gid] != owner)
+    # the candidate moves of a state, by everything ``candidates`` reads:
+    # owners (goods enter in id order), used agents, prepared count and
+    # depth (which names a credit sale's settlement contract)
+    moves: dict[tuple, tuple[Action, ...]] = {}
+    settlements: dict[tuple, Action] = {}
 
     def next_fresh(used: frozenset[str]) -> Optional[str]:
         for name in agents:
@@ -369,34 +408,26 @@ def synthesize(
                                          down_payment=ZERO, due_date=due, good_id=gid,
                                          contract_id=f"settle-{len(state.actions)}")
 
-    def record_witness(state: _SearchState) -> None:
-        witnesses.append(Witness(actions=_full_sequence(state), origin=(world0, state)))
-
     def dfs(state: _SearchState) -> None:
         nonlocal explored
         explored += 1
-        mismatch = cells_mismatch(state.nets)
-        moved = displaced(state.owners)
-        if mismatch == 0 and moved == 0:
-            record_witness(state)
-        remaining = bound - len(state.actions)
-        if remaining == 0:
+        mismatch, displaced = state.mismatch, state.displaced
+        if not mismatch and not displaced:
+            witnesses.append(Witness(actions=_full_sequence(state, settlements),
+                                     origin=(world0, state)))
+        depth = len(state.actions)
+        remaining = bound - depth
+        if remaining == 0 or max(-(-mismatch // per_action), displaced) > remaining:
             return
-        # a trade moves cash for two agents at one date, so it can fix at
-        # most one mismatched cell per perspective agent (max two overall)
-        per_action = 1 if len(persp) == 1 else 2
-        if max(-(-mismatch // per_action), moved) > remaining:
-            return
-        for action in candidates(state):
-            child = _successor(state, action)
-            if action.kind == ActionKind.PREPARE_GOOD:
-                home[action.good_id] = action.actor
-                dfs(child)
-                del home[action.good_id]
-            else:
-                dfs(child)
+        key = (tuple(state.owners.items()), state.used, state.prepared, depth)
+        children = moves.get(key)
+        if children is None:
+            children = moves[key] = tuple(candidates(state))
+        for action in children:
+            dfs(_successor(state, action))
 
-    dfs(_SearchState(owners=dict(home), nets={}, pending=(), used=used0,
+    dfs(_SearchState(frame=frame, owners=dict(home), home=home, nets={},
+                     mismatch=len(target_cells), displaced=0, pending=(), used=used0,
                      prepared=0, actions=()))
 
     grounding = {
@@ -418,54 +449,66 @@ def synthesize(
 
 
 def _successor(state: _SearchState, action: Action) -> _SearchState:
-    """The search state after one trial step; no ``WorldState`` is touched."""
+    """The search state after one trial step; no ``WorldState`` is touched.
+
+    A trade changes one good's owner and two cells of the nets, so only
+    those update the carried ``displaced`` and ``mismatch`` counts.
+    """
     owners = dict(state.owners)
     actions = state.actions + (action,)
-    if action.kind == ActionKind.PREPARE_GOOD:
-        owners[action.good_id] = action.actor
-        return _SearchState(owners=owners, nets=state.nets, pending=state.pending,
-                            used=state.used | {action.actor},
-                            prepared=state.prepared + 1, actions=actions)
-    nets, pending = state.nets, state.pending
-    if action.kind == ActionKind.SPOT_SALE:  # the actor sells for cash now
-        owners[action.good_id] = action.counterparty
-        nets = _pay(nets, action.counterparty, action.actor, 0, action.amount)
+    gid, kind, used = action.good_id, action.kind, state.used
+    if kind is ActionKind.PREPARE_GOOD:
+        owners[gid] = action.actor
+        home = dict(state.home)
+        home[gid] = action.actor
+        return _SearchState(state.frame, owners, home, state.nets, state.mismatch,
+                            state.displaced, state.pending, used | {action.actor},
+                            state.prepared + 1, actions)
+    if kind is ActionKind.SPOT_SALE:  # the actor sells for cash now
+        seller, buyer, date = action.actor, action.counterparty, 0
+        pending = state.pending
     else:  # the actor buys on credit: cash moves at the due date via settlement
-        owners[action.good_id] = action.actor
-        nets = _pay(nets, action.actor, action.counterparty, action.due_date, action.amount)
-        pending = pending + ((action.actor, action.counterparty, action.amount,
-                              action.due_date, action.contract_id),)
-    return _SearchState(owners=owners, nets=nets, pending=pending,
-                        used=state.used | {action.actor, action.counterparty},
-                        prepared=state.prepared, actions=actions)
+        buyer, seller, date = action.actor, action.counterparty, action.due_date
+        pending = state.pending + ((buyer, seller, action.amount, date, action.contract_id),)
+    owners[gid] = buyer
+    home_owner = state.home[gid]
+    displaced = state.displaced + (buyer != home_owner) - (seller != home_owner)
+    if buyer not in used or seller not in used:
+        used = used | {buyer, seller}
+    frame = state.frame
+    price = action.amount
+    scaled = price.num * (frame.scale // price.den)
+    nets = dict(state.nets)
+    mismatch = state.mismatch
+    for agent, delta in ((buyer, -scaled), (seller, scaled)):
+        cell = (agent, date)
+        old = nets.get(cell, 0)
+        new = old + delta
+        if new:
+            nets[cell] = new
+        elif old:
+            del nets[cell]
+        if agent in frame.perspective:
+            want = frame.target.get(cell, 0)
+            mismatch += (new != want) - (old != want)
+    return _SearchState(frame, owners, state.home, nets, mismatch, displaced, pending,
+                        used, state.prepared, actions)
 
 
-def _pay(nets: dict[str, dict[int, Quantity]], payer: str, payee: str, date: int,
-         amount: Quantity) -> dict[str, dict[int, Quantity]]:
-    """The nets after one payment between two agents; zero entries drop."""
-    out = dict(nets)
-    for agent, value in ((payer, out.get(payer, {}).get(date, ZERO) - amount),
-                         (payee, out.get(payee, {}).get(date, ZERO) + amount)):
-        per_day = dict(out.get(agent, {}))
-        if value:
-            per_day[date] = value
-        else:
-            per_day.pop(date, None)
-        if per_day:
-            out[agent] = per_day
-        else:
-            out.pop(agent, None)
-    return out
-
-
-def _full_sequence(state: _SearchState) -> tuple[Action, ...]:
-    settlements = tuple(
-        Action(kind=ActionKind.PAY, actor=payer, counterparty=payee, amount=amount,
-               reason=Reason(contract_ids=(settle_id,)))
-        for payer, payee, amount, due, settle_id in sorted(
-            state.pending, key=lambda p: (p[3], p[4]))
-    )
-    return state.actions + settlements
+def _full_sequence(state: _SearchState,
+                   settlements: dict[tuple, Action]) -> tuple[Action, ...]:
+    """The state's trades, then one payment per pending settlement in due
+    order; ``settlements`` keeps the payment built for each pending entry."""
+    sequence = state.actions
+    for entry in sorted(state.pending, key=lambda p: (p[3], p[4])):
+        payment = settlements.get(entry)
+        if payment is None:
+            payer, payee, amount, _, settle_id = entry
+            payment = settlements[entry] = Action(
+                kind=ActionKind.PAY, actor=payer, counterparty=payee, amount=amount,
+                reason=Reason(contract_ids=(settle_id,)))
+        sequence += (payment,)
+    return sequence
 
 
 def _replay_witness(world0: WorldState, state: _SearchState) -> Progression:

@@ -21,6 +21,7 @@ from rpsf.engine import (
 from rpsf.legality import BUILTIN_POSITIONS, judge
 from rpsf.money import Quantity
 from rpsf.scenarios import get_spec, instance_to_dict, instantiate, scenario_names
+from rpsf.synthesis import ALL_AGENTS, monetary_projection, synthesize
 from rpsf.world import (
     ActionKind,
     ActionTemplate,
@@ -177,6 +178,15 @@ SCHEDULES = {
 }
 ENUMERATE_JSON = "4967940c0c3cf9c04fbb288dfdd684b1abe1c1d7ddb26d446889053cea1dc10b"
 SYNTHESIZE_JSON = "89bf9ba3600b44a6de011a370265de134f70ed78a8d1401501c5899f82811281"
+# The savings target under the full catalogue at bound 5: (explored, witnesses,
+# sha256 of the JSON list of every witness's to_dict()) per perspective.
+SYNTHESIS_BOUND_5 = {
+    None: (2095, 126, "b648f6eb7680adf63a92431d2f527a6fcf62bb869f04c0c32c887adff17524fb"),
+    ("X", "Y"): (3132, 68, "4213c5c9786978dabc2bd3ed5090ede7c76d70ae86a9933b1be0fe9501c41223"),
+    ALL_AGENTS: (1660, 68, "4213c5c9786978dabc2bd3ed5090ede7c76d70ae86a9933b1be0fe9501c41223"),
+}
+SPOT_ONLY_BOUND_6_EXPLORED = 1877
+FULL_CATALOGUE = ("spot-sale", "credit-sale", "prepare-good", "contracts", "inform")
 JUDGE_JSON = "c578dae257f1b2d921006e457af2d53ec349ead88a28733cf7e5476aea1d5513"
 # Built-in parameters, each set alone to each of BAD_VALUES: the digest of
 # the rows (parameter, value, outcome, message), one per built-in.
@@ -340,6 +350,25 @@ def test_synthesize_json(capsys):
                         "--bound", "4", "--format", "json")
     assert code == 0
     assert _digest(out) == SYNTHESIZE_JSON
+
+
+def _savings_target():
+    instance = instantiate("savings_account_with_interest")
+    return monetary_projection(run(instance.world, instance.plans, RoundRobin(),
+                                   horizon=instance.horizon))
+
+
+@pytest.mark.parametrize("perspective", list(SYNTHESIS_BOUND_5))
+def test_synthesis_witnesses_at_bound_5(perspective):
+    result = synthesize(_savings_target(), FULL_CATALOGUE, ("X", "Y", "Z"), bound=5,
+                        perspective=perspective)
+    digest = _digest(json.dumps([w.to_dict() for w in result.witnesses]))
+    assert (result.explored, len(result.witnesses), digest) == SYNTHESIS_BOUND_5[perspective]
+
+
+def test_spot_only_certificate_at_bound_6():
+    result = synthesize(_savings_target(), ["spot-sale"], ("X", "Y", "Z"), bound=6)
+    assert (result.found, result.explored) == (False, SPOT_ONLY_BOUND_6_EXPLORED)
 
 
 def test_haram_judgement_json(capsys):

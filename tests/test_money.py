@@ -76,6 +76,18 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Quantity(1, 0)
 
+    def test_an_int_is_found_by_its_quantity(self):
+        assert Quantity(1) in {1} and 1 in {Quantity(1)}
+        assert {Quantity(4, 2): "two"}[2] == "two"
+        assert hash(Quantity(-1)) == hash(-1)
+
+    def test_a_bool_is_not_a_quantity(self):
+        # as arithmetic refuses it, equality does
+        assert Quantity(1) != True and Quantity(0) != False  # noqa: E712
+        assert True != Quantity(1)  # noqa: E712
+        with pytest.raises(TypeError):
+            Quantity(1) + True
+
     def test_closure_under_operations(self):
         rng = random.Random(7)
         for _ in range(500):

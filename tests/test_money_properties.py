@@ -67,3 +67,16 @@ def test_arithmetic_and_order_match_fraction(pair):
         assert (left < right) == (f_left < f_right)
         assert (left <= right) == (f_left <= f_right)
         assert (left == right) == (f_left == f_right)
+
+
+@given(operand_pairs())
+def test_equal_values_hash_equal(pair):
+    # Quantity == int holds for integral values, so a set or dict key must
+    # find one by the other
+    a, b = pair
+    for left, right in ((a, b), (b, a), (a, a.num), (a.num, a)):
+        if left == right:
+            assert hash(left) == hash(right)
+            assert left in {right}
+    if a.den == 1:
+        assert a == a.num and hash(a) == hash(a.num)

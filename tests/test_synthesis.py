@@ -12,6 +12,7 @@ from rpsf.synthesis import (
     ALL_AGENTS,
     Flow,
     canonical,
+    check_perspective,
     equivalent,
     monetary_projection,
     net_positions,
@@ -125,6 +126,15 @@ class TestEquivalence:
         assert not equivalent(a, b, ("X",))
         assert not equivalent(a, b, ALL_AGENTS)
 
+    def test_empty_perspective_rejected(self):
+        _, loan = run_default("loan_with_interest")
+        _, murabaha = run_default("murabaha")
+        a, b = monetary_projection(loan), monetary_projection(murabaha)
+        assert not equivalent(a, b, ("X",))
+        for perspective in ((), []):
+            with pytest.raises(ValueError, match="empty perspective"):
+                equivalent(a, b, perspective)
+
 
 class TestSynthesize:
     def test_empty_target_found_with_empty_sequence(self):
@@ -195,12 +205,27 @@ class TestSynthesize:
             assert equivalent(monetary_projection(witness.progression), target,
                               ALL_AGENTS)
 
-    @pytest.mark.parametrize("perspective", [("W",), ("X", "W"), "W"])
+    @pytest.mark.parametrize("perspective", [("W",), ("X", "W"), "W", ("X", "W", "V")])
     def test_unknown_perspective_agent_rejected(self, perspective):
         with pytest.raises(ValueError, match=r"unknown perspective agent 'W'; "
                                              r"known agents: \['X', 'Y', 'Z'\]"):
             synthesize(savings_target(), ["spot-sale"], agents=("X", "Y", "Z"), bound=2,
                        perspective=perspective)
+
+    @pytest.mark.parametrize("perspective", [(), [], ""])
+    def test_empty_perspective_rejected(self, perspective):
+        # searching for nobody would quietly search for everybody
+        with pytest.raises(ValueError, match="empty perspective"):
+            synthesize(savings_target(), ["spot-sale", "credit-sale"], bound=4,
+                       perspective=perspective)
+        with pytest.raises(ValueError, match="empty perspective"):
+            check_perspective(perspective, ("X", "Y", "Z"))
+
+    def test_perspective_is_read_once(self):
+        # an iterator of names is the same perspective as their tuple
+        result = synthesize(savings_target(), ["spot-sale", "credit-sale", "prepare-good"],
+                            agents=("X", "Y", "Z"), bound=4, perspective=iter(("X",)))
+        assert (result.explored, len(result.witnesses)) == (247, 14)
 
     @pytest.mark.parametrize("perspective,explored,found", [
         (None, 247, 14), (("X",), 247, 14), (("X", "Y"), 380, 8), (ALL_AGENTS, 220, 8)])
@@ -267,3 +292,27 @@ class TestLazyReplay:
         assert witness.progression is first
         assert calls == {"run": 1, "replay": 1}
         assert equivalent(monetary_projection(first), target, ("X",))
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("catalogue,bound,explored,built", [
+        (("spot-sale", "credit-sale", "prepare-good", "contracts", "inform"), 5, 2095, 154),
+        (("spot-sale",), 6, 1877, 68),
+    ])
+    def test_each_move_is_built_once_per_call(self, monkeypatch, catalogue, bound,
+                                              explored, built):
+        # a candidate move is built once per distinct (owners, used agents,
+        # prepared count, depth), and a settlement payment once per pending
+        # entry; one Action per child and per witness payment was 2,338 and 1,876
+        calls = 0
+        original = synthesis.Action
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "Action", counted)
+        result = synthesize(savings_target(), catalogue, ("X", "Y", "Z"), bound=bound)
+        assert result.explored == explored
+        assert calls == built

@@ -1,5 +1,6 @@
-"""The synthesis search's owners-and-nets state against the world transition,
-and net positions against the Quantity-by-Quantity fold."""
+"""The synthesis search's owners-and-nets state against the world transition
+and against a from-scratch recount, and net positions against the
+Quantity-by-Quantity fold."""
 
 import pytest
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 from rpsf import synthesis  # noqa: E402
 from rpsf.money import ZERO, Quantity  # noqa: E402
 from rpsf.synthesis import ALL_AGENTS, Flow, canonical, net_positions, synthesize  # noqa: E402
-from rpsf.world import Agent, Good, apply_event, make_world  # noqa: E402
+from rpsf.world import ActionKind, Agent, Good, apply_event, make_world  # noqa: E402
 
 AGENTS = ("X", "Y", "Z")
 
@@ -22,9 +23,8 @@ catalogues = st.sets(st.sampled_from(("spot-sale", "credit-sale", "prepare-good"
                      min_size=1)
 
 
-@given(st.lists(flows, max_size=3), catalogues, st.integers(0, 3),
-       st.sampled_from((None, ALL_AGENTS, ("X", "Y"))))
-def test_owners_follow_apply_event_along_every_path(target, catalogue, bound, perspective):
+def search_steps(target, catalogue, bound, perspective):
+    """Every (state, action, child) ``_successor`` steps in one search."""
     steps = []
     successor = synthesis._successor
 
@@ -35,7 +35,14 @@ def test_owners_follow_apply_event_along_every_path(target, catalogue, bound, pe
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synthesis, "_successor", recording)
-        synthesize(canonical(target), catalogue, AGENTS, bound=bound, perspective=perspective)
+        synthesize(target, catalogue, AGENTS, bound=bound, perspective=perspective)
+    return steps
+
+
+@given(st.lists(flows, max_size=3), catalogues, st.integers(0, 3),
+       st.sampled_from((None, ALL_AGENTS, ("X", "Y"))))
+def test_owners_follow_apply_event_along_every_path(target, catalogue, bound, perspective):
+    steps = search_steps(canonical(target), catalogue, bound, perspective)
     # the search is depth first, so each step's state was reached by an earlier step
     worlds = {}
     for state, action, child in steps:
@@ -48,6 +55,54 @@ def test_owners_follow_apply_event_along_every_path(target, catalogue, bound, pe
                                       for gid, owner in state.owners.items()])
         world = worlds[child.actions] = apply_event(world, action, 0)
         assert {gid: good.owner for gid, good in world.goods.items()} == child.owners
+
+
+def path_flows(state):
+    """The cash a state's trades move: spot sales now, credit sales at their
+    due dates."""
+    flows = [Flow(a.counterparty, a.actor, a.amount, 0)
+             for a in state.actions if a.kind == ActionKind.SPOT_SALE]
+    flows += [Flow(payer, payee, amount, due) for payer, payee, amount, due, _ in state.pending]
+    return flows
+
+
+def reference_mismatch(nets, target_nets, perspective):
+    """Perspective cells where two nested net maps differ, counted afresh."""
+    count = 0
+    for agent in perspective:
+        mine, theirs = nets.get(agent, {}), target_nets.get(agent, {})
+        count += sum(1 for d in set(mine) | set(theirs)
+                     if mine.get(d, ZERO) != theirs.get(d, ZERO))
+    return count
+
+
+@given(st.lists(flows, max_size=3), catalogues, st.integers(0, 3),
+       st.sampled_from((None, ALL_AGENTS, ("X", "Y"), ("Z",))))
+@example([Flow("X", "Y", Quantity(1, 2), 0), Flow("Y", "X", Quantity(1, 3), 0)],
+         {"spot-sale"}, 1, None)
+def test_carried_counts_match_a_recount_along_every_path(target, catalogue, bound,
+                                                         perspective):
+    target = canonical(target)
+    steps = search_steps(target, catalogue, bound, perspective)
+    persp = {"X"} if perspective is None else (
+        set(AGENTS) if perspective == ALL_AGENTS else set(perspective))
+    target_nets = net_positions(target)
+    for state, action, child in steps:
+        if action.kind == ActionKind.BUY_ON_CREDIT:
+            assert action.contract_id == f"settle-{len(state.actions)}"
+        for node in (state, child):
+            # a good's home is its owner at the root, or whoever prepared it
+            home = dict(steps[0][0].owners)
+            home.update((a.good_id, a.actor) for a in node.actions
+                        if a.kind == ActionKind.PREPARE_GOOD)
+            assert node.displaced == sum(1 for gid, owner in node.owners.items()
+                                         if owner != home[gid])
+            nets = net_positions(path_flows(node))
+            assert node.mismatch == reference_mismatch(nets, target_nets, persp)
+            scale = node.frame.scale
+            assert all(scale % flow.amount.den == 0 for flow in target)
+            assert {cell: Quantity(v, scale) for cell, v in node.nets.items()} == {
+                (agent, d): v for agent, per_day in nets.items() for d, v in per_day.items()}
 
 
 def reference_net_positions(trace):
