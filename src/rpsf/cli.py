@@ -8,7 +8,6 @@ equivalent), 2 usage or parameter error, 3 forbidden, 4 undecided,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -48,7 +47,7 @@ from .synthesis import (
     synthesize,
     witness_scenario,
 )
-from .world import WorldError, world_to_dict
+from .world import WorldError, render_json, world_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -140,11 +139,17 @@ def _event_line(event) -> str:
 
 
 def _emit(args, payload: dict, text_lines: Sequence[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
+    lines = [render_json(payload)] if args.format == "json" else text_lines
+    try:
+        for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``rpsf ... | head``). Point stdout at devnull so
+        # that the interpreter's last flush of the buffer raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,10 @@ def equivalent(a: FlowTrace, b: FlowTrace, perspective=ALL_AGENTS) -> bool:
     either trace, plus a per-date conservation check on both sides) or a
     nonempty iterable of agent names to restrict to; an empty one is a
     ValueError.
+
+    It sees flows, not agents: a name that appears in neither trace has no
+    nets on either side, so it compares equal. The CLI checks the names
+    against both products' agents (``check_perspective``) before calling.
     """
     nets_a, nets_b = net_positions(a), net_positions(b)
     if perspective == ALL_AGENTS:

@@ -1170,4 +1170,77 @@ def world_to_dict(world: WorldState, include_history: bool = True) -> dict:
 
 
 def world_to_json(world: WorldState) -> str:
-    return json.dumps(world_to_dict(world), indent=2, sort_keys=False)
+    return render_json(world_to_dict(world))
+
+
+# the leaf encoders json's own encoders use, both written in C
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
+def render_json(value: object) -> str:
+    """Exactly ``json.dumps(value, indent=2)``, without json's pure-Python encoder.
+
+    json's C encoder ignores ``indent``, so json renders indented output
+    with its pure-Python encoder. This walks the containers itself and hands
+    each leaf to json's C functions. Like json, it raises TypeError for a
+    key or a leaf that JSON cannot hold.
+    """
+    out: list[str] = []
+    append = out.append
+
+    def emit(value: object, newline: str) -> None:
+        if isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = newline + "  "
+            comma = "," + inner
+            sep = "{" + inner
+            for key, item in value.items():
+                append(sep + _encode_str(key if key.__class__ is str else _json_key(key)) + ": ")
+                sep = comma
+                if item.__class__ is str:
+                    append(_encode_str(item))
+                else:
+                    emit(item, inner)
+            append(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            comma = "," + inner
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                sep = comma
+                if item.__class__ is str:
+                    append(_encode_str(item))
+                else:
+                    emit(item, inner)
+            append(newline + "]")
+        elif isinstance(value, str):
+            append(_encode_str(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(_int_repr(value))
+        else:
+            append(json.dumps(value))
+
+    emit(value, "\n")
+    return "".join(out)
+
+
+def _json_key(key: object) -> str:
+    """A dict key as json writes it: a number, a boolean or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

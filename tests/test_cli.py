@@ -1,7 +1,10 @@
 """Command-line driver: exit codes, deterministic JSON, scenario files."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -286,6 +289,26 @@ class TestEnumerate:
                               "--bound", "3")
         assert code == 2
         assert "BoundExceeded" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("enumerate", "tawarruq_pi_triple_prime", "-v", "--format", "json"), 0),
+    (("judge", "savings_account_with_interest", "--position", "STRICT_DESCRIPTIVE"), 3),
+])
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(argv, code):
+    # the reader of the pipe has gone before the first write, as under `| head`
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "rpsf.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, b"")
 
 
 _GOOD = {"name": "p", "agents": [{"name": "X"}]}

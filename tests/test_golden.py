@@ -6,12 +6,14 @@ so any change to a key, a key order or a rendering shows up here.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from rpsf.cli import main
 from rpsf.engine import (
     DeadlockDetected,
+    Do,
     Plan,
     RoundRobin,
     WaitFor,
@@ -23,14 +25,22 @@ from rpsf.money import Quantity
 from rpsf.scenarios import get_spec, instance_to_dict, instantiate, scenario_names
 from rpsf.synthesis import ALL_AGENTS, monetary_projection, synthesize
 from rpsf.world import (
+    Action,
     ActionKind,
     ActionTemplate,
     AfterEvent,
     Agent,
     BalanceAtLeast,
+    ByDate,
     ChoiceIs,
     ConditionMet,
+    ContractRecord,
+    Reason,
+    RepaymentTerms,
+    Role,
+    Stage,
     make_world,
+    world_to_json,
 )
 
 RUN_JSON = {
@@ -304,6 +314,38 @@ DEADLOCK = (
     "Z waiting on {'condition': {'choice': 'go', 'value': True}}"
 )
 
+# world_to_json of each built-in's final world after a RoundRobin run
+WORLD_JSON = {
+    "loan_with_interest":
+        "982b473e2d6b662558608762711674c6c01a9d41ef0ce91a9f268a985e6c6f44",
+    "savings_account_with_interest":
+        "f0768f9c8c91440dd8cd1cd67f0b9369bf56a770526188a63ca93b2efd5aae14",
+    "ina_two_party":
+        "5944c2bb65dba5fc280f44590caf80973671122383f09c35665316a3e107e6f3",
+    "tawarruq_classic":
+        "5dcddda6efa5fbb8d3e5745586952f5a4162beee12c83df163e741d75735eb82",
+    "contractus_trinus":
+        "79f81e6aa9138b9ee8997a1403f9065109d7dbafa3d34d35f08a8c7b39ec7735",
+    "murabaha":
+        "5b164ce1846cfc9a408d6ef6c2d4219e13a89207a72b5305d63b73f32186f3fe",
+    "tawarruq_pi":
+        "f7bdfd040fff100172b5c17c1821d0fbb337e4ced023e378068e517aa9779b91",
+    "tawarruq_pi_prime":
+        "f1af34762b29ca6b26c7e2d76ed9424ea5dd44bf2cbad95e72de6d8a4182b427",
+    "tawarruq_pi_double_prime":
+        "7192d0ce06b14320e7a5dbce47ddac904c522961311721d9dc515d178f9ccd7f",
+    "tawarruq_pi_triple_prime":
+        "cc7607333528dd7b169b537920c7ee77b83e83a2e293c64e009de4732b1415ab",
+    "tawarruq_single_contract":
+        "99009b610c2efded8548612b007bbacf2e79e8de0017f98c1ac0dc63f19ac4f5",
+    "brokered_loan":
+        "3a58f4813e2b2395cd1fdd748add0680463fc48817d0e7727a83a6644b4697b8",
+    "unethical_examples":
+        "24456e85541c7d669c52711ca7db705d61cdab33c6950a32935c99f62fdb197d",
+}
+# world_to_json of _deep_account(seed=1, rounds=400): (characters, sha256)
+DEEP_WORLD_JSON = (271176, "83729f8ba4f0868fcea63cb6d0c856065158ca26e10a13ac411b92f3ea0feb29")
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -393,7 +435,7 @@ def _parameter_rows(name: str) -> list[list[str]]:
 
 def test_all_parameter_cases_are_pinned():
     assert sorted(PARAMETER_CASES) == sorted(INSTANCE_JSON) == sorted(EXPECTED) \
-        == sorted(JUDGEMENTS) == sorted(scenario_names())
+        == sorted(JUDGEMENTS) == sorted(WORLD_JSON) == sorted(scenario_names())
     count = sum(len(get_spec(name).params) for name in scenario_names()) * len(BAD_VALUES)
     assert count == 325
 
@@ -445,3 +487,78 @@ def test_deadlock_message():
     with pytest.raises(DeadlockDetected) as info:
         run(world, plans)
     assert str(info.value) == DEADLOCK
+
+
+def _deep_account(seed: int, rounds: int):
+    """The final world of a two-agent account run under RoundRobin: 2 * rounds
+    payments, A paying in and B paying out, with by-date waits that move the
+    clock between rounds (the shape of the benchmark's long history)."""
+    rng = random.Random(f"deep:{seed}")
+    a_steps: list = []
+    b_steps: list = []
+    cents = {"A": 0, "B": 0}
+    day = 0
+    for k in range(rounds):
+        if k and rng.random() < 0.5:
+            day += rng.randint(1, 3)
+            a_steps.append(WaitFor(ByDate(day)))
+        deposit, withdrawal = rng.randint(1_000, 100_000), rng.randint(1_000, 100_000)
+        cents["A"] += deposit
+        cents["B"] += withdrawal
+        a_steps += [Do(Action(kind=ActionKind.PAY, actor="A", counterparty="B",
+                              amount=Quantity(deposit, 100),
+                              reason=Reason(contract_ids=("acct",)), message=f"a{k}")),
+                    WaitFor(AfterEvent(ActionTemplate(
+                        kind=ActionKind.PAY, actor="B", message=f"b{k}")))]
+        b_steps += [WaitFor(AfterEvent(ActionTemplate(
+                        kind=ActionKind.PAY, actor="A", message=f"a{k}"))),
+                    Do(Action(kind=ActionKind.PAY, actor="B", counterparty="A",
+                              amount=Quantity(withdrawal, 100),
+                              reason=Reason(contract_ids=("acct",)), message=f"b{k}"))]
+    account = ContractRecord(
+        contract_id="acct", parties=frozenset({"A", "B"}), initiator="B", clauses=(),
+        signatures=frozenset({"A", "B"}), stage=Stage.ACTIVE,
+        terms=RepaymentTerms(principal=Quantity(1000), rate=Quantity(1, 50), period=365))
+    world = make_world(agents=[Agent("A"), Agent("B", Role.BANK)],
+                       balances={a: Quantity(c, 100) for a, c in cents.items()},
+                       contracts=[account])
+    plans = (Plan("A", tuple(a_steps)), Plan("B", tuple(b_steps)))
+    return run(world, plans, RoundRobin(), horizon=10 * len(a_steps)).world
+
+
+@pytest.fixture(scope="module")
+def deep_world():
+    world = _deep_account(seed=1, rounds=400)
+    assert len(world.history) == 800
+    return world
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_world_json_of_each_builtin(name):
+    instance = instantiate(name)
+    progression = run(instance.world, instance.plans, RoundRobin(), horizon=instance.horizon,
+                      choices=dict(instance.choice_points))
+    assert _digest(world_to_json(progression.world)) == WORLD_JSON[name]
+
+
+def test_world_json_of_a_long_account(deep_world):
+    text = world_to_json(deep_world)
+    assert (len(text), _digest(text)) == DEEP_WORLD_JSON
+
+
+def test_rendering_never_reaches_the_pure_python_encoder(monkeypatch, capsys, deep_world):
+    # json builds its pure-Python encoder with _make_iterencode, and only for
+    # output the C encoder cannot write, such as indented JSON
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
+    assert _digest(world_to_json(deep_world)) == DEEP_WORLD_JSON[1]
+    for argv, pin in ((("run", "tawarruq_classic"), RUN_JSON["tawarruq_classic"]),
+                      (("enumerate", "tawarruq_classic", "-v"), ENUMERATE_JSON),
+                      (("synthesize", "--target", "savings_account_with_interest",
+                        "--bound", "4"), SYNTHESIZE_JSON)):
+        code, out = _stdout(capsys, *argv, "--format", "json")
+        assert (code, _digest(out)) == (0, pin), argv
