@@ -13,11 +13,8 @@ import sys
 from typing import Optional, Sequence
 
 from .engine import (
-    BoundExceeded,
-    DeadlockDetected,
     EngineError,
     Exhaustive,
-    HorizonExceeded,
     Progression,
     RoundRobin,
     SeededRandom,
@@ -102,7 +99,11 @@ def _strategy(args) -> RoundRobin | SeededRandom | Exhaustive:
         return Exhaustive()
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("RPSF_SEED", "0"))
+        text = os.environ.get("RPSF_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"RPSF_SEED must be a whole number, got {text!r}") from None
     return SeededRandom(seed)
 
 

@@ -9,6 +9,12 @@ single-contract variant, the cost-plus resale through a bank, the medieval
 triple contract, the broker-mediated loan with guarantee variants, and a
 set of ethically annotated one-offs.
 
+Every builder writes its product as a sequence of basic products - a
+contract handshake, payments, spot and credit sales, promises to buy,
+informs - each a ``Part`` of (agent, step) pairs that ``compose`` files
+into the agents' plans; an agent that waits for another's action names it
+with ``sees``, so each cross-agent event is stated once.
+
 Scenario instantiation is deterministic and pure; instances are immutable.
 Custom scenarios can be loaded from JSON files mirroring the same shapes
 (see ``load_scenario_file``).
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
-from .engine import Branch, Do, Plan, Stop, WaitFor
+from .engine import Branch, Do, Plan, PlanStep, Stop, WaitFor
 from .money import Quantity, ZERO, parse_quantity, total_div
 from .world import (
     Action,
@@ -100,29 +106,128 @@ class ScenarioInstance:
 
 
 # ---------------------------------------------------------------------------
-# small plan-construction helpers
+# basic products
 # ---------------------------------------------------------------------------
+# Each basic product returns a Part: the (agent, step) pairs it adds to the
+# plans, in order. A built-in is a sequence of parts; ``compose`` files each
+# step under its agent. An agent that must see another's action first waits
+# for it through ``sees``, so every cross-agent event is stated once.
 
-def act(kind: ActionKind, actor: str, **kw) -> Action:
-    return Action(kind=kind, actor=actor, **kw)
-
-
-def do(kind: ActionKind, actor: str, **kw) -> Do:
-    return Do(act(kind, actor, **kw))
-
-
-def wait(**pattern) -> WaitFor:
-    if "kind" in pattern and isinstance(pattern["kind"], str):
-        pattern["kind"] = ActionKind(pattern["kind"])
-    return WaitFor(AfterEvent(ActionTemplate(**pattern)))
+Part = list[tuple[str, PlanStep]]
 
 
-def wait_day(day: int) -> WaitFor:
-    return WaitFor(ByDate(day))
+def compose(agents: Sequence[str], *parts: Part) -> tuple[Plan, ...]:
+    """One plan per agent, in the order given, holding that agent's steps of
+    ``parts`` in order; an agent without steps gets an empty plan."""
+    steps: dict[str, list[PlanStep]] = {agent: [] for agent in agents}
+    for part in parts:
+        for agent, step in part:
+            steps[agent].append(step)
+    return tuple(Plan(agent, tuple(agent_steps)) for agent, agent_steps in steps.items())
 
 
-def ref(*contract_ids: str, text: str = "") -> Reason:
-    return Reason(text=text, contract_ids=tuple(contract_ids))
+def act(actor: str, kind: ActionKind, cite: str | None = None, **fields) -> Part:
+    """One action; ``cite`` is the contract given as its reason."""
+    if cite is not None:
+        fields["reason"] = Reason(contract_ids=(cite,))
+    return [(actor, Do(Action(kind=kind, actor=actor, **fields)))]
+
+
+def wait(agent: str, **pattern) -> Part:
+    """The agent waits for an event matching ``pattern``; builders write one
+    only where no action defines the wait (``sees`` derives the rest)."""
+    return [(agent, WaitFor(AfterEvent(ActionTemplate(**pattern))))]
+
+
+# the fields that identify an awaited action, by kind; other kinds: the actor
+_SEEN_BY = {
+    ActionKind.PAY: ("actor", "counterparty", "amount"),
+    ActionKind.SPOT_SALE: ("actor", "counterparty", "good_id"),
+    ActionKind.BUY_ON_CREDIT: ("actor", "good_id"),
+    ActionKind.INFORM: ("actor", "counterparty"),
+    ActionKind.SIGN_CONTRACT: ("actor", "contract_id"),
+    ActionKind.PREPARE_CONTRACT: ("contract_id",),
+    ActionKind.REQUEST_PREPARE_GOOD: ("counterparty",),
+}
+
+
+def sees(agent: str, part: Part) -> Part:
+    """The agent waits for the first action of ``part``."""
+    action = next(step.action for _, step in part if isinstance(step, Do))
+    fields = _SEEN_BY.get(action.kind, ("actor",))
+    return wait(agent, kind=action.kind, **{name: getattr(action, name) for name in fields})
+
+
+def _signs(agent: str, cid: str) -> Part:
+    return act(agent, ActionKind.SIGN_CONTRACT, contract_id=cid)
+
+
+def contract(cid: str, preparer: str, signers: Sequence[str], clauses: tuple[Clause, ...],
+             terms: RepaymentTerms | None = None) -> Part:
+    """The handshake: the preparer drafts the contract between the signers,
+    who sign in the order given. The first signer waits for the draft unless
+    it is the preparer, each later signer waits for the signature before its
+    own, and the preparer waits for the last signature unless it gave it."""
+    part = seen = act(preparer, ActionKind.PREPARE_CONTRACT, contract_id=cid,
+                      parties=tuple(signers), clauses=clauses, terms=terms)
+    for n, signer in enumerate(signers):
+        if n or signer != preparer:
+            part = part + sees(signer, seen)
+        seen = _signs(signer, cid)
+        part = part + seen
+    return part if signers[-1] == preparer else part + sees(preparer, seen)
+
+
+def payment(payer: str, payee: str, amount: Quantity, cite: str | None,
+            day: int | None = None, ack: bool = False) -> Part:
+    """``payer`` pays ``amount`` to ``payee``, waiting for ``day`` when one is
+    given; with ``ack`` the payee waits for the payment and acknowledges it."""
+    pay = act(payer, ActionKind.PAY, cite, counterparty=payee, amount=amount)
+    part = pay if day is None else [(payer, WaitFor(ByDate(day)))] + pay
+    if ack:
+        part = part + sees(payee, pay) + act(payee, ActionKind.ACKNOWLEDGE_RECEIPT, cite,
+                                             counterparty=payer, amount=amount)
+    return part
+
+
+def spot_sale(seller: str, buyer: str, price: Quantity, good: str, cite: str | None,
+              ack: bool = False) -> Part:
+    """``seller`` sells ``good`` to ``buyer`` for cash now; with ``ack`` the
+    seller acknowledges the price."""
+    part = act(seller, ActionKind.SPOT_SALE, cite, counterparty=buyer, amount=price, good_id=good)
+    if ack:
+        part = part + act(seller, ActionKind.ACKNOWLEDGE_RECEIPT, cite, counterparty=buyer,
+                          amount=price)
+    return part
+
+
+def credit_sale(buyer: str, seller: str, price: Quantity, good: str, due: int, settle: str,
+                cite: str | None, down: Quantity = ZERO) -> Part:
+    """``buyer`` buys ``good`` from ``seller`` at ``price``: ``down`` now and
+    the rest due on day ``due`` under the contract ``settle``, settled by a
+    later ``payment(..., day=due, ack=True)``."""
+    return act(buyer, ActionKind.BUY_ON_CREDIT, cite, counterparty=seller, amount=price,
+               down_payment=down, due_date=due, good_id=good, contract_id=settle)
+
+
+def promise_to_buy(buyer: str, seller: str, price: Quantity, good: str, deal: str,
+                   on_credit: bool = False, trigger: Trigger = Always()) -> Part:
+    """Under the contract ``deal``, ``buyer`` promises to buy ``good`` from
+    ``seller`` at ``price`` once ``trigger`` fires."""
+    return act(buyer, ActionKind.PROMISE_BUY_ON_CONDITION, counterparty=seller, amount=price,
+               good_id=good, on_credit=on_credit, trigger=trigger, contract_id=deal)
+
+
+def inform(sender: str, receiver: str, message: str, cite: str) -> Part:
+    """``sender`` tells ``receiver`` ``message``, citing the contract ``cite``."""
+    return act(sender, ActionKind.INFORM, cite, counterparty=receiver, message=message)
+
+
+def _pays(payer: str, payee: str, amount: Quantity, cid: str,
+          deadline: int | None = None) -> Clause:
+    """The clause obliging ``payer`` to pay ``amount`` to ``payee`` under ``cid``."""
+    return Clause(payer, ActionTemplate(kind=ActionKind.PAY, actor=payer, counterparty=payee,
+                                        amount=amount, contract_id=cid), deadline=deadline)
 
 
 def _as_quantity(name: str, value: object) -> Quantity:
@@ -220,37 +325,17 @@ def _build_loan_with_interest(params: Mapping[str, object]) -> ScenarioInstance:
         raise ParameterViolation("costs c exceed the principal")
     out_leg = p - c
     back_leg = p + i + c2
-    contract = "loan"
+    loan = "loan"
     terms = RepaymentTerms(principal=p, rate=total_div(i, p), fixed_cost=c, period=t)
-    clauses = (
-        Clause("X", ActionTemplate(kind=ActionKind.PAY, actor="X", counterparty="Y",
-                                   amount=out_leg, contract_id=contract), deadline=0),
-        Clause("Y", ActionTemplate(kind=ActionKind.PAY, actor="Y", counterparty="X",
-                                   amount=back_leg, contract_id=contract), deadline=t),
-    )
+    clauses = (_pays("X", "Y", out_leg, loan, deadline=0),
+               _pays("Y", "X", back_leg, loan, deadline=t))
     world = make_world(
         agents=[Agent("X"), Agent("Y")],
         balances={"X": out_leg, "Y": i + c + c2},
     )
-    plans = (
-        Plan("X", (
-            do(ActionKind.PREPARE_CONTRACT, "X", contract_id=contract,
-               parties=("X", "Y"), clauses=clauses, terms=terms),
-            do(ActionKind.SIGN_CONTRACT, "X", contract_id=contract),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id=contract),
-            do(ActionKind.PAY, "X", counterparty="Y", amount=out_leg, reason=ref(contract)),
-            wait(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=back_leg),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "X", counterparty="Y",
-               amount=back_leg, reason=ref(contract)),
-        )),
-        Plan("Y", (
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="X", contract_id=contract),
-            do(ActionKind.SIGN_CONTRACT, "Y", contract_id=contract),
-            wait(kind=ActionKind.PAY, actor="X", counterparty="Y", amount=out_leg),
-            wait_day(t),
-            do(ActionKind.PAY, "Y", counterparty="X", amount=back_leg, reason=ref(contract)),
-        )),
-    )
+    lent = payment("X", "Y", out_leg, loan)
+    plans = compose(("X", "Y"), contract(loan, "X", ("X", "Y"), clauses, terms=terms),
+                    lent, sees("Y", lent), payment("Y", "X", back_leg, loan, day=t, ack=True))
     return ScenarioInstance(
         name="loan_with_interest", params=params, world=world, plans=plans,
         principals=("X", "Y"), horizon=t,
@@ -270,44 +355,17 @@ def _build_savings_account(params: Mapping[str, object]) -> ScenarioInstance:
     repayment = terms.repayment()
     if repayment < ZERO:
         raise ParameterViolation("repayment p - c + q*p is negative")
-    contract = "savings"
-    clauses = (
-        Clause("X", ActionTemplate(kind=ActionKind.PAY, actor="X", counterparty="Y",
-                                   amount=p, contract_id=contract), deadline=0),
-        Clause("Y", ActionTemplate(kind=ActionKind.PAY, actor="Y", counterparty="X",
-                                   amount=repayment, contract_id=contract), deadline=t),
-    )
+    savings = "savings"
+    clauses = (_pays("X", "Y", p, savings, deadline=0),
+               _pays("Y", "X", repayment, savings, deadline=t))
     world = make_world(
         agents=[Agent("X"), Agent("Y", Role.BANK), Agent("Z", Role.BROKER)],
         balances={"X": p, "Y": q * p},
     )
-    plans = (
-        Plan("X", (
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id=contract),
-            do(ActionKind.SIGN_CONTRACT, "X", contract_id=contract),
-            wait(kind=ActionKind.INFORM, actor="Z", counterparty="X"),
-            do(ActionKind.PAY, "X", counterparty="Y", amount=p, reason=ref(contract)),
-            wait(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=repayment),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "X", counterparty="Y",
-               amount=repayment, reason=ref(contract)),
-        )),
-        Plan("Y", (
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="X", contract_id=contract),
-            do(ActionKind.SIGN_CONTRACT, "Y", contract_id=contract),
-            wait(kind=ActionKind.PAY, actor="X", counterparty="Y", amount=p),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "Y", counterparty="X", amount=p,
-               reason=ref(contract)),
-            wait_day(t),
-            do(ActionKind.PAY, "Y", counterparty="X", amount=repayment, reason=ref(contract)),
-        )),
-        Plan("Z", (
-            do(ActionKind.PREPARE_CONTRACT, "Z", contract_id=contract,
-               parties=("X", "Y"), clauses=clauses, terms=terms),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id=contract),
-            do(ActionKind.INFORM, "Z", counterparty="X", message="repayment schedule",
-               reason=ref(contract)),
-        )),
-    )
+    schedule = inform("Z", "X", "repayment schedule", savings)
+    plans = compose(("X", "Y", "Z"), contract(savings, "Z", ("X", "Y"), clauses, terms=terms),
+                    schedule, sees("X", schedule), payment("X", "Y", p, savings, ack=True),
+                    payment("Y", "X", repayment, savings, day=t, ack=True))
     return ScenarioInstance(
         name="savings_account_with_interest", params=params, world=world, plans=plans,
         principals=("X", "Y"), horizon=t,
@@ -335,60 +393,25 @@ def _build_ina(params: Mapping[str, object]) -> ScenarioInstance:
         goods=[good],
     )
     if single:
-        contract = "ina-contract"
+        spot_deal = credit_deal = "ina-contract"
         clauses = (
             Clause("Y", ActionTemplate(kind=ActionKind.SPOT_SALE, actor="Y",
                                        counterparty="X", amount=p, good_id="S"),
                    deadline=0),
             Clause("Y", ActionTemplate(kind=ActionKind.BUY_ON_CREDIT, actor="Y",
                                        counterparty="X", amount=credit_price, good_id="S")),
-            Clause("Y", ActionTemplate(kind=ActionKind.PAY, actor="Y", counterparty="X",
-                                       amount=credit_price, contract_id=settle), deadline=t),
+            _pays("Y", "X", credit_price, settle, deadline=t),
         )
-        x_steps = (
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id=contract),
-            do(ActionKind.SIGN_CONTRACT, "X", contract_id=contract),
-            wait(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=credit_price),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "X", counterparty="Y",
-               amount=credit_price, reason=ref(settle)),
-        )
-        y_steps = (
-            do(ActionKind.PREPARE_CONTRACT, "Y", contract_id=contract,
-               parties=("X", "Y"), clauses=clauses),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="X", contract_id=contract),
-            do(ActionKind.SIGN_CONTRACT, "Y", contract_id=contract),
-            do(ActionKind.SPOT_SALE, "Y", counterparty="X", amount=p, good_id="S",
-               reason=ref(contract)),
-            do(ActionKind.BUY_ON_CREDIT, "Y", counterparty="X", amount=credit_price,
-               down_payment=ZERO, due_date=t, good_id="S", contract_id=settle,
-               reason=ref(contract)),
-            wait_day(t),
-            do(ActionKind.PAY, "Y", counterparty="X", amount=credit_price, reason=ref(settle)),
-        )
+        promises = contract(spot_deal, "Y", ("X", "Y"), clauses)
     else:
         spot_deal, credit_deal = "spot-deal", "repurchase-deal"
-        x_steps = (
-            do(ActionKind.PROMISE_BUY_ON_CONDITION, "X", counterparty="Y", amount=p,
-               good_id="S", trigger=Always(), contract_id=spot_deal),
-            wait(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=credit_price),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "X", counterparty="Y",
-               amount=credit_price, reason=ref(settle)),
-        )
-        y_steps = (
-            wait(kind=ActionKind.PROMISE_BUY_ON_CONDITION, actor="X"),
-            do(ActionKind.PROMISE_BUY_ON_CONDITION, "Y", counterparty="X",
-               amount=credit_price, good_id="S", on_credit=True,
-               trigger=AfterEvent(ActionTemplate(kind=ActionKind.SPOT_SALE, good_id="S")),
-               contract_id=credit_deal),
-            do(ActionKind.SPOT_SALE, "Y", counterparty="X", amount=p, good_id="S",
-               reason=ref(spot_deal)),
-            do(ActionKind.BUY_ON_CREDIT, "Y", counterparty="X", amount=credit_price,
-               down_payment=ZERO, due_date=t, good_id="S", contract_id=settle,
-               reason=ref(credit_deal)),
-            wait_day(t),
-            do(ActionKind.PAY, "Y", counterparty="X", amount=credit_price, reason=ref(settle)),
-        )
-    plans = (Plan("X", x_steps), Plan("Y", y_steps))
+        x_promise = promise_to_buy("X", "Y", p, "S", spot_deal)
+        promises = x_promise + sees("Y", x_promise) + promise_to_buy(
+            "Y", "X", credit_price, "S", credit_deal, on_credit=True,
+            trigger=AfterEvent(ActionTemplate(kind=ActionKind.SPOT_SALE, good_id="S")))
+    plans = compose(("X", "Y"), promises, spot_sale("Y", "X", p, "S", spot_deal),
+                    credit_sale("Y", "X", credit_price, "S", t, settle, credit_deal),
+                    payment("Y", "X", credit_price, settle, day=t, ack=True))
     return ScenarioInstance(
         name="ina_two_party", params=params, world=world, plans=plans,
         principals=("X", "Y"), horizon=t,
@@ -414,41 +437,15 @@ def _build_tawarruq_classic(params: Mapping[str, object]) -> ScenarioInstance:
         goods=[Good(good_id="S", kind="asset", owner="Z", market_value=p,
                     block_size=Quantity(1, p.den))],
     )
-    plans = (
-        Plan("X", (
-            do(ActionKind.PROMISE_BUY_ON_CONDITION, "X", counterparty="Z", amount=p,
-               good_id="S", trigger=Always(), contract_id=czx),
-            wait(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=credit_price),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "X", counterparty="Y",
-               amount=credit_price, reason=ref(settle)),
-        )),
-        Plan("Y", (
-            wait(kind=ActionKind.SPOT_SALE, actor="Z", counterparty="X", good_id="S"),
-            do(ActionKind.PROMISE_BUY_ON_CONDITION, "Y", counterparty="X",
-               amount=credit_price, good_id="S", on_credit=True, trigger=Always(),
-               contract_id=cxy),
-            do(ActionKind.BUY_ON_CREDIT, "Y", counterparty="X", amount=credit_price,
-               down_payment=ZERO, due_date=t, good_id="S", contract_id=settle,
-               reason=ref(cxy)),
-            wait(kind=ActionKind.PROMISE_BUY_ON_CONDITION, actor="Z"),
-            do(ActionKind.SPOT_SALE, "Y", counterparty="Z", amount=p, good_id="S",
-               reason=ref(cyz)),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "Y", counterparty="Z", amount=p,
-               reason=ref(cyz)),
-            wait_day(t),
-            do(ActionKind.PAY, "Y", counterparty="X", amount=credit_price, reason=ref(settle)),
-        )),
-        Plan("Z", (
-            wait(kind=ActionKind.PROMISE_BUY_ON_CONDITION, actor="X"),
-            do(ActionKind.SPOT_SALE, "Z", counterparty="X", amount=p, good_id="S",
-               reason=ref(czx)),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "Z", counterparty="X", amount=p,
-               reason=ref(czx)),
-            wait(kind=ActionKind.BUY_ON_CREDIT, actor="Y", good_id="S"),
-            do(ActionKind.PROMISE_BUY_ON_CONDITION, "Z", counterparty="Y", amount=p,
-               good_id="S", trigger=Always(), contract_id=cyz),
-        )),
-    )
+    x_promise = promise_to_buy("X", "Z", p, "S", czx)
+    z_sale = spot_sale("Z", "X", p, "S", czx, ack=True)
+    y_buys = credit_sale("Y", "X", credit_price, "S", t, settle, cxy)
+    z_promise = promise_to_buy("Z", "Y", p, "S", cyz)
+    plans = compose(("X", "Y", "Z"), x_promise, sees("Z", x_promise), z_sale, sees("Y", z_sale),
+                    promise_to_buy("Y", "X", credit_price, "S", cxy, on_credit=True), y_buys,
+                    sees("Z", y_buys), z_promise, sees("Y", z_promise),
+                    spot_sale("Y", "Z", p, "S", cyz, ack=True),
+                    payment("Y", "X", credit_price, settle, day=t, ack=True))
     return ScenarioInstance(
         name="tawarruq_classic", params=params, world=world, plans=plans,
         principals=("X", "Y", "Z"), horizon=t,
@@ -466,41 +463,21 @@ def _build_contractus_trinus(params: Mapping[str, object]) -> ScenarioInstance:
     invest, fee, premium = params["invest"], params["profit_fee"], params["premium"]
     t = params["t"]
     partnership, profit_sale, insurance = "partnership", "profit-sale", "insurance"
-    clauses = (
-        Clause("A", ActionTemplate(kind=ActionKind.PAY, actor="A", counterparty="B",
-                                   amount=invest, contract_id=partnership), deadline=0),
-    )
     world = make_world(
         agents=[Agent("A"), Agent("B")],
         balances={"A": invest + premium, "B": fee},
     )
-    plans = (
-        Plan("A", (
-            do(ActionKind.PREPARE_CONTRACT, "A", contract_id=partnership,
-               parties=("A", "B"), clauses=clauses),
-            do(ActionKind.SIGN_CONTRACT, "A", contract_id=partnership),
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="B", contract_id=partnership),
-            wait(kind=ActionKind.PROMISE_INSURANCE_PAYOUT, actor="B"),
-            do(ActionKind.PAY, "A", counterparty="B", amount=invest, reason=ref(partnership)),
-            do(ActionKind.PAY, "A", counterparty="B", amount=premium, reason=ref(insurance)),
-            wait(kind=ActionKind.PAY, actor="B", counterparty="A", amount=invest),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "A", counterparty="B", amount=invest,
-               reason=ref(insurance)),
-        )),
-        Plan("B", (
-            wait(kind=ActionKind.SIGN_CONTRACT, actor="A", contract_id=partnership),
-            do(ActionKind.SIGN_CONTRACT, "B", contract_id=partnership),
-            do(ActionKind.PROMISE_PAY, "B", counterparty="A", amount=fee, due_date=t,
-               contract_id=profit_sale, reason=ref(partnership)),
-            do(ActionKind.PROMISE_INSURANCE_PAYOUT, "B", counterparty="A", amount=invest,
-               down_payment=premium, due_date=t, contract_id=insurance,
-               reason=ref(partnership)),
-            wait(kind=ActionKind.PAY, actor="A", counterparty="B", amount=premium),
-            wait_day(t),
-            do(ActionKind.PAY, "B", counterparty="A", amount=fee, reason=ref(profit_sale)),
-            do(ActionKind.PAY, "B", counterparty="A", amount=invest, reason=ref(insurance)),
-        )),
-    )
+    clauses = (_pays("A", "B", invest, partnership, deadline=0),)
+    insured = act("B", ActionKind.PROMISE_INSURANCE_PAYOUT, partnership, counterparty="A",
+                  amount=invest, down_payment=premium, due_date=t, contract_id=insurance)
+    premium_paid = payment("A", "B", premium, insurance)
+    plans = compose(
+        ("A", "B"), contract(partnership, "A", ("A", "B"), clauses),
+        act("B", ActionKind.PROMISE_PAY, partnership, counterparty="A", amount=fee, due_date=t,
+            contract_id=profit_sale),
+        insured, sees("A", insured), payment("A", "B", invest, partnership), premium_paid,
+        sees("B", premium_paid), payment("B", "A", fee, profit_sale, day=t),
+        payment("B", "A", invest, insurance, ack=True))
     return ScenarioInstance(
         name="contractus_trinus", params=params, world=world, plans=plans,
         principals=("A", "B"), horizon=t,
@@ -524,31 +501,16 @@ def _build_murabaha(params: Mapping[str, object]) -> ScenarioInstance:
         goods=[Good(good_id="G", kind="good", owner="B", market_value=price,
                     block_size=Quantity(1, price.den))],
     )
-    plans = (
-        Plan("A", (
-            do(ActionKind.PROMISE_BUY_ON_CONDITION, "A", counterparty="BANK",
-               amount=resale, good_id="G", on_credit=True,
-               trigger=AfterEvent(ActionTemplate(kind=ActionKind.SPOT_SALE,
-                                                 counterparty="BANK", good_id="G")),
-               contract_id=promise),
-            do(ActionKind.PAY, "A", counterparty="BANK", amount=fee, reason=ref(promise)),
-            wait(kind=ActionKind.SPOT_SALE, actor="B", counterparty="BANK", good_id="G"),
-            do(ActionKind.BUY_ON_CREDIT, "A", counterparty="BANK", amount=resale,
-               down_payment=ZERO, due_date=t, good_id="G", contract_id=settle,
-               reason=ref(promise)),
-            wait_day(t),
-            do(ActionKind.PAY, "A", counterparty="BANK", amount=resale, reason=ref(settle)),
-        )),
-        Plan("B", (
-            wait(kind=ActionKind.PAY, actor="A", counterparty="BANK", amount=fee),
-            do(ActionKind.SPOT_SALE, "B", counterparty="BANK", amount=price, good_id="G"),
-        )),
-        Plan("BANK", (
-            wait(kind=ActionKind.PAY, actor="A", counterparty="BANK", amount=resale),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "BANK", counterparty="A", amount=resale,
-               reason=ref(settle)),
-        )),
-    )
+    fee_paid = payment("A", "BANK", fee, promise)
+    bank_buys = spot_sale("B", "BANK", price, "G", None)
+    plans = compose(
+        ("A", "B", "BANK"),
+        promise_to_buy("A", "BANK", resale, "G", promise, on_credit=True,
+                       trigger=AfterEvent(ActionTemplate(kind=ActionKind.SPOT_SALE,
+                                                         counterparty="BANK", good_id="G"))),
+        fee_paid, sees("B", fee_paid), bank_buys, sees("A", bank_buys),
+        credit_sale("A", "BANK", resale, "G", t, settle, promise),
+        payment("A", "BANK", resale, settle, day=t, ack=True))
     return ScenarioInstance(
         name="murabaha", params=params, world=world, plans=plans,
         principals=("A", "BANK"), horizon=t,
@@ -611,28 +573,15 @@ def _build_tawarruq_pi(params: Mapping[str, object], granular: bool) -> Scenario
     spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
     world = _monetization_agents(i, down, endow_x=portion,
                                  drift=params.get("value_drift", ZERO))
-    plans = (
-        Plan("X", (
-            do(ActionKind.REQUEST_PREPARE_GOOD, "X", counterparty="Z", good_id="G",
-               good_spec=spec),
-            wait(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=deferred),
-            do(ActionKind.ACKNOWLEDGE_RECEIPT, "X", counterparty="Y", amount=deferred,
-               reason=ref(settle)),
-        )),
-        Plan("Y", (
-            wait(kind=ActionKind.SPOT_SALE, actor="Z", counterparty="X", good_id="G"),
-            do(ActionKind.BUY_ON_CREDIT, "Y", counterparty="X", amount=credit_total,
-               down_payment=down, due_date=t, good_id="G", contract_id=settle),
-            do(ActionKind.SPOT_SALE, "Y", counterparty="Z", amount=buyback, good_id="G"),
-            wait_day(t),
-            do(ActionKind.PAY, "Y", counterparty="X", amount=deferred, reason=ref(settle)),
-        )),
-        Plan("Z", (
-            wait(kind=ActionKind.REQUEST_PREPARE_GOOD, counterparty="Z"),
-            do(ActionKind.PREPARE_GOOD, "Z", good_id="G", good_spec=spec),
-            do(ActionKind.SPOT_SALE, "Z", counterparty="X", amount=portion, good_id="G"),
-        )),
-    )
+    request = act("X", ActionKind.REQUEST_PREPARE_GOOD, counterparty="Z", good_id="G",
+                  good_spec=spec)
+    z_sale = spot_sale("Z", "X", portion, "G", None)
+    plans = compose(("X", "Y", "Z"), request, sees("Z", request),
+                    act("Z", ActionKind.PREPARE_GOOD, good_id="G", good_spec=spec), z_sale,
+                    sees("Y", z_sale),
+                    credit_sale("Y", "X", credit_total, "G", t, settle, None, down=down),
+                    spot_sale("Y", "Z", buyback, "G", None),
+                    payment("Y", "X", deferred, settle, day=t, ack=True))
     return ScenarioInstance(
         name="tawarruq_pi_prime" if granular else "tawarruq_pi", params=params,
         world=world, plans=plans, principals=("X", "Y", "Z"), horizon=t,
@@ -656,100 +605,67 @@ def _monetization_contracts(portion, credit_total, buyback):
     return c1, c2, c3
 
 
-def _monetization_trades(spec: GoodSpec, portion, credit_total, down, deferred,
-                         buyback, t, settle: str, c1: str, c2: str, c3: str):
-    """The shared tail: request, preparation, informs and the three trades."""
-    x_tail = (
-        do(ActionKind.REQUEST_PREPARE_GOOD, "X", counterparty="Z", good_id="G",
-           good_spec=spec, reason=ref(c1)),
-        wait(kind=ActionKind.INFORM, actor="Z", counterparty="X"),
-        wait(kind=ActionKind.SPOT_SALE, actor="Z", counterparty="X", good_id="G"),
-        do(ActionKind.INFORM, "X", counterparty="Y", message="bought", reason=ref(c2)),
-        wait(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=deferred),
-        do(ActionKind.ACKNOWLEDGE_RECEIPT, "X", counterparty="Y", amount=deferred,
-           reason=ref(settle)),
-    )
-    y_tail = (
-        wait(kind=ActionKind.INFORM, actor="X", counterparty="Y"),
-        do(ActionKind.BUY_ON_CREDIT, "Y", counterparty="X", amount=credit_total,
-           down_payment=down, due_date=t, good_id="G", contract_id=settle,
-           reason=ref(c2)),
-        do(ActionKind.INFORM, "Y", counterparty="Z", message="bought", reason=ref(c3)),
-        do(ActionKind.SPOT_SALE, "Y", counterparty="Z", amount=buyback, good_id="G",
-           reason=ref(c3)),
-        wait_day(t),
-        do(ActionKind.PAY, "Y", counterparty="X", amount=deferred, reason=ref(settle)),
-    )
-    z_tail = (
-        wait(kind=ActionKind.REQUEST_PREPARE_GOOD, counterparty="Z"),
-        do(ActionKind.PREPARE_GOOD, "Z", good_id="G", good_spec=spec),
-        do(ActionKind.INFORM, "Z", counterparty="X", message="prepared", reason=ref(c1)),
-        do(ActionKind.SPOT_SALE, "Z", counterparty="X", amount=portion, good_id="G",
-           reason=ref(c1)),
-    )
-    return x_tail, y_tail, z_tail
-
-
 def _build_contract_backed(params: Mapping[str, object], name: str, contracts: Sequence[str],
                            heads: Callable, expected: Mapping[str, str]) -> ScenarioInstance:
     """Block-granular monetization with contracts behind the trades.
 
-    ``heads(cl1, cl2, cl3)`` gives the X, Y and Z steps that prepare and sign
-    the contracts holding the three clauses; the shared trades follow, citing
-    ``contracts``, the contract of each clause in turn.
+    ``heads(cl1, cl2, cl3)`` is the part that prepares and signs the
+    contracts holding the three clauses; the request, the preparation, the
+    informs and the three trades follow, citing ``contracts``, the contract
+    of each clause in turn.
     """
     p, c, i, t, block, portion, credit_total, down, deferred, buyback = \
         _tawarruq_prices(params, granular=True)
     spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
     world = _monetization_agents(i, down, endow_x=portion,
                                  drift=params.get("value_drift", ZERO))
-    tails = _monetization_trades(spec, portion, credit_total, down, deferred, buyback, t,
-                                 "pi-settle", *contracts)
+    c1, c2, c3 = contracts
+    settle = "pi-settle"
+    request = act("X", ActionKind.REQUEST_PREPARE_GOOD, c1, counterparty="Z", good_id="G",
+                  good_spec=spec)
+    prepared = inform("Z", "X", "prepared", c1)
+    z_sale = spot_sale("Z", "X", portion, "G", c1)
+    bought = inform("X", "Y", "bought", c2)
     clauses = _monetization_contracts(portion, credit_total, buyback)
-    plans = tuple(Plan(agent, head + tail)
-                  for agent, head, tail in zip(("X", "Y", "Z"), heads(*clauses), tails))
+    plans = compose(("X", "Y", "Z"), heads(*clauses), request, sees("Z", request),
+                    act("Z", ActionKind.PREPARE_GOOD, good_id="G", good_spec=spec), prepared,
+                    sees("X", prepared), z_sale, sees("X", z_sale), bought, sees("Y", bought),
+                    credit_sale("Y", "X", credit_total, "G", t, settle, c2, down=down),
+                    inform("Y", "Z", "bought", c3), spot_sale("Y", "Z", buyback, "G", c3),
+                    payment("Y", "X", deferred, settle, day=t, ack=True))
     return ScenarioInstance(
         name=name, params=params, world=world, plans=plans,
         principals=("X", "Y", "Z"), horizon=t, expected=dict(expected),
     )
 
 
-def _double_prime_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> tuple[tuple, tuple, tuple]:
+def _chained_drafts(cl1: Clause, cl2: Clause, cl3: Clause) -> tuple[Part, Part, Part]:
+    """Z drafts C1 with X; X drafts C2 with Y and Y drafts C3 with Z, each
+    referring to the contract before it."""
+    return (act("Z", ActionKind.PREPARE_CONTRACT, contract_id="C1", parties=("X", "Z"),
+                clauses=(cl1,)),
+            act("X", ActionKind.PREPARE_CONTRACT, contract_id="C2", parties=("X", "Y"),
+                clauses=(cl2,), references=("C1",)),
+            act("Y", ActionKind.PREPARE_CONTRACT, contract_id="C3", parties=("Y", "Z"),
+                clauses=(cl3,), references=("C2",)))
+
+
+def _double_prime_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> Part:
     """Contract-backed monetization: C1, C2, C3 signed in that order before
     any trading, each giving the next mover its assurance; informs reference
     the contracts as the trades progress.
     """
     # who signs first within each pair is left free; the contract-level
     # order C1, C2, C3 is forced by the activation waits
-    x = (
-        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C1"),
-        do(ActionKind.SIGN_CONTRACT, "X", contract_id="C1"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C1"),
-        do(ActionKind.PREPARE_CONTRACT, "X", contract_id="C2", parties=("X", "Y"),
-           clauses=(cl2,), references=("C1",)),
-        do(ActionKind.SIGN_CONTRACT, "X", contract_id="C2"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C3"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C3"),
-    )
-    y = (
-        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C2"),
-        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C2"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="X", contract_id="C2"),
-        do(ActionKind.PREPARE_CONTRACT, "Y", contract_id="C3", parties=("Y", "Z"),
-           clauses=(cl3,), references=("C2",)),
-        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C3"),
-    )
-    z = (
-        do(ActionKind.PREPARE_CONTRACT, "Z", contract_id="C1", parties=("X", "Z"),
-           clauses=(cl1,)),
-        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C1"),
-        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C3"),
-        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C3"),
-    )
-    return x, y, z
+    d1, d2, d3 = _chained_drafts(cl1, cl2, cl3)
+    return (d1 + sees("X", d1) + _signs("X", "C1") + _signs("Z", "C1")
+            + sees("X", _signs("Z", "C1")) + d2 + _signs("X", "C2") + sees("Y", d2)
+            + _signs("Y", "C2") + sees("Y", _signs("X", "C2")) + d3 + _signs("Y", "C3")
+            + sees("Z", d3) + _signs("Z", "C3")
+            + sees("X", _signs("Y", "C3")) + sees("X", _signs("Z", "C3")))
 
 
-def _triple_prime_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> tuple[tuple, tuple, tuple]:
+def _triple_prime_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> Part:
     """Preparation-ordered monetization: all three contracts are prepared
     before any is signed, and signing runs C3, then C2, then C1 - the party
     whose assurance depends on the rest commits last.
@@ -757,60 +673,28 @@ def _triple_prime_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> tuple[tuple, t
     # preparation chains through the references; every signature on Cn
     # waits for C(n+1) to be fully signed, leaving the order within each
     # signing pair free
-    x = (
-        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C1"),
-        do(ActionKind.PREPARE_CONTRACT, "X", contract_id="C2", parties=("X", "Y"),
-           clauses=(cl2,), references=("C1",)),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C3"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C3"),
-        do(ActionKind.SIGN_CONTRACT, "X", contract_id="C2"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C2"),
-        do(ActionKind.SIGN_CONTRACT, "X", contract_id="C1"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C1"),
-    )
-    y = (
-        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C2"),
-        do(ActionKind.PREPARE_CONTRACT, "Y", contract_id="C3", parties=("Y", "Z"),
-           clauses=(cl3,), references=("C2",)),
-        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C3"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="C3"),
-        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="C2"),
-    )
-    z = (
-        do(ActionKind.PREPARE_CONTRACT, "Z", contract_id="C1", parties=("X", "Z"),
-           clauses=(cl1,)),
-        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="C3"),
-        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C3"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="X", contract_id="C2"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="C2"),
-        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="C1"),
-    )
-    return x, y, z
+    d1, d2, d3 = _chained_drafts(cl1, cl2, cl3)
+    return (d1 + sees("X", d1) + d2 + sees("Y", d2) + d3 + sees("Z", d3)
+            + _signs("Y", "C3") + _signs("Z", "C3")
+            + sees("X", _signs("Y", "C3")) + sees("X", _signs("Z", "C3"))
+            + sees("Y", _signs("Z", "C3")) + _signs("X", "C2") + _signs("Y", "C2")
+            + sees("X", _signs("Y", "C2"))
+            + sees("Z", _signs("X", "C2")) + sees("Z", _signs("Y", "C2"))
+            + _signs("X", "C1") + _signs("Z", "C1") + sees("X", _signs("Z", "C1")))
 
 
-def _single_contract_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> tuple[tuple, tuple, tuple]:
+def _single_contract_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> Part:
     """The whole monetization packaged in one contract with three signatures.
 
     Removes the contract-preparation choreography; the trades follow the
     same order as the contract-backed variant.
     """
     # three signatures in any order once the package is prepared
-    x = (
-        do(ActionKind.PREPARE_CONTRACT, "X", contract_id="package",
-           parties=("X", "Y", "Z"), clauses=(cl1, cl2, cl3)),
-        do(ActionKind.SIGN_CONTRACT, "X", contract_id="package"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Y", contract_id="package"),
-        wait(kind=ActionKind.SIGN_CONTRACT, actor="Z", contract_id="package"),
-    )
-    y = (
-        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="package"),
-        do(ActionKind.SIGN_CONTRACT, "Y", contract_id="package"),
-    )
-    z = (
-        wait(kind=ActionKind.PREPARE_CONTRACT, contract_id="package"),
-        do(ActionKind.SIGN_CONTRACT, "Z", contract_id="package"),
-    )
-    return x, y, z
+    package = act("X", ActionKind.PREPARE_CONTRACT, contract_id="package",
+                  parties=("X", "Y", "Z"), clauses=(cl1, cl2, cl3))
+    return (package + _signs("X", "package") + sees("Y", package) + _signs("Y", "package")
+            + sees("Z", package) + _signs("Z", "package")
+            + sees("X", _signs("Y", "package")) + sees("X", _signs("Z", "package")))
 
 
 def _build_brokered_loan(params: Mapping[str, object]) -> ScenarioInstance:
@@ -829,15 +713,11 @@ def _build_brokered_loan(params: Mapping[str, object]) -> ScenarioInstance:
     if guarantee != "income-share" and collateral_value <= p:
         raise ParameterViolation("collateral must be worth more than the principal")
     repayment = p + i
-    contract = "brokered"
-    clauses = [
-        Clause("Y", ActionTemplate(kind=ActionKind.PAY, actor="Y", counterparty="X",
-                                   amount=p, contract_id=contract)),
-        Clause("X", ActionTemplate(kind=ActionKind.PAY, actor="X", counterparty="Y",
-                                   amount=repayment, contract_id=contract), deadline=t),
-    ]
+    brokered = "brokered"
+    pledge = guarantee == "pledge-of-goods"
+    clauses = [_pays("Y", "X", p, brokered), _pays("X", "Y", repayment, brokered, deadline=t)]
     claim = AfterEvent(ActionTemplate(kind=ActionKind.JUSTIFY_ENTITLEMENT, actor="Z"))
-    if guarantee == "pledge-of-goods":
+    if pledge:
         clauses.append(Clause("X", ActionTemplate(kind=ActionKind.SPOT_SALE, actor="X",
                                                   counterparty="Y", good_id="collateral")))
         clauses.append(Clause("Y", ActionTemplate(kind=ActionKind.SPOT_SALE, actor="Y",
@@ -862,68 +742,34 @@ def _build_brokered_loan(params: Mapping[str, object]) -> ScenarioInstance:
         goods=goods,
     )
     terms = RepaymentTerms(principal=p, rate=total_div(i, p), fixed_cost=ZERO, period=t)
-    pledge = guarantee == "pledge-of-goods"
-    x_deal: tuple = ()
-    if pledge:
-        x_deal += (do(ActionKind.SPOT_SALE, "X", counterparty="Y", amount=ZERO,
-                      good_id="collateral", reason=ref(contract)),)
-    x_deal += (
-        wait(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=p),
-        do(ActionKind.ACKNOWLEDGE_RECEIPT, "X", counterparty="Y", amount=p,
-           reason=ref(contract)),
-        wait_day(t),
-        do(ActionKind.PAY, "X", counterparty="Y", amount=repayment, reason=ref(contract)),
-    )
-    y_deal: tuple = (
-        do(ActionKind.SIGN_CONTRACT, "Y", contract_id=contract),
-        do(ActionKind.INFORM, "Y", counterparty="Z", message="signed", reason=ref(contract)),
-    )
-    if pledge:
-        y_deal += (wait(kind=ActionKind.SPOT_SALE, actor="X", counterparty="Y",
-                        good_id="collateral"),)
-    else:
-        y_deal += (wait(kind=ActionKind.INFORM, actor="Z", counterparty="Y",
-                        message="payment details"),)
-    y_deal += (
-        do(ActionKind.PAY, "Y", counterparty="X", amount=p, reason=ref(contract)),
-        wait(kind=ActionKind.PAY, actor="X", counterparty="Y", amount=repayment),
-        do(ActionKind.ACKNOWLEDGE_RECEIPT, "Y", counterparty="X", amount=repayment,
-           reason=ref(contract)),
-    )
-    if pledge:
-        y_deal += (do(ActionKind.SPOT_SALE, "Y", counterparty="X", amount=ZERO,
-                      good_id="collateral", reason=ref(contract)),)
-    plans = (
-        Plan("X", (
-            wait(kind=ActionKind.PREPARE_CONTRACT, contract_id=contract),
-            do(ActionKind.SIGN_CONTRACT, "X", contract_id=contract),
-            do(ActionKind.INFORM, "X", counterparty="Z", message="signed",
-               reason=ref(contract)),
-            wait(kind=ActionKind.INFORM, actor="Z", counterparty="X"),
-            Branch(ContractInStage(contract, Stage.ACTIVE), x_deal, (Stop(),)),
-        )),
-        Plan("Y", (
-            wait(kind=ActionKind.INFORM, actor="Z", counterparty="Y", message="proposal"),
-            Branch(ChoiceIs("lender_willing"), y_deal,
-                   (do(ActionKind.INFORM, "Y", counterparty="Z", message="declined",
-                       reason=ref(contract)), Stop())),
-        )),
-        Plan("Z", (
-            do(ActionKind.PREPARE_CONTRACT, "Z", contract_id=contract,
-               parties=("X", "Y"), clauses=tuple(clauses), terms=terms),
-            wait(kind=ActionKind.INFORM, actor="X", counterparty="Z"),
-            do(ActionKind.INFORM, "Z", counterparty="Y", message="proposal",
-               reason=ref(contract)),
-            wait(kind=ActionKind.INFORM, actor="Y", counterparty="Z"),
-            Branch(ContractInStage(contract, Stage.ACTIVE),
-                   (do(ActionKind.INFORM, "Z", counterparty="Y", message="payment details",
-                       reason=ref(contract)),
-                    do(ActionKind.INFORM, "Z", counterparty="X", message="deal",
-                       reason=ref(contract))),
-                   (do(ActionKind.INFORM, "Z", counterparty="X", message="no deal",
-                       reason=ref(contract)),)),
-        )),
-    )
+    pledged = spot_sale("X", "Y", ZERO, "collateral", brokered) if pledge else []
+    # Y lends once it holds the collateral, or else once Z sends the details
+    y_ready = sees("Y", pledged) if pledge else wait(
+        "Y", kind=ActionKind.INFORM, actor="Z", counterparty="Y", message="payment details")
+    deal = inform("Z", "X", "deal", brokered)
+    # the branch bodies: the deal once the contract is active (X, Z) and Y
+    # is willing (Y), and the way out when it is not
+    x_deal, y_deal, z_deal = compose(
+        ("X", "Y", "Z"), _signs("Y", brokered), inform("Y", "Z", "signed", brokered), pledged,
+        y_ready, payment("Y", "X", p, brokered, ack=True),
+        payment("X", "Y", repayment, brokered, day=t, ack=True),
+        spot_sale("Y", "X", ZERO, "collateral", brokered) if pledge else [],
+        inform("Z", "Y", "payment details", brokered), deal)
+    declined = inform("Y", "Z", "declined", brokered)
+    y_out, z_out = compose(("Y", "Z"), declined, [("Y", Stop())],
+                           inform("Z", "X", "no deal", brokered))
+    draft = act("Z", ActionKind.PREPARE_CONTRACT, contract_id=brokered, parties=("X", "Y"),
+                clauses=tuple(clauses), terms=terms)
+    x_signed = inform("X", "Z", "signed", brokered)
+    active = ContractInStage(brokered, Stage.ACTIVE)
+    plans = compose(
+        ("X", "Y", "Z"), draft, sees("X", draft), _signs("X", brokered), x_signed,
+        sees("Z", x_signed), sees("X", deal), inform("Z", "Y", "proposal", brokered),
+        wait("Y", kind=ActionKind.INFORM, actor="Z", counterparty="Y", message="proposal"),
+        sees("Z", declined),
+        [("X", Branch(active, x_deal.steps, (Stop(),))),
+         ("Y", Branch(ChoiceIs("lender_willing"), y_deal.steps, y_out.steps)),
+         ("Z", Branch(active, z_deal.steps, z_out.steps))])
     return ScenarioInstance(
         name="brokered_loan", params=params, world=world, plans=plans,
         principals=("X", "Y"), horizon=t,
@@ -948,56 +794,48 @@ def _build_unethical(params: Mapping[str, object]) -> ScenarioInstance:
     car_price = Quantity(30)
     extort = Quantity(5)
     loan_pair = "loan-pair"
-    x_steps: list = []
-    y_steps: list = []
+    parts: list[Part] = []
     goods = []
     if "rain_promise" in wanted:
-        x_steps.append(do(
-            ActionKind.PROMISE_PAY, "X", counterparty="Y", amount=Quantity(10),
+        parts.append(act(
+            "X", ActionKind.PROMISE_PAY, counterparty="Y", amount=Quantity(10),
             due_date=2, contract_id="rain-promise",
             message="payable only if it rains at L on day 0",
             tags=frozenset({EthicalTag.CONTINGENT_ON_CHANCE})))
     if "used_car_sale" in wanted:
         goods.append(Good(good_id="used-car", kind="automobile", owner="X",
                           market_value=car_price))
-        x_steps.append(do(
-            ActionKind.SPOT_SALE, "X", counterparty="Y", amount=car_price,
+        parts.append(act(
+            "X", ActionKind.SPOT_SALE, counterparty="Y", amount=car_price,
             good_id="used-car", message="known defects not revealed",
             tags=frozenset({EthicalTag.UNDISCLOSED_INFORMATION})))
     if "extortion" in wanted:
-        x_steps.append(do(
-            ActionKind.ASSERT_EXPECTATION, "X", counterparty="Y", amount=extort,
+        threat = act(
+            "X", ActionKind.ASSERT_EXPECTATION, counterparty="Y", amount=extort,
             message="possessions damaged unless paid for an unwanted service",
-            tags=frozenset({EthicalTag.COERCION})))
-        y_steps.append(wait(kind=ActionKind.ASSERT_EXPECTATION, actor="X"))
-        y_steps.append(do(ActionKind.PAY, "Y", counterparty="X", amount=extort))
+            tags=frozenset({EthicalTag.COERCION}))
+        parts += [threat, sees("Y", threat), payment("Y", "X", extort, None)]
     if "interest_loan" in wanted:
-        y_steps.append(do(
-            ActionKind.PROMISE_PAY, "Y", counterparty="X", amount=p + i, due_date=t,
+        promise = act(
+            "Y", ActionKind.PROMISE_PAY, counterparty="X", amount=p + i, due_date=t,
             contract_id=loan_pair,
             message="repay p + i after receiving p - c, i proportional to p",
             terms=RepaymentTerms(principal=p, rate=total_div(i, p), fixed_cost=c,
-                                 period=t)))
-        x_steps.extend([
-            wait(kind=ActionKind.PROMISE_PAY, actor="Y"),
-            do(ActionKind.PAY, "X", counterparty="Y", amount=p - c, reason=ref(loan_pair)),
-            do(ActionKind.JUSTIFY_ENTITLEMENT, "X", counterparty="Y", amount=p + i,
-               reason=ref(loan_pair, text="opportunity costs of lending p over the period")),
-        ])
-        y_steps.extend([
-            wait(kind=ActionKind.PAY, actor="X", counterparty="Y", amount=p - c),
-            wait_day(t),
-            do(ActionKind.PAY, "Y", counterparty="X", amount=p + i, reason=ref(loan_pair)),
-        ])
+                                 period=t))
+        lent = payment("X", "Y", p - c, loan_pair)
+        parts += [promise, sees("X", promise), lent, sees("Y", lent),
+                  act("X", ActionKind.JUSTIFY_ENTITLEMENT, counterparty="Y", amount=p + i,
+                      reason=Reason(text="opportunity costs of lending p over the period",
+                                    contract_ids=(loan_pair,))),
+                  payment("Y", "X", p + i, loan_pair, day=t)]
     world = make_world(
         agents=[Agent("X"), Agent("Y")],
         balances={"X": p - c if "interest_loan" in wanted else ZERO,
                   "Y": car_price + extort + i + c},
         goods=goods,
     )
-    plans = (Plan("X", tuple(x_steps)), Plan("Y", tuple(y_steps)))
     return ScenarioInstance(
-        name="unethical_examples", params=params, world=world, plans=plans,
+        name="unethical_examples", params=params, world=world, plans=compose(("X", "Y"), *parts),
         principals=("X", "Y"), horizon=t,
         expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "haram"},
     )
@@ -1152,12 +990,12 @@ def scenario_names() -> tuple[str, ...]:
 
 
 def get_spec(name: str, extra: Mapping[str, ScenarioSpec] | None = None) -> ScenarioSpec:
+    # a file scenario is found under its own name before an alias is resolved
     canonical = _ALIASES.get(name, name)
-    if extra and canonical in extra:
-        return extra[canonical]
-    spec = _REGISTRY.get(canonical)
+    extra = extra or {}
+    spec = extra.get(name) or extra.get(canonical) or _REGISTRY.get(canonical)
     if spec is None:
-        known = sorted(set(scenario_names()) | set(extra or ()))
+        known = sorted(set(scenario_names()) | set(extra))
         raise UnknownScenario(f"unknown scenario {name!r}; known: {known}")
     return spec
 

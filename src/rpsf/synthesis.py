@@ -39,15 +39,13 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .engine import BoundExceeded, Do, Plan, Progression, RoundRobin, WaitFor, run
+from .engine import BoundExceeded, Do, Plan, Progression, RoundRobin, run
 from .money import Quantity, ZERO
+from .scenarios import Part, ScenarioInstance, compose, instance_to_dict, payment, wait
 from .world import (
     Action,
     ActionKind,
-    ActionTemplate,
     Agent,
-    AfterEvent,
-    ByDate,
     Event,
     Good,
     GoodSpec,
@@ -531,26 +529,19 @@ def witness_plans(actions: Sequence[Action],
     repeated identical trades cannot release a wait early. Settlement
     payments wait for their due dates.
     """
-    steps: dict[str, list] = {}
+    parts: list[Part] = []
     prev: Optional[Action] = None
     for index, action in enumerate(actions):
         tagged = dc_replace(action, message=f"step-{index + 1}")
-        agent_steps = steps.setdefault(tagged.actor, [])
         if prev is not None and prev.actor != tagged.actor:
-            agent_steps.append(WaitFor(AfterEvent(ActionTemplate(
-                kind=prev.kind, actor=prev.actor, message=prev.message,
-            ))))
-        agent_steps.append(Do(tagged))
+            parts.append(wait(tagged.actor, kind=prev.kind, actor=prev.actor,
+                              message=prev.message))
+        parts.append([(tagged.actor, Do(tagged))])
         prev = tagged
     for payer, payee, amount, due, settle_id in sorted(
             pending, key=lambda p: (p[3], p[4])):
-        agent_steps = steps.setdefault(payer, [])
-        agent_steps.append(WaitFor(ByDate(due)))
-        agent_steps.append(Do(Action(
-            kind=ActionKind.PAY, actor=payer, counterparty=payee, amount=amount,
-            reason=Reason(contract_ids=(settle_id,)),
-        )))
-    return tuple(Plan(agent, tuple(plan_steps)) for agent, plan_steps in sorted(steps.items()))
+        parts.append(payment(payer, payee, amount, settle_id, day=due))
+    return compose(sorted({agent for part in parts for agent, _ in part}), *parts)
 
 
 def witness_scenario(result: SynthesisResult, index: int,
@@ -571,8 +562,6 @@ def witness_scenario(result: SynthesisResult, index: int,
         if gid not in seen_prepared:
             good = world.goods[gid]
             initial_goods.append(good)
-    from .scenarios import ScenarioInstance, instance_to_dict
-
     endowments = {}
     for agent in sorted(world.agents):
         endowments[agent] = _required_endowment(agent, witness.progression)

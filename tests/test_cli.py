@@ -103,6 +103,22 @@ class TestRun:
                               "--strategy", "random", "--format", "json")
         assert first == second
 
+    def test_seed_that_is_not_a_number_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("RPSF_SEED", "abc")
+        code, out, err = invoke(capsys, "run", "loan_with_interest", "--strategy", "random")
+        assert (code, out) == (2, "")
+        assert err == "error: RPSF_SEED must be a whole number, got 'abc'\n"
+
+    def test_file_scenario_named_like_an_alias_runs(self, capsys, tmp_path):
+        path = tmp_path / "pi.json"
+        path.write_text(json.dumps({"scenarios": [
+            {"name": "pi", "agents": [{"name": "A"}], "horizon": 0}]}))
+        code, out, err = invoke(capsys, "run", "pi", "--scenario-file", str(path),
+                                "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["scenario"] == "pi"
+        assert "tawarruq" not in out
+
 
 class TestJudge:
     def test_halal_exit_zero(self, capsys):

@@ -258,6 +258,50 @@ INSTANCE_JSON = {
     "unethical_examples":
         "02a461c2770a23d35ba126fc566e5b082e15b1dc9ab5227e30c6bee7c6073e51",
 }
+# instance_to_dict of built-ins away from their defaults: one
+# (name, "param=value ...", digest) row per variant
+INSTANCE_VARIANT_JSON = (
+    ("ina_two_party", "single_contract=true",
+     "31d9021ddc717194c7ea67798767337469d1f1843cd05065f4eb8afc018b4da5"),
+    ("ina_two_party", "p=1/3 i=2/7 t=30",
+     "759112468c334bf0489039e30eedc077c5b5e8d15fd698e3208fecaa0138f750"),
+    ("brokered_loan", "guarantee=goods-on-default",
+     "a506e279eeafb9e81c131c5686746c54fd1b7805778648f590b050d24ed02361"),
+    ("brokered_loan", "guarantee=income-share",
+     "d24f7ed3a9ac465747306ede6f2dc67a44dc198e1f08d0b7ba215dfee44cf30e"),
+    ("brokered_loan", "lender_willing=false",
+     "696fe3e2d35da7317472d2c2adfdad799834d6b5a424ed79111d15e55e6ac25b"),
+    ("brokered_loan", "guarantee=income-share lender_willing=false i=7",
+     "bd4d986fecf2dba3e1c702ed1f872d42464659d207fdbf6d856cb911fe967d8c"),
+    ("unethical_examples", "variant=rain_promise",
+     "7c7fbf8ccaeaffea82e981431d09297d7123ffdea55b45f2a7d12398b1d94378"),
+    ("unethical_examples", "variant=used_car_sale",
+     "043f71bd26a681c1f24271b7d1dfebadb29e5e841be7e45a77fc07c5f526d8c9"),
+    ("unethical_examples", "variant=extortion",
+     "6b401346b0f824e1947dbcdc886012350316d86054b27278a5053f1127e189bd"),
+    ("unethical_examples", "variant=interest_loan",
+     "7fb00b7536480bd83e33c82f1a3d9358917232c8fe7ee6bf58a15087345395aa"),
+    ("tawarruq_pi", "value_drift=3",
+     "6e1fe00290f22e90ec7a8495e6ce3fb8388ea5c6c5b8bfa20512cc6026de9e25"),
+    ("tawarruq_pi_prime", "p=1001 value_drift=-2",
+     "83a2062e3c4e3f0b873facf7897b3ed7b5e1a083b5bbebe4e560e83605df53bd"),
+    ("tawarruq_pi_double_prime", "p=999 c=0",
+     "25236cbac2c5e231938427d962b0695eec3502ff0e7ce92bb5921fdcf5eebac0"),
+    ("tawarruq_pi_triple_prime", "q=0",
+     "6a9e585b71f8529c0457c5d20a57e2235202ecdc095434fdf67db122d8ef705b"),
+    ("tawarruq_single_contract", "block=7",
+     "b60777d9b2fbd3ecdb64563aeef3c5fc7e1a468e5f04a1ed5e1d2099b15a7558"),
+    ("loan_with_interest", "c=3 c2=1 i=1/2",
+     "f79a2615f462c764cb995e7067c3f08223e1050f0dd3b5ed9ba2ef354be335f6"),
+    ("savings_account_with_interest", "c=0 q=0",
+     "25aae8300be078c21448f25015030dd45470dd70edec531565b99c19ee995af9"),
+    ("murabaha", "price=5/2 fee=0",
+     "76a7d8de972ebd131ac4f9999b1de608c60520ddb6395a33fe1b8b16518f99ca"),
+    ("contractus_trinus", "premium=0",
+     "2b7e0f7f5042f4cfce40dd454af5b1b92536abef730115047849559f6919c963"),
+    ("tawarruq_classic", "p=7/3",
+     "b300d939a2146e9c08e61d5b0b211c586cb721e3ef46fd9e52fb52b4f23f9702"),
+)
 # judge(position, instance, trace).to_dict() for every enumerated trace of
 # each built-in at its defaults, under each of the five built-in positions
 JUDGEMENTS = {
@@ -450,6 +494,13 @@ def test_instance_json(name):
     instance = instantiate(name)
     assert _digest(json.dumps(instance_to_dict(instance))) == INSTANCE_JSON[name]
     assert dict(instance.expected) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name, variant, digest", INSTANCE_VARIANT_JSON,
+                         ids=[f"{name}[{variant}]" for name, variant, _ in INSTANCE_VARIANT_JSON])
+def test_instance_json_of_variants(name, variant, digest):
+    params = dict(pair.split("=", 1) for pair in variant.split())
+    assert _digest(json.dumps(instance_to_dict(instantiate(name, params)))) == digest
 
 
 def test_list_scenarios_json(capsys):

@@ -6,19 +6,24 @@ from fractions import Fraction
 
 import pytest
 
-from rpsf.engine import RoundRobin, run
+from rpsf.engine import Do, Plan, RoundRobin, WaitFor, run
 from rpsf.money import Quantity
 from rpsf.scenarios import (
+    _SEEN_BY,
     ParameterViolation,
     UnknownScenario,
+    act,
+    compose,
+    contract,
     instance_from_dict,
     instance_to_dict,
     instantiate,
     load_scenario_file,
     scenario_names,
+    sees,
 )
 from rpsf.synthesis import monetary_projection, net_positions
-from rpsf.world import ActionKind
+from rpsf.world import Action, ActionKind
 
 
 def q(n, d=1):
@@ -303,6 +308,59 @@ class TestUnethicalExamples:
     def test_interest_loan_variant_has_no_tags(self):
         _, progression = run_default("unethical_examples", variant="interest_loan")
         assert all(not e.action.tags for e in progression.events)
+
+
+class TestBasicProducts:
+    """The plan vocabulary the built-ins are composed from."""
+
+    @pytest.mark.parametrize("kind", [*_SEEN_BY, ActionKind.PROMISE_PAY])
+    def test_sees_derives_a_pattern_that_matches_its_action(self, kind):
+        action = Action(kind=kind, actor="A", counterparty="B", amount=q(3), good_id="G",
+                        contract_id="C", message="m")
+        [(agent, step)] = sees("W", [("A", Do(action))])
+        pattern = step.trigger.pattern
+        named = {name for name in ("actor", "counterparty", "amount", "good_id",
+                                   "contract_id", "message") if getattr(pattern, name)}
+        assert (agent, pattern.kind) == ("W", kind)
+        assert named == set(_SEEN_BY.get(kind, ("actor",)))
+        assert pattern.matches(action)
+
+    @staticmethod
+    def steps(plan):
+        """Each step as (do or wait, kind, actor named by the action or the pattern)."""
+        out = []
+        for step in plan.steps:
+            if isinstance(step, Do):
+                out.append(("do", step.action.kind.value, step.action.actor))
+            else:
+                assert isinstance(step, WaitFor)
+                out.append(("wait", step.trigger.pattern.kind.value, step.trigger.pattern.actor))
+        return out
+
+    @pytest.mark.parametrize(("preparer", "expected"), [
+        ("X", {"X": [("do", "prepare-contract", "X"), ("do", "sign-contract", "X"),
+                     ("wait", "sign-contract", "Y")],
+               "Y": [("wait", "sign-contract", "X"), ("do", "sign-contract", "Y")]}),
+        ("Y", {"X": [("wait", "prepare-contract", None), ("do", "sign-contract", "X")],
+               "Y": [("do", "prepare-contract", "Y"), ("wait", "sign-contract", "X"),
+                     ("do", "sign-contract", "Y")]}),
+        ("Z", {"X": [("wait", "prepare-contract", None), ("do", "sign-contract", "X")],
+               "Y": [("wait", "sign-contract", "X"), ("do", "sign-contract", "Y")],
+               "Z": [("do", "prepare-contract", "Z"), ("wait", "sign-contract", "Y")]}),
+    ], ids=["preparer-signs-first", "preparer-signs-last", "preparer-does-not-sign"])
+    def test_contract_handshake_orders(self, preparer, expected):
+        plans = compose(sorted(expected), contract("c", preparer, ("X", "Y"), ()))
+        assert {plan.agent: self.steps(plan) for plan in plans} == expected
+        for plan in plans:
+            assert all(step.trigger.pattern.contract_id == "c"
+                       for step in plan.steps if isinstance(step, WaitFor))
+
+    def test_compose_keeps_an_agent_without_steps(self):
+        plans = compose(("X", "Y"), act("X", ActionKind.INFORM, counterparty="Y"))
+        assert [plan.agent for plan in plans] == ["X", "Y"]
+        assert plans[1] == Plan("Y", ())
+        rain = instantiate("unethical_examples", {"variant": "rain_promise"})
+        assert [(plan.agent, len(plan.steps)) for plan in rain.plans] == [("X", 1), ("Y", 0)]
 
 
 class TestObservedStageTransitions:
