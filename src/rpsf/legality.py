@@ -24,14 +24,18 @@ scenario files.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import Progression
 from .money import Quantity, ZERO, total_div
 from .scenarios import ScenarioInstance
-from .world import ActionKind, ContractRecord, HistoryLog, WorldState, codec_row, value_from_dict
+from .world import (ActionKind, ContractRecord, Event, HistoryLog, WorldState, codec_row,
+                    value_from_dict)
 
 
 class Verdict(str, Enum):
@@ -111,74 +115,155 @@ class InaFinding:
 
 
 # ---------------------------------------------------------------------------
-# detectors
+# facts and detectors
 # ---------------------------------------------------------------------------
 
-def _money_transfers(history: HistoryLog):
-    """Yield (event, payer, payee, amount, cited contract ids)."""
-    for event in history:
-        action = event.action
-        if action.amount is None or action.amount == ZERO:
+_PAY, _RECEIVE = ActionKind.PAY, ActionKind.RECEIVE_PAYMENT
+_SPOT, _CREDIT = ActionKind.SPOT_SALE, ActionKind.BUY_ON_CREDIT
+
+
+class _Facts:
+    """What the detectors read of one history, gathered in one walk of it.
+
+    The walk collects the sales by good, the money transfers by cited
+    contract, the tagged events and, for ``events`` (a progression's own
+    events, the tail of the history), the events that carry an amount and
+    the net cash per (agent, day) of the flows ``cash_flows`` gives, as
+    integers over one common denominator ``scale``. Each finding is
+    derived from these once, when a rule first asks for it.
+    """
+
+    def __init__(self, history: HistoryLog, events: Sequence[Event] = (),
+                 world: Optional[WorldState] = None):
+        self.world = world
+        self.sales: dict[str, list] = {}  # good -> [(event, seller, buyer, refs)]
+        self.transfers: dict[str, list] = {}  # contract id -> [(event, payer, payee, amount)]
+        self.tagged: list[Event] = []
+        self.cash: list[Event] = []
+        sums: dict[str, dict[int, int]] = {}  # agent -> day -> net cash times scale
+        scale, tail = 1, len(history) - len(events)
+        for i, event in enumerate(history):
+            action = event.action
+            if action.tags:
+                self.tagged.append(event)
+            kind = action.kind
+            if kind is _PAY or kind is _CREDIT:
+                payer, payee = action.actor, action.counterparty
+            elif kind is _RECEIVE or kind is _SPOT:
+                payer, payee = action.counterparty, action.actor
+            else:
+                continue
+            refs = tuple(action.reason.contract_ids) if action.reason else ()
+            amount = action.amount
+            if kind is _SPOT or kind is _CREDIT:
+                self.sales.setdefault(action.good_id, []).append((event, payee, payer, refs))
+            elif amount is not None and amount.num:
+                for cid in refs:
+                    self.transfers.setdefault(cid, []).append((event, payer, payee, amount))
+            if i >= tail:
+                if amount is not None:
+                    self.cash.append(event)
+                paid = action.down_payment if kind is _CREDIT else amount
+                if paid is None or paid.num <= 0:
+                    continue
+                if scale % paid.den:  # bring every sum to the new common denominator
+                    grow = lcm(scale, paid.den) // scale
+                    for per_day in sums.values():
+                        for day in per_day:
+                            per_day[day] *= grow
+                    scale *= grow
+                scaled, date = paid.num * (scale // paid.den), event.date
+                per_day = sums.setdefault(payer, {})
+                per_day[date] = per_day.get(date, 0) - scaled
+                per_day = sums.setdefault(payee, {})
+                per_day[date] = per_day.get(date, 0) + scaled
+        if history[tail:] != events:  # a progression built by hand
+            own = _Facts(events, events)
+            sums, scale, self.cash = own.sums, own.scale, own.cash
+        self.sums, self.scale = sums, scale
+
+    @cached_property
+    def riba(self) -> list[RibaFinding]:
+        return _riba(self.world.contracts.values(), self.transfers)
+
+    @cached_property
+    def ina(self) -> list[InaFinding]:
+        findings = []
+        for good_id, chain in self.sales.items():
+            for (first, seller, buyer, refs), (second, *back, refs2) in zip(chain, chain[1:]):
+                if back == [buyer, seller]:
+                    findings.append(InaFinding(
+                        good_id=good_id, seller=seller, buyer=buyer,
+                        single_contract=bool(set(refs) & set(refs2)),
+                        events=(first.seq, second.seq),
+                        contracts=tuple(sorted(set(refs) | set(refs2))),
+                    ))
+        return findings
+
+    @cached_property
+    def unvalued_goods(self) -> list[str]:
+        """Goods that changed hands without a stated market value."""
+        goods = self.world.goods
+        return sorted(g for g in self.sales if g in goods and goods[g].market_value is None)
+
+    @cached_property
+    def loan_profiles(self) -> list[tuple[str, Quantity, Quantity, int, tuple[int, ...]]]:
+        profiles, scale = [], self.scale
+        for agent in sorted(self.sums):
+            dated = sorted(cell for cell in self.sums[agent].items() if cell[1])
+            if len(dated) != 2:
+                continue
+            (d0, v0), (d1, v1) = dated
+            if v0 < 0 < v1 and v1 + v0 > 0:
+                refs = tuple(e.seq for e in self.cash
+                             if agent in (e.action.actor, e.action.counterparty))
+                profiles.append((agent, Quantity(-v0, scale), Quantity(v1, scale), d1 - d0, refs))
+        return profiles
+
+
+def _riba(contracts, transfers: Mapping[str, list]) -> list[RibaFinding]:
+    findings: list[RibaFinding] = []
+    for record in contracts:
+        if record.terms is None or record.terms.rate <= ZERO:
             continue
-        refs = tuple(action.reason.contract_ids) if action.reason else ()
-        if action.kind == ActionKind.PAY:
-            yield event, action.actor, action.counterparty, action.amount, refs
-        elif action.kind == ActionKind.RECEIVE_PAYMENT:
-            yield event, action.counterparty, action.actor, action.amount, refs
+        ledger: dict[tuple[str, str], deque] = {}  # (lender, borrower) -> [[unpaid, event]]
+        for event, payer, payee, amount in transfers.get(record.contract_id, ()):
+            owed = ledger.get((payee, payer))
+            if not owed:
+                ledger.setdefault((payer, payee), deque()).append([amount, event])
+                continue
+            opened, left, closed = owed[0][1], amount, ZERO
+            while owed and left > ZERO:
+                part = min(owed[0][0], left)
+                owed[0][0] -= part
+                left, closed = left - part, closed + part
+                if owed[0][0] == ZERO:
+                    owed.popleft()
+            if left > ZERO:
+                findings.append(RibaFinding(
+                    principal=closed, repayment=amount, link=record.contract_id,
+                    duration=event.date - opened.date, events=(opened.seq, event.seq)))
+    return findings
 
 
 def detect_riba(contracts: Mapping[str, ContractRecord] | Sequence[ContractRecord],
                 history: HistoryLog) -> list[RibaFinding]:
-    """Interest findings: money out, more money back, one contract, q > 0.
+    """Interest findings, matched by a ledger per contract whose declared
+    terms carry a positive rate.
 
-    A finding needs both transfers in the history, between the same pair of
-    agents in opposite directions, linked by a contract whose declared
-    terms make the increment proportional to the principal. A repayment at
-    or below the outgoing sum, or terms with a zero rate (fixed transaction
-    costs only), yields nothing. Sale markups carry no declared rate and
-    are therefore invisible to this detector.
+    Only transfers that cite the contract enter its ledger. A transfer
+    opens principal from payer to payee, unless principal is open the
+    other way: then it closes the oldest open principal first, and it is
+    a finding when it returns more than it closes. So a loan repaid with
+    interest in installments gives one finding, at the installment that
+    passes the principal, and each repayment gives at most one. Terms
+    with a zero rate (fixed transaction costs only) yield nothing; sale
+    markups carry no declared rate and are invisible to this detector.
     """
     if isinstance(contracts, Mapping):
         contracts = contracts.values()
     records = [r for r in contracts if r.terms is not None and r.terms.rate > ZERO]
-    if not records:
-        return []
-    transfer_index: dict[str, list] = {}
-    for entry in _money_transfers(history):
-        for cid in entry[4]:
-            transfer_index.setdefault(cid, []).append(entry)
-
-    findings: list[RibaFinding] = []
-    for record in records:
-        linked = transfer_index.get(record.contract_id, [])
-        for out_ev, payer, payee, out_amt, _ in linked:
-            for back_ev, payer2, payee2, back_amt, _ in linked:
-                if back_ev.seq <= out_ev.seq:
-                    continue
-                if payer2 != payee or payee2 != payer:
-                    continue
-                if back_amt - out_amt <= ZERO:
-                    continue
-                findings.append(RibaFinding(
-                    principal=out_amt,
-                    repayment=back_amt,
-                    link=record.contract_id,
-                    duration=back_ev.date - out_ev.date,
-                    events=(out_ev.seq, back_ev.seq),
-                ))
-    return findings
-
-
-def _sales(history: HistoryLog):
-    """Yield (event, seller, buyer, good_id, governing contract ids)."""
-    for event in history:
-        action = event.action
-        if action.kind == ActionKind.SPOT_SALE:
-            refs = tuple(action.reason.contract_ids) if action.reason else ()
-            yield event, action.actor, action.counterparty, action.good_id, refs
-        elif action.kind == ActionKind.BUY_ON_CREDIT:
-            refs = tuple(action.reason.contract_ids) if action.reason else ()
-            yield event, action.counterparty, action.actor, action.good_id, refs
+    return _riba(records, _Facts(history).transfers) if records else []
 
 
 def detect_ina(history: HistoryLog) -> list[InaFinding]:
@@ -188,35 +273,7 @@ def detect_ina(history: HistoryLog) -> list[InaFinding]:
     owner, B -> A; the single-contract flag is set when both sales cite the
     same governing contract.
     """
-    by_good: dict[str, list] = {}
-    for entry in _sales(history):
-        by_good.setdefault(entry[3], []).append(entry)
-    findings: list[InaFinding] = []
-    for good_id, chain in by_good.items():
-        for first, second in zip(chain, chain[1:]):
-            if first[1] == second[2] and first[2] == second[1]:
-                shared = set(first[4]) & set(second[4])
-                findings.append(InaFinding(
-                    good_id=good_id,
-                    seller=first[1],
-                    buyer=first[2],
-                    single_contract=bool(shared),
-                    events=(first[0].seq, second[0].seq),
-                    contracts=tuple(sorted(set(first[4]) | set(second[4]))),
-                ))
-    return findings
-
-
-def detect_ethical_tags(history: HistoryLog) -> list[Evidence]:
-    findings = []
-    for event in history:
-        if event.action.tags:
-            findings.append(Evidence(
-                rule="ethical-tags",
-                events=(event.seq,),
-                note=", ".join(sorted(tag.value for tag in event.action.tags)),
-            ))
-    return findings
+    return _Facts(history).ina
 
 
 def effective_interest_rate(principal: Quantity, repayment: Quantity, t: int) -> Quantity:
@@ -240,53 +297,28 @@ def loan_profiles(progression: Progression) -> list[tuple[str, Quantity, Quantit
     with a strictly positive gain. This is the functional shadow of an
     interest-bearing loan, whatever the contracts say.
     """
-    from .synthesis import cash_flows, net_positions
-
-    nets = net_positions(cash_flows(progression.events))
-    profiles = []
-    for agent in sorted(nets):
-        dated = sorted(nets[agent].items())
-        if len(dated) != 2:
-            continue
-        (d0, v0), (d1, v1) = dated
-        if v0 < ZERO < v1 and v1 + v0 > ZERO:
-            refs = tuple(
-                e.seq for e in progression.events
-                if e.action.amount is not None
-                and agent in (e.action.actor, e.action.counterparty)
-                and e.action.kind in (ActionKind.PAY, ActionKind.RECEIVE_PAYMENT,
-                                      ActionKind.SPOT_SALE, ActionKind.BUY_ON_CREDIT)
-            )
-            profiles.append((agent, -v0, v1, d1 - d0, refs))
-    return profiles
+    return list(_facts_of(progression).loan_profiles)
 
 
-def unvalued_goods(world: WorldState, history: HistoryLog) -> list[str]:
-    """Goods that changed hands without a stated market value."""
-    traded = {entry[3] for entry in _sales(history)}
-    return sorted(
-        g for g in traded
-        if g in world.goods and world.goods[g].market_value is None
-    )
+# The facts of the last progression judged, swapped in whole as one
+# (progression, facts) pair: judging one trace under several positions
+# walks its history once, and a concurrent caller reads either the old
+# pair or the new one, never a progression with another's facts.
+_last_facts: Optional[tuple[Progression, _Facts]] = None
+
+
+def _facts_of(progression: Progression) -> _Facts:
+    global _last_facts
+    last = _last_facts
+    if last is None or last[0] is not progression:
+        world = progression.world
+        last = _last_facts = (progression, _Facts(world.history, progression.events, world))
+    return last[1]
 
 
 # ---------------------------------------------------------------------------
 # rules and positions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Context:
-    instance: ScenarioInstance
-    progression: Progression
-
-    @property
-    def history(self) -> HistoryLog:
-        return self.progression.world.history
-
-    @property
-    def world(self) -> WorldState:
-        return self.progression.world
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -296,8 +328,8 @@ class Rule:
     detector: str
     verdict: Verdict = Verdict.HARAM
 
-    def evaluate(self, ctx: _Context) -> Optional[tuple[Verdict, tuple[Evidence, ...]]]:
-        evidence = DETECTORS[self.detector](self.name, ctx)
+    def evaluate(self, facts: _Facts) -> Optional[tuple[Verdict, tuple[Evidence, ...]]]:
+        evidence = DETECTORS[self.detector](self.name, facts)
         return (self.verdict, evidence) if evidence else None
 
 
@@ -312,31 +344,27 @@ def _ina_evidence(rule: str, finding: InaFinding) -> Evidence:
     )
 
 
-def _unvalued_evidence(rule: str, ctx: _Context) -> tuple[Evidence, ...]:
-    goods = unvalued_goods(ctx.world, ctx.history)
-    if not goods:
-        return ()
-    return (Evidence(rule=rule, note=f"unvalued goods traded: {', '.join(goods)}"),)
-
-
-# Each detector maps (rule name, context) to the rule's evidence; a rule
-# fires when its detector returns any.
-DETECTORS: dict[str, Callable[[str, _Context], tuple[Evidence, ...]]] = {
-    "riba": lambda rule, ctx: tuple(
+# Each detector maps (rule name, facts of the progression) to the rule's
+# evidence; a rule fires when its detector returns any.
+DETECTORS: dict[str, Callable[[str, _Facts], tuple[Evidence, ...]]] = {
+    "riba": lambda rule, facts: tuple(
         Evidence(rule=rule, events=f.events, contracts=(f.link,),
                  note=f"increment {f.increment} on principal {f.principal} "
                       f"over {f.duration} days")
-        for f in detect_riba(ctx.world.contracts, ctx.history)),
-    "ethical-tags": lambda rule, ctx: tuple(
-        Evidence(rule=rule, events=f.events, note=f.note)
-        for f in detect_ethical_tags(ctx.history)),
-    "ina": lambda rule, ctx: tuple(_ina_evidence(rule, f) for f in detect_ina(ctx.history)),
-    "ina-single-contract": lambda rule, ctx: tuple(
-        _ina_evidence(rule, f) for f in detect_ina(ctx.history) if f.single_contract),
-    "loan-profile": lambda rule, ctx: tuple(
+        for f in facts.riba),
+    "ethical-tags": lambda rule, facts: tuple(
+        Evidence(rule=rule, events=(e.seq,),
+                 note=", ".join(sorted(tag.value for tag in e.action.tags)))
+        for e in facts.tagged),
+    "ina": lambda rule, facts: tuple(_ina_evidence(rule, f) for f in facts.ina),
+    "ina-single-contract": lambda rule, facts: tuple(
+        _ina_evidence(rule, f) for f in facts.ina if f.single_contract),
+    "loan-profile": lambda rule, facts: tuple(
         Evidence(rule=rule, events=refs, note=f"{agent}: {p} out, {r} back after {days} days")
-        for agent, p, r, days, refs in loan_profiles(ctx.progression)),
-    "unvalued-goods": _unvalued_evidence,
+        for agent, p, r, days, refs in facts.loan_profiles),
+    "unvalued-goods": lambda rule, facts: (
+        (Evidence(rule=rule, note=f"unvalued goods traded: {', '.join(facts.unvalued_goods)}"),)
+        if facts.unvalued_goods else ()),
 }
 
 
@@ -354,9 +382,8 @@ def judge(position: LegalPosition, instance: ScenarioInstance, progression: Prog
     Never raises on well-formed inputs: an empty rule set or no firing rule
     yields the position's default verdict with no reasons.
     """
-    ctx = _Context(instance=instance, progression=progression)
     for rule in position.rules:
-        outcome = rule.evaluate(ctx)
+        outcome = rule.evaluate(_facts_of(progression))
         if outcome is not None:
             verdict, evidence = outcome
             return Judgement(position=position.name, verdict=verdict, reasons=evidence)

@@ -990,10 +990,8 @@ def scenario_names() -> tuple[str, ...]:
 
 
 def get_spec(name: str, extra: Mapping[str, ScenarioSpec] | None = None) -> ScenarioSpec:
-    # a file scenario is found under its own name before an alias is resolved
-    canonical = _ALIASES.get(name, name)
     extra = extra or {}
-    spec = extra.get(name) or extra.get(canonical) or _REGISTRY.get(canonical)
+    spec = extra.get(name) or _REGISTRY.get(_ALIASES.get(name, name))
     if spec is None:
         known = sorted(set(scenario_names()) | set(extra))
         raise UnknownScenario(f"unknown scenario {name!r}; known: {known}")
@@ -1076,8 +1074,9 @@ def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
     """Load user scenarios (and custom legal positions) from a JSON file.
 
     Every scenario is decoded and checked here, whether or not a command
-    uses it. Returns (scenario specs by name, raw position definitions);
-    position dicts are interpreted by the legality module.
+    uses it, and none may take the name of a built-in or of an alias.
+    Returns (scenario specs by name, raw position definitions); position
+    dicts are interpreted by the legality module.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -1106,6 +1105,10 @@ def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
             if isinstance(name, str):
                 raise ValueError(f"file scenario {name!r}: {exc}") from None
             raise
+        if scenario.name in _REGISTRY or scenario.name in _ALIASES:
+            raise ValueError(f"scenarios[{i}].name: {scenario.name!r} names the built-in scenario "
+                             f"{_ALIASES.get(scenario.name, scenario.name)!r}; a file scenario "
+                             "needs a name of its own")
         specs[scenario.name] = ScenarioSpec(
             name=scenario.name, family=scenario.family, summary=scenario.summary, params=(),
             build=partial(_build_file_scenario, scenario.instance()),

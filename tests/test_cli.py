@@ -109,15 +109,20 @@ class TestRun:
         assert (code, out) == (2, "")
         assert err == "error: RPSF_SEED must be a whole number, got 'abc'\n"
 
-    def test_file_scenario_named_like_an_alias_runs(self, capsys, tmp_path):
-        path = tmp_path / "pi.json"
+    @pytest.mark.parametrize(("name", "builtin"), [("pi", "tawarruq_pi"),
+                                                   ("loan_with_interest", "loan_with_interest")])
+    @pytest.mark.parametrize("command", ["run", "list-scenarios"])
+    def test_file_scenario_may_not_shadow_a_builtin(self, capsys, tmp_path, name, builtin,
+                                                    command):
+        path = tmp_path / "shadow.json"
         path.write_text(json.dumps({"scenarios": [
-            {"name": "pi", "agents": [{"name": "A"}], "horizon": 0}]}))
-        code, out, err = invoke(capsys, "run", "pi", "--scenario-file", str(path),
-                                "--format", "json")
-        assert (code, err) == (0, "")
-        assert json.loads(out)["scenario"] == "pi"
-        assert "tawarruq" not in out
+            {"name": "mine", "agents": [{"name": "A"}], "horizon": 0},
+            {"name": name, "agents": [{"name": "A"}], "horizon": 0}]}))
+        argv = [command, name] if command == "run" else [command]
+        code, out, err = invoke(capsys, *argv, "--scenario-file", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: scenarios[1].name: {name!r} names the built-in scenario "
+                       f"{builtin!r}; a file scenario needs a name of its own\n")
 
 
 class TestJudge:

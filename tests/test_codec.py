@@ -119,14 +119,16 @@ def test_plan_decode_of_encode_is_identity(plan):
 
 
 def _valid_file() -> dict:
-    """Two built-ins and a scenario that opens with contracts, plus a position."""
+    """Two built-ins under names of their own and a scenario that opens with
+    contracts, plus a position."""
     loan = instantiate("brokered_loan")
     ina = instantiate("ina_two_party", {"single_contract": "true"})
     settled = run(ina.world, ina.plans, horizon=ina.horizon).world
     opened = {**instance_to_dict(ina), "name": "opened", "plans": [],
               "contracts": [value_to_dict(c) for c in settled.contracts.values()]}
     return {
-        "scenarios": [instance_to_dict(loan), instance_to_dict(ina), opened],
+        "scenarios": [{**instance_to_dict(loan), "name": "loan"},
+                      {**instance_to_dict(ina), "name": "ina"}, opened],
         "positions": [{"name": "P", "mode": "descriptive", "default": "halal",
                        "rules": [{"name": "r", "detector": "ina", "verdict": "haram"}]}],
     }
@@ -146,8 +148,8 @@ DROP = object()
 UNKNOWN = object()  # inserts a key the format does not know beside the chosen one
 REPLACEMENTS = (DROP, UNKNOWN, None, True, False, 0, -1, 1.5, "", "x", "30", "1/0", [], [1], {},
                 {"a": 1})
-COMMANDS = (("run", "brokered_loan"), ("run", "opened", "--format", "json"),
-            ("judge", "ina_two_party", "--position", "P"), ("list-scenarios",))
+COMMANDS = (("run", "loan"), ("run", "opened", "--format", "json"),
+            ("judge", "ina", "--position", "P"), ("list-scenarios",))
 
 
 @pytest.fixture(scope="module")

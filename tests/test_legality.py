@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from rpsf.engine import Plan, RoundRobin, enumerate_interleavings, run
+from rpsf import legality
+from rpsf.engine import Plan, RoundRobin, WaitFor, enumerate_interleavings, run
 from rpsf.legality import (
     BUILTIN_POSITIONS,
     CONVENTIONAL,
@@ -26,12 +27,19 @@ from rpsf.legality import (
 )
 from rpsf.money import Quantity
 from rpsf.scenarios import ScenarioInstance, instantiate, scenario_names
-from rpsf.synthesis import monetary_projection, net_positions
+from rpsf.synthesis import cash_flows, monetary_projection, net_positions
 from rpsf.world import (
     Action,
     ActionKind,
+    ActionTemplate,
+    AfterEvent,
     Agent,
+    ByDate,
+    ContractRecord,
     Good,
+    Reason,
+    RepaymentTerms,
+    Stage,
     make_world,
 )
 from rpsf.engine import Do
@@ -83,6 +91,112 @@ class TestDetectRiba:
         seqs = findings[0].events
         kinds = [world.history[s - 1].action.kind for s in seqs]
         assert kinds == [ActionKind.PAY, ActionKind.PAY]
+
+
+def rated_account(payments, rate=q(1, 10)):
+    """Run A's and B's payments, all citing the rated contract "loan", in
+    the order given: (payer, amount, day), each waiting for the one before."""
+    world = make_world(
+        agents=[Agent("A"), Agent("B")],
+        balances={"A": sum((a for p, a, _ in payments if p == "A"), q(0)),
+                  "B": sum((a for p, a, _ in payments if p == "B"), q(0))},
+        contracts=[ContractRecord(
+            contract_id="loan", parties=frozenset({"A", "B"}), initiator="A", clauses=(),
+            signatures=frozenset({"A", "B"}), stage=Stage.ACTIVE,
+            terms=RepaymentTerms(principal=q(100), rate=rate, period=365))],
+    )
+    steps = {"A": [], "B": []}
+    for k, (payer, amount, day) in enumerate(payments):
+        if k:
+            steps[payer].append(WaitFor(AfterEvent(ActionTemplate(message=f"p{k - 1}"))))
+        steps[payer] += [WaitFor(ByDate(day)), Do(Action(
+            kind=ActionKind.PAY, actor=payer, counterparty="B" if payer == "A" else "A",
+            amount=amount, reason=Reason(contract_ids=("loan",)), message=f"p{k}"))]
+    plans = tuple(Plan(agent, tuple(s)) for agent, s in steps.items())
+    horizon = max(day for _, _, day in payments)
+    instance = ScenarioInstance(name="account", params={}, world=world, plans=plans,
+                                principals=("A", "B"), horizon=horizon)
+    return instance, run(world, plans, RoundRobin(), horizon=horizon)
+
+
+class TestRibaLedger:
+    def test_installments_past_the_principal_give_one_finding(self):
+        _, progression = rated_account([("A", q(100), 0), ("B", q(60), 180),
+                                        ("B", q(50), 365)])
+        world = progression.world
+        [finding] = detect_riba(world.contracts, world.history)
+        assert (finding.principal, finding.repayment, finding.increment) == (q(40), q(50), q(10))
+        assert (finding.events, finding.duration) == ((1, 3), 365)
+
+    def test_installments_within_the_principal_give_none(self):
+        _, progression = rated_account([("A", q(100), 0), ("B", q(60), 180),
+                                        ("B", q(40), 365)])
+        world = progression.world
+        assert detect_riba(world.contracts, world.history) == []
+
+    def test_two_successive_loans_give_two_findings(self):
+        instance, progression = rated_account([("A", q(100), 0), ("B", q(110), 365),
+                                               ("A", q(100), 365), ("B", q(110), 730)])
+        world = progression.world
+        findings = detect_riba(world.contracts, world.history)
+        assert [(f.principal, f.repayment, f.events) for f in findings] == [
+            (q(100), q(110), (1, 2)), (q(100), q(110), (3, 4))]
+        assert len(judge(STRICT_DESCRIPTIVE, instance, progression).reasons) == 2
+
+    def test_a_long_account_has_no_more_evidence_than_repayments(self):
+        """Deposits and withdrawals in turn, as in the engine_deep account,
+        with withdrawals a little larger on average."""
+        rng = random.Random(5)
+        payments = []
+        for k in range(150):
+            payments += [("A", q(rng.randint(10, 100)), 2 * k),
+                         ("B", q(rng.randint(10, 110)), 2 * k + 1)]
+        instance, progression = rated_account(payments)
+        repayments = [e.seq for e in progression.events if e.action.actor == "B"]
+        reasons = judge(STRICT_DESCRIPTIVE, instance, progression).reasons
+        assert 0 < len(reasons) <= len(repayments)
+        assert len({r.events[1] for r in reasons}) == len(reasons)
+        assert {r.events[1] for r in reasons} <= set(repayments)
+
+    def test_a_zero_rate_gives_none(self):
+        _, progression = rated_account([("A", q(100), 0), ("B", q(110), 365)], rate=q(0))
+        world = progression.world
+        assert detect_riba(world.contracts, world.history) == []
+
+
+class TestFacts:
+    def test_judging_walks_each_progression_once(self, monkeypatch):
+        built = []
+        init = legality._Facts.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(legality._Facts, "__init__", counted)
+        monkeypatch.setattr(legality, "_last_facts", None)
+        instance, a = run_default("savings_account_with_interest")
+        _, b = run_default("ina_two_party")
+        for position in BUILTIN_POSITIONS.values():
+            judge(position, instance, a)
+        assert len(built) == 1
+        monkeypatch.setattr(legality, "_last_facts", None)
+        for progression in (a, b, a):
+            judge(MAJORITY, instance, progression)
+        assert len(built) == 1 + 3
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_facts_net_the_flows_cash_flows_filters(self, name):
+        """The facts' own filter of cash-moving events nets what
+        ``net_positions(cash_flows(...))`` nets: for a progression, and for
+        one built by hand whose events are not its history's tail."""
+        _, progression = run_default(name)
+        world = progression.world
+        for events in (progression.events, progression.events[1:-1]):
+            facts = legality._Facts(world.history, events, world)
+            nets = {agent: {day: q(v, facts.scale) for day, v in per_day.items() if v}
+                    for agent, per_day in facts.sums.items()}
+            assert {a: d for a, d in nets.items() if d} == net_positions(cash_flows(events))
 
 
 class TestDetectIna:

@@ -383,12 +383,12 @@ class TestObservedStageTransitions:
 class TestScenarioFiles:
     def test_round_trip_through_file(self, tmp_path):
         instance = instantiate("ina_two_party")
-        payload = {"scenarios": [instance_to_dict(instance)]}
+        payload = {"scenarios": [{**instance_to_dict(instance), "name": "ina_copy"}]}
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(payload))
         specs, positions = load_scenario_file(str(path))
         assert positions == []
-        loaded = specs["ina_two_party"].build({})
+        loaded = specs["ina_copy"].build({})
         progression = run(loaded.world, loaded.plans, RoundRobin(),
                           horizon=loaded.horizon)
         _, original = run_default("ina_two_party")
@@ -397,10 +397,11 @@ class TestScenarioFiles:
     def test_file_scenarios_take_no_parameters(self, tmp_path):
         instance = instantiate("ina_two_party")
         path = tmp_path / "custom.json"
-        path.write_text(json.dumps({"scenarios": [instance_to_dict(instance)]}))
+        path.write_text(json.dumps({"scenarios": [{**instance_to_dict(instance),
+                                                   "name": "ina_copy"}]}))
         specs, _ = load_scenario_file(str(path))
         with pytest.raises(ParameterViolation):
-            specs["ina_two_party"].build({"p": "10"})
+            specs["ina_copy"].build({"p": "10"})
 
     @pytest.mark.parametrize(("name", "params"), [(name, {}) for name in ALL_SCENARIOS]
                              + [("ina_two_party", {"single_contract": "true"})])
