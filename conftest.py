@@ -5,6 +5,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent / "src"))
 
+# The CLI imports legality and synthesis only in the commands that use them.
+# perfbench's span tests snapshot every loaded rpsf module around installing
+# the tracer, which imports every module; so every module is loaded here,
+# before any test, and both snapshots see the same modules.
+import rpsf.legality  # noqa: E402,F401
+import rpsf.synthesis  # noqa: E402,F401
+
 try:
     from hypothesis import settings
 except ImportError:  # property tests skip themselves without hypothesis

@@ -22,7 +22,6 @@ from .engine import (
     progression_to_dict,
     run,
 )
-from .legality import BUILTIN_POSITIONS, Verdict, get_position, judge, position_from_dict
 from .scenarios import (
     ParameterViolation,
     ScenarioInstance,
@@ -33,17 +32,6 @@ from .scenarios import (
     load_scenario_file,
     scenario_names,
 )
-from .synthesis import (
-    ALL_AGENTS,
-    PRIMITIVES,
-    SynthesisResult,
-    check_perspective,
-    equivalent,
-    monetary_projection,
-    net_positions,
-    synthesize,
-    witness_scenario,
-)
 from .world import WorldError, render_json, world_to_dict
 
 EXIT_OK = 0
@@ -51,6 +39,16 @@ EXIT_USAGE = 2
 EXIT_HARAM = 3
 EXIT_UNDECIDED = 4
 EXIT_NOT_EQUIVALENT = 5
+
+# A command imports ``legality`` or ``synthesis`` only when it uses them, so
+# the parser's help names these without reading either module;
+# tests/test_cli.py holds them equal to BUILTIN_POSITIONS, PRIMITIVES and
+# ALL_AGENTS.
+POSITION_NAMES = ("CONVENTIONAL", "MAJORITY", "MALAYSIA", "STRICT_DESCRIPTIVE",
+                  "STRICT_FUNCTIONAL")
+PRIMITIVES = ("spot-sale", "credit-sale", "prepare-good", "prepare-contract", "sign-contract",
+              "inform")
+ALL_AGENTS = "all"
 
 
 def _parse_overrides(pairs: Sequence[str]) -> dict[str, str]:
@@ -78,6 +76,8 @@ def _load_extras(path: Optional[str]):
         return {}, {}
     specs, position_defs = load_scenario_file(path)
     positions = {}
+    if position_defs:
+        from .legality import position_from_dict
     for i, entry in enumerate(position_defs):
         position = position_from_dict(entry, f"positions[{i}]")
         positions[position.name] = position
@@ -187,6 +187,8 @@ def _cmd_list_scenarios(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .synthesis import monetary_projection, net_positions
+
     extras, _ = _load_extras(args.scenario_file)
     instance = _instantiate(args, extras)
     progression = _run_instance(instance, _strategy(args), args.horizon)
@@ -219,6 +221,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_judge(args) -> int:
+    from .legality import Verdict, get_position, judge
+
     extras, positions = _load_extras(args.scenario_file)
     instance = _instantiate(args, extras)
     position = get_position(args.position, positions)
@@ -242,6 +246,8 @@ def _cmd_judge(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .synthesis import check_perspective, equivalent, monetary_projection
+
     extras, _ = _load_extras(args.scenario_file)
     inst_a = instantiate(args.scenario_a, _parse_overrides(args.set_a or []), extra=extras)
     inst_b = instantiate(args.scenario_b, _parse_overrides(args.set_b or []), extra=extras)
@@ -268,17 +274,22 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    from .synthesis import check_perspective, monetary_projection, synthesize, witness_scenario
+
     extras, _ = _load_extras(args.scenario_file)
     instance = instantiate(args.target, _parse_overrides(args.params or []), extra=extras)
+    perspective = _perspective(args.perspective)
+    # a perspective with no cells in the target would match the empty witness
+    check_perspective(perspective, instance.world.agents)
     progression = _run_instance(instance, RoundRobin(), None)
     target = monetary_projection(progression)
     agents = tuple(name.strip() for name in args.agents.split(","))
-    result: SynthesisResult = synthesize(
+    result = synthesize(
         target,
         catalogue=[name.strip() for name in args.catalogue.split(",")],
         agents=agents,
         bound=args.bound,
-        perspective=_perspective(args.perspective),
+        perspective=perspective,
     )
     limit = args.max_witnesses
     payload = result.to_dict()
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("judge", help="judge a scenario run under a legal position")
     common(p)
     p.add_argument("--position", default="CONVENTIONAL",
-                   help=f"one of {sorted(BUILTIN_POSITIONS)} or a file-defined position")
+                   help=f"one of {list(POSITION_NAMES)} or a file-defined position")
     p.add_argument("--strategy", choices=("round-robin", "random", "exhaustive"),
                    default="round-robin")
     p.add_argument("--seed", type=int, default=None)

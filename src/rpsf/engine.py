@@ -36,9 +36,10 @@ history tuple to append to it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .money import record
 from .world import (
     Action,
     ActionTemplate,
@@ -87,24 +88,24 @@ class BoundExceeded(EngineError):
 # plans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Do:
     action: Action
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class WaitFor:
     trigger: Trigger
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Branch:
     condition: Condition
     then_steps: tuple["PlanStep", ...]
     else_steps: tuple["PlanStep", ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Stop:
     pass
 
@@ -112,13 +113,13 @@ class Stop:
 PlanStep = Do | WaitFor | Branch | Stop
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Plan:
     agent: str
     steps: tuple[PlanStep, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Progression:
     """An executed trace: the events in order plus the final world.
 
@@ -130,21 +131,24 @@ class Progression:
     world: WorldState
     schedule: tuple[int, ...] = ()
 
-    def key(self, memo: dict[Action, tuple] | None = None) -> tuple:
+    def key(self, memo: dict[int, tuple[Action, tuple]] | None = None) -> tuple:
         """The trace's identity: each event's date and frozen action.
 
-        ``memo`` maps an action to its frozen form. A caller that keys many
-        traces over the same plans passes one dict to all of them, so each
-        action is serialized once.
+        ``memo`` maps ``id(action)`` to ``(action, frozen form)``. A caller
+        that keys many traces over the same plans passes one dict to all of
+        them, so each action object is serialized once. An id costs less to
+        look up than an action's hash; the entry holds the action, so the
+        id names no other object while the memo lives.
         """
         if memo is None:
             memo = {}
         out = []
         for e in self.events:
-            frozen = memo.get(e.action)
-            if frozen is None:
-                frozen = memo[e.action] = _freeze(action_to_dict(e.action))
-            out.append((e.date, frozen))
+            action = e.action
+            entry = memo.get(id(action))
+            if entry is None:
+                entry = memo[id(action)] = (action, _freeze(action_to_dict(action)))
+            out.append((e.date, entry[1]))
         return tuple(out)
 
 
@@ -158,17 +162,17 @@ def _freeze(value):
 
 # strategies ------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RoundRobin:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SeededRandom:
     seed: int
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Exhaustive:
     pass
 
@@ -437,7 +441,7 @@ def enumerate_interleavings(
         assignments.append(assignment)
 
     seen: dict[tuple, Progression] = {}
-    memo: dict[Action, tuple] = {}  # each action's frozen key, for this call only
+    memo: dict[int, tuple[Action, tuple]] = {}  # each action's frozen key, for this call only
     start = len(world.history)
     for assignment in assignments:
         cursors = [_Cursor(p.agent, p.steps) for p in ordered]

@@ -25,14 +25,13 @@ scenario files.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
-from functools import cached_property
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import Progression
-from .money import Quantity, ZERO, total_div
+from .money import Quantity, ZERO, record, total_div
 from .scenarios import ScenarioInstance
 from .world import (ActionKind, ContractRecord, Event, HistoryLog, WorldState, codec_row,
                     value_from_dict)
@@ -57,7 +56,7 @@ class ZeroDuration(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Evidence:
     rule: str
     events: tuple[int, ...] = ()
@@ -73,7 +72,7 @@ class Evidence:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Judgement:
     position: str
     verdict: Verdict
@@ -87,7 +86,7 @@ class Judgement:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RibaFinding:
     """A contract-linked transfer pair with a declared proportional increment."""
 
@@ -102,7 +101,7 @@ class RibaFinding:
         return self.repayment - self.principal
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InaFinding:
     """A good sold A -> B and straight back B -> A with no third party."""
 
@@ -120,6 +119,26 @@ class InaFinding:
 
 _PAY, _RECEIVE = ActionKind.PAY, ActionKind.RECEIVE_PAYMENT
 _SPOT, _CREDIT = ActionKind.SPOT_SALE, ActionKind.BUY_ON_CREDIT
+
+
+class _once:
+    """An attribute computed on its first read and then stored on the
+    instance, where later reads find it without calling this descriptor.
+
+    ``functools.cached_property`` does the same, but on Python 3.11 it takes
+    a lock on every first read, and judging makes thousands of them.
+    """
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 class _Facts:
@@ -182,11 +201,11 @@ class _Facts:
             sums, scale, self.cash = own.sums, own.scale, own.cash
         self.sums, self.scale = sums, scale
 
-    @cached_property
+    @_once
     def riba(self) -> list[RibaFinding]:
         return _riba(self.world.contracts.values(), self.transfers)
 
-    @cached_property
+    @_once
     def ina(self) -> list[InaFinding]:
         findings = []
         for good_id, chain in self.sales.items():
@@ -200,13 +219,13 @@ class _Facts:
                     ))
         return findings
 
-    @cached_property
+    @_once
     def unvalued_goods(self) -> list[str]:
         """Goods that changed hands without a stated market value."""
         goods = self.world.goods
         return sorted(g for g in self.sales if g in goods and goods[g].market_value is None)
 
-    @cached_property
+    @_once
     def loan_profiles(self) -> list[tuple[str, Quantity, Quantity, int, tuple[int, ...]]]:
         profiles, scale = [], self.scale
         for agent in sorted(self.sums):
@@ -320,7 +339,7 @@ def _facts_of(progression: Progression) -> _Facts:
 # rules and positions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rule:
     """One named detector with the verdict it forces when it fires."""
 
@@ -368,7 +387,7 @@ DETECTORS: dict[str, Callable[[str, _Facts], tuple[Evidence, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LegalPosition:
     name: str
     mode: Mode

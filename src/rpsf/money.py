@@ -17,9 +17,11 @@ scenario files and on the command line are converted exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from math import gcd
-from typing import Union
+from operator import attrgetter
+from reprlib import recursive_repr
+from typing import Callable, Union
 
 QuantityLike = Union["Quantity", int]
 
@@ -28,7 +30,69 @@ _RATIO_RE = re.compile(r"^(-?\d+)\s*/\s*(-?\d+)$")
 _INT_RE = re.compile(r"^-?\d+$")
 
 
-@dataclass(frozen=True, slots=True)
+# ---------------------------------------------------------------------------
+# records: dataclasses that share one __repr__, __eq__ and __hash__
+# ---------------------------------------------------------------------------
+# ``dataclass`` compiles these three from generated source for every class,
+# and that compiling is most of what importing rpsf costs. The shared ones
+# read a class's fields through one getter built when the class is made,
+# and behave as the generated ones do: equality only within one class over
+# the compared fields, ``hash(tuple(those fields))``, and the same repr text.
+
+def _fields_getter(names: tuple[str, ...]) -> Callable[[object], tuple]:
+    """The named attributes of an object as a tuple, whatever their number."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
+@recursive_repr()
+def _record_repr(self) -> str:
+    cls = type(self)
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in cls._record_shown)
+    return f"{cls.__qualname__}({shown})"
+
+
+def _record_eq(self, other: object) -> bool:
+    if other.__class__ is self.__class__:
+        key = self.__class__._record_key
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash(self.__class__._record_key(self))
+
+
+def record(*, frozen: bool = False, slots: bool = False) -> Callable[[type], type]:
+    """``dataclass(frozen=frozen, slots=slots)`` with the shared methods.
+
+    ``dataclass`` still generates ``__init__`` and, for a frozen class, the
+    guards against assignment. A method the class body defines is kept. A
+    class that is not frozen is unhashable, as ``dataclass`` makes it.
+    """
+    def make(cls: type) -> type:
+        cls = dataclass(cls, repr=False, eq=False, frozen=frozen, slots=slots)
+        own = vars(cls)
+        body_hash = own.get("__hash__", MISSING)
+        # Python itself sets __hash__ to None in a body that defines __eq__
+        explicit_hash = body_hash is not MISSING and not (body_hash is None and "__eq__" in own)
+        cls._record_shown = tuple(f.name for f in fields(cls) if f.repr)
+        cls._record_key = _fields_getter(tuple(f.name for f in fields(cls) if f.compare))
+        if "__repr__" not in own:
+            cls.__repr__ = _record_repr
+        if "__eq__" not in own:
+            cls.__eq__ = _record_eq
+        if not explicit_hash:
+            cls.__hash__ = _record_hash if frozen else None
+        return cls
+    return make
+
+
+@record(frozen=True, slots=True)
 class Quantity:
     """A money amount as a canonical-form rational number.
 

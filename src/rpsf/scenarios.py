@@ -23,12 +23,12 @@ Custom scenarios can be loaded from JSON files mirroring the same shapes
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .engine import Branch, Do, Plan, PlanStep, Stop, WaitFor
-from .money import Quantity, ZERO, parse_quantity, total_div
+from .money import Quantity, ZERO, parse_quantity, record, total_div
 from .world import (
     Action,
     ActionKind,
@@ -65,7 +65,7 @@ class ParameterViolation(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParamSpec:
     """A catalogue parameter. ``check`` bounds a quantity: "positive",
     "nonnegative", or "" for no bound; an integer is a period in days and
@@ -77,7 +77,7 @@ class ParamSpec:
     check: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScenarioSpec:
     """A catalogue entry: name, classification, parameters and builder."""
 
@@ -91,7 +91,7 @@ class ScenarioSpec:
         return {p.name: p.default for p in self.params}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScenarioInstance:
     """A concrete initial world plus plans, ready for the engine."""
 
@@ -1012,7 +1012,7 @@ def instantiate(
 # scenario files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class _FileScenario:
     """One scenario as a scenario file holds it: the world's levels flattened
     next to the plans, plus the catalogue text of the entry."""

@@ -34,13 +34,13 @@ into their trade skeletons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import field, replace as dc_replace
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import BoundExceeded, Do, Plan, Progression, RoundRobin, run
-from .money import Quantity, ZERO
+from .money import Quantity, ZERO, record
 from .scenarios import Part, ScenarioInstance, compose, instance_to_dict, payment, wait
 from .world import (
     Action,
@@ -66,7 +66,7 @@ DESK_SCALE_LIMIT = 8
 MAX_PREPARED_GOODS = 1
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Flow:
     payer: str
     payee: str
@@ -226,7 +226,7 @@ def normalize_catalogue(names: Iterable[str]) -> frozenset[str]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Witness:
     """A found sequence; its progression is replayed on first read, then kept."""
 
@@ -241,7 +241,7 @@ class Witness:
         return {"actions": [action_to_dict(a) for a in self.actions]}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SynthesisResult:
     found: bool
     witnesses: tuple[Witness, ...]
@@ -260,7 +260,7 @@ class SynthesisResult:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class _Frame:
     """What every state of one search shares: the common denominator of the
     target's amounts, the target's perspective cells as integers over it,
@@ -271,7 +271,7 @@ class _Frame:
     perspective: frozenset[str]
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class _SearchState:
     frame: _Frame
     owners: dict[str, str]  # good id -> owner

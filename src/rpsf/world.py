@@ -27,14 +27,14 @@ information, coercion); annotations are author-supplied, never inferred.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from types import UnionType
 from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union, get_args,
                     get_origin, get_type_hints)
 
-from .money import Quantity, ZERO, parse_quantity
+from .money import Quantity, ZERO, parse_quantity, record
 
 
 # ---------------------------------------------------------------------------
@@ -76,19 +76,19 @@ class Role(str, Enum):
     COMPANY = "company"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Agent:
     name: str
     role: Role = Role.PERSON
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Account:
     owner: str
     balance: Quantity
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Good:
     """A tradeable non-money asset.
 
@@ -108,7 +108,7 @@ class Good:
     is_money: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Reason:
     """Structured justification: free text plus references into the world.
 
@@ -168,7 +168,7 @@ class SigningMode(str, Enum):
     BOTH_PARTIES = "both-parties"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class GoodSpec:
     """Payload of a prepare-good action."""
 
@@ -178,7 +178,7 @@ class GoodSpec:
     is_money: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ActionTemplate:
     """A pattern over actions; unset fields match anything.
 
@@ -217,22 +217,22 @@ class ActionTemplate:
 
 # triggers ------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Always:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class AfterEvent:
     pattern: ActionTemplate
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ByDate:
     day: int
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ConditionMet:
     condition: "Condition"
 
@@ -242,25 +242,25 @@ Trigger = Always | AfterEvent | ByDate | ConditionMet
 
 # conditions over the ground state (serialisable, no lambdas) ----------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ChoiceIs:
     name: str
     value: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class BalanceAtLeast:
     agent: str
     amount: Quantity
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class OwnsGood:
     agent: str
     good_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ContractInStage:
     contract_id: str
     stage: "Stage"
@@ -312,7 +312,7 @@ def stage_transition_allowed(current: Stage, target: Stage) -> bool:
     return target == current or target in _STAGE_NEXT[current]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Clause:
     """A conditional obligation inside a contract.
 
@@ -329,7 +329,7 @@ class Clause:
     deadline: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RepaymentTerms:
     """Declared repayment formula of a money-loan contract.
 
@@ -347,7 +347,7 @@ class RepaymentTerms:
         return self.principal - self.fixed_cost + self.rate * self.principal
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ContractRecord:
     contract_id: str
     parties: frozenset[str]
@@ -363,7 +363,7 @@ class ContractRecord:
 # actions and events
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Action:
     """One agent action; parameter relevance depends on the kind.
 
@@ -400,7 +400,7 @@ class Action:
     good_spec: Optional[GoodSpec] = None
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Event:
     seq: int
     date: int
@@ -415,7 +415,7 @@ HistoryLog = tuple[Event, ...]
 # world state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class WorldState:
     """Immutable snapshot of ground + contract + history levels.
 
@@ -881,7 +881,7 @@ def replay(initial: WorldState, history: Iterable[Event]) -> WorldState:
 # field type, takes no key that the row does not name, and names the JSON
 # path of whatever does not fit.
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class _Row:
     keys: tuple[tuple[str, str], ...]  # (JSON key, field name) in output order
     omit: frozenset[str]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rpsf import cli
 from rpsf.cli import main
 from rpsf.engine import Do, Plan
 from rpsf.money import Quantity
@@ -228,6 +229,14 @@ class TestSynthesize:
         assert out == ""
         assert err == "error: unknown perspective agent 'W'; known agents: ['X', 'Y', 'Z']\n"
 
+    @pytest.mark.parametrize("target,agents", [
+        ("murabaha", "['A', 'B', 'BANK']"), ("contractus_trinus", "['A', 'B']")])
+    def test_default_perspective_outside_the_target_exits_two(self, capsys, target, agents):
+        # X has no flows in these targets, so the empty sequence would match
+        code, out, err = invoke(capsys, "synthesize", "--target", target, "--bound", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown perspective agent 'X'; known agents: {agents}\n"
+
     @pytest.mark.parametrize("perspective,summary", [
         ("X", "found=True witnesses=14 explored=247"),
         ("X,Y", "found=True witnesses=8 explored=380"),
@@ -384,6 +393,17 @@ class TestBadScenarioFile:
         assert code == 2
         assert diagnostic in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("list-scenarios",), ("run", "p"), ("judge", "p"), ("compare", "p", "p"),
+        ("synthesize", "--target", "p"), ("enumerate", "p")])
+    def test_bad_position_is_a_usage_error_for_every_command(self, capsys, tmp_path, argv):
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps({"scenarios": [_GOOD], "positions": [
+            {"name": "P", "rules": [{"detector": "foo"}]}]}))
+        code, out, err = invoke(capsys, *argv, "--scenario-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: positions[0].rules[0].detector: unknown detector 'foo'")
+
     def _fails_cleanly(self, capsys, path):
         code, _, err = invoke(capsys, "run", "bad", "--scenario-file", str(path))
         assert code == 2
@@ -424,3 +444,12 @@ class TestBadScenarioFile:
     def test_missing_file(self, capsys, tmp_path):
         err = self._fails_cleanly(capsys, tmp_path / "absent.json")
         assert "absent.json" in err and "No such file" in err
+
+
+def test_help_names_match_the_modules_that_define_them():
+    from rpsf.legality import BUILTIN_POSITIONS
+    from rpsf.synthesis import ALL_AGENTS, PRIMITIVES
+
+    assert cli.POSITION_NAMES == tuple(sorted(BUILTIN_POSITIONS))
+    assert cli.PRIMITIVES == PRIMITIVES
+    assert cli.ALL_AGENTS == ALL_AGENTS

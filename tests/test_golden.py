@@ -389,6 +389,16 @@ WORLD_JSON = {
 }
 # world_to_json of _deep_account(seed=1, rounds=400): (characters, sha256)
 DEEP_WORLD_JSON = (271176, "83729f8ba4f0868fcea63cb6d0c856065158ca26e10a13ac411b92f3ea0feb29")
+# `rpsf --help` and each subcommand's `-h`, 80 columns wide
+HELP = {
+    "--help": "a853db8fb52c4d963be433a380cc2e964114b7fee0d1e74f0024846884db66db",
+    "list-scenarios": "9806c6ed5f3ec1ed77f10d3b1b87e03f10f68394e4be4facfb62a9aaf146d5f8",
+    "run": "19151b58543acd64b9a5fce90f11d42c227a66c1c0506693dd9c6870541562a7",
+    "judge": "fa882a661fc8dfb23aaaf5c7b3ba59b0adfe059cd7a1abf2f7f06bf257aae2ef",
+    "compare": "711cb75900821dbc46f6bc3ccac7e997cb0c2a5890dfaaa648d7d55a977f2134",
+    "synthesize": "e72ce56f54aa74d4398b6ed22c843cabbd0a5e8c634b79a4c6e0118d39aa44ce",
+    "enumerate": "63e610f4bfdd48f826918d54c4fbf25f35cccaca0824c64ed30ae945ad63476c",
+}
 
 
 def _digest(text: str) -> str:
@@ -402,6 +412,15 @@ def _stdout(capsys, *argv) -> tuple[int, str]:
 
 def test_thirteen_builtins_are_pinned():
     assert sorted(RUN_JSON) == sorted(scenario_names())
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    with pytest.raises(SystemExit) as exit_:
+        main([command] if command == "--help" else [command, "-h"])
+    assert exit_.value.code == 0
+    assert _digest(capsys.readouterr().out) == HELP[command]
 
 
 @pytest.mark.parametrize("name", scenario_names())

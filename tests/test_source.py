@@ -9,6 +9,9 @@ import pytest
 PACKAGE = Path(__file__).parents[1] / "src" / "rpsf"
 # __init__.py re-exports what it imports, so its imports are its API
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# the one function that may call dataclasses.dataclass: money.record, which
+# gives every record class the shared __repr__, __eq__ and __hash__
+RECORD_HELPER = ("money.py", "record")
 # an import kept on purpose says so on its line, with the reason after the code
 KEPT = re.compile(r"#\s*noqa:\s*F401\b\s*\S")
 
@@ -48,3 +51,60 @@ def test_the_gate_sees_an_unused_name_and_a_kept_one():
             ")\n"
             "loads('1')\n")
     assert unused_imports(text) == ["line 2: os", "line 3: dumps", "line 6: path"]
+
+
+def bare_dataclasses(text: str, helper_name: str = "") -> list[str]:
+    """Reads of ``dataclasses.dataclass`` or ``make_dataclass`` outside the
+    function ``helper_name``: a class made there would have its methods
+    generated and compiled again instead of sharing the record methods."""
+    tree = ast.parse(text)
+    helper = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == helper_name:
+            helper.update(id(inner) for inner in ast.walk(node))
+    makers, modules = {"dataclass", "make_dataclass"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            makers.update(a.asname for a in node.names if a.asname
+                          and a.name in ("dataclass", "make_dataclass"))
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "dataclasses")
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in helper:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in makers:
+            found.append((node.lineno, node.id))
+        elif (isinstance(node, ast.Attribute) and node.attr in ("dataclass", "make_dataclass")
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_dataclass_is_a_record(module):
+    helper_name = RECORD_HELPER[1] if module == RECORD_HELPER[0] else ""
+    assert bare_dataclasses((PACKAGE / module).read_text(), helper_name) == []
+
+
+def test_the_gate_sees_each_way_round_the_record_helper():
+    text = ("import dataclasses\n"
+            "import dataclasses as dc\n"
+            "from dataclasses import dataclass, field, make_dataclass as md\n"
+            "def record(**options):\n"
+            "    return lambda cls: dataclass(cls, **options)\n"
+            "@record(frozen=True)\n"
+            "class Kept:\n"
+            "    x: int = field(default=0)\n"
+            "@dataclass(frozen=True)\n"
+            "class A:\n"
+            "    x: int\n"
+            "@dataclasses.dataclass\n"
+            "class B:\n"
+            "    x: int\n"
+            "C = dc.dataclass(type('C', (), {}))\n"
+            "D = md('D', ['x'])\n")
+    assert bare_dataclasses(text, "record") == [
+        "line 9: dataclass", "line 12: dataclasses.dataclass", "line 15: dc.dataclass",
+        "line 16: md"]
+    assert bare_dataclasses(text)[0] == "line 5: dataclass"  # outside money.py
