@@ -279,11 +279,14 @@ def _cmd_synthesize(args) -> int:
     extras, _ = _load_extras(args.scenario_file)
     instance = instantiate(args.target, _parse_overrides(args.params or []), extra=extras)
     perspective = _perspective(args.perspective)
+    agents = tuple(name.strip() for name in args.agents.split(","))
     # a perspective with no cells in the target would match the empty witness
     check_perspective(perspective, instance.world.agents)
+    if perspective == ALL_AGENTS and not instance.world.agents.keys() & agents:
+        raise ValueError(f"perspective 'all' holds no agent of {instance.name} among --agents "
+                         f"{list(agents)}; known agents: {sorted(instance.world.agents)}")
     progression = _run_instance(instance, RoundRobin(), None)
     target = monetary_projection(progression)
-    agents = tuple(name.strip() for name in args.agents.split(","))
     result = synthesize(
         target,
         catalogue=[name.strip() for name in args.catalogue.split(",")],
@@ -296,7 +299,7 @@ def _cmd_synthesize(args) -> int:
     payload["target"] = instance.name
     payload["witnesses"] = payload["witnesses"][:limit]
     payload["witness_scenarios"] = [
-        witness_scenario(result, i, agents) for i in range(min(limit, len(result.witnesses)))
+        witness_scenario(result, i) for i in range(min(limit, len(result.witnesses)))
     ]
     lines = [
         f"target {instance.name}: found={result.found} "
@@ -393,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter override for the second scenario")
     p.add_argument("--perspective", default=ALL_AGENTS,
                    help="'all' or comma-separated agent names")
-    p.add_argument("--scenario-file", help="JSON file with extra scenarios/positions")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    common(p, scenario_arg=False)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("synthesize", help="bounded search for a synthesis of a target")
@@ -407,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perspective", default="X")
     p.add_argument("--max-witnesses", type=_count, default=3,
                    help="witnesses to render (as scenario text in json output)")
-    p.add_argument("--scenario-file", help="JSON file with extra scenarios/positions")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    common(p, scenario_arg=False)
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("enumerate", help="exhaustively enumerate interleavings")

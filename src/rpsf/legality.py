@@ -34,7 +34,7 @@ from .engine import Progression
 from .money import Quantity, ZERO, record, total_div
 from .scenarios import ScenarioInstance
 from .world import (ActionKind, ContractRecord, Event, HistoryLog, WorldState, codec_row,
-                    value_from_dict)
+                    value_from_dict, value_to_dict)
 
 
 class Verdict(str, Enum):
@@ -63,13 +63,7 @@ class Evidence:
     contracts: tuple[str, ...] = ()
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "events": list(self.events),
-            "contracts": list(self.contracts),
-            "note": self.note,
-        }
+    to_dict = value_to_dict
 
 
 @record(frozen=True)
@@ -78,12 +72,11 @@ class Judgement:
     verdict: Verdict
     reasons: tuple[Evidence, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "verdict": self.verdict.value,
-            "reasons": [r.to_dict() for r in self.reasons],
-        }
+    to_dict = value_to_dict
+
+
+codec_row(Evidence, "rule events contracts note")
+codec_row(Judgement, "position verdict reasons")
 
 
 @record(frozen=True)
@@ -265,8 +258,7 @@ def _riba(contracts, transfers: Mapping[str, list]) -> list[RibaFinding]:
     return findings
 
 
-def detect_riba(contracts: Mapping[str, ContractRecord] | Sequence[ContractRecord],
-                history: HistoryLog) -> list[RibaFinding]:
+def detect_riba(contracts: Mapping[str, ContractRecord], history: HistoryLog) -> list[RibaFinding]:
     """Interest findings, matched by a ledger per contract whose declared
     terms carry a positive rate.
 
@@ -279,9 +271,7 @@ def detect_riba(contracts: Mapping[str, ContractRecord] | Sequence[ContractRecor
     with a zero rate (fixed transaction costs only) yield nothing; sale
     markups carry no declared rate and are invisible to this detector.
     """
-    if isinstance(contracts, Mapping):
-        contracts = contracts.values()
-    records = [r for r in contracts if r.terms is not None and r.terms.rate > ZERO]
+    records = [r for r in contracts.values() if r.terms is not None and r.terms.rate > ZERO]
     return _riba(records, _Facts(history).transfers) if records else []
 
 

@@ -206,10 +206,6 @@ class Quantity:
     def __repr__(self) -> str:
         return f"Quantity({self.num}, {self.den})"
 
-    @property
-    def is_integral(self) -> bool:
-        return self.den == 1
-
 
 ZERO = Quantity(0)
 ONE = Quantity(1)

@@ -87,9 +87,6 @@ class ScenarioSpec:
     params: tuple[ParamSpec, ...]
     build: Callable[[Mapping[str, object]], "ScenarioInstance"]
 
-    def defaults(self) -> dict[str, object]:
-        return {p.name: p.default for p in self.params}
-
 
 @record(frozen=True)
 class ScenarioInstance:

@@ -55,7 +55,9 @@ from .world import (
     WorldState,
     action_to_dict,
     apply_event,  # noqa: F401  unused; perfbench/test_perfbench.py wraps this binding
+    codec_row,
     make_world,
+    value_to_dict,
 )
 
 ALL_AGENTS = "all"
@@ -73,9 +75,10 @@ class Flow:
     amount: Quantity
     date: int
 
-    def to_dict(self) -> dict:
-        return {"payer": self.payer, "payee": self.payee,
-                "amount": str(self.amount), "date": self.date}
+    to_dict = value_to_dict
+
+
+codec_row(Flow, "payer payee amount date")
 
 
 FlowTrace = tuple[Flow, ...]
@@ -203,23 +206,21 @@ COORDINATION_PRIMITIVES = ("prepare-contract", "sign-contract", "inform")
 PRIMITIVES = TRADE_PRIMITIVES + COORDINATION_PRIMITIVES
 
 _PRIMITIVE_ALIASES = {
-    "spotsale": "spot-sale", "spot_sale": "spot-sale", "spot": "spot-sale",
-    "creditsale": "credit-sale", "credit_sale": "credit-sale", "credit": "credit-sale",
-    "preparegood": "prepare-good", "prepare_good": "prepare-good",
-    "preparecontract": "prepare-contract", "prepare_contract": "prepare-contract",
-    "contracts": "prepare-contract", "signcontract": "sign-contract",
-    "sign_contract": "sign-contract", "inform": "inform",
+    "spot": "spot-sale", "spotsale": "spot-sale", "credit": "credit-sale",
+    "creditsale": "credit-sale", "preparegood": "prepare-good",
+    "preparecontract": "prepare-contract", "signcontract": "sign-contract",
 }
 
 
 def normalize_catalogue(names: Iterable[str]) -> frozenset[str]:
+    """The primitives named; case, outer blanks and ``_`` for ``-`` do not matter."""
     out = set()
     for name in names:
-        key = name.strip().lower()
-        key = _PRIMITIVE_ALIASES.get(key.replace("-", "_"), _PRIMITIVE_ALIASES.get(key, key))
-        if key == "prepare-contract" and name.strip().lower() == "contracts":
+        key = name.strip().lower().replace("_", "-")
+        if key == "contracts":
             out.update({"prepare-contract", "sign-contract"})
             continue
+        key = _PRIMITIVE_ALIASES.get(key, key)
         if key not in PRIMITIVES:
             raise ValueError(f"unknown primitive {name!r}; known: {PRIMITIVES}")
         out.add(key)
@@ -544,40 +545,18 @@ def witness_plans(actions: Sequence[Action],
     return compose(sorted({agent for part in parts for agent, _ in part}), *parts)
 
 
-def witness_scenario(result: SynthesisResult, index: int,
-                     agents: Sequence[str] = ("X", "Y", "Z")) -> dict:
-    """Render one witness as scenario-file text, re-runnable as a scenario."""
+def witness_scenario(result: SynthesisResult, index: int) -> dict:
+    """Render one witness as scenario-file text, re-runnable as a scenario:
+    the search's opening world, led by its first agent, with the least
+    balances that keep the replay solvent."""
     witness = result.witnesses[index]
-    trades = tuple(a for a in witness.actions if a.kind != ActionKind.PAY)
-    pending = tuple(
-        (a.actor, a.counterparty, a.amount - (a.down_payment or ZERO), a.due_date,
-         a.contract_id)
-        for a in trades if a.kind == ActionKind.BUY_ON_CREDIT
-    )
-    plans = witness_plans(trades, pending)
-    world = witness.progression.world
-    initial_goods = []
-    seen_prepared = {a.good_id for a in trades if a.kind == ActionKind.PREPARE_GOOD}
-    for gid in sorted(world.goods):
-        if gid not in seen_prepared:
-            good = world.goods[gid]
-            initial_goods.append(good)
-    endowments = {}
-    for agent in sorted(world.agents):
-        endowments[agent] = _required_endowment(agent, witness.progression)
-    first_owner = {g.good_id: g.owner for g in initial_goods}
-    initial = make_world(
-        agents=[world.agents[a] for a in sorted(world.agents)],
-        balances=endowments,
-        goods=[Good(g.good_id, g.kind, first_owner[g.good_id], g.market_value,
-                    g.block_size, g.is_money) for g in initial_goods],
-    )
-    instance = ScenarioInstance(
-        name=f"witness-{index}", params={}, world=initial, plans=plans,
-        principals=tuple(agents[:1]),
-        horizon=max([p[3] for p in pending], default=0),
-    )
-    return instance_to_dict(instance)
+    world0, state = witness.origin
+    accounts = {name: _required_endowment(name, witness.progression) for name in world0.agents}
+    return instance_to_dict(ScenarioInstance(
+        name=f"witness-{index}", params={}, world=dc_replace(world0, accounts=accounts),
+        plans=witness_plans(state.actions, state.pending),
+        principals=(next(iter(world0.agents)),),
+        horizon=max([due for _, _, _, due, _ in state.pending], default=0)))
 
 
 def _required_endowment(agent: str, progression: Progression) -> Quantity:

@@ -583,32 +583,10 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
         move_good(action.good_id, action.counterparty, action.actor)
         if down > ZERO:
             move_cash(action.actor, action.counterparty, down)
-        remainder = action.amount - down
-        settle_id = action.contract_id or f"credit-{seq}"
-        refs = frozenset(action.reason.contract_ids) if action.reason else frozenset()
-        add_contract(
-            ContractRecord(
-                contract_id=settle_id,
-                parties=frozenset({action.actor, action.counterparty}),
-                initiator=action.actor,
-                clauses=(
-                    Clause(
-                        obliged_party=action.actor,
-                        obliged_action=ActionTemplate(
-                            kind=ActionKind.PAY,
-                            actor=action.actor,
-                            counterparty=action.counterparty,
-                            amount=remainder,
-                            contract_id=settle_id,
-                        ),
-                        deadline=action.due_date,
-                    ),
-                ),
-                references=refs,
-                signatures=frozenset({action.actor, action.counterparty}),
-                stage=Stage.ACTIVE,
-            )
-        )
+        # the settlement: a promise to pay the rest by the due date, signed by both, no terms
+        add_contract(promise_to_contract(
+            replace(action, kind=ActionKind.PROMISE_PAY, amount=action.amount - down, terms=None),
+            contract_id=action.contract_id or f"credit-{seq}"))
     elif kind in PROMISE_KINDS:
         record = promise_to_contract(action, action.signing, contract_id=action.contract_id or f"promise-{seq}")
         add_contract(record)

@@ -236,6 +236,23 @@ class TestSynthesize:
         code, out, err = invoke(capsys, "synthesize", "--target", target, "--bound", "2")
         assert (code, out) == (2, "")
         assert err == f"error: unknown perspective agent 'X'; known agents: {agents}\n"
+        # nor has any of the default --agents, which is what 'all' stands for
+        code, out, err = invoke(capsys, "synthesize", "--target", target, "--bound", "2",
+                                "--perspective", "all")
+        assert (code, out) == (2, "")
+        assert err == (f"error: perspective 'all' holds no agent of {target} among --agents "
+                       f"['X', 'Y', 'Z']; known agents: {agents}\n")
+
+    def test_all_perspective_with_one_agent_of_the_target_runs(self, capsys):
+        # loan_with_interest's agents are X and Y; Z enters as a free intermediary
+        code, out, _ = invoke(capsys, "synthesize", "--target", "loan_with_interest",
+                              "--bound", "3", "--perspective", "all")
+        assert code == 0
+        assert out.startswith("target loan_with_interest: found=True witnesses=2 explored=44 ")
+        code, out, _ = invoke(capsys, "synthesize", "--target", "murabaha", "--bound", "2",
+                              "--perspective", "all", "--agents", "A,X,Y")
+        assert code == 0
+        assert out.startswith("target murabaha: found=False ")
 
     @pytest.mark.parametrize("perspective,summary", [
         ("X", "found=True witnesses=14 explored=247"),

@@ -23,7 +23,7 @@ from rpsf.engine import (
 from rpsf.legality import BUILTIN_POSITIONS, judge
 from rpsf.money import Quantity
 from rpsf.scenarios import get_spec, instance_to_dict, instantiate, scenario_names
-from rpsf.synthesis import ALL_AGENTS, monetary_projection, synthesize
+from rpsf.synthesis import ALL_AGENTS, Flow, monetary_projection, synthesize, witness_scenario
 from rpsf.world import (
     Action,
     ActionKind,
@@ -197,6 +197,17 @@ SYNTHESIS_BOUND_5 = {
 }
 SPOT_ONLY_BOUND_6_EXPLORED = 1877
 FULL_CATALOGUE = ("spot-sale", "credit-sale", "prepare-good", "contracts", "inform")
+# witness_scenario of every witness, in order: (witness count, digest of the
+# list). The renamed target is savings with X as P and Y as M, searched with
+# agents (P, M, B), so the principal (P) is not the first name in order.
+# murabaha from A's perspective has no witness at these bounds.
+WITNESS_SCENARIOS = {
+    "savings": (126, "93b21195d214b4ae059b4663a62981297d7c2184e28c1931bfd175af35ee16e6"),
+    "savings-preowned-good": (
+        625, "6995108d8a0619d581525de3cee91ed6c204829b2780fb44304acb7343996ee4"),
+    "murabaha": (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "savings-renamed": (14, "cf0aced42dc9a81953f497a8137377787ff544fbf461d94f4856372b3ae27222"),
+}
 JUDGE_JSON = "c578dae257f1b2d921006e457af2d53ec349ead88a28733cf7e5476aea1d5513"
 # Built-in parameters, each set alone to each of BAD_VALUES: the digest of
 # the rows (parameter, value, outcome, message), one per built-in.
@@ -474,6 +485,30 @@ def test_synthesis_witnesses_at_bound_5(perspective):
 def test_spot_only_certificate_at_bound_6():
     result = synthesize(_savings_target(), ["spot-sale"], ("X", "Y", "Z"), bound=6)
     assert (result.found, result.explored) == (False, SPOT_ONLY_BOUND_6_EXPLORED)
+
+
+def _witness_search(case: str):
+    trades = ["spot-sale", "credit-sale", "prepare-good"]
+    if case == "savings":
+        return synthesize(_savings_target(), trades, ("X", "Y", "Z"), bound=5)
+    if case == "savings-preowned-good":
+        return synthesize(_savings_target(), trades[:2], ("X", "Y", "Z"), bound=5)
+    if case == "murabaha":
+        instance = instantiate("murabaha")
+        target = monetary_projection(run(instance.world, instance.plans, RoundRobin(),
+                                         horizon=instance.horizon))
+        return synthesize(target, trades, ("A", "B", "BANK"), bound=4, perspective=("A",))
+    names = {"X": "P", "Y": "M"}
+    target = tuple(Flow(names[f.payer], names[f.payee], f.amount, f.date)
+                   for f in _savings_target())
+    return synthesize(target, trades, ("P", "M", "B"), bound=4)
+
+
+@pytest.mark.parametrize("case", list(WITNESS_SCENARIOS))
+def test_witness_scenarios(case):
+    result = _witness_search(case)
+    rendered = [witness_scenario(result, i) for i in range(len(result.witnesses))]
+    assert (len(rendered), _digest(json.dumps(rendered))) == WITNESS_SCENARIOS[case]
 
 
 def test_haram_judgement_json(capsys):

@@ -14,6 +14,12 @@ MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__i
 RECORD_HELPER = ("money.py", "record")
 # an import kept on purpose says so on its line, with the reason after the code
 KEPT = re.compile(r"#\s*noqa:\s*F401\b\s*\S")
+# the classes that may write their own JSON; every other record gets a codec
+# row and ``to_dict = value_to_dict``
+OWN_ENCODERS = {
+    "SynthesisResult": "writes witness_count, which no field holds, and an untyped grounding",
+    "Witness": "writes its actions only; origin is the search state, which has no JSON form",
+}
 
 
 def unused_imports(text: str) -> list[str]:
@@ -108,3 +114,41 @@ def test_the_gate_sees_each_way_round_the_record_helper():
         "line 9: dataclass", "line 12: dataclasses.dataclass", "line 15: dc.dataclass",
         "line 16: md"]
     assert bare_dataclasses(text)[0] == "line 5: dataclass"  # outside money.py
+
+
+def hand_written_encoders(text: str) -> list[str]:
+    """Every ``def to_dict``, named by the class that holds it, or by
+    ``<module>`` when no class does."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name == "to_dict":
+                found.append(owner)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+    visit(ast.parse(text), "<module>")
+    return found
+
+
+def test_only_the_allowed_classes_write_their_own_json():
+    found = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in hand_written_encoders(path.read_text())]
+    assert sorted(found) == sorted(OWN_ENCODERS)
+    assert all(reason.strip() for reason in OWN_ENCODERS.values())
+
+
+def test_the_gate_sees_a_hand_written_encoder():
+    text = ("class Coded:\n"
+            "    to_dict = value_to_dict\n"
+            "class Written:\n"
+            "    def to_dict(self):\n"
+            "        return {}\n"
+            "def to_dict(value):\n"
+            "    return {}\n"
+            "class Outer:\n"
+            "    class Inner:\n"
+            "        def to_dict(self):\n"
+            "            return {}\n"
+            "    def as_json(self):\n"
+            "        return {}\n")
+    assert hand_written_encoders(text) == ["Written", "<module>", "Inner"]

@@ -16,6 +16,7 @@ from rpsf.synthesis import (
     equivalent,
     monetary_projection,
     net_positions,
+    normalize_catalogue,
     synthesize,
     witness_scenario,
 )
@@ -134,6 +135,41 @@ class TestEquivalence:
         for perspective in ((), []):
             with pytest.raises(ValueError, match="empty perspective"):
                 equivalent(a, b, perspective)
+
+
+SPOT, CREDIT, GOOD = "spot-sale", "credit-sale", "prepare-good"
+PREPARE, SIGN = "prepare-contract", "sign-contract"
+
+
+class TestCatalogue:
+    # the aliases, separators, cases and blanks the catalogue accepts, and
+    # near misses it rejects
+    @pytest.mark.parametrize("name,primitives", [
+        ("spot", {SPOT}), ("spotsale", {SPOT}), ("spot_sale", {SPOT}), ("spot-sale", {SPOT}),
+        ("credit", {CREDIT}), ("creditsale", {CREDIT}), ("credit_sale", {CREDIT}),
+        ("credit-sale", {CREDIT}), ("preparegood", {GOOD}), ("prepare_good", {GOOD}),
+        ("prepare-good", {GOOD}), ("preparecontract", {PREPARE}),
+        ("prepare_contract", {PREPARE}), ("prepare-contract", {PREPARE}),
+        ("signcontract", {SIGN}), ("sign_contract", {SIGN}), ("sign-contract", {SIGN}),
+        ("inform", {"inform"}), ("contracts", {PREPARE, SIGN}),
+        ("SPOT", {SPOT}), ("Spot-Sale", {SPOT}), ("spot-Sale", {SPOT}), ("spot_Sale", {SPOT}),
+        ("CREDIT_SALE", {CREDIT}), ("  credit  ", {CREDIT}), ("\tinform\n", {"inform"}),
+        ("Prepare_Good ", {GOOD}), (" CONTRACTS", {PREPARE, SIGN}),
+        ("Sign_Contract", {SIGN}), ("SignContract", {SIGN}),
+    ])
+    def test_accepted_spellings(self, name, primitives):
+        assert normalize_catalogue([name]) == primitives
+
+    @pytest.mark.parametrize("name", [
+        "prepare-good_", "spot sale", "spot--sale", "spot__sale", "spotsales", "contract",
+        "contracts_", "con-tracts", "inform-", "inform_", "", " ", "bogus", "prepare", "sign",
+        "spot-", "_spot", "-credit", "credit_", "sale", "prepare_good_", "preparegood-",
+        "spot_sale-", "sign-contracts", "prepare-contracts",
+    ])
+    def test_rejected_spellings(self, name):
+        with pytest.raises(ValueError) as error:
+            normalize_catalogue([name])
+        assert str(error.value).startswith(f"unknown primitive {name!r}; known: ")
 
 
 class TestSynthesize:

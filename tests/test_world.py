@@ -12,12 +12,15 @@ from rpsf.world import (
     AfterEvent,
     Agent,
     Always,
+    ByDate,
     Clause,
+    ContractRecord,
     Good,
     GoodSpec,
     InsufficientFunds,
     NotOwner,
     Reason,
+    RepaymentTerms,
     Role,
     SigningMode,
     Stage,
@@ -30,6 +33,7 @@ from rpsf.world import (
     promise_to_contract,
     replay,
     stage_transition_allowed,
+    value_to_dict,
     world_to_json,
 )
 
@@ -138,6 +142,42 @@ class TestSales:
         assert record.stage == Stage.ACTIVE
         assert record.clauses[0].obliged_action.amount == q(100)
         assert record.clauses[0].deadline == 30
+
+    @staticmethod
+    def _settlement(contract_id, amount, references):
+        return {"contract_id": contract_id, "parties": ["X", "Z"], "initiator": "X",
+                "clauses": [{"obliged_party": "X",
+                             "obliged_action": {"kind": "pay", "actor": "X", "counterparty": "Z",
+                                                "contract_id": contract_id, "amount": amount},
+                             "trigger": {"always": True}, "deadline": 30}],
+                "references": list(references), "signatures": ["X", "Z"], "stage": "active"}
+
+    @pytest.mark.parametrize("extra,contract_id,amount,references", [
+        ({"contract_id": "settle"}, "settle", "110", ()),
+        ({}, "credit-1", "110", ()),
+        ({"contract_id": "settle", "down_payment": q(21, 2)}, "settle", "199/2", ()),
+        ({"reason": Reason(text="per frame", contract_ids=("frame",))}, "credit-1", "110",
+         ("frame",)),
+        # the settlement is always signed by both and carries no rate: none of
+        # these may reach it
+        ({"contract_id": "settle", "terms": RepaymentTerms(principal=q(100), rate=q(1, 10)),
+          "signing": SigningMode.INITIATOR_ONLY, "trigger": ByDate(5)}, "settle", "110", ()),
+    ], ids=["named", "unnamed", "down-payment", "reason", "terms-signing-trigger"])
+    def test_credit_settlement_contract_is_pinned(self, extra, contract_id, amount, references):
+        frame = ContractRecord(contract_id="frame", parties=frozenset({"X", "Z"}),
+                               initiator="X", clauses=())
+        world = make_world(
+            agents=[Agent("X"), Agent("Z", Role.COMPANY)],
+            balances={"X": q(100), "Z": q(95)},
+            goods=[Good(good_id="G", kind="asset", owner="Z", market_value=q(100))],
+            contracts=[frame],
+        )
+        buy = Action(kind=ActionKind.BUY_ON_CREDIT, actor="X", counterparty="Z", amount=q(110),
+                     due_date=30, good_id="G", **extra)
+        world = apply_event(world, buy, 3)
+        assert set(world.contracts) == {"frame", contract_id}
+        assert value_to_dict(world.contracts[contract_id]) == self._settlement(
+            contract_id, amount, references)
 
     def test_prepare_good_creates_and_rejects_bad_blocks(self, market):
         spec = GoodSpec(kind="gold", market_value=q(90), block_size=q(30))
