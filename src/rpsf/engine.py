@@ -36,10 +36,9 @@ history tuple to append to it.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .money import record
+from .money import record, replace
 from .world import (
     Action,
     ActionTemplate,
@@ -345,14 +344,17 @@ def run(
 
     Identical inputs give identical progressions, event for event. A blocked
     plan is skipped, never aborted; deadlock is declared only when no plan
-    can step and no by-date wait can release one within the horizon.
+    can step and no by-date wait can release one within the horizon. A
+    wait past the horizon raises HorizonExceeded under every strategy; under
+    Exhaustive, a wait past it in any interleaving does.
     """
     if horizon < world.clock:
         raise EngineError(f"horizon {horizon} precedes world clock {world.clock}")
     choices = dict(choices or {})
     ordered = _validate_plans(world, plans)
     if isinstance(strategy, Exhaustive):
-        return enumerate_interleavings(world, ordered, bound=_total_steps(ordered), choices=choices)[0]
+        return enumerate_interleavings(world, ordered, bound=_total_steps(ordered), choices=choices,
+                                       horizon=horizon)[0]
 
     cursors = [_Cursor(p.agent, p.steps) for p in ordered]
     index = _EventIndex()
@@ -385,11 +387,15 @@ def run(
         wake = _wake(world, cursors)
         if wake is None:
             raise DeadlockDetected({c.agent: c.head().trigger for c in cursors if c.stack})
-        if wake > horizon:
-            raise HorizonExceeded(f"next scheduled activity at day {wake} exceeds horizon {horizon}")
+        _check_horizon(wake, horizon)
         world = _step(world, cursors, None, choices, index)
 
     return Progression(events=world.history[start:], world=world, schedule=tuple(schedule))
+
+
+def _check_horizon(wake: int, horizon: Optional[int]) -> None:
+    if horizon is not None and wake > horizon:
+        raise HorizonExceeded(f"next scheduled activity at day {wake} exceeds horizon {horizon}")
 
 
 def _total_steps(plans: Sequence[Plan]) -> int:
@@ -414,6 +420,7 @@ def enumerate_interleavings(
     bound: int,
     choices: Mapping[str, bool] | None = None,
     choice_points: Mapping[str, bool] | None = None,
+    horizon: Optional[int] = None,
 ) -> tuple[Progression, ...]:
     """All maximal progressions over every interleaving of the plans.
 
@@ -423,7 +430,9 @@ def enumerate_interleavings(
     that end blocked (maximal but stuck) are both included. Duplicates are
     removed and the result is in canonical (event-key) order.
 
-    Rejects inputs whose total step count exceeds ``bound``.
+    Rejects inputs whose total step count exceeds ``bound``. With a
+    ``horizon``, an interleaving that must advance the clock past it raises
+    HorizonExceeded, as ``run`` does.
     """
     ordered = _validate_plans(world, plans)
     total = _total_steps(ordered)
@@ -452,10 +461,12 @@ def enumerate_interleavings(
             state, cursors, index = stack.pop()
             enabled = [i for i, c in enumerate(cursors) if isinstance(c.head(), Do)]
             if not enabled:
-                if _wake(state, cursors) is None:
+                wake = _wake(state, cursors)
+                if wake is None:
                     progression = Progression(events=state.history[start:], world=state)
                     seen.setdefault(progression.key(memo), progression)
                 else:
+                    _check_horizon(wake, horizon)
                     stack.append((_step(state, cursors, None, assignment, index), cursors, index))
                 continue
             # reversed so the lowest-named agent is explored first; that

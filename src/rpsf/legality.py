@@ -25,13 +25,12 @@ scenario files.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from enum import Enum
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import Progression
-from .money import Quantity, ZERO, record, total_div
+from .money import Quantity, ZERO, record, replace, total_div
 from .scenarios import ScenarioInstance
 from .world import (ActionKind, ContractRecord, Event, HistoryLog, WorldState, codec_row,
                     value_from_dict, value_to_dict)

@@ -17,7 +17,6 @@ scenario files and on the command line are converted exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, fields
 from math import gcd
 from operator import attrgetter
 from reprlib import recursive_repr
@@ -31,13 +30,84 @@ _INT_RE = re.compile(r"^-?\d+$")
 
 
 # ---------------------------------------------------------------------------
-# records: dataclasses that share one __repr__, __eq__ and __hash__
+# records: classes built from their annotated fields
 # ---------------------------------------------------------------------------
-# ``dataclass`` compiles these three from generated source for every class,
-# and that compiling is most of what importing rpsf costs. The shared ones
-# read a class's fields through one getter built when the class is made,
-# and behave as the generated ones do: equality only within one class over
-# the compared fields, ``hash(tuple(those fields))``, and the same repr text.
+# ``record`` does for the package what ``dataclasses.dataclass`` would, with
+# less work at import: importing ``dataclasses`` loads ``inspect`` and
+# ``ast``, and ``dataclass`` compiles three methods per frozen class from
+# generated source. Here each class gets one compiled ``__init__``; every
+# class shares one ``__repr__``, ``__eq__`` and ``__hash__``, which read its
+# fields through one getter built when the class is made, and every frozen
+# class shares one pair of guards against assignment. They behave as the
+# generated ones do: equality only within one class over the compared
+# fields, ``hash(tuple(those fields))``, and the same repr text.
+
+class _Missing:
+    def __repr__(self) -> str:
+        return "MISSING"
+
+
+MISSING = _Missing()  # a field without a default, or the default of a factory field
+
+
+class Field:
+    """One field of a record class: its name, its default or default factory
+    (MISSING when it has none), and whether repr shows it and equality
+    compares it."""
+
+    __slots__ = ("name", "default", "default_factory", "repr", "compare")
+
+    def __init__(self, name: str, default: object = MISSING, default_factory: object = MISSING,
+                 repr: bool = True, compare: bool = True) -> None:
+        self.name, self.default, self.default_factory = name, default, default_factory
+        self.repr, self.compare = repr, compare
+
+    @property
+    def has_default(self) -> bool:
+        return self.default is not MISSING or self.default_factory is not MISSING
+
+
+def field(*, default_factory: Callable[[], object] | _Missing = MISSING, repr: bool = True,
+          compare: bool = True) -> Field:
+    """A field with a default factory, or one left out of repr or equality."""
+    return Field("", MISSING, default_factory, repr, compare)
+
+
+def fields(record_or_class: object) -> tuple[Field, ...]:
+    """The fields of a record class, or of a record's class, in order."""
+    return record_or_class._record_fields
+
+
+def replace(obj: object, /, **changes: object) -> object:
+    """A new record of ``obj``'s class: its field values, with ``changes``."""
+    cls = obj.__class__
+    values = dict(zip(cls._record_names, cls._record_values(obj)))
+    values.update(changes)
+    return cls(**values)
+
+
+class FrozenRecordError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+# copy and pickle restore a slotted object through setattr, which a frozen
+# record refuses; these two hand them the fields in order instead
+def _slots_getstate(self) -> tuple:
+    return type(self)._record_values(self)
+
+
+def _slots_setstate(self, state: tuple) -> None:
+    for name, value in zip(self._record_names, state):
+        object.__setattr__(self, name, value)
+
 
 def _fields_getter(names: tuple[str, ...]) -> Callable[[object], tuple]:
     """The named attributes of an object as a tuple, whatever their number."""
@@ -67,28 +137,91 @@ def _record_hash(self) -> int:
     return hash(self.__class__._record_key(self))
 
 
-def record(*, frozen: bool = False, slots: bool = False) -> Callable[[type], type]:
-    """``dataclass(frozen=frozen, slots=slots)`` with the shared methods.
+def _fields_of(body: dict[str, object]) -> tuple[Field, ...]:
+    """The fields a class body annotates, in order, with their defaults."""
+    declared: list[Field] = []
+    for name in body.get("__annotations__", {}):
+        spec = body.get(name, MISSING)
+        f = (Field(name, MISSING, spec.default_factory, spec.repr, spec.compare)
+             if isinstance(spec, Field) else Field(name, spec))
+        if declared and declared[-1].has_default and not f.has_default:
+            raise TypeError(f"non-default argument {name!r} follows default argument")
+        declared.append(f)
+    return tuple(declared)
 
-    ``dataclass`` still generates ``__init__`` and, for a frozen class, the
-    guards against assignment. A method the class body defines is kept. A
-    class that is not frozen is unhashable, as ``dataclass`` makes it.
+
+def _make_init(cls: type, declared: tuple[Field, ...], frozen: bool, slots: bool) -> Callable:
+    """Compile a record class's ``__init__``: one statement per field.
+
+    A frozen class with slots stores each field through its slot descriptor,
+    at half the cost of ``object.__setattr__``. ``__post_init__`` is looked
+    up on each call, so a wrapper put on the class later still runs.
+    """
+    env: dict[str, object] = {"MISSING": MISSING}
+    lines = []
+    for i, f in enumerate(declared):
+        if f.default_factory is not MISSING:
+            env[f"factory{i}"] = f.default_factory
+            lines.append(f"if {f.name} is MISSING: {f.name} = factory{i}()")
+    for i, f in enumerate(declared):
+        if not frozen:
+            lines.append(f"self.{f.name} = {f.name}")
+        elif slots:
+            env[f"set{i}"] = vars(cls)[f.name].__set__
+            lines.append(f"set{i}(self, {f.name})")
+        else:
+            lines.append(f"self.__dict__[{f.name!r}] = {f.name}")
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    params = ", ".join(["self", *(f.name for f in declared)])
+    body = "".join(f"    {line}\n" for line in lines or ["pass"])
+    exec(compile(f"def __init__({params}):\n{body}", f"<record {cls.__qualname__}>", "exec"),
+         env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    # a factory field's default is MISSING, which the body replaces
+    init.__defaults__ = tuple(f.default for f in declared if f.has_default) or None
+    return init
+
+
+def record(*, frozen: bool = False, slots: bool = False) -> Callable[[type], type]:
+    """Build a record class from the annotated fields of a class body.
+
+    Defaults come from the body; ``field`` gives a default factory, or
+    leaves a field out of repr or equality. The class gets ``__init__`` and,
+    where its body defines none, the shared ``__repr__``, ``__eq__`` and
+    ``__hash__``. A frozen class refuses assignment and deletion; a class
+    that is not frozen is unhashable, as ``dataclass`` makes it. With
+    ``slots`` the class is made once, with a slot per field and no
+    ``__dict__``.
     """
     def make(cls: type) -> type:
-        cls = dataclass(cls, repr=False, eq=False, frozen=frozen, slots=slots)
-        own = vars(cls)
-        body_hash = own.get("__hash__", MISSING)
+        body = dict(vars(cls))
+        declared = _fields_of(body)
+        names = tuple(f.name for f in declared)
         # Python itself sets __hash__ to None in a body that defines __eq__
-        explicit_hash = body_hash is not MISSING and not (body_hash is None and "__eq__" in own)
-        cls._record_shown = tuple(f.name for f in fields(cls) if f.repr)
-        cls._record_key = _fields_getter(tuple(f.name for f in fields(cls) if f.compare))
-        if "__repr__" not in own:
-            cls.__repr__ = _record_repr
-        if "__eq__" not in own:
-            cls.__eq__ = _record_eq
+        explicit_hash = "__hash__" in body and not (body["__hash__"] is None and "__eq__" in body)
+        namespace = {k: v for k, v in body.items()
+                     if k not in names and k not in ("__dict__", "__weakref__")}
+        if slots:
+            namespace["__slots__"] = names
+        namespace["__qualname__"] = cls.__qualname__
+        namespace.setdefault("__repr__", _record_repr)
+        namespace.setdefault("__eq__", _record_eq)
         if not explicit_hash:
-            cls.__hash__ = _record_hash if frozen else None
-        return cls
+            namespace["__hash__"] = _record_hash if frozen else None
+        if frozen:
+            namespace["__setattr__"] = _frozen_setattr
+            namespace["__delattr__"] = _frozen_delattr
+            if slots:
+                namespace.update(__getstate__=_slots_getstate, __setstate__=_slots_setstate)
+        namespace.update(
+            _record_fields=declared, _record_names=names, _record_values=_fields_getter(names),
+            _record_shown=tuple(f.name for f in declared if f.repr),
+            _record_key=_fields_getter(tuple(f.name for f in declared if f.compare)))
+        built = type(cls)(cls.__name__, cls.__bases__, namespace)
+        built.__init__ = _make_init(built, declared, frozen, slots)
+        return built
     return make
 
 

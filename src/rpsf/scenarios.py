@@ -23,12 +23,11 @@ Custom scenarios can be loaded from JSON files mirroring the same shapes
 from __future__ import annotations
 
 import json
-from dataclasses import field
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .engine import Branch, Do, Plan, PlanStep, Stop, WaitFor
-from .money import Quantity, ZERO, parse_quantity, record, total_div
+from .money import Quantity, ZERO, field, parse_quantity, record, total_div
 from .world import (
     Action,
     ActionKind,

@@ -34,13 +34,12 @@ into their trade skeletons.
 
 from __future__ import annotations
 
-from dataclasses import field, replace as dc_replace
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import BoundExceeded, Do, Plan, Progression, RoundRobin, run
-from .money import Quantity, ZERO, record
+from .money import Quantity, ZERO, field, record, replace
 from .scenarios import Part, ScenarioInstance, compose, instance_to_dict, payment, wait
 from .world import (
     Action,
@@ -300,8 +299,8 @@ def synthesize(
     started (the asset must make a round trip). Exhaustive over the
     grounded trade skeleton space up to ``bound``, so found=False certifies
     non-existence relative to the bound and the disclosed grounding. An
-    empty perspective, or a name that is not among ``agents``, is a
-    ValueError.
+    empty agent name, an empty perspective, or a perspective name that is
+    not among ``agents``, is a ValueError.
 
     The search state is the goods' owners plus the integer nets, the
     pending settlements and the carried mismatch and displaced counts; no
@@ -314,6 +313,9 @@ def synthesize(
         raise BoundExceeded("bound must be nonnegative")
     if len(agents) < 2:
         raise ValueError("need at least two agents")
+    for i, name in enumerate(agents):
+        if not name:
+            raise ValueError(f"agent {i + 1} of {list(agents)} has an empty name")
     kinds = normalize_catalogue(catalogue)
     if perspective is None:
         persp = frozenset([agents[0]])
@@ -533,7 +535,7 @@ def witness_plans(actions: Sequence[Action],
     parts: list[Part] = []
     prev: Optional[Action] = None
     for index, action in enumerate(actions):
-        tagged = dc_replace(action, message=f"step-{index + 1}")
+        tagged = replace(action, message=f"step-{index + 1}")
         if prev is not None and prev.actor != tagged.actor:
             parts.append(wait(tagged.actor, kind=prev.kind, actor=prev.actor,
                               message=prev.message))
@@ -553,7 +555,7 @@ def witness_scenario(result: SynthesisResult, index: int) -> dict:
     world0, state = witness.origin
     accounts = {name: _required_endowment(name, witness.progression) for name in world0.agents}
     return instance_to_dict(ScenarioInstance(
-        name=f"witness-{index}", params={}, world=dc_replace(world0, accounts=accounts),
+        name=f"witness-{index}", params={}, world=replace(world0, accounts=accounts),
         plans=witness_plans(state.actions, state.pending),
         principals=(next(iter(world0.agents)),),
         horizon=max([due for _, _, _, due, _ in state.pending], default=0)))

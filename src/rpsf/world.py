@@ -27,14 +27,13 @@ information, coercion); annotations are author-supplied, never inferred.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from types import UnionType
 from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union, get_args,
                     get_origin, get_type_hints)
 
-from .money import Quantity, ZERO, parse_quantity, record
+from .money import MISSING, Quantity, ZERO, field, fields, parse_quantity, record, replace
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +874,7 @@ _KEEP = object()  # the "default" of a field that is written whatever it holds
 
 def codec_row(cls: type, keys: str, omit: str = "",
               defaults: Mapping[str, object] | None = None) -> None:
-    """Add a dataclass to the JSON table.
+    """Add a record class to the JSON table.
 
     ``keys`` lists every field's JSON key in output order, as ``key=field``
     where the two differ. ``omit`` names the fields left out while they hold
@@ -887,7 +886,7 @@ def codec_row(cls: type, keys: str, omit: str = "",
     if sorted(name for _, name in pairs) != sorted(f.name for f in declared):
         raise TypeError(f"codec row of {cls.__name__} must name each field once")
     if omit == "*":
-        omitted = frozenset(f.name for f in declared if _has_default(f))
+        omitted = frozenset(f.name for f in declared if f.has_default)
     else:
         omitted = frozenset(omit.split())
     _ROWS[cls] = _Row(pairs, omitted, dict(defaults or {}))
@@ -922,10 +921,6 @@ def _codec(tp: object) -> tuple[Optional[Callable], Callable]:
     if tp not in _CODECS:
         _CODECS[tp] = _build_codec(tp)
     return _CODECS[tp]
-
-
-def _has_default(f) -> bool:
-    return f.default is not MISSING or f.default_factory is not MISSING
 
 
 def _non_none(args: tuple) -> object:
@@ -1028,7 +1023,7 @@ def _row_codec(cls: type) -> tuple[Callable, Callable]:
         if name in row.omit:
             default = f.default if f.default is not MISSING else f.default_factory()
         decoders.append((key, name, _codec(tp)[1],
-                         name not in row.defaults and not _has_default(f)))
+                         name not in row.defaults and not f.has_default))
         if default is None and get_origin(tp) in (Union, UnionType):
             tp = _non_none(get_args(tp))  # left out while None: the encoder never sees None
         enc = env[f"enc{i}"] = _codec(tp)[0]

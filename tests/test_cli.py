@@ -110,6 +110,14 @@ class TestRun:
         assert (code, out) == (2, "")
         assert err == "error: RPSF_SEED must be a whole number, got 'abc'\n"
 
+    @pytest.mark.parametrize("strategy", ["round-robin", "random", "exhaustive"])
+    def test_every_strategy_stops_at_the_horizon(self, capsys, strategy):
+        code, out, err = invoke(capsys, "run", "loan_with_interest", "--horizon", "0",
+                                "--strategy", strategy)
+        assert (code, out) == (2, "")
+        assert err == ("error: HorizonExceeded: next scheduled activity at day 365 "
+                       "exceeds horizon 0\n")
+
     @pytest.mark.parametrize(("name", "builtin"), [("pi", "tawarruq_pi"),
                                                    ("loan_with_interest", "loan_with_interest")])
     @pytest.mark.parametrize("command", ["run", "list-scenarios"])
@@ -242,6 +250,15 @@ class TestSynthesize:
         assert (code, out) == (2, "")
         assert err == (f"error: perspective 'all' holds no agent of {target} among --agents "
                        f"['X', 'Y', 'Z']; known agents: {agents}\n")
+
+    @pytest.mark.parametrize("agents, entry", [("X,,Y", "agent 2 of ['X', '', 'Y']"),
+                                               ("X, ,Y", "agent 2 of ['X', '', 'Y']"),
+                                               ("X,Y,", "agent 3 of ['X', 'Y', '']")])
+    def test_empty_agent_name_exits_two(self, capsys, agents, entry):
+        code, out, err = invoke(capsys, "synthesize", "--target", "savings_account_with_interest",
+                                "--bound", "3", "--agents", agents)
+        assert (code, out) == (2, "")
+        assert err == f"error: {entry} has an empty name\n"
 
     def test_all_perspective_with_one_agent_of_the_target_runs(self, capsys):
         # loan_with_interest's agents are X and Y; Z enters as a free intermediary

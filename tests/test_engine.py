@@ -82,6 +82,16 @@ class TestRun:
         with pytest.raises(HorizonExceeded):
             run(trio, plans, RoundRobin(), horizon=50)
 
+    @pytest.mark.parametrize("strategy", [RoundRobin(), SeededRandom(3), Exhaustive()],
+                             ids=["round-robin", "random", "exhaustive"])
+    def test_every_strategy_names_the_first_wait_past_the_horizon(self, trio, strategy):
+        plans = [Plan("A", (WaitFor(ByDate(60)), WaitFor(ByDate(80)),
+                            Do(Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT, actor="A")))),
+                 chat("B", 2)]
+        with pytest.raises(HorizonExceeded, match="at day 60 exceeds horizon 50$"):
+            run(trio, plans, strategy, horizon=50)
+        assert run(trio, plans, strategy, horizon=80).world.clock == 80
+
     def test_clock_advances_to_wait_date(self, trio):
         plans = [Plan("A", (WaitFor(ByDate(30)),
                             Do(Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT, actor="A"))))]

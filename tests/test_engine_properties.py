@@ -1,7 +1,6 @@
 """Engine properties over random inputs: wait checks, scheduled and
 enumerated traces, replay, conservation and flow equivalence."""
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -22,7 +21,7 @@ from rpsf.engine import (  # noqa: E402
     enumerate_interleavings,
     run,
 )
-from rpsf.money import Quantity  # noqa: E402
+from rpsf.money import Quantity, replace  # noqa: E402
 from rpsf.synthesis import (  # noqa: E402
     ALL_AGENTS,
     Flow,

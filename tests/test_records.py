@@ -1,33 +1,48 @@
-"""The shared record methods against the ones ``dataclasses`` generates.
+"""Record classes against the classes ``dataclasses`` makes of the same bodies.
 
-Every record class of the package gets a twin made by ``dataclasses`` with
-the same fields, and instances of both are compared: equality, hashing and
-repr text must agree.
+Every record class of the package has a twin: its own class body, read from
+its module's source and run again with ``dataclasses.dataclass`` in place of
+``money.record`` and ``dataclasses.field`` in place of ``money.field``.
+Instances of both are compared: the ``__init__`` parameters and defaults,
+the fields, equality, hashing, repr text, ``replace`` and the frozen guards
+must agree, and copies and pickles keep every field.
 """
 
+import __future__
+
+import copy
 import dataclasses
+import functools
+import inspect
 import itertools
-from dataclasses import fields
+import pickle
+import sys
 
 import pytest
 
 from rpsf import engine, legality, money, scenarios, synthesis, world
-from rpsf.money import Quantity, record
+from rpsf.money import MISSING, Quantity, fields, record, replace
 
 RECORDS = sorted(
     (value for module in (money, world, engine, scenarios, legality, synthesis)
      for value in vars(module).values()
-     if isinstance(value, type) and dataclasses.is_dataclass(value)
+     if isinstance(value, type) and "_record_fields" in vars(value)
      and value.__module__ == module.__name__),
     key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+WITH_FACTORIES = [cls for cls in RECORDS if any(f.default_factory is not MISSING
+                                                for f in fields(cls))]
+FROZEN = [cls for cls in RECORDS if "__setattr__" in vars(cls)]
 
 
+@functools.cache
 def _twin(cls):
-    """The class ``dataclass`` alone makes of ``cls``'s fields."""
-    specs = [(f.name, f.type, dataclasses.field(repr=f.repr, compare=f.compare))
-             for f in fields(cls)]
-    return dataclasses.make_dataclass(cls.__name__, specs,
-                                      frozen=cls.__dataclass_params__.frozen)
+    """The class ``dataclass`` makes of ``cls``'s body, in its module."""
+    namespace = dict(vars(sys.modules[cls.__module__]),
+                     record=dataclasses.dataclass, field=dataclasses.field)
+    code = compile(inspect.getsource(cls), f"<twin of {cls.__qualname__}>", "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, namespace)
+    return namespace[cls.__name__]
 
 
 def _values(cls):
@@ -38,6 +53,92 @@ def test_every_record_class_is_found():
     names = {cls.__name__ for cls in RECORDS}
     assert len(RECORDS) == 46
     assert {"Quantity", "Action", "AfterEvent", "ByDate", "Witness", "_SearchState"} <= names
+    assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_init_and_fields_match_the_generated_ones(cls):
+    twin = _twin(cls)
+    assert [(f.name, f.repr, f.compare) for f in fields(cls)] == [
+        (f.name, f.repr, f.compare) for f in dataclasses.fields(twin)]
+    assert [f.name for f in fields(cls)] == list(cls.__annotations__)
+    mine = inspect.signature(cls.__init__).parameters.values()
+    theirs = inspect.signature(twin.__init__).parameters.values()
+    assert [(p.name, p.kind) for p in mine] == [(p.name, p.kind) for p in theirs]
+    for p, q, f in zip(list(mine)[1:], list(theirs)[1:], fields(cls)):
+        if f.default_factory is not MISSING:
+            assert p.default is MISSING and repr(q.default) == "<factory>"
+        elif q.default is inspect.Parameter.empty:
+            assert p.default is inspect.Parameter.empty
+        else:
+            assert type(p.default) is type(q.default) and p.default == q.default
+    assert ("__slots__" in vars(cls)) is ("__slots__" in vars(twin))
+    if "__slots__" in vars(cls):
+        assert not hasattr(cls(**_values(cls)), "__dict__")
+
+
+@pytest.mark.parametrize("cls", WITH_FACTORIES, ids=lambda cls: cls.__name__)
+def test_each_instance_gets_a_fresh_default(cls):
+    required = {f.name: i for i, f in enumerate(fields(cls)) if not f.has_default}
+    first, second, twin = cls(**required), cls(**required), _twin(cls)(**required)
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            assert getattr(first, f.name) is not getattr(second, f.name)
+            assert getattr(first, f.name) == getattr(twin, f.name)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_replace_matches_dataclasses_replace(cls):
+    twin = _twin(cls)
+    base = _values(cls)
+    mine, theirs = cls(**base), twin(**base)
+    # each field changed on its own, then all of them at once
+    changes = [{name: value + 100} for name, value in base.items()]
+    for change in changes + [{k: v for c in changes for k, v in c.items()}]:
+        a, b = replace(mine, **change), dataclasses.replace(theirs, **change)
+        assert type(a) is cls
+        assert [getattr(a, n) for n in base] == [getattr(b, n) for n in base]
+    assert replace(mine) == mine and replace(mine) is not mine
+    with pytest.raises(TypeError):
+        replace(mine, no_such_field=1)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_records_refuse_assignment_and_deletion(cls):
+    base = _values(cls)
+    for obj in (cls(**base), _twin(cls)(**base)):
+        for name in base:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 7)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert [getattr(obj, name) for name in base] == [getattr(cls(**base), name)
+                                                          for name in base]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_copy_and_pickle_keep_every_field(cls):
+    base = _values(cls)
+    obj = cls(**base)
+    for copied in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(copied) is cls and copied is not obj
+        assert [getattr(copied, name) for name in base] == [getattr(obj, name) for name in base]
+
+
+def test_post_init_is_looked_up_on_each_call(monkeypatch):
+    # a counter that wraps Quantity.__post_init__ after import sees every call
+    calls = []
+    original = Quantity.__post_init__
+    monkeypatch.setattr(Quantity, "__post_init__", lambda self: calls.append(1) or original(self))
+    assert Quantity(2, 4) == Quantity(1, 2) and len(calls) == 2
+
+
+def test_a_record_that_is_not_frozen_takes_assignment():
+    assert [cls.__name__ for cls in RECORDS if cls not in FROZEN] == ["_SearchState"]
+    state = synthesis._SearchState(**_values(synthesis._SearchState))
+    state.prepared = 5
+    del state.used
+    assert state.prepared == 5 and not hasattr(state, "used")
 
 
 @pytest.mark.parametrize("cls", [c for c in RECORDS if c is not Quantity],
@@ -111,3 +212,9 @@ def test_what_record_adds_matches_what_dataclass_adds(body, frozen):
     if mine.__hash__ is not None:
         assert hash(mine(1)) == hash(theirs(1))
     assert (mine(1) == mine(2)) is (theirs(1) == theirs(2))
+
+
+def test_a_default_may_not_precede_a_required_field():
+    body = {"__annotations__": {"x": int, "y": int}, "x": 0}
+    with pytest.raises(TypeError, match="non-default argument 'y' follows default argument"):
+        record()(type("R", (), body))

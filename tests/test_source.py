@@ -9,9 +9,6 @@ import pytest
 PACKAGE = Path(__file__).parents[1] / "src" / "rpsf"
 # __init__.py re-exports what it imports, so its imports are its API
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
-# the one function that may call dataclasses.dataclass: money.record, which
-# gives every record class the shared __repr__, __eq__ and __hash__
-RECORD_HELPER = ("money.py", "record")
 # an import kept on purpose says so on its line, with the reason after the code
 KEPT = re.compile(r"#\s*noqa:\s*F401\b\s*\S")
 # the classes that may write their own JSON; every other record gets a codec
@@ -59,61 +56,46 @@ def test_the_gate_sees_an_unused_name_and_a_kept_one():
     assert unused_imports(text) == ["line 2: os", "line 3: dumps", "line 6: path"]
 
 
-def bare_dataclasses(text: str, helper_name: str = "") -> list[str]:
-    """Reads of ``dataclasses.dataclass`` or ``make_dataclass`` outside the
-    function ``helper_name``: a class made there would have its methods
-    generated and compiled again instead of sharing the record methods."""
-    tree = ast.parse(text)
-    helper = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == helper_name:
-            helper.update(id(inner) for inner in ast.walk(node))
-    makers, modules = {"dataclass", "make_dataclass"}, set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
-            makers.update(a.asname for a in node.names if a.asname
-                          and a.name in ("dataclass", "make_dataclass"))
-        elif isinstance(node, ast.Import):
-            modules.update(a.asname or a.name for a in node.names if a.name == "dataclasses")
+def dataclasses_imports(text: str) -> list[str]:
+    """Every import of ``dataclasses``, under any name and at any depth.
+
+    Importing it loads ``inspect`` and ``ast`` into every command; the
+    record classes come from ``money.record`` instead."""
     found = []
-    for node in ast.walk(tree):
-        if id(node) in helper:
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")):
+            names = [str(node.args[0].value)]
+        else:
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in makers:
-            found.append((node.lineno, node.id))
-        elif (isinstance(node, ast.Attribute) and node.attr in ("dataclass", "make_dataclass")
-              and isinstance(node.value, ast.Name) and node.value.id in modules):
-            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
-    return [f"line {line}: {name}" for line, name in sorted(found)]
+        if any(name == "dataclasses" or name.startswith("dataclasses.") for name in names):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
 
 
+# With no module importing dataclasses, every class with fields is a record.
 @pytest.mark.parametrize("module", MODULES)
 def test_every_dataclass_is_a_record(module):
-    helper_name = RECORD_HELPER[1] if module == RECORD_HELPER[0] else ""
-    assert bare_dataclasses((PACKAGE / module).read_text(), helper_name) == []
+    assert dataclasses_imports((PACKAGE / module).read_text()) == []
 
 
 def test_the_gate_sees_each_way_round_the_record_helper():
     text = ("import dataclasses\n"
-            "import dataclasses as dc\n"
-            "from dataclasses import dataclass, field, make_dataclass as md\n"
-            "def record(**options):\n"
-            "    return lambda cls: dataclass(cls, **options)\n"
-            "@record(frozen=True)\n"
-            "class Kept:\n"
-            "    x: int = field(default=0)\n"
-            "@dataclass(frozen=True)\n"
-            "class A:\n"
-            "    x: int\n"
-            "@dataclasses.dataclass\n"
-            "class B:\n"
-            "    x: int\n"
-            "C = dc.dataclass(type('C', (), {}))\n"
-            "D = md('D', ['x'])\n")
-    assert bare_dataclasses(text, "record") == [
-        "line 9: dataclass", "line 12: dataclasses.dataclass", "line 15: dc.dataclass",
-        "line 16: md"]
-    assert bare_dataclasses(text)[0] == "line 5: dataclass"  # outside money.py
+            "import os, dataclasses as dc\n"
+            "from dataclasses import field\n"
+            "from json import dumps\n"
+            "def make():\n"
+            "    from dataclasses import dataclass as d\n"
+            "    return __import__('dataclasses'), importlib.import_module('dataclasses')\n"
+            "print('dataclasses')\n"
+            "dataclasses_like = 1\n")
+    assert dataclasses_imports(text) == [
+        "line 1", "line 2", "line 3", "line 6", "line 7", "line 7"]
 
 
 def hand_written_encoders(text: str) -> list[str]:

@@ -1,10 +1,9 @@
-"""What a command loads at start: its modules and its generated methods.
+"""What a command loads at start: its modules, and no code-generation tools.
 
 Each check runs a fresh interpreter, since this process has every module
 loaded already.
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -35,17 +34,17 @@ PACKAGE_NAMES = {
                  "monetary_projection net_positions synthesize witness_scenario",
 }
 
-# runs one CLI command as ``python -m rpsf.cli`` does, then reports on stderr
+# runs one CLI command as ``python -m rpsf.cli`` does, then names every
+# loaded module on stderr
 _AFTER_COMMAND = """
 import runpy, sys
-{before}
 sys.argv = ["rpsf", *sys.argv[1:]]
 try:
     runpy.run_module("rpsf.cli", run_name="__main__", alter_sys=True)
 except SystemExit:
     pass
 sys.stdout.flush()
-print({report}, file=sys.stderr)
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
 """
 
 
@@ -60,8 +59,7 @@ def _python(code: str, *argv: str) -> str:
 
 
 def _loaded_after(*argv: str) -> set[str]:
-    report = "' '.join(sorted(m for m in sys.modules if m.startswith('rpsf')))"
-    return set(_python(_AFTER_COMMAND.format(before="", report=report), *argv).split())
+    return set(_python(_AFTER_COMMAND, *argv).split())
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -101,18 +99,20 @@ def test_names_resolve_in_their_modules():
         rpsf.nothing
 
 
-@pytest.mark.skipif(not hasattr(dataclasses, "_create_fn"),
-                    reason="this Python builds dataclass methods without _create_fn")
-def test_list_scenarios_generates_at_most_105_methods():
-    # dataclasses compiles each generated method from source through
-    # _create_fn; with the shared record methods, only __init__ and the
-    # frozen guards of the 35 classes in money, world, engine and scenarios
-    before = ("import dataclasses\n"
-              "calls = []\n"
-              "original = dataclasses._create_fn\n"
-              "def counting(*args, **kwargs):\n"
-              "    calls.append(args[0])\n"
-              "    return original(*args, **kwargs)\n"
-              "dataclasses._create_fn = counting\n")
-    assert int(_python(_AFTER_COMMAND.format(before=before, report="len(calls)"),
-                       "list-scenarios")) <= 105
+# what importing dataclasses loads to generate methods from source; no
+# command needs any of it, since money.record builds the record classes
+SOURCE_TOOLS = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("list-scenarios",),
+    ("run", "loan_with_interest"),
+    ("judge", "ina_two_party"),
+    ("compare", "pi_prime", "savings_account_with_interest", "--perspective", "X"),
+    ("synthesize", "--target", "savings_account_with_interest", "--bound", "3"),
+    ("enumerate", "tawarruq_classic"),
+], ids=lambda argv: argv[0])
+def test_a_command_loads_no_source_tools(argv):
+    loaded = _loaded_after(*argv)
+    assert "rpsf.scenarios" in loaded
+    assert loaded.isdisjoint(SOURCE_TOOLS)
