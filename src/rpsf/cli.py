@@ -322,7 +322,7 @@ def _cmd_enumerate(args) -> int:
     instance = _instantiate(args, extras)
     progressions = enumerate_interleavings(
         instance.world, instance.plans, bound=args.bound,
-        choice_points=instance.choice_points,
+        choice_points=instance.choice_points, horizon=instance.horizon,
     )
     payload = {
         "scenario": instance.name,

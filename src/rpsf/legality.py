@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .engine import Progression
 from .money import Quantity, ZERO, record, replace, total_div
 from .scenarios import ScenarioInstance
-from .world import (ActionKind, ContractRecord, Event, HistoryLog, WorldState, codec_row,
-                    value_from_dict, value_to_dict)
+from .world import (CASH_LEGS, ActionKind, ContractRecord, Event, HistoryLog, WorldState,
+                    codec_row, net_cells, value_from_dict, value_to_dict)
 
 
 class Verdict(str, Enum):
@@ -109,8 +108,7 @@ class InaFinding:
 # facts and detectors
 # ---------------------------------------------------------------------------
 
-_PAY, _RECEIVE = ActionKind.PAY, ActionKind.RECEIVE_PAYMENT
-_SPOT, _CREDIT = ActionKind.SPOT_SALE, ActionKind.BUY_ON_CREDIT
+_SALES = (ActionKind.SPOT_SALE, ActionKind.BUY_ON_CREDIT)
 
 
 class _once:
@@ -136,12 +134,12 @@ class _once:
 class _Facts:
     """What the detectors read of one history, gathered in one walk of it.
 
-    The walk collects the sales by good, the money transfers by cited
-    contract, the tagged events and, for ``events`` (a progression's own
-    events, the tail of the history), the events that carry an amount and
-    the net cash per (agent, day) of the flows ``cash_flows`` gives, as
-    integers over one common denominator ``scale``. Each finding is
-    derived from these once, when a rule first asks for it.
+    The walk reads who pays whom from ``world.CASH_LEGS``. It collects the
+    sales by good, the money transfers by cited contract, the tagged events
+    and, for ``events`` (a progression's own events, the tail of the
+    history), the events that carry an amount and their cash, netted by
+    ``world.net_cells`` into ``sums`` over ``scale``. Each finding is derived
+    from these once, when a rule first asks for it.
     """
 
     def __init__(self, history: HistoryLog, events: Sequence[Event] = (),
@@ -151,47 +149,32 @@ class _Facts:
         self.transfers: dict[str, list] = {}  # contract id -> [(event, payer, payee, amount)]
         self.tagged: list[Event] = []
         self.cash: list[Event] = []
-        sums: dict[str, dict[int, int]] = {}  # agent -> day -> net cash times scale
-        scale, tail = 1, len(history) - len(events)
+        rows = []  # (payer, payee, paid, day) of the tail's cash-moving events
+        tail, legs = len(history) - len(events), CASH_LEGS.get
         for i, event in enumerate(history):
             action = event.action
             if action.tags:
                 self.tagged.append(event)
             kind = action.kind
-            if kind is _PAY or kind is _CREDIT:
-                payer, payee = action.actor, action.counterparty
-            elif kind is _RECEIVE or kind is _SPOT:
-                payer, payee = action.counterparty, action.actor
-            else:
+            leg = legs(kind)
+            if leg is None:
                 continue
-            refs = tuple(action.reason.contract_ids) if action.reason else ()
-            amount = action.amount
-            if kind is _SPOT or kind is _CREDIT:
+            payer, payee, paid = leg(action)
+            refs = action.reason.contract_ids if action.reason else ()
+            if kind in _SALES:  # the buyer pays the seller
                 self.sales.setdefault(action.good_id, []).append((event, payee, payer, refs))
-            elif amount is not None and amount.num:
+            elif paid is not None and paid.num:
                 for cid in refs:
-                    self.transfers.setdefault(cid, []).append((event, payer, payee, amount))
+                    self.transfers.setdefault(cid, []).append((event, payer, payee, paid))
             if i >= tail:
-                if amount is not None:
+                if action.amount is not None:
                     self.cash.append(event)
-                paid = action.down_payment if kind is _CREDIT else amount
-                if paid is None or paid.num <= 0:
-                    continue
-                if scale % paid.den:  # bring every sum to the new common denominator
-                    grow = lcm(scale, paid.den) // scale
-                    for per_day in sums.values():
-                        for day in per_day:
-                            per_day[day] *= grow
-                    scale *= grow
-                scaled, date = paid.num * (scale // paid.den), event.date
-                per_day = sums.setdefault(payer, {})
-                per_day[date] = per_day.get(date, 0) - scaled
-                per_day = sums.setdefault(payee, {})
-                per_day[date] = per_day.get(date, 0) + scaled
+                if paid is not None and paid.num > 0:
+                    rows.append((payer, payee, paid, event.date))
+        self.scale, self.sums = net_cells(rows)
         if history[tail:] != events:  # a progression built by hand
             own = _Facts(events, events)
-            sums, scale, self.cash = own.sums, own.scale, own.cash
-        self.sums, self.scale = sums, scale
+            self.sums, self.scale, self.cash = own.sums, own.scale, own.cash
 
     @_once
     def riba(self) -> list[RibaFinding]:
@@ -219,6 +202,13 @@ class _Facts:
 
     @_once
     def loan_profiles(self) -> list[tuple[str, Quantity, Quantity, int, tuple[int, ...]]]:
+        """Agents whose net cash flow is 'money out first, more money back later'.
+
+        Returns (agent, out_sum P, back_sum R, duration, event refs) for every
+        agent with exactly two nonzero net-flow dates: negative then positive
+        with a strictly positive gain. This is the functional shadow of an
+        interest-bearing loan, whatever the contracts say.
+        """
         profiles, scale = [], self.scale
         for agent in sorted(self.sums):
             dated = sorted(cell for cell in self.sums[agent].items() if cell[1])
@@ -295,17 +285,6 @@ def effective_interest_rate(principal: Quantity, repayment: Quantity, t: int) ->
     if t <= 0:
         raise ZeroDuration(f"duration must be positive, got {t}")
     return total_div(repayment - principal, principal) * total_div(Quantity(365), Quantity(t))
-
-
-def loan_profiles(progression: Progression) -> list[tuple[str, Quantity, Quantity, int, tuple[int, ...]]]:
-    """Agents whose net cash flow is 'money out first, more money back later'.
-
-    Returns (agent, out_sum P, back_sum R, duration, event refs) for every
-    agent with exactly two nonzero net-flow dates: negative then positive
-    with a strictly positive gain. This is the functional shadow of an
-    interest-bearing loan, whatever the contracts say.
-    """
-    return list(_facts_of(progression).loan_profiles)
 
 
 # The facts of the last progression judged, swapped in whole as one

@@ -35,13 +35,14 @@ into their trade skeletons.
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import BoundExceeded, Do, Plan, Progression, RoundRobin, run
 from .money import Quantity, ZERO, field, record, replace
 from .scenarios import Part, ScenarioInstance, compose, instance_to_dict, payment, wait
 from .world import (
+    CASH_LEGS,
     Action,
     ActionKind,
     Agent,
@@ -56,6 +57,7 @@ from .world import (
     apply_event,  # noqa: F401  unused; perfbench/test_perfbench.py wraps this binding
     codec_row,
     make_world,
+    net_cells,
     value_to_dict,
 )
 
@@ -82,6 +84,8 @@ codec_row(Flow, "payer payee amount date")
 
 FlowTrace = tuple[Flow, ...]
 
+_flow_row = attrgetter("payer", "payee", "amount", "date")
+
 
 def canonical(flows: Iterable[Flow]) -> FlowTrace:
     return tuple(sorted(flows, key=lambda f: (f.date, f.payer, f.payee, f.amount)))
@@ -93,21 +97,16 @@ def cash_flows(events: Iterable[Event]) -> Iterator[Flow]:
     Payments, receipts, spot-sale settlements and credit-sale down payments
     appear at their event dates; deferred credit legs appear through the
     explicit settlement payments that discharge them, at their due dates.
-    Zero-sum entries are omitted (amounts in a trace are positive).
+    Zero-sum entries are omitted (amounts in a trace are positive). Who
+    pays whom, and how much, is ``world.CASH_LEGS``.
     """
     for event in events:
         action = event.action
-        kind = action.kind
-        if kind == ActionKind.PAY:
-            amount, payer, payee = action.amount, action.actor, action.counterparty
-        elif kind == ActionKind.RECEIVE_PAYMENT or kind == ActionKind.SPOT_SALE:
-            amount, payer, payee = action.amount, action.counterparty, action.actor
-        elif kind == ActionKind.BUY_ON_CREDIT:
-            amount, payer, payee = action.down_payment, action.actor, action.counterparty
-        else:
-            continue
-        if amount is not None and amount.num > 0:
-            yield Flow(payer, payee, amount, event.date)
+        leg = CASH_LEGS.get(action.kind)
+        if leg is not None:
+            payer, payee, paid = leg(action)
+            if paid is not None and paid.num > 0:
+                yield Flow(payer, payee, paid, event.date)
 
 
 def monetary_projection(progression: Progression) -> FlowTrace:
@@ -120,22 +119,11 @@ def net_positions(trace: Iterable[Flow]) -> dict[str, dict[int, Quantity]]:
     """Signed net cash per agent per day; zero entries are dropped.
 
     Agents and days appear in the order the flows first name them. The sums
-    are integers over the least common denominator of the amounts, and one
-    Quantity is built per nonzero (agent, day). Summing any day's entries
-    over all agents gives zero: payments conserve money by construction.
+    are ``world.net_cells``' integers, and one Quantity is built per nonzero
+    (agent, day). Summing any day's entries over all agents gives zero:
+    each flow adds -x and +x on one day.
     """
-    flows = tuple(trace)
-    scale = 1
-    for flow in flows:
-        scale = lcm(scale, flow.amount.den)
-    sums: dict[str, dict[int, int]] = {}
-    for flow in flows:
-        amount, date = flow.amount, flow.date
-        scaled = amount.num * (scale // amount.den)
-        per_day = sums.setdefault(flow.payer, {})
-        per_day[date] = per_day.get(date, 0) - scaled
-        per_day = sums.setdefault(flow.payee, {})
-        per_day[date] = per_day.get(date, 0) + scaled
+    scale, sums = net_cells(list(map(_flow_row, trace)))
     nets: dict[str, dict[int, Quantity]] = {}
     for agent, per_day in sums.items():
         kept = {date: Quantity(total, scale) for date, total in per_day.items() if total}
@@ -173,26 +161,16 @@ def equivalent(a: FlowTrace, b: FlowTrace, perspective=ALL_AGENTS) -> bool:
     """Exact per-(agent, day) net equality over the perspective.
 
     ``perspective`` is either the string "all" (every agent appearing in
-    either trace, plus a per-date conservation check on both sides) or a
-    nonempty iterable of agent names to restrict to; an empty one is a
-    ValueError.
+    either trace) or a nonempty iterable of agent names to restrict to; an
+    empty one is a ValueError.
 
     It sees flows, not agents: a name that appears in neither trace has no
     nets on either side, so it compares equal. The CLI checks the names
     against both products' agents (``check_perspective``) before calling.
     """
     nets_a, nets_b = net_positions(a), net_positions(b)
-    if perspective == ALL_AGENTS:
-        agents = set(nets_a) | set(nets_b)
-        for trace_nets in (nets_a, nets_b):
-            by_date: dict[int, Quantity] = {}
-            for per_day in trace_nets.values():
-                for d, v in per_day.items():
-                    by_date[d] = by_date.get(d, ZERO) + v
-            if any(v != ZERO for v in by_date.values()):
-                return False
-    else:
-        agents = _perspective_agents(perspective)
+    agents = (set(nets_a) | set(nets_b) if perspective == ALL_AGENTS
+              else _perspective_agents(perspective))
     return all(nets_a.get(agent, {}) == nets_b.get(agent, {}) for agent in agents)
 
 
@@ -329,13 +307,10 @@ def synthesize(
     amounts = tuple(sorted({f.amount for f in target}))
     future_dates = tuple(sorted({f.date for f in target if f.date > 0}))
     # every trade price is a target amount, so the search's nets are integers
-    # over the lcm of the amounts' denominators
-    scale = 1
-    for amount in amounts:
-        scale = lcm(scale, amount.den)
-    target_cells = {(agent, day): value.num * (scale // value.den)
-                    for agent, per_day in net_positions(target).items() if agent in persp
-                    for day, value in per_day.items()}
+    # over the target's scale
+    scale, sums = net_cells(list(map(_flow_row, target)))
+    target_cells = {(agent, day): value for agent, per_day in sums.items() if agent in persp
+                    for day, value in per_day.items() if value}
     frame = _Frame(scale=scale, target=target_cells, perspective=persp)
 
     roles = [Role.PERSON, Role.BANK] + [Role.COMPANY] * (len(agents) - 2)
@@ -395,7 +370,7 @@ def synthesize(
                 gid = f"g{len(owners)}"
                 yield Action(kind=ActionKind.PREPARE_GOOD, actor=owner, good_id=gid,
                              good_spec=GoodSpec(kind="asset", market_value=good_value,
-                                                block_size=block))
+                                                block_size=block)), None, None
         for gid in sorted(owners):
             owner = owners[gid]
             for buyer in agents:
@@ -404,14 +379,14 @@ def synthesize(
                 if "spot-sale" in kinds:
                     for price in amounts:
                         yield Action(kind=ActionKind.SPOT_SALE, actor=owner,
-                                     counterparty=buyer, amount=price, good_id=gid)
+                                     counterparty=buyer, amount=price, good_id=gid), buyer, owner
                 if "credit-sale" in kinds:
                     for price in amounts:
                         for due in future_dates:
                             yield Action(kind=ActionKind.BUY_ON_CREDIT, actor=buyer,
                                          counterparty=owner, amount=price,
                                          down_payment=ZERO, due_date=due, good_id=gid,
-                                         contract_id=f"settle-{len(state.actions)}")
+                                         contract_id=f"settle-{len(state.actions)}"), buyer, owner
 
     def dfs(state: _SearchState) -> None:
         nonlocal explored
@@ -428,8 +403,8 @@ def synthesize(
         children = moves.get(key)
         if children is None:
             children = moves[key] = tuple(candidates(state))
-        for action in children:
-            dfs(_successor(state, action))
+        for action, buyer, seller in children:
+            dfs(_successor(state, action, buyer, seller))
 
     dfs(_SearchState(frame=frame, owners=dict(home), home=home, nets={},
                      mismatch=len(target_cells), displaced=0, pending=(), used=used0,
@@ -453,11 +428,13 @@ def synthesize(
     )
 
 
-def _successor(state: _SearchState, action: Action) -> _SearchState:
+def _successor(state: _SearchState, action: Action, buyer: Optional[str],
+               seller: Optional[str]) -> _SearchState:
     """The search state after one trial step; no ``WorldState`` is touched.
 
-    A trade changes one good's owner and two cells of the nets, so only
-    those update the carried ``displaced`` and ``mismatch`` counts.
+    In a trade ``buyer`` pays ``seller``, as the candidate that built it says;
+    it changes one good's owner and two cells of the nets, so only those
+    update the carried ``displaced`` and ``mismatch`` counts.
     """
     owners = dict(state.owners)
     actions = state.actions + (action,)
@@ -469,11 +446,10 @@ def _successor(state: _SearchState, action: Action) -> _SearchState:
         return _SearchState(state.frame, owners, home, state.nets, state.mismatch,
                             state.displaced, state.pending, used | {action.actor},
                             state.prepared + 1, actions)
-    if kind is ActionKind.SPOT_SALE:  # the actor sells for cash now
-        seller, buyer, date = action.actor, action.counterparty, 0
-        pending = state.pending
-    else:  # the actor buys on credit: cash moves at the due date via settlement
-        buyer, seller, date = action.actor, action.counterparty, action.due_date
+    if kind is ActionKind.SPOT_SALE:  # for cash now
+        date, pending = 0, state.pending
+    else:  # on credit: cash moves at the due date via settlement
+        date = action.due_date
         pending = state.pending + ((buyer, seller, action.amount, date, action.contract_id),)
     owners[gid] = buyer
     home_owner = state.home[gid]

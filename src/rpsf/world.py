@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from math import lcm
 from operator import attrgetter
 from types import UnionType
 from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union, get_args,
@@ -79,12 +80,6 @@ class Role(str, Enum):
 class Agent:
     name: str
     role: Role = Role.PERSON
-
-
-@record(frozen=True, slots=True)
-class Account:
-    owner: str
-    balance: Quantity
 
 
 @record(frozen=True, slots=True)
@@ -433,11 +428,6 @@ class WorldState:
     def balance(self, agent: str) -> Quantity:
         return self.accounts.get(agent, ZERO)
 
-    def account(self, agent: str) -> Account:
-        if agent not in self.agents:
-            raise UnknownReference(f"unknown agent {agent!r}")
-        return Account(owner=agent, balance=self.accounts.get(agent, ZERO))
-
     def total_money(self) -> Quantity:
         total = ZERO
         for value in self.accounts.values():
@@ -510,6 +500,34 @@ def _check_good_value(value: Optional[Quantity], block: Quantity, good_id: str) 
 # the transition function
 # ---------------------------------------------------------------------------
 
+# The cash rule: the four kinds that move cash at their event, each mapped to
+# what its action gives as (payer, payee, sum paid then). A sale's buyer pays
+# its seller; a credit sale pays its down payment now and the rest through a
+# later PAY that discharges its settlement contract.
+CASH_LEGS: dict[ActionKind, Callable[[Action], tuple]] = {
+    ActionKind.PAY: attrgetter("actor", "counterparty", "amount"),
+    ActionKind.RECEIVE_PAYMENT: attrgetter("counterparty", "actor", "amount"),
+    ActionKind.SPOT_SALE: attrgetter("counterparty", "actor", "amount"),
+    ActionKind.BUY_ON_CREDIT: attrgetter("actor", "counterparty", "down_payment"),
+}
+
+
+def net_cells(rows: Sequence[tuple[str, str, Quantity, int]]) -> tuple[int, dict[str, dict[int, int]]]:
+    """Net cash per agent and day of ``(payer, payee, amount, day)`` rows, as
+    ``(scale, sums)``: ``sums[agent][day]`` is the net times ``scale``, the
+    least common denominator of the amounts, so an integer. Agents and days
+    come in the order the rows first name them; cancelled cells hold 0."""
+    scale = lcm(*{amount.den for _, _, amount, _ in rows})
+    sums: dict[str, dict[int, int]] = {}
+    for payer, payee, amount, day in rows:
+        scaled = amount.num * (scale // amount.den)
+        per_day = sums.setdefault(payer, {})
+        per_day[day] = per_day.get(day, 0) - scaled
+        per_day = sums.setdefault(payee, {})
+        per_day[day] = per_day.get(day, 0) + scaled
+    return scale, sums
+
+
 def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
     """Apply one action at the given date, returning the successor world.
 
@@ -560,35 +578,34 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
         deltas.append(f"contract {record.contract_id} {record.stage.value}")
 
     kind = action.kind
-    if kind == ActionKind.PAY:
+    if kind in CASH_LEGS:
+        payer, payee, paid = CASH_LEGS[kind](action)
+    if kind == ActionKind.PAY or kind == ActionKind.RECEIVE_PAYMENT:
         _need(action, "counterparty", "amount")
-        move_cash(action.actor, action.counterparty, action.amount)
-    elif kind == ActionKind.RECEIVE_PAYMENT:
-        _need(action, "counterparty", "amount")
-        move_cash(action.counterparty, action.actor, action.amount)
+        move_cash(payer, payee, paid)
     elif kind == ActionKind.SPOT_SALE:
         _need(action, "counterparty", "amount", "good_id")
-        move_good(action.good_id, action.actor, action.counterparty)
-        move_cash(action.counterparty, action.actor, action.amount)
+        move_good(action.good_id, payee, payer)
+        move_cash(payer, payee, paid)
     elif kind == ActionKind.BUY_ON_CREDIT:
         _need(action, "counterparty", "amount", "due_date")
         if action.good_id is None:
             raise ValidationError("buy-on-credit requires a good")
         if action.due_date < date:
             raise ValidationError("credit due date precedes the sale date")
-        down = action.down_payment or ZERO
+        down = paid or ZERO
         if down > action.amount:
             raise ValidationError("down payment exceeds the credit price")
-        move_good(action.good_id, action.counterparty, action.actor)
+        move_good(action.good_id, payee, payer)
         if down > ZERO:
-            move_cash(action.actor, action.counterparty, down)
+            move_cash(payer, payee, down)
         # the settlement: a promise to pay the rest by the due date, signed by both, no terms
-        add_contract(promise_to_contract(
-            replace(action, kind=ActionKind.PROMISE_PAY, amount=action.amount - down, terms=None),
-            contract_id=action.contract_id or f"credit-{seq}"))
+        add_contract(promise_to_contract(replace(
+            action, kind=ActionKind.PROMISE_PAY, amount=action.amount - down, terms=None,
+            signing=SigningMode.BOTH_PARTIES, contract_id=action.contract_id or f"credit-{seq}")))
     elif kind in PROMISE_KINDS:
-        record = promise_to_contract(action, action.signing, contract_id=action.contract_id or f"promise-{seq}")
-        add_contract(record)
+        add_contract(promise_to_contract(
+            replace(action, contract_id=action.contract_id or f"promise-{seq}")))
     elif kind == ActionKind.PREPARE_CONTRACT:
         _need(action, "contract_id")
         parties = action.parties or ((action.actor, action.counterparty) if action.counterparty else (action.actor,))
@@ -701,21 +718,17 @@ def _validate_common(world: WorldState, action: Action) -> None:
 # promises to contracts
 # ---------------------------------------------------------------------------
 
-def promise_to_contract(
-    promise: Action,
-    signing_mode: SigningMode = SigningMode.BOTH_PARTIES,
-    contract_id: Optional[str] = None,
-) -> ContractRecord:
-    """Turn a promise action into the signed contract it produces.
+def promise_to_contract(promise: Action) -> ContractRecord:
+    """Turn a promise action into the contract it produces, under its ``contract_id``.
 
-    One clause per promised obligation; stage is PARTIALLY_SIGNED when only
-    the initiator signs, ACTIVE when both parties do.
+    One clause per promised obligation; stage is PARTIALLY_SIGNED when its
+    ``signing`` is INITIATOR_ONLY, ACTIVE when both parties sign.
     """
     if promise.kind not in PROMISE_KINDS:
         raise ValidationError(f"{promise.kind.value} is not a promise")
     if promise.counterparty is None:
         raise ValidationError("a promise needs a counterparty")
-    cid = contract_id or promise.contract_id
+    cid = promise.contract_id
     if cid is None:
         raise ValidationError("promise contract needs an id")
     actor, other = promise.actor, promise.counterparty
@@ -750,7 +763,7 @@ def promise_to_contract(
     ),)
 
     parties = frozenset({actor, other})
-    if signing_mode == SigningMode.BOTH_PARTIES:
+    if promise.signing == SigningMode.BOTH_PARTIES:
         signatures, stage = parties, Stage.ACTIVE
     else:
         signatures, stage = frozenset({actor}), Stage.PARTIALLY_SIGNED
@@ -1093,7 +1106,6 @@ def _union_decoder(tags: Mapping[str, type]) -> Callable:
 
 
 codec_row(Agent, "name role")
-codec_row(Account, "owner balance")
 codec_row(Good, "good_id kind owner market_value block_size is_money",
           defaults={"kind": "asset", "market_value": None})
 codec_row(GoodSpec, "kind market_value block_size is_money",
@@ -1132,7 +1144,7 @@ def world_to_dict(world: WorldState, include_history: bool = True) -> dict:
         "clock": world.clock,
         "overdraft_allowed": world.overdraft_allowed,
         "agents": [value_to_dict(world.agents[name]) for name in sorted(world.agents)],
-        "accounts": [value_to_dict(Account(name, world.accounts[name]))
+        "accounts": [{"owner": name, "balance": str(world.accounts[name])}
                      for name in sorted(world.accounts)],
         "goods": [value_to_dict(world.goods[g]) for g in sorted(world.goods)],
         "contracts": [value_to_dict(world.contracts[c]) for c in sorted(world.contracts)],

@@ -11,10 +11,10 @@ import pytest
 
 from rpsf import cli
 from rpsf.cli import main
-from rpsf.engine import Do, Plan
+from rpsf.engine import Do, Plan, WaitFor
 from rpsf.money import Quantity
 from rpsf.scenarios import ScenarioInstance, instance_to_dict
-from rpsf.world import Action, ActionKind, Agent, Good, make_world
+from rpsf.world import Action, ActionKind, Agent, ByDate, Good, make_world
 
 
 def q(n, d=1):
@@ -353,6 +353,23 @@ class TestEnumerate:
                               "--bound", "3")
         assert code == 2
         assert "BoundExceeded" in err
+
+    @pytest.mark.parametrize("argv", [("run",), ("run", "--strategy", "exhaustive"),
+                                      ("judge",), ("enumerate",)])
+    def test_a_file_scenario_stops_at_its_own_horizon(self, capsys, tmp_path, argv):
+        """A wait past the scenario's horizon is an error under every command
+        that runs its plans, enumerate included."""
+        world = make_world(agents=[Agent("X"), Agent("Y")], balances={"X": q(10)})
+        pay = Action(kind=ActionKind.PAY, actor="X", counterparty="Y", amount=q(5))
+        plans = (Plan("X", (WaitFor(ByDate(20)), Do(pay))),)
+        instance = ScenarioInstance(name="late", params={}, world=world, plans=plans,
+                                    principals=("X",), horizon=10)
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps({"scenarios": [instance_to_dict(instance)]}))
+        code, out, err = invoke(capsys, argv[0], "late", *argv[1:], "--scenario-file", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: HorizonExceeded: next scheduled activity at day 20 "
+                       "exceeds horizon 10\n")
 
 
 @pytest.mark.parametrize("argv, code", [

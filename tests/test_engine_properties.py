@@ -1,5 +1,6 @@
 """Engine properties over random inputs: wait checks, scheduled and
-enumerated traces, replay, conservation and flow equivalence."""
+enumerated traces, replay, conservation, flow equivalence, and the one cash
+rule that the ledger, the flows and the legality facts all read."""
 
 from itertools import product
 
@@ -8,12 +9,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from rpsf import legality  # noqa: E402
 from rpsf.engine import (  # noqa: E402
     Branch,
     DeadlockDetected,
     Do,
     Exhaustive,
     Plan,
+    Progression,
     RoundRobin,
     SeededRandom,
     WaitFor,
@@ -21,13 +24,15 @@ from rpsf.engine import (  # noqa: E402
     enumerate_interleavings,
     run,
 )
-from rpsf.money import Quantity, replace  # noqa: E402
+from rpsf.money import ZERO, Quantity, replace  # noqa: E402
+from rpsf.scenarios import instantiate, scenario_names  # noqa: E402
 from rpsf.synthesis import (  # noqa: E402
     ALL_AGENTS,
     Flow,
     canonical,
     equivalent,
     monetary_projection,
+    net_positions,
 )
 from rpsf.world import (  # noqa: E402
     Action,
@@ -40,8 +45,10 @@ from rpsf.world import (  # noqa: E402
     ChoiceIs,
     ContractRecord,
     Event,
+    Good,
     Reason,
     Stage,
+    apply_event,
     make_world,
     replay,
     trigger_fired,
@@ -252,3 +259,55 @@ class TestTraces:
                 assert (b in classes[a]) == (a in classes[b])
                 if b in classes[a]:  # transitive: whatever b reaches, a reaches
                     assert classes[b] <= classes[a]
+
+
+def assert_nets_are_the_ledger(opening, progression):
+    """Each agent's closing balance minus its opening one is the sum of its
+    ``net_positions`` cells and the sum of its legality facts' nets."""
+    world = progression.world
+    nets = net_positions(monetary_projection(progression))
+    facts = legality._Facts(world.history, progression.events, world)
+    for agent in world.agents:
+        moved = world.balance(agent) - opening.balance(agent)
+        assert sum(nets.get(agent, {}).values(), ZERO) == moved, agent
+        assert Quantity(sum(facts.sums.get(agent, {}).values()), facts.scale) == moved, agent
+
+
+class TestOneCashRule:
+    """``world.CASH_LEGS`` moves the balances in ``apply_event``, and the
+    flows and the legality facts net the same cash from it."""
+
+    @given(plan_sets(), st.booleans(), st.integers(0, 2**16))
+    def test_random_traces(self, plans, choice, seed):
+        initial, traces = all_traces(plans, choice, seed)
+        for progression in traces:
+            assert_nets_are_the_ledger(initial, progression)
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_builtins(self, name):
+        instance = instantiate(name, {})
+        progression = run(instance.world, instance.plans, RoundRobin(),
+                          horizon=instance.horizon, choices=instance.choice_points)
+        assert not instance.world.history
+        assert_nets_are_the_ledger(instance.world, progression)
+
+    def test_every_cash_leg_by_hand(self):
+        """A receipt, a payment, a spot sale and a credit sale with a down
+        payment, at prices over three denominators."""
+        opening = make_world(agents=[Agent("X"), Agent("Y")],
+                             balances={"X": Quantity(10), "Y": Quantity(10)},
+                             goods=[Good("g", "asset", "Y", None)])
+        world = opening
+        for action, day in (
+                (Action(ActionKind.RECEIVE_PAYMENT, "X", counterparty="Y",
+                        amount=Quantity(3, 2)), 0),
+                (Action(ActionKind.PAY, "X", counterparty="Y", amount=Quantity(1, 3)), 1),
+                (Action(ActionKind.SPOT_SALE, "Y", counterparty="X", amount=Quantity(2),
+                        good_id="g"), 1),
+                (Action(ActionKind.BUY_ON_CREDIT, "Y", counterparty="X", amount=Quantity(4),
+                        down_payment=Quantity(1, 4), due_date=5, good_id="g",
+                        contract_id="settle"), 2)):
+            world = apply_event(world, action, day)
+        assert world.balance("X") == Quantity(10) + Quantity(3, 2) - Quantity(1, 3) \
+            - Quantity(2) + Quantity(1, 4)
+        assert_nets_are_the_ledger(opening, Progression(events=world.history, world=world))

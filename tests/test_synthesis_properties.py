@@ -28,8 +28,8 @@ def search_steps(target, catalogue, bound, perspective):
     steps = []
     successor = synthesis._successor
 
-    def recording(state, action):
-        child = successor(state, action)
+    def recording(state, action, *roles):
+        child = successor(state, action, *roles)
         steps.append((state, action, child))
         return child
 

@@ -241,8 +241,9 @@ class TestConservation:
 class TestPromises:
     def test_promise_pay_both_parties_is_active(self):
         promise = Action(kind=ActionKind.PROMISE_PAY, actor="X", counterparty="Y",
-                         amount=q(110), due_date=365, contract_id="c")
-        record = promise_to_contract(promise, SigningMode.BOTH_PARTIES)
+                         amount=q(110), due_date=365, contract_id="c",
+                         signing=SigningMode.BOTH_PARTIES)
+        record = promise_to_contract(promise)
         assert record.stage == Stage.ACTIVE
         assert record.signatures == frozenset({"X", "Y"})
         clause = record.clauses[0]
@@ -252,8 +253,8 @@ class TestPromises:
 
     def test_promise_initiator_only_partially_signed(self):
         promise = Action(kind=ActionKind.PROMISE_PAY, actor="X", counterparty="Y",
-                         amount=q(1), contract_id="c")
-        record = promise_to_contract(promise, SigningMode.INITIATOR_ONLY)
+                         amount=q(1), contract_id="c", signing=SigningMode.INITIATOR_ONLY)
+        record = promise_to_contract(promise)
         assert record.stage == Stage.PARTIALLY_SIGNED
         assert record.signatures == frozenset({"X"})
 
@@ -413,13 +414,6 @@ class TestRemainingVocabulary:
         assert isinstance(clause.trigger, AfterEvent)
         assert clause.trigger.pattern.kind == ActionKind.PAY
         assert clause.trigger.pattern.actor == "Y"
-
-    def test_account_accessor(self, two_agents):
-        account = two_agents.account("Y")
-        assert account.owner == "Y"
-        assert account.balance == q(100)
-        with pytest.raises(UnknownReference):
-            two_agents.account("nobody")
 
     def test_payment_channel_is_recorded(self, two_agents):
         world = apply_event(two_agents, pay("Y", "X", 10, channel="wire"), 0)
