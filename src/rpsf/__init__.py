@@ -28,7 +28,7 @@ _EXPORTS = {
     "scenarios": ("ParameterViolation", "ScenarioInstance", "ScenarioSpec", "UnknownScenario",
                   "instantiate", "load_scenario_file", "scenario_names"),
     "legality": ("BUILTIN_POSITIONS", "CONVENTIONAL", "Judgement", "LegalPosition", "MAJORITY",
-                 "MALAYSIA", "Mode", "NonpositivePrincipal", "RibaFinding", "Rule",
+                 "MALAYSIA", "NonpositivePrincipal", "RibaFinding", "Rule",
                  "STRICT_DESCRIPTIVE", "STRICT_FUNCTIONAL", "Verdict", "ZeroDuration",
                  "detect_ina", "detect_riba", "effective_interest_rate", "judge"),
     "synthesis": ("ALL_AGENTS", "Flow", "FlowTrace", "SynthesisResult", "Witness", "equivalent",

@@ -294,18 +294,22 @@ def _cmd_synthesize(args) -> int:
         bound=args.bound,
         perspective=perspective,
     )
-    limit = args.max_witnesses
-    payload = result.to_dict()
-    payload["target"] = instance.name
-    payload["witnesses"] = payload["witnesses"][:limit]
-    payload["witness_scenarios"] = [
-        witness_scenario(result, i) for i in range(min(limit, len(result.witnesses)))
-    ]
+    shown = result.witnesses[:args.max_witnesses]
+    payload = {
+        "found": result.found,
+        "witness_count": len(result.witnesses),
+        "witnesses": [w.to_dict() for w in shown],
+        "explored": result.explored,
+        "bound": result.bound,
+        "grounding": dict(result.grounding),
+        "target": instance.name,
+        "witness_scenarios": [witness_scenario(result, i) for i in range(len(shown))],
+    }
     lines = [
         f"target {instance.name}: found={result.found} "
         f"witnesses={len(result.witnesses)} explored={result.explored} bound={result.bound}"
     ]
-    for i, witness in enumerate(result.witnesses[:limit]):
+    for i, witness in enumerate(shown):
         steps = ", ".join(
             f"{a.kind.value}({a.actor}->{a.counterparty or ''}"
             + (f", {a.amount}" if a.amount is not None else "")

@@ -123,7 +123,8 @@ class Progression:
     """An executed trace: the events in order plus the final world.
 
     ``schedule`` records, per event, the scheduler cycle in which it was
-    taken (round-robin only); diagnostics for the fairness invariant.
+    taken under round-robin or seeded-random (empty for an enumerated
+    trace); diagnostics for the fairness invariant.
     """
 
     events: tuple[Event, ...]
@@ -485,12 +486,12 @@ def enumerate_interleavings(
 # plan serialization (scenario files, witness output)
 # ---------------------------------------------------------------------------
 
-codec_row(Do, "action")
-codec_row(WaitFor, "trigger")
+codec_row(Do)
+codec_row(WaitFor)
 codec_row(Branch, "condition then=then_steps else=else_steps", defaults={"then_steps": ()})
-codec_row(Stop, "")
+codec_row(Stop)
 codec_union(PlanStep, do=Do, wait_for=WaitFor, branch=Branch, stop=Stop)
-codec_row(Plan, "agent steps", defaults={"steps": ()})
+codec_row(Plan, defaults={"steps": ()})
 
 
 def progression_to_dict(progression: Progression) -> dict:

@@ -6,14 +6,11 @@ default verdict (permitted) applies. Judging is a pure function: same
 inputs, same judgement, and every non-permitted verdict carries evidence
 referencing event sequence numbers and contract ids.
 
-Two analysis modes ship side by side:
-
-  descriptive -- rules read contract structure and the concrete events
-                 (declared proportional increments, same-item round trips,
-                 ethical annotations);
-  functional  -- rules read only the monetary flow projection (does some
-                 agent's cash profile look like an interest-bearing loan,
-                 regardless of how the paperwork describes it).
+One detector, ``loan-profile``, reads only the monetary flow projection:
+does some agent's cash profile look like an interest-bearing loan,
+whatever the paperwork says. The others read contract structure and the
+concrete events (declared proportional increments, same-item round trips,
+ethical annotations).
 
 The built-in positions: CONVENTIONAL (no prohibitions), STRICT_DESCRIPTIVE,
 STRICT_FUNCTIONAL, MAJORITY (descriptive + any same-item round trip is
@@ -39,11 +36,6 @@ class Verdict(str, Enum):
     HALAL = "halal"
     HARAM = "haram"
     UNDECIDED = "undecided"
-
-
-class Mode(str, Enum):
-    DESCRIPTIVE = "descriptive"
-    FUNCTIONAL = "functional"
 
 
 class NonpositivePrincipal(Exception):
@@ -73,8 +65,8 @@ class Judgement:
     to_dict = value_to_dict
 
 
-codec_row(Evidence, "rule events contracts note")
-codec_row(Judgement, "position verdict reasons")
+codec_row(Evidence)
+codec_row(Judgement)
 
 
 @record(frozen=True)
@@ -260,8 +252,7 @@ def detect_riba(contracts: Mapping[str, ContractRecord], history: HistoryLog) ->
     with a zero rate (fixed transaction costs only) yield nothing; sale
     markups carry no declared rate and are invisible to this detector.
     """
-    records = [r for r in contracts.values() if r.terms is not None and r.terms.rate > ZERO]
-    return _riba(records, _Facts(history).transfers) if records else []
+    return _riba(contracts.values(), _Facts(history).transfers)
 
 
 def detect_ina(history: HistoryLog) -> list[InaFinding]:
@@ -315,10 +306,6 @@ class Rule:
     detector: str
     verdict: Verdict = Verdict.HARAM
 
-    def evaluate(self, facts: _Facts) -> Optional[tuple[Verdict, tuple[Evidence, ...]]]:
-        evidence = DETECTORS[self.detector](self.name, facts)
-        return (self.verdict, evidence) if evidence else None
-
 
 def _ina_evidence(rule: str, finding: InaFinding) -> Evidence:
     return Evidence(
@@ -358,7 +345,6 @@ DETECTORS: dict[str, Callable[[str, _Facts], tuple[Evidence, ...]]] = {
 @record(frozen=True)
 class LegalPosition:
     name: str
-    mode: Mode
     rules: tuple[Rule, ...]
     default: Verdict = Verdict.HALAL
 
@@ -369,20 +355,20 @@ def judge(position: LegalPosition, instance: ScenarioInstance, progression: Prog
     Never raises on well-formed inputs: an empty rule set or no firing rule
     yields the position's default verdict with no reasons.
     """
+    facts = _facts_of(progression)
     for rule in position.rules:
-        outcome = rule.evaluate(_facts_of(progression))
-        if outcome is not None:
-            verdict, evidence = outcome
-            return Judgement(position=position.name, verdict=verdict, reasons=evidence)
+        evidence = DETECTORS[rule.detector](rule.name, facts)
+        if evidence:
+            return Judgement(position=position.name, verdict=rule.verdict, reasons=evidence)
     return Judgement(position=position.name, verdict=position.default)
 
 
 # built-in positions ---------------------------------------------------------
 
-CONVENTIONAL = LegalPosition(name="CONVENTIONAL", mode=Mode.DESCRIPTIVE, rules=())
+CONVENTIONAL = LegalPosition(name="CONVENTIONAL", rules=())
 
 STRICT_DESCRIPTIVE = LegalPosition(
-    name="STRICT_DESCRIPTIVE", mode=Mode.DESCRIPTIVE,
+    name="STRICT_DESCRIPTIVE",
     rules=(
         Rule("riba", "riba"),
         Rule("ethical-tags", "ethical-tags"),
@@ -390,12 +376,12 @@ STRICT_DESCRIPTIVE = LegalPosition(
 )
 
 STRICT_FUNCTIONAL = LegalPosition(
-    name="STRICT_FUNCTIONAL", mode=Mode.FUNCTIONAL,
+    name="STRICT_FUNCTIONAL",
     rules=(Rule("interest-bearing-flow", "loan-profile"),),
 )
 
 MAJORITY = LegalPosition(
-    name="MAJORITY", mode=Mode.DESCRIPTIVE,
+    name="MAJORITY",
     rules=(
         Rule("riba", "riba"),
         Rule("ethical-tags", "ethical-tags"),
@@ -405,7 +391,7 @@ MAJORITY = LegalPosition(
 )
 
 MALAYSIA = LegalPosition(
-    name="MALAYSIA", mode=Mode.DESCRIPTIVE,
+    name="MALAYSIA",
     rules=(
         Rule("riba", "riba"),
         Rule("ethical-tags", "ethical-tags"),
@@ -419,9 +405,8 @@ BUILTIN_POSITIONS: dict[str, LegalPosition] = {
 }
 
 
-codec_row(Rule, "name detector verdict", defaults={"name": None})
-codec_row(LegalPosition, "name mode rules default",
-          defaults={"mode": Mode.DESCRIPTIVE, "rules": ()})
+codec_row(Rule, defaults={"name": None})
+codec_row(LegalPosition, defaults={"rules": ()})
 
 
 def position_from_dict(data: Mapping, path: str = "") -> LegalPosition:

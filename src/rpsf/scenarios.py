@@ -841,17 +841,13 @@ def _build_unethical(params: Mapping[str, object]) -> ScenarioInstance:
 # the registry
 # ---------------------------------------------------------------------------
 
-def _q(n: int, d: int = 1) -> Quantity:
-    return Quantity(n, d)
-
-
 def _monetization_params(block: int) -> tuple[ParamSpec, ...]:
-    return (ParamSpec("p", _q(1000), "savings to place", "positive"),
-            ParamSpec("c", _q(2), "transaction cost", "nonnegative"),
-            ParamSpec("q", _q(1, 20), "rate: increment per unit principal", "nonnegative"),
+    return (ParamSpec("p", Quantity(1000), "savings to place", "positive"),
+            ParamSpec("c", Quantity(2), "transaction cost", "nonnegative"),
+            ParamSpec("q", Quantity(1, 20), "rate: increment per unit principal", "nonnegative"),
             ParamSpec("t", 365, "deferral period in days"),
-            ParamSpec("block", _q(block), "good block size", "positive"),
-            ParamSpec("value_drift", _q(0),
+            ParamSpec("block", Quantity(block), "good block size", "positive"),
+            ParamSpec("value_drift", Quantity(0),
                       "revaluation of the portion at buy-back; constant value assumed"))
 
 
@@ -859,27 +855,28 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="loan_with_interest", family="loan",
         summary="Two linked transfers: p - c out now, p + i + c2 back at day t.",
-        params=(ParamSpec("p", _q(100), "principal", "positive"),
-                ParamSpec("c", _q(0), "lender's provision cost", "nonnegative"),
-                ParamSpec("c2", _q(0), "additional costs charged back", "nonnegative"),
-                ParamSpec("i", _q(10), "increment over the principal", "nonnegative"),
+        params=(ParamSpec("p", Quantity(100), "principal", "positive"),
+                ParamSpec("c", Quantity(0), "lender's provision cost", "nonnegative"),
+                ParamSpec("c2", Quantity(0), "additional costs charged back", "nonnegative"),
+                ParamSpec("i", Quantity(10), "increment over the principal", "nonnegative"),
                 ParamSpec("t", 365, "loan period in days")),
         build=_build_loan_with_interest,
     ),
     ScenarioSpec(
         name="savings_account_with_interest", family="loan",
         summary="Deposit p now; the bank repays p - c + q*p after t days.",
-        params=(ParamSpec("p", _q(1000), "principal deposited", "positive"),
-                ParamSpec("c", _q(2), "fixed transaction cost", "nonnegative"),
-                ParamSpec("q", _q(1, 20), "rate: increment per unit principal", "nonnegative"),
+        params=(ParamSpec("p", Quantity(1000), "principal deposited", "positive"),
+                ParamSpec("c", Quantity(2), "fixed transaction cost", "nonnegative"),
+                ParamSpec("q", Quantity(1, 20), "rate: increment per unit principal",
+                          "nonnegative"),
                 ParamSpec("t", 365, "deposit period in days")),
         build=_build_savings_account,
     ),
     ScenarioSpec(
         name="ina_two_party", family="sale-repurchase",
         summary="Spot sale at p, credit buy-back at p + i: a synthesized loan.",
-        params=(ParamSpec("p", _q(100), "spot price", "positive"),
-                ParamSpec("i", _q(10), "credit markup", "nonnegative"),
+        params=(ParamSpec("p", Quantity(100), "spot price", "positive"),
+                ParamSpec("i", Quantity(10), "credit markup", "nonnegative"),
                 ParamSpec("t", 365, "credit period in days"),
                 ParamSpec("single_contract", False, "package both sales in one contract")),
         build=_build_ina,
@@ -887,26 +884,28 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="tawarruq_classic", family="tawarruq",
         summary="Three-party asset round trip synthesizing a loan of p at markup i.",
-        params=(ParamSpec("p", _q(100), "asset spot price", "positive"),
-                ParamSpec("i", _q(10), "credit markup", "nonnegative"),
+        params=(ParamSpec("p", Quantity(100), "asset spot price", "positive"),
+                ParamSpec("i", Quantity(10), "credit markup", "nonnegative"),
                 ParamSpec("t", 365, "credit period in days")),
         build=_build_tawarruq_classic,
     ),
     ScenarioSpec(
         name="contractus_trinus", family="triple-contract",
         summary="Partnership + fixed profit sale + principal insurance.",
-        params=(ParamSpec("invest", _q(100), "invested principal", "positive"),
-                ParamSpec("profit_fee", _q(15), "fixed price of the profit share", "nonnegative"),
-                ParamSpec("premium", _q(5), "insurance premium on the principal", "nonnegative"),
+        params=(ParamSpec("invest", Quantity(100), "invested principal", "positive"),
+                ParamSpec("profit_fee", Quantity(15), "fixed price of the profit share",
+                          "nonnegative"),
+                ParamSpec("premium", Quantity(5), "insurance premium on the principal",
+                          "nonnegative"),
                 ParamSpec("t", 365, "partnership period in days")),
         build=_build_contractus_trinus,
     ),
     ScenarioSpec(
         name="murabaha", family="cost-plus",
         summary="Bank buys G and resells it on credit at price + markup.",
-        params=(ParamSpec("price", _q(100), "bank's purchase price for G", "positive"),
-                ParamSpec("markup", _q(10), "cost-plus margin", "nonnegative"),
-                ParamSpec("fee", _q(2), "mediation compensation", "nonnegative"),
+        params=(ParamSpec("price", Quantity(100), "bank's purchase price for G", "positive"),
+                ParamSpec("markup", Quantity(10), "cost-plus margin", "nonnegative"),
+                ParamSpec("fee", Quantity(2), "mediation compensation", "nonnegative"),
                 ParamSpec("t", 365, "credit period in days")),
         build=_build_murabaha,
     ),
@@ -950,12 +949,12 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="brokered_loan", family="loan",
         summary="Broker-mediated loan with willingness choice point and guarantee variants.",
-        params=(ParamSpec("p", _q(100), "principal", "positive"),
-                ParamSpec("i", _q(0), "increment over the principal", "nonnegative"),
+        params=(ParamSpec("p", Quantity(100), "principal", "positive"),
+                ParamSpec("i", Quantity(0), "increment over the principal", "nonnegative"),
                 ParamSpec("t", 365, "loan period in days"),
                 ParamSpec("guarantee", "pledge-of-goods",
                           "pledge-of-goods | goods-on-default | income-share"),
-                ParamSpec("collateral_value", _q(150), "market value of the collateral"),
+                ParamSpec("collateral_value", Quantity(150), "market value of the collateral"),
                 ParamSpec("lender_willing", True, "declared willingness choice point")),
         build=_build_brokered_loan,
     ),
@@ -964,9 +963,9 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
         summary="Chance-contingent promise, hidden-defect sale, coercion, interest pair.",
         params=(ParamSpec("variant", "all",
                           "rain_promise | used_car_sale | extortion | interest_loan | all"),
-                ParamSpec("loan_p", _q(100), "loan-pair principal", "positive"),
-                ParamSpec("loan_c", _q(2), "loan-pair provision cost", "nonnegative"),
-                ParamSpec("loan_i", _q(10), "loan-pair increment", "nonnegative"),
+                ParamSpec("loan_p", Quantity(100), "loan-pair principal", "positive"),
+                ParamSpec("loan_c", Quantity(2), "loan-pair provision cost", "nonnegative"),
+                ParamSpec("loan_i", Quantity(10), "loan-pair increment", "nonnegative"),
                 ParamSpec("t", 365, "loan-pair period in days")),
         build=_build_unethical,
     ),
@@ -1036,8 +1035,7 @@ class _FileScenario:
         )
 
 
-codec_row(_FileScenario, "name agents balances goods contracts overdraft_allowed plans "
-          "principals horizon choice_points family summary", omit="family summary")
+codec_row(_FileScenario, omit="family summary")
 
 
 def instance_to_dict(instance: ScenarioInstance) -> dict:

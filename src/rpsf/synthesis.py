@@ -15,11 +15,11 @@ over the common denominator of the target's amounts, the settlements still
 due, and the counts of mismatched perspective cells and of goods away from
 home, which a trade updates for the two cells and the one good it touches.
 A state's candidate moves are built once per call and shared by every
-state with the same owners, used agents, prepared count and depth. A witness is a sequence whose projection is
-equivalent to the target and whose goods all return to their initial
-owners. Each witness is re-executed through the engine on first read of
-its progression. Exhaustion within the bound makes found=False a
-bound-relative non-existence certificate.
+state with the same owners, used agents and depth. A witness is a
+sequence whose projection is equivalent to the target and whose goods
+all return to their initial owners. Each witness is re-executed through
+the engine on first read of its progression. Exhaustion within the bound
+makes found=False a bound-relative non-existence certificate.
 
 Grounding (disclosed in SynthesisResult.grounding): trade prices come from
 the target's amount set; every primitive executes at the inception date,
@@ -79,7 +79,7 @@ class Flow:
     to_dict = value_to_dict
 
 
-codec_row(Flow, "payer payee amount date")
+codec_row(Flow)
 
 
 FlowTrace = tuple[Flow, ...]
@@ -209,7 +209,8 @@ class Witness:
     """A found sequence; its progression is replayed on first read, then kept."""
 
     actions: tuple[Action, ...]
-    origin: tuple[WorldState, _SearchState] = field(repr=False, compare=False)
+    # the search's opening world, the trades and the pending settlements
+    origin: tuple[WorldState, tuple[Action, ...], tuple] = field(repr=False, compare=False)
 
     @cached_property
     def progression(self) -> Progression:
@@ -221,21 +222,14 @@ class Witness:
 
 @record(frozen=True)
 class SynthesisResult:
-    found: bool
     witnesses: tuple[Witness, ...]
     explored: int
     bound: int
     grounding: Mapping[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "witness_count": len(self.witnesses),
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "explored": self.explored,
-            "bound": self.bound,
-            "grounding": dict(self.grounding),
-        }
+    @property
+    def found(self) -> bool:
+        return bool(self.witnesses)
 
 
 @record(frozen=True, slots=True)
@@ -259,7 +253,6 @@ class _SearchState:
     displaced: int  # goods whose owner is not their home
     pending: tuple[tuple[str, str, Quantity, int, str], ...]  # payer, payee, amount, due, settle id
     used: frozenset[str]
-    prepared: int
     actions: tuple[Action, ...]
 
 
@@ -343,8 +336,9 @@ def synthesize(
     explored = 0
     witnesses: list[Witness] = []
     # the candidate moves of a state, by everything ``candidates`` reads:
-    # owners (goods enter in id order), used agents, prepared count and
-    # depth (which names a credit sale's settlement contract)
+    # owners (goods enter in id order; with preparation in the catalogue no
+    # good is pre-owned, so their count is the prepared count), used agents
+    # and depth (which names a credit sale's settlement contract)
     moves: dict[tuple, tuple[Action, ...]] = {}
     settlements: dict[tuple, Action] = {}
 
@@ -363,7 +357,7 @@ def synthesize(
 
     def candidates(state: _SearchState):
         owners = state.owners
-        if "prepare-good" in kinds and state.prepared < MAX_PREPARED_GOODS:
+        if "prepare-good" in kinds and len(owners) < MAX_PREPARED_GOODS:
             for owner in agents:
                 if not allowed_participants(state.used, [owner]):
                     continue
@@ -394,12 +388,12 @@ def synthesize(
         mismatch, displaced = state.mismatch, state.displaced
         if not mismatch and not displaced:
             witnesses.append(Witness(actions=_full_sequence(state, settlements),
-                                     origin=(world0, state)))
+                                     origin=(world0, state.actions, state.pending)))
         depth = len(state.actions)
         remaining = bound - depth
         if remaining == 0 or max(-(-mismatch // per_action), displaced) > remaining:
             return
-        key = (tuple(state.owners.items()), state.used, state.prepared, depth)
+        key = (tuple(state.owners.items()), state.used, depth)
         children = moves.get(key)
         if children is None:
             children = moves[key] = tuple(candidates(state))
@@ -408,7 +402,7 @@ def synthesize(
 
     dfs(_SearchState(frame=frame, owners=dict(home), home=home, nets={},
                      mismatch=len(target_cells), displaced=0, pending=(), used=used0,
-                     prepared=0, actions=()))
+                     actions=()))
 
     grounding = {
         "amounts": [str(a) for a in amounts],
@@ -420,7 +414,6 @@ def synthesize(
         "coordination_note": "flow-inert actions are folded into trade skeletons",
     }
     return SynthesisResult(
-        found=bool(witnesses),
         witnesses=tuple(witnesses),
         explored=explored,
         bound=bound,
@@ -444,8 +437,7 @@ def _successor(state: _SearchState, action: Action, buyer: Optional[str],
         home = dict(state.home)
         home[gid] = action.actor
         return _SearchState(state.frame, owners, home, state.nets, state.mismatch,
-                            state.displaced, state.pending, used | {action.actor},
-                            state.prepared + 1, actions)
+                            state.displaced, state.pending, used | {action.actor}, actions)
     if kind is ActionKind.SPOT_SALE:  # for cash now
         date, pending = 0, state.pending
     else:  # on credit: cash moves at the due date via settlement
@@ -473,7 +465,7 @@ def _successor(state: _SearchState, action: Action, buyer: Optional[str],
             want = frame.target.get(cell, 0)
             mismatch += (new != want) - (old != want)
     return _SearchState(frame, owners, state.home, nets, mismatch, displaced, pending,
-                        used, state.prepared, actions)
+                        used, actions)
 
 
 def _full_sequence(state: _SearchState,
@@ -492,11 +484,11 @@ def _full_sequence(state: _SearchState,
     return sequence
 
 
-def _replay_witness(world0: WorldState, state: _SearchState) -> Progression:
+def _replay_witness(world0: WorldState, actions: tuple[Action, ...],
+                    pending: tuple) -> Progression:
     """Re-execute a witness through the engine for the official progression."""
-    plans = witness_plans(state.actions, state.pending)
-    horizon = max([due for _, _, _, due, _ in state.pending], default=0)
-    return run(world0, plans, RoundRobin(), horizon=horizon)
+    horizon = max([due for _, _, _, due, _ in pending], default=0)
+    return run(world0, witness_plans(actions, pending), RoundRobin(), horizon=horizon)
 
 
 def witness_plans(actions: Sequence[Action],
@@ -528,13 +520,13 @@ def witness_scenario(result: SynthesisResult, index: int) -> dict:
     the search's opening world, led by its first agent, with the least
     balances that keep the replay solvent."""
     witness = result.witnesses[index]
-    world0, state = witness.origin
+    world0, actions, pending = witness.origin
     accounts = {name: _required_endowment(name, witness.progression) for name in world0.agents}
     return instance_to_dict(ScenarioInstance(
         name=f"witness-{index}", params={}, world=replace(world0, accounts=accounts),
-        plans=witness_plans(state.actions, state.pending),
+        plans=witness_plans(actions, pending),
         principals=(next(iter(world0.agents)),),
-        horizon=max([due for _, _, _, due, _ in state.pending], default=0)))
+        horizon=max([due for _, _, _, due, _ in pending], default=0)))
 
 
 def _required_endowment(agent: str, progression: Progression) -> Quantity:

@@ -885,17 +885,21 @@ _CODECS: dict[object, tuple[Optional[Callable], Callable]] = {}
 _KEEP = object()  # the "default" of a field that is written whatever it holds
 
 
-def codec_row(cls: type, keys: str, omit: str = "",
+def codec_row(cls: type, keys: str | None = None, omit: str = "",
               defaults: Mapping[str, object] | None = None) -> None:
     """Add a record class to the JSON table.
 
     ``keys`` lists every field's JSON key in output order, as ``key=field``
-    where the two differ. ``omit`` names the fields left out while they hold
-    their default, ``*`` for all that have one. ``defaults`` gives the value
-    of a key that a file may leave out although the class has no default.
+    where the two differ; without it the keys are the declared fields, in
+    order, so a row names keys only to rename or reorder fields. ``omit``
+    names the fields left out while they hold their default, ``*`` for all
+    that have one. ``defaults`` gives the value of a key that a file may
+    leave out although the class has no default.
     """
-    pairs = tuple(tuple(k.split("=", 1)) if "=" in k else (k, k) for k in keys.split())
     declared = fields(cls)
+    if keys is None:
+        keys = " ".join(f.name for f in declared)
+    pairs = tuple(tuple(k.split("=", 1)) if "=" in k else (k, k) for k in keys.split())
     if sorted(name for _, name in pairs) != sorted(f.name for f in declared):
         raise TypeError(f"codec row of {cls.__name__} must name each field once")
     if omit == "*":
@@ -1105,34 +1109,27 @@ def _union_decoder(tags: Mapping[str, type]) -> Callable:
     return decode
 
 
-codec_row(Agent, "name role")
-codec_row(Good, "good_id kind owner market_value block_size is_money",
-          defaults={"kind": "asset", "market_value": None})
-codec_row(GoodSpec, "kind market_value block_size is_money",
-          defaults={"kind": "asset", "market_value": None})
-codec_row(Reason, "text contract_ids event_refs", omit="*")
+codec_row(Agent)
+codec_row(Good, defaults={"kind": "asset", "market_value": None})
+codec_row(GoodSpec, defaults={"kind": "asset", "market_value": None})
+codec_row(Reason, omit="*")
 codec_row(ActionTemplate, "kind actor counterparty good_id contract_id message amount", omit="*")
-codec_row(Always, "")
-codec_row(AfterEvent, "pattern")
-codec_row(ByDate, "day")
-codec_row(ConditionMet, "condition")
+codec_row(Always)
+codec_row(AfterEvent)
+codec_row(ByDate)
+codec_row(ConditionMet)
 codec_union(Trigger, always=Always, by_date=ByDate, after_event=AfterEvent, condition=ConditionMet)
 codec_row(ChoiceIs, "choice=name value")
-codec_row(BalanceAtLeast, "agent amount")
-codec_row(OwnsGood, "agent good_id")
-codec_row(ContractInStage, "contract_id stage")
+codec_row(BalanceAtLeast)
+codec_row(OwnsGood)
+codec_row(ContractInStage)
 codec_union(Condition, choice=ChoiceIs, balance_at_least=BalanceAtLeast, owns_good=OwnsGood,
             contract_stage=ContractInStage)
-codec_row(Clause, "obliged_party obliged_action trigger deadline", omit="deadline")
-codec_row(RepaymentTerms, "principal rate fixed_cost period")
-codec_row(ContractRecord,
-          "contract_id parties initiator clauses references signatures stage terms",
-          omit="terms", defaults={"clauses": ()})
-codec_row(Action, "kind actor counterparty amount down_payment due_date good_id contract_id "
-          "reason channel message tags signing trigger on_credit parties clauses "
-          "references terms good_spec", omit="*")
-codec_row(Event, "seq date action delta")
-
+codec_row(Clause, omit="deadline")
+codec_row(RepaymentTerms)
+codec_row(ContractRecord, omit="terms", defaults={"clauses": ()})
+codec_row(Action, omit="*")
+codec_row(Event)
 
 def action_to_dict(action: Action) -> dict:
     return _codec(Action)[0](action)

@@ -181,13 +181,27 @@ class TestJudge:
         path = tmp_path / "positions.json"
         path.write_text(json.dumps({"positions": [{
             "name": "ROUND_TRIP_WARY",
-            "mode": "descriptive",
             "rules": [{"detector": "ina", "verdict": "haram"}],
         }]}))
         code, _, _ = invoke(capsys, "judge", "ina_two_party",
                             "--position", "ROUND_TRIP_WARY",
                             "--scenario-file", str(path))
         assert code == 3
+
+    def test_position_with_a_mode_key_is_a_usage_error(self, capsys, tmp_path):
+        # a position has no analysis mode, so the key is unknown and the error says where
+        path = tmp_path / "positions.json"
+        path.write_text(json.dumps({"positions": [{
+            "name": "ROUND_TRIP_WARY",
+            "mode": "descriptive",
+            "rules": [{"detector": "ina", "verdict": "haram"}],
+        }]}))
+        code, out, err = invoke(capsys, "judge", "ina_two_party",
+                                "--position", "ROUND_TRIP_WARY",
+                                "--scenario-file", str(path))
+        assert (code, out) == (2, "")
+        assert "positions[0]: unknown key 'mode'" in err
+        assert "Traceback" not in err
 
 
 class TestCompare:

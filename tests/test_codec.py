@@ -129,7 +129,7 @@ def _valid_file() -> dict:
     return {
         "scenarios": [{**instance_to_dict(loan), "name": "loan"},
                       {**instance_to_dict(ina), "name": "ina"}, opened],
-        "positions": [{"name": "P", "mode": "descriptive", "default": "halal",
+        "positions": [{"name": "P", "default": "halal",
                        "rules": [{"name": "r", "detector": "ina", "verdict": "haram"}]}],
     }
 

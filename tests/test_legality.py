@@ -334,7 +334,6 @@ class TestJudgements:
     def test_custom_position_from_rule_list(self):
         position = position_from_dict({
             "name": "NO_ROUND_TRIPS",
-            "mode": "descriptive",
             "rules": [{"detector": "ina", "verdict": "haram", "name": "round-trip"}],
         })
         instance, progression = run_default("ina_two_party")

@@ -136,9 +136,9 @@ def test_post_init_is_looked_up_on_each_call(monkeypatch):
 def test_a_record_that_is_not_frozen_takes_assignment():
     assert [cls.__name__ for cls in RECORDS if cls not in FROZEN] == ["_SearchState"]
     state = synthesis._SearchState(**_values(synthesis._SearchState))
-    state.prepared = 5
+    state.displaced = 5
     del state.used
-    assert state.prepared == 5 and not hasattr(state, "used")
+    assert state.displaced == 5 and not hasattr(state, "used")
 
 
 @pytest.mark.parametrize("cls", [c for c in RECORDS if c is not Quantity],

@@ -14,8 +14,8 @@ KEPT = re.compile(r"#\s*noqa:\s*F401\b\s*\S")
 # the classes that may write their own JSON; every other record gets a codec
 # row and ``to_dict = value_to_dict``
 OWN_ENCODERS = {
-    "SynthesisResult": "writes witness_count, which no field holds, and an untyped grounding",
-    "Witness": "writes its actions only; origin is the search state, which has no JSON form",
+    "Witness": "writes its actions only; origin holds the search's opening world and "
+               "settlements, which have no JSON form",
 }
 
 
@@ -181,3 +181,55 @@ def test_the_gate_sees_a_hand_written_encoder():
             "    def as_json(self):\n"
             "        return {}\n")
     assert hand_written_encoders(text) == ["Written", "<module>", "Inner"]
+
+
+def declared_fields(text: str) -> dict[str, list[str]]:
+    """Each class's annotated names in body order: a record's fields."""
+    return {node.name: [s.target.id for s in node.body
+                        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ClassDef)}
+
+
+def restated_codec_rows(text: str, classes: dict[str, list[str]]) -> list[str]:
+    """Every ``codec_row`` call whose keys are its class's declared fields in
+    order, which is what the row takes when it names no keys."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not (isinstance(node, ast.Call) and node.args
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "codec_row"):
+            continue
+        keys = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "keys"), None)
+        cls = getattr(node.args[0], "id", None)
+        if (isinstance(keys, ast.Constant) and isinstance(keys.value, str)
+                and keys.value.split() == classes.get(cls)):
+            found.append((node.lineno, cls))
+    return [f"line {line}: {cls}" for line, cls in sorted(found)]
+
+
+def test_no_codec_row_restates_its_fields():
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    classes = {name: names for text in texts.values()
+               for name, names in declared_fields(text).items()}
+    assert [f"{module} {entry}" for module, text in texts.items()
+            for entry in restated_codec_rows(text, classes)] == []
+
+
+def test_the_gate_sees_a_restated_codec_row():
+    text = ("class Pair:\n"
+            "    left: int\n"
+            "    right: int = 0\n"
+            "    def total(self) -> int:\n"
+            "        return self.left + self.right\n"
+            "class Empty:\n"
+            "    pass\n"
+            "codec_row(Pair)\n"
+            "codec_row(Pair, 'left right', omit='right')\n"
+            "codec_row(Pair, 'right left')\n"
+            "codec_row(Pair, 'first=left right')\n"
+            "world.codec_row(Pair, keys='left '\n"
+            "                'right')\n"
+            "codec_row(Empty, '')\n"
+            "codec_row(Elsewhere, 'left right')\n")
+    assert restated_codec_rows(text, declared_fields(text)) == [
+        "line 9: Pair", "line 12: Pair", "line 14: Empty"]

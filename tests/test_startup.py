@@ -27,7 +27,7 @@ PACKAGE_NAMES = {
               "Plan Progression RoundRobin SeededRandom Stop WaitFor enumerate_interleavings run",
     "scenarios": "ParameterViolation ScenarioInstance ScenarioSpec UnknownScenario instantiate "
                  "load_scenario_file scenario_names",
-    "legality": "BUILTIN_POSITIONS CONVENTIONAL Judgement LegalPosition MAJORITY MALAYSIA Mode "
+    "legality": "BUILTIN_POSITIONS CONVENTIONAL Judgement LegalPosition MAJORITY MALAYSIA "
                 "NonpositivePrincipal RibaFinding Rule STRICT_DESCRIPTIVE STRICT_FUNCTIONAL "
                 "Verdict ZeroDuration detect_ina detect_riba effective_interest_rate judge",
     "synthesis": "ALL_AGENTS Flow FlowTrace SynthesisResult Witness equivalent "

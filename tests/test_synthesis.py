@@ -338,8 +338,8 @@ class TestSearchWork:
     def test_each_move_is_built_once_per_call(self, monkeypatch, catalogue, bound,
                                               explored, built):
         # a candidate move is built once per distinct (owners, used agents,
-        # prepared count, depth), and a settlement payment once per pending
-        # entry; one Action per child and per witness payment was 2,338 and 1,876
+        # depth), and a settlement payment once per pending entry; one
+        # Action per child and per witness payment was 2,338 and 1,876
         calls = 0
         original = synthesis.Action
 
