@@ -15,6 +15,11 @@ informs - each a ``Part`` of (agent, step) pairs that ``compose`` files
 into the agents' plans; an agent that waits for another's action names it
 with ``sees``, so each cross-agent event is stated once.
 
+A builder is called as ``build(make, **params)``, its parameters by name in
+catalogue order, and returns ``make(world=..., plans=..., ...)``; ``make``,
+which ``instantiate`` supplies, fills in the catalogue name and the
+resolved parameters.
+
 Scenario instantiation is deterministic and pure; instances are immutable.
 Custom scenarios can be loaded from JSON files mirroring the same shapes
 (see ``load_scenario_file``).
@@ -78,13 +83,17 @@ class ParamSpec:
 
 @record(frozen=True)
 class ScenarioSpec:
-    """A catalogue entry: name, classification, parameters and builder."""
+    """A catalogue entry: name, classification, parameters and builder.
+
+    ``build(make, **params)`` takes the resolved parameters by keyword;
+    ``make`` carries this entry's name and them. Call it through
+    ``instantiate``."""
 
     name: str
     family: str
     summary: str
     params: tuple[ParamSpec, ...]
-    build: Callable[[Mapping[str, object]], "ScenarioInstance"]
+    build: Callable[..., "ScenarioInstance"]
 
 
 @record(frozen=True)
@@ -256,13 +265,11 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "
 
 
 def _as_flag(name: str, value: object) -> bool:
-    if isinstance(value, str):
-        flag = _BOOLEANS.get(value.lower())
-        if flag is None:
-            raise ParameterViolation(
-                f"parameter {name} must be true or false (or 1/0, yes/no), got {value!r}")
-        return flag
-    return bool(value)
+    flag = _BOOLEANS.get(value.lower()) if isinstance(value, str) else value
+    if not isinstance(flag, bool):
+        raise ParameterViolation(
+            f"parameter {name} must be true or false (or 1/0, yes/no), got {value!r}")
+    return flag
 
 
 _CHECKS = {"positive": lambda q: q > ZERO, "nonnegative": lambda q: q >= ZERO}
@@ -308,15 +315,13 @@ HALF = Quantity(1, 2)
 # builders
 # ---------------------------------------------------------------------------
 
-def _build_loan_with_interest(params: Mapping[str, object]) -> ScenarioInstance:
+def _build_loan_with_interest(make, p, c, c2, i, t) -> ScenarioInstance:
     """Two transfers: p - c out at day 0, p + i + c2 back at day t.
 
     The lender X and borrower Y sign one contract promising both transfers
     with references to it; the declared terms tie the increment to the
     principal.
     """
-    p, c, c2, i = (params[k] for k in ("p", "c", "c2", "i"))
-    t = params["t"]
     if p - c < ZERO:
         raise ParameterViolation("costs c exceed the principal")
     out_leg = p - c
@@ -332,21 +337,16 @@ def _build_loan_with_interest(params: Mapping[str, object]) -> ScenarioInstance:
     lent = payment("X", "Y", out_leg, loan)
     plans = compose(("X", "Y"), contract(loan, "X", ("X", "Y"), clauses, terms=terms),
                     lent, sees("Y", lent), payment("Y", "X", back_leg, loan, day=t, ack=True))
-    return ScenarioInstance(
-        name="loan_with_interest", params=params, world=world, plans=plans,
-        principals=("X", "Y"), horizon=t,
-        expected={"CONVENTIONAL": "halal"},
-    )
+    return make(world=world, plans=plans, principals=("X", "Y"), horizon=t,
+                expected={"CONVENTIONAL": "halal"})
 
 
-def _build_savings_account(params: Mapping[str, object]) -> ScenarioInstance:
+def _build_savings_account(make, p, c, q, t) -> ScenarioInstance:
     """Deposit p at day 0; the bank repays p - c + q*p after t days.
 
     Broker Z produces the model contract and mediates; only X and Y move
     cash, so the flow trace is the plain two-party loan profile.
     """
-    p, c, q = params["p"], params["c"], params["q"]
-    t = params["t"]
     terms = RepaymentTerms(principal=p, rate=q, fixed_cost=c, period=t)
     repayment = terms.repayment()
     if repayment < ZERO:
@@ -362,23 +362,17 @@ def _build_savings_account(params: Mapping[str, object]) -> ScenarioInstance:
     plans = compose(("X", "Y", "Z"), contract(savings, "Z", ("X", "Y"), clauses, terms=terms),
                     schedule, sees("X", schedule), payment("X", "Y", p, savings, ack=True),
                     payment("Y", "X", repayment, savings, day=t, ack=True))
-    return ScenarioInstance(
-        name="savings_account_with_interest", params=params, world=world, plans=plans,
-        principals=("X", "Y"), horizon=t,
-        expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "haram",
-                  "STRICT_FUNCTIONAL": "haram"},
-    )
+    return make(world=world, plans=plans, principals=("X", "Y"), horizon=t,
+                expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "haram",
+                          "STRICT_FUNCTIONAL": "haram"})
 
 
-def _build_ina(params: Mapping[str, object]) -> ScenarioInstance:
+def _build_ina(make, p, i, t, single_contract) -> ScenarioInstance:
     """Same-item sale-repurchase: spot sale at p, credit buy-back at p + i.
 
     With ``single_contract`` both sales stem from one signed contract;
     otherwise each sale is covered by its own promise contract.
     """
-    p, i = params["p"], params["i"]
-    t = params["t"]
-    single = params["single_contract"]
     credit_price = p + i
     settle = "ina-settle"
     good = Good(good_id="S", kind="asset", owner="Y", market_value=p,
@@ -388,7 +382,7 @@ def _build_ina(params: Mapping[str, object]) -> ScenarioInstance:
         balances={"X": p, "Y": i},
         goods=[good],
     )
-    if single:
+    if single_contract:
         spot_deal = credit_deal = "ina-contract"
         clauses = (
             Clause("Y", ActionTemplate(kind=ActionKind.SPOT_SALE, actor="Y",
@@ -408,23 +402,18 @@ def _build_ina(params: Mapping[str, object]) -> ScenarioInstance:
     plans = compose(("X", "Y"), promises, spot_sale("Y", "X", p, "S", spot_deal),
                     credit_sale("Y", "X", credit_price, "S", t, settle, credit_deal),
                     payment("Y", "X", credit_price, settle, day=t, ack=True))
-    return ScenarioInstance(
-        name="ina_two_party", params=params, world=world, plans=plans,
-        principals=("X", "Y"), horizon=t,
-        expected={"CONVENTIONAL": "halal", "MAJORITY": "haram",
-                  "MALAYSIA": "haram" if single else "halal"},
-    )
+    return make(world=world, plans=plans, principals=("X", "Y"), horizon=t,
+                expected={"CONVENTIONAL": "halal", "MAJORITY": "haram",
+                          "MALAYSIA": "haram" if single_contract else "halal"})
 
 
-def _build_tawarruq_classic(params: Mapping[str, object]) -> ScenarioInstance:
+def _build_tawarruq_classic(make, p, i, t) -> ScenarioInstance:
     """Three-party monetization: X buys the asset spot from Z, sells it to Y
     on credit at p + i due in t days, and Y sells it back to Z spot.
 
     The asset makes a round trip and X's cash profile is a loan: -p now,
     +(p + i) at day t. Ten events under round-robin.
     """
-    p, i = params["p"], params["i"]
-    t = params["t"]
     credit_price = p + i
     czx, cxy, cyz, settle = "czx", "cxy", "cyz", "credit-settle"
     world = make_world(
@@ -442,26 +431,21 @@ def _build_tawarruq_classic(params: Mapping[str, object]) -> ScenarioInstance:
                     sees("Z", y_buys), z_promise, sees("Y", z_promise),
                     spot_sale("Y", "Z", p, "S", cyz, ack=True),
                     payment("Y", "X", credit_price, settle, day=t, ack=True))
-    return ScenarioInstance(
-        name="tawarruq_classic", params=params, world=world, plans=plans,
-        principals=("X", "Y", "Z"), horizon=t,
-        expected={"CONVENTIONAL": "halal", "MAJORITY": "halal"},
-    )
+    return make(world=world, plans=plans, principals=("X", "Y", "Z"), horizon=t,
+                expected={"CONVENTIONAL": "halal", "MAJORITY": "halal"})
 
 
-def _build_contractus_trinus(params: Mapping[str, object]) -> ScenarioInstance:
+def _build_contractus_trinus(make, invest, profit_fee, premium, t) -> ScenarioInstance:
     """Partnership + fixed profit sale + principal insurance between A and B.
 
     A invests 100 and pays a 5 premium; B pays 15 for the profit share and
     returns the principal at year end. A's net gain is 10 on 100: an
     effective 10 percent a year without a stated interest clause.
     """
-    invest, fee, premium = params["invest"], params["profit_fee"], params["premium"]
-    t = params["t"]
     partnership, profit_sale, insurance = "partnership", "profit-sale", "insurance"
     world = make_world(
         agents=[Agent("A"), Agent("B")],
-        balances={"A": invest + premium, "B": fee},
+        balances={"A": invest + premium, "B": profit_fee},
     )
     clauses = (_pays("A", "B", invest, partnership, deadline=0),)
     insured = act("B", ActionKind.PROMISE_INSURANCE_PAYOUT, partnership, counterparty="A",
@@ -469,26 +453,21 @@ def _build_contractus_trinus(params: Mapping[str, object]) -> ScenarioInstance:
     premium_paid = payment("A", "B", premium, insurance)
     plans = compose(
         ("A", "B"), contract(partnership, "A", ("A", "B"), clauses),
-        act("B", ActionKind.PROMISE_PAY, partnership, counterparty="A", amount=fee, due_date=t,
-            contract_id=profit_sale),
+        act("B", ActionKind.PROMISE_PAY, partnership, counterparty="A", amount=profit_fee,
+            due_date=t, contract_id=profit_sale),
         insured, sees("A", insured), payment("A", "B", invest, partnership), premium_paid,
-        sees("B", premium_paid), payment("B", "A", fee, profit_sale, day=t),
+        sees("B", premium_paid), payment("B", "A", profit_fee, profit_sale, day=t),
         payment("B", "A", invest, insurance, ack=True))
-    return ScenarioInstance(
-        name="contractus_trinus", params=params, world=world, plans=plans,
-        principals=("A", "B"), horizon=t,
-        expected={"CONVENTIONAL": "halal"},
-    )
+    return make(world=world, plans=plans, principals=("A", "B"), horizon=t,
+                expected={"CONVENTIONAL": "halal"})
 
 
-def _build_murabaha(params: Mapping[str, object]) -> ScenarioInstance:
+def _build_murabaha(make, price, markup, fee, t) -> ScenarioInstance:
     """Cost-plus resale: the bank buys G and resells it on credit at a markup.
 
     A promises to buy before the bank commits, pays a mediation fee, and
     settles the marked-up price after t days. The good stays with A.
     """
-    price, markup, fee = params["price"], params["markup"], params["fee"]
-    t = params["t"]
     resale = price + markup
     promise, settle = "murabaha-promise", "murabaha-settle"
     world = make_world(
@@ -507,19 +486,13 @@ def _build_murabaha(params: Mapping[str, object]) -> ScenarioInstance:
         fee_paid, sees("B", fee_paid), bank_buys, sees("A", bank_buys),
         credit_sale("A", "BANK", resale, "G", t, settle, promise),
         payment("A", "BANK", resale, settle, day=t, ack=True))
-    return ScenarioInstance(
-        name="murabaha", params=params, world=world, plans=plans,
-        principals=("A", "BANK"), horizon=t,
-        expected={"CONVENTIONAL": "halal"},
-    )
+    return make(world=world, plans=plans, principals=("A", "BANK"), horizon=t,
+                expected={"CONVENTIONAL": "halal"})
 
 
 # -- the monetization refinement family -------------------------------------
 
-def _tawarruq_prices(params: Mapping[str, object], granular: bool):
-    p, c, q = params["p"], params["c"], params["q"]
-    t, block = params["t"], params["block"]
-    drift = params.get("value_drift", ZERO)
+def _tawarruq_prices(p, c, q, block, value_drift, granular: bool):
     i = q * p
     if granular:
         portion = _ceil_to_block(p, block)
@@ -534,16 +507,16 @@ def _tawarruq_prices(params: Mapping[str, object], granular: bool):
     deferred = p - c + i
     # the portion's value is assumed constant across the trades; a nonzero
     # drift revalues the final buy-back leg and is outside acceptance scope
-    buyback = portion - HALF * c + drift
+    buyback = portion - HALF * c + value_drift
     for name, value in (("credit price", credit_total), ("deferred leg", deferred),
                         ("buy-back price", buyback)):
         if value < ZERO:
             raise ParameterViolation(f"{name} is negative at these parameters")
-    return p, c, i, t, block, portion, credit_total, down, deferred, buyback
+    return i, portion, credit_total, down, deferred, buyback
 
 
 def _monetization_agents(i: Quantity, down: Quantity, endow_x: Quantity,
-                         drift: Quantity = ZERO) -> WorldState:
+                         drift: Quantity) -> WorldState:
     cushion = abs(drift)
     return make_world(
         agents=[Agent("X"), Agent("Y", Role.BANK), Agent("Z", Role.COMPANY)],
@@ -551,7 +524,7 @@ def _monetization_agents(i: Quantity, down: Quantity, endow_x: Quantity,
     )
 
 
-def _build_tawarruq_pi(params: Mapping[str, object], granular: bool) -> ScenarioInstance:
+def _build_tawarruq_pi(make, p, c, q, t, block, value_drift, granular: bool) -> ScenarioInstance:
     """Four-step monetization: request, preparation, spot purchase of the
     portion, credit sale at p - c + q*p due at day t, spot buy-back at
     p - c/2.
@@ -563,12 +536,11 @@ def _build_tawarruq_pi(params: Mapping[str, object], granular: bool) -> Scenario
     immediately and p - c + q*p at day t, so X's day-0 net is exactly -p
     despite paying p'.
     """
-    p, c, i, t, block, portion, credit_total, down, deferred, buyback = \
-        _tawarruq_prices(params, granular=granular)
+    i, portion, credit_total, down, deferred, buyback = \
+        _tawarruq_prices(p, c, q, block, value_drift, granular)
     settle = "pi-settle"
     spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
-    world = _monetization_agents(i, down, endow_x=portion,
-                                 drift=params.get("value_drift", ZERO))
+    world = _monetization_agents(i, down, endow_x=portion, drift=value_drift)
     request = act("X", ActionKind.REQUEST_PREPARE_GOOD, counterparty="Z", good_id="G",
                   good_spec=spec)
     z_sale = spot_sale("Z", "X", portion, "G", None)
@@ -578,11 +550,8 @@ def _build_tawarruq_pi(params: Mapping[str, object], granular: bool) -> Scenario
                     credit_sale("Y", "X", credit_total, "G", t, settle, None, down=down),
                     spot_sale("Y", "Z", buyback, "G", None),
                     payment("Y", "X", deferred, settle, day=t, ack=True))
-    return ScenarioInstance(
-        name="tawarruq_pi_prime" if granular else "tawarruq_pi", params=params,
-        world=world, plans=plans, principals=("X", "Y", "Z"), horizon=t,
-        expected={"CONVENTIONAL": "halal", "STRICT_FUNCTIONAL": "haram"},
-    )
+    return make(world=world, plans=plans, principals=("X", "Y", "Z"), horizon=t,
+                expected={"CONVENTIONAL": "halal", "STRICT_FUNCTIONAL": "haram"})
 
 
 def _monetization_contracts(portion, credit_total, buyback):
@@ -601,7 +570,7 @@ def _monetization_contracts(portion, credit_total, buyback):
     return c1, c2, c3
 
 
-def _build_contract_backed(params: Mapping[str, object], name: str, contracts: Sequence[str],
+def _build_contract_backed(make, p, c, q, t, block, value_drift, contracts: Sequence[str],
                            heads: Callable, expected: Mapping[str, str]) -> ScenarioInstance:
     """Block-granular monetization with contracts behind the trades.
 
@@ -610,11 +579,10 @@ def _build_contract_backed(params: Mapping[str, object], name: str, contracts: S
     informs and the three trades follow, citing ``contracts``, the contract
     of each clause in turn.
     """
-    p, c, i, t, block, portion, credit_total, down, deferred, buyback = \
-        _tawarruq_prices(params, granular=True)
+    i, portion, credit_total, down, deferred, buyback = \
+        _tawarruq_prices(p, c, q, block, value_drift, granular=True)
     spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
-    world = _monetization_agents(i, down, endow_x=portion,
-                                 drift=params.get("value_drift", ZERO))
+    world = _monetization_agents(i, down, endow_x=portion, drift=value_drift)
     c1, c2, c3 = contracts
     settle = "pi-settle"
     request = act("X", ActionKind.REQUEST_PREPARE_GOOD, c1, counterparty="Z", good_id="G",
@@ -629,10 +597,8 @@ def _build_contract_backed(params: Mapping[str, object], name: str, contracts: S
                     credit_sale("Y", "X", credit_total, "G", t, settle, c2, down=down),
                     inform("Y", "Z", "bought", c3), spot_sale("Y", "Z", buyback, "G", c3),
                     payment("Y", "X", deferred, settle, day=t, ack=True))
-    return ScenarioInstance(
-        name=name, params=params, world=world, plans=plans,
-        principals=("X", "Y", "Z"), horizon=t, expected=dict(expected),
-    )
+    return make(world=world, plans=plans, principals=("X", "Y", "Z"), horizon=t,
+                expected=dict(expected))
 
 
 def _chained_drafts(cl1: Clause, cl2: Clause, cl3: Clause) -> tuple[Part, Part, Part]:
@@ -693,17 +659,14 @@ def _single_contract_heads(cl1: Clause, cl2: Clause, cl3: Clause) -> Part:
             + sees("X", _signs("Y", "package")) + sees("X", _signs("Z", "package")))
 
 
-def _build_brokered_loan(params: Mapping[str, object]) -> ScenarioInstance:
+def _build_brokered_loan(make, p, i, t, guarantee, collateral_value,
+                         lender_willing) -> ScenarioInstance:
     """Broker-mediated loan: X selects and signs a model contract, Z sounds
     out lender Y, and the deal proceeds only if Y is willing (a declared
     choice point). Guarantee variants: pledge-of-goods (collateral handed
     over and returned), goods-on-default, income-share (both dormant unless
     a claim is made).
     """
-    p, i = params["p"], params["i"]
-    t = params["t"]
-    guarantee = params["guarantee"]
-    collateral_value = params["collateral_value"]
     if guarantee not in ("pledge-of-goods", "goods-on-default", "income-share"):
         raise ParameterViolation(f"unknown guarantee variant {guarantee!r}")
     if guarantee != "income-share" and collateral_value <= p:
@@ -766,22 +729,16 @@ def _build_brokered_loan(params: Mapping[str, object]) -> ScenarioInstance:
         [("X", Branch(active, x_deal.steps, (Stop(),))),
          ("Y", Branch(ChoiceIs("lender_willing"), y_deal.steps, y_out.steps)),
          ("Z", Branch(active, z_deal.steps, z_out.steps))])
-    return ScenarioInstance(
-        name="brokered_loan", params=params, world=world, plans=plans,
-        principals=("X", "Y"), horizon=t,
-        choice_points={"lender_willing": params["lender_willing"]},
-        expected={"CONVENTIONAL": "halal"},
-    )
+    return make(world=world, plans=plans, principals=("X", "Y"), horizon=t,
+                choice_points={"lender_willing": lender_willing},
+                expected={"CONVENTIONAL": "halal"})
 
 
-def _build_unethical(params: Mapping[str, object]) -> ScenarioInstance:
+def _build_unethical(make, variant, loan_p, loan_c, loan_i, t) -> ScenarioInstance:
     """The annotated one-offs: a rain-contingent promise, a used-car sale
     with hidden defects, a coerced payment, and the interest loan pair whose
     justification declares the proportional increment.
     """
-    variant = params["variant"]
-    p, c, i = params["loan_p"], params["loan_c"], params["loan_i"]
-    t = params["t"]
     variants = ("rain_promise", "used_car_sale", "extortion", "interest_loan", "all")
     if variant not in variants:
         raise ParameterViolation(f"variant must be one of {variants}")
@@ -813,28 +770,26 @@ def _build_unethical(params: Mapping[str, object]) -> ScenarioInstance:
         parts += [threat, sees("Y", threat), payment("Y", "X", extort, None)]
     if "interest_loan" in wanted:
         promise = act(
-            "Y", ActionKind.PROMISE_PAY, counterparty="X", amount=p + i, due_date=t,
+            "Y", ActionKind.PROMISE_PAY, counterparty="X", amount=loan_p + loan_i, due_date=t,
             contract_id=loan_pair,
             message="repay p + i after receiving p - c, i proportional to p",
-            terms=RepaymentTerms(principal=p, rate=total_div(i, p), fixed_cost=c,
-                                 period=t))
-        lent = payment("X", "Y", p - c, loan_pair)
+            terms=RepaymentTerms(principal=loan_p, rate=total_div(loan_i, loan_p),
+                                 fixed_cost=loan_c, period=t))
+        lent = payment("X", "Y", loan_p - loan_c, loan_pair)
         parts += [promise, sees("X", promise), lent, sees("Y", lent),
-                  act("X", ActionKind.JUSTIFY_ENTITLEMENT, counterparty="Y", amount=p + i,
+                  act("X", ActionKind.JUSTIFY_ENTITLEMENT, counterparty="Y",
+                      amount=loan_p + loan_i,
                       reason=Reason(text="opportunity costs of lending p over the period",
                                     contract_ids=(loan_pair,))),
-                  payment("Y", "X", p + i, loan_pair, day=t)]
+                  payment("Y", "X", loan_p + loan_i, loan_pair, day=t)]
     world = make_world(
         agents=[Agent("X"), Agent("Y")],
-        balances={"X": p - c if "interest_loan" in wanted else ZERO,
-                  "Y": car_price + extort + i + c},
+        balances={"X": loan_p - loan_c if "interest_loan" in wanted else ZERO,
+                  "Y": car_price + extort + loan_i + loan_c},
         goods=goods,
     )
-    return ScenarioInstance(
-        name="unethical_examples", params=params, world=world, plans=compose(("X", "Y"), *parts),
-        principals=("X", "Y"), horizon=t,
-        expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "haram"},
-    )
+    return make(world=world, plans=compose(("X", "Y"), *parts), principals=("X", "Y"),
+                horizon=t, expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "haram"})
 
 
 # ---------------------------------------------------------------------------
@@ -925,8 +880,8 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
         name="tawarruq_pi_double_prime", family="tawarruq",
         summary="Contract-backed monetization: C1, C2, C3 signed, informs reference them.",
         params=_monetization_params(block=30),
-        build=partial(_build_contract_backed, name="tawarruq_pi_double_prime",
-                      contracts=("C1", "C2", "C3"), heads=_double_prime_heads,
+        build=partial(_build_contract_backed, contracts=("C1", "C2", "C3"),
+                      heads=_double_prime_heads,
                       expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "halal",
                                 "STRICT_FUNCTIONAL": "haram"}),
     ),
@@ -934,16 +889,16 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
         name="tawarruq_pi_triple_prime", family="tawarruq",
         summary="Preparation-ordered monetization: prepare all contracts, sign C3, C2, C1.",
         params=_monetization_params(block=30),
-        build=partial(_build_contract_backed, name="tawarruq_pi_triple_prime",
-                      contracts=("C1", "C2", "C3"), heads=_triple_prime_heads,
+        build=partial(_build_contract_backed, contracts=("C1", "C2", "C3"),
+                      heads=_triple_prime_heads,
                       expected={"CONVENTIONAL": "halal", "STRICT_DESCRIPTIVE": "halal"}),
     ),
     ScenarioSpec(
         name="tawarruq_single_contract", family="tawarruq",
         summary="Monetization packaged in a single contract with three signatures.",
         params=_monetization_params(block=30),
-        build=partial(_build_contract_backed, name="tawarruq_single_contract",
-                      contracts=("package",) * 3, heads=_single_contract_heads,
+        build=partial(_build_contract_backed, contracts=("package",) * 3,
+                      heads=_single_contract_heads,
                       expected={"CONVENTIONAL": "halal"}),
     ),
     ScenarioSpec(
@@ -1000,7 +955,8 @@ def instantiate(
 ) -> ScenarioInstance:
     """Build a scenario instance; deterministic for given (name, params)."""
     spec = get_spec(name, extra)
-    return spec.build(_resolve(spec.params, params or {}))
+    resolved = _resolve(spec.params, params or {})
+    return spec.build(partial(ScenarioInstance, name=spec.name, params=resolved), **resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,14 +981,14 @@ class _FileScenario:
     family: str = "custom"
     summary: str = "user-defined scenario"
 
-    def instance(self) -> ScenarioInstance:
-        world = make_world(agents=self.agents, balances=self.balances, goods=self.goods,
-                           contracts=self.contracts, overdraft_allowed=self.overdraft_allowed)
-        return ScenarioInstance(
-            name=self.name, params={}, world=world, plans=self.plans,
-            principals=self.principals, horizon=self.horizon,
-            choice_points=self.choice_points,
-        )
+    def world(self) -> WorldState:
+        return make_world(agents=self.agents, balances=self.balances, goods=self.goods,
+                          contracts=self.contracts, overdraft_allowed=self.overdraft_allowed)
+
+    def instance(self, make: Callable[..., ScenarioInstance]) -> ScenarioInstance:
+        """A builder without parameters: ``make`` supplies the name and the empty parameters."""
+        return make(world=self.world(), plans=self.plans, principals=self.principals,
+                    horizon=self.horizon, choice_points=self.choice_points)
 
 
 codec_row(_FileScenario, omit="family summary")
@@ -1055,13 +1011,8 @@ def instance_to_dict(instance: ScenarioInstance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> ScenarioInstance:
-    return value_from_dict(_FileScenario, data).instance()
-
-
-def _build_file_scenario(instance: ScenarioInstance, params: Mapping[str, object]) -> ScenarioInstance:
-    if params:
-        raise ParameterViolation(f"file scenario {instance.name!r} takes no parameters")
-    return instance
+    scenario = value_from_dict(_FileScenario, data)
+    return scenario.instance(partial(ScenarioInstance, name=scenario.name, params={}))
 
 
 def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
@@ -1103,8 +1054,9 @@ def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
             raise ValueError(f"scenarios[{i}].name: {scenario.name!r} names the built-in scenario "
                              f"{_ALIASES.get(scenario.name, scenario.name)!r}; a file scenario "
                              "needs a name of its own")
+        scenario.world()  # checked now, whether or not a command runs it
         specs[scenario.name] = ScenarioSpec(
             name=scenario.name, family=scenario.family, summary=scenario.summary, params=(),
-            build=partial(_build_file_scenario, scenario.instance()),
+            build=scenario.instance,
         )
     return specs, positions

@@ -421,6 +421,13 @@ def test_readme_scenario_file_example_runs(capsys, tmp_path):
     assert code == 0 and "halal" in out
 
 
+def test_a_file_scenario_takes_no_parameters(capsys, tmp_path):
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps({"scenarios": [_GOOD]}))
+    assert invoke(capsys, "run", "p", "p=10", "--scenario-file", str(path)) == (
+        2, "", "error: unknown parameter 'p' (accepts: [])\n")
+
+
 class TestBadScenarioFile:
     """Malformed --scenario-file input is a usage error, never a traceback."""
 

@@ -68,7 +68,8 @@ class TestCatalogue:
             instantiate("tawarruq_classic", {"rate": "1/10"})
 
     @pytest.mark.parametrize("text, flag", [("1", True), ("TRUE", True), ("Yes", True),
-                                            ("0", False), ("false", False), ("NO", False)])
+                                            ("0", False), ("false", False), ("NO", False),
+                                            (True, True), (False, False)])
     def test_flag_spellings(self, text, flag):
         instance = instantiate("ina_two_party", {"single_contract": text})
         assert instance.params["single_contract"] is flag
@@ -77,6 +78,13 @@ class TestCatalogue:
     def test_misspelt_flag_names_the_parameter(self, text):
         with pytest.raises(ParameterViolation, match="parameter single_contract must be true"):
             instantiate("ina_two_party", {"single_contract": text})
+
+    # no truthiness: None must not silently mean "declined"
+    @pytest.mark.parametrize("value", [None, [], 2, 1.5])
+    def test_flag_of_another_type_names_the_parameter(self, value):
+        with pytest.raises(ParameterViolation, match="parameter lender_willing must be true "
+                                                     r"or false \(or 1/0, yes/no\), got "):
+            instantiate("brokered_loan", {"lender_willing": value})
 
     @pytest.mark.parametrize("text", ["0", "-1", "-365"])
     def test_period_under_one_day_has_one_message(self, text):
@@ -388,7 +396,7 @@ class TestScenarioFiles:
         path.write_text(json.dumps(payload))
         specs, positions = load_scenario_file(str(path))
         assert positions == []
-        loaded = specs["ina_copy"].build({})
+        loaded = instantiate("ina_copy", {}, extra=specs)
         progression = run(loaded.world, loaded.plans, RoundRobin(),
                           horizon=loaded.horizon)
         _, original = run_default("ina_two_party")
@@ -401,7 +409,7 @@ class TestScenarioFiles:
                                                    "name": "ina_copy"}]}))
         specs, _ = load_scenario_file(str(path))
         with pytest.raises(ParameterViolation):
-            specs["ina_copy"].build({"p": "10"})
+            instantiate("ina_copy", {"p": "10"}, extra=specs)
 
     @pytest.mark.parametrize(("name", "params"), [(name, {}) for name in ALL_SCENARIOS]
                              + [("ina_two_party", {"single_contract": "true"})])

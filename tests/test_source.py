@@ -233,3 +233,59 @@ def test_the_gate_sees_a_restated_codec_row():
             "codec_row(Elsewhere, 'left right')\n")
     assert restated_codec_rows(text, declared_fields(text)) == [
         "line 9: Pair", "line 12: Pair", "line 14: Empty"]
+
+
+# parameters that nothing reads, each kept because its caller passes it
+UNREAD_PARAMETERS = {
+    "legality.py judge(instance)": "public signature: every caller, perfbench's among them, "
+                                   "passes the scenario with the progression it judges",
+    "legality.py __get__(owner)": "descriptor protocol: Python passes the owner class",
+    "money.py _frozen_setattr(value)": "installed as __setattr__, which Python calls with the "
+                                       "value it refuses",
+    "money.py <lambda>(obj)": "the zero-field getter: called with the record, as every "
+                              "fields getter is",
+}
+
+
+def unread_parameters(text: str) -> list[str]:
+    """Every parameter of a function or lambda that nothing in its body
+    reads (a nested function's read counts), as ``line N: name(parameter)``.
+    A method's receiver ``self`` is bound whether or not it is read."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for statement in body for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [(node.lineno, f"{getattr(node, 'name', '<lambda>')}({arg.arg})")
+                  for arg in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs,
+                              args.kwarg)
+                  if arg is not None and arg.arg != "self" and arg.arg not in read]
+    return [f"line {line}: {entry}" for line, entry in sorted(found, key=lambda f: f[0])]
+
+
+def test_every_parameter_is_read_or_kept_with_a_reason():
+    found = {f"{path.name} {entry.split(': ', 1)[1]}" for path in sorted(PACKAGE.glob("*.py"))
+             for entry in unread_parameters(path.read_text())}
+    assert found == set(UNREAD_PARAMETERS)
+    assert all(reason.strip() for reason in UNREAD_PARAMETERS.values())
+
+
+def test_the_gate_sees_an_unread_parameter():
+    text = ("def used(a, *args, b=1, **kw):\n"
+            "    return a, args, b, kw\n"
+            "def unused(a, /, b, *, c=0):\n"
+            "    return b\n"
+            "class Box:\n"
+            "    def get(self, key, default=None):\n"
+            "        def inner(x):\n"
+            "            return key\n"
+            "        return inner\n"
+            "skip = lambda value: None\n"
+            "def spread(*args, **kwargs):\n"
+            "    args = ()\n")
+    assert unread_parameters(text) == [
+        "line 3: unused(a)", "line 3: unused(c)", "line 6: get(default)", "line 7: inner(x)",
+        "line 10: <lambda>(value)", "line 11: spread(args)", "line 11: spread(kwargs)"]

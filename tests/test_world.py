@@ -374,9 +374,18 @@ class TestContractLifecycle:
                 contract_id="c2", parties=("X", "Y"), references=("c1",)), 0)
 
     def test_reason_must_cite_existing_contract(self):
-        world = make_world(agents=[Agent("X"), Agent("Y")], balances={"X": q(10)})
-        with pytest.raises(UnknownReference):
-            apply_event(world, pay("X", "Y", 1, reason=Reason(contract_ids=("ghost",))), 0)
+        world = make_world(agents=[Agent("X"), Agent("Y")], balances={"X": q(10)},
+                           goods=[Good(good_id="G", kind="asset", owner="Y",
+                                       market_value=q(10))])
+        ghost = Reason(contract_ids=("ghost",))
+        # a promise and a credit sale make contracts that reference what they cite
+        for action in (pay("X", "Y", 1, reason=ghost),
+                       Action(kind=ActionKind.PROMISE_PAY, actor="X", counterparty="Y",
+                              amount=q(1), due_date=5, contract_id="c", reason=ghost),
+                       Action(kind=ActionKind.BUY_ON_CREDIT, actor="X", counterparty="Y",
+                              amount=q(10), due_date=5, good_id="G", reason=ghost)):
+            with pytest.raises(UnknownReference, match="reason cites unknown contract 'ghost'"):
+                apply_event(world, action, 0)
 
     def test_reason_event_refs_point_at_logged_events(self):
         world = make_world(agents=[Agent("X"), Agent("Y")], balances={"X": q(10)})
