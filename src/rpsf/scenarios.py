@@ -492,7 +492,9 @@ def _build_murabaha(make, price, markup, fee, t) -> ScenarioInstance:
 
 # -- the monetization refinement family -------------------------------------
 
-def _tawarruq_prices(p, c, q, block, value_drift, granular: bool):
+def _monetization(p, c, q, block, value_drift, granular: bool):
+    """The opening world, the good's spec and the prices of one monetization:
+    (world, spec, portion, credit_total, down, deferred, buyback)."""
     i = q * p
     if granular:
         portion = _ceil_to_block(p, block)
@@ -512,16 +514,13 @@ def _tawarruq_prices(p, c, q, block, value_drift, granular: bool):
                         ("buy-back price", buyback)):
         if value < ZERO:
             raise ParameterViolation(f"{name} is negative at these parameters")
-    return i, portion, credit_total, down, deferred, buyback
-
-
-def _monetization_agents(i: Quantity, down: Quantity, endow_x: Quantity,
-                         drift: Quantity) -> WorldState:
-    cushion = abs(drift)
-    return make_world(
+    cushion = abs(value_drift)
+    world = make_world(
         agents=[Agent("X"), Agent("Y", Role.BANK), Agent("Z", Role.COMPANY)],
-        balances={"X": endow_x, "Y": down + i + cushion, "Z": cushion},
+        balances={"X": portion, "Y": down + i + cushion, "Z": cushion},
     )
+    spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
+    return world, spec, portion, credit_total, down, deferred, buyback
 
 
 def _build_tawarruq_pi(make, p, c, q, t, block, value_drift, granular: bool) -> ScenarioInstance:
@@ -536,11 +535,9 @@ def _build_tawarruq_pi(make, p, c, q, t, block, value_drift, granular: bool) -> 
     immediately and p - c + q*p at day t, so X's day-0 net is exactly -p
     despite paying p'.
     """
-    i, portion, credit_total, down, deferred, buyback = \
-        _tawarruq_prices(p, c, q, block, value_drift, granular)
+    world, spec, portion, credit_total, down, deferred, buyback = \
+        _monetization(p, c, q, block, value_drift, granular)
     settle = "pi-settle"
-    spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
-    world = _monetization_agents(i, down, endow_x=portion, drift=value_drift)
     request = act("X", ActionKind.REQUEST_PREPARE_GOOD, counterparty="Z", good_id="G",
                   good_spec=spec)
     z_sale = spot_sale("Z", "X", portion, "G", None)
@@ -579,10 +576,8 @@ def _build_contract_backed(make, p, c, q, t, block, value_drift, contracts: Sequ
     informs and the three trades follow, citing ``contracts``, the contract
     of each clause in turn.
     """
-    i, portion, credit_total, down, deferred, buyback = \
-        _tawarruq_prices(p, c, q, block, value_drift, granular=True)
-    spec = GoodSpec(kind="gold", market_value=portion, block_size=block)
-    world = _monetization_agents(i, down, endow_x=portion, drift=value_drift)
+    world, spec, portion, credit_total, down, deferred, buyback = \
+        _monetization(p, c, q, block, value_drift, granular=True)
     c1, c2, c3 = contracts
     settle = "pi-settle"
     request = act("X", ActionKind.REQUEST_PREPARE_GOOD, c1, counterparty="Z", good_id="G",

@@ -35,7 +35,7 @@ into their trade skeletons.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import BoundExceeded, Do, Plan, Progression, RoundRobin, run
@@ -206,15 +206,25 @@ def normalize_catalogue(names: Iterable[str]) -> frozenset[str]:
 
 @record(frozen=True)
 class Witness:
-    """A found sequence; its progression is replayed on first read, then kept."""
+    """A found sequence: its trades and the settlements they leave due, as
+    (payer, payee, amount, due, settlement contract id). ``actions`` and
+    ``progression`` are built on first read, then kept."""
 
-    actions: tuple[Action, ...]
-    # the search's opening world, the trades and the pending settlements
-    origin: tuple[WorldState, tuple[Action, ...], tuple] = field(repr=False, compare=False)
+    trades: tuple[Action, ...]
+    pending: tuple[tuple[str, str, Quantity, int, str], ...]
+    world: WorldState = field(repr=False, compare=False)  # the search's opening world
+
+    @cached_property
+    def actions(self) -> tuple[Action, ...]:
+        """The trades, then one payment per settlement in due order."""
+        return self.trades + tuple(
+            Action(kind=ActionKind.PAY, actor=payer, counterparty=payee, amount=amount,
+                   reason=Reason(contract_ids=(settle_id,)))
+            for payer, payee, amount, _, settle_id in _due_order(self.pending))
 
     @cached_property
     def progression(self) -> Progression:
-        return _replay_witness(*self.origin)
+        return _replay_witness(self.world, self.trades, self.pending)
 
     def to_dict(self) -> dict:
         return {"actions": [action_to_dict(a) for a in self.actions]}
@@ -340,7 +350,6 @@ def synthesize(
     # good is pre-owned, so their count is the prepared count), used agents
     # and depth (which names a credit sale's settlement contract)
     moves: dict[tuple, tuple[Action, ...]] = {}
-    settlements: dict[tuple, Action] = {}
 
     def next_fresh(used: frozenset[str]) -> Optional[str]:
         for name in agents:
@@ -387,8 +396,7 @@ def synthesize(
         explored += 1
         mismatch, displaced = state.mismatch, state.displaced
         if not mismatch and not displaced:
-            witnesses.append(Witness(actions=_full_sequence(state, settlements),
-                                     origin=(world0, state.actions, state.pending)))
+            witnesses.append(Witness(state.actions, state.pending, world0))
         depth = len(state.actions)
         remaining = bound - depth
         if remaining == 0 or max(-(-mismatch // per_action), displaced) > remaining:
@@ -468,20 +476,9 @@ def _successor(state: _SearchState, action: Action, buyer: Optional[str],
                         used, actions)
 
 
-def _full_sequence(state: _SearchState,
-                   settlements: dict[tuple, Action]) -> tuple[Action, ...]:
-    """The state's trades, then one payment per pending settlement in due
-    order; ``settlements`` keeps the payment built for each pending entry."""
-    sequence = state.actions
-    for entry in sorted(state.pending, key=lambda p: (p[3], p[4])):
-        payment = settlements.get(entry)
-        if payment is None:
-            payer, payee, amount, _, settle_id = entry
-            payment = settlements[entry] = Action(
-                kind=ActionKind.PAY, actor=payer, counterparty=payee, amount=amount,
-                reason=Reason(contract_ids=(settle_id,)))
-        sequence += (payment,)
-    return sequence
+def _due_order(pending: Iterable[tuple]) -> list[tuple]:
+    """Pending settlements by due date, then settlement contract id."""
+    return sorted(pending, key=itemgetter(3, 4))
 
 
 def _replay_witness(world0: WorldState, actions: tuple[Action, ...],
@@ -509,8 +506,7 @@ def witness_plans(actions: Sequence[Action],
                               message=prev.message))
         parts.append([(tagged.actor, Do(tagged))])
         prev = tagged
-    for payer, payee, amount, due, settle_id in sorted(
-            pending, key=lambda p: (p[3], p[4])):
+    for payer, payee, amount, due, settle_id in _due_order(pending):
         parts.append(payment(payer, payee, amount, settle_id, day=due))
     return compose(sorted({agent for part in parts for agent, _ in part}), *parts)
 
@@ -520,13 +516,13 @@ def witness_scenario(result: SynthesisResult, index: int) -> dict:
     the search's opening world, led by its first agent, with the least
     balances that keep the replay solvent."""
     witness = result.witnesses[index]
-    world0, actions, pending = witness.origin
+    world0 = witness.world
     accounts = {name: _required_endowment(name, witness.progression) for name in world0.agents}
     return instance_to_dict(ScenarioInstance(
         name=f"witness-{index}", params={}, world=replace(world0, accounts=accounts),
-        plans=witness_plans(actions, pending),
+        plans=witness_plans(witness.trades, witness.pending),
         principals=(next(iter(world0.agents)),),
-        horizon=max([due for _, _, _, due, _ in pending], default=0)))
+        horizon=max([due for _, _, _, due, _ in witness.pending], default=0)))
 
 
 def _required_endowment(agent: str, progression: Progression) -> Quantity:

@@ -511,6 +511,30 @@ CASH_LEGS: dict[ActionKind, Callable[[Action], tuple]] = {
     ActionKind.BUY_ON_CREDIT: attrgetter("actor", "counterparty", "down_payment"),
 }
 
+# What an action of each kind must carry besides its actor, in the order
+# ``_need`` checks it. A kind with no branch in ``apply_event`` only logs its
+# event: exchanging denominations swaps equal totals, so moves no net cash.
+_NEEDS: dict[ActionKind, tuple[str, ...]] = {
+    ActionKind.PROMISE_PAY: ("counterparty", "amount"),
+    ActionKind.PROMISE_ACCEPT_PAYMENT: ("counterparty", "amount"),
+    ActionKind.PAY: ("counterparty", "amount"),
+    ActionKind.RECEIVE_PAYMENT: ("counterparty", "amount"),
+    ActionKind.ACKNOWLEDGE_RECEIPT: (),  # broadcast to every agent involved
+    ActionKind.PROMISE_BUY_ON_CONDITION: ("counterparty", "amount", "good_id"),
+    ActionKind.BUY_ON_CREDIT: ("counterparty", "amount", "due_date", "good_id"),
+    ActionKind.ASSERT_EXPECTATION: ("counterparty",),
+    ActionKind.JUSTIFY_ENTITLEMENT: ("counterparty",),
+    ActionKind.PROMISE_INSURANCE_PAYOUT: ("counterparty", "amount", "down_payment"),
+    ActionKind.PROMISE_MANAGE_FUNDS: ("counterparty", "amount"),
+    ActionKind.EXCHANGE_DENOMINATIONS: ("counterparty", "amount"),
+    ActionKind.SPOT_SALE: ("counterparty", "amount", "good_id"),
+    ActionKind.INFORM: ("counterparty",),
+    ActionKind.SIGN_CONTRACT: ("contract_id",),
+    ActionKind.PREPARE_CONTRACT: ("contract_id",),
+    ActionKind.PREPARE_GOOD: ("good_id", "good_spec"),
+    ActionKind.REQUEST_PREPARE_GOOD: ("counterparty", "good_id"),
+}
+
 
 def net_cells(rows: Sequence[tuple[str, str, Quantity, int]]) -> tuple[int, dict[str, dict[int, int]]]:
     """Net cash per agent and day of ``(payer, payee, amount, day)`` rows, as
@@ -539,6 +563,7 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
     if date < world.clock:
         raise ValidationError(f"event date {date} precedes world clock {world.clock}")
     _validate_common(world, action)
+    _need(action)
 
     accounts = dict(world.accounts)
     goods = dict(world.goods)
@@ -547,8 +572,6 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
     deltas: list[str] = []
 
     def move_cash(payer: str, payee: str, amount: Quantity) -> None:
-        if amount < ZERO:
-            raise ValidationError("cash movements must be nonnegative")
         if not world.overdraft_allowed and accounts[payer] < amount:
             raise InsufficientFunds(
                 f"{payer} holds {accounts[payer]}, cannot pay {amount}"
@@ -578,16 +601,11 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
     if kind in CASH_LEGS:
         payer, payee, paid = CASH_LEGS[kind](action)
     if kind == ActionKind.PAY or kind == ActionKind.RECEIVE_PAYMENT:
-        _need(action, "counterparty", "amount")
         move_cash(payer, payee, paid)
     elif kind == ActionKind.SPOT_SALE:
-        _need(action, "counterparty", "amount", "good_id")
         move_good(action.good_id, payee, payer)
         move_cash(payer, payee, paid)
     elif kind == ActionKind.BUY_ON_CREDIT:
-        _need(action, "counterparty", "amount", "due_date")
-        if action.good_id is None:
-            raise ValidationError("buy-on-credit requires a good")
         if action.due_date < date:
             raise ValidationError("credit due date precedes the sale date")
         down = paid or ZERO
@@ -604,7 +622,6 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
         add_contract(promise_to_contract(
             replace(action, contract_id=action.contract_id or f"promise-{seq}")))
     elif kind == ActionKind.PREPARE_CONTRACT:
-        _need(action, "contract_id")
         parties = action.parties or ((action.actor, action.counterparty) if action.counterparty else (action.actor,))
         for clause in action.clauses:
             if clause.obliged_party not in parties:
@@ -623,7 +640,6 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
             )
         )
     elif kind == ActionKind.SIGN_CONTRACT:
-        _need(action, "contract_id")
         record = contracts.get(action.contract_id)
         if record is None:
             raise UnknownReference(f"unknown contract {action.contract_id!r}")
@@ -640,9 +656,6 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
         contracts[action.contract_id] = replace(record, signatures=signatures, stage=stage)
         deltas.append(f"contract {action.contract_id} {stage.value}")
     elif kind == ActionKind.PREPARE_GOOD:
-        _need(action, "good_id")
-        if action.good_spec is None:
-            raise ValidationError("prepare-good requires a good specification")
         if action.good_id in goods:
             raise ValidationError(f"good id {action.good_id!r} already exists")
         spec = action.good_spec
@@ -656,23 +669,6 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
             is_money=spec.is_money,
         )
         deltas.append(f"{action.good_id} prepared by {action.actor}")
-    elif kind == ActionKind.EXCHANGE_DENOMINATIONS:
-        # an equal-total swap of coins and notes moves no net cash
-        _need(action, "counterparty", "amount")
-    elif kind == ActionKind.REQUEST_PREPARE_GOOD:
-        _need(action, "counterparty", "good_id")
-    elif kind in (
-        ActionKind.ASSERT_EXPECTATION,
-        ActionKind.JUSTIFY_ENTITLEMENT,
-        ActionKind.INFORM,
-    ):
-        # log-only speech acts directed at a counterparty
-        _need(action, "counterparty")
-    elif kind == ActionKind.ACKNOWLEDGE_RECEIPT:
-        # broadcast to all agents involved; the source is optional context
-        _need(action)
-    else:  # pragma: no cover - exhaustive over ActionKind
-        raise ValidationError(f"unhandled action kind {kind}")
 
     event = Event(seq=seq, date=date, action=action, delta="; ".join(deltas))
     return WorldState(
@@ -686,11 +682,13 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
     )
 
 
-def _need(action: Action, *fields_: str) -> None:
-    for name in fields_:
+def _need(action: Action) -> None:
+    """Check that the action carries its kind's ``_NEEDS`` and no negative sum."""
+    for name in _NEEDS[action.kind]:
         if getattr(action, name) is None:
             raise ValidationError(f"{action.kind.value} requires {name}")
-    if action.amount is not None and action.amount < ZERO:
+    amount, down = action.amount, action.down_payment
+    if amount is not None and amount < ZERO or down is not None and down < ZERO:
         raise ValidationError("sums must be nonnegative")
 
 
@@ -723,27 +721,21 @@ def promise_to_contract(promise: Action) -> ContractRecord:
     """
     if promise.kind not in PROMISE_KINDS:
         raise ValidationError(f"{promise.kind.value} is not a promise")
-    if promise.counterparty is None:
-        raise ValidationError("a promise needs a counterparty")
+    _need(promise)
     cid = promise.contract_id
     if cid is None:
         raise ValidationError("promise contract needs an id")
     actor, other = promise.actor, promise.counterparty
 
-    _need(promise, "amount")
     kind, trigger, good, bound = ActionKind.PAY, Always(), None, cid
     if promise.kind == ActionKind.PROMISE_ACCEPT_PAYMENT:
         kind = ActionKind.RECEIVE_PAYMENT
     elif promise.kind == ActionKind.PROMISE_BUY_ON_CONDITION:
-        if promise.good_id is None:
-            raise ValidationError("promise-buy-on-condition requires a good")
         kind = ActionKind.BUY_ON_CREDIT if promise.on_credit else ActionKind.SPOT_SALE
         good, bound = promise.good_id, None
         trigger = promise.trigger or AfterEvent(
             ActionTemplate(kind=ActionKind.PREPARE_GOOD, good_id=good))
     elif promise.kind == ActionKind.PROMISE_INSURANCE_PAYOUT:
-        if promise.down_payment is None:
-            raise ValidationError("promise-insurance-payout requires a premium (down_payment)")
         trigger = AfterEvent(ActionTemplate(kind=ActionKind.PAY, actor=other, counterparty=actor,
                                             amount=promise.down_payment))
     elif promise.kind == ActionKind.PROMISE_MANAGE_FUNDS:

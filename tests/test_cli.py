@@ -78,6 +78,10 @@ class TestRun:
         assert code == 2
         assert "error" in err
 
+    def test_parameter_without_a_value_is_named(self, capsys):
+        assert invoke(capsys, "run", "loan_with_interest", "p") == (
+            2, "", "error: expected key=value, got 'p'\n")
+
     @pytest.mark.parametrize("value", ["abc", "1/3", "true"])
     def test_period_that_is_not_whole_days_is_named(self, capsys, value):
         code, _, err = invoke(capsys, "run", "loan_with_interest", f"t={value}")

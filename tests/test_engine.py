@@ -9,6 +9,7 @@ from rpsf.engine import (
     BoundExceeded,
     DeadlockDetected,
     Do,
+    EngineError,
     Exhaustive,
     HorizonExceeded,
     Plan,
@@ -28,6 +29,7 @@ from rpsf.world import (
     Agent,
     BalanceAtLeast,
     ByDate,
+    apply_event,
     make_world,
     world_to_json,
 )
@@ -75,6 +77,17 @@ class TestRun:
             run(trio, plans, RoundRobin())
         assert set(exc.value.blocked) == {"A", "B"}
         assert "waiting on" in str(exc.value)
+
+    @pytest.mark.parametrize("plans,horizon,message", [
+        ([chat("A", 1), chat("A", 2)], 20, "two plans for agent 'A'"),
+        ([chat("D", 1)], 20, "plan for unknown agent 'D'"),
+        ([chat("A", 1)], 5, "horizon 5 precedes world clock 10"),
+    ], ids=["two-plans", "unknown-agent", "horizon-before-clock"])
+    def test_rejections(self, trio, plans, horizon, message):
+        world = apply_event(trio, Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT, actor="C"), 10)
+        with pytest.raises(EngineError) as exc:
+            run(world, plans, RoundRobin(), horizon=horizon)
+        assert str(exc.value) == message
 
     def test_horizon_exceeded(self, trio):
         plans = [Plan("A", (WaitFor(ByDate(100)),

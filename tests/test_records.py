@@ -177,10 +177,10 @@ def test_records_of_the_same_shape_differ_by_class():
 
 def test_a_field_left_out_of_comparison():
     action = world.Action(world.ActionKind.PAY, "X")
-    first = synthesis.Witness(actions=(action,), origin=("one", None))
-    second = synthesis.Witness(actions=(action,), origin=("two", None))
+    first = synthesis.Witness(trades=(action,), pending=(), world="one")
+    second = synthesis.Witness(trades=(action,), pending=(), world="two")
     assert first == second and hash(first) == hash(second)
-    assert repr(first) == f"Witness(actions={(action,)!r})"
+    assert repr(first) == f"Witness(trades={(action,)!r}, pending=())"
 
 
 def test_a_class_keeps_the_methods_its_body_defines():

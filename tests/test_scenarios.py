@@ -146,6 +146,11 @@ class TestSavingsAccount:
 
 
 class TestLoanWithInterest:
+    def test_costs_over_the_principal_rejected(self):
+        with pytest.raises(ParameterViolation) as exc:
+            instantiate("loan_with_interest", {"c": "200"})
+        assert str(exc.value) == "costs c exceed the principal"
+
     def test_two_transfer_decomposition(self):
         _, progression = run_default("loan_with_interest", p=q(100), c=q(3),
                                      c2=q(2), i=q(10), t=200)

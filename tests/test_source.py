@@ -14,8 +14,8 @@ KEPT = re.compile(r"#\s*noqa:\s*F401\b\s*\S")
 # the classes that may write their own JSON; every other record gets a codec
 # row and ``to_dict = value_to_dict``
 OWN_ENCODERS = {
-    "Witness": "writes its actions only; origin holds the search's opening world and "
-               "settlements, which have no JSON form",
+    "Witness": "writes its actions only; its opening world and pending settlements "
+               "have no JSON form",
 }
 
 
@@ -289,3 +289,61 @@ def test_the_gate_sees_an_unread_parameter():
     assert unread_parameters(text) == [
         "line 3: unused(a)", "line 3: unused(c)", "line 6: get(default)", "line 7: inner(x)",
         "line 10: <lambda>(value)", "line 11: spread(args)", "line 11: spread(kwargs)"]
+
+
+def ad_hoc_needs(text: str) -> list[str]:
+    """Every ``if action.<field> is None:`` or ``if promise.<field> is None:``
+    whose body raises ``ValidationError``, outside ``_need``: what an action
+    of each kind must carry is stated once, in ``world._NEEDS``."""
+    found = []
+
+    def missing_field(test: ast.AST) -> bool:
+        return (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.ops[0], ast.Is)
+                and isinstance(test.left, ast.Attribute)
+                and getattr(test.left.value, "id", None) in ("action", "promise")
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None)
+
+    def raises_validation(body: list[ast.stmt]) -> bool:
+        return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                   and getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None))
+                   == "ValidationError"
+                   for statement in body for node in ast.walk(statement))
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.If) and owner != "_need" and missing_field(child.test)
+                    and raises_validation(child.body)):
+                found.append(f"line {child.lineno}: {ast.unparse(child.test)}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else owner)
+    visit(ast.parse(text), "<module>")
+    return found
+
+
+def test_each_kind_states_what_it_carries_in_one_table():
+    assert [f"{path.name} {entry}" for path in sorted(PACKAGE.glob("*.py"))
+            for entry in ad_hoc_needs(path.read_text())] == []
+
+
+def test_the_gate_sees_an_ad_hoc_need():
+    text = ("def apply(action):\n"
+            "    if action.good_id is None:\n"
+            "        raise ValidationError('needs a good')\n"
+            "    elif promise.amount is None:\n"
+            "        if ready:\n"
+            "            raise world.ValidationError('needs an amount')\n"
+            "    if action.due_date is not None:\n"
+            "        raise ValidationError('has a date')\n"
+            "    if action.contract_id is None:\n"
+            "        raise UnknownReference('no contract')\n"
+            "    if record.stage is None:\n"
+            "        raise ValidationError('no stage')\n"
+            "    if action.channel is None:\n"
+            "        return\n"
+            "def _need(action):\n"
+            "    if action.amount is None:\n"
+            "        raise ValidationError('needs an amount')\n")
+    assert ad_hoc_needs(text) == [
+        "line 2: action.good_id is None", "line 4: promise.amount is None"]

@@ -299,6 +299,11 @@ class TestSynthesize:
             with pytest.raises(ValidationError, match="sums must be nonnegative"):
                 synthesize(target, ["spot-sale", "credit-sale"], bound=bound)
 
+    def test_one_agent_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            synthesize(savings_target(), ["spot-sale"], agents=("X",), bound=2)
+        assert str(exc.value) == "need at least two agents"
+
     def test_duplicate_agents_are_rejected(self):
         with pytest.raises(ValidationError, match="duplicate agent 'X'"):
             synthesize(savings_target(), ["spot-sale"], agents=("X", "X"), bound=2)
@@ -332,14 +337,15 @@ class TestLazyReplay:
 
 class TestSearchWork:
     @pytest.mark.parametrize("catalogue,bound,explored,built", [
-        (("spot-sale", "credit-sale", "prepare-good", "contracts", "inform"), 5, 2095, 154),
+        (("spot-sale", "credit-sale", "prepare-good", "contracts", "inform"), 5, 2095, 118),
         (("spot-sale",), 6, 1877, 68),
     ])
     def test_each_move_is_built_once_per_call(self, monkeypatch, catalogue, bound,
                                               explored, built):
         # a candidate move is built once per distinct (owners, used agents,
-        # depth), and a settlement payment once per pending entry; one
-        # Action per child and per witness payment was 2,338 and 1,876
+        # depth), and no settlement payment is built until a witness's
+        # actions are read; one Action per child and per witness payment
+        # was 2,338 and 1,876
         calls = 0
         original = synthesis.Action
 

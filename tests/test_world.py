@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from rpsf.money import Quantity, ZERO
+from rpsf.money import Quantity, ZERO, replace
 from rpsf.world import (
+    _NEEDS,
     Action,
     ActionKind,
     ActionTemplate,
@@ -19,6 +20,7 @@ from rpsf.world import (
     GoodSpec,
     InsufficientFunds,
     NotOwner,
+    PROMISE_KINDS,
     Reason,
     RepaymentTerms,
     Role,
@@ -93,6 +95,76 @@ class TestPayments:
         world = apply_event(two_agents, pay("Y", "X", 1), 5)
         with pytest.raises(ValidationError):
             apply_event(world, pay("Y", "X", 1), 4)
+
+
+class TestMakeWorld:
+    @pytest.mark.parametrize("kwargs,error,message", [
+        ({"balances": {"Q": q(1)}}, UnknownReference, "balance for unknown agent 'Q'"),
+        ({"goods": [Good("G", "asset", "X", q(1)), Good("G", "asset", "Y", q(1))]},
+         ValidationError, "duplicate good 'G'"),
+        ({"goods": [Good("G", "asset", "Q", q(1))]}, UnknownReference,
+         "good 'G' owned by unknown agent"),
+        ({"contracts": [ContractRecord("c", frozenset({"X"}), "X", ())] * 2},
+         ValidationError, "duplicate contract 'c'"),
+        ({"contracts": [ContractRecord("c", frozenset({"X"}), "X", (),
+                                       references=frozenset({"b"}))]},
+         UnknownReference, "contract 'c' references unknown 'b'"),
+        ({"goods": [Good("G", "asset", "X", q(-1))]}, ValidationError,
+         "good 'G' has negative market value"),
+        ({"goods": [Good("G", "asset", "X", q(1), block_size=ZERO)]}, ValidationError,
+         "good 'G' has nonpositive block size"),
+    ], ids=["unknown-balance", "duplicate-good", "unknown-owner", "duplicate-contract",
+            "unknown-reference", "negative-value", "zero-block"])
+    def test_rejections(self, kwargs, error, message):
+        with pytest.raises(error) as exc:
+            make_world(agents=[Agent("X"), Agent("Y")], **kwargs)
+        assert str(exc.value) == message
+
+
+# what an action of each kind must carry besides its actor
+NEEDS = {
+    "promise-pay": "counterparty amount",
+    "promise-accept-payment": "counterparty amount",
+    "pay": "counterparty amount",
+    "receive-payment": "counterparty amount",
+    "acknowledge-receipt": "",
+    "promise-buy-on-condition": "counterparty amount good_id",
+    "buy-on-credit": "counterparty amount due_date good_id",
+    "assert-expectation": "counterparty",
+    "justify-entitlement": "counterparty",
+    "promise-insurance-payout": "counterparty amount down_payment",
+    "promise-manage-funds": "counterparty amount",
+    "exchange-denominations": "counterparty amount",
+    "spot-sale": "counterparty amount good_id",
+    "inform": "counterparty",
+    "sign-contract": "contract_id",
+    "prepare-contract": "contract_id",
+    "prepare-good": "good_id good_spec",
+    "request-prepare-good": "counterparty good_id",
+}
+
+
+class TestNeeds:
+    def test_the_table_has_one_entry_per_kind(self):
+        assert set(_NEEDS) == set(ActionKind)
+        assert {kind.value: " ".join(names) for kind, names in _NEEDS.items()} == NEEDS
+
+    @pytest.mark.parametrize("kind,name", [(kind, name) for kind, names in NEEDS.items()
+                                           for name in names.split()])
+    def test_an_action_without_a_field_its_kind_needs_is_rejected(self, two_agents, kind,
+                                                                  name):
+        # every field any kind needs is set, then the one under test is taken away
+        action = replace(Action(kind=ActionKind(kind), actor="X", counterparty="Y",
+                                amount=q(1), down_payment=q(1), due_date=5, good_id="G",
+                                contract_id="c", good_spec=GoodSpec("gold", q(1))),
+                         **{name: None})
+        calls = [lambda: apply_event(two_agents, action, 0)]
+        if action.kind in PROMISE_KINDS:
+            calls.append(lambda: promise_to_contract(action))
+        for call in calls:
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == f"{kind} requires {name}"
 
 
 class TestSales:
@@ -178,6 +250,32 @@ class TestSales:
         assert set(world.contracts) == {"frame", contract_id}
         assert value_to_dict(world.contracts[contract_id]) == self._settlement(
             contract_id, amount, references)
+
+    @pytest.mark.parametrize("action,error,message", [
+        # at a down payment of -5 the seller got nothing and was owed 15
+        (Action(kind=ActionKind.BUY_ON_CREDIT, actor="X", counterparty="Z", amount=q(10),
+                down_payment=q(-5), due_date=30, good_id="G"),
+         ValidationError, "sums must be nonnegative"),
+        (Action(kind=ActionKind.BUY_ON_CREDIT, actor="X", counterparty="Z", amount=q(10),
+                due_date=2, good_id="G"),
+         ValidationError, "credit due date precedes the sale date"),
+        (Action(kind=ActionKind.BUY_ON_CREDIT, actor="X", counterparty="Z", amount=q(10),
+                down_payment=q(11), due_date=30, good_id="G"),
+         ValidationError, "down payment exceeds the credit price"),
+        (Action(kind=ActionKind.PROMISE_PAY, actor="X", counterparty="Q", amount=q(1)),
+         UnknownReference, "unknown counterparty 'Q'"),
+        (Action(kind=ActionKind.PREPARE_GOOD, actor="X", good_id="G",
+                good_spec=GoodSpec("gold", q(1))),
+         ValidationError, "good id 'G' already exists"),
+        (Action(kind=ActionKind.PREPARE_CONTRACT, actor="X", counterparty="Y",
+                contract_id="c", clauses=(Clause("Z", ActionTemplate()),)),
+         ValidationError, "clause obliges 'Z', not a party to 'c'"),
+    ], ids=["negative-down-payment", "due-before-sale", "down-over-price",
+            "unknown-counterparty", "duplicate-good", "non-party-clause"])
+    def test_rejections(self, market, action, error, message):
+        with pytest.raises(error) as exc:
+            apply_event(market, action, 3)
+        assert str(exc.value) == message
 
     def test_prepare_good_creates_and_rejects_bad_blocks(self, market):
         spec = GoodSpec(kind="gold", market_value=q(90), block_size=q(30))
@@ -306,6 +404,21 @@ class TestContractLifecycle:
         with pytest.raises(StageViolation):
             apply_event(world, Action(kind=ActionKind.SIGN_CONTRACT, actor="X",
                                       contract_id="loan"), 0)
+
+    @pytest.mark.parametrize("kind,error,message", [
+        (ActionKind.SIGN_CONTRACT, StageViolation, "X already signed c"),
+        (ActionKind.PREPARE_CONTRACT, ValidationError, "contract id 'c' already exists"),
+    ])
+    def test_a_contract_takes_one_id_and_one_signature_per_party(self, kind, error, message):
+        world = make_world(agents=[Agent("X"), Agent("Y")])
+        world = apply_event(world, Action(
+            kind=ActionKind.PREPARE_CONTRACT, actor="X", counterparty="Y",
+            contract_id="c", parties=("X", "Y")), 0)
+        world = apply_event(world, Action(kind=ActionKind.SIGN_CONTRACT, actor="X",
+                                          contract_id="c"), 0)
+        with pytest.raises(error) as exc:
+            apply_event(world, Action(kind=kind, actor="X", contract_id="c"), 0)
+        assert str(exc.value) == message
 
     def test_sign_unknown_contract(self):
         world = make_world(agents=[Agent("X")])
