@@ -327,7 +327,20 @@ def _validate_plans(world: WorldState, plans: Iterable[Plan]) -> list[Plan]:
         seen.add(plan.agent)
         if plan.agent not in world.agents:
             raise EngineError(f"plan for unknown agent {plan.agent!r}")
+        _check_actors(plan.agent, plan.steps, "steps")
     return ordered
+
+
+def _check_actors(agent: str, steps: Sequence[PlanStep], path: str) -> None:
+    """Reject a ``Do``, at any depth of branches, that acts for another agent."""
+    for i, step in enumerate(steps):
+        where = f"{path}[{i}]"
+        if isinstance(step, Do) and step.action.actor != agent:
+            raise EngineError(f"plan for {agent!r}: {where} is an action by "
+                              f"{step.action.actor!r}; a plan acts for its own agent only")
+        if isinstance(step, Branch):
+            _check_actors(agent, step.then_steps, f"{where}.then_steps")
+            _check_actors(agent, step.else_steps, f"{where}.else_steps")
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,26 @@ differences between intermediaries are handled by narrowing the
 perspective, never by fuzz.
 
 The synthesis search asks whether a target flow profile can be rebuilt
-from a catalogue of permissible primitives. Depth-first enumeration over
-grounded primitive instances; the search state is only what a trade
-changes - who owns each good, the net cash per (agent, day) as integers
-over the common denominator of the target's amounts, the settlements still
-due, and the counts of mismatched perspective cells and of goods away from
-home, which a trade updates for the two cells and the one good it touches.
-A state's candidate moves are built once per call and shared by every
-state with the same owners, used agents and depth. A witness is a
-sequence whose projection is equivalent to the target and whose goods
-all return to their initial owners. Each witness is re-executed through
-the engine on first read of its progression. Exhaustion within the bound
-makes found=False a bound-relative non-existence certificate.
+from a catalogue of permissible primitives, by depth-first enumeration
+over grounded primitive instances. The search state is only what a trade
+changes: who owns each good, the perspective's net cash per (agent, day)
+as integers over the common denominator of the target's amounts, and the
+counts of mismatched perspective cells and of goods away from home, which
+a trade updates for the two cells and the one good it touches. A state's
+subproblem is keyed by the goods' owners and homes, the perspective's
+nets, the used agents and the depth: those alone decide which of its
+descendants are witnesses and how many nodes lie below it. The
+settlements still due and the nets of agents outside the perspective
+change only a witness's text, so they stay out of the key. Each
+subproblem is expanded once, into its subtree's node count and the moves
+under which a witness lies; ``explored`` still counts every node of the
+tree, and each witness is built once, from the moves along its path. A
+state's candidate moves are built once per call and shared by every state
+with the same owners, used agents and depth. A witness is a sequence
+whose projection is equivalent to the target and whose goods all return
+to their initial owners. Each witness is re-executed through the engine
+on first read of its progression. Exhaustion within the bound makes
+found=False a bound-relative non-existence certificate.
 
 Grounding (disclosed in SynthesisResult.grounding): trade prices come from
 the target's amount set; every primitive executes at the inception date,
@@ -245,12 +253,12 @@ class SynthesisResult:
 @record(frozen=True, slots=True)
 class _Frame:
     """What every state of one search shares: the common denominator of the
-    target's amounts, the target's perspective cells as integers over it,
-    and the perspective."""
+    target's amounts, the place in the nets of each perspective cell (agent,
+    day) a trade can reach, and the target's nets x scale in those places."""
 
     scale: int
-    target: dict[tuple[str, int], int]
-    perspective: frozenset[str]
+    cells: dict[tuple[str, int], int]
+    target: tuple[int, ...]
 
 
 @record(slots=True)
@@ -258,12 +266,16 @@ class _SearchState:
     frame: _Frame
     owners: dict[str, str]  # good id -> owner
     home: dict[str, str]  # good id -> the owner it must end with
-    nets: dict[tuple[str, int], int]  # (agent, day) -> net cash x frame.scale; no zeros
-    mismatch: int  # perspective cells where nets and frame.target differ
-    displaced: int  # goods whose owner is not their home
-    pending: tuple[tuple[str, str, Quantity, int, str], ...]  # payer, payee, amount, due, settle id
+    nets: tuple[int, ...]  # net cash x frame.scale, per frame.cells place
     used: frozenset[str]
-    actions: tuple[Action, ...]
+    depth: int
+    mismatch: int  # places where nets and frame.target differ
+    displaced: int  # goods whose owner is not their home
+
+
+# a solved subproblem: the nodes of its subtree, whether its root is a
+# witness, and the (action, child subtree) moves under which a witness lies
+_Subtree = tuple[int, bool, tuple]
 
 
 def synthesize(
@@ -283,10 +295,11 @@ def synthesize(
     empty agent name, an empty perspective, or a perspective name that is
     not among ``agents``, is a ValueError.
 
-    The search state is the goods' owners plus the integer nets, the
-    pending settlements and the carried mismatch and displaced counts; no
-    trial trade touches a ``WorldState``. A witness's ``progression`` is
-    replayed through ``run`` on its first read.
+    Each subproblem is searched once (the module docstring says what keys
+    it), yet ``explored`` counts every node of the tree and the witnesses
+    come out in depth-first order; no trial trade touches a
+    ``WorldState``. A witness's ``progression`` is replayed through ``run``
+    on its first read.
     """
     if bound > DESK_SCALE_LIMIT:
         raise BoundExceeded(f"bound {bound} exceeds desk-scale limit {DESK_SCALE_LIMIT}")
@@ -312,9 +325,11 @@ def synthesize(
     # every trade price is a target amount, so the search's nets are integers
     # over the target's scale
     scale, sums = net_cells(list(map(_flow_row, target)))
-    target_cells = {(agent, day): value for agent, per_day in sums.items() if agent in persp
-                    for day, value in per_day.items() if value}
-    frame = _Frame(scale=scale, target=target_cells, perspective=persp)
+    days = sorted({0, *(f.date for f in target)})
+    cells = {(agent, day): i for i, (agent, day) in
+             enumerate((agent, day) for agent in sorted(persp) for day in days)}
+    frame = _Frame(scale=scale, cells=cells,
+                   target=tuple(sums.get(agent, {}).get(day, 0) for agent, day in cells))
 
     roles = [Role.PERSON, Role.BANK] + [Role.COMPANY] * (len(agents) - 2)
     endowment = Quantity(0)
@@ -343,13 +358,12 @@ def synthesize(
     # one mismatched cell per perspective agent (max two overall)
     per_action = 1 if len(persp) == 1 else 2
 
-    explored = 0
-    witnesses: list[Witness] = []
     # the candidate moves of a state, by everything ``candidates`` reads:
     # owners (goods enter in id order; with preparation in the catalogue no
     # good is pre-owned, so their count is the prepared count), used agents
     # and depth (which names a credit sale's settlement contract)
     moves: dict[tuple, tuple[Action, ...]] = {}
+    solved: dict[tuple, _Subtree] = {}  # subproblem key -> its subtree
 
     def next_fresh(used: frozenset[str]) -> Optional[str]:
         for name in agents:
@@ -389,28 +403,38 @@ def synthesize(
                             yield Action(kind=ActionKind.BUY_ON_CREDIT, actor=buyer,
                                          counterparty=owner, amount=price,
                                          down_payment=ZERO, due_date=due, good_id=gid,
-                                         contract_id=f"settle-{len(state.actions)}"), buyer, owner
+                                         contract_id=f"settle-{state.depth}"), buyer, owner
 
-    def dfs(state: _SearchState) -> None:
-        nonlocal explored
-        explored += 1
+    def solve(state: _SearchState) -> _Subtree:
+        """The state's subtree, solved once per subproblem key (see the
+        module docstring for what the key holds and why)."""
+        owned = tuple(state.owners.items())
+        key = (owned, tuple(state.home.items()), state.nets, state.used, state.depth)
+        subtree = solved.get(key)
+        if subtree is not None:
+            return subtree
         mismatch, displaced = state.mismatch, state.displaced
-        if not mismatch and not displaced:
-            witnesses.append(Witness(state.actions, state.pending, world0))
-        depth = len(state.actions)
-        remaining = bound - depth
-        if remaining == 0 or max(-(-mismatch // per_action), displaced) > remaining:
-            return
-        key = (tuple(state.owners.items()), state.used, depth)
-        children = moves.get(key)
-        if children is None:
-            children = moves[key] = tuple(candidates(state))
-        for action, buyer, seller in children:
-            dfs(_successor(state, action, buyer, seller))
+        nodes, live = 1, []
+        remaining = bound - state.depth
+        if remaining and max(-(-mismatch // per_action), displaced) <= remaining:
+            move_key = (owned, state.used, state.depth)
+            children = moves.get(move_key)
+            if children is None:
+                children = moves[move_key] = tuple(candidates(state))
+            for action, buyer, seller in children:
+                child = solve(_successor(state, action, buyer, seller))
+                nodes += child[0]
+                if child[1] or child[2]:
+                    live.append((action, child))
+        subtree = solved[key] = (nodes, not mismatch and not displaced, tuple(live))
+        return subtree
 
-    dfs(_SearchState(frame=frame, owners=dict(home), home=home, nets={},
-                     mismatch=len(target_cells), displaced=0, pending=(), used=used0,
-                     actions=()))
+    root = solve(_SearchState(frame=frame, owners=dict(home), home=home, nets=(0,) * len(cells),
+                              used=used0, depth=0, mismatch=sum(map(bool, frame.target)),
+                              displaced=0))
+    # solve refers to itself through its closure: dropping the name frees the
+    # memo on return instead of at the next cyclic collection
+    del solve
 
     grounding = {
         "amounts": [str(a) for a in amounts],
@@ -422,58 +446,69 @@ def synthesize(
         "coordination_note": "flow-inert actions are folded into trade skeletons",
     }
     return SynthesisResult(
-        witnesses=tuple(witnesses),
-        explored=explored,
+        witnesses=tuple(Witness(trades, pending, world0)
+                        for trades, pending in _witness_paths(root)),
+        explored=root[0],
         bound=bound,
         grounding=grounding,
     )
+
+
+def _witness_paths(root: _Subtree) -> Iterator[tuple[tuple, tuple]]:
+    """The trades and pending settlements of every witness in a solved tree,
+    in depth-first order; a path's tuples are built once, by extending its
+    parent's."""
+    stack = [(root, (), ())]
+    while stack:
+        (_, witness, live), trades, pending = stack.pop()
+        if witness:
+            yield trades, pending
+        for action, child in reversed(live):
+            settles = pending
+            if action.kind is ActionKind.BUY_ON_CREDIT:
+                settles += ((action.actor, action.counterparty, action.amount,
+                             action.due_date, action.contract_id),)
+            stack.append((child, trades + (action,), settles))
 
 
 def _successor(state: _SearchState, action: Action, buyer: Optional[str],
                seller: Optional[str]) -> _SearchState:
     """The search state after one trial step; no ``WorldState`` is touched.
 
-    In a trade ``buyer`` pays ``seller``, as the candidate that built it says;
-    it changes one good's owner and two cells of the nets, so only those
-    update the carried ``displaced`` and ``mismatch`` counts.
+    In a trade ``buyer`` pays ``seller``, as the candidate that built it says:
+    a spot sale now, a credit sale at its due date. It changes one good's
+    owner and at most two places in the perspective's nets.
     """
     owners = dict(state.owners)
-    actions = state.actions + (action,)
-    gid, kind, used = action.good_id, action.kind, state.used
-    if kind is ActionKind.PREPARE_GOOD:
+    gid, used, depth = action.good_id, state.used, state.depth + 1
+    if action.kind is ActionKind.PREPARE_GOOD:
         owners[gid] = action.actor
         home = dict(state.home)
         home[gid] = action.actor
-        return _SearchState(state.frame, owners, home, state.nets, state.mismatch,
-                            state.displaced, state.pending, used | {action.actor}, actions)
-    if kind is ActionKind.SPOT_SALE:  # for cash now
-        date, pending = 0, state.pending
-    else:  # on credit: cash moves at the due date via settlement
-        date = action.due_date
-        pending = state.pending + ((buyer, seller, action.amount, date, action.contract_id),)
+        return _SearchState(state.frame, owners, home, state.nets, used | {action.actor}, depth,
+                            state.mismatch, state.displaced)
     owners[gid] = buyer
     home_owner = state.home[gid]
     displaced = state.displaced + (buyer != home_owner) - (seller != home_owner)
     if buyer not in used or seller not in used:
         used = used | {buyer, seller}
-    frame = state.frame
-    price = action.amount
-    scaled = price.num * (frame.scale // price.den)
-    nets = dict(state.nets)
-    mismatch = state.mismatch
-    for agent, delta in ((buyer, -scaled), (seller, scaled)):
-        cell = (agent, date)
-        old = nets.get(cell, 0)
-        new = old + delta
-        if new:
-            nets[cell] = new
-        elif old:
-            del nets[cell]
-        if agent in frame.perspective:
-            want = frame.target.get(cell, 0)
-            mismatch += (new != want) - (old != want)
-    return _SearchState(frame, owners, state.home, nets, mismatch, displaced, pending,
-                        used, actions)
+    frame, nets, mismatch = state.frame, state.nets, state.mismatch
+    date = 0 if action.kind is ActionKind.SPOT_SALE else action.due_date
+    paying, paid = frame.cells.get((buyer, date)), frame.cells.get((seller, date))
+    if paying is not None or paid is not None:
+        price = action.amount
+        scaled = price.num * (frame.scale // price.den)
+        places, target = list(nets), frame.target
+        if paying is not None:
+            old = places[paying]
+            places[paying] = new = old - scaled
+            mismatch += (new != target[paying]) - (old != target[paying])
+        if paid is not None:
+            old = places[paid]
+            places[paid] = new = old + scaled
+            mismatch += (new != target[paid]) - (old != target[paid])
+        nets = tuple(places)
+    return _SearchState(frame, owners, state.home, nets, used, depth, mismatch, displaced)
 
 
 def _due_order(pending: Iterable[tuple]) -> list[tuple]:

@@ -521,6 +521,19 @@ class TestBadScenarioFile:
         err = self._fails_cleanly(capsys, tmp_path / "absent.json")
         assert "absent.json" in err and "No such file" in err
 
+    def test_a_plan_that_acts_for_another_agent_is_a_usage_error(self, capsys, tmp_path):
+        world = make_world(agents=[Agent("X"), Agent("Y")], balances={"Y": q(100)})
+        steal = Action(kind=ActionKind.PAY, actor="Y", counterparty="X", amount=q(100))
+        instance = ScenarioInstance(name="steal", params={}, world=world,
+                                    plans=(Plan("X", (Do(steal),)),), principals=("X",),
+                                    horizon=0)
+        path = tmp_path / "steal.json"
+        path.write_text(json.dumps({"scenarios": [instance_to_dict(instance)]}))
+        code, out, err = invoke(capsys, "run", "steal", "--scenario-file", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: EngineError: plan for 'X': steps[0] is an action by 'Y'; "
+                       "a plan acts for its own agent only\n")
+
 
 def test_help_names_match_the_modules_that_define_them():
     from rpsf.legality import BUILTIN_POSITIONS

@@ -82,7 +82,14 @@ class TestRun:
         ([chat("A", 1), chat("A", 2)], 20, "two plans for agent 'A'"),
         ([chat("D", 1)], 20, "plan for unknown agent 'D'"),
         ([chat("A", 1)], 5, "horizon 5 precedes world clock 10"),
-    ], ids=["two-plans", "unknown-agent", "horizon-before-clock"])
+        ([Plan("A", chat("B", 1).steps)], 20,
+         "plan for 'A': steps[0] is an action by 'B'; a plan acts for its own agent only"),
+        ([Plan("A", chat("A", 1).steps + (
+            Branch(BalanceAtLeast("A", q(1)), chat("A", 1).steps, chat("C", 2).steps),))], 20,
+         "plan for 'A': steps[1].else_steps[0] is an action by 'C'; "
+         "a plan acts for its own agent only"),
+    ], ids=["two-plans", "unknown-agent", "horizon-before-clock", "acts-for-another",
+            "acts-for-another-in-a-branch"])
     def test_rejections(self, trio, plans, horizon, message):
         world = apply_event(trio, Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT, actor="C"), 10)
         with pytest.raises(EngineError) as exc:

@@ -195,6 +195,16 @@ SYNTHESIS_BOUND_5 = {
     ("X", "Y"): (3132, 68, "4213c5c9786978dabc2bd3ed5090ede7c76d70ae86a9933b1be0fe9501c41223"),
     ALL_AGENTS: (1660, 68, "4213c5c9786978dabc2bd3ed5090ede7c76d70ae86a9933b1be0fe9501c41223"),
 }
+# The same pins at the bounds the search reaches once each subproblem is
+# searched once: (perspective, bound) -> (explored, witnesses, digest).
+SYNTHESIS_DEEP = {
+    (None, 7): (132335, 7046,
+                "f498dbfe1387092ebad525664ffecf36efe4e8023723a6db59f6e62e95d4b3b3"),
+    (("X", "Y"), 6): (24748, 328,
+                      "7c73d270a3db77223aaacdb66ae2a25030083825ae4910625b03e84614a69018"),
+    (ALL_AGENTS, 6): (10316, 328,
+                      "7c73d270a3db77223aaacdb66ae2a25030083825ae4910625b03e84614a69018"),
+}
 SPOT_ONLY_BOUND_6_EXPLORED = 1877
 FULL_CATALOGUE = ("spot-sale", "credit-sale", "prepare-good", "contracts", "inform")
 # witness_scenario of every witness, in order: (witness count, digest of the
@@ -480,6 +490,15 @@ def test_synthesis_witnesses_at_bound_5(perspective):
                         perspective=perspective)
     digest = _digest(json.dumps([w.to_dict() for w in result.witnesses]))
     assert (result.explored, len(result.witnesses), digest) == SYNTHESIS_BOUND_5[perspective]
+
+
+@pytest.mark.parametrize("perspective, bound", list(SYNTHESIS_DEEP))
+def test_synthesis_witnesses_at_deeper_bounds(perspective, bound):
+    result = synthesize(_savings_target(), FULL_CATALOGUE, ("X", "Y", "Z"), bound=bound,
+                        perspective=perspective)
+    digest = _digest(json.dumps([w.to_dict() for w in result.witnesses]))
+    assert (result.explored, len(result.witnesses), digest) == SYNTHESIS_DEEP[
+        perspective, bound]
 
 
 def test_spot_only_certificate_at_bound_6():

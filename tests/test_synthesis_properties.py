@@ -24,13 +24,22 @@ catalogues = st.sets(st.sampled_from(("spot-sale", "credit-sale", "prepare-good"
 
 
 def search_steps(target, catalogue, bound, perspective):
-    """Every (state, action, child) ``_successor`` steps in one search."""
-    steps = []
+    """Every (state, path, action, child) ``_successor`` steps in one search,
+    where ``path`` is the trades that lead to ``state``.
+
+    The search expands each distinct subproblem once, from the first state
+    that reaches it, so the steps cover every distinct subproblem, not
+    every path.
+    """
+    steps, paths = [], {}
     successor = synthesis._successor
 
     def recording(state, action, *roles):
         child = successor(state, action, *roles)
-        steps.append((state, action, child))
+        # ``steps`` keeps every state alive, so no id is reused
+        path = paths.get(id(state), ())
+        paths[id(child)] = path + (action,)
+        steps.append((state, path, action, child))
         return child
 
     with pytest.MonkeyPatch.context() as patch:
@@ -43,26 +52,29 @@ def search_steps(target, catalogue, bound, perspective):
        st.sampled_from((None, ALL_AGENTS, ("X", "Y"))))
 def test_owners_follow_apply_event_along_every_path(target, catalogue, bound, perspective):
     steps = search_steps(canonical(target), catalogue, bound, perspective)
-    # the search is depth first, so each step's state was reached by an earlier step
+    # each step's state is the root or an earlier step's child
     worlds = {}
-    for state, action, child in steps:
-        world = worlds.get(state.actions)
+    for state, path, action, child in steps:
+        world = worlds.get(path)
         if world is None:
-            assert state.actions == ()
+            assert path == ()
             world = make_world([Agent(name) for name in AGENTS],
                                balances={name: Quantity(10**6) for name in AGENTS},
                                goods=[Good(gid, "asset", owner, None)
                                       for gid, owner in state.owners.items()])
-        world = worlds[child.actions] = apply_event(world, action, 0)
+        world = worlds[path + (action,)] = apply_event(world, action, 0)
         assert {gid: good.owner for gid, good in world.goods.items()} == child.owners
 
 
-def path_flows(state):
-    """The cash a state's trades move: spot sales now, credit sales at their
+def path_flows(path):
+    """The cash a path's trades move: spot sales now, credit sales at their
     due dates."""
-    flows = [Flow(a.counterparty, a.actor, a.amount, 0)
-             for a in state.actions if a.kind == ActionKind.SPOT_SALE]
-    flows += [Flow(payer, payee, amount, due) for payer, payee, amount, due, _ in state.pending]
+    flows = []
+    for a in path:
+        if a.kind == ActionKind.SPOT_SALE:
+            flows.append(Flow(a.counterparty, a.actor, a.amount, 0))
+        elif a.kind == ActionKind.BUY_ON_CREDIT:
+            flows.append(Flow(a.actor, a.counterparty, a.amount, a.due_date))
     return flows
 
 
@@ -87,22 +99,27 @@ def test_carried_counts_match_a_recount_along_every_path(target, catalogue, boun
     persp = {"X"} if perspective is None else (
         set(AGENTS) if perspective == ALL_AGENTS else set(perspective))
     target_nets = net_positions(target)
-    for state, action, child in steps:
+    for state, path, action, child in steps:
         if action.kind == ActionKind.BUY_ON_CREDIT:
-            assert action.contract_id == f"settle-{len(state.actions)}"
-        for node in (state, child):
+            assert action.contract_id == f"settle-{len(path)}"
+        for node, node_path in ((state, path), (child, path + (action,))):
+            assert node.depth == len(node_path)
             # a good's home is its owner at the root, or whoever prepared it
             home = dict(steps[0][0].owners)
-            home.update((a.good_id, a.actor) for a in node.actions
+            home.update((a.good_id, a.actor) for a in node_path
                         if a.kind == ActionKind.PREPARE_GOOD)
+            assert node.home == home
             assert node.displaced == sum(1 for gid, owner in node.owners.items()
                                          if owner != home[gid])
-            nets = net_positions(path_flows(node))
+            nets = net_positions(path_flows(node_path))
             assert node.mismatch == reference_mismatch(nets, target_nets, persp)
             scale = node.frame.scale
             assert all(scale % flow.amount.den == 0 for flow in target)
-            assert {cell: Quantity(v, scale) for cell, v in node.nets.items()} == {
-                (agent, d): v for agent, per_day in nets.items() for d, v in per_day.items()}
+            # the carried nets are the perspective's only
+            assert {cell: Quantity(v, scale)
+                    for cell, v in zip(node.frame.cells, node.nets) if v} == {
+                (agent, d): v for agent, per_day in nets.items() if agent in persp
+                for d, v in per_day.items()}
 
 
 def reference_net_positions(trace):
