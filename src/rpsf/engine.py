@@ -327,20 +327,22 @@ def _validate_plans(world: WorldState, plans: Iterable[Plan]) -> list[Plan]:
         seen.add(plan.agent)
         if plan.agent not in world.agents:
             raise EngineError(f"plan for unknown agent {plan.agent!r}")
-        _check_actors(plan.agent, plan.steps, "steps")
+        _check_actors(plan.agent, plan.steps)
     return ordered
 
 
-def _check_actors(agent: str, steps: Sequence[PlanStep], path: str) -> None:
-    """Reject a ``Do``, at any depth of branches, that acts for another agent."""
+def _check_actors(agent: str, steps: Sequence[PlanStep], branches: tuple = ()) -> None:
+    """Reject a ``Do``, at any depth of branches, that acts for another agent.
+    ``branches`` holds the (index, arm) of each branch around ``steps``; the
+    error's path is spelt from it only when there is an error."""
     for i, step in enumerate(steps):
-        where = f"{path}[{i}]"
         if isinstance(step, Do) and step.action.actor != agent:
-            raise EngineError(f"plan for {agent!r}: {where} is an action by "
+            path = "".join(f"[{j}].{arm}" for j, arm in branches)
+            raise EngineError(f"plan for {agent!r}: steps{path}[{i}] is an action by "
                               f"{step.action.actor!r}; a plan acts for its own agent only")
         if isinstance(step, Branch):
-            _check_actors(agent, step.then_steps, f"{where}.then_steps")
-            _check_actors(agent, step.else_steps, f"{where}.else_steps")
+            _check_actors(agent, step.then_steps, (*branches, (i, "then_steps")))
+            _check_actors(agent, step.else_steps, (*branches, (i, "else_steps")))
 
 
 # ---------------------------------------------------------------------------

@@ -535,6 +535,20 @@ _NEEDS: dict[ActionKind, tuple[str, ...]] = {
     ActionKind.REQUEST_PREPARE_GOOD: ("counterparty", "good_id"),
 }
 
+# The fields that only some kinds read, each with those kinds; ``_need``
+# rejects an action of any other kind that carries one, since it would be
+# ignored. A promise's due date is its clause's deadline; a request to
+# prepare a good may state the good it asks for, as the built-ins' do.
+_READ_BY: dict[str, frozenset[ActionKind]] = {
+    "due_date": PROMISE_KINDS | {ActionKind.BUY_ON_CREDIT},
+    "down_payment": frozenset({ActionKind.BUY_ON_CREDIT, ActionKind.PROMISE_INSURANCE_PAYOUT}),
+    "good_spec": frozenset({ActionKind.PREPARE_GOOD, ActionKind.REQUEST_PREPARE_GOOD}),
+}
+_UNREAD: dict[ActionKind, tuple[str, ...]] = {
+    kind: tuple(name for name, readers in _READ_BY.items() if kind not in readers)
+    for kind in ActionKind
+}
+
 
 def net_cells(rows: Sequence[tuple[str, str, Quantity, int]]) -> tuple[int, dict[str, dict[int, int]]]:
     """Net cash per agent and day of ``(payer, payee, amount, day)`` rows, as
@@ -616,8 +630,9 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
             move_cash(payer, payee, down)
         # the settlement: a promise to pay the rest by the due date, signed by both, no terms
         add_contract(promise_to_contract(replace(
-            action, kind=ActionKind.PROMISE_PAY, amount=action.amount - down, terms=None,
-            signing=SigningMode.BOTH_PARTIES, contract_id=action.contract_id or f"credit-{seq}")))
+            action, kind=ActionKind.PROMISE_PAY, amount=action.amount - down, down_payment=None,
+            terms=None, signing=SigningMode.BOTH_PARTIES,
+            contract_id=action.contract_id or f"credit-{seq}")))
     elif kind in PROMISE_KINDS:
         add_contract(promise_to_contract(
             replace(action, contract_id=action.contract_id or f"promise-{seq}")))
@@ -683,10 +698,14 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
 
 
 def _need(action: Action) -> None:
-    """Check that the action carries its kind's ``_NEEDS`` and no negative sum."""
+    """Check that the action carries its kind's ``_NEEDS``, no field that its
+    kind never reads (``_READ_BY``) and no negative sum."""
     for name in _NEEDS[action.kind]:
         if getattr(action, name) is None:
             raise ValidationError(f"{action.kind.value} requires {name}")
+    for name in _UNREAD[action.kind]:
+        if getattr(action, name) is not None:
+            raise ValidationError(f"{action.kind.value} does not take {name}")
     amount, down = action.amount, action.down_payment
     if amount is not None and amount < ZERO or down is not None and down < ZERO:
         raise ValidationError("sums must be nonnegative")
@@ -1008,6 +1027,13 @@ def _build_codec(tp: object) -> tuple[Optional[Callable], Callable]:
     raise TypeError(f"no JSON form for {tp!r}")
 
 
+def _omitted_while(row: _Row, f) -> object:
+    """The value while which a row leaves field ``f`` out; ``_KEEP`` if it never does."""
+    if f.name not in row.omit:
+        return _KEEP
+    return f.default if f.default is not MISSING else f.default_factory()
+
+
 def _row_codec(cls: type) -> tuple[Callable, Callable]:
     """A row's encoder and decoder. A tagged member's encoder writes, and its
     decoder reads, the object that holds its tag."""
@@ -1025,9 +1051,7 @@ def _row_codec(cls: type) -> tuple[Callable, Callable]:
     lines, decoders = [], []
     for i, (key, name) in enumerate(row.keys):
         f, tp = declared[name], hints[name]
-        default = _KEEP
-        if name in row.omit:
-            default = f.default if f.default is not MISSING else f.default_factory()
+        default = _omitted_while(row, f)
         decoders.append((key, name, _codec(tp)[1],
                          name not in row.defaults and not f.has_default))
         if default is None and get_origin(tp) in (Union, UnionType):
@@ -1124,44 +1148,80 @@ def action_to_dict(action: Action) -> dict:
     return _codec(Action)[0](action)
 
 
-def world_to_dict(world: WorldState, include_history: bool = True) -> dict:
-    encode_event = _codec(Event)[0]
+def _world_object(world: WorldState, records: Callable[[Iterable], object],
+                  include_history: bool = True) -> dict:
+    """The world's JSON object, each list of records in it passed through ``records``."""
     out = {
         "clock": world.clock,
         "overdraft_allowed": world.overdraft_allowed,
-        "agents": [value_to_dict(world.agents[name]) for name in sorted(world.agents)],
+        "agents": records(world.agents[name] for name in sorted(world.agents)),
         "accounts": [{"owner": name, "balance": str(world.accounts[name])}
                      for name in sorted(world.accounts)],
-        "goods": [value_to_dict(world.goods[g]) for g in sorted(world.goods)],
-        "contracts": [value_to_dict(world.contracts[c]) for c in sorted(world.contracts)],
+        "goods": records(world.goods[g] for g in sorted(world.goods)),
+        "contracts": records(world.contracts[c] for c in sorted(world.contracts)),
     }
     if include_history:
-        out["history"] = [encode_event(e) for e in world.history]
+        out["history"] = records(world.history)
     return out
 
 
-def world_to_json(world: WorldState) -> str:
-    return render_json(world_to_dict(world))
+def _encoded(records: Iterable) -> list:
+    return [_codec(r.__class__)[0](r) for r in records]
 
+
+def world_to_dict(world: WorldState, include_history: bool = True) -> dict:
+    return _world_object(world, _encoded, include_history)
+
+
+def world_to_json(world: WorldState) -> str:
+    """``render_json(world_to_dict(world))``, written without building a dict
+    for any agent, good, contract or event: ``render_json`` writes each
+    record through its row's writer."""
+    return render_json(_world_object(world, tuple))
+
+
+# ---------------------------------------------------------------------------
+# indented JSON text
+# ---------------------------------------------------------------------------
+#
+# Each row also compiles a writer, on first use: ``write(obj, newline)`` is
+# the text json.dumps(value_to_dict(obj), indent=2) would give, placed on a
+# line that ``newline`` opens. It follows the row as the encoder does (the
+# same keys in the same order, the same omitted defaults, the same tag) and
+# writes the text of strings, integers, booleans, quantities, enums, nested
+# records, their Optionals, tuples of these and frozensets of the leaves
+# itself. A field of any other type goes through its encoder and _render.
 
 # the leaf encoders json's own encoders use, both written in C
 _encode_str = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
 
+_WRITERS: dict[type, Callable[[object, str], str]] = {}
+
 
 def render_json(value: object) -> str:
-    """Exactly ``json.dumps(value, indent=2)``, without json's pure-Python encoder.
+    """Exactly ``json.dumps(value, indent=2)``, without json's pure-Python
+    encoder, where a record of a class in the codec table stands for its
+    ``value_to_dict``.
 
     json's C encoder ignores ``indent``, so json renders indented output
-    with its pure-Python encoder. This walks the containers itself and hands
-    each leaf to json's C functions. Like json, it raises TypeError for a
-    key or a leaf that JSON cannot hold.
+    with its pure-Python encoder. This walks the containers itself, hands
+    each leaf to json's C functions and writes each record through its
+    row's writer, so a record becomes text without becoming a dict first.
+    Like json, it raises TypeError for a key or a leaf that JSON cannot hold.
     """
+    return _render(value, "\n")
+
+
+def _render(value: object, newline: str) -> str:
+    """``render_json(value)``, placed on a line that ``newline`` opens."""
     out: list[str] = []
     append = out.append
 
     def emit(value: object, newline: str) -> None:
-        if isinstance(value, dict):
+        if value.__class__ in _ROWS:
+            append(_write(value, newline))
+        elif isinstance(value, dict):
             if not value:
                 append("{}")
                 return
@@ -1204,7 +1264,7 @@ def render_json(value: object) -> str:
         else:
             append(json.dumps(value))
 
-    emit(value, "\n")
+    emit(value, newline)
     return "".join(out)
 
 
@@ -1215,3 +1275,121 @@ def _json_key(key: object) -> str:
     if isinstance(key, (int, float)) or key is None:
         return json.dumps(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value: object, newline: str) -> str:
+    """The text of a record whose class has a row, through that row's writer."""
+    cls = value.__class__
+    return (_WRITERS.get(cls) or _row_writer(cls))(value, newline)
+
+
+def _array(texts: list, newline: str) -> str:
+    """A JSON array of item texts placed on lines that ``newline + "  "`` opens."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _text_of(tp: object, var: str, newline: str, env: dict, rows: dict) -> str:
+    """A Python expression for the JSON text of ``var``, a ``tp``, on a line
+    that the expression ``newline`` opens. It binds in ``env`` the values it
+    names, and in ``rows`` the name of each row class whose writer it calls."""
+    text = _inline_text(tp, var, newline, env, rows)
+    if text is None:
+        encode = _codec(tp)[0]
+        text = f"_render({var}, {newline})" if encode is None else \
+            f"_render({_bind(env, encode)}({var}), {newline})"
+    return text
+
+
+def _inline_text(tp: object, var: str, newline: str, env: dict, rows: dict) -> Optional[str]:
+    """``_text_of``, or None for a type whose text the writer leaves to ``_render``."""
+    if tp is str:
+        return f"_encode_str({var})"
+    if tp is Quantity:
+        return f"_encode_str(str({var}))"
+    if tp is int:
+        return f"_int_repr({var})"
+    if tp is bool:
+        return f"('true' if {var} else 'false')"
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return f"{_bind(env, {member: render_json(member.value) for member in tp})}[{var}]"
+    if tp in _ROWS:
+        name = _bind(env, None)
+        rows[name] = tp
+        return f"{name}({var}, {newline})"
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        if frozenset(args) in _UNIONS:  # each member writes its own tag
+            return f"_write({var}, {newline})"
+        text = _inline_text(_non_none(args), var, newline, env, rows)
+        return None if text is None else f"('null' if {var} is None else {text})"
+    if origin is tuple or origin is frozenset and get_origin(args[0]) is None \
+            and args[0] not in _ROWS:  # a frozenset's leaves, which the encoder can sort
+        text = _inline_text(args[0], "x", f"{newline} + '  '", env, rows)
+        if text is None:
+            return None
+        items = var
+        if origin is frozenset:  # in the order of the items' JSON values
+            encode = _codec(args[0])[0]
+            items = f"sorted({var})" if encode is None else \
+                f"sorted({var}, key={_bind(env, encode)})"
+        return f"_array([{text} for x in {items}], {newline})"
+    return None
+
+
+def _bind(env: dict, value: object) -> str:
+    """A new name in ``env`` bound to ``value``."""
+    name = f"c{len(env)}"
+    env[name] = value
+    return name
+
+
+def _row_writer(cls: type) -> Callable[[object, str], str]:
+    """Compile a row's writer, as the encoder is, and add it to ``_WRITERS``."""
+    row = _ROWS[cls]
+    hints = get_type_hints(cls)
+    declared = {f.name: f for f in fields(cls)}
+    tag = _TAGS.get(cls)
+    keys = [key for key, _ in row.keys]
+    env: dict = {"__name__": __name__, "_encode_str": _encode_str, "_int_repr": _int_repr,
+                 "_array": _array, "_write": _write, "_render": _render}
+    rows: dict[str, type] = {}
+
+    def label(key: str) -> str:
+        return repr(_encode_str(key) + ": ")
+
+    if tag is not None and tag not in keys and len(keys) < 2:  # {tag: true} or {tag: value}
+        text = "'true'"
+        if keys:
+            name = row.keys[0][1]
+            text = _text_of(hints[name], f"obj.{name}", "inner", env, rows)
+        lines = ["inner = nl + '  '", f"return '{{' + inner + {label(tag)} + {text} + nl + '}}'"]
+    else:
+        wrapped = tag is not None and tag not in keys  # {tag: {...}}
+        lines = ["b = nl + '  '" if wrapped else "b = nl", "d = b + '  '"]
+        texts, omits = [], []
+        for i, (key, name) in enumerate(row.keys):
+            tp, default = hints[name], _omitted_while(row, declared[name])
+            if default is None and get_origin(tp) in (Union, UnionType):
+                tp = _non_none(get_args(tp))  # left out while None: the text never is null
+            texts.append(label(key) + " + " + _text_of(tp, f"v{i}", "d", env, rows))
+            lines.append(f"v{i} = obj.{name}")
+            env[f"default{i}"] = default
+            omits.append("" if default is _KEEP else f"v{i} is not None" if default is None
+                         else f"v{i} != default{i}")
+        # the keys before the first one that may be left out open the list
+        kept = next((i for i, omit in enumerate(omits) if omit), len(omits))
+        lines.append(f"parts = [{', '.join(texts[:kept])}]")
+        lines += [f"if {omit}: parts.append({text})" if omit else f"parts.append({text})"
+                  for omit, text in zip(omits[kept:], texts[kept:])]
+        lines.append("body = '{' + d + (',' + d).join(parts) + b + '}' if parts else '{}'")
+        lines.append(f"return '{{' + b + {label(tag)} + body + nl + '}}'" if wrapped
+                     else "return body")
+    source = "".join(f"    {line}\n" for line in lines)
+    exec(compile(f"def write(obj, nl):\n{source}", f"<codec writer {cls.__name__}>", "exec"), env)
+    write = _WRITERS[cls] = env["write"]
+    for name, nested in rows.items():  # after the entry above, so that a cycle ends
+        env[name] = _WRITERS.get(nested) or _row_writer(nested)
+    return write

@@ -534,6 +534,19 @@ class TestBadScenarioFile:
         assert err == ("error: EngineError: plan for 'X': steps[0] is an action by 'Y'; "
                        "a plan acts for its own agent only\n")
 
+    def test_a_field_the_kind_never_reads_is_a_usage_error(self, capsys, tmp_path):
+        # a spot sale with a due date is not a deferred sale; it used to run as a spot sale
+        path = tmp_path / "deferred.json"
+        path.write_text(json.dumps({"scenarios": [{
+            "name": "deferred", "agents": [{"name": "X"}, {"name": "Y"}],
+            "balances": {"Y": "10"}, "goods": [{"good_id": "G", "owner": "X"}],
+            "plans": [{"agent": "X", "steps": [{"do": {
+                "kind": "spot-sale", "actor": "X", "counterparty": "Y", "amount": "10",
+                "good_id": "G", "due_date": 5}}]}]}]}))
+        code, out, err = invoke(capsys, "run", "deferred", "--scenario-file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: ValidationError: spot-sale does not take due_date\n"
+
 
 def test_help_names_match_the_modules_that_define_them():
     from rpsf.legality import BUILTIN_POSITIONS

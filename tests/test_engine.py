@@ -88,8 +88,12 @@ class TestRun:
             Branch(BalanceAtLeast("A", q(1)), chat("A", 1).steps, chat("C", 2).steps),))], 20,
          "plan for 'A': steps[1].else_steps[0] is an action by 'C'; "
          "a plan acts for its own agent only"),
+        ([Plan("A", (Branch(BalanceAtLeast("A", q(1)), chat("A", 1).steps + (
+            Branch(BalanceAtLeast("A", q(2)), chat("C", 2).steps, ()),), ()),))], 20,
+         "plan for 'A': steps[0].then_steps[1].then_steps[0] is an action by 'C'; "
+         "a plan acts for its own agent only"),
     ], ids=["two-plans", "unknown-agent", "horizon-before-clock", "acts-for-another",
-            "acts-for-another-in-a-branch"])
+            "acts-for-another-in-a-branch", "acts-for-another-in-a-nested-branch"])
     def test_rejections(self, trio, plans, horizon, message):
         world = apply_event(trio, Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT, actor="C"), 10)
         with pytest.raises(EngineError) as exc:

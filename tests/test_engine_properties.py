@@ -2,6 +2,7 @@
 enumerated traces, replay, conservation, flow equivalence, and the one cash
 rule that the ledger, the flows and the legality facts all read."""
 
+import json
 from itertools import product
 
 import pytest
@@ -52,6 +53,7 @@ from rpsf.world import (  # noqa: E402
     make_world,
     replay,
     trigger_fired,
+    world_to_dict,
     world_to_json,
 )
 
@@ -237,6 +239,9 @@ class TestTraces:
             clock = events[-1].date if events else initial.clock
             assert world_to_json(replay(initial, events)) \
                 == world_to_json(replace(progression.world, clock=clock))
+            # the rows' writers write what json writes of the encoders' output
+            assert world_to_json(progression.world) \
+                == json.dumps(world_to_dict(progression.world), indent=2)
 
     @given(plan_sets(), st.booleans(), st.integers(0, 2**16), st.sampled_from(AGENTS))
     def test_equivalent_is_an_equivalence_relation(self, plans, choice, seed, agent):

@@ -34,8 +34,8 @@ PACKAGE_NAMES = {
                  "monetary_projection net_positions synthesize witness_scenario",
 }
 
-# runs one CLI command as ``python -m rpsf.cli`` does, then names every
-# loaded module on stderr
+# runs one CLI command as ``python -m rpsf.cli`` does, then writes the
+# value of REPORT on stderr
 _AFTER_COMMAND = """
 import runpy, sys
 sys.argv = ["rpsf", *sys.argv[1:]]
@@ -44,7 +44,7 @@ try:
 except SystemExit:
     pass
 sys.stdout.flush()
-print(" ".join(sorted(sys.modules)), file=sys.stderr)
+print(REPORT, file=sys.stderr)
 """
 
 
@@ -59,7 +59,19 @@ def _python(code: str, *argv: str) -> str:
 
 
 def _loaded_after(*argv: str) -> set[str]:
-    return set(_python(_AFTER_COMMAND, *argv).split())
+    return set(_python(_AFTER_COMMAND.replace("REPORT", '" ".join(sorted(sys.modules))'),
+                       *argv).split())
+
+
+@pytest.mark.parametrize("argv", [
+    ("list-scenarios",),
+    ("list-scenarios", "--format", "json"),
+    ("run", "loan_with_interest", "--format", "json"),
+], ids=" ".join)
+def test_a_command_that_renders_no_world_compiles_no_writer(argv):
+    # writers compile on first use, so these commands pay nothing for them
+    report = 'len(sys.modules["rpsf.world"]._WRITERS)'
+    assert _python(_AFTER_COMMAND.replace("REPORT", report), *argv) == "0"
 
 
 @pytest.mark.parametrize("argv, absent", [

@@ -7,6 +7,7 @@ import pytest
 from rpsf.money import Quantity, ZERO, replace
 from rpsf.world import (
     _NEEDS,
+    _need,
     Action,
     ActionKind,
     ActionTemplate,
@@ -144,6 +145,19 @@ NEEDS = {
 }
 
 
+# the kinds that read each field that only some kinds read
+READ_BY = {
+    "due_date": "promise-pay promise-accept-payment promise-buy-on-condition buy-on-credit "
+                "promise-insurance-payout promise-manage-funds",
+    "down_payment": "buy-on-credit promise-insurance-payout",
+    "good_spec": "prepare-good request-prepare-good",
+}
+
+# a value for every field that some kind needs or reads
+FIELDS = dict(counterparty="Y", amount=q(1), down_payment=q(1), due_date=5, good_id="G",
+              contract_id="c", good_spec=GoodSpec("gold", q(1)))
+
+
 class TestNeeds:
     def test_the_table_has_one_entry_per_kind(self):
         assert set(_NEEDS) == set(ActionKind)
@@ -154,10 +168,7 @@ class TestNeeds:
     def test_an_action_without_a_field_its_kind_needs_is_rejected(self, two_agents, kind,
                                                                   name):
         # every field any kind needs is set, then the one under test is taken away
-        action = replace(Action(kind=ActionKind(kind), actor="X", counterparty="Y",
-                                amount=q(1), down_payment=q(1), due_date=5, good_id="G",
-                                contract_id="c", good_spec=GoodSpec("gold", q(1))),
-                         **{name: None})
+        action = replace(Action(kind=ActionKind(kind), actor="X", **FIELDS), **{name: None})
         calls = [lambda: apply_event(two_agents, action, 0)]
         if action.kind in PROMISE_KINDS:
             calls.append(lambda: promise_to_contract(action))
@@ -165,6 +176,23 @@ class TestNeeds:
             with pytest.raises(ValidationError) as exc:
                 call()
             assert str(exc.value) == f"{kind} requires {name}"
+
+    @pytest.mark.parametrize("name", READ_BY)
+    @pytest.mark.parametrize("kind", NEEDS)
+    def test_a_field_its_kind_never_reads_is_rejected(self, two_agents, kind, name):
+        # the fields the kind needs, and the one under test
+        action = Action(kind=ActionKind(kind), actor="X",
+                        **{n: FIELDS[n] for n in {*NEEDS[kind].split(), name}})
+        if kind in READ_BY[name].split():
+            _need(action)
+            return
+        calls = [lambda: apply_event(two_agents, action, 0)]
+        if action.kind in PROMISE_KINDS:
+            calls.append(lambda: promise_to_contract(action))
+        for call in calls:
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == f"{kind} does not take {name}"
 
 
 class TestSales:
