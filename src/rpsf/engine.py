@@ -27,10 +27,14 @@ Strategies differ only in which plans get a chance to step:
 
 Cost: a step pops the head of its plan's cursor, and a wait on an
 AfterEvent pattern is one lookup in an index of the history that the call
-builds as it goes (each event is projected once per field set that some
-pattern constrains; enumeration branches carry copies). Neither grows with
-the history. What still grows per event is ``apply_event`` copying the
-history tuple to append to it.
+builds as it goes (each pattern's fields are resolved once per call, and
+each event is projected once per field set that some pattern constrains;
+enumeration branches carry copies). Neither grows with the history.
+Enumeration applies each distinct step once (``_StepMemo``): interleavings
+that reach the same per-plan prefixes at the same clock share the step's
+event and changes, so a (3,3,3) plan set with one wait applies 100 events
+for its 840 traces, not 2,655. What still grows per event is copying the
+history tuple to append to it, in ``apply_event`` and in a memo hit alike.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .world import (
     codec_row,
     codec_union,
     eval_condition,
+    seq_named_contract,
     trigger_fired,
     value_to_dict,
 )
@@ -196,14 +201,17 @@ class _EventIndex:
     branches of an enumeration carry copies.
     """
 
-    __slots__ = ("indexed", "seen")
+    __slots__ = ("indexed", "seen", "patterns")
 
-    def __init__(self):
+    def __init__(self, patterns: dict[int, tuple] | None = None):
         self.indexed = 0
         self.seen: dict[tuple[str, ...], set[tuple]] = {}
+        # id(pattern) -> (pattern, the fields it constrains, their values):
+        # each pattern is resolved once per call, for this index and its copies
+        self.patterns = {} if patterns is None else patterns
 
     def copy(self) -> "_EventIndex":
-        other = _EventIndex()
+        other = _EventIndex(self.patterns)
         other.indexed = self.indexed
         other.seen = {fields: set(keys) for fields, keys in self.seen.items()}
         return other
@@ -214,19 +222,22 @@ class _EventIndex:
                 for fields, keys in self.seen.items():
                     keys.update(_projections(fields, event.action))
             self.indexed = len(history)
-        fields, wanted = [], []
-        for name in _PATTERN_FIELDS:
-            value = getattr(pattern, name)
-            if value is not None:
-                fields.append(name)
-                wanted.append(value)
-        fields = tuple(fields)
+        resolved = self.patterns.get(id(pattern))
+        if resolved is None:
+            fields, wanted = [], []
+            for name in _PATTERN_FIELDS:
+                value = getattr(pattern, name)
+                if value is not None:
+                    fields.append(name)
+                    wanted.append(value)
+            resolved = self.patterns[id(pattern)] = (pattern, tuple(fields), tuple(wanted))
+        _, fields, wanted = resolved
         keys = self.seen.get(fields)
         if keys is None:
             keys = self.seen[fields] = set()
             for event in history:
                 keys.update(_projections(fields, event.action))
-        return tuple(wanted) in keys
+        return wanted in keys
 
 
 _PATTERN_FIELDS = ("kind", "actor", "counterparty", "amount", "good_id", "contract_id", "message")
@@ -247,18 +258,21 @@ class _Cursor:
     last element is the head.
 
     Branches are resolved the moment they reach the head (against the then-
-    current ground state); stops truncate the plan.
+    current ground state); stops truncate the plan. Under enumeration,
+    ``applied`` names the actions the plan has applied (see ``_StepMemo``).
     """
 
-    __slots__ = ("agent", "stack")
+    __slots__ = ("agent", "stack", "applied")
 
     def __init__(self, agent: str, steps: Sequence[PlanStep] = ()):
         self.agent = agent
         self.stack = list(reversed(steps))
+        self.applied = 0
 
     def clone(self) -> "_Cursor":
         other = _Cursor(self.agent)
         other.stack = self.stack.copy()
+        other.applied = self.applied
         return other
 
     def settle(self, world: WorldState, choices: Mapping[str, bool], index: _EventIndex) -> None:
@@ -295,20 +309,103 @@ def _settle_all(cursors: Sequence[_Cursor], world: WorldState,
 
 
 def _step(world: WorldState, cursors: Sequence[_Cursor], cursor: Optional[_Cursor],
-          choices: Mapping[str, bool], index: _EventIndex) -> WorldState:
+          choices: Mapping[str, bool], index: _EventIndex,
+          memo: Optional["_StepMemo"] = None) -> WorldState:
     """The one successor step every scheduler takes.
 
     ``cursor`` applies and pops its head ``Do``; with no cursor, the clock
     advances to ``_wake``. Then every plan settles against the new state,
     so that none skips a state and every scheduled trace is an enumerated
-    one.
+    one. With a ``memo`` (enumeration only), a step that the call has
+    applied before, from the same per-plan actions and clock, is not
+    applied again.
     """
     if cursor is None:
         world = replace(world, clock=_wake(world, cursors))
-    else:
+    elif memo is None:
         world = apply_event(world, cursor.stack.pop().action, world.clock)
+    else:
+        action = cursor.stack.pop().action
+        key = (tuple([c.applied for c in cursors]), world.clock, id(action))
+        done = memo.steps.get(key)
+        if done is None:
+            child = apply_event(world, action, world.clock)
+            done = memo.keep(key, world, child, cursor.applied)
+            world = child
+        else:
+            world = done.after(world)
+        cursor.applied = done.applied
     _settle_all(cursors, world, choices, index)
     return world
+
+
+class _StepMemo:
+    """The steps one enumeration has applied, so that it applies each once.
+
+    A cursor's ``applied`` is an int, interned in ``sequences``, that names
+    the actions its plan has applied so far: each by identity, and a credit
+    sale or promise that names its contract by sequence number
+    (``seq_named_contract``) with that number. ``steps`` maps the tuple of
+    the cursors' ints, the clock and the action's id to what ``apply_event``
+    did there, so the key's hash costs the same at any depth.
+
+    Every order of the same per-plan steps reaches a key with a world that
+    ``apply_event`` cannot tell apart. It reads only the clock, agents,
+    overdraft flag, accounts, goods, contracts and the history's length:
+    balances are sums; a good's owner is its last buyer, since each seller
+    must own what it sells; contracts come from action fields and
+    signatures are set unions, except for the seq-named ids, which the key
+    carries; the history's length is the number of steps. The clock is in
+    the key because it advances only where no plan can act, which one
+    order may pass through and another not. A hit rebuilds the child from
+    its parent's maps and the entries the step set, so the maps keep the
+    key order ``apply_event`` would give. Only successes are kept, so a
+    failing step raises wherever it is first reached.
+    """
+
+    __slots__ = ("steps", "sequences")
+
+    def __init__(self):
+        self.steps: dict[tuple, _Done] = {}
+        self.sequences: dict[tuple, int] = {}
+
+    def keep(self, key: tuple, parent: WorldState, child: WorldState, applied: int) -> "_Done":
+        event = child.history[-1]
+        action = event.action
+        step = id(action) if seq_named_contract(action, event.seq) is None \
+            else (id(action), event.seq)
+        extended = self.sequences.setdefault((applied, step), len(self.sequences) + 1)
+        done = self.steps[key] = _Done(
+            event, _changed(parent.accounts, child.accounts), _changed(parent.goods, child.goods),
+            _changed(parent.contracts, child.contracts), extended)
+        return done
+
+
+@record(frozen=True, slots=True)
+class _Done:
+    """One applied step: its event, the entries it set in each of the
+    world's maps, and its plan's ``applied`` after it."""
+
+    event: Event
+    accounts: dict
+    goods: dict
+    contracts: dict
+    applied: int
+
+    def after(self, world: WorldState) -> WorldState:
+        """The world ``apply_event`` gives from ``world``: the maps keep
+        ``world``'s order and add new keys last, as its copies do."""
+        return WorldState(world.agents, _with(world.accounts, self.accounts),
+                          _with(world.goods, self.goods), _with(world.contracts, self.contracts),
+                          world.history + (self.event,), world.clock, world.overdraft_allowed)
+
+
+def _changed(before: Mapping, after: Mapping) -> dict:
+    return {k: v for k, v in after.items() if before.get(k) is not v}
+
+
+def _with(base: Mapping, changed: dict) -> Mapping:
+    return {**base, **changed} if changed else base
 
 
 def _wake(world: WorldState, cursors: Sequence[_Cursor]) -> Optional[int]:
@@ -466,11 +563,15 @@ def enumerate_interleavings(
         assignments.append(assignment)
 
     seen: dict[tuple, Progression] = {}
-    memo: dict[int, tuple[Action, tuple]] = {}  # each action's frozen key, for this call only
+    # for this call only: each action's frozen key, each step's outcome and
+    # each wait pattern's fields, shared by every choice assignment
+    keys: dict[int, tuple[Action, tuple]] = {}
+    memo = _StepMemo()
+    patterns: dict[int, tuple] = {}
     start = len(world.history)
     for assignment in assignments:
         cursors = [_Cursor(p.agent, p.steps) for p in ordered]
-        index = _EventIndex()
+        index = _EventIndex(patterns)
         _settle_all(cursors, world, assignment, index)
         stack: list[tuple[WorldState, list[_Cursor], _EventIndex]] = [(world, cursors, index)]
         while stack:
@@ -480,7 +581,7 @@ def enumerate_interleavings(
                 wake = _wake(state, cursors)
                 if wake is None:
                     progression = Progression(events=state.history[start:], world=state)
-                    seen.setdefault(progression.key(memo), progression)
+                    seen.setdefault(progression.key(keys), progression)
                 else:
                     _check_horizon(wake, horizon)
                     stack.append((_step(state, cursors, None, assignment, index), cursors, index))
@@ -491,7 +592,7 @@ def enumerate_interleavings(
                 last = i == enabled[0]
                 child = cursors if last else [c.clone() for c in cursors]
                 child_index = index if last else index.copy()
-                stack.append((_step(state, child, child[i], assignment, child_index),
+                stack.append((_step(state, child, child[i], assignment, child_index, memo),
                               child, child_index))
 
     return tuple(seen[k] for k in sorted(seen))

@@ -632,10 +632,10 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
         add_contract(promise_to_contract(replace(
             action, kind=ActionKind.PROMISE_PAY, amount=action.amount - down, down_payment=None,
             terms=None, signing=SigningMode.BOTH_PARTIES,
-            contract_id=action.contract_id or f"credit-{seq}")))
+            contract_id=action.contract_id or seq_named_contract(action, seq))))
     elif kind in PROMISE_KINDS:
         add_contract(promise_to_contract(
-            replace(action, contract_id=action.contract_id or f"promise-{seq}")))
+            replace(action, contract_id=action.contract_id or seq_named_contract(action, seq))))
     elif kind == ActionKind.PREPARE_CONTRACT:
         parties = action.parties or ((action.actor, action.counterparty) if action.counterparty else (action.actor,))
         for clause in action.clauses:
@@ -695,6 +695,23 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
         clock=date,
         overdraft_allowed=world.overdraft_allowed,
     )
+
+
+# The kinds that name the contract they add after their event's sequence
+# number when they carry no contract_id: a credit sale its settlement, a
+# promise its own.
+_SEQ_NAMED = {ActionKind.BUY_ON_CREDIT: "credit", **dict.fromkeys(PROMISE_KINDS, "promise")}
+
+
+def seq_named_contract(action: Action, seq: int) -> Optional[str]:
+    """The id, ``credit-{seq}`` or ``promise-{seq}``, of the contract that
+    ``action`` adds as event ``seq`` when it carries no ``contract_id``;
+    None when its contract id, if any, is its own. Enumeration reads it
+    too: the world after such an action depends on its sequence number."""
+    if action.contract_id:
+        return None
+    prefix = _SEQ_NAMED.get(action.kind)
+    return None if prefix is None else f"{prefix}-{seq}"
 
 
 def _need(action: Action) -> None:

@@ -312,6 +312,66 @@ class TestEnumerate:
         assert [e.action.message for e in traces[0].events] == ["go", "done"]
 
 
+class TestAppliedOnce:
+    """Enumeration applies each step of the plans' lattice once, however many
+    interleavings pass through it; run applies each of its events once."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        from rpsf import engine
+
+        calls = []
+        original = engine.apply_event
+
+        def counting(world, action, date):
+            calls.append(action)
+            return original(world, action, date)
+
+        monkeypatch.setattr(engine, "apply_event", counting)
+        return calls
+
+    @pytest.mark.parametrize("n, traces, applied", [(2, 90, 54), (4, 34650, 300)])
+    def test_chat_plans(self, monkeypatch, n, traces, applied):
+        # one application per edge of the (n+1)^3 lattice: 3 * n * (n+1)^2
+        world = make_world(agents=[Agent("A"), Agent("B"), Agent("C")])
+        calls = self.counted(monkeypatch)
+        assert len(enumerate_interleavings(world, [chat(a, n) for a in "ABC"], bound=3 * n)) \
+            == traces
+        assert len(calls) == applied
+
+    def test_a_relay_of_one_good(self, monkeypatch):
+        """Three plans of three steps; A's second step sells g to B, and B's
+        second, which waits for that sale, sells it on to C; C sells h."""
+        from rpsf.world import Good
+
+        def pay(agent, payee, k):
+            return Do(Action(kind=ActionKind.PAY, actor=agent, counterparty=payee,
+                             amount=q(k + 1), message=f"{agent}{k}"))
+
+        def sell(agent, buyer, good, k):
+            return Do(Action(kind=ActionKind.SPOT_SALE, actor=agent, counterparty=buyer,
+                             amount=q(10), good_id=good, message=f"{agent}{k}"))
+
+        world = make_world(agents=[Agent("A"), Agent("B"), Agent("C")],
+                           balances={"A": q(100), "B": q(100), "C": q(100)},
+                           goods=[Good("g", "asset", "A", q(50)), Good("h", "asset", "C", q(50))])
+        plans = [Plan("A", (pay("A", "C", 0), sell("A", "B", "g", 1), pay("A", "B", 2))),
+                 Plan("B", (pay("B", "A", 0), wait_for(kind="spot-sale", actor="A", message="A1"),
+                            sell("B", "C", "g", 1), pay("B", "C", 2))),
+                 Plan("C", (pay("C", "A", 0), sell("C", "A", "h", 1), pay("C", "B", 2)))]
+        calls = self.counted(monkeypatch)
+        assert len(enumerate_interleavings(world, plans, bound=10)) == 840
+        assert len(calls) == 100
+
+    @pytest.mark.parametrize("strategy", [RoundRobin(), SeededRandom(7)])
+    def test_run_applies_each_event_once(self, trio, monkeypatch, strategy):
+        plans = [chat("A", 3), chat("B", 2), Plan("C", (WaitFor(ByDate(12)),) + chat("C", 2).steps)]
+        calls = self.counted(monkeypatch)
+        progression = run(trio, plans, strategy)
+        assert calls == [event.action for event in progression.events]
+        assert len(calls) == 7
+
+
 class TestWaitCost:
     """Wait checks read an index of the history, not the history itself."""
 

@@ -347,3 +347,84 @@ def test_the_gate_sees_an_ad_hoc_need():
             "        raise ValidationError('needs an amount')\n")
     assert ad_hoc_needs(text) == [
         "line 2: action.good_id is None", "line 4: promise.amount is None"]
+
+
+def _owned_nodes(text: str):
+    """Every node with the function that holds it, named ``Class.method``
+    for a method and ``<module>`` outside any function; a lambda belongs to
+    the function around it."""
+    def visit(node: ast.AST, owner: str, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            yield child, owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, prefix + child.name, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, owner, prefix + child.name + ".")
+            else:
+                yield from visit(child, owner, prefix)
+    yield from visit(ast.parse(text), "<module>", "")
+
+
+def callers(text: str, name: str) -> list[str]:
+    """The functions that call ``name``, bare or as an attribute, once each
+    in the order of their first call."""
+    found = [owner for node, owner in _owned_nodes(text) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+    return list(dict.fromkeys(found))
+
+
+def test_only_the_successor_step_applies_an_event_in_the_engine():
+    # run and enumeration both step through _step; enumeration's memo sits
+    # inside it, so no scheduler can apply an event around the memo
+    assert callers((PACKAGE / "engine.py").read_text(), "apply_event") == ["_step"]
+
+
+def test_the_gate_sees_each_caller_of_a_name():
+    text = ("apply_event(world, a, 0)\n"
+            "def _step(world):\n"
+            "    return apply_event(world, a, 0)\n"
+            "class Memo:\n"
+            "    def keep(self, world):\n"
+            "        def again():\n"
+            "            return world_module.apply_event(world, a, 0)\n"
+            "        return (lambda w: apply_event(w, a, 0))(world)\n"
+            "def quiet(world):\n"
+            "    return apply_event\n")
+    assert callers(text, "apply_event") == ["<module>", "_step", "Memo.keep.again", "Memo.keep"]
+
+
+def seq_spelt_ids(text: str) -> list[str]:
+    """The functions that spell an id from a sequence number: an f-string
+    in which ``seq`` or some ``x.seq`` follows a hyphen, as in
+    ``credit-{seq}``."""
+    def spelt(node: ast.AST) -> bool:
+        parts = node.values if isinstance(node, ast.JoinedStr) else []
+        return any(isinstance(before, ast.Constant) and before.value.endswith("-")
+                   and isinstance(part, ast.FormattedValue)
+                   and "seq" in (getattr(part.value, "id", None), getattr(part.value, "attr", None))
+                   for before, part in zip(parts, parts[1:]))
+    return list(dict.fromkeys(owner for node, owner in _owned_nodes(text) if spelt(node)))
+
+
+def test_the_seq_named_contract_rule_is_stated_once():
+    # apply_event names a contract credit-{seq} or promise-{seq} in one
+    # helper, and enumeration's memo reads the same helper to know which
+    # steps' outcome depends on their sequence number
+    world, engine = ((PACKAGE / name).read_text() for name in ("world.py", "engine.py"))
+    assert [f"{path.name} {owner}" for path in sorted(PACKAGE.glob("*.py"))
+            for owner in seq_spelt_ids(path.read_text())] == ["world.py seq_named_contract"]
+    assert callers(world, "seq_named_contract") == ["apply_event"]
+    assert callers(engine, "seq_named_contract") == ["_StepMemo.keep"]
+
+
+def test_the_gate_sees_an_id_spelt_from_a_sequence_number():
+    text = ("def apply(action, seq):\n"
+            "    return action.contract_id or f'credit-{seq}'\n"
+            "class Log:\n"
+            "    def line(self, event):\n"
+            "        return f'event {event.seq:>4}: {event.action}'\n"
+            "    def name(self, event, prefix):\n"
+            "        return f'{prefix}-{event.seq}'\n"
+            "def label(n):\n"
+            "    return f'{n}-{seqs}' + 'promise-{seq}'\n")
+    assert seq_spelt_ids(text) == ["apply", "Log.name"]
