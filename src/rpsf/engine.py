@@ -29,12 +29,13 @@ Cost: a step pops the head of its plan's cursor, and a wait on an
 AfterEvent pattern is one lookup in an index of the history that the call
 builds as it goes (each pattern's fields are resolved once per call, and
 each event is projected once per field set that some pattern constrains;
-enumeration branches carry copies). Neither grows with the history.
-Enumeration applies each distinct step once (``_StepMemo``): interleavings
-that reach the same per-plan prefixes at the same clock share the step's
-event and changes, so a (3,3,3) plan set with one wait applies 100 events
-for its 840 traces, not 2,655. What still grows per event is copying the
-history tuple to append to it, in ``apply_event`` and in a memo hit alike.
+enumeration branches carry copies). Neither grows with the history; what
+does is ``apply_event`` copying the history tuple to append to it.
+Enumeration walks the lattice of distinct states, not the tree of
+interleavings (``_Lattice``): it steps and settles each edge of the
+lattice once, then reads every trace off as a path. A (3,3,3) plan set
+with one wait takes 100 steps for its 840 traces, not 2,655; what is left
+per trace is its tuple of events, its world and its key.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ class _Cursor:
 
     Branches are resolved the moment they reach the head (against the then-
     current ground state); stops truncate the plan. Under enumeration,
-    ``applied`` names the actions the plan has applied (see ``_StepMemo``).
+    ``applied`` names the actions the plan has applied (see ``_Lattice``).
     """
 
     __slots__ = ("agent", "stack", "applied")
@@ -309,103 +310,146 @@ def _settle_all(cursors: Sequence[_Cursor], world: WorldState,
 
 
 def _step(world: WorldState, cursors: Sequence[_Cursor], cursor: Optional[_Cursor],
-          choices: Mapping[str, bool], index: _EventIndex,
-          memo: Optional["_StepMemo"] = None) -> WorldState:
+          choices: Mapping[str, bool], index: _EventIndex) -> WorldState:
     """The one successor step every scheduler takes.
 
     ``cursor`` applies and pops its head ``Do``; with no cursor, the clock
     advances to ``_wake``. Then every plan settles against the new state,
     so that none skips a state and every scheduled trace is an enumerated
-    one. With a ``memo`` (enumeration only), a step that the call has
-    applied before, from the same per-plan actions and clock, is not
-    applied again.
+    one.
     """
     if cursor is None:
         world = replace(world, clock=_wake(world, cursors))
-    elif memo is None:
-        world = apply_event(world, cursor.stack.pop().action, world.clock)
     else:
-        action = cursor.stack.pop().action
-        key = (tuple([c.applied for c in cursors]), world.clock, id(action))
-        done = memo.steps.get(key)
-        if done is None:
-            child = apply_event(world, action, world.clock)
-            done = memo.keep(key, world, child, cursor.applied)
-            world = child
-        else:
-            world = done.after(world)
-        cursor.applied = done.applied
+        world = apply_event(world, cursor.stack.pop().action, world.clock)
     _settle_all(cursors, world, choices, index)
     return world
 
 
-class _StepMemo:
-    """The steps one enumeration has applied, so that it applies each once.
+class _Node:
+    """One distinct state of an enumeration: the world, settled cursors and
+    event index of the first path that reached it, and, once expanded, its
+    ``children``: (the event, or None for a clock advance; the child node),
+    the highest-named plan's first. A node without children ends a trace."""
+
+    __slots__ = ("world", "cursors", "index", "children")
+
+    def __init__(self, world: WorldState, cursors: list[_Cursor], index: _EventIndex):
+        self.world = world
+        self.cursors = cursors
+        self.index = index
+        self.children: Optional[tuple[tuple[Optional[Event], "_Node"], ...]] = None
+
+
+class _Lattice:
+    """The states one enumeration reaches under one choice assignment, so
+    that it steps and settles each once, however many interleavings pass
+    through it.
 
     A cursor's ``applied`` is an int, interned in ``sequences``, that names
     the actions its plan has applied so far: each by identity, and a credit
     sale or promise that names its contract by sequence number
-    (``seq_named_contract``) with that number. ``steps`` maps the tuple of
-    the cursors' ints, the clock and the action's id to what ``apply_event``
-    did there, so the key's hash costs the same at any depth.
+    (``seq_named_contract``) with that number. ``nodes`` maps a state's key
+    to its node: the cursors' ints, the clock, each cursor's remaining
+    stack by identity, and the key order of goods and contracts.
 
-    Every order of the same per-plan steps reaches a key with a world that
-    ``apply_event`` cannot tell apart. It reads only the clock, agents,
-    overdraft flag, accounts, goods, contracts and the history's length:
-    balances are sums; a good's owner is its last buyer, since each seller
-    must own what it sells; contracts come from action fields and
-    signatures are set unions, except for the seq-named ids, which the key
-    carries; the history's length is the number of steps. The clock is in
-    the key because it advances only where no plan can act, which one
-    order may pass through and another not. A hit rebuilds the child from
-    its parent's maps and the entries the step set, so the maps keep the
-    key order ``apply_event`` would give. Only successes are kept, so a
-    failing step raises wherever it is first reached.
+    Every path to one key reaches a state that ``apply_event``,
+    ``_settle_all`` and ``_wake`` cannot tell apart from the node's, so the
+    node's children serve every path. They read the clock, the choices,
+    agents, overdraft flag, the three maps, the history's length and which
+    actions the history holds (the wait index projects action fields,
+    never dates). Balances are sums; a good's owner is its last buyer,
+    since each seller must own what it sells; contracts come from action
+    fields and signatures are set unions, except for the seq-named ids,
+    which the ints carry; the history's length is the number of steps. The
+    rest is in the key: a new good or contract is added last, so the key
+    order depends on the order of the steps; a branch resolved against
+    different states leaves equal ints but different stacks; and the clock
+    advances only where no plan can act, so a branch may leave one stack
+    after an arm that waited for a date and after one that did not. An
+    edge's event is the same from every path: its sequence number is the
+    number of steps, its date the node's clock. An earlier event's date is
+    not, as one step may come before a clock advance on one path and after
+    it on another, so each trace takes its events from its own path.
+
+    A node is expanded the first time the walk reaches it, all its children
+    at once, highest-named first, as the walk of the interleaving tree
+    would; so a failing step raises where that walk would first reach it.
     """
 
-    __slots__ = ("steps", "sequences")
+    __slots__ = ("choices", "horizon", "nodes", "sequences")
 
-    def __init__(self):
-        self.steps: dict[tuple, _Done] = {}
+    def __init__(self, choices: Mapping[str, bool], horizon: Optional[int]):
+        self.choices = choices
+        self.horizon = horizon
+        self.nodes: dict[tuple, _Node] = {}
         self.sequences: dict[tuple, int] = {}
 
-    def keep(self, key: tuple, parent: WorldState, child: WorldState, applied: int) -> "_Done":
-        event = child.history[-1]
+    def node(self, world: WorldState, cursors: list[_Cursor], index: _EventIndex) -> _Node:
+        """The node of this state, made from it if it is new."""
+        key = (tuple([c.applied for c in cursors]), world.clock,
+               tuple([tuple(map(id, c.stack)) for c in cursors]),
+               tuple(world.goods), tuple(world.contracts))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = _Node(world, cursors, index)
+        return node
+
+    def extend(self, applied: int, event: Event) -> int:
+        """The int of a plan that has applied ``applied``'s actions, then ``event``'s."""
         action = event.action
         step = id(action) if seq_named_contract(action, event.seq) is None \
             else (id(action), event.seq)
-        extended = self.sequences.setdefault((applied, step), len(self.sequences) + 1)
-        done = self.steps[key] = _Done(
-            event, _changed(parent.accounts, child.accounts), _changed(parent.goods, child.goods),
-            _changed(parent.contracts, child.contracts), extended)
-        return done
+        return self.sequences.setdefault((applied, step), len(self.sequences) + 1)
 
+    def paths(self, world: WorldState, cursors: list[_Cursor],
+              index: _EventIndex) -> Iterable[tuple[_Node, tuple[Event, ...]]]:
+        """Every maximal path from this settled state, depth first, the
+        lowest-named agent first: its last node and its events."""
+        # each entry: a node, the length of ``events`` at its parent, and
+        # the event of the edge into it
+        events: list[Event] = []
+        stack: list[tuple[_Node, int, Optional[Event]]] = [
+            (self.node(world, cursors, index), 0, None)]
+        while stack:
+            node, depth, event = stack.pop()
+            del events[depth:]
+            if event is not None:
+                events.append(event)
+            if node.children is None:
+                self.expand(node)
+            if node.children:
+                depth = len(events)
+                stack.extend([(child, depth, edge) for edge, child in node.children])
+            else:
+                yield node, tuple(events)
 
-@record(frozen=True, slots=True)
-class _Done:
-    """One applied step: its event, the entries it set in each of the
-    world's maps, and its plan's ``applied`` after it."""
-
-    event: Event
-    accounts: dict
-    goods: dict
-    contracts: dict
-    applied: int
-
-    def after(self, world: WorldState) -> WorldState:
-        """The world ``apply_event`` gives from ``world``: the maps keep
-        ``world``'s order and add new keys last, as its copies do."""
-        return WorldState(world.agents, _with(world.accounts, self.accounts),
-                          _with(world.goods, self.goods), _with(world.contracts, self.contracts),
-                          world.history + (self.event,), world.clock, world.overdraft_allowed)
-
-
-def _changed(before: Mapping, after: Mapping) -> dict:
-    return {k: v for k, v in after.items() if before.get(k) is not v}
-
-
-def _with(base: Mapping, changed: dict) -> Mapping:
-    return {**base, **changed} if changed else base
+    def expand(self, node: _Node) -> None:
+        """Step every runnable plan, highest-named first, or advance the
+        clock when none can act. The lowest-named plan's child takes over
+        the node's cursors and index, which the node needs no more."""
+        world, cursors, index = node.world, node.cursors, node.index
+        node.cursors = node.index = None
+        enabled = [i for i, c in enumerate(cursors) if isinstance(c.head(), Do)]
+        if not enabled:
+            wake = _wake(world, cursors)
+            if wake is None:
+                node.children = ()
+                return
+            _check_horizon(wake, self.horizon)
+            child = _step(world, cursors, None, self.choices, index)
+            node.children = ((None, self.node(child, cursors, index)),)
+            return
+        children = []
+        for i in reversed(enabled):
+            last = i == enabled[0]
+            moved = cursors if last else [c.clone() for c in cursors]
+            moved_index = index if last else index.copy()
+            child = _step(world, moved, moved[i], self.choices, moved_index)
+            event = child.history[-1]
+            moved[i].applied = self.extend(moved[i].applied, event)
+            children.append((event, self.node(child, moved, moved_index)))
+        node.children = tuple(children)
 
 
 def _wake(world: WorldState, cursors: Sequence[_Cursor]) -> Optional[int]:
@@ -563,37 +607,20 @@ def enumerate_interleavings(
         assignments.append(assignment)
 
     seen: dict[tuple, Progression] = {}
-    # for this call only: each action's frozen key, each step's outcome and
-    # each wait pattern's fields, shared by every choice assignment
+    # for this call only: each action's frozen key and each wait pattern's
+    # fields, shared by every choice assignment
     keys: dict[int, tuple[Action, tuple]] = {}
-    memo = _StepMemo()
     patterns: dict[int, tuple] = {}
-    start = len(world.history)
     for assignment in assignments:
         cursors = [_Cursor(p.agent, p.steps) for p in ordered]
         index = _EventIndex(patterns)
         _settle_all(cursors, world, assignment, index)
-        stack: list[tuple[WorldState, list[_Cursor], _EventIndex]] = [(world, cursors, index)]
-        while stack:
-            state, cursors, index = stack.pop()
-            enabled = [i for i, c in enumerate(cursors) if isinstance(c.head(), Do)]
-            if not enabled:
-                wake = _wake(state, cursors)
-                if wake is None:
-                    progression = Progression(events=state.history[start:], world=state)
-                    seen.setdefault(progression.key(keys), progression)
-                else:
-                    _check_horizon(wake, horizon)
-                    stack.append((_step(state, cursors, None, assignment, index), cursors, index))
-                continue
-            # reversed so the lowest-named agent is explored first; that
-            # last child takes over this node's cursors and index
-            for i in reversed(enabled):
-                last = i == enabled[0]
-                child = cursors if last else [c.clone() for c in cursors]
-                child_index = index if last else index.copy()
-                stack.append((_step(state, child, child[i], assignment, child_index, memo),
-                              child, child_index))
+        for end, events in _Lattice(assignment, horizon).paths(world, cursors, index):
+            state = end.world
+            progression = Progression(events=events, world=WorldState(
+                state.agents, state.accounts, state.goods, state.contracts,
+                world.history + events, state.clock, state.overdraft_allowed))
+            seen.setdefault(progression.key(keys), progression)
 
     return tuple(seen[k] for k in sorted(seen))
 

@@ -244,9 +244,11 @@ class Quantity:
             return
         if den == 0:
             raise ValueError("Quantity denominator must be nonzero")
+        g = gcd(num, den)
+        if g == 1 and den > 0:  # already canonical, as 12343/100 is
+            return
         if den < 0:
             num, den = -num, -den
-        g = gcd(num, den)
         if g > 1:
             num //= g
             den //= g

@@ -313,8 +313,9 @@ class TestEnumerate:
 
 
 class TestAppliedOnce:
-    """Enumeration applies each step of the plans' lattice once, however many
-    interleavings pass through it; run applies each of its events once."""
+    """Enumeration applies and settles each step of the plans' lattice once,
+    however many interleavings pass through it; run applies each of its
+    events once."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -330,14 +331,40 @@ class TestAppliedOnce:
         monkeypatch.setattr(engine, "apply_event", counting)
         return calls
 
+    @staticmethod
+    def stepped(monkeypatch):
+        """The numbers of successor steps (a step of one plan, or a clock
+        advance, and a settling of every plan) and of enumeration nodes."""
+        from rpsf import engine
+
+        made = {"steps": 0, "nodes": 0}
+        original = engine._step
+
+        def counting(*args):
+            made["steps"] += 1
+            return original(*args)
+
+        class Node(engine._Node):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made["nodes"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine, "_step", counting)
+        monkeypatch.setattr(engine, "_Node", Node)
+        return made
+
     @pytest.mark.parametrize("n, traces, applied", [(2, 90, 54), (4, 34650, 300)])
     def test_chat_plans(self, monkeypatch, n, traces, applied):
-        # one application per edge of the (n+1)^3 lattice: 3 * n * (n+1)^2
+        # one node per state of the (n+1)^3 lattice, and one application and
+        # one step per edge: 3 * n * (n+1)^2
         world = make_world(agents=[Agent("A"), Agent("B"), Agent("C")])
-        calls = self.counted(monkeypatch)
+        calls, made = self.counted(monkeypatch), self.stepped(monkeypatch)
         assert len(enumerate_interleavings(world, [chat(a, n) for a in "ABC"], bound=3 * n)) \
             == traces
         assert len(calls) == applied
+        assert made == {"steps": applied, "nodes": (n + 1) ** 3}
 
     def test_a_relay_of_one_good(self, monkeypatch):
         """Three plans of three steps; A's second step sells g to B, and B's
@@ -359,9 +386,10 @@ class TestAppliedOnce:
                  Plan("B", (pay("B", "A", 0), wait_for(kind="spot-sale", actor="A", message="A1"),
                             sell("B", "C", "g", 1), pay("B", "C", 2))),
                  Plan("C", (pay("C", "A", 0), sell("C", "A", "h", 1), pay("C", "B", 2)))]
-        calls = self.counted(monkeypatch)
+        calls, made = self.counted(monkeypatch), self.stepped(monkeypatch)
         assert len(enumerate_interleavings(world, plans, bound=10)) == 840
         assert len(calls) == 100
+        assert made == {"steps": 100, "nodes": 48}
 
     @pytest.mark.parametrize("strategy", [RoundRobin(), SeededRandom(7)])
     def test_run_applies_each_event_once(self, trio, monkeypatch, strategy):

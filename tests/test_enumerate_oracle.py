@@ -1,5 +1,5 @@
 """``enumerate_interleavings`` against a brute-force enumerator that shares
-none of its memo: every interleaving walked recursively, ``apply_event``
+none of its node table: every interleaving walked recursively, ``apply_event``
 called at every node. The two must agree byte for byte on every trace, or
 raise the same error."""
 
@@ -12,7 +12,8 @@ from rpsf.engine import (Branch, Do, Plan, Progression, Stop, WaitFor,  # noqa: 
                          enumerate_interleavings)
 from rpsf.money import Quantity, replace  # noqa: E402
 from rpsf.world import (Action, ActionKind, ActionTemplate, AfterEvent, Agent,  # noqa: E402
-                        BalanceAtLeast, ByDate, ChoiceIs, ContractInStage, ContractRecord,
+                        BalanceAtLeast, ByDate, ChoiceIs, ConditionMet, ContractInStage,
+                        ContractRecord,
                         Good, GoodSpec, OwnsGood, SigningMode, Stage, WorldError, apply_event,
                         eval_condition, make_world, trigger_fired, world_to_json)
 
@@ -218,19 +219,50 @@ def agree(plans, choice_points=None):
     return expected
 
 
-# each example fails under one wrong memo key. A promise-{seq} whose number
+# each example fails under one wrong node key. A promise-{seq} whose number
 # depends on the order (without the sequence tag),
 relabelled = [Plan("A", (promise("A", "B", SigningMode.INITIATOR_ONLY),)),
               Plan("B", (promise("B", "A", SigningMode.INITIATOR_ONLY),
                          after(kind=PROMISE, actor="A"), do(SIGN, "B", contract_id="promise-1")))]
-# one action applied twice by its plan (keyed on a set of actions),
+# one action applied once or twice by its plan, as A's branch on its balance
+# is resolved before or after B pays A (keyed on a set of actions),
 _twice = do(PAY, "A", counterparty="B", amount=Quantity(1))
-repeated = [Plan("A", (_twice, _twice)), Plan("C", (do(PAY, "C", counterparty="A",
-                                                        amount=Quantity(1)),))]
-# and the same actions reached before and after a clock advance (no clock):
+repeated = [Plan("A", (do(PAY, "A", counterparty="C", amount=Quantity(1)),
+                       Branch(BalanceAtLeast("A", Quantity(100)), (_twice, _twice), (_twice,)))),
+            Plan("B", (do(PAY, "B", counterparty="A", amount=Quantity(1)),))]
+# a choice between a dated arm and an undated one, made after a step that
+# both assignments take (one table for every assignment),
 _shared = do(PAY, "A", counterparty="B", amount=Quantity(1))
-dated = [Plan("A", (Branch(ChoiceIs("x"), (WaitFor(ByDate(2)), _shared), (_shared,)),)),
+dated = [Plan("A", (do(PAY, "A", counterparty="C", amount=Quantity(1)),
+                    Branch(ChoiceIs("x"), (WaitFor(ByDate(2)), _shared), (_shared,)))),
          Plan("B", (do(PAY, "B", counterparty="C", amount=Quantity(1)),))]
+# a branch on A's balance, resolved before or after B pays A, so that one
+# progress is reached with either arm left (without the stacks),
+_then, _else = (do(PAY, "A", counterparty=payee, amount=Quantity(1), message=arm)
+                for payee, arm in (("B", "then"), ("C", "else")))
+branched = [Plan("A", (do(PAY, "A", counterparty="C", amount=Quantity(1)),
+                       Branch(BalanceAtLeast("A", Quantity(100)), (_then,), (_else,)))),
+            Plan("B", (do(PAY, "B", counterparty="A", amount=Quantity(1)),))]
+# two goods prepared in either order (without the goods' key order),
+prepared = [Plan(agent, (do(PREPARE, agent, good_id=f"n{agent}",
+                            good_spec=GoodSpec(kind="asset", market_value=Quantity(1))),))
+            for agent in "AC"]
+# one action reached before and after a clock advance, as A's branch on its
+# balance is resolved after or before B pays A (without the clock),
+_paid = do(PAY, "A", counterparty="B", amount=Quantity(1), message="timed")
+timed = [Plan("A", (do(PAY, "A", counterparty="C", amount=Quantity(1)),
+                    Branch(BalanceAtLeast("A", Quantity(100)), (_paid,),
+                           (WaitFor(ByDate(2)), _paid)))),
+         Plan("B", (do(PAY, "B", counterparty="A", amount=Quantity(1)),))]
+# and a wait on A's balance that passes at once if B pays A before C sells A
+# a good, and otherwise when B pays again at day 2: A's payment is dated 0
+# or 2 on two paths to one state (without the stacks). No key needs an
+# earlier event's date, since each trace takes its events from its own path.
+_raise = do(PAY, "B", counterparty="A", amount=Quantity(1))
+late = [Plan("A", (WaitFor(ConditionMet(BalanceAtLeast("A", Quantity(101)))),
+                   do(PAY, "A", counterparty="B", amount=Quantity(1), message="late"))),
+        Plan("B", (_raise, WaitFor(ByDate(2)), _raise)),
+        Plan("C", (do(SPOT, "C", counterparty="A", amount=Quantity(1), good_id="h"),))]
 
 
 @settings(max_examples=150)
@@ -238,12 +270,27 @@ dated = [Plan("A", (Branch(ChoiceIs("x"), (WaitFor(ByDate(2)), _shared), (_share
 @example(relabelled, False)
 @example(repeated, False)
 @example(dated, True)
+@example(branched, False)
+@example(prepared, False)
+@example(timed, False)
+@example(late, False)
 def test_every_trace_is_the_reference_trace_byte_for_byte(plans, choose):
     agree(plans, {"x": True} if choose else None)
 
 
 def test_the_examples_reach_what_they_stand_for():
     assert agree(relabelled) == ("StageViolation", "B already signed promise-1")
-    assert {len(trace[0]) for trace in agree(repeated)} == {3}
+    assert {len(trace[0]) for trace in agree(repeated)} == {3, 4}
     dates = {tuple(day for day, _ in trace[0]) for trace in agree(dated, {"x": True})}
-    assert {(0, 2), (0, 0)} <= dates
+    assert {(0, 0, 2), (0, 0, 0)} <= dates
+    agree(branched)
+    assert {(t.events[0].action.actor, e.action.message)
+            for t in enumerated(opening_world(), branched, {})
+            for e in t.events if e.action.message} == {("A", "else"), ("B", "then")}
+    assert {tuple(goods) for *_, goods, _ in agree(prepared)} == {
+        ("g", "h", "nA", "nC"), ("g", "h", "nC", "nA")}
+    assert {tuple(day for day, _ in trace[0]) for trace in agree(timed)} == {(0, 0, 2), (0, 0, 0)}
+    agree(late)
+    traces = enumerated(opening_world(), late, {})
+    assert {e.date for t in traces for e in t.events if e.action.message == "late"} == {0, 2}
+    assert len({(t.world.clock, tuple(t.world.accounts.items())) for t in traces}) == 1

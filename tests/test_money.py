@@ -7,6 +7,7 @@ implementation.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -72,6 +73,35 @@ class TestCanonicalForm:
         assert Quantity(3, -6) == Quantity(-1, 2)
         assert Quantity(0, 5) == Quantity(0, 1)
 
+    @pytest.mark.parametrize("num, den", [
+        (12343, 100),   # canonical already: kept as given
+        (-7, 3),        # canonical with a negative numerator
+        (0, 1),
+        (3, -7),        # coprime, but the sign moves to the numerator
+        (-3, -7),
+        (24, -4),       # common factor and a negative denominator
+        (10**20, 10**18),
+    ])
+    def test_construction_gives_the_canonical_form(self, num, den):
+        value = Quantity(num, den)
+        assert Fraction(value.num, value.den) == Fraction(num, den)
+        assert value.den > 0 and gcd(value.num, value.den) == 1
+        assert type(value.num) is int and type(value.den) is int
+
+    def test_every_construction_runs_post_init(self, monkeypatch):
+        # a canonical value returns early from __post_init__, but still
+        # passes through it, so a counter wrapped around it sees it
+        seen = []
+        original = Quantity.__post_init__
+
+        def counting(self):
+            seen.append((self.num, self.den))
+            original(self)
+
+        monkeypatch.setattr(Quantity, "__post_init__", counting)
+        Quantity(5), Quantity(12343, 100), Quantity(2, -4)
+        assert seen == [(5, 1), (12343, 100), (2, -4)]
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             Quantity(1, 0)
@@ -94,7 +124,6 @@ class TestCanonicalForm:
             a, b = random_quantity(rng), random_quantity(rng)
             for result in (a + b, a - b, a * b, -a, total_div(a, b), inverse(a)):
                 assert result.den > 0
-                from math import gcd
                 assert gcd(abs(result.num), result.den) == 1
 
 

@@ -51,7 +51,7 @@ def _values(cls):
 
 def test_every_record_class_is_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) == 46
+    assert len(RECORDS) == 45
     assert {"Quantity", "Action", "AfterEvent", "ByDate", "Witness", "_SearchState"} <= names
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
 

@@ -374,8 +374,8 @@ def callers(text: str, name: str) -> list[str]:
 
 
 def test_only_the_successor_step_applies_an_event_in_the_engine():
-    # run and enumeration both step through _step; enumeration's memo sits
-    # inside it, so no scheduler can apply an event around the memo
+    # run and enumeration both step through _step, the one place an event
+    # is applied, so every scheduled trace is an enumerated one
     assert callers((PACKAGE / "engine.py").read_text(), "apply_event") == ["_step"]
 
 
@@ -408,13 +408,13 @@ def seq_spelt_ids(text: str) -> list[str]:
 
 def test_the_seq_named_contract_rule_is_stated_once():
     # apply_event names a contract credit-{seq} or promise-{seq} in one
-    # helper, and enumeration's memo reads the same helper to know which
-    # steps' outcome depends on their sequence number
+    # helper, and enumeration's node table reads the same helper to know
+    # which steps' outcome depends on their sequence number
     world, engine = ((PACKAGE / name).read_text() for name in ("world.py", "engine.py"))
     assert [f"{path.name} {owner}" for path in sorted(PACKAGE.glob("*.py"))
             for owner in seq_spelt_ids(path.read_text())] == ["world.py seq_named_contract"]
     assert callers(world, "seq_named_contract") == ["apply_event"]
-    assert callers(engine, "seq_named_contract") == ["_StepMemo.keep"]
+    assert callers(engine, "seq_named_contract") == ["_Lattice.extend"]
 
 
 def test_the_gate_sees_an_id_spelt_from_a_sequence_number():
