@@ -334,15 +334,20 @@ class TestAppliedOnce:
     @staticmethod
     def stepped(monkeypatch):
         """The numbers of successor steps (a step of one plan, or a clock
-        advance, and a settling of every plan) and of enumeration nodes."""
+        advance, and a settling of every plan), of enumeration nodes and of
+        ``Progression.key`` calls."""
         from rpsf import engine
 
-        made = {"steps": 0, "nodes": 0}
-        original = engine._step
+        made = {"steps": 0, "nodes": 0, "keys": 0}
+        original, key = engine._step, engine.Progression.key
 
         def counting(*args):
             made["steps"] += 1
             return original(*args)
+
+        def keying(*args):
+            made["keys"] += 1
+            return key(*args)
 
         class Node(engine._Node):
             __slots__ = ()
@@ -353,18 +358,19 @@ class TestAppliedOnce:
 
         monkeypatch.setattr(engine, "_step", counting)
         monkeypatch.setattr(engine, "_Node", Node)
+        monkeypatch.setattr(engine.Progression, "key", keying)
         return made
 
     @pytest.mark.parametrize("n, traces, applied", [(2, 90, 54), (4, 34650, 300)])
     def test_chat_plans(self, monkeypatch, n, traces, applied):
-        # one node per state of the (n+1)^3 lattice, and one application and
-        # one step per edge: 3 * n * (n+1)^2
+        # one node per state of the (n+1)^3 lattice, one application and one
+        # step per edge: 3 * n * (n+1)^2, and no trace keyed
         world = make_world(agents=[Agent("A"), Agent("B"), Agent("C")])
         calls, made = self.counted(monkeypatch), self.stepped(monkeypatch)
         assert len(enumerate_interleavings(world, [chat(a, n) for a in "ABC"], bound=3 * n)) \
             == traces
         assert len(calls) == applied
-        assert made == {"steps": applied, "nodes": (n + 1) ** 3}
+        assert made == {"steps": applied, "nodes": (n + 1) ** 3, "keys": 0}
 
     def test_a_relay_of_one_good(self, monkeypatch):
         """Three plans of three steps; A's second step sells g to B, and B's
@@ -389,7 +395,7 @@ class TestAppliedOnce:
         calls, made = self.counted(monkeypatch), self.stepped(monkeypatch)
         assert len(enumerate_interleavings(world, plans, bound=10)) == 840
         assert len(calls) == 100
-        assert made == {"steps": 100, "nodes": 48}
+        assert made == {"steps": 100, "nodes": 48, "keys": 0}
 
     @pytest.mark.parametrize("strategy", [RoundRobin(), SeededRandom(7)])
     def test_run_applies_each_event_once(self, trio, monkeypatch, strategy):
@@ -441,27 +447,50 @@ class TestWaitCost:
         assert len(progression.events) == 2 * rounds
         assert calls <= 2 * len(progression.events)
 
-    def test_each_action_is_serialized_once_per_enumeration(self, monkeypatch):
+    @staticmethod
+    def serialized(monkeypatch):
+        """A list that counts the engine's calls of ``action_to_dict``."""
         from rpsf import engine
 
-        calls = 0
+        calls = []
         original = engine.action_to_dict
 
         def counted(action):
-            nonlocal calls
-            calls += 1
+            calls.append(action)
             return original(action)
 
-        # a (3,3,3) plan set in which B's second step waits for A's second
-        world = make_world(agents=[Agent("A"), Agent("B"), Agent("C")])
+        monkeypatch.setattr(engine, "action_to_dict", counted)
+        return calls
+
+    @staticmethod
+    def relayed_chat():
+        """A (3,3,3) plan set in which B's second step waits for A's second."""
         a, b, c = chat("A", 3), chat("B", 3), chat("C", 3)
         b = Plan("B", (b.steps[0], wait_for(kind="acknowledge-receipt", actor="A",
                                             message="A-1"), *b.steps[1:]))
-        monkeypatch.setattr(engine, "action_to_dict", counted)
-        traces = enumerate_interleavings(world, [a, b, c], bound=10)
+        return [a, b, c]
+
+    def test_each_action_is_serialized_once_per_enumeration(self, monkeypatch):
+        world = make_world(agents=[Agent("A"), Agent("B"), Agent("C")])
+        calls = self.serialized(monkeypatch)
+        traces = enumerate_interleavings(world, self.relayed_chat(), bound=10)
         assert len(traces) == 840
-        assert calls == 9  # one per distinct action, not one per event of every trace
+        assert calls == []  # one choice assignment: its traces come in key order, unkeyed
         monkeypatch.undo()
         memo = {}
         assert all(trace.key() == trace.key(memo) for trace in traces)
         assert len(memo) == 9
+
+    def test_merging_choice_assignments_serializes_each_action_once(self, monkeypatch):
+        from rpsf.world import ChoiceIs
+
+        # the same plans, C's ending in a step that only one assignment takes
+        world = make_world(agents=[Agent("A"), Agent("B"), Agent("C")])
+        a, b, c = self.relayed_chat()
+        extra = Do(Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT, actor="C", message="C-x"))
+        c = Plan("C", (*c.steps, Branch(ChoiceIs("x"), (extra,))))
+        calls = self.serialized(monkeypatch)
+        traces = enumerate_interleavings(world, [a, b, c], bound=12, choice_points={"x": True})
+        assert len(traces) == 840 + 2100  # without C's extra step and with it
+        # one per distinct action, not one per event of every trace
+        assert len(calls) == len(set(map(id, calls))) == 10

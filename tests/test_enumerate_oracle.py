@@ -264,6 +264,21 @@ late = [Plan("A", (WaitFor(ConditionMet(BalanceAtLeast("A", Quantity(101)))),
         Plan("B", (_raise, WaitFor(ByDate(2)), _raise)),
         Plan("C", (do(SPOT, "C", counterparty="A", amount=Quantity(1), good_id="h"),))]
 
+# Each example below fails under one wrong merge of the choice assignments'
+# traces. A choice of whom A pays, B under x and C otherwise, so that the
+# two assignments' traces alternate in key order (the runs concatenated),
+crossed = [Plan("A", (Branch(ChoiceIs("x"), (do(PAY, "A", counterparty="B", amount=Quantity(1)),),
+                             (do(PAY, "A", counterparty="C", amount=Quantity(1)),)),)),
+           Plan("B", (do(PAY, "B", counterparty="A", amount=Quantity(1)),))]
+# a choice whose arms differ only by a wait for a date after A's last step,
+# so that both assignments give every key, at different final clocks (the
+# later assignment's trace kept),
+waited = [Plan("A", (do(PAY, "A", counterparty="B", amount=Quantity(1)),
+                     Branch(ChoiceIs("x"), (WaitFor(ByDate(2)),)))),
+          Plan("B", (do(PAY, "B", counterparty="A", amount=Quantity(1)),))]
+# and a choice point that no plan reads, so that both assignments give every
+# trace (duplicates kept): ``prepared`` with x.
+
 
 @settings(max_examples=150)
 @given(plan_sets(), st.booleans())
@@ -274,6 +289,9 @@ late = [Plan("A", (WaitFor(ConditionMet(BalanceAtLeast("A", Quantity(101)))),
 @example(prepared, False)
 @example(timed, False)
 @example(late, False)
+@example(crossed, True)
+@example(waited, True)
+@example(prepared, True)
 def test_every_trace_is_the_reference_trace_byte_for_byte(plans, choose):
     agree(plans, {"x": True} if choose else None)
 
@@ -294,3 +312,12 @@ def test_the_examples_reach_what_they_stand_for():
     traces = enumerated(opening_world(), late, {})
     assert {e.date for t in traces for e in t.events if e.action.message == "late"} == {0, 2}
     assert len({(t.world.clock, tuple(t.world.accounts.items())) for t in traces}) == 1
+    agree(crossed, {"x": True})
+    assert [e.action.counterparty for t in enumerated(opening_world(), crossed, {"x": True})
+            for e in t.events if e.action.actor == "A"] == ["B", "C", "B", "C"]
+    agree(waited, {"x": True})
+    traces = enumerated(opening_world(), waited, {"x": True})
+    waiting = enumerate_interleavings(opening_world(), waited, bound=64, choices={"x": True})
+    assert [t.key() for t in traces] == [t.key() for t in waiting]
+    assert {t.world.clock for t in traces} == {0} and {t.world.clock for t in waiting} == {2}
+    assert agree(prepared, {"x": True}) == agree(prepared)

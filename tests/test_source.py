@@ -235,6 +235,52 @@ def test_the_gate_sees_a_restated_codec_row():
         "line 9: Pair", "line 12: Pair", "line 14: Empty"]
 
 
+def leading_key(row, declared) -> tuple[str, str | None]:
+    """A codec row's least JSON key, and the field under it if every
+    encoding holds it, which a field with no default does; else None."""
+    key, name = min(row.keys)
+    return key, None if next(f for f in declared if f.name == name).has_default else name
+
+
+def test_every_frozen_action_starts_with_its_actor():
+    # Enumeration returns one choice assignment's traces in the order its
+    # lattice yields them, unsorted. That order is the key order because two
+    # paths first part at events of different actors, as a plan acts for its
+    # own agent only (tests/test_engine.py::TestRun::test_rejections
+    # [acts-for-another]), and a frozen action, its encoding's sorted items,
+    # starts with ("actor", name). A key that sorts before "actor", or an
+    # actor that the encoder may leave out, would reorder `rpsf enumerate`.
+    from rpsf.money import fields
+    from rpsf.world import Action, _ROWS
+
+    assert leading_key(_ROWS[Action], fields(Action)) == ("actor", "actor")
+
+
+def test_the_gate_sees_a_key_before_the_actor_and_an_actor_left_out():
+    from rpsf.money import fields, record
+    from rpsf.world import _Row
+
+    @record(frozen=True, slots=True)
+    class Act:
+        kind: str
+        actor: str
+        amount: int = 0
+
+    @record(frozen=True, slots=True)
+    class Anonymous:
+        kind: str
+        actor: str = ""
+
+    def row(keys: str):
+        return _Row(tuple(tuple(k.split("=")) if "=" in k else (k, k) for k in keys.split()),
+                    frozenset(), {})
+
+    assert leading_key(row("kind actor amount"), fields(Act)) == ("actor", "actor")
+    assert leading_key(row("kind agent=actor amount"), fields(Act)) == ("agent", "actor")
+    assert leading_key(row("kind actor account=amount"), fields(Act)) == ("account", None)
+    assert leading_key(row("kind actor"), fields(Anonymous)) == ("actor", None)
+
+
 # parameters that nothing reads, each kept because its caller passes it
 UNREAD_PARAMETERS = {
     "legality.py judge(instance)": "public signature: every caller, perfbench's among them, "
