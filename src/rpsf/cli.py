@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .engine import (
     EngineError,
@@ -19,7 +19,6 @@ from .engine import (
     RoundRobin,
     SeededRandom,
     enumerate_interleavings,
-    progression_to_dict,
     run,
 )
 from .scenarios import (
@@ -32,7 +31,7 @@ from .scenarios import (
     load_scenario_file,
     scenario_names,
 )
-from .world import WorldError, render_json, world_to_dict
+from .world import WorldError, render_json, world_object
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,8 +138,10 @@ def _event_line(event) -> str:
     return " ".join(bits)
 
 
-def _emit(args, payload: dict, text_lines: Sequence[str]) -> None:
-    lines = [render_json(payload)] if args.format == "json" else text_lines
+def _emit(args, payload: Callable[[], dict], text_lines: Sequence[str]) -> None:
+    """Print the text lines, or under ``--format json`` the JSON of what
+    ``payload`` returns; text output builds no payload."""
+    lines = [render_json(payload())] if args.format == "json" else text_lines
     try:
         for line in lines:
             print(line)
@@ -161,20 +162,6 @@ def _cmd_list_scenarios(args) -> int:
     extras, _ = _load_extras(args.scenario_file)
     specs: list[ScenarioSpec] = [get_spec(name) for name in scenario_names()]
     specs.extend(extras.values())
-    payload = {
-        "scenarios": [
-            {
-                "name": spec.name,
-                "family": spec.family,
-                "summary": spec.summary,
-                "parameters": [
-                    {"name": p.name, "default": str(p.default), "doc": p.doc}
-                    for p in spec.params
-                ],
-            }
-            for spec in specs
-        ]
-    }
     lines = []
     for spec in specs:
         lines.append(f"{spec.name}  [{spec.family}]")
@@ -182,27 +169,32 @@ def _cmd_list_scenarios(args) -> int:
         if spec.params:
             rendered = ", ".join(f"{p.name}={p.default}" for p in spec.params)
             lines.append(f"    parameters: {rendered}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"scenarios": [
+        {"name": spec.name, "family": spec.family, "summary": spec.summary,
+         "parameters": [{"name": p.name, "default": str(p.default), "doc": p.doc}
+                        for p in spec.params]}
+        for spec in specs]}, lines)
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    from .synthesis import monetary_projection, net_positions
-
     extras, _ = _load_extras(args.scenario_file)
     instance = _instantiate(args, extras)
     progression = _run_instance(instance, _strategy(args), args.horizon)
-    trace = monetary_projection(progression)
-    nets = net_positions(trace)
-    payload = {
-        "scenario": instance.name,
-        "events": progression_to_dict(progression)["events"],
-        "final_world": world_to_dict(progression.world, include_history=False),
-        "net_positions": {
-            agent: {str(day): str(value) for day, value in sorted(nets[agent].items())}
-            for agent in sorted(nets)
-        },
-    }
+
+    def payload() -> dict:
+        from .synthesis import monetary_projection, net_positions
+
+        nets = net_positions(monetary_projection(progression))
+        return {
+            "scenario": instance.name,
+            "events": progression.events,
+            "final_world": world_object(progression.world, include_history=False),
+            "net_positions": {
+                agent: {str(day): str(value) for day, value in sorted(nets[agent].items())}
+                for agent in sorted(nets)
+            },
+        }
     lines = []
     if args.verbose:
         lines.extend(_event_line(e) for e in progression.events)
@@ -228,7 +220,6 @@ def _cmd_judge(args) -> int:
     position = get_position(args.position, positions)
     progression = _run_instance(instance, _strategy(args), args.horizon)
     judgement = judge(position, instance, progression)
-    payload = {"scenario": instance.name, **judgement.to_dict()}
     lines = [f"{position.name} on {instance.name}: {judgement.verdict.value}"]
     for reason in judgement.reasons:
         where = ""
@@ -237,7 +228,7 @@ def _cmd_judge(args) -> int:
         if reason.contracts:
             where += f" contracts {list(reason.contracts)}"
         lines.append(f"  rule {reason.rule}:{where} {reason.note}".rstrip())
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"scenario": instance.name, **judgement.to_dict()}, lines)
     if judgement.verdict == Verdict.HARAM:
         return EXIT_HARAM
     if judgement.verdict == Verdict.UNDECIDED:
@@ -259,17 +250,11 @@ def _cmd_compare(args) -> int:
     trace_a = monetary_projection(prog_a)
     trace_b = monetary_projection(prog_b)
     result = equivalent(trace_a, trace_b, perspective)
-    payload = {
-        "scenario_a": inst_a.name,
-        "scenario_b": inst_b.name,
-        "perspective": args.perspective,
-        "equivalent": result,
-        "flows_a": [f.to_dict() for f in trace_a],
-        "flows_b": [f.to_dict() for f in trace_b],
-    }
     verdict = "equivalent" if result else "not equivalent"
     lines = [f"{inst_a.name} vs {inst_b.name} from {args.perspective}: {verdict}"]
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"scenario_a": inst_a.name, "scenario_b": inst_b.name,
+                         "perspective": args.perspective, "equivalent": result,
+                         "flows_a": trace_a, "flows_b": trace_b}, lines)
     return EXIT_OK if result else EXIT_NOT_EQUIVALENT
 
 
@@ -295,16 +280,6 @@ def _cmd_synthesize(args) -> int:
         perspective=perspective,
     )
     shown = result.witnesses[:args.max_witnesses]
-    payload = {
-        "found": result.found,
-        "witness_count": len(result.witnesses),
-        "witnesses": [w.to_dict() for w in shown],
-        "explored": result.explored,
-        "bound": result.bound,
-        "grounding": dict(result.grounding),
-        "target": instance.name,
-        "witness_scenarios": [witness_scenario(result, i) for i in range(len(shown))],
-    }
     lines = [
         f"target {instance.name}: found={result.found} "
         f"witnesses={len(result.witnesses)} explored={result.explored} bound={result.bound}"
@@ -317,7 +292,16 @@ def _cmd_synthesize(args) -> int:
             for a in witness.actions
         )
         lines.append(f"  witness {i}: {steps}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: {
+        "found": result.found,
+        "witness_count": len(result.witnesses),
+        "witnesses": [w.to_dict() for w in shown],
+        "explored": result.explored,
+        "bound": result.bound,
+        "grounding": dict(result.grounding),
+        "target": instance.name,
+        "witness_scenarios": [witness_scenario(result, i) for i in range(len(shown))],
+    }, lines)
     return EXIT_OK
 
 
@@ -328,20 +312,18 @@ def _cmd_enumerate(args) -> int:
         instance.world, instance.plans, bound=args.bound,
         choice_points=instance.choice_points, horizon=instance.horizon,
     )
-    payload = {
-        "scenario": instance.name,
-        "bound": args.bound,
-        "count": len(progressions),
-        "progressions": [progression_to_dict(p) for p in progressions]
-        if args.verbose else [],
-    }
     lines = [f"{instance.name}: {len(progressions)} maximal interleavings (bound {args.bound})"]
     if args.verbose:
         for i, progression in enumerate(progressions):
             kinds = " ".join(f"{e.action.actor}:{e.action.kind.value}"
                              for e in progression.events)
             lines.append(f"  [{i}] {kinds}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: {
+        "scenario": instance.name,
+        "bound": args.bound,
+        "count": len(progressions),
+        "progressions": [{"events": p.events} for p in progressions] if args.verbose else [],
+    }, lines)
     return EXIT_OK
 
 

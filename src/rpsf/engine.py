@@ -670,7 +670,3 @@ codec_row(Branch, "condition then=then_steps else=else_steps", defaults={"then_s
 codec_row(Stop)
 codec_union(PlanStep, do=Do, wait_for=WaitFor, branch=Branch, stop=Stop)
 codec_row(Plan, defaults={"steps": ()})
-
-
-def progression_to_dict(progression: Progression) -> dict:
-    return {"events": [value_to_dict(e) for e in progression.events]}

@@ -881,7 +881,7 @@ def replay(initial: WorldState, history: Iterable[Event]) -> WorldState:
 
 
 # ---------------------------------------------------------------------------
-# JSON codec: one table drives encoding and decoding
+# JSON codec: one table drives the JSON values, their text and decoding
 # ---------------------------------------------------------------------------
 #
 # Every serialized class has a row: its JSON keys in output order, the
@@ -899,14 +899,14 @@ def replay(initial: WorldState, history: Iterable[Event]) -> WorldState:
 @record(frozen=True, slots=True)
 class _Row:
     keys: tuple[tuple[str, str], ...]  # (JSON key, field name) in output order
-    omit: frozenset[str]
+    omit: Mapping[str, object]  # field name -> the default while which it is left out
     defaults: Mapping[str, object]
 
 
 _ROWS: dict[type, _Row] = {}
 _UNIONS: dict[frozenset, dict[str, type]] = {}  # member classes -> {tag: member}
 _TAGS: dict[type, str] = {}
-_CODECS: dict[object, tuple[Optional[Callable], Callable]] = {}
+_CODECS: dict[object, Callable] = {}  # type -> decoder
 _KEEP = object()  # the "default" of a field that is written whatever it holds
 
 
@@ -927,10 +927,8 @@ def codec_row(cls: type, keys: str | None = None, omit: str = "",
     pairs = tuple(tuple(k.split("=", 1)) if "=" in k else (k, k) for k in keys.split())
     if sorted(name for _, name in pairs) != sorted(f.name for f in declared):
         raise TypeError(f"codec row of {cls.__name__} must name each field once")
-    if omit == "*":
-        omitted = frozenset(f.name for f in declared if f.has_default)
-    else:
-        omitted = frozenset(omit.split())
+    omitted = {f.name: f.default if f.default is not MISSING else f.default_factory()
+               for f in declared if f.has_default and (omit == "*" or f.name in omit.split())}
     _ROWS[cls] = _Row(pairs, omitted, dict(defaults or {}))
 
 
@@ -945,21 +943,60 @@ def codec_union(union: object, **tags: type) -> None:
 
 
 def value_to_dict(value: object) -> object:
-    """The JSON value of an instance of a class in the table."""
-    return _codec(type(value))[0](value)
+    """The JSON value of ``value``, which ``render_json`` writes as text.
+
+    A record of a class in the table becomes its row's object; a tuple or
+    list becomes a list, a frozenset a sorted list, a dict a dict of the
+    values, a quantity its string and an enum its value. Anything else is
+    its own JSON value.
+    """
+    return _json_value(value)
+
+
+# The walk recurses through its own name, so that a wrapper put on
+# ``value_to_dict`` (or on ``action_to_dict``) sees one call per value asked for.
+def _json_value(value: object) -> object:
+    cls = value.__class__
+    row = _ROWS.get(cls)
+    if row is not None:
+        out = {}
+        for key, name in row.keys:
+            item = getattr(value, name)
+            default = row.omit.get(name, _KEEP)
+            if default is _KEEP or (item is not None if default is None else item != default):
+                out[key] = _json_value(item)
+        tag = _TAGS.get(cls)
+        if tag is None or any(key == tag for key, _ in row.keys):
+            return out
+        if not row.keys:
+            return {tag: True}
+        return {tag: out if len(row.keys) > 1 else out[row.keys[0][0]]}
+    if isinstance(value, (tuple, list)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, frozenset):
+        return sorted(_json_value(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if cls is Quantity:
+        return str(value)
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+action_to_dict = value_to_dict
 
 
 def value_from_dict(tp: object, data: object, path: str = "") -> object:
     """Decode ``data`` as a ``tp``; a ValueError names the JSON path at fault."""
     try:
-        return _codec(tp)[1](data, path)
+        return _codec(tp)(data, path)
     except RecursionError:
         raise _fail(path, "nested too deeply") from None
 
 
-def _codec(tp: object) -> tuple[Optional[Callable], Callable]:
-    """(encoder, decoder) of a type, built on first use. The encoder is None
-    where a value is its own JSON; the decoder takes (data, path)."""
+def _codec(tp: object) -> Callable:
+    """The decoder of a type, built on first use; it takes (data, path)."""
     if tp not in _CODECS:
         _CODECS[tp] = _build_codec(tp)
     return _CODECS[tp]
@@ -998,36 +1035,30 @@ def _expect(data: object, kind: type, what: str, path: str) -> object:
 _JSON_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
 
 
-def _build_codec(tp: object) -> tuple[Optional[Callable], Callable]:
+def _build_codec(tp: object) -> Callable:
     if tp in _ROWS:
         return _row_codec(tp)
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
-        if type(None) not in args:  # each member writes and reads its own tag
-            return value_to_dict, _union_decoder(_UNIONS[frozenset(args)])
-        enc, dec = _codec(_non_none(args))
-        return (None if enc is None else (lambda v: None if v is None else enc(v)),
-                lambda data, path: None if data is None else dec(data, path))
-    if origin in (tuple, frozenset):  # an array; a frozenset's is sorted
-        enc, dec = _codec(args[0])
-        if origin is tuple:
-            encode = list if enc is None else (lambda v: [enc(x) for x in v])
-        else:
-            encode = sorted if enc is None else (lambda v: sorted(enc(x) for x in v))
-        return encode, lambda data, path: origin(
+        if type(None) not in args:  # each member reads its own tag
+            return _union_decoder(_UNIONS[frozenset(args)])
+        dec = _codec(_non_none(args))
+        return lambda data, path: None if data is None else dec(data, path)
+    if origin in (tuple, frozenset):
+        dec = _codec(args[0])
+        return lambda data, path: origin(
             dec(x, f"{path}[{i}]") for i, x in enumerate(_expect(data, list, "an array", path)))
     if origin is dict:
-        enc, dec = _codec(args[1])
-        return (dict if enc is None else (lambda v: {k: enc(x) for k, x in v.items()}),
-                lambda data, path: {k: dec(x, _join(path, k))
-                                    for k, x in _expect(data, dict, "an object", path).items()})
+        dec = _codec(args[1])
+        return lambda data, path: {k: dec(x, _join(path, k))
+                                   for k, x in _expect(data, dict, "an object", path).items()}
     if tp is Quantity:
         def decode_quantity(data, path):
             try:
                 return parse_quantity(data)
             except ValueError as exc:
                 raise _fail(path, str(exc)) from None
-        return str, decode_quantity
+        return decode_quantity
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = {m.value: m for m in tp}
         choices = ", ".join(repr(v) for v in members)
@@ -1037,62 +1068,23 @@ def _build_codec(tp: object) -> tuple[Optional[Callable], Callable]:
             if member is None:
                 raise _fail(path, f"expected one of {choices}, got {_show(data)}")
             return member
-        return attrgetter("value"), decode_enum
+        return decode_enum
     if tp in _JSON_NAMES:
         what = _JSON_NAMES[tp]
-        return None, lambda data, path: _expect(data, tp, what, path)
+        return lambda data, path: _expect(data, tp, what, path)
     raise TypeError(f"no JSON form for {tp!r}")
 
 
-def _omitted_while(row: _Row, f) -> object:
-    """The value while which a row leaves field ``f`` out; ``_KEEP`` if it never does."""
-    if f.name not in row.omit:
-        return _KEEP
-    return f.default if f.default is not MISSING else f.default_factory()
-
-
-def _row_codec(cls: type) -> tuple[Callable, Callable]:
-    """A row's encoder and decoder. A tagged member's encoder writes, and its
-    decoder reads, the object that holds its tag."""
+def _row_codec(cls: type) -> Callable:
+    """A row's decoder. A tagged member's decoder reads the object that holds its tag."""
     row = _ROWS[cls]
     hints = get_type_hints(cls)
     declared = {f.name: f for f in fields(cls)}
     tag = _TAGS.get(cls)
     keys = [key for key, _ in row.keys]
-    flat = tag is None or tag in keys
-
-    # The encoder is compiled: one statement per key, in key order, as a
-    # hand-written encoder reads. Actions and events are encoded on hot
-    # paths, where a loop over the row costs three times as much.
-    env: dict = {"__name__": __name__}
-    lines, decoders = [], []
-    for i, (key, name) in enumerate(row.keys):
-        f, tp = declared[name], hints[name]
-        default = _omitted_while(row, f)
-        decoders.append((key, name, _codec(tp)[1],
-                         name not in row.defaults and not f.has_default))
-        if default is None and get_origin(tp) in (Union, UnionType):
-            tp = _non_none(get_args(tp))  # left out while None: the encoder never sees None
-        enc = env[f"enc{i}"] = _codec(tp)[0]
-        env[f"default{i}"] = default
-        value = f"obj.{name}"
-        line = f"out[{key!r}] = {value if enc is None else f'enc{i}({value})'}"
-        if default is None:
-            line = f"if {value} is not None: {line}"
-        elif default is not _KEEP:
-            line = f"if {value} != default{i}: {line}"
-        lines.append(line)
-    if flat:
-        result = "out"
-    elif not keys:
-        result = f"{{{tag!r}: True}}"
-    elif len(keys) == 1:
-        result = f"{{{tag!r}: out[{keys[0]!r}]}}"
-    else:
-        result = f"{{{tag!r}: out}}"
-    source = "".join(f"    {line}\n" for line in ["out = {}", *lines, f"return {result}"])
-    exec(compile(f"def encode(obj):\n{source}", f"<codec row {cls.__name__}>", "exec"), env)
-
+    decoders = [(key, name, _codec(hints[name]),
+                 name not in row.defaults and not declared[name].has_default)
+                for key, name in row.keys]
     known = frozenset(keys)
 
     def decode(data, path):
@@ -1107,8 +1099,8 @@ def _row_codec(cls: type) -> tuple[Callable, Callable]:
                 raise _fail(path, f"missing required key {key!r}")
         return cls(**kwargs)
 
-    if flat:
-        return env["encode"], decode
+    if tag is None or tag in keys:
+        return decode
     wrapper = frozenset((tag,))
 
     def inner(data, path):  # the object that holds the tag holds nothing else
@@ -1119,12 +1111,11 @@ def _row_codec(cls: type) -> tuple[Callable, Callable]:
             if inner(data, path) is not True:
                 raise _fail(_join(path, tag), f"expected true, got {_show(data[tag])}")
             return cls()
-        return env["encode"], decode_bare
+        return decode_bare
     if len(keys) == 1:
         _, name, dec, _ = decoders[0]
-        return env["encode"], lambda data, path: cls(**{name: dec(inner(data, path),
-                                                                  _join(path, tag))})
-    return env["encode"], lambda data, path: decode(inner(data, path), _join(path, tag))
+        return lambda data, path: cls(**{name: dec(inner(data, path), _join(path, tag))})
+    return lambda data, path: decode(inner(data, path), _join(path, tag))
 
 
 def _union_decoder(tags: Mapping[str, type]) -> Callable:
@@ -1134,7 +1125,7 @@ def _union_decoder(tags: Mapping[str, type]) -> Callable:
         if type(data) is dict:
             for tag, member in tags.items():
                 if tag in data:
-                    return _codec(member)[1](data, path)
+                    return _codec(member)(data, path)
         raise _fail(path, f"expected {expected}, got {_show(data)}")
     return decode
 
@@ -1161,53 +1152,47 @@ codec_row(ContractRecord, omit="terms", defaults={"clauses": ()})
 codec_row(Action, omit="*")
 codec_row(Event)
 
-def action_to_dict(action: Action) -> dict:
-    return _codec(Action)[0](action)
 
-
-def _world_object(world: WorldState, records: Callable[[Iterable], object],
-                  include_history: bool = True) -> dict:
-    """The world's JSON object, each list of records in it passed through ``records``."""
+def world_object(world: WorldState, include_history: bool = True) -> dict:
+    """The world's JSON object, with its agents, goods, contracts and events
+    left as records: ``value_to_dict`` makes them JSON values and
+    ``render_json`` writes them as text."""
     out = {
         "clock": world.clock,
         "overdraft_allowed": world.overdraft_allowed,
-        "agents": records(world.agents[name] for name in sorted(world.agents)),
+        "agents": tuple(world.agents[name] for name in sorted(world.agents)),
         "accounts": [{"owner": name, "balance": str(world.accounts[name])}
                      for name in sorted(world.accounts)],
-        "goods": records(world.goods[g] for g in sorted(world.goods)),
-        "contracts": records(world.contracts[c] for c in sorted(world.contracts)),
+        "goods": tuple(world.goods[g] for g in sorted(world.goods)),
+        "contracts": tuple(world.contracts[c] for c in sorted(world.contracts)),
     }
     if include_history:
-        out["history"] = records(world.history)
+        out["history"] = world.history
     return out
 
 
-def _encoded(records: Iterable) -> list:
-    return [_codec(r.__class__)[0](r) for r in records]
-
-
 def world_to_dict(world: WorldState, include_history: bool = True) -> dict:
-    return _world_object(world, _encoded, include_history)
+    return value_to_dict(world_object(world, include_history))
 
 
 def world_to_json(world: WorldState) -> str:
     """``render_json(world_to_dict(world))``, written without building a dict
-    for any agent, good, contract or event: ``render_json`` writes each
-    record through its row's writer."""
-    return render_json(_world_object(world, tuple))
+    for any agent, good, contract or event."""
+    return render_json(world_object(world))
 
 
 # ---------------------------------------------------------------------------
 # indented JSON text
 # ---------------------------------------------------------------------------
 #
-# Each row also compiles a writer, on first use: ``write(obj, newline)`` is
-# the text json.dumps(value_to_dict(obj), indent=2) would give, placed on a
-# line that ``newline`` opens. It follows the row as the encoder does (the
-# same keys in the same order, the same omitted defaults, the same tag) and
-# writes the text of strings, integers, booleans, quantities, enums, nested
-# records, their Optionals, tuples of these and frozensets of the leaves
-# itself. A field of any other type goes through its encoder and _render.
+# Each row compiles a writer on first use: ``write(obj, newline)`` is the
+# text json.dumps(value_to_dict(obj), indent=2) would give, placed on a
+# line that ``newline`` opens. It follows the row as ``value_to_dict``
+# does (the same keys in the same order, the same omitted defaults, the
+# same tag) and writes the text of every field type in the table itself:
+# strings, integers, booleans, quantities, enums, nested records, their
+# Optionals, tuples, dicts with string keys and frozensets of strings or
+# enums.
 
 # the leaf encoders json's own encoders use, both written in C
 _encode_str = json.encoder.encode_basestring_ascii
@@ -1227,11 +1212,6 @@ def render_json(value: object) -> str:
     row's writer, so a record becomes text without becoming a dict first.
     Like json, it raises TypeError for a key or a leaf that JSON cannot hold.
     """
-    return _render(value, "\n")
-
-
-def _render(value: object, newline: str) -> str:
-    """``render_json(value)``, placed on a line that ``newline`` opens."""
     out: list[str] = []
     append = out.append
 
@@ -1281,7 +1261,7 @@ def _render(value: object, newline: str) -> str:
         else:
             append(json.dumps(value))
 
-    emit(value, newline)
+    emit(value, "\n")
     return "".join(out)
 
 
@@ -1300,28 +1280,19 @@ def _write(value: object, newline: str) -> str:
     return (_WRITERS.get(cls) or _row_writer(cls))(value, newline)
 
 
-def _array(texts: list, newline: str) -> str:
-    """A JSON array of item texts placed on lines that ``newline + "  "`` opens."""
+def _block(texts: list, newline: str, brackets: str) -> str:
+    """A JSON array or object of item texts placed on lines that ``newline +
+    "  "`` opens; ``brackets`` is ``[]`` or ``{}``."""
     if not texts:
-        return "[]"
+        return brackets
     inner = newline + "  "
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    return brackets[0] + inner + ("," + inner).join(texts) + newline + brackets[1]
 
 
-def _text_of(tp: object, var: str, newline: str, env: dict, rows: dict) -> str:
+def _text_of(tp: object, var: str, newline: str, env: dict) -> str:
     """A Python expression for the JSON text of ``var``, a ``tp``, on a line
     that the expression ``newline`` opens. It binds in ``env`` the values it
-    names, and in ``rows`` the name of each row class whose writer it calls."""
-    text = _inline_text(tp, var, newline, env, rows)
-    if text is None:
-        encode = _codec(tp)[0]
-        text = f"_render({var}, {newline})" if encode is None else \
-            f"_render({_bind(env, encode)}({var}), {newline})"
-    return text
-
-
-def _inline_text(tp: object, var: str, newline: str, env: dict, rows: dict) -> Optional[str]:
-    """``_text_of``, or None for a type whose text the writer leaves to ``_render``."""
+    names."""
     if tp is str:
         return f"_encode_str({var})"
     if tp is Quantity:
@@ -1334,26 +1305,28 @@ def _inline_text(tp: object, var: str, newline: str, env: dict, rows: dict) -> O
         return f"{_bind(env, {member: render_json(member.value) for member in tp})}[{var}]"
     if tp in _ROWS:
         name = _bind(env, None)
-        rows[name] = tp
+        env[name] = _first_write(env, name, tp)
         return f"{name}({var}, {newline})"
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
         if frozenset(args) in _UNIONS:  # each member writes its own tag
             return f"_write({var}, {newline})"
-        text = _inline_text(_non_none(args), var, newline, env, rows)
-        return None if text is None else f"('null' if {var} is None else {text})"
-    if origin is tuple or origin is frozenset and get_origin(args[0]) is None \
-            and args[0] not in _ROWS:  # a frozenset's leaves, which the encoder can sort
-        text = _inline_text(args[0], "x", f"{newline} + '  '", env, rows)
-        if text is None:
-            return None
-        items = var
-        if origin is frozenset:  # in the order of the items' JSON values
-            encode = _codec(args[0])[0]
-            items = f"sorted({var})" if encode is None else \
-                f"sorted({var}, key={_bind(env, encode)})"
-        return f"_array([{text} for x in {items}], {newline})"
-    return None
+        return f"('null' if {var} is None else " \
+            f"{_text_of(_non_none(args), var, newline, env)})"
+    inner = f"{newline} + '  '"
+    if origin is tuple:
+        return f"_block([{_text_of(args[0], 'x', inner, env)} for x in {var}], " \
+            f"{newline}, '[]')"
+    if origin is frozenset and (args[0] is str or isinstance(args[0], type)
+                                and issubclass(args[0], Enum)):
+        # in the order of the items' JSON values
+        key = "" if args[0] is str else f", key={_bind(env, attrgetter('value'))}"
+        return f"_block([{_text_of(args[0], 'x', inner, env)} " \
+            f"for x in sorted({var}{key})], {newline}, '[]')"
+    if origin is dict and args[0] is str:
+        return f"_block([_encode_str(k) + ': ' + {_text_of(args[1], 'x', inner, env)} " \
+            f"for k, x in {var}.items()], {newline}, '{{}}')"
+    raise TypeError(f"no JSON text for {tp!r}")
 
 
 def _bind(env: dict, value: object) -> str:
@@ -1364,15 +1337,13 @@ def _bind(env: dict, value: object) -> str:
 
 
 def _row_writer(cls: type) -> Callable[[object, str], str]:
-    """Compile a row's writer, as the encoder is, and add it to ``_WRITERS``."""
+    """Compile a row's writer and add it to ``_WRITERS``."""
     row = _ROWS[cls]
     hints = get_type_hints(cls)
-    declared = {f.name: f for f in fields(cls)}
     tag = _TAGS.get(cls)
     keys = [key for key, _ in row.keys]
     env: dict = {"__name__": __name__, "_encode_str": _encode_str, "_int_repr": _int_repr,
-                 "_array": _array, "_write": _write, "_render": _render}
-    rows: dict[str, type] = {}
+                 "_block": _block, "_write": _write}
 
     def label(key: str) -> str:
         return repr(_encode_str(key) + ": ")
@@ -1381,17 +1352,17 @@ def _row_writer(cls: type) -> Callable[[object, str], str]:
         text = "'true'"
         if keys:
             name = row.keys[0][1]
-            text = _text_of(hints[name], f"obj.{name}", "inner", env, rows)
+            text = _text_of(hints[name], f"obj.{name}", "inner", env)
         lines = ["inner = nl + '  '", f"return '{{' + inner + {label(tag)} + {text} + nl + '}}'"]
     else:
         wrapped = tag is not None and tag not in keys  # {tag: {...}}
         lines = ["b = nl + '  '" if wrapped else "b = nl", "d = b + '  '"]
         texts, omits = [], []
         for i, (key, name) in enumerate(row.keys):
-            tp, default = hints[name], _omitted_while(row, declared[name])
+            tp, default = hints[name], row.omit.get(name, _KEEP)
             if default is None and get_origin(tp) in (Union, UnionType):
                 tp = _non_none(get_args(tp))  # left out while None: the text never is null
-            texts.append(label(key) + " + " + _text_of(tp, f"v{i}", "d", env, rows))
+            texts.append(label(key) + " + " + _text_of(tp, f"v{i}", "d", env))
             lines.append(f"v{i} = obj.{name}")
             env[f"default{i}"] = default
             omits.append("" if default is _KEEP else f"v{i} is not None" if default is None
@@ -1407,6 +1378,15 @@ def _row_writer(cls: type) -> Callable[[object, str], str]:
     source = "".join(f"    {line}\n" for line in lines)
     exec(compile(f"def write(obj, nl):\n{source}", f"<codec writer {cls.__name__}>", "exec"), env)
     write = _WRITERS[cls] = env["write"]
-    for name, nested in rows.items():  # after the entry above, so that a cycle ends
-        env[name] = _WRITERS.get(nested) or _row_writer(nested)
+    return write
+
+
+def _first_write(env: dict, name: str, cls: type) -> Callable[[object, str], str]:
+    """The writer bound to ``name`` in ``env`` until a record of ``cls`` is
+    written: it compiles ``cls``'s writer, binds that in its own place and
+    writes through it. So a command compiles the writers of the records it
+    writes, and no other."""
+    def write(value: object, newline: str) -> str:
+        env[name] = _WRITERS.get(cls) or _row_writer(cls)
+        return env[name](value, newline)
     return write

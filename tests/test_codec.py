@@ -1,5 +1,5 @@
 """The JSON codec over random values: decode(encode(x)) == x, and each
-row's writer writes what json writes of its encoder's output."""
+row's writer writes what json writes of ``value_to_dict``'s output."""
 
 import contextlib
 import copy

@@ -239,7 +239,7 @@ class TestTraces:
             clock = events[-1].date if events else initial.clock
             assert world_to_json(replay(initial, events)) \
                 == world_to_json(replace(progression.world, clock=clock))
-            # the rows' writers write what json writes of the encoders' output
+            # the rows' writers write what json writes of value_to_dict's output
             assert world_to_json(progression.world) \
                 == json.dumps(world_to_dict(progression.world), indent=2)
 

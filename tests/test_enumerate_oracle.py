@@ -189,7 +189,10 @@ def count_do(steps):
 def plan_sets(draw):
     """Up to seven Do steps over three plans: perhaps a signature of a
     seq-named promise first, then perhaps a payment in each plan, then the
-    features above."""
+    features above, then perhaps a choice whose arms differ only by a
+    trailing wait for a date. Under that choice both assignments give the
+    same keys at different final clocks where the wait is still to come, so
+    the merge of the assignments' traces must keep the lower assignment's."""
     steps = {agent: () for agent in AGENTS}
     if draw(st.booleans()):
         # A's and C's promises are the first two events, in either order, so
@@ -209,6 +212,10 @@ def plan_sets(draw):
             grown[agent] += more
         if sum(count_do(s) for s in grown.values()) <= 7:
             steps = grown
+    if draw(st.booleans()):
+        wait = (WaitFor(ByDate(draw(st.integers(1, 4)))),)
+        arms = (wait, ()) if draw(st.booleans()) else ((), wait)
+        steps[draw(st.sampled_from(AGENTS))] += (Branch(ChoiceIs("x"), *arms),)
     return [Plan(agent, s) for agent, s in steps.items() if s]
 
 

@@ -249,7 +249,7 @@ def test_every_frozen_action_starts_with_its_actor():
     # own agent only (tests/test_engine.py::TestRun::test_rejections
     # [acts-for-another]), and a frozen action, its encoding's sorted items,
     # starts with ("actor", name). A key that sorts before "actor", or an
-    # actor that the encoder may leave out, would reorder `rpsf enumerate`.
+    # actor that value_to_dict may leave out, would reorder `rpsf enumerate`.
     from rpsf.money import fields
     from rpsf.world import Action, _ROWS
 
@@ -474,3 +474,30 @@ def test_the_gate_sees_an_id_spelt_from_a_sequence_number():
             "def label(n):\n"
             "    return f'{n}-{seqs}' + 'promise-{seq}'\n")
     assert seq_spelt_ids(text) == ["apply", "Log.name"]
+
+
+def generated_code(text: str) -> list[str]:
+    """The functions that run generated source: every caller of ``exec`` or ``eval``."""
+    return list(dict.fromkeys(callers(text, "exec") + callers(text, "eval")))
+
+
+def test_only_the_record_init_and_the_row_writer_run_generated_code():
+    # a record's __init__ and a codec row's JSON writer are compiled from
+    # source; every other JSON value is a plain walk over the codec table
+    assert [f"{path.name} {owner}" for path in sorted(PACKAGE.glob("*.py"))
+            for owner in generated_code(path.read_text())] == [
+        "money.py _make_init", "world.py _row_writer"]
+
+
+def test_the_gate_sees_generated_code_anywhere():
+    text = ("exec('x = 1', {})\n"
+            "def build(cls):\n"
+            "    env = {}\n"
+            "    exec(compile('def f(): pass', '<f>', 'exec'), env)\n"
+            "    return env['f']\n"
+            "class Codec:\n"
+            "    def encoder(self, source):\n"
+            "        return (lambda: builtins.eval(source))()\n"
+            "def quiet(source):\n"
+            "    return compile(source, '<q>', 'eval')\n")
+    assert generated_code(text) == ["<module>", "build", "Codec.encoder"]

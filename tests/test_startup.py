@@ -66,7 +66,6 @@ def _loaded_after(*argv: str) -> set[str]:
 @pytest.mark.parametrize("argv", [
     ("list-scenarios",),
     ("list-scenarios", "--format", "json"),
-    ("run", "loan_with_interest", "--format", "json"),
 ], ids=" ".join)
 def test_a_command_that_renders_no_world_compiles_no_writer(argv):
     # writers compile on first use, so these commands pay nothing for them
@@ -74,10 +73,44 @@ def test_a_command_that_renders_no_world_compiles_no_writer(argv):
     assert _python(_AFTER_COMMAND.replace("REPORT", report), *argv) == "0"
 
 
+def _record_classes(value: object) -> set[str]:
+    """The names of the classes of the records in ``value``, nested ones included."""
+    from rpsf.money import fields
+    from rpsf.world import _ROWS
+
+    if value.__class__ in _ROWS:
+        return {value.__class__.__name__}.union(
+            *(_record_classes(getattr(value, f.name)) for f in fields(value)))
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list, frozenset)):
+        return set().union(*map(_record_classes, value))
+    return set()
+
+
+@pytest.mark.parametrize("name", ["loan_with_interest", "brokered_loan"])
+def test_run_compiles_the_writers_of_the_records_it_prints(name):
+    # a nested row's writer compiles with its first record, so `run` compiles
+    # a writer for each class of record in its output and for no other
+    from rpsf.engine import run
+    from rpsf.scenarios import instantiate
+    from rpsf.world import world_object
+
+    report = 'sorted(c.__name__ for c in sys.modules["rpsf.world"]._WRITERS)'
+    compiled = _python(_AFTER_COMMAND.replace("REPORT", report), "run", name, "--format", "json")
+    instance = instantiate(name)
+    progression = run(instance.world, instance.plans, horizon=instance.horizon,
+                      choices=dict(instance.choice_points))
+    printed = _record_classes([progression.events,
+                               world_object(progression.world, include_history=False)])
+    assert compiled == repr(sorted(printed))
+
+
 @pytest.mark.parametrize("argv, absent", [
     (("list-scenarios",), {"rpsf.legality", "rpsf.synthesis"}),
     (("enumerate", "tawarruq_classic"), {"rpsf.legality", "rpsf.synthesis"}),
-    (("run", "loan_with_interest"), {"rpsf.legality"}),
+    (("run", "loan_with_interest"), {"rpsf.legality", "rpsf.synthesis"}),
+    (("run", "loan_with_interest", "--format", "json"), {"rpsf.legality"}),
 ])
 def test_a_command_loads_only_the_modules_it_uses(argv, absent):
     loaded = _loaded_after(*argv)
