@@ -413,7 +413,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterViolation, UnknownScenario, KeyError, ValueError) as exc:
+    except (ParameterViolation, UnknownScenario, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (WorldError, EngineError) as exc:

@@ -97,24 +97,24 @@ class BoundExceeded(EngineError):
 # plans
 # ---------------------------------------------------------------------------
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Do:
     action: Action
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class WaitFor:
     trigger: Trigger
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Branch:
     condition: Condition
     then_steps: tuple["PlanStep", ...]
     else_steps: tuple["PlanStep", ...] = ()
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Stop:
     pass
 
@@ -122,13 +122,13 @@ class Stop:
 PlanStep = Do | WaitFor | Branch | Stop
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Plan:
     agent: str
     steps: tuple[PlanStep, ...]
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Progression:
     """An executed trace: the events in order plus the final world.
 
@@ -176,17 +176,17 @@ def _freeze(value):
 
 # strategies ------------------------------------------------------------------
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class RoundRobin:
     pass
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class SeededRandom:
     seed: int
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Exhaustive:
     pass
 

@@ -37,8 +37,8 @@ _INT_RE = re.compile(r"^-?\d+$")
 # ``ast``, and ``dataclass`` compiles three methods per frozen class from
 # generated source. Here each class gets one compiled ``__init__``; every
 # class shares one ``__repr__``, ``__eq__`` and ``__hash__``, which read its
-# fields through one getter built when the class is made, and every frozen
-# class shares one pair of guards against assignment. They behave as the
+# fields through one getter built when the class is made, and one pair of
+# guards against assignment, since every record is frozen. They behave as the
 # generated ones do: equality only within one class over the compared
 # fields, ``hash(tuple(those fields))``, and the same repr text.
 
@@ -87,7 +87,7 @@ def replace(obj: object, /, **changes: object) -> object:
 
 
 class FrozenRecordError(AttributeError):
-    """Assignment to, or deletion of, an attribute of a frozen record."""
+    """Assignment to, or deletion of, an attribute of a record."""
 
 
 def _frozen_setattr(self, name: str, value: object) -> None:
@@ -98,8 +98,8 @@ def _frozen_delattr(self, name: str) -> None:
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
-# copy and pickle restore a slotted object through setattr, which a frozen
-# record refuses; these two hand them the fields in order instead
+# copy and pickle restore a slotted object through setattr, which a record
+# refuses; these two hand them the fields in order instead
 def _slots_getstate(self) -> tuple:
     return type(self)._record_values(self)
 
@@ -150,11 +150,11 @@ def _fields_of(body: dict[str, object]) -> tuple[Field, ...]:
     return tuple(declared)
 
 
-def _make_init(cls: type, declared: tuple[Field, ...], frozen: bool, slots: bool) -> Callable:
+def _make_init(cls: type, declared: tuple[Field, ...], slots: bool) -> Callable:
     """Compile a record class's ``__init__``: one statement per field.
 
-    A frozen class with slots stores each field through its slot descriptor,
-    at half the cost of ``object.__setattr__``. ``__post_init__`` is looked
+    A class with slots stores each field through its slot descriptor, at
+    half the cost of ``object.__setattr__``. ``__post_init__`` is looked
     up on each call, so a wrapper put on the class later still runs.
     """
     env: dict[str, object] = {"MISSING": MISSING}
@@ -164,9 +164,7 @@ def _make_init(cls: type, declared: tuple[Field, ...], frozen: bool, slots: bool
             env[f"factory{i}"] = f.default_factory
             lines.append(f"if {f.name} is MISSING: {f.name} = factory{i}()")
     for i, f in enumerate(declared):
-        if not frozen:
-            lines.append(f"self.{f.name} = {f.name}")
-        elif slots:
+        if slots:
             env[f"set{i}"] = vars(cls)[f.name].__set__
             lines.append(f"set{i}(self, {f.name})")
         else:
@@ -184,14 +182,13 @@ def _make_init(cls: type, declared: tuple[Field, ...], frozen: bool, slots: bool
     return init
 
 
-def record(*, frozen: bool = False, slots: bool = False) -> Callable[[type], type]:
-    """Build a record class from the annotated fields of a class body.
+def record(*, slots: bool = False) -> Callable[[type], type]:
+    """Build a frozen record class from the annotated fields of a class body.
 
     Defaults come from the body; ``field`` gives a default factory, or
-    leaves a field out of repr or equality. The class gets ``__init__`` and,
-    where its body defines none, the shared ``__repr__``, ``__eq__`` and
-    ``__hash__``. A frozen class refuses assignment and deletion; a class
-    that is not frozen is unhashable, as ``dataclass`` makes it. With
+    leaves a field out of repr or equality. The class gets ``__init__``,
+    guards that refuse assignment and deletion, and, where its body defines
+    none, the shared ``__repr__``, ``__eq__`` and ``__hash__``. With
     ``slots`` the class is made once, with a slot per field and no
     ``__dict__``.
     """
@@ -204,28 +201,25 @@ def record(*, frozen: bool = False, slots: bool = False) -> Callable[[type], typ
         namespace = {k: v for k, v in body.items()
                      if k not in names and k not in ("__dict__", "__weakref__")}
         if slots:
-            namespace["__slots__"] = names
+            namespace.update(__slots__=names, __getstate__=_slots_getstate,
+                             __setstate__=_slots_setstate)
         namespace["__qualname__"] = cls.__qualname__
         namespace.setdefault("__repr__", _record_repr)
         namespace.setdefault("__eq__", _record_eq)
         if not explicit_hash:
-            namespace["__hash__"] = _record_hash if frozen else None
-        if frozen:
-            namespace["__setattr__"] = _frozen_setattr
-            namespace["__delattr__"] = _frozen_delattr
-            if slots:
-                namespace.update(__getstate__=_slots_getstate, __setstate__=_slots_setstate)
+            namespace["__hash__"] = _record_hash
+        namespace.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
         namespace.update(
             _record_fields=declared, _record_names=names, _record_values=_fields_getter(names),
             _record_shown=tuple(f.name for f in declared if f.repr),
             _record_key=_fields_getter(tuple(f.name for f in declared if f.compare)))
         built = type(cls)(cls.__name__, cls.__bases__, namespace)
-        built.__init__ = _make_init(built, declared, frozen, slots)
+        built.__init__ = _make_init(built, declared, slots)
         return built
     return make
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Quantity:
     """A money amount as a canonical-form rational number.
 

@@ -69,7 +69,7 @@ class ParameterViolation(Exception):
     pass
 
 
-@record(frozen=True)
+@record()
 class ParamSpec:
     """A catalogue parameter. ``check`` bounds a quantity: "positive",
     "nonnegative", or "" for no bound; an integer is a period in days and
@@ -81,7 +81,7 @@ class ParamSpec:
     check: str = ""
 
 
-@record(frozen=True)
+@record()
 class ScenarioSpec:
     """A catalogue entry: name, classification, parameters and builder.
 
@@ -96,7 +96,7 @@ class ScenarioSpec:
     build: Callable[..., "ScenarioInstance"]
 
 
-@record(frozen=True)
+@record()
 class ScenarioInstance:
     """A concrete initial world plus plans, ready for the engine."""
 
@@ -538,8 +538,7 @@ def _build_tawarruq_pi(make, p, c, q, t, block, value_drift, granular: bool) -> 
     world, spec, portion, credit_total, down, deferred, buyback = \
         _monetization(p, c, q, block, value_drift, granular)
     settle = "pi-settle"
-    request = act("X", ActionKind.REQUEST_PREPARE_GOOD, counterparty="Z", good_id="G",
-                  good_spec=spec)
+    request = act("X", ActionKind.REQUEST_PREPARE_GOOD, counterparty="Z", good_id="G")
     z_sale = spot_sale("Z", "X", portion, "G", None)
     plans = compose(("X", "Y", "Z"), request, sees("Z", request),
                     act("Z", ActionKind.PREPARE_GOOD, good_id="G", good_spec=spec), z_sale,
@@ -580,8 +579,7 @@ def _build_contract_backed(make, p, c, q, t, block, value_drift, contracts: Sequ
         _monetization(p, c, q, block, value_drift, granular=True)
     c1, c2, c3 = contracts
     settle = "pi-settle"
-    request = act("X", ActionKind.REQUEST_PREPARE_GOOD, c1, counterparty="Z", good_id="G",
-                  good_spec=spec)
+    request = act("X", ActionKind.REQUEST_PREPARE_GOOD, c1, counterparty="Z", good_id="G")
     prepared = inform("Z", "X", "prepared", c1)
     z_sale = spot_sale("Z", "X", portion, "G", c1)
     bought = inform("X", "Y", "bought", c2)
@@ -958,7 +956,7 @@ def instantiate(
 # scenario files
 # ---------------------------------------------------------------------------
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class _FileScenario:
     """One scenario as a scenario file holds it: the world's levels flattened
     next to the plans, plus the catalogue text of the entry."""

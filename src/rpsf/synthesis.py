@@ -9,32 +9,32 @@ perspective, never by fuzz.
 
 The synthesis search asks whether a target flow profile can be rebuilt
 from a catalogue of permissible primitives, by depth-first enumeration
-over grounded primitive instances. The search state is only what a trade
-changes: who owns each good, the perspective's net cash per (agent, day)
-as integers over the common denominator of the target's amounts, and the
-counts of mismatched perspective cells and of goods away from home, which
-a trade updates for the two cells and the one good it touches. A state's
-subproblem is keyed by the goods' owners and homes, the perspective's
-nets, the used agents and the depth: those alone decide which of its
-descendants are witnesses and how many nodes lie below it. The
-settlements still due and the nets of agents outside the perspective
-change only a witness's text, so they stay out of the key. Each
-subproblem is expanded once, into its subtree's node count and the moves
-under which a witness lies; ``explored`` still counts every node of the
-tree, and each witness is built once, from the moves along its path. A
-state's candidate moves are built once per call and shared by every state
-with the same owners, used agents and depth. A witness is a sequence
-whose projection is equivalent to the target and whose goods all return
-to their initial owners. Each witness is re-executed through the engine
-on first read of its progression. Exhaustion within the bound makes
-found=False a bound-relative non-existence certificate.
+over grounded primitive instances. The search state is a tuple of only
+what a trade changes: the one good's owner and home, the perspective's net
+cash per (agent, day) as integers over the common denominator of the
+target's amounts, the used agents, the depth, and the count of mismatched
+perspective cells, which a trade updates for the two cells it touches.
+The state is its own subproblem's key: it alone decides which of its
+descendants are witnesses and how many nodes lie below it, and the count
+follows from the nets, so it splits no subproblem. The settlements still
+due and the nets of agents outside the perspective change only a
+witness's text, so they stay out of the state. Each subproblem is
+expanded once, into its subtree's node count and the moves under which a
+witness lies; ``explored`` still counts every node of the tree, and each
+witness is built once, from the moves along its path. A state's candidate
+moves are built once per call and shared by every state with the same
+owner, used agents and depth. A witness is a sequence whose projection is
+equivalent to the target and whose good returns to its initial owner.
+Each witness is re-executed through the engine on first read of its
+progression. Exhaustion within the bound makes found=False a
+bound-relative non-existence certificate.
 
 Grounding (disclosed in SynthesisResult.grounding): trade prices come from
 the target's amount set; every primitive executes at the inception date,
 and only credit-sale settlements fall later, on the target's own future
-dates - which is why spot sales alone cannot defer payment; at most one
-good is prepared (a pre-owned good is provided instead when preparation is
-not in the catalogue); non-perspective agents enter in canonical order
+dates - which is why spot sales alone cannot defer payment; one good is
+traded, prepared at most once (pre-owned instead when preparation is not
+in the catalogue); non-perspective agents enter in canonical order
 (role symmetry); coordination actions (inform, contract preparation and
 signing) produce no flows, so sequences differing only by them are folded
 into their trade skeletons.
@@ -73,11 +73,8 @@ ALL_AGENTS = "all"
 
 DESK_SCALE_LIMIT = 8
 
-# goods a search may prepare; grounding discloses it
-MAX_PREPARED_GOODS = 1
 
-
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Flow:
     payer: str
     payee: str
@@ -212,15 +209,20 @@ def normalize_catalogue(names: Iterable[str]) -> frozenset[str]:
     return frozenset(out)
 
 
-@record(frozen=True)
+@record()
 class Witness:
-    """A found sequence: its trades and the settlements they leave due, as
-    (payer, payee, amount, due, settlement contract id). ``actions`` and
-    ``progression`` are built on first read, then kept."""
+    """A found sequence of trades. ``actions`` and ``progression`` are built
+    on first read, then kept."""
 
     trades: tuple[Action, ...]
-    pending: tuple[tuple[str, str, Quantity, int, str], ...]
     world: WorldState = field(repr=False, compare=False)  # the search's opening world
+
+    @property
+    def pending(self) -> tuple[tuple[str, str, Quantity, int, str], ...]:
+        """The settlements the credit sales leave due, as (payer, payee,
+        amount, due, settlement contract id)."""
+        return tuple((a.actor, a.counterparty, a.amount, a.due_date, a.contract_id)
+                     for a in self.trades if a.kind is ActionKind.BUY_ON_CREDIT)
 
     @cached_property
     def actions(self) -> tuple[Action, ...]:
@@ -238,7 +240,7 @@ class Witness:
         return {"actions": [action_to_dict(a) for a in self.actions]}
 
 
-@record(frozen=True)
+@record()
 class SynthesisResult:
     witnesses: tuple[Witness, ...]
     explored: int
@@ -250,30 +252,16 @@ class SynthesisResult:
         return bool(self.witnesses)
 
 
-@record(frozen=True, slots=True)
-class _Frame:
-    """What every state of one search shares: the common denominator of the
-    target's amounts, the place in the nets of each perspective cell (agent,
-    day) a trade can reach, and the target's nets x scale in those places."""
-
-    scale: int
-    cells: dict[tuple[str, int], int]
-    target: tuple[int, ...]
-
-
-@record(slots=True)
-class _SearchState:
-    frame: _Frame
-    owners: dict[str, str]  # good id -> owner
-    home: dict[str, str]  # good id -> the owner it must end with
-    nets: tuple[int, ...]  # net cash x frame.scale, per frame.cells place
-    used: frozenset[str]
-    depth: int
-    mismatch: int  # places where nets and frame.target differ
-    displaced: int  # goods whose owner is not their home
-
-
-# a solved subproblem: the nodes of its subtree, whether its root is a
+# What every state of one search shares is its frame, (scale, cells,
+# target): the common denominator of the target's amounts, the place in the
+# nets of each perspective cell (agent, day) a trade can reach, and the
+# target's nets x scale in those places. A state, which is also the key of
+# its subproblem, is (owner, home, nets, used, depth, mismatch): the good's
+# owner and the owner it must end with (both None until it is prepared), the
+# net cash x scale per frame place, the agents used, the depth, and the
+# places where nets and target differ.
+#
+# A solved subproblem: the nodes of its subtree, whether its root is a
 # witness, and the (action, child subtree) moves under which a witness lies
 _Subtree = tuple[int, bool, tuple]
 
@@ -328,8 +316,8 @@ def synthesize(
     days = sorted({0, *(f.date for f in target)})
     cells = {(agent, day): i for i, (agent, day) in
              enumerate((agent, day) for agent in sorted(persp) for day in days)}
-    frame = _Frame(scale=scale, cells=cells,
-                   target=tuple(sums.get(agent, {}).get(day, 0) for agent, day in cells))
+    target_nets = tuple(sums.get(agent, {}).get(day, 0) for agent, day in cells)
+    frame = (scale, cells, target_nets)
 
     roles = [Role.PERSON, Role.BANK] + [Role.COMPANY] * (len(agents) - 2)
     endowment = Quantity(0)
@@ -339,31 +327,28 @@ def synthesize(
     # the traded good is worth the largest amount, in blocks that divide it
     good_value = amounts[-1] if amounts else Quantity(1)
     block = Quantity(1, good_value.den)
-    goods = []
-    trade_possible = bool(kinds & {"spot-sale", "credit-sale"})
-    if "prepare-good" not in kinds and trade_possible:
-        goods.append(Good(good_id="g0", kind="asset", owner=agents[1],
-                          market_value=good_value, block_size=block))
+    # the one good the search trades, g0, is pre-owned when it cannot be prepared
+    home = (agents[1] if "prepare-good" not in kinds and kinds & {"spot-sale", "credit-sale"}
+            else None)
     world0 = make_world(
         agents=[Agent(name, roles[i]) for i, name in enumerate(agents)],
         balances={name: endowment for name in agents},
-        goods=goods,
+        goods=[Good(good_id="g0", kind="asset", owner=home, market_value=good_value,
+                    block_size=block)] if home else [],
     )
     # no trial trade reaches apply_event, which would reject a negative price
     if amounts and amounts[0] < ZERO:
         raise ValidationError("sums must be nonnegative")
-    home = {g.good_id: g.owner for g in goods}
-    used0 = frozenset(persp | {g.owner for g in goods})
+    used0 = persp | {home} if home else persp
     # a trade moves cash for two agents at one date, so it can fix at most
     # one mismatched cell per perspective agent (max two overall)
     per_action = 1 if len(persp) == 1 else 2
 
     # the candidate moves of a state, by everything ``candidates`` reads:
-    # owners (goods enter in id order; with preparation in the catalogue no
-    # good is pre-owned, so their count is the prepared count), used agents
-    # and depth (which names a credit sale's settlement contract)
-    moves: dict[tuple, tuple[Action, ...]] = {}
-    solved: dict[tuple, _Subtree] = {}  # subproblem key -> its subtree
+    # the good's owner, the used agents and the depth (which names a credit
+    # sale's settlement contract)
+    moves: dict[tuple, tuple[tuple, ...]] = {}
+    solved: dict[tuple, _Subtree] = {}  # state -> its subtree
 
     def next_fresh(used: frozenset[str]) -> Optional[str]:
         for name in agents:
@@ -378,60 +363,54 @@ def synthesize(
                 return False
         return True
 
-    def candidates(state: _SearchState):
-        owners = state.owners
-        if "prepare-good" in kinds and len(owners) < MAX_PREPARED_GOODS:
-            for owner in agents:
-                if not allowed_participants(state.used, [owner]):
-                    continue
-                gid = f"g{len(owners)}"
-                yield Action(kind=ActionKind.PREPARE_GOOD, actor=owner, good_id=gid,
-                             good_spec=GoodSpec(kind="asset", market_value=good_value,
-                                                block_size=block)), None, None
-        for gid in sorted(owners):
-            owner = owners[gid]
-            for buyer in agents:
-                if buyer == owner or not allowed_participants(state.used, [owner, buyer]):
-                    continue
-                if "spot-sale" in kinds:
-                    for price in amounts:
-                        yield Action(kind=ActionKind.SPOT_SALE, actor=owner,
-                                     counterparty=buyer, amount=price, good_id=gid), buyer, owner
-                if "credit-sale" in kinds:
-                    for price in amounts:
-                        for due in future_dates:
-                            yield Action(kind=ActionKind.BUY_ON_CREDIT, actor=buyer,
-                                         counterparty=owner, amount=price,
-                                         down_payment=ZERO, due_date=due, good_id=gid,
-                                         contract_id=f"settle-{state.depth}"), buyer, owner
+    def candidates(owner: Optional[str], used: frozenset[str], depth: int):
+        if owner is None:
+            if "prepare-good" in kinds:
+                for actor in agents:
+                    if allowed_participants(used, [actor]):
+                        yield Action(kind=ActionKind.PREPARE_GOOD, actor=actor, good_id="g0",
+                                     good_spec=GoodSpec(kind="asset", market_value=good_value,
+                                                        block_size=block)), None, None
+            return
+        for buyer in agents:
+            if buyer == owner or not allowed_participants(used, [owner, buyer]):
+                continue
+            if "spot-sale" in kinds:
+                for price in amounts:
+                    yield Action(kind=ActionKind.SPOT_SALE, actor=owner, counterparty=buyer,
+                                 amount=price, good_id="g0"), buyer, owner
+            if "credit-sale" in kinds:
+                for price in amounts:
+                    for due in future_dates:
+                        yield Action(kind=ActionKind.BUY_ON_CREDIT, actor=buyer,
+                                     counterparty=owner, amount=price, down_payment=ZERO,
+                                     due_date=due, good_id="g0",
+                                     contract_id=f"settle-{depth}"), buyer, owner
 
-    def solve(state: _SearchState) -> _Subtree:
-        """The state's subtree, solved once per subproblem key (see the
-        module docstring for what the key holds and why)."""
-        owned = tuple(state.owners.items())
-        key = (owned, tuple(state.home.items()), state.nets, state.used, state.depth)
-        subtree = solved.get(key)
+    def solve(state: tuple) -> _Subtree:
+        """The state's subtree, solved once per state (see the module
+        docstring for why the state alone decides it)."""
+        subtree = solved.get(state)
         if subtree is not None:
             return subtree
-        mismatch, displaced = state.mismatch, state.displaced
+        owner, home, _, used, depth, mismatch = state
+        displaced = owner != home
         nodes, live = 1, []
-        remaining = bound - state.depth
+        remaining = bound - depth
         if remaining and max(-(-mismatch // per_action), displaced) <= remaining:
-            move_key = (owned, state.used, state.depth)
+            move_key = (owner, used, depth)
             children = moves.get(move_key)
             if children is None:
-                children = moves[move_key] = tuple(candidates(state))
+                children = moves[move_key] = tuple(candidates(owner, used, depth))
             for action, buyer, seller in children:
-                child = solve(_successor(state, action, buyer, seller))
+                child = solve(_successor(frame, state, action, buyer, seller))
                 nodes += child[0]
                 if child[1] or child[2]:
                     live.append((action, child))
-        subtree = solved[key] = (nodes, not mismatch and not displaced, tuple(live))
+        subtree = solved[state] = (nodes, not mismatch and not displaced, tuple(live))
         return subtree
 
-    root = solve(_SearchState(frame=frame, owners=dict(home), home=home, nets=(0,) * len(cells),
-                              used=used0, depth=0, mismatch=sum(map(bool, frame.target)),
-                              displaced=0))
+    root = solve((home, home, (0,) * len(cells), used0, 0, sum(map(bool, target_nets))))
     # solve refers to itself through its closure: dropping the name frees the
     # memo on return instead of at the next cyclic collection
     del solve
@@ -440,65 +419,52 @@ def synthesize(
         "amounts": [str(a) for a in amounts],
         "settlement_dates": list(future_dates),
         "inception_date": 0,
-        "max_prepared_goods": MAX_PREPARED_GOODS,
+        "max_prepared_goods": 1,
         "agent_symmetry": "non-perspective agents enter in a fixed canonical order",
         "coordination_actions": sorted(kinds & set(COORDINATION_PRIMITIVES)),
         "coordination_note": "flow-inert actions are folded into trade skeletons",
     }
     return SynthesisResult(
-        witnesses=tuple(Witness(trades, pending, world0)
-                        for trades, pending in _witness_paths(root)),
+        witnesses=tuple(Witness(trades, world0) for trades in _witness_paths(root)),
         explored=root[0],
         bound=bound,
         grounding=grounding,
     )
 
 
-def _witness_paths(root: _Subtree) -> Iterator[tuple[tuple, tuple]]:
-    """The trades and pending settlements of every witness in a solved tree,
-    in depth-first order; a path's tuples are built once, by extending its
-    parent's."""
-    stack = [(root, (), ())]
+def _witness_paths(root: _Subtree) -> Iterator[tuple[Action, ...]]:
+    """The trades of every witness in a solved tree, in depth-first order;
+    a path's tuple is built once, by extending its parent's."""
+    stack = [(root, ())]
     while stack:
-        (_, witness, live), trades, pending = stack.pop()
+        (_, witness, live), trades = stack.pop()
         if witness:
-            yield trades, pending
+            yield trades
         for action, child in reversed(live):
-            settles = pending
-            if action.kind is ActionKind.BUY_ON_CREDIT:
-                settles += ((action.actor, action.counterparty, action.amount,
-                             action.due_date, action.contract_id),)
-            stack.append((child, trades + (action,), settles))
+            stack.append((child, trades + (action,)))
 
 
-def _successor(state: _SearchState, action: Action, buyer: Optional[str],
-               seller: Optional[str]) -> _SearchState:
+def _successor(frame: tuple, state: tuple, action: Action, buyer: Optional[str],
+               seller: Optional[str]) -> tuple:
     """The search state after one trial step; no ``WorldState`` is touched.
 
     In a trade ``buyer`` pays ``seller``, as the candidate that built it says:
-    a spot sale now, a credit sale at its due date. It changes one good's
+    a spot sale now, a credit sale at its due date. It changes the good's
     owner and at most two places in the perspective's nets.
     """
-    owners = dict(state.owners)
-    gid, used, depth = action.good_id, state.used, state.depth + 1
+    _, home, nets, used, depth, mismatch = state
     if action.kind is ActionKind.PREPARE_GOOD:
-        owners[gid] = action.actor
-        home = dict(state.home)
-        home[gid] = action.actor
-        return _SearchState(state.frame, owners, home, state.nets, used | {action.actor}, depth,
-                            state.mismatch, state.displaced)
-    owners[gid] = buyer
-    home_owner = state.home[gid]
-    displaced = state.displaced + (buyer != home_owner) - (seller != home_owner)
+        actor = action.actor
+        return actor, actor, nets, used | {actor}, depth + 1, mismatch
     if buyer not in used or seller not in used:
         used = used | {buyer, seller}
-    frame, nets, mismatch = state.frame, state.nets, state.mismatch
+    scale, cells, target = frame
     date = 0 if action.kind is ActionKind.SPOT_SALE else action.due_date
-    paying, paid = frame.cells.get((buyer, date)), frame.cells.get((seller, date))
+    paying, paid = cells.get((buyer, date)), cells.get((seller, date))
     if paying is not None or paid is not None:
         price = action.amount
-        scaled = price.num * (frame.scale // price.den)
-        places, target = list(nets), frame.target
+        scaled = price.num * (scale // price.den)
+        places = list(nets)
         if paying is not None:
             old = places[paying]
             places[paying] = new = old - scaled
@@ -508,7 +474,7 @@ def _successor(state: _SearchState, action: Action, buyer: Optional[str],
             places[paid] = new = old + scaled
             mismatch += (new != target[paid]) - (old != target[paid])
         nets = tuple(places)
-    return _SearchState(frame, owners, state.home, nets, used, depth, mismatch, displaced)
+    return buyer, home, nets, used, depth + 1, mismatch
 
 
 def _due_order(pending: Iterable[tuple]) -> list[tuple]:

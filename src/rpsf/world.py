@@ -76,13 +76,13 @@ class Role(str, Enum):
     COMPANY = "company"
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Agent:
     name: str
     role: Role = Role.PERSON
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Good:
     """A tradeable non-money asset.
 
@@ -102,7 +102,7 @@ class Good:
     is_money: bool = False
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Reason:
     """Structured justification: free text plus references into the world.
 
@@ -162,7 +162,7 @@ class SigningMode(str, Enum):
     BOTH_PARTIES = "both-parties"
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class GoodSpec:
     """Payload of a prepare-good action."""
 
@@ -172,7 +172,7 @@ class GoodSpec:
     is_money: bool = False
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class ActionTemplate:
     """A pattern over actions; unset fields match anything.
 
@@ -211,22 +211,22 @@ class ActionTemplate:
 
 # triggers ------------------------------------------------------------------
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Always:
     pass
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class AfterEvent:
     pattern: ActionTemplate
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class ByDate:
     day: int
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class ConditionMet:
     condition: "Condition"
 
@@ -236,25 +236,25 @@ Trigger = Always | AfterEvent | ByDate | ConditionMet
 
 # conditions over the ground state (serialisable, no lambdas) ----------------
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class ChoiceIs:
     name: str
     value: bool = True
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class BalanceAtLeast:
     agent: str
     amount: Quantity
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class OwnsGood:
     agent: str
     good_id: str
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class ContractInStage:
     contract_id: str
     stage: "Stage"
@@ -306,7 +306,7 @@ def stage_transition_allowed(current: Stage, target: Stage) -> bool:
     return target == current or target in _STAGE_NEXT[current]
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Clause:
     """A conditional obligation inside a contract.
 
@@ -323,7 +323,7 @@ class Clause:
     deadline: Optional[int] = None
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class RepaymentTerms:
     """Declared repayment formula of a money-loan contract.
 
@@ -341,7 +341,7 @@ class RepaymentTerms:
         return self.principal - self.fixed_cost + self.rate * self.principal
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class ContractRecord:
     contract_id: str
     parties: frozenset[str]
@@ -357,7 +357,7 @@ class ContractRecord:
 # actions and events
 # ---------------------------------------------------------------------------
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Action:
     """One agent action; parameter relevance depends on the kind.
 
@@ -394,7 +394,7 @@ class Action:
     good_spec: Optional[GoodSpec] = None
 
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class Event:
     seq: int
     date: int
@@ -409,7 +409,7 @@ HistoryLog = tuple[Event, ...]
 # world state
 # ---------------------------------------------------------------------------
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class WorldState:
     """Immutable snapshot of ground + contract + history levels.
 
@@ -537,12 +537,11 @@ _NEEDS: dict[ActionKind, tuple[str, ...]] = {
 
 # The fields that only some kinds read, each with those kinds; ``_need``
 # rejects an action of any other kind that carries one, since it would be
-# ignored. A promise's due date is its clause's deadline; a request to
-# prepare a good may state the good it asks for, as the built-ins' do.
+# ignored. A promise's due date is its clause's deadline.
 _READ_BY: dict[str, frozenset[ActionKind]] = {
     "due_date": PROMISE_KINDS | {ActionKind.BUY_ON_CREDIT},
     "down_payment": frozenset({ActionKind.BUY_ON_CREDIT, ActionKind.PROMISE_INSURANCE_PAYOUT}),
-    "good_spec": frozenset({ActionKind.PREPARE_GOOD, ActionKind.REQUEST_PREPARE_GOOD}),
+    "good_spec": frozenset({ActionKind.PREPARE_GOOD}),
 }
 _UNREAD: dict[ActionKind, tuple[str, ...]] = {
     kind: tuple(name for name, readers in _READ_BY.items() if kind not in readers)
@@ -896,7 +895,7 @@ def replay(initial: WorldState, history: Iterable[Event]) -> WorldState:
 # field type, takes no key that the row does not name, and names the JSON
 # path of whatever does not fit.
 
-@record(frozen=True, slots=True)
+@record(slots=True)
 class _Row:
     keys: tuple[tuple[str, str], ...]  # (JSON key, field name) in output order
     omit: Mapping[str, object]  # field name -> the default while which it is left out

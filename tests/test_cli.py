@@ -180,6 +180,8 @@ class TestJudge:
         code, _, err = invoke(capsys, "judge", "tawarruq_classic",
                               "--position", "NO_SUCH_SCHOOL")
         assert code == 2
+        assert err == ("error: unknown legal position 'NO_SUCH_SCHOOL'; known: ['CONVENTIONAL', "
+                       "'MAJORITY', 'MALAYSIA', 'STRICT_DESCRIPTIVE', 'STRICT_FUNCTIONAL']\n")
 
     def test_custom_position_from_file(self, capsys, tmp_path):
         path = tmp_path / "positions.json"

@@ -57,15 +57,15 @@ RUN_JSON = {
     "murabaha":
         "f12c3ab1cbb3216f72221f1d145e86d59c1a2322883875861e2d76738ad45218",
     "tawarruq_pi":
-        "45e833a9946b548fcf2eea17c29e0430d49d09edc12b5a2c90735df452b8efa8",
+        "7ddd4179c68eb74a490170df575870b2c83a2ac804eec6344e327258f4138d42",
     "tawarruq_pi_prime":
-        "6442813fbb1cfe3ab31dbbf9d68e94c67e143c8546baedca91487d69588665b2",
+        "9259b75102d63e95bd10af7a4188c9993a3a7beb57a05cba4ef70353bbbe8f93",
     "tawarruq_pi_double_prime":
-        "2a7e46017cecfd80934b5a75ff9e006a05e806be3bc5156be2fac3c56ed308d8",
+        "21ef5c89e4f674e8c21bf43aa282fef5d04204daa1cb3b2e40a37e80eb04369a",
     "tawarruq_pi_triple_prime":
-        "dbb2bfd3a16e2ecf1fcf3ee4e78d92ed2e77941d5fa6645ee5ca4f88ceb85044",
+        "ac263b4e5f0aef39ea9f68c39f5ab3a14469a11a81fb62c18b994fffacf39c3c",
     "tawarruq_single_contract":
-        "e8c9b732e1dba8925281c6a04575a9b93edfd31332fe59911ad71e0b65872d86",
+        "56a2e6b56b38d18d132dc5229d15526511e3ed090a9e1b579194b2575fe5d3af",
     "brokered_loan":
         "49994f51e3861573cc04f79a391f2b07a40b502aa60a79dff00a4748b2056585",
     "unethical_examples":
@@ -88,15 +88,15 @@ RUN_RANDOM_JSON = {
     "murabaha":
         "f12c3ab1cbb3216f72221f1d145e86d59c1a2322883875861e2d76738ad45218",
     "tawarruq_pi":
-        "45e833a9946b548fcf2eea17c29e0430d49d09edc12b5a2c90735df452b8efa8",
+        "7ddd4179c68eb74a490170df575870b2c83a2ac804eec6344e327258f4138d42",
     "tawarruq_pi_prime":
-        "6442813fbb1cfe3ab31dbbf9d68e94c67e143c8546baedca91487d69588665b2",
+        "9259b75102d63e95bd10af7a4188c9993a3a7beb57a05cba4ef70353bbbe8f93",
     "tawarruq_pi_double_prime":
-        "3bab05a10a4662fff41b274459a93e961d2ae248574041234a6b7bed67cd431a",
+        "060094901ba0c37ad07d48d09e90e751c8005e53cf22ac17db58bf54a7bb5b8c",
     "tawarruq_pi_triple_prime":
-        "dbb2bfd3a16e2ecf1fcf3ee4e78d92ed2e77941d5fa6645ee5ca4f88ceb85044",
+        "ac263b4e5f0aef39ea9f68c39f5ab3a14469a11a81fb62c18b994fffacf39c3c",
     "tawarruq_single_contract":
-        "04e5126592932d07ba7aa9e6a677e13665f236302b66cd099baf3a5da376c6cb",
+        "56072b7fef3475b8b879db22bc58ebe1a758ec8f5939c70048374e079fcf8c39",
     "brokered_loan":
         "49994f51e3861573cc04f79a391f2b07a40b502aa60a79dff00a4748b2056585",
     "unethical_examples":
@@ -116,15 +116,15 @@ RUN_EXHAUSTIVE_JSON = {
     "murabaha":
         "f12c3ab1cbb3216f72221f1d145e86d59c1a2322883875861e2d76738ad45218",
     "tawarruq_pi":
-        "45e833a9946b548fcf2eea17c29e0430d49d09edc12b5a2c90735df452b8efa8",
+        "7ddd4179c68eb74a490170df575870b2c83a2ac804eec6344e327258f4138d42",
     "tawarruq_pi_prime":
-        "6442813fbb1cfe3ab31dbbf9d68e94c67e143c8546baedca91487d69588665b2",
+        "9259b75102d63e95bd10af7a4188c9993a3a7beb57a05cba4ef70353bbbe8f93",
     "tawarruq_pi_double_prime":
-        "77e21afe8873dade991b4e5e63b1f081ad6cdf08b972541b2036c70c2824b4c1",
+        "ce427aaf6d8f115bddd8571d52241ffc7e182caa931500494fa1698bc463a4f1",
     "tawarruq_pi_triple_prime":
-        "172887a629ec128410c707e7b9c17212198ca4ba7093685baf8eb853c655d9fc",
+        "9fb82d870d2f8834c23c6a414b2260985bff0b8e1da705f549f71b72c6c1c8cb",
     "tawarruq_single_contract":
-        "a688f77f06376dba4be9c55026f7be9709226d509e1c0d71dbbe4328ce4392c1",
+        "1a48cd1765517672827b4c0034b8b7803cd857d793efb14b4aa30ef2b8fa2b70",
     "brokered_loan":
         "49994f51e3861573cc04f79a391f2b07a40b502aa60a79dff00a4748b2056585",
     "unethical_examples":
@@ -144,15 +144,15 @@ ENUMERATE_ALL_JSON = {
     "murabaha":
         "c19cc8c5968d27b970a83a3b7f21750b5ceddc5889aff3c731f7d03a2fccd93b",
     "tawarruq_pi":
-        "360a7b90a67c2cb025dd76cc47b7cec8299bbc577d5f5a7eab4fa85b1e2fb9d1",
+        "bbdaec474cb3d8a8513c6e54c3251fef974f61a292314d62ecb374d0a14ac6e3",
     "tawarruq_pi_prime":
-        "39981f8f46565f7cb973180712201044c52814639ae3e0cf40904a00a14c3084",
+        "71f46a9fb2f5f98e85eb9111b306176bd352f665b14a7cacbce43ae72c2f3fb7",
     "tawarruq_pi_double_prime":
-        "a7b66d9b3279c6959bb64e8311026a5776ad237b042fdeb329ce15e2956e536a",
+        "c1271db3698b95b2d333be16465851fb8aeeffef5bfbf674731151d6eab10bef",
     "tawarruq_pi_triple_prime":
-        "3d56012b156badb3af691b2406ce773b6128bec3267ecb1ffbef969c576638ae",
+        "85608d4b4117004b6acc97397c0f84be2ba39399e5c4436ebb45eb5a1c4b6e0d",
     "tawarruq_single_contract":
-        "2f42ebcbd1205d9c0f094b67eb4063572badd94abf76bb35421a67c4734fb801",
+        "1ca61f81c7e355b8dcca7396ea8648cfd6bd35b9a623497da58ae2a9c100469f",
     "brokered_loan":
         "da55590423e11f356f6ffea1c6ee3236e557f7065cf9bec2cd52b43f6fb9af6a",
     "unethical_examples":
@@ -265,15 +265,15 @@ INSTANCE_JSON = {
     "murabaha":
         "f380df427d212a6efea88a30947013886dd6627068e7943f4d684496c305404d",
     "tawarruq_pi":
-        "2454a07f6e9b8393194a5e65a387c93112c01461c4ea327a20c251adbbc00beb",
+        "61691c0aceb80f72e23c1fd1ab96c926fb43a260c7d4dcdf15ddf1a0127dbd09",
     "tawarruq_pi_prime":
-        "cfc902cc43c658f6f700b26f29d1a5c1183224b2d83f086733d942fa3d0d0cc4",
+        "18511df71a4d1f1ce3caaf638de188903cfbea7742e752414ebf37377649d820",
     "tawarruq_pi_double_prime":
-        "fd985958a550267e476bb7695023341390c5ae306fc498bffa6a33d9d08e916c",
+        "1a49196c87cc0168eb25427f2cf626c75a5ab334bd645d817b7e9bd4e441bac0",
     "tawarruq_pi_triple_prime":
-        "4fa1e5bbd6cc05f072b9b05667994103f296f6c75435d69a2816b08cc247f5e1",
+        "ad8a3586f10c7d0b8a5200a8d09b386babbb8f5c84e6afec3340a61267ac6a65",
     "tawarruq_single_contract":
-        "71c4cfd628de8ba7428f500542900a33f4c1607494c1c9e3ce872a17971ada33",
+        "fadbf88b5959c3cb156d51a29eba424151d51d42062b988e79c11f9b2c795142",
     "brokered_loan":
         "d5b0e9e04f1a0167720e699196c8892e3ad42067483c219bd02d3a342b152bbe",
     "unethical_examples":
@@ -303,15 +303,15 @@ INSTANCE_VARIANT_JSON = (
     ("unethical_examples", "variant=interest_loan",
      "7fb00b7536480bd83e33c82f1a3d9358917232c8fe7ee6bf58a15087345395aa"),
     ("tawarruq_pi", "value_drift=3",
-     "6e1fe00290f22e90ec7a8495e6ce3fb8388ea5c6c5b8bfa20512cc6026de9e25"),
+     "80e5b9f20bbd7122862784511be29099c89e5191da15e366eae5cb58f06103fa"),
     ("tawarruq_pi_prime", "p=1001 value_drift=-2",
-     "83a2062e3c4e3f0b873facf7897b3ed7b5e1a083b5bbebe4e560e83605df53bd"),
+     "794d80ed4076491318c252e749a6484a6d53c7b2ed7d4ebd2b8c4ddcd1ec2c0f"),
     ("tawarruq_pi_double_prime", "p=999 c=0",
-     "25236cbac2c5e231938427d962b0695eec3502ff0e7ce92bb5921fdcf5eebac0"),
+     "066258edb855570b980550e0b77b096c876116987b7058e8a540e289b6815291"),
     ("tawarruq_pi_triple_prime", "q=0",
-     "6a9e585b71f8529c0457c5d20a57e2235202ecdc095434fdf67db122d8ef705b"),
+     "23186f5de88aa088ab2d965c2ab2057e6e7078d3fe5a7d871e1e6daadaa071ae"),
     ("tawarruq_single_contract", "block=7",
-     "b60777d9b2fbd3ecdb64563aeef3c5fc7e1a468e5f04a1ed5e1d2099b15a7558"),
+     "762e52e6ab5b06cd419a3b81ee74f3b652cf38cc28c50fb8d043afcb1ca0b8f1"),
     ("loan_with_interest", "c=3 c2=1 i=1/2",
      "f79a2615f462c764cb995e7067c3f08223e1050f0dd3b5ed9ba2ef354be335f6"),
     ("savings_account_with_interest", "c=0 q=0",
@@ -394,15 +394,15 @@ WORLD_JSON = {
     "murabaha":
         "5b164ce1846cfc9a408d6ef6c2d4219e13a89207a72b5305d63b73f32186f3fe",
     "tawarruq_pi":
-        "f7bdfd040fff100172b5c17c1821d0fbb337e4ced023e378068e517aa9779b91",
+        "e715d8c785dbe26c8b0394befa6b80075b25fa8d050647508aeb09dd72aab46e",
     "tawarruq_pi_prime":
-        "f1af34762b29ca6b26c7e2d76ed9424ea5dd44bf2cbad95e72de6d8a4182b427",
+        "d5df4b409e8ecc2a726f4abe9edf4c4c9a032f33e7ae02f11410de1a4cc08335",
     "tawarruq_pi_double_prime":
-        "7192d0ce06b14320e7a5dbce47ddac904c522961311721d9dc515d178f9ccd7f",
+        "ea70164757e1d8d1c54dffdf5ca5ce5db905a2098833e81f88c762b451bb8531",
     "tawarruq_pi_triple_prime":
-        "cc7607333528dd7b169b537920c7ee77b83e83a2e293c64e009de4732b1415ab",
+        "b44786c68b214bf259d170b23381eb185eb5729379c250e576edec3346cc265a",
     "tawarruq_single_contract":
-        "99009b610c2efded8548612b007bbacf2e79e8de0017f98c1ac0dc63f19ac4f5",
+        "a81014f0d41a5c5b928bd7d5c02904eca17ff1438506ad57890945ce7df3d30d",
     "brokered_loan":
         "3a58f4813e2b2395cd1fdd748add0680463fc48817d0e7727a83a6644b4697b8",
     "unethical_examples":

@@ -1,8 +1,9 @@
 """Record classes against the classes ``dataclasses`` makes of the same bodies.
 
 Every record class of the package has a twin: its own class body, read from
-its module's source and run again with ``dataclasses.dataclass`` in place of
-``money.record`` and ``dataclasses.field`` in place of ``money.field``.
+its module's source and run again with a frozen ``dataclasses.dataclass`` in
+place of ``money.record`` and ``dataclasses.field`` in place of
+``money.field``.
 Instances of both are compared: the ``__init__`` parameters and defaults,
 the fields, equality, hashing, repr text, ``replace`` and the frozen guards
 must agree, and copies and pickles keep every field.
@@ -31,14 +32,14 @@ RECORDS = sorted(
     key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
 WITH_FACTORIES = [cls for cls in RECORDS if any(f.default_factory is not MISSING
                                                 for f in fields(cls))]
-FROZEN = [cls for cls in RECORDS if "__setattr__" in vars(cls)]
+FROZEN_DATACLASS = functools.partial(dataclasses.dataclass, frozen=True)
 
 
 @functools.cache
 def _twin(cls):
     """The class ``dataclass`` makes of ``cls``'s body, in its module."""
     namespace = dict(vars(sys.modules[cls.__module__]),
-                     record=dataclasses.dataclass, field=dataclasses.field)
+                     record=FROZEN_DATACLASS, field=dataclasses.field)
     code = compile(inspect.getsource(cls), f"<twin of {cls.__qualname__}>", "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     exec(code, namespace)
@@ -51,8 +52,8 @@ def _values(cls):
 
 def test_every_record_class_is_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) == 45
-    assert {"Quantity", "Action", "AfterEvent", "ByDate", "Witness", "_SearchState"} <= names
+    assert len(RECORDS) == 43
+    assert {"Quantity", "Action", "AfterEvent", "ByDate", "Witness"} <= names
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
 
 
@@ -103,8 +104,8 @@ def test_replace_matches_dataclasses_replace(cls):
         replace(mine, no_such_field=1)
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
-def test_frozen_records_refuse_assignment_and_deletion(cls):
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_refuses_assignment_and_deletion(cls):
     base = _values(cls)
     for obj in (cls(**base), _twin(cls)(**base)):
         for name in base:
@@ -131,14 +132,6 @@ def test_post_init_is_looked_up_on_each_call(monkeypatch):
     original = Quantity.__post_init__
     monkeypatch.setattr(Quantity, "__post_init__", lambda self: calls.append(1) or original(self))
     assert Quantity(2, 4) == Quantity(1, 2) and len(calls) == 2
-
-
-def test_a_record_that_is_not_frozen_takes_assignment():
-    assert [cls.__name__ for cls in RECORDS if cls not in FROZEN] == ["_SearchState"]
-    state = synthesis._SearchState(**_values(synthesis._SearchState))
-    state.displaced = 5
-    del state.used
-    assert state.displaced == 5 and not hasattr(state, "used")
 
 
 @pytest.mark.parametrize("cls", [c for c in RECORDS if c is not Quantity],
@@ -177,16 +170,15 @@ def test_records_of_the_same_shape_differ_by_class():
 
 def test_a_field_left_out_of_comparison():
     action = world.Action(world.ActionKind.PAY, "X")
-    first = synthesis.Witness(trades=(action,), pending=(), world="one")
-    second = synthesis.Witness(trades=(action,), pending=(), world="two")
+    first = synthesis.Witness(trades=(action,), world="one")
+    second = synthesis.Witness(trades=(action,), world="two")
     assert first == second and hash(first) == hash(second)
-    assert repr(first) == f"Witness(trades={(action,)!r}, pending=())"
+    assert repr(first) == f"Witness(trades={(action,)!r})"
 
 
 def test_a_class_keeps_the_methods_its_body_defines():
     assert Quantity(2) == 2 and hash(Quantity(2)) == hash(2)
     assert repr(Quantity(1, 2)) == "Quantity(1, 2)"
-    assert synthesis._SearchState.__hash__ is None
 
 
 @pytest.mark.parametrize("body", [
@@ -196,14 +188,13 @@ def test_a_class_keeps_the_methods_its_body_defines():
     {"__eq__": lambda self, other: True, "__hash__": lambda self: 7},
     {"__repr__": lambda self: "mine"},
 ])
-@pytest.mark.parametrize("frozen", [True, False])
-def test_what_record_adds_matches_what_dataclass_adds(body, frozen):
+def test_what_record_adds_matches_what_dataclass_adds(body):
     def make(decorate):
         cls = type("R", (), {"__annotations__": {"x": int}, **body})
         return decorate(cls)
 
-    mine = make(record(frozen=frozen))
-    theirs = make(dataclasses.dataclass(frozen=frozen))
+    mine = make(record())
+    theirs = make(FROZEN_DATACLASS())
     assert (mine.__hash__ is None) is (theirs.__hash__ is None)
     for name in ("__eq__", "__hash__", "__repr__"):
         if name in body:
@@ -212,6 +203,11 @@ def test_what_record_adds_matches_what_dataclass_adds(body, frozen):
     if mine.__hash__ is not None:
         assert hash(mine(1)) == hash(theirs(1))
     assert (mine(1) == mine(2)) is (theirs(1) == theirs(2))
+
+
+def test_record_takes_no_frozen_option():
+    with pytest.raises(TypeError):
+        record(frozen=False)
 
 
 def test_a_default_may_not_precede_a_required_field():

@@ -1,6 +1,6 @@
-"""The synthesis search's owners-and-nets state against the world transition
-and against a from-scratch recount, and net positions against the
-Quantity-by-Quantity fold."""
+"""The synthesis search's state tuples, (owner, home, nets, used, depth,
+mismatch), against the world transition and against a from-scratch recount,
+and net positions against the Quantity-by-Quantity fold."""
 
 import pytest
 
@@ -24,8 +24,8 @@ catalogues = st.sets(st.sampled_from(("spot-sale", "credit-sale", "prepare-good"
 
 
 def search_steps(target, catalogue, bound, perspective):
-    """Every (state, path, action, child) ``_successor`` steps in one search,
-    where ``path`` is the trades that lead to ``state``.
+    """Every (frame, state, path, action, child) ``_successor`` steps in one
+    search, where ``path`` is the trades that lead to ``state``.
 
     The search expands each distinct subproblem once, from the first state
     that reaches it, so the steps cover every distinct subproblem, not
@@ -34,12 +34,12 @@ def search_steps(target, catalogue, bound, perspective):
     steps, paths = [], {}
     successor = synthesis._successor
 
-    def recording(state, action, *roles):
-        child = successor(state, action, *roles)
+    def recording(frame, state, action, *roles):
+        child = successor(frame, state, action, *roles)
         # ``steps`` keeps every state alive, so no id is reused
         path = paths.get(id(state), ())
         paths[id(child)] = path + (action,)
-        steps.append((state, path, action, child))
+        steps.append((frame, state, path, action, child))
         return child
 
     with pytest.MonkeyPatch.context() as patch:
@@ -54,16 +54,16 @@ def test_owners_follow_apply_event_along_every_path(target, catalogue, bound, pe
     steps = search_steps(canonical(target), catalogue, bound, perspective)
     # each step's state is the root or an earlier step's child
     worlds = {}
-    for state, path, action, child in steps:
+    for _, state, path, action, child in steps:
         world = worlds.get(path)
         if world is None:
             assert path == ()
+            owner = state[0]
             world = make_world([Agent(name) for name in AGENTS],
                                balances={name: Quantity(10**6) for name in AGENTS},
-                               goods=[Good(gid, "asset", owner, None)
-                                      for gid, owner in state.owners.items()])
+                               goods=[Good("g0", "asset", owner, None)] if owner else [])
         world = worlds[path + (action,)] = apply_event(world, action, 0)
-        assert {gid: good.owner for gid, good in world.goods.items()} == child.owners
+        assert [(gid, good.owner) for gid, good in world.goods.items()] == [("g0", child[0])]
 
 
 def path_flows(path):
@@ -99,25 +99,21 @@ def test_carried_counts_match_a_recount_along_every_path(target, catalogue, boun
     persp = {"X"} if perspective is None else (
         set(AGENTS) if perspective == ALL_AGENTS else set(perspective))
     target_nets = net_positions(target)
-    for state, path, action, child in steps:
+    for (scale, cells, _), state, path, action, child in steps:
         if action.kind == ActionKind.BUY_ON_CREDIT:
             assert action.contract_id == f"settle-{len(path)}"
         for node, node_path in ((state, path), (child, path + (action,))):
-            assert node.depth == len(node_path)
-            # a good's home is its owner at the root, or whoever prepared it
-            home = dict(steps[0][0].owners)
-            home.update((a.good_id, a.actor) for a in node_path
-                        if a.kind == ActionKind.PREPARE_GOOD)
-            assert node.home == home
-            assert node.displaced == sum(1 for gid, owner in node.owners.items()
-                                         if owner != home[gid])
+            owner, home, node_nets, _, depth, mismatch = node
+            assert depth == len(node_path)
+            # the good's home is its owner at the root, or whoever prepared it
+            prepared = [a.actor for a in node_path if a.kind == ActionKind.PREPARE_GOOD]
+            assert home == (prepared[0] if prepared else steps[0][1][0])
+            assert (owner is None) is (home is None)
             nets = net_positions(path_flows(node_path))
-            assert node.mismatch == reference_mismatch(nets, target_nets, persp)
-            scale = node.frame.scale
+            assert mismatch == reference_mismatch(nets, target_nets, persp)
             assert all(scale % flow.amount.den == 0 for flow in target)
             # the carried nets are the perspective's only
-            assert {cell: Quantity(v, scale)
-                    for cell, v in zip(node.frame.cells, node.nets) if v} == {
+            assert {cell: Quantity(v, scale) for cell, v in zip(cells, node_nets) if v} == {
                 (agent, d): v for agent, per_day in nets.items() if agent in persp
                 for d, v in per_day.items()}
 

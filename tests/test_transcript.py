@@ -4,9 +4,11 @@ Each invocation of the corpus runs ``rpsf.cli.main`` in process and is
 pinned by the sha256 of its exit code, stdout and stderr
 (``tests/transcript_pins.json``). The corpus runs each command over every
 built-in, in text and JSON, lists the scenarios, and takes the error cases
-of tests/test_cli.py, deadlocks included. A change that moves an output
-moves its pin; rewrite the pins with ``python tests/test_transcript.py``
-and name the moved invocations where the change is described.
+of tests/test_cli.py, deadlocks included. It also runs a generated file
+per action kind and variant (``_kind_files``). A change that moves an output
+moves its pin; ``python tests/test_transcript.py`` prints each changed,
+added and removed invocation against the old pins, then rewrites them, so
+the moved invocations can be named where the change is described.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import pytest
 
 from rpsf.cli import POSITION_NAMES, main
 from rpsf.scenarios import scenario_names
+from rpsf.world import _NEEDS, _READ_BY
 
 PINS = Path(__file__).with_name("transcript_pins.json")
 FORMATS = ("text", "json")
@@ -113,6 +116,52 @@ BAD_FILES = [
     {"scenarios": [_GOOD], "positions": [{"name": "P", "rules": [{"detector": "foo"}]}]},
 ]
 FILES.update({f"bad_{i}": document for i, document in enumerate(BAD_FILES)})
+
+# a value for each field an action kind may need or read; the good is one
+# that the actor owns (H: that the counterparty owns, N: that is not yet made)
+_VALUES = {"counterparty": "Y", "amount": "10", "down_payment": "1", "due_date": 5,
+           "good_id": "G", "contract_id": "c",
+           "good_spec": {"kind": "asset", "market_value": "10"}}
+_GOOD_ID = {"buy-on-credit": "H", "prepare-good": "N", "request-prepare-good": "N"}
+# steps a kind's action needs before it: a contract to sign
+_BEFORE = {"sign-contract": [{"do": {"kind": "prepare-contract", "actor": "X",
+                                     "counterparty": "Y", "contract_id": "c"}}]}
+
+
+def _kind_file(name: str, kind: str, fields: dict) -> dict:
+    """A scenario whose one plan has X act once as ``kind`` with ``fields``."""
+    return {"scenarios": [{
+        "name": name, "agents": _TWO, "balances": {"X": "100", "Y": "100"},
+        "goods": [{"good_id": "G", "owner": "X"}, {"good_id": "H", "owner": "Y"}],
+        "plans": [{"agent": "X", "steps": [
+            *_BEFORE.get(kind, []), {"do": {"kind": kind, "actor": "X", **fields}}]}],
+        "horizon": _VALUES["due_date"]}]}
+
+
+def _kind_files() -> dict[str, dict]:
+    """Per action kind: one action with the fields its kind needs, then that
+    action with each needed field dropped (``kind-field``), with each field
+    that only some kinds read added (``kind+field``), and with a negative
+    amount and down payment (``kind+-field``)."""
+    out = {}
+    for action_kind, needs in _NEEDS.items():
+        kind = action_kind.value
+        valid = {name: _GOOD_ID.get(kind, "G") if name == "good_id" else _VALUES[name]
+                 for name in needs}
+        variants = {kind: valid}
+        for name in needs:
+            variants[f"{kind}-{name}"] = {k: v for k, v in valid.items() if k != name}
+        for name in _READ_BY:
+            if name not in needs:
+                variants[f"{kind}+{name}"] = {**valid, name: _VALUES[name]}
+        for name in ("amount", "down_payment"):
+            variants[f"{kind}+-{name}"] = {**valid, name: "-" + _VALUES[name]}
+        out.update({name: _kind_file(name, kind, fields) for name, fields in variants.items()})
+    return out
+
+
+KIND_FILES = _kind_files()
+FILES.update(KIND_FILES)
 
 
 def _corpus() -> dict[str, tuple[tuple[str, ...], dict[str, str]]]:
@@ -215,6 +264,8 @@ def _corpus() -> dict[str, tuple[tuple[str, ...], dict[str, str]]]:
         for command in ("run", "judge"):
             add(command, name, "--scenario-file", f"@{name}")
         add("enumerate", name, "-v", "--scenario-file", f"@{name}", "--format", "json")
+    for name in KIND_FILES:
+        add("run", name, "--scenario-file", f"@{name}")
     return out
 
 
@@ -272,11 +323,17 @@ def test_invocation_bytes_are_pinned(case, directory, pins):
     assert transcript(*CORPUS[case], directory) == pins[case]
 
 
-if __name__ == "__main__":  # rewrite the pins from this tree
+if __name__ == "__main__":  # name the moved pins, then rewrite them from this tree
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
         _write_files(Path(scratch))
         digests = {case: transcript(*CORPUS[case], Path(scratch)) for case in CORPUS}
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
+    for label, cases in (("changed", [c for c in digests if c in old and old[c] != digests[c]]),
+                         ("added", [c for c in digests if c not in old]),
+                         ("removed", [c for c in old if c not in digests])):
+        for case in sorted(cases):
+            print(f"{label}: {case}")
     PINS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} pins written to {PINS}", file=sys.stderr)

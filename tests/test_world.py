@@ -150,7 +150,7 @@ READ_BY = {
     "due_date": "promise-pay promise-accept-payment promise-buy-on-condition buy-on-credit "
                 "promise-insurance-payout promise-manage-funds",
     "down_payment": "buy-on-credit promise-insurance-payout",
-    "good_spec": "prepare-good request-prepare-good",
+    "good_spec": "prepare-good",
 }
 
 # a value for every field that some kind needs or reads
