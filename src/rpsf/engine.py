@@ -47,7 +47,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .money import record, replace
+from .money import fields, record, replace
 from .world import (
     Action,
     ActionTemplate,
@@ -97,24 +97,24 @@ class BoundExceeded(EngineError):
 # plans
 # ---------------------------------------------------------------------------
 
-@record(slots=True)
+@record
 class Do:
     action: Action
 
 
-@record(slots=True)
+@record
 class WaitFor:
     trigger: Trigger
 
 
-@record(slots=True)
+@record
 class Branch:
     condition: Condition
     then_steps: tuple["PlanStep", ...]
     else_steps: tuple["PlanStep", ...] = ()
 
 
-@record(slots=True)
+@record
 class Stop:
     pass
 
@@ -122,13 +122,13 @@ class Stop:
 PlanStep = Do | WaitFor | Branch | Stop
 
 
-@record(slots=True)
+@record
 class Plan:
     agent: str
     steps: tuple[PlanStep, ...]
 
 
-@record(slots=True)
+@record
 class Progression:
     """An executed trace: the events in order plus the final world.
 
@@ -176,17 +176,17 @@ def _freeze(value):
 
 # strategies ------------------------------------------------------------------
 
-@record(slots=True)
+@record
 class RoundRobin:
     pass
 
 
-@record(slots=True)
+@record
 class SeededRandom:
     seed: int
 
 
-@record(slots=True)
+@record
 class Exhaustive:
     pass
 
@@ -249,7 +249,7 @@ class _EventIndex:
         return wanted in keys
 
 
-_PATTERN_FIELDS = ("kind", "actor", "counterparty", "amount", "good_id", "contract_id", "message")
+_PATTERN_FIELDS = tuple(f.name for f in fields(ActionTemplate))
 
 
 def _projections(fields: tuple[str, ...], action: Action) -> list[tuple]:

@@ -46,7 +46,7 @@ class ZeroDuration(Exception):
     pass
 
 
-@record()
+@record
 class Evidence:
     rule: str
     events: tuple[int, ...] = ()
@@ -56,7 +56,7 @@ class Evidence:
     to_dict = value_to_dict
 
 
-@record()
+@record
 class Judgement:
     position: str
     verdict: Verdict
@@ -69,7 +69,7 @@ codec_row(Evidence)
 codec_row(Judgement)
 
 
-@record()
+@record
 class RibaFinding:
     """A contract-linked transfer pair with a declared proportional increment."""
 
@@ -84,7 +84,7 @@ class RibaFinding:
         return self.repayment - self.principal
 
 
-@record()
+@record
 class InaFinding:
     """A good sold A -> B and straight back B -> A with no third party."""
 
@@ -298,7 +298,7 @@ def _facts_of(progression: Progression) -> _Facts:
 # rules and positions
 # ---------------------------------------------------------------------------
 
-@record()
+@record
 class Rule:
     """One named detector with the verdict it forces when it fires."""
 
@@ -342,7 +342,7 @@ DETECTORS: dict[str, Callable[[str, _Facts], tuple[Evidence, ...]]] = {
 }
 
 
-@record()
+@record
 class LegalPosition:
     name: str
     rules: tuple[Rule, ...]

@@ -38,9 +38,10 @@ _INT_RE = re.compile(r"^-?\d+$")
 # generated source. Here each class gets one compiled ``__init__``; every
 # class shares one ``__repr__``, ``__eq__`` and ``__hash__``, which read its
 # fields through one getter built when the class is made, and one pair of
-# guards against assignment, since every record is frozen. They behave as the
-# generated ones do: equality only within one class over the compared
-# fields, ``hash(tuple(those fields))``, and the same repr text.
+# guards against assignment, since every record is frozen. Every record has a
+# slot per field and no ``__dict__``. They behave as the generated ones do:
+# equality only within one class over all fields, ``hash(tuple(fields))``,
+# and the same repr text.
 
 class _Missing:
     def __repr__(self) -> str:
@@ -51,26 +52,23 @@ MISSING = _Missing()  # a field without a default, or the default of a factory f
 
 
 class Field:
-    """One field of a record class: its name, its default or default factory
-    (MISSING when it has none), and whether repr shows it and equality
-    compares it."""
+    """One field of a record class: its name, and its default or default
+    factory (MISSING when it has none)."""
 
-    __slots__ = ("name", "default", "default_factory", "repr", "compare")
+    __slots__ = ("name", "default", "default_factory")
 
-    def __init__(self, name: str, default: object = MISSING, default_factory: object = MISSING,
-                 repr: bool = True, compare: bool = True) -> None:
+    def __init__(self, name: str, default: object = MISSING,
+                 default_factory: object = MISSING) -> None:
         self.name, self.default, self.default_factory = name, default, default_factory
-        self.repr, self.compare = repr, compare
 
     @property
     def has_default(self) -> bool:
         return self.default is not MISSING or self.default_factory is not MISSING
 
 
-def field(*, default_factory: Callable[[], object] | _Missing = MISSING, repr: bool = True,
-          compare: bool = True) -> Field:
-    """A field with a default factory, or one left out of repr or equality."""
-    return Field("", MISSING, default_factory, repr, compare)
+def field(*, default_factory: Callable[[], object]) -> Field:
+    """A field whose default each instance gets fresh from ``default_factory``."""
+    return Field("", MISSING, default_factory)
 
 
 def fields(record_or_class: object) -> tuple[Field, ...]:
@@ -122,19 +120,19 @@ def _fields_getter(names: tuple[str, ...]) -> Callable[[object], tuple]:
 @recursive_repr()
 def _record_repr(self) -> str:
     cls = type(self)
-    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in cls._record_shown)
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in cls._record_names)
     return f"{cls.__qualname__}({shown})"
 
 
 def _record_eq(self, other: object) -> bool:
     if other.__class__ is self.__class__:
-        key = self.__class__._record_key
-        return key(self) == key(other)
+        values = self.__class__._record_values
+        return values(self) == values(other)
     return NotImplemented
 
 
 def _record_hash(self) -> int:
-    return hash(self.__class__._record_key(self))
+    return hash(self.__class__._record_values(self))
 
 
 def _fields_of(body: dict[str, object]) -> tuple[Field, ...]:
@@ -142,20 +140,20 @@ def _fields_of(body: dict[str, object]) -> tuple[Field, ...]:
     declared: list[Field] = []
     for name in body.get("__annotations__", {}):
         spec = body.get(name, MISSING)
-        f = (Field(name, MISSING, spec.default_factory, spec.repr, spec.compare)
-             if isinstance(spec, Field) else Field(name, spec))
+        f = (Field(name, MISSING, spec.default_factory) if isinstance(spec, Field)
+             else Field(name, spec))
         if declared and declared[-1].has_default and not f.has_default:
             raise TypeError(f"non-default argument {name!r} follows default argument")
         declared.append(f)
     return tuple(declared)
 
 
-def _make_init(cls: type, declared: tuple[Field, ...], slots: bool) -> Callable:
+def _make_init(cls: type, declared: tuple[Field, ...]) -> Callable:
     """Compile a record class's ``__init__``: one statement per field.
 
-    A class with slots stores each field through its slot descriptor, at
-    half the cost of ``object.__setattr__``. ``__post_init__`` is looked
-    up on each call, so a wrapper put on the class later still runs.
+    Each field is stored through its slot descriptor, at half the cost of
+    ``object.__setattr__``. ``__post_init__`` is looked up on each call, so
+    a wrapper put on the class later still runs.
     """
     env: dict[str, object] = {"MISSING": MISSING}
     lines = []
@@ -164,11 +162,8 @@ def _make_init(cls: type, declared: tuple[Field, ...], slots: bool) -> Callable:
             env[f"factory{i}"] = f.default_factory
             lines.append(f"if {f.name} is MISSING: {f.name} = factory{i}()")
     for i, f in enumerate(declared):
-        if slots:
-            env[f"set{i}"] = vars(cls)[f.name].__set__
-            lines.append(f"set{i}(self, {f.name})")
-        else:
-            lines.append(f"self.__dict__[{f.name!r}] = {f.name}")
+        env[f"set{i}"] = vars(cls)[f.name].__set__
+        lines.append(f"set{i}(self, {f.name})")
     if hasattr(cls, "__post_init__"):
         lines.append("self.__post_init__()")
     params = ", ".join(["self", *(f.name for f in declared)])
@@ -182,44 +177,37 @@ def _make_init(cls: type, declared: tuple[Field, ...], slots: bool) -> Callable:
     return init
 
 
-def record(*, slots: bool = False) -> Callable[[type], type]:
+def record(cls: type) -> type:
     """Build a frozen record class from the annotated fields of a class body.
 
-    Defaults come from the body; ``field`` gives a default factory, or
-    leaves a field out of repr or equality. The class gets ``__init__``,
-    guards that refuse assignment and deletion, and, where its body defines
-    none, the shared ``__repr__``, ``__eq__`` and ``__hash__``. With
-    ``slots`` the class is made once, with a slot per field and no
-    ``__dict__``.
+    Defaults come from the body; ``field`` gives a default factory. The
+    class is made once more, with a slot per field and no ``__dict__``. It
+    gets ``__init__``, guards that refuse assignment and deletion, and,
+    where its body defines none, the shared ``__repr__``, ``__eq__`` and
+    ``__hash__``.
     """
-    def make(cls: type) -> type:
-        body = dict(vars(cls))
-        declared = _fields_of(body)
-        names = tuple(f.name for f in declared)
-        # Python itself sets __hash__ to None in a body that defines __eq__
-        explicit_hash = "__hash__" in body and not (body["__hash__"] is None and "__eq__" in body)
-        namespace = {k: v for k, v in body.items()
-                     if k not in names and k not in ("__dict__", "__weakref__")}
-        if slots:
-            namespace.update(__slots__=names, __getstate__=_slots_getstate,
-                             __setstate__=_slots_setstate)
-        namespace["__qualname__"] = cls.__qualname__
-        namespace.setdefault("__repr__", _record_repr)
-        namespace.setdefault("__eq__", _record_eq)
-        if not explicit_hash:
-            namespace["__hash__"] = _record_hash
-        namespace.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
-        namespace.update(
-            _record_fields=declared, _record_names=names, _record_values=_fields_getter(names),
-            _record_shown=tuple(f.name for f in declared if f.repr),
-            _record_key=_fields_getter(tuple(f.name for f in declared if f.compare)))
-        built = type(cls)(cls.__name__, cls.__bases__, namespace)
-        built.__init__ = _make_init(built, declared, slots)
-        return built
-    return make
+    body = dict(vars(cls))
+    declared = _fields_of(body)
+    names = tuple(f.name for f in declared)
+    # Python itself sets __hash__ to None in a body that defines __eq__
+    explicit_hash = "__hash__" in body and not (body["__hash__"] is None and "__eq__" in body)
+    namespace = {k: v for k, v in body.items()
+                 if k not in names and k not in ("__dict__", "__weakref__")}
+    namespace.setdefault("__repr__", _record_repr)
+    namespace.setdefault("__eq__", _record_eq)
+    if not explicit_hash:
+        namespace["__hash__"] = _record_hash
+    namespace.update(__qualname__=cls.__qualname__, __slots__=names,
+                     __getstate__=_slots_getstate, __setstate__=_slots_setstate,
+                     __setattr__=_frozen_setattr, __delattr__=_frozen_delattr,
+                     _record_fields=declared, _record_names=names,
+                     _record_values=_fields_getter(names))
+    built = type(cls)(cls.__name__, cls.__bases__, namespace)
+    built.__init__ = _make_init(built, declared)
+    return built
 
 
-@record(slots=True)
+@record
 class Quantity:
     """A money amount as a canonical-form rational number.
 

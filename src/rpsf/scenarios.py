@@ -69,7 +69,7 @@ class ParameterViolation(Exception):
     pass
 
 
-@record()
+@record
 class ParamSpec:
     """A catalogue parameter. ``check`` bounds a quantity: "positive",
     "nonnegative", or "" for no bound; an integer is a period in days and
@@ -81,7 +81,7 @@ class ParamSpec:
     check: str = ""
 
 
-@record()
+@record
 class ScenarioSpec:
     """A catalogue entry: name, classification, parameters and builder.
 
@@ -96,7 +96,7 @@ class ScenarioSpec:
     build: Callable[..., "ScenarioInstance"]
 
 
-@record()
+@record
 class ScenarioInstance:
     """A concrete initial world plus plans, ready for the engine."""
 
@@ -956,7 +956,7 @@ def instantiate(
 # scenario files
 # ---------------------------------------------------------------------------
 
-@record(slots=True)
+@record
 class _FileScenario:
     """One scenario as a scenario file holds it: the world's levels flattened
     next to the plans, plus the catalogue text of the entry."""

@@ -25,8 +25,8 @@ witness is built once, from the moves along its path. A state's candidate
 moves are built once per call and shared by every state with the same
 owner, used agents and depth. A witness is a sequence whose projection is
 equivalent to the target and whose good returns to its initial owner.
-Each witness is re-executed through the engine on first read of its
-progression. Exhaustion within the bound makes found=False a
+A witness is re-executed through the engine only when its result is asked
+to replay it. Exhaustion within the bound makes found=False a
 bound-relative non-existence certificate.
 
 Grounding (disclosed in SynthesisResult.grounding): trade prices come from
@@ -42,7 +42,7 @@ into their trade skeletons.
 
 from __future__ import annotations
 
-from functools import cached_property
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -74,7 +74,7 @@ ALL_AGENTS = "all"
 DESK_SCALE_LIMIT = 8
 
 
-@record(slots=True)
+@record
 class Flow:
     payer: str
     payee: str
@@ -209,13 +209,11 @@ def normalize_catalogue(names: Iterable[str]) -> frozenset[str]:
     return frozenset(out)
 
 
-@record()
+@record
 class Witness:
-    """A found sequence of trades. ``actions`` and ``progression`` are built
-    on first read, then kept."""
+    """A found sequence of trades."""
 
     trades: tuple[Action, ...]
-    world: WorldState = field(repr=False, compare=False)  # the search's opening world
 
     @property
     def pending(self) -> tuple[tuple[str, str, Quantity, int, str], ...]:
@@ -224,7 +222,7 @@ class Witness:
         return tuple((a.actor, a.counterparty, a.amount, a.due_date, a.contract_id)
                      for a in self.trades if a.kind is ActionKind.BUY_ON_CREDIT)
 
-    @cached_property
+    @property
     def actions(self) -> tuple[Action, ...]:
         """The trades, then one payment per settlement in due order."""
         return self.trades + tuple(
@@ -232,24 +230,28 @@ class Witness:
                    reason=Reason(contract_ids=(settle_id,)))
             for payer, payee, amount, _, settle_id in _due_order(self.pending))
 
-    @cached_property
-    def progression(self) -> Progression:
-        return _replay_witness(self.world, self.trades, self.pending)
-
     def to_dict(self) -> dict:
         return {"actions": [action_to_dict(a) for a in self.actions]}
 
 
-@record()
+@record
 class SynthesisResult:
+    """What a search found; ``world`` is its opening world, every witness's start."""
+
     witnesses: tuple[Witness, ...]
     explored: int
     bound: int
+    world: WorldState
     grounding: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def found(self) -> bool:
         return bool(self.witnesses)
+
+    def replay(self, index: int) -> Progression:
+        """Witness ``index`` re-executed through the engine from the opening world."""
+        witness = self.witnesses[index]
+        return _replay_witness(self.world, witness.trades, witness.pending)
 
 
 # What every state of one search shares is its frame, (scale, cells,
@@ -286,8 +288,8 @@ def synthesize(
     Each subproblem is searched once (the module docstring says what keys
     it), yet ``explored`` counts every node of the tree and the witnesses
     come out in depth-first order; no trial trade touches a
-    ``WorldState``. A witness's ``progression`` is replayed through ``run``
-    on its first read.
+    ``WorldState``, and no witness is replayed: ``result.replay(i)`` runs
+    witness ``i`` through ``run``.
     """
     if bound > DESK_SCALE_LIMIT:
         raise BoundExceeded(f"bound {bound} exceeds desk-scale limit {DESK_SCALE_LIMIT}")
@@ -425,9 +427,10 @@ def synthesize(
         "coordination_note": "flow-inert actions are folded into trade skeletons",
     }
     return SynthesisResult(
-        witnesses=tuple(Witness(trades, world0) for trades in _witness_paths(root)),
+        witnesses=tuple(map(Witness, _witness_paths(root))),
         explored=root[0],
         bound=bound,
+        world=world0,
         grounding=grounding,
     )
 
@@ -517,8 +520,8 @@ def witness_scenario(result: SynthesisResult, index: int) -> dict:
     the search's opening world, led by its first agent, with the least
     balances that keep the replay solvent."""
     witness = result.witnesses[index]
-    world0 = witness.world
-    accounts = {name: _required_endowment(name, witness.progression) for name in world0.agents}
+    world0 = result.world
+    accounts = _least_balances(world0.agents, monetary_projection(result.replay(index)))
     return instance_to_dict(ScenarioInstance(
         name=f"witness-{index}", params={}, world=replace(world0, accounts=accounts),
         plans=witness_plans(witness.trades, witness.pending),
@@ -526,22 +529,22 @@ def witness_scenario(result: SynthesisResult, index: int) -> dict:
         horizon=max([due for _, _, _, due, _ in witness.pending], default=0)))
 
 
-def _required_endowment(agent: str, progression: Progression) -> Quantity:
-    """Smallest opening balance that keeps the agent solvent along the trace.
+def _least_balances(agents: Iterable[str], trace: FlowTrace) -> dict[str, Quantity]:
+    """Each agent's smallest opening balance that keeps it solvent along a
+    canonical trace, in one walk of it.
 
     Within a day, outflows are counted before inflows: the replay order
     inside one date is not pinned down, so the bound must survive the
     worst one.
     """
-    balance = ZERO
-    worst = ZERO
-    flows = sorted(monetary_projection(progression),
-                   key=lambda f: (f.date, 0 if f.payer == agent else 1))
-    for flow in flows:
-        if flow.payer == agent:
-            balance = balance - flow.amount
-        elif flow.payee == agent:
-            balance = balance + flow.amount
-        if balance < worst:
-            worst = balance
-    return -worst
+    balance = dict.fromkeys(agents, ZERO)
+    worst = dict(balance)
+    for _, day in groupby(trace, key=attrgetter("date")):
+        day = list(day)
+        for flow in day:
+            balance[flow.payer] -= flow.amount
+        worst = {name: min(low, balance[name]) for name, low in worst.items()}
+        for flow in day:
+            if flow.payee != flow.payer:
+                balance[flow.payee] += flow.amount
+    return {name: -low for name, low in worst.items()}

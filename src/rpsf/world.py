@@ -76,13 +76,13 @@ class Role(str, Enum):
     COMPANY = "company"
 
 
-@record(slots=True)
+@record
 class Agent:
     name: str
     role: Role = Role.PERSON
 
 
-@record(slots=True)
+@record
 class Good:
     """A tradeable non-money asset.
 
@@ -102,7 +102,7 @@ class Good:
     is_money: bool = False
 
 
-@record(slots=True)
+@record
 class Reason:
     """Structured justification: free text plus references into the world.
 
@@ -162,7 +162,7 @@ class SigningMode(str, Enum):
     BOTH_PARTIES = "both-parties"
 
 
-@record(slots=True)
+@record
 class GoodSpec:
     """Payload of a prepare-good action."""
 
@@ -172,7 +172,7 @@ class GoodSpec:
     is_money: bool = False
 
 
-@record(slots=True)
+@record
 class ActionTemplate:
     """A pattern over actions; unset fields match anything.
 
@@ -211,22 +211,22 @@ class ActionTemplate:
 
 # triggers ------------------------------------------------------------------
 
-@record(slots=True)
+@record
 class Always:
     pass
 
 
-@record(slots=True)
+@record
 class AfterEvent:
     pattern: ActionTemplate
 
 
-@record(slots=True)
+@record
 class ByDate:
     day: int
 
 
-@record(slots=True)
+@record
 class ConditionMet:
     condition: "Condition"
 
@@ -236,25 +236,25 @@ Trigger = Always | AfterEvent | ByDate | ConditionMet
 
 # conditions over the ground state (serialisable, no lambdas) ----------------
 
-@record(slots=True)
+@record
 class ChoiceIs:
     name: str
     value: bool = True
 
 
-@record(slots=True)
+@record
 class BalanceAtLeast:
     agent: str
     amount: Quantity
 
 
-@record(slots=True)
+@record
 class OwnsGood:
     agent: str
     good_id: str
 
 
-@record(slots=True)
+@record
 class ContractInStage:
     contract_id: str
     stage: "Stage"
@@ -306,7 +306,7 @@ def stage_transition_allowed(current: Stage, target: Stage) -> bool:
     return target == current or target in _STAGE_NEXT[current]
 
 
-@record(slots=True)
+@record
 class Clause:
     """A conditional obligation inside a contract.
 
@@ -323,7 +323,7 @@ class Clause:
     deadline: Optional[int] = None
 
 
-@record(slots=True)
+@record
 class RepaymentTerms:
     """Declared repayment formula of a money-loan contract.
 
@@ -341,7 +341,7 @@ class RepaymentTerms:
         return self.principal - self.fixed_cost + self.rate * self.principal
 
 
-@record(slots=True)
+@record
 class ContractRecord:
     contract_id: str
     parties: frozenset[str]
@@ -357,7 +357,7 @@ class ContractRecord:
 # actions and events
 # ---------------------------------------------------------------------------
 
-@record(slots=True)
+@record
 class Action:
     """One agent action; parameter relevance depends on the kind.
 
@@ -394,7 +394,7 @@ class Action:
     good_spec: Optional[GoodSpec] = None
 
 
-@record(slots=True)
+@record
 class Event:
     seq: int
     date: int
@@ -409,7 +409,7 @@ HistoryLog = tuple[Event, ...]
 # world state
 # ---------------------------------------------------------------------------
 
-@record(slots=True)
+@record
 class WorldState:
     """Immutable snapshot of ground + contract + history levels.
 
@@ -684,6 +684,14 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
         )
         deltas.append(f"{action.good_id} prepared by {action.actor}")
 
+    # Every good and contract the action names is there now, made by it if not
+    # before, save a good that it asks for or whose preparation a conditional
+    # promise awaits. Checked last, so an action with another fault names that.
+    if (action.good_id is not None and action.good_id not in goods and kind
+            not in (ActionKind.REQUEST_PREPARE_GOOD, ActionKind.PROMISE_BUY_ON_CONDITION)):
+        raise UnknownReference(f"unknown good {action.good_id!r}")
+    if action.contract_id is not None and action.contract_id not in contracts:
+        raise UnknownReference(f"unknown contract {action.contract_id!r}")
     event = Event(seq=seq, date=date, action=action, delta="; ".join(deltas))
     return WorldState(
         agents=world.agents,
@@ -895,7 +903,7 @@ def replay(initial: WorldState, history: Iterable[Event]) -> WorldState:
 # field type, takes no key that the row does not name, and names the JSON
 # path of whatever does not fit.
 
-@record(slots=True)
+@record
 class _Row:
     keys: tuple[tuple[str, str], ...]  # (JSON key, field name) in output order
     omit: Mapping[str, object]  # field name -> the default while which it is left out

@@ -137,6 +137,19 @@ class TestRun:
         assert err == (f"error: scenarios[1].name: {name!r} names the built-in scenario "
                        f"{builtin!r}; a file scenario needs a name of its own\n")
 
+    def test_an_unknown_good_is_named(self, capsys, tmp_path):
+        # an inform naming a good no one has, then a pay naming another
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps({"scenarios": [{
+            "name": "s", "agents": [{"name": "X"}, {"name": "Y"}], "balances": {"X": "100"},
+            "plans": [{"agent": "X", "steps": [
+                {"do": {"kind": "inform", "actor": "X", "counterparty": "Y", "amount": "10",
+                        "good_id": "nothing"}},
+                {"do": {"kind": "pay", "actor": "X", "counterparty": "Y", "amount": "10",
+                        "good_id": "G"}}]}]}]}))
+        assert invoke(capsys, "run", "s", "--scenario-file", str(path)) == (
+            2, "", "error: UnknownReference: unknown good 'nothing'\n")
+
 
 class TestJudge:
     def test_halal_exit_zero(self, capsys):

@@ -14,7 +14,7 @@ KEPT = re.compile(r"#\s*noqa:\s*F401\b\s*\S")
 # the classes that may write their own JSON; every other record gets a codec
 # row and ``to_dict = value_to_dict``
 OWN_ENCODERS = {
-    "Witness": "writes its actions only; its opening world has no JSON form",
+    "Witness": "writes the actions derived from its trades, not the trades it holds",
 }
 
 
@@ -259,13 +259,13 @@ def test_the_gate_sees_a_key_before_the_actor_and_an_actor_left_out():
     from rpsf.money import fields, record
     from rpsf.world import _Row
 
-    @record(slots=True)
+    @record
     class Act:
         kind: str
         actor: str
         amount: int = 0
 
-    @record(slots=True)
+    @record
     class Anonymous:
         kind: str
         actor: str = ""

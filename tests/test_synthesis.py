@@ -210,16 +210,16 @@ class TestSynthesize:
         result = synthesize(
             target, ["spot-sale", "credit-sale", "prepare-good"],
             agents=("X", "Y", "Z"), bound=4, perspective=("X",))
-        for witness in result.witnesses:
-            assert equivalent(monetary_projection(witness.progression), target, ("X",))
+        for index in range(len(result.witnesses)):
+            assert equivalent(monetary_projection(result.replay(index)), target, ("X",))
 
     def test_goods_round_trip_in_every_witness(self):
         target = savings_target()
         result = synthesize(
             target, ["spot-sale", "credit-sale", "prepare-good"],
             agents=("X", "Y", "Z"), bound=4, perspective=("X",))
-        for witness in result.witnesses:
-            world = witness.progression.world
+        for index, witness in enumerate(result.witnesses):
+            world = result.replay(index).world
             prepared = {a.good_id: a.actor for a in witness.actions
                         if a.kind == ActionKind.PREPARE_GOOD}
             for gid, owner in prepared.items():
@@ -237,9 +237,8 @@ class TestSynthesize:
         # the same-item sale-repurchase shape: spot out, credit back
         assert (ActionKind.PREPARE_GOOD, ActionKind.SPOT_SALE,
                 ActionKind.BUY_ON_CREDIT) in shapes
-        for witness in result.witnesses:
-            assert equivalent(monetary_projection(witness.progression), target,
-                              ALL_AGENTS)
+        for index in range(len(result.witnesses)):
+            assert equivalent(monetary_projection(result.replay(index)), target, ALL_AGENTS)
 
     @pytest.mark.parametrize("perspective", [("W",), ("X", "W"), "W", ("X", "W", "V")])
     def test_unknown_perspective_agent_rejected(self, perspective):
@@ -310,8 +309,8 @@ class TestSynthesize:
 
 
 class TestLazyReplay:
-    def test_witnesses_replay_only_when_read(self, monkeypatch):
-        target = savings_target()
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = {"run": 0, "replay": 0}
 
         def counted(name, fn):
@@ -323,16 +322,66 @@ class TestLazyReplay:
         monkeypatch.setattr(synthesis, "run", counted("run", synthesis.run))
         monkeypatch.setattr(synthesis, "_replay_witness",
                             counted("replay", synthesis._replay_witness))
-        result = synthesize(target, ["spot-sale", "credit-sale", "prepare-good"],
-                            agents=("X", "Y", "Z"), bound=4, perspective=("X",))
+        return calls
+
+    def search(self):
+        return synthesize(savings_target(), ["spot-sale", "credit-sale", "prepare-good"],
+                          agents=("X", "Y", "Z"), bound=4, perspective=("X",))
+
+    def test_synthesize_replays_nothing(self, calls):
+        result = self.search()
         assert len(result.witnesses) == 14
+        assert all(w.actions for w in result.witnesses)
         assert calls == {"run": 0, "replay": 0}
-        witness = result.witnesses[3]
-        first = witness.progression
+
+    def test_each_replay_runs_the_witness_once(self, calls):
+        result = self.search()
+        first = result.replay(3)
         assert calls == {"run": 1, "replay": 1}
-        assert witness.progression is first
-        assert calls == {"run": 1, "replay": 1}
-        assert equivalent(monetary_projection(first), target, ("X",))
+        assert equivalent(monetary_projection(first), savings_target(), ("X",))
+        assert result.replay(3).key() == first.key()
+        assert calls == {"run": 2, "replay": 2}
+
+    def test_witness_scenario_replays_once(self, calls):
+        result = self.search()
+        for index in range(len(result.witnesses)):
+            witness_scenario(result, index)
+            assert calls == {"run": index + 1, "replay": index + 1}
+
+
+class TestLeastBalances:
+    @staticmethod
+    def required_endowment(agent, trace):
+        """The per-agent oracle: sort the trace with the agent's outflows
+        first within each day, then walk it for the lowest balance."""
+        balance = worst = Quantity(0)
+        for flow in sorted(trace, key=lambda f: (f.date, 0 if f.payer == agent else 1)):
+            if flow.payer == agent:
+                balance = balance - flow.amount
+            elif flow.payee == agent:
+                balance = balance + flow.amount
+            if balance < worst:
+                worst = balance
+        return -worst
+
+    def test_every_witness_of_a_search_matches_the_oracle(self):
+        result = synthesize(savings_target(), ["spot-sale", "credit-sale", "prepare-good"],
+                            agents=("X", "Y", "Z"), bound=5, perspective=("X",))
+        assert result.witnesses
+        for index in range(len(result.witnesses)):
+            trace = monetary_projection(result.replay(index))
+            assert synthesis._least_balances("XYZ", trace) == {
+                agent: self.required_endowment(agent, trace) for agent in "XYZ"}
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_traces_match_the_oracle(self, seed):
+        rng = random.Random(seed)
+        agents = "ABCD"
+        trace = canonical(Flow(rng.choice(agents), rng.choice(agents),
+                               q(rng.randint(1, 30), rng.choice((1, 2, 3))), rng.randint(0, 4))
+                          for _ in range(rng.randint(0, 12)))
+        assert synthesis._least_balances(agents, trace) == {
+            agent: self.required_endowment(agent, trace) for agent in agents}
 
 
 class TestSearchWork:

@@ -70,6 +70,19 @@ FILES = {
         "plans": [{"agent": "X", "steps": [{"do": {
             "kind": "spot-sale", "actor": "X", "counterparty": "Y", "amount": "10",
             "good_id": "G", "due_date": 5}}]}]}]},
+    # an inform that names a good no one has, then a pay that names another
+    "unknown_good": {"scenarios": [{
+        "name": "unknown_good", "agents": _TWO, "balances": {"X": "100"},
+        "plans": [{"agent": "X", "steps": [
+            {"do": {"kind": "inform", "actor": "X", "counterparty": "Y", "amount": "10",
+                    "good_id": "nothing"}},
+            {"do": {"kind": "pay", "actor": "X", "counterparty": "Y", "amount": "10",
+                    "good_id": "G"}}]}]}]},
+    "unknown_contract": {"scenarios": [{
+        "name": "unknown_contract", "agents": _TWO, "balances": {"X": "100"},
+        "plans": [{"agent": "X", "steps": [
+            {"do": {"kind": "pay", "actor": "X", "counterparty": "Y", "amount": "10",
+                    "contract_id": "nowhere"}}]}]}]},
     "waits_on_pay": _blocked("waits_on_pay", {"after_event": {
         "kind": "pay", "actor": "Y", "amount": "1/3", "contract_id": "c"}}),
     "waits_on_balance": _blocked("waits_on_balance", {"condition": {
@@ -260,6 +273,8 @@ def _corpus() -> dict[str, tuple[tuple[str, ...], dict[str, str]]]:
         add("run", "bad", "--scenario-file", f"@{name}")
     add("run", "steal", "--scenario-file", "@steal")
     add("run", "deferred", "--scenario-file", "@deferred")
+    for name in ("unknown_good", "unknown_contract"):
+        add("run", name, "--scenario-file", f"@{name}")
     for name in ("waits_on_pay", "waits_on_balance", "waits_on_stage"):
         for command in ("run", "judge"):
             add(command, name, "--scenario-file", f"@{name}")

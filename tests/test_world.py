@@ -195,6 +195,68 @@ class TestNeeds:
             assert str(exc.value) == f"{kind} does not take {name}"
 
 
+# the kinds that may name a good no one has after their event: a request to
+# make it, and a promise that waits for its preparation
+AWAIT_GOOD = "request-prepare-good promise-buy-on-condition"
+# the kinds that make the contract they name
+MAKE_CONTRACT = ("promise-pay promise-accept-payment promise-buy-on-condition buy-on-credit "
+                 "promise-insurance-payout promise-manage-funds prepare-contract")
+
+
+class TestReferences:
+    @pytest.fixture
+    def desk(self):
+        # X owns G and Y owns H; X and Y have prepared contract c
+        world = make_world(agents=[Agent("X"), Agent("Y")],
+                           balances={"X": q(100), "Y": q(100)},
+                           goods=[Good("G", "asset", "X", q(1)), Good("H", "asset", "Y", q(1))])
+        return apply_event(world, Action(ActionKind.PREPARE_CONTRACT, "Y", counterparty="X",
+                                         contract_id="c"), 0)
+
+    @staticmethod
+    def action(kind, **changes):
+        """An action of ``kind`` that ``desk`` takes, with ``changes``: it
+        buys H, prepares N, and otherwise names G and c."""
+        good = {"buy-on-credit": "H", "prepare-good": "N", "request-prepare-good": "N"}
+        values = {**FIELDS, "good_id": good.get(kind, "G"),
+                  "contract_id": "d" if kind == "prepare-contract" else "c"}
+        names = {*NEEDS[kind].split(), *changes}
+        return Action(kind=ActionKind(kind), actor="X",
+                      **{n: changes.get(n, values[n]) for n in names})
+
+    @pytest.mark.parametrize("kind", NEEDS)
+    def test_each_kind_is_taken_as_it_stands(self, desk, kind):
+        assert len(apply_event(desk, self.action(kind), 1).history) == 2
+
+    @pytest.mark.parametrize("kind", NEEDS)
+    def test_an_unknown_good_is_rejected_unless_the_kind_makes_or_awaits_it(self, desk, kind):
+        action = self.action(kind, good_id="nothing")
+        if kind in AWAIT_GOOD.split():
+            assert "nothing" not in apply_event(desk, action, 1).goods
+        elif kind == "prepare-good":
+            assert apply_event(desk, action, 1).goods["nothing"].owner == "X"
+        else:
+            with pytest.raises(UnknownReference) as exc:
+                apply_event(desk, action, 1)
+            assert str(exc.value) == "unknown good 'nothing'"
+
+    @pytest.mark.parametrize("kind", NEEDS)
+    def test_an_unknown_contract_is_rejected_unless_the_kind_makes_it(self, desk, kind):
+        action = self.action(kind, contract_id="nowhere")
+        if kind in MAKE_CONTRACT.split():
+            assert "nowhere" in apply_event(desk, action, 1).contracts
+        else:
+            with pytest.raises(UnknownReference) as exc:
+                apply_event(desk, action, 1)
+            assert str(exc.value) == "unknown contract 'nowhere'"
+
+    def test_another_fault_is_reported_first(self, two_agents):
+        # X holds nothing: the payment fails before its unknown good is named
+        action = Action(ActionKind.PAY, "X", counterparty="Y", amount=q(1), good_id="nothing")
+        with pytest.raises(InsufficientFunds):
+            apply_event(two_agents, action, 0)
+
+
 class TestSales:
     @pytest.fixture
     def market(self):
