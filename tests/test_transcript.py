@@ -21,8 +21,9 @@ from pathlib import Path
 import pytest
 
 from rpsf.cli import POSITION_NAMES, main
+from rpsf.money import fields
 from rpsf.scenarios import scenario_names
-from rpsf.world import _NEEDS, _READ_BY
+from rpsf.world import _NEEDS, Action
 
 PINS = Path(__file__).with_name("transcript_pins.json")
 FORMATS = ("text", "json")
@@ -130,11 +131,19 @@ BAD_FILES = [
 ]
 FILES.update({f"bad_{i}": document for i, document in enumerate(BAD_FILES)})
 
-# a value for each field an action kind may need or read; the good is one
-# that the actor owns (H: that the counterparty owns, N: that is not yet made)
+# a value other than its default for each optional action field; the good is
+# one that the actor owns (H: that the counterparty owns, N: that is not yet made)
 _VALUES = {"counterparty": "Y", "amount": "10", "down_payment": "1", "due_date": 5,
-           "good_id": "G", "contract_id": "c",
+           "good_id": "G", "contract_id": "c", "reason": {"text": "why"},
+           "channel": "mail", "message": "hello", "tags": ["coercion"],
+           "signing": "initiator-only", "trigger": {"always": True}, "on_credit": True,
+           "parties": ["X", "Y"],
+           "clauses": [{"obliged_party": "X", "obliged_action": {
+               "kind": "pay", "actor": "X", "counterparty": "Y", "amount": "1"}}],
+           "references": ["c"], "terms": {"principal": "10", "rate": "1/10"},
            "good_spec": {"kind": "asset", "market_value": "10"}}
+_OPTIONAL = [f.name for f in fields(Action) if f.has_default]
+assert set(_OPTIONAL) == set(_VALUES)
 _GOOD_ID = {"buy-on-credit": "H", "prepare-good": "N", "request-prepare-good": "N"}
 # steps a kind's action needs before it: a contract to sign
 _BEFORE = {"sign-contract": [{"do": {"kind": "prepare-contract", "actor": "X",
@@ -153,9 +162,9 @@ def _kind_file(name: str, kind: str, fields: dict) -> dict:
 
 def _kind_files() -> dict[str, dict]:
     """Per action kind: one action with the fields its kind needs, then that
-    action with each needed field dropped (``kind-field``), with each field
-    that only some kinds read added (``kind+field``), and with a negative
-    amount and down payment (``kind+-field``)."""
+    action with each needed field dropped (``kind-field``), with each other
+    optional field added (``kind+field``), and with a negative amount and
+    down payment (``kind+-field``)."""
     out = {}
     for action_kind, needs in _NEEDS.items():
         kind = action_kind.value
@@ -164,7 +173,7 @@ def _kind_files() -> dict[str, dict]:
         variants = {kind: valid}
         for name in needs:
             variants[f"{kind}-{name}"] = {k: v for k, v in valid.items() if k != name}
-        for name in _READ_BY:
+        for name in _OPTIONAL:
             if name not in needs:
                 variants[f"{kind}+{name}"] = {**valid, name: _VALUES[name]}
         for name in ("amount", "down_payment"):
