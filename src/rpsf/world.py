@@ -511,42 +511,47 @@ CASH_LEGS: dict[ActionKind, Callable[[Action], tuple]] = {
     ActionKind.BUY_ON_CREDIT: attrgetter("actor", "counterparty", "down_payment"),
 }
 
-# What an action of each kind must carry besides its actor, in the order
-# ``_need`` checks it. A kind with no branch in ``apply_event`` only logs its
-# event: exchanging denominations swaps equal totals, so moves no net cash.
-_NEEDS: dict[ActionKind, tuple[str, ...]] = {
-    ActionKind.PROMISE_PAY: ("counterparty", "amount"),
-    ActionKind.PROMISE_ACCEPT_PAYMENT: ("counterparty", "amount"),
-    ActionKind.PAY: ("counterparty", "amount"),
-    ActionKind.RECEIVE_PAYMENT: ("counterparty", "amount"),
-    ActionKind.ACKNOWLEDGE_RECEIPT: (),  # broadcast to every agent involved
-    ActionKind.PROMISE_BUY_ON_CONDITION: ("counterparty", "amount", "good_id"),
-    ActionKind.BUY_ON_CREDIT: ("counterparty", "amount", "due_date", "good_id"),
-    ActionKind.ASSERT_EXPECTATION: ("counterparty",),
-    ActionKind.JUSTIFY_ENTITLEMENT: ("counterparty",),
-    ActionKind.PROMISE_INSURANCE_PAYOUT: ("counterparty", "amount", "down_payment"),
-    ActionKind.PROMISE_MANAGE_FUNDS: ("counterparty", "amount"),
-    ActionKind.EXCHANGE_DENOMINATIONS: ("counterparty", "amount"),
-    ActionKind.SPOT_SALE: ("counterparty", "amount", "good_id"),
-    ActionKind.INFORM: ("counterparty",),
-    ActionKind.SIGN_CONTRACT: ("contract_id",),
-    ActionKind.PREPARE_CONTRACT: ("contract_id",),
-    ActionKind.PREPARE_GOOD: ("good_id", "good_spec"),
-    ActionKind.REQUEST_PREPARE_GOOD: ("counterparty", "good_id"),
+# What an action of each kind carries besides its actor: the fields it needs,
+# in the order ``_need`` checks them, and the optional fields it takes. Every
+# kind also takes the event's metadata, and no other field off its default.
+# A kind with no branch in ``apply_event`` only logs its event: exchanging
+# denominations swaps equal totals, so moves no net cash.
+_PROMISED = ("due_date", "contract_id", "signing", "terms")  # due date: the clause's deadline
+_FIELDS: dict[ActionKind, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    ActionKind.PROMISE_PAY: (("counterparty", "amount"), _PROMISED),
+    ActionKind.PROMISE_ACCEPT_PAYMENT: (("counterparty", "amount"), _PROMISED),
+    ActionKind.PAY: (("counterparty", "amount"), ()),
+    ActionKind.RECEIVE_PAYMENT: (("counterparty", "amount"), ()),
+    ActionKind.ACKNOWLEDGE_RECEIPT: ((), ("counterparty", "amount")),  # to all involved
+    ActionKind.PROMISE_BUY_ON_CONDITION: (("counterparty", "amount", "good_id"),
+                                          _PROMISED + ("on_credit", "trigger")),
+    ActionKind.BUY_ON_CREDIT: (("counterparty", "amount", "due_date", "good_id"),
+                               ("down_payment", "contract_id")),
+    ActionKind.ASSERT_EXPECTATION: (("counterparty",), ("amount",)),
+    ActionKind.JUSTIFY_ENTITLEMENT: (("counterparty",), ("amount",)),
+    ActionKind.PROMISE_INSURANCE_PAYOUT: (("counterparty", "amount", "down_payment"), _PROMISED),
+    ActionKind.PROMISE_MANAGE_FUNDS: (("counterparty", "amount"), _PROMISED),
+    ActionKind.EXCHANGE_DENOMINATIONS: (("counterparty", "amount"), ()),
+    ActionKind.SPOT_SALE: (("counterparty", "amount", "good_id"), ()),
+    ActionKind.INFORM: (("counterparty",), ()),
+    ActionKind.SIGN_CONTRACT: (("contract_id",), ()),
+    ActionKind.PREPARE_CONTRACT: (("contract_id",),
+                                  ("counterparty", "parties", "clauses", "references", "terms")),
+    ActionKind.PREPARE_GOOD: (("good_id", "good_spec"), ()),
+    ActionKind.REQUEST_PREPARE_GOOD: (("counterparty", "good_id"), ()),
 }
 
-# The fields that only some kinds read, each with those kinds; ``_need``
-# rejects an action of any other kind that carries one, since it would be
-# ignored. A promise's due date is its clause's deadline.
-_READ_BY: dict[str, frozenset[ActionKind]] = {
-    "due_date": PROMISE_KINDS | {ActionKind.BUY_ON_CREDIT},
-    "down_payment": frozenset({ActionKind.BUY_ON_CREDIT, ActionKind.PROMISE_INSURANCE_PAYOUT}),
-    "good_spec": frozenset({ActionKind.PREPARE_GOOD}),
-}
-_UNREAD: dict[ActionKind, tuple[str, ...]] = {
-    kind: tuple(name for name, readers in _READ_BY.items() if kind not in readers)
-    for kind in ActionKind
-}
+
+def _check(needs: tuple[str, ...], takes: tuple[str, ...]) -> tuple:
+    """What ``_need`` checks of a kind: its needs, then the getter, the
+    defaults and the names of the fields that it does not take."""
+    taken = {"reason", "channel", "message", "tags", *needs, *takes}  # the metadata too
+    untaken = [f for f in fields(Action) if f.has_default and f.name not in taken]
+    names = tuple(f.name for f in untaken)
+    return needs, attrgetter(*names), tuple(f.default for f in untaken), names
+
+
+_CHECKS = {kind: _check(needs, takes) for kind, (needs, takes) in _FIELDS.items()}
 
 
 def net_cells(rows: Sequence[tuple[str, str, Quantity, int]]) -> tuple[int, dict[str, dict[int, int]]]:
@@ -575,8 +580,8 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
     """
     if date < world.clock:
         raise ValidationError(f"event date {date} precedes world clock {world.clock}")
-    _validate_common(world, action)
     _need(action)
+    _validate_common(world, action)
 
     accounts = dict(world.accounts)
     goods = dict(world.goods)
@@ -630,8 +635,7 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
         # the settlement: a promise to pay the rest by the due date, signed by both, no terms
         add_contract(promise_to_contract(replace(
             action, kind=ActionKind.PROMISE_PAY, amount=action.amount - down, down_payment=None,
-            terms=None, signing=SigningMode.BOTH_PARTIES,
-            contract_id=action.contract_id or seq_named_contract(action, seq))))
+            good_id=None, contract_id=action.contract_id or seq_named_contract(action, seq))))
     elif kind in PROMISE_KINDS:
         add_contract(promise_to_contract(
             replace(action, contract_id=action.contract_id or seq_named_contract(action, seq))))
@@ -684,14 +688,6 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
         )
         deltas.append(f"{action.good_id} prepared by {action.actor}")
 
-    # Every good and contract the action names is there now, made by it if not
-    # before, save a good that it asks for or whose preparation a conditional
-    # promise awaits. Checked last, so an action with another fault names that.
-    if (action.good_id is not None and action.good_id not in goods and kind
-            not in (ActionKind.REQUEST_PREPARE_GOOD, ActionKind.PROMISE_BUY_ON_CONDITION)):
-        raise UnknownReference(f"unknown good {action.good_id!r}")
-    if action.contract_id is not None and action.contract_id not in contracts:
-        raise UnknownReference(f"unknown contract {action.contract_id!r}")
     event = Event(seq=seq, date=date, action=action, delta="; ".join(deltas))
     return WorldState(
         agents=world.agents,
@@ -722,16 +718,19 @@ def seq_named_contract(action: Action, seq: int) -> Optional[str]:
 
 
 def _need(action: Action) -> None:
-    """Check that the action carries its kind's ``_NEEDS``, no field that its
-    kind never reads (``_READ_BY``) and no negative sum."""
-    for name in _NEEDS[action.kind]:
+    """Check that the action carries the fields its kind needs, none that its
+    kind does not take (``_FIELDS``) and no negative sum."""
+    kind = action.kind
+    needs, getter, defaults, names = _CHECKS[kind]
+    for name in needs:
         if getattr(action, name) is None:
-            raise ValidationError(f"{action.kind.value} requires {name}")
-    for name in _UNREAD[action.kind]:
-        if getattr(action, name) is not None:
-            raise ValidationError(f"{action.kind.value} does not take {name}")
-    amount, down = action.amount, action.down_payment
-    if amount is not None and amount < ZERO or down is not None and down < ZERO:
+            raise ValidationError(f"{kind.value} requires {name}")
+    values = getter(action)
+    if values != defaults:
+        name = next(n for n, v, d in zip(names, values, defaults) if v != d)
+        raise ValidationError(f"{kind.value} does not take {name}")
+    amount, down = action.amount, action.down_payment  # canonical: the sign is num's
+    if amount is not None and amount.num < 0 or down is not None and down.num < 0:
         raise ValidationError("sums must be nonnegative")
 
 

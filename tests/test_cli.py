@@ -137,18 +137,22 @@ class TestRun:
         assert err == (f"error: scenarios[1].name: {name!r} names the built-in scenario "
                        f"{builtin!r}; a file scenario needs a name of its own\n")
 
-    def test_an_unknown_good_is_named(self, capsys, tmp_path):
-        # an inform naming a good no one has, then a pay naming another
-        path = tmp_path / "unknown.json"
+    @pytest.mark.parametrize("inform,message", [
+        ({"amount": "10"}, "inform does not take amount"),
+        ({}, "pay does not take signing"),
+    ])
+    def test_a_field_its_kind_does_not_take_is_named(self, capsys, tmp_path, inform, message):
+        # an inform, then a pay carrying four fields a payment does not take
+        path = tmp_path / "untaken.json"
         path.write_text(json.dumps({"scenarios": [{
             "name": "s", "agents": [{"name": "X"}, {"name": "Y"}], "balances": {"X": "100"},
             "plans": [{"agent": "X", "steps": [
-                {"do": {"kind": "inform", "actor": "X", "counterparty": "Y", "amount": "10",
-                        "good_id": "nothing"}},
+                {"do": {"kind": "inform", "actor": "X", "counterparty": "Y", **inform}},
                 {"do": {"kind": "pay", "actor": "X", "counterparty": "Y", "amount": "10",
-                        "good_id": "G"}}]}]}]}))
+                        "signing": "initiator-only", "trigger": {"always": True},
+                        "on_credit": True, "terms": {"principal": "10", "rate": "1/10"}}}]}]}]}))
         assert invoke(capsys, "run", "s", "--scenario-file", str(path)) == (
-            2, "", "error: UnknownReference: unknown good 'nothing'\n")
+            2, "", f"error: ValidationError: {message}\n")
 
 
 class TestJudge:

@@ -211,6 +211,23 @@ REPLACEMENTS = (DROP, UNKNOWN, None, True, False, 0, -1, 1.5, "", "x", "30", "1/
                 {"a": 1})
 COMMANDS = (("run", "loan"), ("run", "opened", "--format", "json"),
             ("judge", "ina", "--position", "P"), ("list-scenarios",))
+# a value for each optional action field, to set on a ``do`` step's action
+DO_PATHS = [path for path in PATHS if path[-1] == "do"]
+ACTION_FIELDS = {
+    "counterparty": "X", "amount": "1", "down_payment": "1", "due_date": 5, "good_id": "G",
+    "contract_id": "c", "reason": {"text": "why"}, "channel": "mail", "message": "hi",
+    "tags": ["coercion"], "signing": "initiator-only", "trigger": {"always": True},
+    "on_credit": True, "parties": ["X"],
+    "clauses": [{"obliged_party": "X", "obliged_action": {"kind": "pay"}}],
+    "references": ["c"], "terms": {"principal": "10", "rate": "1/10"},
+    "good_spec": {"kind": "asset"}}
+MUTATIONS = st.one_of(st.tuples(st.sampled_from(PATHS), st.sampled_from(REPLACEMENTS)),
+                      st.tuples(st.sampled_from(DO_PATHS), st.sampled_from(list(ACTION_FIELDS))))
+
+
+def test_every_optional_action_field_is_set_on_some_mutated_step():
+    assert DO_PATHS
+    assert list(ACTION_FIELDS) == [f.name for f in fields(Action) if f.has_default]
 
 
 @pytest.fixture(scope="module")
@@ -218,9 +235,7 @@ def scenario_path(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated") / "scenarios.json"
 
 
-@given(st.lists(st.tuples(st.sampled_from(PATHS), st.sampled_from(REPLACEMENTS)),
-                min_size=1, max_size=3),
-       st.sampled_from(COMMANDS))
+@given(st.lists(MUTATIONS, min_size=1, max_size=3), st.sampled_from(COMMANDS))
 def test_mutated_scenario_file_exits_with_a_documented_code(scenario_path, mutations, command):
     document = copy.deepcopy(VALID)
     for path, replacement in mutations:
@@ -231,7 +246,10 @@ def test_mutated_scenario_file_exits_with_a_documented_code(scenario_path, mutat
             parent[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed this path
-        if replacement is DROP:
+        if isinstance(replacement, str) and replacement in ACTION_FIELDS:  # a field's name
+            if isinstance(parent["do"], dict):
+                parent["do"][replacement] = copy.deepcopy(ACTION_FIELDS[replacement])
+        elif replacement is DROP:
             del parent[path[-1]]
         elif replacement is UNKNOWN:
             if isinstance(parent, dict):

@@ -337,18 +337,25 @@ def test_the_gate_sees_an_unread_parameter():
 
 
 def ad_hoc_needs(text: str) -> list[str]:
-    """Every ``if action.<field> is None:`` or ``if promise.<field> is None:``
-    whose body raises ``ValidationError``, outside ``_need``: what an action
-    of each kind must carry is stated once, in ``world._NEEDS``."""
+    """Every ``if`` outside ``_need`` whose body raises ``ValidationError``
+    and whose test asks whether a field of ``action`` or ``promise`` is None,
+    is not None or differs from a value (``action.due_date is not None``,
+    ``promise.signing != mode``): what an action of each kind needs and takes
+    is stated once, in ``world._FIELDS``."""
     found = []
 
-    def missing_field(test: ast.AST) -> bool:
-        return (isinstance(test, ast.Compare) and len(test.ops) == 1
-                and isinstance(test.ops[0], ast.Is)
-                and isinstance(test.left, ast.Attribute)
-                and getattr(test.left.value, "id", None) in ("action", "promise")
-                and isinstance(test.comparators[0], ast.Constant)
-                and test.comparators[0].value is None)
+    def action_field(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) in ("action", "promise"))
+
+    def tests_a_field(test: ast.AST) -> bool:
+        if not (isinstance(test, ast.Compare) and len(test.ops) == 1):
+            return False
+        op, right = test.ops[0], test.comparators[0]
+        if isinstance(op, ast.NotEq):
+            return action_field(test.left) or action_field(right)
+        return (isinstance(op, (ast.Is, ast.IsNot)) and action_field(test.left)
+                and isinstance(right, ast.Constant) and right.value is None)
 
     def raises_validation(body: list[ast.stmt]) -> bool:
         return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
@@ -358,7 +365,7 @@ def ad_hoc_needs(text: str) -> list[str]:
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.If) and owner != "_need" and missing_field(child.test)
+            if (isinstance(child, ast.If) and owner != "_need" and tests_a_field(child.test)
                     and raises_validation(child.body)):
                 found.append(f"line {child.lineno}: {ast.unparse(child.test)}")
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -387,11 +394,25 @@ def test_the_gate_sees_an_ad_hoc_need():
             "        raise ValidationError('no stage')\n"
             "    if action.channel is None:\n"
             "        return\n"
+            "    if promise.signing != SigningMode.BOTH_PARTIES:\n"
+            "        raise ValidationError('signed by one')\n"
+            "    if 0 != action.amount:\n"
+            "        raise ValidationError('not free')\n"
+            "    if action.due_date < date:\n"
+            "        raise ValidationError('too early')\n"
+            "    if record.stage != Stage.ACTIVE:\n"
+            "        raise ValidationError('not active')\n"
+            "    if action.parties != ():\n"
+            "        raise StageViolation('has parties')\n"
             "def _need(action):\n"
             "    if action.amount is None:\n"
-            "        raise ValidationError('needs an amount')\n")
+            "        raise ValidationError('needs an amount')\n"
+            "    if action.trigger is not None:\n"
+            "        raise ValidationError('has a trigger')\n")
     assert ad_hoc_needs(text) == [
-        "line 2: action.good_id is None", "line 4: promise.amount is None"]
+        "line 2: action.good_id is None", "line 4: promise.amount is None",
+        "line 7: action.due_date is not None",
+        "line 15: promise.signing != SigningMode.BOTH_PARTIES", "line 17: 0 != action.amount"]
 
 
 def _owned_nodes(text: str):

@@ -23,7 +23,7 @@ import pytest
 from rpsf.cli import POSITION_NAMES, main
 from rpsf.money import fields
 from rpsf.scenarios import scenario_names
-from rpsf.world import _NEEDS, Action
+from rpsf.world import _FIELDS, Action
 
 PINS = Path(__file__).with_name("transcript_pins.json")
 FORMATS = ("text", "json")
@@ -166,7 +166,7 @@ def _kind_files() -> dict[str, dict]:
     optional field added (``kind+field``), and with a negative amount and
     down payment (``kind+-field``)."""
     out = {}
-    for action_kind, needs in _NEEDS.items():
+    for action_kind, (needs, _) in _FIELDS.items():
         kind = action_kind.value
         valid = {name: _GOOD_ID.get(kind, "G") if name == "good_id" else _VALUES[name]
                  for name in needs}

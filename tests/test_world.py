@@ -1,13 +1,14 @@
 """World state: action application, contracts, honouring, replay, invariants."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from rpsf.money import Quantity, ZERO, replace
+from rpsf.money import Quantity, ZERO, fields, replace
 from rpsf.world import (
-    _NEEDS,
-    _need,
+    _FIELDS,
     Action,
     ActionKind,
     ActionTemplate,
@@ -17,6 +18,7 @@ from rpsf.world import (
     ByDate,
     Clause,
     ContractRecord,
+    EthicalTag,
     Good,
     GoodSpec,
     InsufficientFunds,
@@ -30,6 +32,7 @@ from rpsf.world import (
     StageViolation,
     UnknownReference,
     ValidationError,
+    WorldError,
     apply_event,
     honour_status,
     make_world,
@@ -144,117 +147,145 @@ NEEDS = {
     "request-prepare-good": "counterparty good_id",
 }
 
-
-# the kinds that read each field that only some kinds read
-READ_BY = {
-    "due_date": "promise-pay promise-accept-payment promise-buy-on-condition buy-on-credit "
-                "promise-insurance-payout promise-manage-funds",
-    "down_payment": "buy-on-credit promise-insurance-payout",
-    "good_spec": "prepare-good",
+# the optional fields each kind takes besides its needs and the metadata
+# every kind takes; a promise's due date is its clause's deadline
+PROMISED = "due_date contract_id signing terms"
+TAKES = {
+    "promise-pay": PROMISED,
+    "promise-accept-payment": PROMISED,
+    "pay": "",
+    "receive-payment": "",
+    "acknowledge-receipt": "counterparty amount",
+    "promise-buy-on-condition": PROMISED + " on_credit trigger",
+    "buy-on-credit": "down_payment contract_id",
+    "assert-expectation": "amount",
+    "justify-entitlement": "amount",
+    "promise-insurance-payout": PROMISED,
+    "promise-manage-funds": PROMISED,
+    "exchange-denominations": "",
+    "spot-sale": "",
+    "inform": "",
+    "sign-contract": "",
+    "prepare-contract": "counterparty parties clauses references terms",
+    "prepare-good": "",
+    "request-prepare-good": "",
 }
+METADATA = "reason channel message tags"
 
-# a value for every field that some kind needs or reads
+# a value other than its default for every optional field
 FIELDS = dict(counterparty="Y", amount=q(1), down_payment=q(1), due_date=5, good_id="G",
-              contract_id="c", good_spec=GoodSpec("gold", q(1)))
+              contract_id="c", reason=Reason(text="why"), channel="mail", message="hello",
+              tags=frozenset({EthicalTag.COERCION}), signing=SigningMode.INITIATOR_ONLY,
+              trigger=ByDate(1), on_credit=True, parties=("X", "Y"),
+              clauses=(Clause("X", ActionTemplate(kind=ActionKind.PAY)),), references=("c",),
+              terms=RepaymentTerms(principal=q(10), rate=q(1, 10)),
+              good_spec=GoodSpec("gold", q(1)))
+
+
+@pytest.fixture
+def desk():
+    # X owns G and Y owns H; X and Y have prepared contract c
+    world = make_world(agents=[Agent("X"), Agent("Y")], balances={"X": q(100), "Y": q(100)},
+                       goods=[Good("G", "asset", "X", q(1)), Good("H", "asset", "Y", q(1))])
+    return apply_event(world, Action(ActionKind.PREPARE_CONTRACT, "Y", counterparty="X",
+                                     contract_id="c"), 0)
+
+
+def desk_action(kind, *extra, **changes):
+    """An action of ``kind`` with the fields it needs and the ``extra`` ones,
+    then ``changes``, that ``desk`` takes: it buys H, prepares N, names a new
+    contract d where it makes one, and otherwise names G and c."""
+    makes = kind in PROMISE_KINDS or kind in ("buy-on-credit", "prepare-contract")
+    good = {"buy-on-credit": "H", "prepare-good": "N", "request-prepare-good": "N"}
+    values = {**FIELDS, "good_id": good.get(kind, "G"), "contract_id": "d" if makes else "c"}
+    names = {*NEEDS[kind].split(), *extra, *changes}
+    return Action(kind=ActionKind(kind), actor="X",
+                  **{n: changes.get(n, values[n]) for n in names})
+
+
+def rejections(world, action):
+    """What ``apply_event`` and, for a promise, ``promise_to_contract`` raise."""
+    calls = [lambda: apply_event(world, action, 1)]
+    if action.kind in PROMISE_KINDS:
+        calls.append(lambda: promise_to_contract(action))
+    for call in calls:
+        with pytest.raises(WorldError) as exc:
+            call()
+        yield exc.value
 
 
 class TestNeeds:
     def test_the_table_has_one_entry_per_kind(self):
-        assert set(_NEEDS) == set(ActionKind)
-        assert {kind.value: " ".join(names) for kind, names in _NEEDS.items()} == NEEDS
+        assert list(_FIELDS) == list(ActionKind)
+        assert {kind.value: (" ".join(needs), " ".join(takes))
+                for kind, (needs, takes) in _FIELDS.items()} == {
+            kind: (NEEDS[kind], TAKES[kind]) for kind in NEEDS}
+
+    def test_the_readme_states_the_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \| (.*) \|$", readme, re.M)
+        assert [(kind, re.findall(r"`(\w+)`", needs), re.findall(r"`(\w+)`", takes))
+                for kind, needs, takes in rows] == [
+            (kind.value, list(needs), list(takes)) for kind, (needs, takes) in _FIELDS.items()]
+
+    def test_every_optional_field_has_a_test_value(self):
+        assert list(FIELDS) == [f.name for f in fields(Action) if f.has_default]
 
     @pytest.mark.parametrize("kind,name", [(kind, name) for kind, names in NEEDS.items()
                                            for name in names.split()])
-    def test_an_action_without_a_field_its_kind_needs_is_rejected(self, two_agents, kind,
-                                                                  name):
-        # every field any kind needs is set, then the one under test is taken away
-        action = replace(Action(kind=ActionKind(kind), actor="X", **FIELDS), **{name: None})
-        calls = [lambda: apply_event(two_agents, action, 0)]
-        if action.kind in PROMISE_KINDS:
-            calls.append(lambda: promise_to_contract(action))
-        for call in calls:
-            with pytest.raises(ValidationError) as exc:
-                call()
-            assert str(exc.value) == f"{kind} requires {name}"
+    def test_an_action_without_a_field_its_kind_needs_is_rejected(self, desk, kind, name):
+        # every other field the kind needs is set: the one missing is named
+        for error in rejections(desk, replace(desk_action(kind), **{name: None})):
+            assert type(error) is ValidationError
+            assert str(error) == f"{kind} requires {name}"
 
-    @pytest.mark.parametrize("name", READ_BY)
+    @pytest.mark.parametrize("name", FIELDS)
     @pytest.mark.parametrize("kind", NEEDS)
-    def test_a_field_its_kind_never_reads_is_rejected(self, two_agents, kind, name):
-        # the fields the kind needs, and the one under test
-        action = Action(kind=ActionKind(kind), actor="X",
-                        **{n: FIELDS[n] for n in {*NEEDS[kind].split(), name}})
-        if kind in READ_BY[name].split():
-            _need(action)
+    def test_a_field_is_taken_exactly_where_its_kind_takes_it(self, desk, kind, name):
+        action = desk_action(kind, name)
+        if name in (NEEDS[kind] + " " + TAKES[kind] + " " + METADATA).split():
+            assert len(apply_event(desk, action, 1).history) == 2
             return
-        calls = [lambda: apply_event(two_agents, action, 0)]
-        if action.kind in PROMISE_KINDS:
-            calls.append(lambda: promise_to_contract(action))
-        for call in calls:
-            with pytest.raises(ValidationError) as exc:
-                call()
-            assert str(exc.value) == f"{kind} does not take {name}"
+        for error in rejections(desk, action):
+            assert type(error) is ValidationError
+            assert str(error) == f"{kind} does not take {name}"
 
+    @pytest.mark.parametrize("kind,name,value", [("pay", "references", ("nowhere",)),
+                                                 ("sign-contract", "counterparty", "Q")])
+    def test_an_untaken_field_is_named_before_any_name_is_resolved(self, desk, kind, name,
+                                                                   value):
+        action = desk_action(kind, **{name: value})
+        assert [str(error) for error in rejections(desk, action)] == [
+            f"{kind} does not take {name}"]
 
-# the kinds that may name a good no one has after their event: a request to
-# make it, and a promise that waits for its preparation
-AWAIT_GOOD = "request-prepare-good promise-buy-on-condition"
-# the kinds that make the contract they name
-MAKE_CONTRACT = ("promise-pay promise-accept-payment promise-buy-on-condition buy-on-credit "
-                 "promise-insurance-payout promise-manage-funds prepare-contract")
+    def test_a_missing_field_is_named_before_an_untaken_one(self, desk):
+        action = Action(ActionKind.PAY, "X", counterparty="Y", good_id="G")
+        assert [str(error) for error in rejections(desk, action)] == ["pay requires amount"]
 
 
 class TestReferences:
-    @pytest.fixture
-    def desk(self):
-        # X owns G and Y owns H; X and Y have prepared contract c
-        world = make_world(agents=[Agent("X"), Agent("Y")],
-                           balances={"X": q(100), "Y": q(100)},
-                           goods=[Good("G", "asset", "X", q(1)), Good("H", "asset", "Y", q(1))])
-        return apply_event(world, Action(ActionKind.PREPARE_CONTRACT, "Y", counterparty="X",
-                                         contract_id="c"), 0)
-
-    @staticmethod
-    def action(kind, **changes):
-        """An action of ``kind`` that ``desk`` takes, with ``changes``: it
-        buys H, prepares N, and otherwise names G and c."""
-        good = {"buy-on-credit": "H", "prepare-good": "N", "request-prepare-good": "N"}
-        values = {**FIELDS, "good_id": good.get(kind, "G"),
-                  "contract_id": "d" if kind == "prepare-contract" else "c"}
-        names = {*NEEDS[kind].split(), *changes}
-        return Action(kind=ActionKind(kind), actor="X",
-                      **{n: changes.get(n, values[n]) for n in names})
-
     @pytest.mark.parametrize("kind", NEEDS)
-    def test_each_kind_is_taken_as_it_stands(self, desk, kind):
-        assert len(apply_event(desk, self.action(kind), 1).history) == 2
-
-    @pytest.mark.parametrize("kind", NEEDS)
-    def test_an_unknown_good_is_rejected_unless_the_kind_makes_or_awaits_it(self, desk, kind):
-        action = self.action(kind, good_id="nothing")
-        if kind in AWAIT_GOOD.split():
+    def test_an_unknown_good_is_rejected_by_the_kind_that_takes_it(self, desk, kind):
+        action = desk_action(kind, good_id="nothing")
+        if kind in ("request-prepare-good", "promise-buy-on-condition"):  # await it
             assert "nothing" not in apply_event(desk, action, 1).goods
         elif kind == "prepare-good":
             assert apply_event(desk, action, 1).goods["nothing"].owner == "X"
         else:
-            with pytest.raises(UnknownReference) as exc:
-                apply_event(desk, action, 1)
-            assert str(exc.value) == "unknown good 'nothing'"
+            message = ("unknown good 'nothing'" if kind in ("spot-sale", "buy-on-credit")
+                       else f"{kind} does not take good_id")
+            assert [str(error) for error in rejections(desk, action)] == [message] * (
+                2 if kind in PROMISE_KINDS else 1)
 
     @pytest.mark.parametrize("kind", NEEDS)
-    def test_an_unknown_contract_is_rejected_unless_the_kind_makes_it(self, desk, kind):
-        action = self.action(kind, contract_id="nowhere")
-        if kind in MAKE_CONTRACT.split():
+    def test_an_unknown_contract_is_rejected_by_the_kind_that_takes_it(self, desk, kind):
+        action = desk_action(kind, contract_id="nowhere")
+        if kind in PROMISE_KINDS or kind in ("buy-on-credit", "prepare-contract"):  # make it
             assert "nowhere" in apply_event(desk, action, 1).contracts
         else:
-            with pytest.raises(UnknownReference) as exc:
-                apply_event(desk, action, 1)
-            assert str(exc.value) == "unknown contract 'nowhere'"
-
-    def test_another_fault_is_reported_first(self, two_agents):
-        # X holds nothing: the payment fails before its unknown good is named
-        action = Action(ActionKind.PAY, "X", counterparty="Y", amount=q(1), good_id="nothing")
-        with pytest.raises(InsufficientFunds):
-            apply_event(two_agents, action, 0)
+            message = ("unknown contract 'nowhere'" if kind == "sign-contract"
+                       else f"{kind} does not take contract_id")
+            assert [str(error) for error in rejections(desk, action)] == [message]
 
 
 class TestSales:
@@ -320,11 +351,7 @@ class TestSales:
         ({"contract_id": "settle", "down_payment": q(21, 2)}, "settle", "199/2", ()),
         ({"reason": Reason(text="per frame", contract_ids=("frame",))}, "credit-1", "110",
          ("frame",)),
-        # the settlement is always signed by both and carries no rate: none of
-        # these may reach it
-        ({"contract_id": "settle", "terms": RepaymentTerms(principal=q(100), rate=q(1, 10)),
-          "signing": SigningMode.INITIATOR_ONLY, "trigger": ByDate(5)}, "settle", "110", ()),
-    ], ids=["named", "unnamed", "down-payment", "reason", "terms-signing-trigger"])
+    ], ids=["named", "unnamed", "down-payment", "reason"])
     def test_credit_settlement_contract_is_pinned(self, extra, contract_id, amount, references):
         frame = ContractRecord(contract_id="frame", parties=frozenset({"X", "Z"}),
                                initiator="X", clauses=())
@@ -360,8 +387,15 @@ class TestSales:
         (Action(kind=ActionKind.PREPARE_CONTRACT, actor="X", counterparty="Y",
                 contract_id="c", clauses=(Clause("Z", ActionTemplate()),)),
          ValidationError, "clause obliges 'Z', not a party to 'c'"),
+        # the settlement is always signed by both and carries no rate: a credit
+        # sale takes none of these
+        (Action(kind=ActionKind.BUY_ON_CREDIT, actor="X", counterparty="Z", amount=q(110),
+                due_date=30, good_id="G", terms=RepaymentTerms(principal=q(100), rate=q(1, 10)),
+                signing=SigningMode.INITIATOR_ONLY, trigger=ByDate(5)),
+         ValidationError, "buy-on-credit does not take signing"),
     ], ids=["negative-down-payment", "due-before-sale", "down-over-price",
-            "unknown-counterparty", "duplicate-good", "non-party-clause"])
+            "unknown-counterparty", "duplicate-good", "non-party-clause",
+            "terms-signing-trigger"])
     def test_rejections(self, market, action, error, message):
         with pytest.raises(error) as exc:
             apply_event(market, action, 3)
