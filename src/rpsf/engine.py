@@ -25,19 +25,19 @@ Strategies differ only in which plans get a chance to step:
                    enumerate_interleavings); run() under this strategy
                    returns the canonically least progression of that set.
 
-Cost: a step pops the head of its plan's cursor, and a wait on an
-AfterEvent pattern is one lookup in an index of the history that the call
-builds as it goes (each pattern's fields are resolved once per call, and
-each event is projected once per field set that some pattern constrains;
-enumeration branches carry copies). Neither grows with the history; what
-does is ``apply_event`` copying the history tuple to append to it.
-Enumeration walks the lattice of distinct states, not the tree of
-interleavings (``_Lattice``): it steps and settles each edge of the
-lattice once, then reads every trace off as a path. A (3,3,3) plan set
-with one wait takes 100 steps for its 840 traces, not 2,655. The paths
-come in canonical order, so no trace is keyed, deduplicated or sorted
-unless several choice assignments must be merged; what is left per trace
-is its tuple of events and its world.
+Cost: a step pops the head of its plan's stack, which shares the rest,
+and a wait on an AfterEvent pattern tests one bit. Each call gives every
+pattern its plans wait on a bit, and a line of history carries the waits it
+has fired as one int, updated once per event (``_Waits``). Neither grows
+with the history; what does is ``apply_event`` copying the history tuple to
+append to it. Enumeration walks the lattice of distinct states, not the
+tree of interleavings (``_Lattice``): it steps and settles each edge of the
+lattice once, making each child from its parent's values and copying
+nothing, then reads every trace off as a path. A (3,3,3) plan set with one
+wait takes 100 steps for its 840 traces, not 2,655. The paths come in
+canonical order, so no trace is keyed, deduplicated or sorted unless
+several choice assignments must be merged; what is left per trace is its
+tuple of events and its world.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .money import fields, record, replace
+from .money import fields, fields_getter, record, replace
 from .world import (
     Action,
     ActionTemplate,
@@ -55,7 +55,6 @@ from .world import (
     ByDate,
     Condition,
     Event,
-    HistoryLog,
     Trigger,
     WorldState,
     action_to_dict,
@@ -195,157 +194,159 @@ ScheduleStrategy = RoundRobin | SeededRandom | Exhaustive
 
 
 # ---------------------------------------------------------------------------
-# plan cursors
+# plan stacks and fired waits
 # ---------------------------------------------------------------------------
 
-class _EventIndex:
-    """The history seen through the AfterEvent patterns the plans wait on.
+# A plan's remaining steps: None once it is done, else its head step and the
+# stack under it. Popping the head shares the rest; nothing is copied.
+_Stack = Optional[tuple[PlanStep, "_Stack"]]
 
-    For each set of fields that some queried pattern constrains, holds the
-    projection of every history event onto those fields. A ``contract_id``
-    projects to the action's own id and to every id its reason references,
-    as ``ActionTemplate.matches`` reads it. A wait check is one set lookup,
-    and each event is projected once per field set. The index catches up
-    with the history it is shown, so one index follows one line of history:
-    branches of an enumeration carry copies.
+
+def _push(steps: Sequence[PlanStep], rest: _Stack) -> _Stack:
+    """``steps`` on top of ``rest``, the first of them at the head."""
+    for step in reversed(steps):
+        rest = (step, rest)
+    return rest
+
+
+def _head(stack: _Stack) -> Optional[PlanStep]:
+    return None if stack is None else stack[0]
+
+
+def _ids(stack: _Stack) -> tuple[int, ...]:
+    """The identities of a stack's steps, head first."""
+    ids = []
+    while stack is not None:
+        ids.append(id(stack[0]))
+        stack = stack[1]
+    return tuple(ids)
+
+
+class _Waits:
+    """The AfterEvent patterns that one call's plans wait on, branch arms
+    included: ``bit`` gives each pattern object a bit of an int, and the
+    waits one line of history has fired are one int, which ``fold`` updates
+    once per event. ``table`` holds, per set of fields that some pattern
+    constrains, a getter of those fields, the place of ``contract_id`` among
+    them (or None), and the bits of the patterns that want each tuple of
+    values. A ``contract_id`` matches the action's own and each id its
+    reason cites, as ``ActionTemplate.matches`` reads it.
     """
 
-    __slots__ = ("indexed", "seen", "patterns")
+    __slots__ = ("bit", "table")
 
-    def __init__(self, patterns: dict[int, tuple] | None = None):
-        self.indexed = 0
-        self.seen: dict[tuple[str, ...], set[tuple]] = {}
-        # id(pattern) -> (pattern, the fields it constrains, their values):
-        # each pattern is resolved once per call, for this index and its copies
-        self.patterns = {} if patterns is None else patterns
+    def __init__(self, plans: Iterable[Plan]):
+        bits: dict[int, int] = {}
+        table: dict[tuple[str, ...], tuple] = {}
+        arms = [p.steps for p in plans]
+        while arms:
+            # exact type tests, as the codec's: this visits every step of every plan
+            for step in arms.pop():
+                kind = type(step)
+                if kind is Branch:
+                    arms += (step.then_steps, step.else_steps)
+                if kind is not WaitFor:
+                    continue
+                trigger = step.trigger
+                if type(trigger) is not AfterEvent or id(trigger.pattern) in bits:
+                    continue
+                pattern = trigger.pattern
+                names, values = [], []
+                for name in _PATTERN_FIELDS:
+                    value = getattr(pattern, name)
+                    if value is not None:
+                        names.append(name)
+                        values.append(value)
+                constrained = tuple(names)
+                entry = table.get(constrained)
+                if entry is None:
+                    at = constrained.index("contract_id") if "contract_id" in names else None
+                    entry = table[constrained] = (fields_getter(constrained), at, {})
+                bit = bits[id(pattern)] = 1 << len(bits)
+                wanted, key = entry[2], tuple(values)
+                if wanted.setdefault(key, bit) != bit:  # an equal pattern came first
+                    wanted[key] |= bit
+        self.bit, self.table = bits, table
 
-    def copy(self) -> "_EventIndex":
-        other = _EventIndex(self.patterns)
-        other.indexed = self.indexed
-        other.seen = {fields: set(keys) for fields, keys in self.seen.items()}
-        return other
-
-    def fired(self, pattern: ActionTemplate, history: HistoryLog) -> bool:
-        if len(history) > self.indexed:
-            for event in history[self.indexed:]:
-                for fields, keys in self.seen.items():
-                    keys.update(_projections(fields, event.action))
-            self.indexed = len(history)
-        resolved = self.patterns.get(id(pattern))
-        if resolved is None:
-            fields, wanted = [], []
-            for name in _PATTERN_FIELDS:
-                value = getattr(pattern, name)
-                if value is not None:
-                    fields.append(name)
-                    wanted.append(value)
-            resolved = self.patterns[id(pattern)] = (pattern, tuple(fields), tuple(wanted))
-        _, fields, wanted = resolved
-        keys = self.seen.get(fields)
-        if keys is None:
-            keys = self.seen[fields] = set()
-            for event in history:
-                keys.update(_projections(fields, event.action))
-        return wanted in keys
+    def fold(self, fired: int, events: Iterable[Event]) -> int:
+        """``fired`` and the bits of every pattern that one of ``events`` matches."""
+        for event in events:
+            action = event.action
+            for values_of, at, wanted in self.table.values():
+                values = values_of(action)
+                fired |= wanted.get(values, 0)
+                if at is not None and action.reason:
+                    for cited in action.reason.contract_ids:
+                        fired |= wanted.get(values[:at] + (cited,) + values[at + 1:], 0)
+        return fired
 
 
 _PATTERN_FIELDS = tuple(f.name for f in fields(ActionTemplate))
 
 
-def _projections(fields: tuple[str, ...], action: Action) -> list[tuple]:
-    """Every tuple of ``fields`` values under which a pattern matches ``action``."""
-    values = tuple(getattr(action, f) for f in fields)
-    if "contract_id" not in fields:
-        return [values]
-    at = fields.index("contract_id")
-    refs = action.reason.contract_ids if action.reason else ()
-    return [values[:at] + (cid,) + values[at + 1:] for cid in (action.contract_id, *refs)]
+def _settle(stack: _Stack, world: WorldState, fired: int, choices: Mapping[str, bool],
+            waits: _Waits) -> _Stack:
+    """The stack once its head is a Do or a wait that has not fired.
 
-
-class _Cursor:
-    """Mutable view over one plan's remaining steps, kept as a stack whose
-    last element is the head.
-
-    Branches are resolved the moment they reach the head (against the then-
-    current ground state); stops truncate the plan. Under enumeration,
-    ``applied`` names the actions the plan has applied (see ``_Lattice``).
+    A branch resolves the moment it reaches the head, against the state
+    then; a satisfied wait passes; a stop ends the plan.
     """
-
-    __slots__ = ("agent", "stack", "applied")
-
-    def __init__(self, agent: str, steps: Sequence[PlanStep] = ()):
-        self.agent = agent
-        self.stack = list(reversed(steps))
-        self.applied = 0
-
-    def clone(self) -> "_Cursor":
-        other = _Cursor(self.agent)
-        other.stack = self.stack.copy()
-        other.applied = self.applied
-        return other
-
-    def settle(self, world: WorldState, choices: Mapping[str, bool], index: _EventIndex) -> None:
-        """Resolve branches/satisfied waits/stops until a Do or a block."""
-        stack = self.stack
-        while stack:
-            head = stack[-1]
-            if isinstance(head, Stop):
-                stack.clear()
-            elif isinstance(head, Branch):
-                stack.pop()
-                taken = head.then_steps if eval_condition(head.condition, world, choices) else head.else_steps
-                stack.extend(reversed(taken))
-            elif isinstance(head, WaitFor):
-                trigger = head.trigger
-                if isinstance(trigger, AfterEvent):
-                    fired = index.fired(trigger.pattern, world.history)
-                else:
-                    fired = trigger_fired(trigger, world.history, world.clock, world, choices)
-                if not fired:
-                    return
-                stack.pop()
-            else:
-                return
-
-    def head(self) -> Optional[PlanStep]:
-        return self.stack[-1] if self.stack else None
+    while stack is not None:
+        head, rest = stack
+        if isinstance(head, Branch):
+            taken = head.then_steps if eval_condition(head.condition, world, choices) \
+                else head.else_steps
+            stack = _push(taken, rest)
+        elif isinstance(head, Stop):
+            return None
+        elif isinstance(head, WaitFor):
+            trigger = head.trigger
+            if isinstance(trigger, AfterEvent):
+                if not fired & waits.bit[id(trigger.pattern)]:
+                    return stack
+            elif not trigger_fired(trigger, world.history, world.clock, world, choices):
+                return stack
+            stack = rest
+        else:
+            return stack
+    return None
 
 
-def _settle_all(cursors: Sequence[_Cursor], world: WorldState,
-                choices: Mapping[str, bool], index: _EventIndex) -> None:
-    for cursor in cursors:
-        cursor.settle(world, choices, index)
+def _step(world: WorldState, fired: int, stacks: tuple[_Stack, ...], i: Optional[int],
+          choices: Mapping[str, bool],
+          waits: _Waits) -> tuple[WorldState, int, tuple[_Stack, ...]]:
+    """The one successor step every scheduler takes, from one line's
+    ``(world, fired, stacks)`` to the next.
 
-
-def _step(world: WorldState, cursors: Sequence[_Cursor], cursor: Optional[_Cursor],
-          choices: Mapping[str, bool], index: _EventIndex) -> WorldState:
-    """The one successor step every scheduler takes.
-
-    ``cursor`` applies and pops its head ``Do``; with no cursor, the clock
+    Plan ``i`` applies and pops its head ``Do``; with no ``i``, the clock
     advances to ``_wake``. Then every plan settles against the new state,
     so that none skips a state and every scheduled trace is an enumerated
     one.
     """
-    if cursor is None:
-        world = replace(world, clock=_wake(world, cursors))
+    if i is None:
+        world = replace(world, clock=_wake(world, stacks))
     else:
-        world = apply_event(world, cursor.stack.pop().action, world.clock)
-    _settle_all(cursors, world, choices, index)
-    return world
+        world = apply_event(world, stacks[i][0].action, world.clock)
+        fired = waits.fold(fired, world.history[-1:])
+        stacks = (*stacks[:i], stacks[i][1], *stacks[i + 1:])
+    return world, fired, tuple([_settle(s, world, fired, choices, waits) for s in stacks])
 
 
 class _Node:
-    """One distinct state of an enumeration: the world, settled cursors and
-    event index of the first path that reached it, and, once expanded, its
-    ``children``: (the event, or None for a clock advance; the child node),
-    the highest-named plan's first. A node without children ends a trace."""
+    """One distinct state of an enumeration: the world, fired waits, settled
+    stacks and ``applied`` ints (see ``_Lattice``) of the first path that
+    reached it, and, once expanded, its ``children``: (the event, or None
+    for a clock advance; the child node), the highest-named plan's first. A
+    node without children ends a trace."""
 
-    __slots__ = ("world", "cursors", "index", "children")
+    __slots__ = ("world", "fired", "stacks", "applied", "children")
 
-    def __init__(self, world: WorldState, cursors: list[_Cursor], index: _EventIndex):
+    def __init__(self, world: WorldState, fired: int, stacks: tuple[_Stack, ...],
+                 applied: tuple[int, ...]):
         self.world = world
-        self.cursors = cursors
-        self.index = index
+        self.fired = fired
+        self.stacks = stacks
+        self.applied = applied
         self.children: Optional[tuple[tuple[Optional[Event], "_Node"], ...]] = None
 
 
@@ -354,53 +355,55 @@ class _Lattice:
     that it steps and settles each once, however many interleavings pass
     through it.
 
-    A cursor's ``applied`` is an int, interned in ``sequences``, that names
-    the actions its plan has applied so far: each by identity, and a credit
+    A plan's ``applied`` is an int, interned in ``sequences``, that names
+    the actions the plan has applied so far: each by identity, and a credit
     sale or promise that names its contract by sequence number
     (``seq_named_contract``) with that number. ``nodes`` maps a state's key
-    to its node: the cursors' ints, the clock, each cursor's remaining
-    stack by identity, and the key order of goods and contracts.
+    to its node: the plans' ints, the clock, each plan's remaining stack by
+    the identity of its steps, and the key order of goods and contracts.
 
-    Every path to one key reaches a state that ``apply_event``,
-    ``_settle_all`` and ``_wake`` cannot tell apart from the node's, so the
-    node's children serve every path. They read the clock, the choices,
-    agents, overdraft flag, the three maps, the history's length and which
-    actions the history holds (the wait index projects action fields,
-    never dates). Balances are sums; a good's owner is its last buyer,
-    since each seller must own what it sells; contracts come from action
-    fields and signatures are set unions, except for the seq-named ids,
-    which the ints carry; the history's length is the number of steps. The
-    rest is in the key: a new good or contract is added last, so the key
-    order depends on the order of the steps; a branch resolved against
-    different states leaves equal ints but different stacks; and the clock
-    advances only where no plan can act, so a branch may leave one stack
-    after an arm that waited for a date and after one that did not. An
-    edge's event is the same from every path: its sequence number is the
-    number of steps, its date the node's clock. An earlier event's date is
-    not, as one step may come before a clock advance on one path and after
-    it on another, so each trace takes its events from its own path.
+    Every path to one key reaches a state that ``apply_event``, ``_settle``
+    and ``_wake`` cannot tell apart from the node's, so the node's children
+    serve every path. They read the clock, the choices, agents, overdraft
+    flag, the three maps, the history's length and which actions the history
+    holds; the fired waits are a function of those actions, as patterns read
+    action fields, never dates, so they stay out of the key. Balances are
+    sums; a good's owner is its last buyer, since each seller must own what
+    it sells; contracts come from action fields and signatures are set
+    unions, except for the seq-named ids, which the ints carry; the
+    history's length is the number of steps. The rest is in the key: a new
+    good or contract is added last, so the key order depends on the order of
+    the steps; a branch resolved against different states leaves equal ints
+    but different stacks; and the clock advances only where no plan can act,
+    so a branch may leave one stack after an arm that waited for a date and
+    after one that did not. An edge's event is the same from every path: its
+    sequence number is the number of steps, its date the node's clock. An
+    earlier event's date is not, as one step may come before a clock advance
+    on one path and after it on another, so each trace takes its events from
+    its own path.
 
     A node is expanded the first time the walk reaches it, all its children
     at once, highest-named first, as the walk of the interleaving tree
     would; so a failing step raises where that walk would first reach it.
     """
 
-    __slots__ = ("choices", "horizon", "nodes", "sequences")
+    __slots__ = ("choices", "waits", "horizon", "nodes", "sequences")
 
-    def __init__(self, choices: Mapping[str, bool], horizon: Optional[int]):
+    def __init__(self, choices: Mapping[str, bool], waits: _Waits, horizon: Optional[int]):
         self.choices = choices
+        self.waits = waits
         self.horizon = horizon
         self.nodes: dict[tuple, _Node] = {}
         self.sequences: dict[tuple, int] = {}
 
-    def node(self, world: WorldState, cursors: list[_Cursor], index: _EventIndex) -> _Node:
+    def node(self, world: WorldState, fired: int, stacks: tuple[_Stack, ...],
+             applied: tuple[int, ...]) -> _Node:
         """The node of this state, made from it if it is new."""
-        key = (tuple([c.applied for c in cursors]), world.clock,
-               tuple([tuple(map(id, c.stack)) for c in cursors]),
+        key = (applied, world.clock, tuple([_ids(s) for s in stacks]),
                tuple(world.goods), tuple(world.contracts))
         node = self.nodes.get(key)
         if node is None:
-            node = self.nodes[key] = _Node(world, cursors, index)
+            node = self.nodes[key] = _Node(world, fired, stacks, applied)
         return node
 
     def extend(self, applied: int, event: Event) -> int:
@@ -410,8 +413,8 @@ class _Lattice:
             else (id(action), event.seq)
         return self.sequences.setdefault((applied, step), len(self.sequences) + 1)
 
-    def paths(self, world: WorldState, cursors: list[_Cursor],
-              index: _EventIndex) -> Iterable[tuple[_Node, tuple[Event, ...]]]:
+    def paths(self, world: WorldState, fired: int,
+              stacks: tuple[_Stack, ...]) -> Iterable[tuple[_Node, tuple[Event, ...]]]:
         """Every maximal path from this settled state, depth first, the
         lowest-named agent first: its last node and its events.
 
@@ -431,7 +434,7 @@ class _Lattice:
         # the event of the edge into it
         events: list[Event] = []
         stack: list[tuple[_Node, int, Optional[Event]]] = [
-            (self.node(world, cursors, index), 0, None)]
+            (self.node(world, fired, stacks, (0,) * len(stacks)), 0, None)]
         while stack:
             node, depth, event = stack.pop()
             del events[depth:]
@@ -447,35 +450,31 @@ class _Lattice:
 
     def expand(self, node: _Node) -> None:
         """Step every runnable plan, highest-named first, or advance the
-        clock when none can act. The lowest-named plan's child takes over
-        the node's cursors and index, which the node needs no more."""
-        world, cursors, index = node.world, node.cursors, node.index
-        node.cursors = node.index = None
-        enabled = [i for i, c in enumerate(cursors) if isinstance(c.head(), Do)]
+        clock when none can act. Each child is made from the node's values,
+        which stay as they are."""
+        world, fired, stacks, applied = node.world, node.fired, node.stacks, node.applied
+        enabled = [i for i, s in enumerate(stacks) if isinstance(_head(s), Do)]
         if not enabled:
-            wake = _wake(world, cursors)
+            wake = _wake(world, stacks)
             if wake is None:
                 node.children = ()
                 return
             _check_horizon(wake, self.horizon)
-            child = _step(world, cursors, None, self.choices, index)
-            node.children = ((None, self.node(child, cursors, index)),)
+            child = _step(world, fired, stacks, None, self.choices, self.waits)
+            node.children = ((None, self.node(*child, applied)),)
             return
         children = []
         for i in reversed(enabled):
-            last = i == enabled[0]
-            moved = cursors if last else [c.clone() for c in cursors]
-            moved_index = index if last else index.copy()
-            child = _step(world, moved, moved[i], self.choices, moved_index)
-            event = child.history[-1]
-            moved[i].applied = self.extend(moved[i].applied, event)
-            children.append((event, self.node(child, moved, moved_index)))
+            child = _step(world, fired, stacks, i, self.choices, self.waits)
+            event = child[0].history[-1]
+            ints = (*applied[:i], self.extend(applied[i], event), *applied[i + 1:])
+            children.append((event, self.node(*child, ints)))
         node.children = tuple(children)
 
 
-def _wake(world: WorldState, cursors: Sequence[_Cursor]) -> Optional[int]:
+def _wake(world: WorldState, stacks: Sequence[_Stack]) -> Optional[int]:
     """The earliest by-date wait after the clock, or None."""
-    heads = [c.head() for c in cursors]
+    heads = [_head(s) for s in stacks]
     return min((h.trigger.day for h in heads if isinstance(h, WaitFor)
                 and isinstance(h.trigger, ByDate) and h.trigger.day > world.clock), default=None)
 
@@ -534,39 +533,39 @@ def run(
         return enumerate_interleavings(world, ordered, bound=_total_steps(ordered), choices=choices,
                                        horizon=horizon)[0]
 
-    cursors = [_Cursor(p.agent, p.steps) for p in ordered]
-    index = _EventIndex()
+    waits = _Waits(ordered)
+    fired = waits.fold(0, world.history)
+    stacks = tuple([_settle(_push(p.steps, None), world, fired, choices, waits) for p in ordered])
     rng = random.Random(strategy.seed) if isinstance(strategy, SeededRandom) else None
     start = len(world.history)
     schedule: list[int] = []
     cycle = 0
-    _settle_all(cursors, world, choices, index)
 
     while True:
         cycle += 1
         # the strategy picks who gets a chance this cycle: round-robin every
         # plan in name order, seeded-random one runnable plan
-        chances = cursors
+        chances = range(len(stacks))
         if rng is not None:
-            runnable = [c for c in cursors if isinstance(c.head(), Do)]
+            runnable = [i for i, s in enumerate(stacks) if isinstance(_head(s), Do)]
             chances = [rng.choice(runnable)] if runnable else []
         stepped = False
-        for cursor in chances:
-            if isinstance(cursor.head(), Do):
-                world = _step(world, cursors, cursor, choices, index)
+        for i in chances:
+            if isinstance(_head(stacks[i]), Do):
+                world, fired, stacks = _step(world, fired, stacks, i, choices, waits)
                 schedule.append(cycle)
                 stepped = True
         if stepped:
             continue
 
         # nothing moved: finish, release a by-date wait, or report deadlock
-        if not any(c.stack for c in cursors):
+        if not any(stacks):
             break
-        wake = _wake(world, cursors)
+        wake = _wake(world, stacks)
         if wake is None:
-            raise DeadlockDetected({c.agent: c.head().trigger for c in cursors if c.stack})
+            raise DeadlockDetected({p.agent: s[0].trigger for p, s in zip(ordered, stacks) if s})
         _check_horizon(wake, horizon)
-        world = _step(world, cursors, None, choices, index)
+        world, fired, stacks = _step(world, fired, stacks, None, choices, waits)
 
     return Progression(events=world.history[start:], world=world, schedule=tuple(schedule))
 
@@ -630,16 +629,15 @@ def enumerate_interleavings(
             assignment[name] = bool(mask >> i & 1)
         assignments.append(assignment)
 
-    # each wait pattern's fields, for this call only, shared by every
-    # choice assignment
-    patterns: dict[int, tuple] = {}
+    # the plans' stacks and wait table, shared by every choice assignment
+    waits = _Waits(ordered)
+    fired = waits.fold(0, world.history)
+    unsettled = [_push(p.steps, None) for p in ordered]
     runs: list[list[Progression]] = []
     for assignment in assignments:
-        cursors = [_Cursor(p.agent, p.steps) for p in ordered]
-        index = _EventIndex(patterns)
-        _settle_all(cursors, world, assignment, index)
+        stacks = tuple([_settle(s, world, fired, assignment, waits) for s in unsettled])
         traces = []
-        for end, events in _Lattice(assignment, horizon).paths(world, cursors, index):
+        for end, events in _Lattice(assignment, waits, horizon).paths(world, fired, stacks):
             state = end.world
             traces.append(Progression(events=events, world=WorldState(
                 state.agents, state.accounts, state.goods, state.contracts,

@@ -107,7 +107,7 @@ def _slots_setstate(self, state: tuple) -> None:
         object.__setattr__(self, name, value)
 
 
-def _fields_getter(names: tuple[str, ...]) -> Callable[[object], tuple]:
+def fields_getter(names: tuple[str, ...]) -> Callable[[object], tuple]:
     """The named attributes of an object as a tuple, whatever their number."""
     if len(names) > 1:
         return attrgetter(*names)
@@ -201,7 +201,7 @@ def record(cls: type) -> type:
                      __getstate__=_slots_getstate, __setstate__=_slots_setstate,
                      __setattr__=_frozen_setattr, __delattr__=_frozen_delattr,
                      _record_fields=declared, _record_names=names,
-                     _record_values=_fields_getter(names))
+                     _record_values=fields_getter(names))
     built = type(cls)(cls.__name__, cls.__bases__, namespace)
     built.__init__ = _make_init(built, declared)
     return built

@@ -902,7 +902,8 @@ _CATALOGUE: tuple[ScenarioSpec, ...] = (
                 ParamSpec("t", 365, "loan period in days"),
                 ParamSpec("guarantee", "pledge-of-goods",
                           "pledge-of-goods | goods-on-default | income-share"),
-                ParamSpec("collateral_value", Quantity(150), "market value of the collateral"),
+                ParamSpec("collateral_value", Quantity(150), "market value of the collateral",
+                          "nonnegative"),
                 ParamSpec("lender_willing", True, "declared willingness choice point")),
         build=_build_brokered_loan,
     ),

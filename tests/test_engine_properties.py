@@ -21,7 +21,7 @@ from rpsf.engine import (  # noqa: E402
     RoundRobin,
     SeededRandom,
     WaitFor,
-    _EventIndex,
+    _Waits,
     enumerate_interleavings,
     run,
 )
@@ -100,21 +100,32 @@ def history_of(acts):
     return tuple(Event(seq=i + 1, date=0, action=a) for i, a in enumerate(acts))
 
 
-def agrees(index, pattern, history):
+def wait_table(patterns):
+    """The wait table of two plans that wait on ``patterns``, every other
+    one inside a branch arm."""
+    waits = [WaitFor(AfterEvent(p)) for p in patterns]
+    return _Waits([Plan("A", tuple(waits[::2])),
+                   Plan("B", (Branch(ChoiceIs("x"), (), tuple(waits[1::2])),))])
+
+
+def agrees(table, fired, pattern, history):
     expected = trigger_fired(AfterEvent(pattern), history, 0)
-    return index.fired(pattern, history) == expected
+    return bool(fired & table.bit[id(pattern)]) == expected
 
 
-class TestEventIndex:
-    """The engine's wait check answers as ``world.trigger_fired`` does."""
+class TestWaitTable:
+    """The engine's fired waits, one int per line of history, answer as
+    ``world.trigger_fired`` does."""
 
     @given(st.lists(actions, max_size=6), st.lists(patterns, min_size=1, max_size=6))
     def test_agrees_with_trigger_fired_as_history_grows(self, acts, queries):
-        index = _EventIndex()
+        table = wait_table(queries)
         history = history_of(acts)
+        fired = 0
         for n in range(len(history) + 1):
             for pattern in queries:
-                assert agrees(index, pattern, history[:n])
+                assert agrees(table, fired, pattern, history[:n])
+            fired = table.fold(fired, history[n:n + 1])
 
     @pytest.mark.parametrize("pattern, action, fired", [
         # no field set: any event at all
@@ -135,8 +146,18 @@ class TestEventIndex:
     def test_named_cases(self, pattern, action, fired):
         history = history_of([action])
         assert trigger_fired(AfterEvent(pattern), history, 0) is fired
-        assert agrees(_EventIndex(), pattern, ())
-        assert agrees(_EventIndex(), pattern, history)
+        table = wait_table([pattern])
+        assert agrees(table, 0, pattern, ())
+        assert agrees(table, table.fold(0, history), pattern, history)
+
+    def test_one_bit_per_pattern_object(self):
+        shared = ActionTemplate(actor="A")
+        equal = [ActionTemplate(actor="B"), ActionTemplate(actor="B")]
+        table = wait_table([shared, shared, *equal])
+        assert len(table.bit) == 3
+        assert table.bit[id(equal[0])] != table.bit[id(equal[1])]
+        fired = table.fold(0, history_of([Action(ActionKind.PAY, "B")]))
+        assert fired == table.bit[id(equal[0])] | table.bit[id(equal[1])]
 
 
 # random small plan sets ------------------------------------------------------

@@ -123,7 +123,7 @@ def features(draw):
     """One feature, by name: (agent, steps) pairs, each appended to that
     agent's plan."""
     name = draw(st.sampled_from(("relay", "credit", "promises", "sign-pc",
-                                 "prepare", "twice", "branch", "choice", "date")))
+                                 "prepare", "twice", "branch", "choice", "armed", "date")))
     other = st.sampled_from(AGENTS)
 
     def not_(agent):
@@ -171,6 +171,17 @@ def features(draw):
         waiting = (WaitFor(ByDate(draw(st.integers(1, 3)))), step)
         arms = (waiting, (step,)) if draw(st.booleans()) else ((step,), waiting)
         return name, [(agent, (Branch(condition, *arms),))]
+    if name == "armed":  # a wait for another plan's payment, inside one arm of a branch
+        agent = draw(other)
+        payer = draw(not_(agent))
+        message = draw(st.sampled_from(("released", "released", None)))
+        step = do(PAY, agent, counterparty=payer, amount=Quantity(1), message="armed")
+        waiting = (after(kind=PAY, actor=payer, message=message), step)
+        condition = draw(st.sampled_from((ChoiceIs("x"), BalanceAtLeast(agent, Quantity(100)))))
+        arms = (waiting, (step,)) if draw(st.booleans()) else ((step,), waiting)
+        return name, [(agent, (Branch(condition, *arms),)),
+                      (payer, (do(PAY, payer, counterparty=agent, amount=Quantity(1),
+                                  message="released"),))]
     return name, [(draw(other), (WaitFor(ByDate(draw(st.integers(0, 3)))),))]
 
 
@@ -271,6 +282,28 @@ late = [Plan("A", (WaitFor(ConditionMet(BalanceAtLeast("A", Quantity(101)))),
         Plan("B", (_raise, WaitFor(ByDate(2)), _raise)),
         Plan("C", (do(SPOT, "C", counterparty="A", amount=Quantity(1), good_id="h"),))]
 
+# Each example below waits on one pattern in more than one place. One WaitFor
+# object, so one pattern object, in two plans (its bit shared),
+_go = after(kind=PAY, actor="C", message="go")
+shared = [Plan("A", (_go, do(PAY, "A", counterparty="B", amount=Quantity(1)))),
+          Plan("B", (_go, do(PAY, "B", counterparty="A", amount=Quantity(1)))),
+          Plan("C", (do(PAY, "C", counterparty="A", amount=Quantity(1), message="go"),))]
+# two equal patterns that are distinct objects (each its own bit, set together),
+twins = [Plan(agent, (after(kind=PAY, actor="C"),
+                      do(PAY, agent, counterparty=payee, amount=Quantity(1))))
+         for agent, payee in (("A", "B"), ("B", "A"))]
+twins.append(Plan("C", (do(PAY, "C", counterparty="A", amount=Quantity(1)),)))
+# and a wait inside a branch arm on A's balance, which B's first payment
+# decides: the arm waits for B's second payment, which may come before the
+# arm is taken.
+armed = [Plan("A", (do(PAY, "A", counterparty="C", amount=Quantity(1)),
+                    Branch(BalanceAtLeast("A", Quantity(100)),
+                           (after(kind=PAY, actor="B", message="late"),
+                            do(PAY, "A", counterparty="C", amount=Quantity(1), message="then")),
+                           (do(PAY, "A", counterparty="C", amount=Quantity(1), message="else"),)))),
+         Plan("B", (do(PAY, "B", counterparty="A", amount=Quantity(1)),
+                    do(PAY, "B", counterparty="A", amount=Quantity(1), message="late")))]
+
 # Each example below fails under one wrong merge of the choice assignments'
 # traces. A choice of whom A pays, B under x and C otherwise, so that the
 # two assignments' traces alternate in key order (the runs concatenated),
@@ -299,6 +332,9 @@ waited = [Plan("A", (do(PAY, "A", counterparty="B", amount=Quantity(1)),
 @example(crossed, True)
 @example(waited, True)
 @example(prepared, True)
+@example(shared, False)
+@example(twins, False)
+@example(armed, False)
 def test_every_trace_is_the_reference_trace_byte_for_byte(plans, choose):
     agree(plans, {"x": True} if choose else None)
 
@@ -328,3 +364,13 @@ def test_the_examples_reach_what_they_stand_for():
     assert [t.key() for t in traces] == [t.key() for t in waiting]
     assert {t.world.clock for t in traces} == {0} and {t.world.clock for t in waiting} == {2}
     assert agree(prepared, {"x": True}) == agree(prepared)
+    for plans in (shared, twins):
+        # C's payment comes first in every trace, as both other plans wait for it
+        assert {trace[0][0][1][0] for trace in agree(plans)} == {("actor", "C")}
+    # both arms are taken, and the waiting arm's step always follows the
+    # payment it waits for
+    agree(armed)
+    orders = {tuple(e.action.message for e in t.events if e.action.message)
+              for t in enumerated(opening_world(), armed, {})}
+    assert {("late", "then"), ("else", "late")} <= orders
+    assert all(order.index("late") < order.index("then") for order in orders if "then" in order)

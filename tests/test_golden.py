@@ -246,7 +246,7 @@ PARAMETER_CASES = {
     "tawarruq_single_contract":
         "5983daa2545320169f23ff77220f3f3149ef78d45747a42e5d4b19a7911085cc",
     "brokered_loan":
-        "820e9fba98f47030b9e5304801183527d4d4dcdea7a2593bc2784f44f7f9c02c",
+        "9a86fe2995f1e6bb21ec474b35a41060a07039ee6dead5a0fe82917cc7bdc586",
     "unethical_examples":
         "d974e1ca8c20daf5db17a2374c92f59075b4a7bd91a6d4ba4d2e4c670e44c473",
 }

@@ -302,6 +302,13 @@ class TestBrokeredLoan:
         with pytest.raises(ParameterViolation):
             instantiate("brokered_loan", {"collateral_value": q(50)})
 
+    def test_collateral_value_is_nonnegative_under_every_guarantee(self):
+        # income-share takes no collateral above the principal, but a
+        # negative market value is no value for any good
+        with pytest.raises(ParameterViolation, match="collateral_value must be nonnegative"):
+            instantiate("brokered_loan", {"guarantee": "income-share",
+                                          "collateral_value": q(-5)})
+
 
 class TestUnethicalExamples:
     def test_all_variant_carries_all_three_tags(self):

@@ -521,3 +521,39 @@ def test_the_gate_sees_generated_code_anywhere():
             "def quiet(source):\n"
             "    return compile(source, '<q>', 'eval')\n")
     assert generated_code(text) == ["<module>", "build", "Codec.encoder"]
+
+
+COPIES = ("copy", "clone", "deepcopy")
+
+
+def copies(text: str) -> list[str]:
+    """Every definition or call of a function named ``copy``, ``clone`` or
+    ``deepcopy``, as ``line N: def name`` or ``line N: name``."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in COPIES:
+            found.append((node.lineno, f"def {node.name}"))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in COPIES:
+                found.append((node.lineno, name))
+    return [f"line {line}: {entry}" for line, entry in sorted(found)]
+
+
+def test_engine_state_is_values():
+    # a step makes the next (world, fired, stacks) from the last and shares
+    # what it does not change, so enumeration copies nothing per edge
+    assert copies((PACKAGE / "engine.py").read_text()) == []
+
+
+def test_the_gate_sees_a_copy_and_a_clone():
+    text = ("import copy\n"
+            "class Cursor:\n"
+            "    def clone(self):\n"
+            "        return Cursor(self.stack.copy())\n"
+            "def branch(index, cursors):\n"
+            "    return index.copy(), [c.clone() for c in cursors], copy.deepcopy(cursors)\n"
+            "def copied(stack):\n"
+            "    return list(stack), stack[:], copy\n")
+    assert copies(text) == ["line 3: def clone", "line 4: copy", "line 6: clone",
+                            "line 6: copy", "line 6: deepcopy"]
