@@ -263,8 +263,15 @@ def _cmd_synthesize(args) -> int:
 
     extras, _ = _load_extras(args.scenario_file)
     instance = instantiate(args.target, _parse_overrides(args.params or []), extra=extras)
-    perspective = _perspective(args.perspective)
-    agents = tuple(name.strip() for name in args.agents.split(","))
+    # a target without an agent X is searched from its first principal, among its own agents
+    if "X" in instance.world.agents:
+        perspective, agents = ("X",), ("X", "Y", "Z")
+    else:
+        perspective, agents = instance.principals[:1], tuple(instance.world.agents)
+    if args.perspective is not None:
+        perspective = _perspective(args.perspective)
+    if args.agents is not None:
+        agents = tuple(name.strip() for name in args.agents.split(","))
     # a perspective with no cells in the target would match the empty witness
     check_perspective(perspective, instance.world.agents)
     if perspective == ALL_AGENTS and not instance.world.agents.keys() & agents:
@@ -390,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", metavar="key=value")
     p.add_argument("--catalogue", default=",".join(PRIMITIVES),
                    help=f"comma-separated primitives from {PRIMITIVES}")
-    p.add_argument("--agents", default="X,Y,Z")
+    p.add_argument("--agents")
     p.add_argument("--bound", type=int, default=6)
-    p.add_argument("--perspective", default="X")
+    p.add_argument("--perspective")
     p.add_argument("--max-witnesses", type=_count, default=3,
                    help="witnesses to render (as scenario text in json output)")
     common(p, scenario_arg=False)

@@ -131,12 +131,14 @@ class _Facts:
     and, for ``events`` (a progression's own events, the tail of the
     history), the events that carry an amount and their cash, netted by
     ``world.net_cells`` into ``sums`` over ``scale``. Each finding is derived
-    from these once, when a rule first asks for it.
+    from these once, when a rule first asks for it, and each rule's evidence
+    once per (detector, rule name), in ``evidence``.
     """
 
     def __init__(self, history: HistoryLog, events: Sequence[Event] = (),
                  world: Optional[WorldState] = None):
         self.world = world
+        self.evidence: dict[tuple[str, str], tuple[Evidence, ...]] = {}
         self.sales: dict[str, list] = {}  # good -> [(event, seller, buyer, refs)]
         self.transfers: dict[str, list] = {}  # contract id -> [(event, payer, payee, amount)]
         self.tagged: list[Event] = []
@@ -176,13 +178,15 @@ class _Facts:
     def ina(self) -> list[InaFinding]:
         findings = []
         for good_id, chain in self.sales.items():
-            for (first, seller, buyer, refs), (second, *back, refs2) in zip(chain, chain[1:]):
-                if back == [buyer, seller]:
+            for (first, seller, buyer, refs), (second, back_seller, back_buyer, back_refs) \
+                    in zip(chain, chain[1:]):
+                if back_seller == buyer and back_buyer == seller:
                     findings.append(InaFinding(
                         good_id=good_id, seller=seller, buyer=buyer,
-                        single_contract=bool(set(refs) & set(refs2)),
+                        single_contract=(bool(refs and back_refs)
+                                         and not set(refs).isdisjoint(back_refs)),
                         events=(first.seq, second.seq),
-                        contracts=tuple(sorted(set(refs) | set(refs2))),
+                        contracts=tuple(sorted({*refs, *back_refs})) if refs or back_refs else (),
                     ))
         return findings
 
@@ -202,11 +206,13 @@ class _Facts:
         interest-bearing loan, whatever the contracts say.
         """
         profiles, scale = [], self.scale
-        for agent in sorted(self.sums):
-            dated = sorted(cell for cell in self.sums[agent].items() if cell[1])
+        for agent, cells in sorted(self.sums.items()):
+            if len(cells) < 2:
+                continue
+            dated = [cell for cell in cells.items() if cell[1]]
             if len(dated) != 2:
                 continue
-            (d0, v0), (d1, v1) = dated
+            (d0, v0), (d1, v1) = sorted(dated)
             if v0 < 0 < v1 and v1 + v0 > 0:
                 refs = tuple(e.seq for e in self.cash
                              if agent in (e.action.actor, e.action.counterparty))
@@ -349,6 +355,11 @@ class LegalPosition:
     default: Verdict = Verdict.HALAL
 
 
+# The judgement with no reasons per position name, built again for another
+# default; a caller returns the one it checked, so a race cannot mix them up.
+_cleared: dict[str, Judgement] = {}
+
+
 def judge(position: LegalPosition, instance: ScenarioInstance, progression: Progression) -> Judgement:
     """Evaluate the position's rules in order; first match wins.
 
@@ -356,11 +367,18 @@ def judge(position: LegalPosition, instance: ScenarioInstance, progression: Prog
     yields the position's default verdict with no reasons.
     """
     facts = _facts_of(progression)
+    memo = facts.evidence
     for rule in position.rules:
-        evidence = DETECTORS[rule.detector](rule.name, facts)
+        key = rule.detector, rule.name
+        evidence = memo.get(key)
+        if evidence is None:
+            evidence = memo[key] = DETECTORS[rule.detector](rule.name, facts)
         if evidence:
             return Judgement(position=position.name, verdict=rule.verdict, reasons=evidence)
-    return Judgement(position=position.name, verdict=position.default)
+    cleared = _cleared.get(position.name)
+    if cleared is None or cleared.verdict is not position.default:
+        cleared = _cleared[position.name] = Judgement(position.name, position.default)
+    return cleared
 
 
 # built-in positions ---------------------------------------------------------

@@ -274,19 +274,40 @@ class TestSynthesize:
         assert out == ""
         assert err == "error: unknown perspective agent 'W'; known agents: ['X', 'Y', 'Z']\n"
 
-    @pytest.mark.parametrize("target,agents", [
-        ("murabaha", "['A', 'B', 'BANK']"), ("contractus_trinus", "['A', 'B']")])
-    def test_default_perspective_outside_the_target_exits_two(self, capsys, target, agents):
-        # X has no flows in these targets, so the empty sequence would match
-        code, out, err = invoke(capsys, "synthesize", "--target", target, "--bound", "2")
-        assert (code, out) == (2, "")
-        assert err == f"error: unknown perspective agent 'X'; known agents: {agents}\n"
-        # nor has any of the default --agents, which is what 'all' stands for
+    @pytest.mark.parametrize("target, principal, agents, first_line", [
+        ("murabaha", "A", "A,B,BANK", "found=False witnesses=0 explored=87789"),
+        ("contractus_trinus", "A", "A,B", "found=True witnesses=8 explored=3519")],
+        ids=["murabaha", "contractus_trinus"])
+    def test_a_target_without_agent_x_searches_from_its_first_principal(
+            self, capsys, target, principal, agents, first_line):
+        # without an agent X the defaults are the first principal and the target's agents
+        for flags, explicit in ((["--bound", "6"], ["--perspective", principal]),
+                                (["--bound", "2", "--perspective", "all"], [])):
+            for fmt in ("text", "json"):
+                default = invoke(capsys, "synthesize", "--target", target, "--format", fmt,
+                                 *flags)
+                assert default[0] == 0
+                assert default == invoke(capsys, "synthesize", "--target", target, "--format",
+                                         fmt, "--agents", agents, *flags, *explicit)
+        code, out, _ = invoke(capsys, "synthesize", "--target", target, "--bound", "6")
+        assert out.startswith(f"target {target}: {first_line} bound=6\n")
+        # naming X, or X, Y and Z, is still refused: X has no flows in these targets
+        known = sorted(agents.split(","))
         code, out, err = invoke(capsys, "synthesize", "--target", target, "--bound", "2",
-                                "--perspective", "all")
+                                "--perspective", "X")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown perspective agent 'X'; known agents: {known}\n"
+        code, out, err = invoke(capsys, "synthesize", "--target", target, "--bound", "2",
+                                "--perspective", "all", "--agents", "X,Y,Z")
         assert (code, out) == (2, "")
         assert err == (f"error: perspective 'all' holds no agent of {target} among --agents "
-                       f"['X', 'Y', 'Z']; known agents: {agents}\n")
+                       f"['X', 'Y', 'Z']; known agents: {known}\n")
+
+    def test_a_target_with_agent_x_keeps_the_x_y_z_defaults(self, capsys):
+        default = invoke(capsys, "synthesize", "--target", "ina_two_party", "--bound", "4")
+        assert default[0] == 0
+        assert default == invoke(capsys, "synthesize", "--target", "ina_two_party", "--bound",
+                                 "4", "--perspective", "X", "--agents", "X,Y,Z")
 
     @pytest.mark.parametrize("agents, entry", [("X,,Y", "agent 2 of ['X', '', 'Y']"),
                                                ("X, ,Y", "agent 2 of ['X', '', 'Y']"),

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,35 @@ class TestDetectRiba:
         seqs = findings[0].events
         kinds = [world.history[s - 1].action.kind for s in seqs]
         assert kinds == [ActionKind.PAY, ActionKind.PAY]
+
+
+def three_by_three():
+    """Three plans of three steps: each agent pays, sells a good and pays
+    again; B sells g back to A after A sold it to B, both sales citing one
+    contract, so MAJORITY and MALAYSIA forbid every trace and the other
+    built-ins permit it."""
+    cite = Reason(contract_ids=("rt",))
+    sales = {"A": ("B", "g", cite), "B": ("A", "g", cite), "C": ("A", "h", None)}
+    plans = []
+    for agent, (buyer, good, reason) in sales.items():
+        other = "C" if agent != "C" else "B"
+        steps = [Do(Action(ActionKind.PAY, agent, counterparty=other, amount=q(7),
+                           message=f"{agent}0"))]
+        if agent == "B":
+            steps.append(WaitFor(AfterEvent(ActionTemplate(message="A1"))))
+        steps += [Do(Action(ActionKind.SPOT_SALE, agent, counterparty=buyer, amount=q(50),
+                            good_id=good, reason=reason, message=f"{agent}1")),
+                  Do(Action(ActionKind.PAY, agent, counterparty=other, amount=q(3),
+                            message=f"{agent}2"))]
+        plans.append(Plan(agent, tuple(steps)))
+    contract = ContractRecord(contract_id="rt", parties=frozenset("AB"), initiator="A",
+                              clauses=(), signatures=frozenset("AB"), stage=Stage.ACTIVE)
+    world = make_world(agents=[Agent(a) for a in "ABC"],
+                       balances={a: q(200) for a in "ABC"},
+                       goods=[Good("g", "asset", "A", q(50)), Good("h", "asset", "C", q(50))],
+                       contracts=[contract])
+    return ScenarioInstance(name="three_by_three", params={}, world=world,
+                            plans=tuple(plans), principals=("A",), horizon=0)
 
 
 def rated_account(payments, rate=q(1, 10)):
@@ -184,6 +214,44 @@ class TestFacts:
         for progression in (a, b, a):
             judge(MAJORITY, instance, progression)
         assert len(built) == 1 + 3
+
+    def test_each_rule_runs_once_per_trace(self, monkeypatch):
+        """The 840 traces of three plans of three steps each, where B's second
+        step waits for A's, judged under the five built-ins: each (detector,
+        rule) runs at most once per trace, although riba and ethical-tags
+        are rules of three positions and unvalued-goods of two, and each
+        position's judgement with no reasons is one object."""
+        runs, judging = Counter(), [None]  # (detector, rule, trace index) -> runs
+
+        def counted(detector, evidence):
+            def count(rule, facts):
+                runs[detector, rule, judging[0]] += 1
+                return evidence(rule, facts)
+            return count
+
+        for detector, evidence in list(DETECTORS.items()):
+            monkeypatch.setitem(DETECTORS, detector, counted(detector, evidence))
+        monkeypatch.setattr(legality, "_last_facts", None)
+        instance = three_by_three()
+        traces = enumerate_interleavings(instance.world, instance.plans, bound=40)
+        assert len(traces) == 840
+        cleared = {}  # position name -> its judgements with no reasons
+        for judging[0], trace in enumerate(traces):
+            for position in BUILTIN_POSITIONS.values():
+                judgement = judge(position, instance, trace)
+                if not judgement.reasons:
+                    cleared.setdefault(position.name, []).append(judgement)
+        assert max(runs.values()) == 1
+        per_rule = Counter((detector, rule) for detector, rule, _ in runs)
+        assert per_rule == {("riba", "riba"): 840, ("ethical-tags", "ethical-tags"): 840,
+                            ("unvalued-goods", "good-valuation-missing"): 840,
+                            ("ina", "same-item-round-trip"): 840,
+                            ("ina-single-contract", "single-contract-round-trip"): 840,
+                            ("loan-profile", "interest-bearing-flow"): 840}
+        assert set(cleared) == {"CONVENTIONAL", "STRICT_DESCRIPTIVE", "STRICT_FUNCTIONAL"}
+        for judgements in cleared.values():
+            assert len(judgements) == 840
+            assert all(judgement is judgements[0] for judgement in judgements)
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_facts_net_the_flows_cash_flows_filters(self, name):
