@@ -397,9 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", metavar="key=value")
     p.add_argument("--catalogue", default=",".join(PRIMITIVES),
                    help=f"comma-separated primitives from {PRIMITIVES}")
-    p.add_argument("--agents")
+    p.add_argument("--agents", help="comma-separated agent names (default: X,Y,Z when the "
+                                    "target has an agent X, else the target's own agents)")
     p.add_argument("--bound", type=int, default=6)
-    p.add_argument("--perspective")
+    p.add_argument("--perspective", help="'all' or comma-separated agent names (default: X "
+                                         "when the target has an agent X, else the target's "
+                                         "first principal)")
     p.add_argument("--max-witnesses", type=_count, default=3,
                    help="witnesses to render (as scenario text in json output)")
     common(p, scenario_arg=False)

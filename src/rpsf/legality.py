@@ -103,26 +103,6 @@ class InaFinding:
 _SALES = (ActionKind.SPOT_SALE, ActionKind.BUY_ON_CREDIT)
 
 
-class _once:
-    """An attribute computed on its first read and then stored on the
-    instance, where later reads find it without calling this descriptor.
-
-    ``functools.cached_property`` does the same, but on Python 3.11 it takes
-    a lock on every first read, and judging makes thousands of them.
-    """
-
-    def __init__(self, compute: Callable):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 class _Facts:
     """What the detectors read of one history, gathered in one walk of it.
 
@@ -130,10 +110,14 @@ class _Facts:
     sales by good, the money transfers by cited contract, the tagged events
     and, for ``events`` (a progression's own events, the tail of the
     history), the events that carry an amount and their cash, netted by
-    ``world.net_cells`` into ``sums`` over ``scale``. Each finding is derived
-    from these once, when a rule first asks for it, and each rule's evidence
-    once per (detector, rule name), in ``evidence``.
+    ``world.net_cells`` into ``sums`` over ``scale``, and the round trips in
+    ``ina``. Each other finding is derived by the one detector that reads
+    it, and ``judge`` keeps each rule's evidence once per (detector, rule
+    name), in ``evidence``.
     """
+
+    __slots__ = ("world", "evidence", "sales", "transfers", "tagged", "cash", "scale", "sums",
+                 "ina")
 
     def __init__(self, history: HistoryLog, events: Sequence[Event] = (),
                  world: Optional[WorldState] = None):
@@ -169,34 +153,13 @@ class _Facts:
         if history[tail:] != events:  # a progression built by hand
             own = _Facts(events, events)
             self.sums, self.scale, self.cash = own.sums, own.scale, own.cash
+        self.ina = _ina(self.sales)
 
-    @_once
-    def riba(self) -> list[RibaFinding]:
-        return _riba(self.world.contracts.values(), self.transfers)
-
-    @_once
-    def ina(self) -> list[InaFinding]:
-        findings = []
-        for good_id, chain in self.sales.items():
-            for (first, seller, buyer, refs), (second, back_seller, back_buyer, back_refs) \
-                    in zip(chain, chain[1:]):
-                if back_seller == buyer and back_buyer == seller:
-                    findings.append(InaFinding(
-                        good_id=good_id, seller=seller, buyer=buyer,
-                        single_contract=(bool(refs and back_refs)
-                                         and not set(refs).isdisjoint(back_refs)),
-                        events=(first.seq, second.seq),
-                        contracts=tuple(sorted({*refs, *back_refs})) if refs or back_refs else (),
-                    ))
-        return findings
-
-    @_once
     def unvalued_goods(self) -> list[str]:
         """Goods that changed hands without a stated market value."""
         goods = self.world.goods
         return sorted(g for g in self.sales if g in goods and goods[g].market_value is None)
 
-    @_once
     def loan_profiles(self) -> list[tuple[str, Quantity, Quantity, int, tuple[int, ...]]]:
         """Agents whose net cash flow is 'money out first, more money back later'.
 
@@ -218,6 +181,22 @@ class _Facts:
                              if agent in (e.action.actor, e.action.counterparty))
                 profiles.append((agent, Quantity(-v0, scale), Quantity(v1, scale), d1 - d0, refs))
         return profiles
+
+
+def _ina(sales: Mapping[str, list]) -> list[InaFinding]:
+    findings = []
+    for good_id, chain in sales.items():
+        for (first, seller, buyer, refs), (second, back_seller, back_buyer, back_refs) \
+                in zip(chain, chain[1:]):
+            if back_seller == buyer and back_buyer == seller:
+                findings.append(InaFinding(
+                    good_id=good_id, seller=seller, buyer=buyer,
+                    single_contract=(bool(refs and back_refs)
+                                     and not set(refs).isdisjoint(back_refs)),
+                    events=(first.seq, second.seq),
+                    contracts=tuple(sorted({*refs, *back_refs})) if refs or back_refs else (),
+                ))
+    return findings
 
 
 def _riba(contracts, transfers: Mapping[str, list]) -> list[RibaFinding]:
@@ -331,7 +310,7 @@ DETECTORS: dict[str, Callable[[str, _Facts], tuple[Evidence, ...]]] = {
         Evidence(rule=rule, events=f.events, contracts=(f.link,),
                  note=f"increment {f.increment} on principal {f.principal} "
                       f"over {f.duration} days")
-        for f in facts.riba),
+        for f in _riba(facts.world.contracts.values(), facts.transfers)),
     "ethical-tags": lambda rule, facts: tuple(
         Evidence(rule=rule, events=(e.seq,),
                  note=", ".join(sorted(tag.value for tag in e.action.tags)))
@@ -341,10 +320,10 @@ DETECTORS: dict[str, Callable[[str, _Facts], tuple[Evidence, ...]]] = {
         _ina_evidence(rule, f) for f in facts.ina if f.single_contract),
     "loan-profile": lambda rule, facts: tuple(
         Evidence(rule=rule, events=refs, note=f"{agent}: {p} out, {r} back after {days} days")
-        for agent, p, r, days, refs in facts.loan_profiles),
+        for agent, p, r, days, refs in facts.loan_profiles()),
     "unvalued-goods": lambda rule, facts: (
-        (Evidence(rule=rule, note=f"unvalued goods traded: {', '.join(facts.unvalued_goods)}"),)
-        if facts.unvalued_goods else ()),
+        (Evidence(rule=rule, note=f"unvalued goods traded: {', '.join(goods)}"),)
+        if (goods := facts.unvalued_goods()) else ()),
 }
 
 

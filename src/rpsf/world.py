@@ -293,7 +293,7 @@ class Stage(str, Enum):
 
 _STAGE_NEXT: dict[Stage, frozenset[Stage]] = {
     Stage.DRAFTED: frozenset({Stage.PREPARED}),
-    Stage.PREPARED: frozenset({Stage.PARTIALLY_SIGNED}),
+    Stage.PREPARED: frozenset({Stage.PARTIALLY_SIGNED, Stage.ACTIVE}),
     Stage.PARTIALLY_SIGNED: frozenset({Stage.ACTIVE}),
     Stage.ACTIVE: frozenset({Stage.PARTIALLY_HONOURED, Stage.HONOURED, Stage.BREACHED}),
     Stage.PARTIALLY_HONOURED: frozenset({Stage.HONOURED, Stage.BREACHED}),
@@ -766,7 +766,7 @@ def promise_to_contract(promise: Action) -> ContractRecord:
     _need(promise)
     cid = promise.contract_id
     if cid is None:
-        raise ValidationError("promise contract needs an id")
+        raise ValidationError(f"{promise.kind.value} requires contract_id")
     actor, other = promise.actor, promise.counterparty
 
     kind, trigger, good, bound = ActionKind.PAY, Always(), None, cid

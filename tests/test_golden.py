@@ -417,7 +417,7 @@ HELP = {
     "run": "19151b58543acd64b9a5fce90f11d42c227a66c1c0506693dd9c6870541562a7",
     "judge": "fa882a661fc8dfb23aaaf5c7b3ba59b0adfe059cd7a1abf2f7f06bf257aae2ef",
     "compare": "711cb75900821dbc46f6bc3ccac7e997cb0c2a5890dfaaa648d7d55a977f2134",
-    "synthesize": "e72ce56f54aa74d4398b6ed22c843cabbd0a5e8c634b79a4c6e0118d39aa44ce",
+    "synthesize": "ad44b8d7d373bff7a57522d9fdc002c66ed18c16cd6aaeb13a262c0e5507226e",
     "enumerate": "63e610f4bfdd48f826918d54c4fbf25f35cccaca0824c64ed30ae945ad63476c",
 }
 

@@ -219,9 +219,11 @@ class TestFacts:
         """The 840 traces of three plans of three steps each, where B's second
         step waits for A's, judged under the five built-ins: each (detector,
         rule) runs at most once per trace, although riba and ethical-tags
-        are rules of three positions and unvalued-goods of two, and each
+        are rules of three positions and unvalued-goods of two; so does each
+        finding, although two detectors read the round trips; and each
         position's judgement with no reasons is one object."""
         runs, judging = Counter(), [None]  # (detector, rule, trace index) -> runs
+        found = Counter()  # (finding, trace index) -> computations
 
         def counted(detector, evidence):
             def count(rule, facts):
@@ -229,8 +231,18 @@ class TestFacts:
                 return evidence(rule, facts)
             return count
 
+        def computed(finding, compute):
+            def count(*args):
+                found[finding, judging[0]] += 1
+                return compute(*args)
+            return count
+
         for detector, evidence in list(DETECTORS.items()):
             monkeypatch.setitem(DETECTORS, detector, counted(detector, evidence))
+        for owner, finding in ((legality, "_riba"), (legality, "_ina"),
+                               (legality._Facts, "unvalued_goods"),
+                               (legality._Facts, "loan_profiles")):
+            monkeypatch.setattr(owner, finding, computed(finding, getattr(owner, finding)))
         monkeypatch.setattr(legality, "_last_facts", None)
         instance = three_by_three()
         traces = enumerate_interleavings(instance.world, instance.plans, bound=40)
@@ -241,6 +253,9 @@ class TestFacts:
                 judgement = judge(position, instance, trace)
                 if not judgement.reasons:
                     cleared.setdefault(position.name, []).append(judgement)
+        assert max(found.values()) == 1
+        assert Counter(finding for finding, _ in found) == {
+            "_riba": 840, "_ina": 840, "unvalued_goods": 840, "loan_profiles": 840}
         assert max(runs.values()) == 1
         per_rule = Counter((detector, rule) for detector, rule, _ in runs)
         assert per_rule == {("riba", "riba"): 840, ("ethical-tags", "ethical-tags"): 840,

@@ -235,4 +235,4 @@ def net_cells(draw):
 def test_loan_profiles_are_the_reference_ones(cells):
     facts = legality._Facts(())
     facts.scale, facts.sums, facts.cash = cells
-    assert facts.loan_profiles == reference_loan_profiles(facts)
+    assert facts.loan_profiles() == reference_loan_profiles(facts)

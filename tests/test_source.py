@@ -284,7 +284,6 @@ def test_the_gate_sees_a_key_before_the_actor_and_an_actor_left_out():
 UNREAD_PARAMETERS = {
     "legality.py judge(instance)": "public signature: every caller, perfbench's among them, "
                                    "passes the scenario with the progression it judges",
-    "legality.py __get__(owner)": "descriptor protocol: Python passes the owner class",
     "money.py _frozen_setattr(value)": "installed as __setattr__, which Python calls with the "
                                        "value it refuses",
     "money.py <lambda>(obj)": "the zero-field getter: called with the record, as every "

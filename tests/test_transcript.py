@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -340,6 +341,11 @@ def pins() -> dict[str, str]:
 
 def test_the_pins_name_the_corpus(pins):
     assert sorted(pins) == sorted(CORPUS)
+
+
+def test_the_readme_states_the_number_of_pins(pins):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [int(n) for n in re.findall(r"It runs\s+(\d+)\s+invocations", readme)] == [len(pins)]
 
 
 @pytest.mark.parametrize("case", CORPUS)

@@ -473,6 +473,14 @@ class TestPromises:
         assert clause.obliged_action.amount == q(110)
         assert clause.deadline == 365
 
+    @pytest.mark.parametrize("kind", sorted(kind.value for kind in PROMISE_KINDS))
+    def test_a_promise_without_a_contract_id_is_named_as_any_missing_field(self, kind):
+        # apply_event names one first, so only a direct caller meets this
+        promise = replace(desk_action(kind), contract_id=None)
+        with pytest.raises(ValidationError) as exc:
+            promise_to_contract(promise)
+        assert str(exc.value) == f"{kind} requires contract_id"
+
     def test_promise_initiator_only_partially_signed(self):
         promise = Action(kind=ActionKind.PROMISE_PAY, actor="X", counterparty="Y",
                          amount=q(1), contract_id="c", signing=SigningMode.INITIATOR_ONLY)
@@ -602,6 +610,16 @@ class TestContractLifecycle:
         assert stage_transition_allowed(Stage.PARTIALLY_HONOURED, Stage.BREACHED)
         assert not stage_transition_allowed(Stage.DRAFTED, Stage.ACTIVE)
         assert not stage_transition_allowed(Stage.HONOURED, Stage.BREACHED)
+
+    def test_a_one_party_contract_goes_from_prepared_to_active(self):
+        # prepared with no counterparty or parties, its one party is its actor
+        world = make_world(agents=[Agent("X")])
+        stages = []
+        for kind in (ActionKind.PREPARE_CONTRACT, ActionKind.SIGN_CONTRACT):
+            world = apply_event(world, Action(kind=kind, actor="X", contract_id="c"), 0)
+            stages.append(world.contracts["c"].stage)
+        assert stages == [Stage.PREPARED, Stage.ACTIVE]
+        assert all(stage_transition_allowed(a, b) for a, b in zip(stages, stages[1:]))
 
     def test_references_must_exist(self):
         world = make_world(agents=[Agent("X"), Agent("Y")])
