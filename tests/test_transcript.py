@@ -97,6 +97,11 @@ FILES = {
                             "rules": [{"detector": "ina", "verdict": "haram"}]}]},
     "bad_detector": {"scenarios": [_GOOD], "positions": [
         {"name": "P", "rules": [{"detector": "foo"}]}]},
+    "builtin_position": {"positions": [{"name": "MAJORITY", "rules": []}]},
+    "twice_position": {"positions": [{"name": "P", "rules": [{"detector": "ina"}]},
+                                     {"name": "P", "rules": []}]},
+    "twice_scenario": {"scenarios": [{**_GOOD, "name": "s", "balances": {"X": "1"}},
+                                     {**_GOOD, "name": "s", "balances": {"X": "2"}}]},
     "no_parameters": {"scenarios": [_GOOD]},
     "top_level_array": [],
     "not_objects": {"scenarios": [1]},
@@ -236,6 +241,13 @@ def _corpus() -> dict[str, tuple[tuple[str, ...], dict[str, str]]]:
     add("judge", "ina_two_party", "--position", "ROUND_TRIP_WARY", "--scenario-file",
         "@positions")
     add("judge", "ina_two_party", "--position", "ROUND_TRIP_WARY", "--scenario-file", "@mode")
+    add("judge", "ina_two_party", "--position", "MAJORITY", "--scenario-file",
+        "@builtin_position")
+    add("judge", "ina_two_party", "--position", "P", "--scenario-file", "@twice_position")
+    add("run", "s", "--scenario-file", "@twice_scenario")
+    add("run", "loan_with_interest", "p=100", "p=200")
+    for side in ("--set-a", "--set-b"):
+        add("compare", "loan_with_interest", "loan_with_interest", side, "p=100", side, "p=200")
     for perspective in ("X", "X,Y", "Y", "all", "W", "X,W"):
         add("compare", "pi_prime", "savings_account_with_interest", "--perspective", perspective)
     add("compare", "tawarruq_classic", "loan_with_interest", "--set-b", "c=0", "--set-b",
