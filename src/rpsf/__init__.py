@@ -14,23 +14,22 @@ The names below are imported from their module on first use (PEP 562), so
 from importlib import import_module
 
 _EXPORTS = {
-    "money": ("Quantity", "ZERO", "ONE", "add", "compare", "inverse", "multiply", "negate",
-              "parse_quantity", "subtract", "total_div"),
+    "money": ("Quantity", "ZERO", "ONE", "inverse", "parse_quantity", "total_div"),
     "world": ("Action", "ActionKind", "ActionTemplate", "AfterEvent", "Agent", "Always",
               "ByDate", "Clause", "ConditionMet", "ContractRecord", "EthicalTag", "Event",
               "Good", "GoodSpec", "InsufficientFunds", "NotOwner", "Reason", "RepaymentTerms",
               "Role", "SigningMode", "Stage", "StageViolation", "UnknownReference",
               "ValidationError", "WorldError", "WorldState", "apply_event", "honour_status",
-              "make_world", "promise_to_contract", "replay", "world_to_dict", "world_to_json"),
+              "make_world", "promise_to_contract", "replay", "world_to_json"),
     "engine": ("BoundExceeded", "Branch", "DeadlockDetected", "Do", "EngineError",
                "Exhaustive", "HorizonExceeded", "Plan", "Progression", "RoundRobin",
                "SeededRandom", "Stop", "WaitFor", "enumerate_interleavings", "run"),
     "scenarios": ("ParameterViolation", "ScenarioInstance", "ScenarioSpec", "UnknownScenario",
                   "instantiate", "load_scenario_file", "scenario_names"),
     "legality": ("BUILTIN_POSITIONS", "CONVENTIONAL", "Judgement", "LegalPosition", "MAJORITY",
-                 "MALAYSIA", "NonpositivePrincipal", "RibaFinding", "Rule",
-                 "STRICT_DESCRIPTIVE", "STRICT_FUNCTIONAL", "Verdict", "ZeroDuration",
-                 "detect_ina", "detect_riba", "effective_interest_rate", "judge"),
+                 "MALAYSIA", "NonpositivePrincipal", "Rule", "STRICT_DESCRIPTIVE",
+                 "STRICT_FUNCTIONAL", "Verdict", "ZeroDuration", "effective_interest_rate",
+                 "judge"),
     "synthesis": ("ALL_AGENTS", "Flow", "FlowTrace", "SynthesisResult", "Witness", "equivalent",
                   "monetary_projection", "net_positions", "synthesize", "witness_scenario"),
 }

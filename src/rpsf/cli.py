@@ -31,7 +31,7 @@ from .scenarios import (
     load_scenario_file,
     scenario_names,
 )
-from .world import WorldError, render_json, world_object
+from .world import WorldError, render_json, value_to_dict, world_object
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -228,7 +228,7 @@ def _cmd_judge(args) -> int:
         if reason.contracts:
             where += f" contracts {list(reason.contracts)}"
         lines.append(f"  rule {reason.rule}:{where} {reason.note}".rstrip())
-    _emit(args, lambda: {"scenario": instance.name, **judgement.to_dict()}, lines)
+    _emit(args, lambda: {"scenario": instance.name, **value_to_dict(judgement)}, lines)
     if judgement.verdict == Verdict.HARAM:
         return EXIT_HARAM
     if judgement.verdict == Verdict.UNDECIDED:
@@ -302,7 +302,7 @@ def _cmd_synthesize(args) -> int:
     _emit(args, lambda: {
         "found": result.found,
         "witness_count": len(result.witnesses),
-        "witnesses": [w.to_dict() for w in shown],
+        "witnesses": [{"actions": w.actions} for w in shown],
         "explored": result.explored,
         "bound": result.bound,
         "grounding": dict(result.grounding),

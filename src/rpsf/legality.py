@@ -28,8 +28,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from .engine import Progression
 from .money import Quantity, ZERO, record, replace, total_div
 from .scenarios import ScenarioInstance
-from .world import (CASH_LEGS, ActionKind, ContractRecord, Event, HistoryLog, WorldState,
-                    codec_row, net_cells, value_from_dict, value_to_dict)
+from .world import (CASH_LEGS, ActionKind, Event, HistoryLog, WorldState, codec_row, net_cells,
+                    value_from_dict)
 
 
 class Verdict(str, Enum):
@@ -53,8 +53,6 @@ class Evidence:
     contracts: tuple[str, ...] = ()
     note: str = ""
 
-    to_dict = value_to_dict
-
 
 @record
 class Judgement:
@@ -62,38 +60,9 @@ class Judgement:
     verdict: Verdict
     reasons: tuple[Evidence, ...] = ()
 
-    to_dict = value_to_dict
-
 
 codec_row(Evidence)
 codec_row(Judgement)
-
-
-@record
-class RibaFinding:
-    """A contract-linked transfer pair with a declared proportional increment."""
-
-    principal: Quantity
-    repayment: Quantity
-    link: str
-    duration: int
-    events: tuple[int, int]
-
-    @property
-    def increment(self) -> Quantity:
-        return self.repayment - self.principal
-
-
-@record
-class InaFinding:
-    """A good sold A -> B and straight back B -> A with no third party."""
-
-    good_id: str
-    seller: str
-    buyer: str
-    single_contract: bool
-    events: tuple[int, int]
-    contracts: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +88,7 @@ class _Facts:
     __slots__ = ("world", "evidence", "sales", "transfers", "tagged", "cash", "scale", "sums",
                  "ina")
 
-    def __init__(self, history: HistoryLog, events: Sequence[Event] = (),
-                 world: Optional[WorldState] = None):
+    def __init__(self, history: HistoryLog, events: Sequence[Event], world: WorldState):
         self.world = world
         self.evidence: dict[tuple[str, str], tuple[Evidence, ...]] = {}
         self.sales: dict[str, list] = {}  # good -> [(event, seller, buyer, refs)]
@@ -151,7 +119,7 @@ class _Facts:
                     rows.append((payer, payee, paid, event.date))
         self.scale, self.sums = net_cells(rows)
         if history[tail:] != events:  # a progression built by hand
-            own = _Facts(events, events)
+            own = _Facts(events, events, world)
             self.sums, self.scale, self.cash = own.sums, own.scale, own.cash
         self.ina = _ina(self.sales)
 
@@ -183,24 +151,40 @@ class _Facts:
         return profiles
 
 
-def _ina(sales: Mapping[str, list]) -> list[InaFinding]:
-    findings = []
+def _ina(sales: Mapping[str, list]) -> list[tuple[bool, tuple[int, int], tuple[str, ...], str]]:
+    """Same-item round trips, as (single contract, events, contracts, note).
+
+    One for every good sold A -> B and then, with no intermediate owner,
+    B -> A; the single-contract flag is set when both sales cite the same
+    governing contract.
+    """
+    found = []
     for good_id, chain in sales.items():
         for (first, seller, buyer, refs), (second, back_seller, back_buyer, back_refs) \
                 in zip(chain, chain[1:]):
             if back_seller == buyer and back_buyer == seller:
-                findings.append(InaFinding(
-                    good_id=good_id, seller=seller, buyer=buyer,
-                    single_contract=(bool(refs and back_refs)
-                                     and not set(refs).isdisjoint(back_refs)),
-                    events=(first.seq, second.seq),
-                    contracts=tuple(sorted({*refs, *back_refs})) if refs or back_refs else (),
-                ))
-    return findings
+                single = bool(refs and back_refs) and not set(refs).isdisjoint(back_refs)
+                found.append((single, (first.seq, second.seq),
+                              tuple(sorted({*refs, *back_refs})) if refs or back_refs else (),
+                              f"{good_id} sold {seller} -> {buyer} and back under "
+                              + ("a single contract" if single else "separate contracts")))
+    return found
 
 
-def _riba(contracts, transfers: Mapping[str, list]) -> list[RibaFinding]:
-    findings: list[RibaFinding] = []
+def _riba(rule: str, contracts, transfers: Mapping[str, list]) -> tuple[Evidence, ...]:
+    """Interest evidence, matched by a ledger per contract whose declared
+    terms carry a positive rate.
+
+    Only transfers that cite the contract enter its ledger. A transfer
+    opens principal from payer to payee, unless principal is open the
+    other way: then it closes the oldest open principal first, and it is
+    evidence when it returns more than it closes. So a loan repaid with
+    interest in installments gives one finding, at the installment that
+    passes the principal, and each repayment gives at most one. Terms
+    with a zero rate (fixed transaction costs only) yield nothing; sale
+    markups carry no declared rate and are invisible to this detector.
+    """
+    found = []
     for record in contracts:
         if record.terms is None or record.terms.rate <= ZERO:
             continue
@@ -218,36 +202,11 @@ def _riba(contracts, transfers: Mapping[str, list]) -> list[RibaFinding]:
                 if owed[0][0] == ZERO:
                     owed.popleft()
             if left > ZERO:
-                findings.append(RibaFinding(
-                    principal=closed, repayment=amount, link=record.contract_id,
-                    duration=event.date - opened.date, events=(opened.seq, event.seq)))
-    return findings
-
-
-def detect_riba(contracts: Mapping[str, ContractRecord], history: HistoryLog) -> list[RibaFinding]:
-    """Interest findings, matched by a ledger per contract whose declared
-    terms carry a positive rate.
-
-    Only transfers that cite the contract enter its ledger. A transfer
-    opens principal from payer to payee, unless principal is open the
-    other way: then it closes the oldest open principal first, and it is
-    a finding when it returns more than it closes. So a loan repaid with
-    interest in installments gives one finding, at the installment that
-    passes the principal, and each repayment gives at most one. Terms
-    with a zero rate (fixed transaction costs only) yield nothing; sale
-    markups carry no declared rate and are invisible to this detector.
-    """
-    return _riba(contracts.values(), _Facts(history).transfers)
-
-
-def detect_ina(history: HistoryLog) -> list[InaFinding]:
-    """Same-item sale-repurchase findings.
-
-    A finding for every good sold A -> B and then, with no intermediate
-    owner, B -> A; the single-contract flag is set when both sales cite the
-    same governing contract.
-    """
-    return _Facts(history).ina
+                found.append(Evidence(
+                    rule=rule, events=(opened.seq, event.seq), contracts=(record.contract_id,),
+                    note=f"increment {amount - closed} on principal {closed} "
+                         f"over {event.date - opened.date} days"))
+    return tuple(found)
 
 
 def effective_interest_rate(principal: Quantity, repayment: Quantity, t: int) -> Quantity:
@@ -292,32 +251,17 @@ class Rule:
     verdict: Verdict = Verdict.HARAM
 
 
-def _ina_evidence(rule: str, finding: InaFinding) -> Evidence:
-    return Evidence(
-        rule=rule,
-        events=finding.events,
-        contracts=finding.contracts,
-        note=f"{finding.good_id} sold {finding.seller} -> {finding.buyer} and back"
-             + (" under a single contract" if finding.single_contract else
-                " under separate contracts"),
-    )
-
-
 # Each detector maps (rule name, facts of the progression) to the rule's
 # evidence; a rule fires when its detector returns any.
 DETECTORS: dict[str, Callable[[str, _Facts], tuple[Evidence, ...]]] = {
-    "riba": lambda rule, facts: tuple(
-        Evidence(rule=rule, events=f.events, contracts=(f.link,),
-                 note=f"increment {f.increment} on principal {f.principal} "
-                      f"over {f.duration} days")
-        for f in _riba(facts.world.contracts.values(), facts.transfers)),
+    "riba": lambda rule, facts: _riba(rule, facts.world.contracts.values(), facts.transfers),
     "ethical-tags": lambda rule, facts: tuple(
         Evidence(rule=rule, events=(e.seq,),
                  note=", ".join(sorted(tag.value for tag in e.action.tags)))
         for e in facts.tagged),
-    "ina": lambda rule, facts: tuple(_ina_evidence(rule, f) for f in facts.ina),
+    "ina": lambda rule, facts: tuple(Evidence(rule, *found) for _, *found in facts.ina),
     "ina-single-contract": lambda rule, facts: tuple(
-        _ina_evidence(rule, f) for f in facts.ina if f.single_contract),
+        Evidence(rule, *found) for single, *found in facts.ina if single),
     "loan-profile": lambda rule, facts: tuple(
         Evidence(rule=rule, events=refs, note=f"{agent}: {p} out, {r} back after {days} days")
         for agent, p, r, days, refs in facts.loan_profiles()),

@@ -336,30 +336,6 @@ def _coerce(value: QuantityLike) -> Quantity:
     raise TypeError(f"cannot treat {value!r} as a Quantity")
 
 
-def add(a: QuantityLike, b: QuantityLike) -> Quantity:
-    return _coerce(a) + b
-
-
-def subtract(a: QuantityLike, b: QuantityLike) -> Quantity:
-    return _coerce(a) - b
-
-
-def multiply(a: QuantityLike, b: QuantityLike) -> Quantity:
-    return _coerce(a) * b
-
-
-def negate(a: QuantityLike) -> Quantity:
-    return -_coerce(a)
-
-
-def compare(a: QuantityLike, b: QuantityLike) -> int:
-    """Three-way comparison: -1, 0 or 1, consistent with subtraction sign."""
-    d = _coerce(a) - b
-    if d.num < 0:
-        return -1
-    return 1 if d.num > 0 else 0
-
-
 def total_div(a: QuantityLike, b: QuantityLike) -> Quantity:
     """Division made total: a/b for b != 0, and exactly 0 when b == 0."""
     a, b = _coerce(a), _coerce(b)

@@ -61,12 +61,10 @@ from .world import (
     Role,
     ValidationError,
     WorldState,
-    action_to_dict,
     apply_event,  # noqa: F401  unused; perfbench/test_perfbench.py wraps this binding
     codec_row,
     make_world,
     net_cells,
-    value_to_dict,
 )
 
 ALL_AGENTS = "all"
@@ -80,8 +78,6 @@ class Flow:
     payee: str
     amount: Quantity
     date: int
-
-    to_dict = value_to_dict
 
 
 codec_row(Flow)
@@ -229,9 +225,6 @@ class Witness:
             Action(kind=ActionKind.PAY, actor=payer, counterparty=payee, amount=amount,
                    reason=Reason(contract_ids=(settle_id,)))
             for payer, payee, amount, _, settle_id in _due_order(self.pending))
-
-    def to_dict(self) -> dict:
-        return {"actions": [action_to_dict(a) for a in self.actions]}
 
 
 @record

@@ -1177,13 +1177,9 @@ def world_object(world: WorldState, include_history: bool = True) -> dict:
     return out
 
 
-def world_to_dict(world: WorldState, include_history: bool = True) -> dict:
-    return value_to_dict(world_object(world, include_history))
-
-
 def world_to_json(world: WorldState) -> str:
-    """``render_json(world_to_dict(world))``, written without building a dict
-    for any agent, good, contract or event."""
+    """``render_json(value_to_dict(world_object(world)))``, written without
+    building a dict for any agent, good, contract or event."""
     return render_json(world_object(world))
 
 

@@ -53,7 +53,8 @@ from rpsf.world import (  # noqa: E402
     make_world,
     replay,
     trigger_fired,
-    world_to_dict,
+    value_to_dict,
+    world_object,
     world_to_json,
 )
 
@@ -262,7 +263,7 @@ class TestTraces:
                 == world_to_json(replace(progression.world, clock=clock))
             # the rows' writers write what json writes of value_to_dict's output
             assert world_to_json(progression.world) \
-                == json.dumps(world_to_dict(progression.world), indent=2)
+                == json.dumps(value_to_dict(world_object(progression.world)), indent=2)
 
     @given(plan_sets(), st.booleans(), st.integers(0, 2**16), st.sampled_from(AGENTS))
     def test_equivalent_is_an_equivalence_relation(self, plans, choice, seed, agent):

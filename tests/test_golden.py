@@ -40,6 +40,7 @@ from rpsf.world import (
     Role,
     Stage,
     make_world,
+    value_to_dict,
     world_to_json,
 )
 
@@ -189,7 +190,7 @@ SCHEDULES = {
 ENUMERATE_JSON = "4967940c0c3cf9c04fbb288dfdd684b1abe1c1d7ddb26d446889053cea1dc10b"
 SYNTHESIZE_JSON = "89bf9ba3600b44a6de011a370265de134f70ed78a8d1401501c5899f82811281"
 # The savings target under the full catalogue at bound 5: (explored, witnesses,
-# sha256 of the JSON list of every witness's to_dict()) per perspective.
+# sha256 of the JSON list of every witness's actions) per perspective.
 SYNTHESIS_BOUND_5 = {
     None: (2095, 126, "b648f6eb7680adf63a92431d2f527a6fcf62bb869f04c0c32c887adff17524fb"),
     ("X", "Y"): (3132, 68, "4213c5c9786978dabc2bd3ed5090ede7c76d70ae86a9933b1be0fe9501c41223"),
@@ -323,7 +324,7 @@ INSTANCE_VARIANT_JSON = (
     ("tawarruq_classic", "p=7/3",
      "b300d939a2146e9c08e61d5b0b211c586cb721e3ef46fd9e52fb52b4f23f9702"),
 )
-# judge(position, instance, trace).to_dict() for every enumerated trace of
+# value_to_dict(judge(position, instance, trace)) for every enumerated trace of
 # each built-in at its defaults, under each of the five built-in positions
 JUDGEMENTS = {
     "loan_with_interest":
@@ -426,6 +427,10 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _witnesses_digest(result) -> str:
+    return _digest(json.dumps(value_to_dict([{"actions": w.actions} for w in result.witnesses])))
+
+
 def _stdout(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -488,7 +493,7 @@ def _savings_target():
 def test_synthesis_witnesses_at_bound_5(perspective):
     result = synthesize(_savings_target(), FULL_CATALOGUE, ("X", "Y", "Z"), bound=5,
                         perspective=perspective)
-    digest = _digest(json.dumps([w.to_dict() for w in result.witnesses]))
+    digest = _witnesses_digest(result)
     assert (result.explored, len(result.witnesses), digest) == SYNTHESIS_BOUND_5[perspective]
 
 
@@ -496,7 +501,7 @@ def test_synthesis_witnesses_at_bound_5(perspective):
 def test_synthesis_witnesses_at_deeper_bounds(perspective, bound):
     result = synthesize(_savings_target(), FULL_CATALOGUE, ("X", "Y", "Z"), bound=bound,
                         perspective=perspective)
-    digest = _digest(json.dumps([w.to_dict() for w in result.witnesses]))
+    digest = _witnesses_digest(result)
     assert (result.explored, len(result.witnesses), digest) == SYNTHESIS_DEEP[
         perspective, bound]
 
@@ -593,7 +598,7 @@ def test_judgements_of_every_enumerated_trace(name):
     instance = instantiate(name)
     traces = enumerate_interleavings(instance.world, instance.plans, bound=40,
                                      choice_points=instance.choice_points)
-    rows = [[judge(position, instance, trace).to_dict()
+    rows = [[value_to_dict(judge(position, instance, trace))
              for position in BUILTIN_POSITIONS.values()] for trace in traces]
     assert _digest(json.dumps(rows)) == JUDGEMENTS[name]
 

@@ -20,8 +20,6 @@ from rpsf.legality import (
     STRICT_FUNCTIONAL,
     Verdict,
     ZeroDuration,
-    detect_ina,
-    detect_riba,
     effective_interest_rate,
     judge,
     position_from_dict,
@@ -57,40 +55,39 @@ def run_default(name, **params):
     return instance, progression
 
 
+def evidence(detector, progression):
+    """What ``detector`` finds in a progression, under a rule named after it."""
+    world = progression.world
+    return DETECTORS[detector](detector,
+                               legality._Facts(world.history, progression.events, world))
+
+
 class TestDetectRiba:
     def test_linked_pair_yields_one_finding(self):
         _, progression = run_default("loan_with_interest", p=q(100), i=q(10),
                                      c=q(0), c2=q(0))
-        world = progression.world
-        findings = detect_riba(world.contracts, world.history)
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.principal == q(100)
-        assert finding.repayment == q(110)
-        assert finding.increment == q(10)
-        assert finding.duration == 365
-        assert finding.link == "loan"
+        [found] = evidence("riba", progression)
+        assert found.note == "increment 10 on principal 100 over 365 days"
+        assert found.contracts == ("loan",)
+        paid = [progression.world.history[s - 1].action.amount for s in found.events]
+        assert paid == [q(100), q(110)]
 
     def test_zero_rate_fixed_costs_only_yield_nothing(self):
         _, progression = run_default("loan_with_interest", p=q(100), i=q(0),
                                      c=q(2), c2=q(0))
-        world = progression.world
-        assert detect_riba(world.contracts, world.history) == []
+        assert evidence("riba", progression) == ()
 
     def test_tawarruq_has_no_descriptive_findings(self):
         # no single contract links X's payment to Y's repayment; the credit
         # leg is a sale of the asset
         _, progression = run_default("tawarruq_classic")
-        world = progression.world
-        assert detect_riba(world.contracts, world.history) == []
+        assert evidence("riba", progression) == ()
 
     def test_savings_account_finding_cites_both_transfers(self):
         _, progression = run_default("savings_account_with_interest")
         world = progression.world
-        findings = detect_riba(world.contracts, world.history)
-        assert len(findings) == 1
-        seqs = findings[0].events
-        kinds = [world.history[s - 1].action.kind for s in seqs]
+        [found] = evidence("riba", progression)
+        kinds = [world.history[s - 1].action.kind for s in found.events]
         assert kinds == [ActionKind.PAY, ActionKind.PAY]
 
 
@@ -153,24 +150,21 @@ class TestRibaLedger:
     def test_installments_past_the_principal_give_one_finding(self):
         _, progression = rated_account([("A", q(100), 0), ("B", q(60), 180),
                                         ("B", q(50), 365)])
-        world = progression.world
-        [finding] = detect_riba(world.contracts, world.history)
-        assert (finding.principal, finding.repayment, finding.increment) == (q(40), q(50), q(10))
-        assert (finding.events, finding.duration) == ((1, 3), 365)
+        [found] = evidence("riba", progression)
+        assert found.note == "increment 10 on principal 40 over 365 days"
+        assert found.events == (1, 3)
 
     def test_installments_within_the_principal_give_none(self):
         _, progression = rated_account([("A", q(100), 0), ("B", q(60), 180),
                                         ("B", q(40), 365)])
-        world = progression.world
-        assert detect_riba(world.contracts, world.history) == []
+        assert evidence("riba", progression) == ()
 
     def test_two_successive_loans_give_two_findings(self):
         instance, progression = rated_account([("A", q(100), 0), ("B", q(110), 365),
                                                ("A", q(100), 365), ("B", q(110), 730)])
-        world = progression.world
-        findings = detect_riba(world.contracts, world.history)
-        assert [(f.principal, f.repayment, f.events) for f in findings] == [
-            (q(100), q(110), (1, 2)), (q(100), q(110), (3, 4))]
+        once = "increment 10 on principal 100 over 365 days"
+        assert [(f.events, f.note) for f in evidence("riba", progression)] == [
+            ((1, 2), once), ((3, 4), once)]
         assert len(judge(STRICT_DESCRIPTIVE, instance, progression).reasons) == 2
 
     def test_a_long_account_has_no_more_evidence_than_repayments(self):
@@ -190,8 +184,7 @@ class TestRibaLedger:
 
     def test_a_zero_rate_gives_none(self):
         _, progression = rated_account([("A", q(100), 0), ("B", q(110), 365)], rate=q(0))
-        world = progression.world
-        assert detect_riba(world.contracts, world.history) == []
+        assert evidence("riba", progression) == ()
 
 
 class TestFacts:
@@ -285,25 +278,25 @@ class TestFacts:
 class TestDetectIna:
     def test_separate_contracts_flagged_but_not_single(self):
         _, progression = run_default("ina_two_party")
-        findings = detect_ina(progression.world.history)
-        assert len(findings) == 1
-        finding = findings[0]
-        assert (finding.good_id, finding.seller, finding.buyer) == ("S", "Y", "X")
-        assert finding.single_contract is False
+        [found] = evidence("ina", progression)
+        assert found.note == "S sold Y -> X and back under separate contracts"
+        assert evidence("ina-single-contract", progression) == ()
 
     def test_single_contract_flag(self):
         _, progression = run_default("ina_two_party", single_contract=True)
-        findings = detect_ina(progression.world.history)
-        assert len(findings) == 1
-        assert findings[0].single_contract is True
+        [found] = evidence("ina-single-contract", progression)
+        assert found.note == "S sold Y -> X and back under a single contract"
+        [same] = evidence("ina", progression)
+        assert (same.events, same.contracts, same.note) == (found.events, found.contracts,
+                                                            found.note)
 
     def test_tawarruq_round_trip_with_intermediary_is_clean(self):
         _, progression = run_default("tawarruq_classic")
-        assert detect_ina(progression.world.history) == []
+        assert evidence("ina", progression) == ()
 
     def test_no_sales_no_findings(self):
         _, progression = run_default("loan_with_interest")
-        assert detect_ina(progression.world.history) == []
+        assert evidence("ina", progression) == ()
 
 
 class TestEffectiveRate:

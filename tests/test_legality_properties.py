@@ -27,6 +27,7 @@ from rpsf.world import (  # noqa: E402
     RepaymentTerms,
     Stage,
     make_world,
+    value_to_dict,
 )
 
 AGENTS = ("A", "B", "C")
@@ -121,7 +122,7 @@ def test_shared_facts_judge_as_fresh_facts(instance, rng):
         pending[i] = pending[i][run:]
         if not pending[i]:
             del pending[i]
-    shared = [judge(position, instance, p).to_dict() for p, position in order]
+    shared = [value_to_dict(judge(position, instance, p)) for p, position in order]
     assert shared == [fresh_judgement(position, instance, p) for p, position in order]
 
 
@@ -132,7 +133,7 @@ def fresh_judgement(position, instance, progression):
     legality._last_facts = None
     legality._cleared.clear()
     copy = Progression(progression.events, progression.world, progression.schedule)
-    return judge(position, instance, copy).to_dict()
+    return value_to_dict(judge(position, instance, copy))
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +142,17 @@ def fresh_judgement(position, instance, progression):
 
 def reference_ina(facts):
     """Round trips, as first written: every consecutive pair of sales of a
-    good that goes straight back, with set algebra on the cited contracts."""
+    good that goes straight back, with set algebra on the cited contracts,
+    as (single contract, events, contracts, note)."""
     findings = []
     for good_id, chain in facts.sales.items():
         for (first, seller, buyer, refs), (second, *back, refs2) in zip(chain, chain[1:]):
             if back == [buyer, seller]:
-                findings.append(legality.InaFinding(
-                    good_id=good_id, seller=seller, buyer=buyer,
-                    single_contract=bool(set(refs) & set(refs2)),
-                    events=(first.seq, second.seq),
-                    contracts=tuple(sorted(set(refs) | set(refs2))),
-                ))
+                single = bool(set(refs) & set(refs2))
+                findings.append((
+                    single, (first.seq, second.seq), tuple(sorted(set(refs) | set(refs2))),
+                    f"{good_id} sold {seller} -> {buyer} and back under "
+                    f"{'a single contract' if single else 'separate contracts'}"))
     return findings
 
 
@@ -200,7 +201,7 @@ def sale_histories(draw):
 
 @given(sale_histories())
 def test_round_trips_are_the_reference_ones(history):
-    facts = legality._Facts(history)
+    facts = legality._Facts(history, history, None)  # no round trip reads the world
     assert max(len(chain) for chain in facts.sales.values()) >= 3
     assert facts.ina == reference_ina(facts)
 
@@ -233,6 +234,6 @@ def net_cells(draw):
 
 @given(net_cells())
 def test_loan_profiles_are_the_reference_ones(cells):
-    facts = legality._Facts(())
+    facts = legality._Facts((), (), None)
     facts.scale, facts.sums, facts.cash = cells
     assert facts.loan_profiles() == reference_loan_profiles(facts)

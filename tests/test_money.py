@@ -15,13 +15,8 @@ from rpsf.money import (
     ONE,
     ZERO,
     Quantity,
-    add,
-    compare,
     inverse,
-    multiply,
-    negate,
     parse_quantity,
-    subtract,
     total_div,
 )
 
@@ -43,16 +38,16 @@ def random_quantity(rng: random.Random) -> Quantity:
 class TestWorkedValues:
     def test_credit_markup_gain(self):
         # 110 received against 100 paid leaves exactly 10
-        assert add(q(110), q(-100)) == q(10)
+        assert q(110) + q(-100) == q(10)
 
     def test_additive_identity(self):
         for value in (q(0), q(7), q(-3, 2), q(123456789, 97)):
-            assert add(value, ZERO) == value
+            assert value + ZERO == value
 
     def test_rate_times_principal(self):
         # oracle: independent big-rational arithmetic
         assert Fraction(1, 20) * Fraction(1000) == Fraction(50)
-        assert multiply(q(1, 20), q(1000)) == q(50)
+        assert q(1, 20) * q(1000) == q(50)
 
     def test_division_by_zero_is_zero(self):
         assert total_div(ONE, ZERO) == ZERO
@@ -204,16 +199,17 @@ class TestMeadowLaws:
 
 
 class TestOrder:
-    def test_compare_is_subtraction_sign(self):
+    def test_order_is_the_sign_of_the_difference(self):
         rng = random.Random(46)
         for _ in range(1000):
             a, b = random_quantity(rng), random_quantity(rng)
-            diff = to_fraction(a) - to_fraction(b)
-            want = (diff > 0) - (diff < 0)
-            assert compare(a, b) == want
-            assert (a < b) == (want == -1)
-            assert (a == b) == (want == 0)
-            assert (a > b) == (want == 1)
+            diff = a - b
+            assert to_fraction(diff) == to_fraction(a) - to_fraction(b)
+            assert (a < b) == (diff.num < 0)
+            assert (a <= b) == (diff.num <= 0)
+            assert (a == b) == (diff.num == 0)
+            assert (a >= b) == (diff.num >= 0)
+            assert (a > b) == (diff.num > 0)
 
     def test_total_order_sorts(self):
         rng = random.Random(47)
@@ -222,4 +218,4 @@ class TestOrder:
         assert [to_fraction(v) for v in sorted(values)] == as_fractions
 
     def test_negate_subtract_consistency(self):
-        assert subtract(q(5), q(8)) == negate(q(3))
+        assert q(5) - q(8) == -q(3)

@@ -53,7 +53,7 @@ def _values(cls):
 
 def test_every_record_class_is_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) == 43
+    assert len(RECORDS) == 41
     assert {"Quantity", "Action", "AfterEvent", "ByDate", "Witness"} <= names
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
 

@@ -12,10 +12,8 @@ MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__i
 # an import kept on purpose says so on its line, with the reason after the code
 KEPT = re.compile(r"#\s*noqa:\s*F401\b\s*\S")
 # the classes that may write their own JSON; every other record gets a codec
-# row and ``to_dict = value_to_dict``
-OWN_ENCODERS = {
-    "Witness": "writes the actions derived from its trades, not the trades it holds",
-}
+# row, and ``value_to_dict`` is its encoder
+OWN_ENCODERS: dict[str, str] = {}
 
 
 def _unused(imports, scope: ast.AST, lines: list[str]) -> list[str]:

@@ -16,20 +16,19 @@ SRC = Path(__file__).parents[1] / "src"
 # Every name ``rpsf/__init__`` imported eagerly before its names resolved
 # on first use, by module.
 PACKAGE_NAMES = {
-    "money": "Quantity ZERO ONE add compare inverse multiply negate parse_quantity subtract "
-             "total_div",
+    "money": "Quantity ZERO ONE inverse parse_quantity total_div",
     "world": "Action ActionKind ActionTemplate AfterEvent Agent Always ByDate Clause "
              "ConditionMet ContractRecord EthicalTag Event Good GoodSpec InsufficientFunds "
              "NotOwner Reason RepaymentTerms Role SigningMode Stage StageViolation "
              "UnknownReference ValidationError WorldError WorldState apply_event honour_status "
-             "make_world promise_to_contract replay world_to_dict world_to_json",
+             "make_world promise_to_contract replay world_to_json",
     "engine": "BoundExceeded Branch DeadlockDetected Do EngineError Exhaustive HorizonExceeded "
               "Plan Progression RoundRobin SeededRandom Stop WaitFor enumerate_interleavings run",
     "scenarios": "ParameterViolation ScenarioInstance ScenarioSpec UnknownScenario instantiate "
                  "load_scenario_file scenario_names",
     "legality": "BUILTIN_POSITIONS CONVENTIONAL Judgement LegalPosition MAJORITY MALAYSIA "
-                "NonpositivePrincipal RibaFinding Rule STRICT_DESCRIPTIVE STRICT_FUNCTIONAL "
-                "Verdict ZeroDuration detect_ina detect_riba effective_interest_rate judge",
+                "NonpositivePrincipal Rule STRICT_DESCRIPTIVE STRICT_FUNCTIONAL Verdict "
+                "ZeroDuration effective_interest_rate judge",
     "synthesis": "ALL_AGENTS Flow FlowTrace SynthesisResult Witness equivalent "
                  "monetary_projection net_positions synthesize witness_scenario",
 }
