@@ -55,8 +55,10 @@ def _parse_overrides(pairs: Sequence[str]) -> dict[str, str]:
     for pair in pairs:
         if "=" not in pair:
             raise ParameterViolation(f"expected key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in pair.split("=", 1))
+        if key in out:
+            raise ParameterViolation(f"parameter {key!r} is given twice")
+        out[key] = value
     return out
 
 
@@ -79,6 +81,11 @@ def _load_extras(path: Optional[str]):
         from .legality import position_from_dict
     for i, entry in enumerate(position_defs):
         position = position_from_dict(entry, f"positions[{i}]")
+        if position.name in POSITION_NAMES or position.name in positions:
+            taken = ("an earlier file position" if position.name in positions
+                     else "a built-in position")
+            raise ValueError(f"positions[{i}].name: {position.name!r} names {taken}; a file "
+                             "position needs a name of its own")
         positions[position.name] = position
     return specs, positions
 

@@ -1013,7 +1013,8 @@ def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
     """Load user scenarios (and custom legal positions) from a JSON file.
 
     Every scenario is decoded and checked here, whether or not a command
-    uses it, and none may take the name of a built-in or of an alias.
+    uses it, and none may take the name of a built-in, of an alias or of an
+    earlier scenario of the file.
     Returns (scenario specs by name, raw position definitions); position
     dicts are interpreted by the legality module.
     """
@@ -1044,9 +1045,11 @@ def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
             if isinstance(name, str):
                 raise ValueError(f"file scenario {name!r}: {exc}") from None
             raise
-        if scenario.name in _REGISTRY or scenario.name in _ALIASES:
-            raise ValueError(f"scenarios[{i}].name: {scenario.name!r} names the built-in scenario "
-                             f"{_ALIASES.get(scenario.name, scenario.name)!r}; a file scenario "
+        name = scenario.name
+        if name in _REGISTRY or name in _ALIASES or name in specs:
+            taken = ("an earlier file scenario" if name in specs
+                     else f"the built-in scenario {_ALIASES.get(name, name)!r}")
+            raise ValueError(f"scenarios[{i}].name: {name!r} names {taken}; a file scenario "
                              "needs a name of its own")
         scenario.world()  # checked now, whether or not a command runs it
         specs[scenario.name] = ScenarioSpec(

@@ -151,8 +151,9 @@ def check_perspective(perspective, agents: Iterable[str]) -> None:
 
 
 def _perspective_agents(perspective: Iterable[str]) -> tuple[str, ...]:
-    """The perspective's names in the order given, read once."""
-    names = tuple(perspective)
+    """The perspective's names in the order given, read once; a nonempty
+    string other than "all" names one agent."""
+    names = (perspective,) if isinstance(perspective, str) and perspective else tuple(perspective)
     if not names:
         raise ValueError("empty perspective: name at least one agent, or 'all'")
     return names
@@ -162,8 +163,8 @@ def equivalent(a: FlowTrace, b: FlowTrace, perspective=ALL_AGENTS) -> bool:
     """Exact per-(agent, day) net equality over the perspective.
 
     ``perspective`` is either the string "all" (every agent appearing in
-    either trace) or a nonempty iterable of agent names to restrict to; an
-    empty one is a ValueError.
+    either trace), one agent's name, or a nonempty iterable of agent names
+    to restrict to; an empty one is a ValueError.
 
     It sees flows, not agents: a name that appears in neither trace has no
     nets on either side, so it compares equal. The CLI checks the names

@@ -137,6 +137,26 @@ class TestRun:
         assert err == (f"error: scenarios[1].name: {name!r} names the built-in scenario "
                        f"{builtin!r}; a file scenario needs a name of its own\n")
 
+    def test_two_file_scenarios_may_not_share_a_name(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"scenarios": [
+            {"name": "s", "agents": [{"name": "X"}], "balances": {"X": "1"}},
+            {"name": "s", "agents": [{"name": "X"}], "balances": {"X": "2"}}]}))
+        assert invoke(capsys, "run", "s", "--scenario-file", str(path)) == (
+            2, "", "error: scenarios[1].name: 's' names an earlier file scenario; a file "
+                   "scenario needs a name of its own\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "loan_with_interest", "p=100", "p=200"),
+        ("compare", "loan_with_interest", "loan_with_interest", "--set-a", "p=100",
+         "--set-a", " p = 200"),
+        ("compare", "loan_with_interest", "loan_with_interest", "--set-b", "p=100",
+         "--set-b", "p=100"),
+        ("synthesize", "--target", "savings_account_with_interest", "p=1001", "p=1002"),
+    ])
+    def test_a_parameter_given_twice_is_named(self, capsys, argv):
+        assert invoke(capsys, *argv) == (2, "", "error: parameter 'p' is given twice\n")
+
     @pytest.mark.parametrize("inform,message", [
         ({"amount": "10"}, "inform does not take amount"),
         ({}, "pay does not take signing"),
@@ -210,6 +230,22 @@ class TestJudge:
                             "--position", "ROUND_TRIP_WARY",
                             "--scenario-file", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("positions, taken", [
+        ([{"name": "MAJORITY", "rules": []}], "a built-in position"),
+        ([{"name": "P", "rules": [{"detector": "ina"}]}, {"name": "P", "rules": []}],
+         "an earlier file position"),
+    ])
+    @pytest.mark.parametrize("command", ["judge", "list-scenarios"])
+    def test_a_file_position_needs_a_name_of_its_own(self, capsys, tmp_path, positions, taken,
+                                                     command):
+        path = tmp_path / "positions.json"
+        path.write_text(json.dumps({"positions": positions}))
+        i, name = len(positions) - 1, positions[-1]["name"]
+        argv = ["judge", "ina_two_party", "--position", name] if command == "judge" else [command]
+        assert invoke(capsys, *argv, "--scenario-file", str(path)) == (
+            2, "", f"error: positions[{i}].name: {name!r} names {taken}; a file position "
+                   "needs a name of its own\n")
 
     def test_position_with_a_mode_key_is_a_usage_error(self, capsys, tmp_path):
         # a position has no analysis mode, so the key is unknown and the error says where

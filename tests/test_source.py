@@ -180,6 +180,71 @@ def test_the_gate_sees_a_hand_written_encoder():
     assert hand_written_encoders(text) == ["Written", "<module>", "Inner"]
 
 
+# public names bound to another function of the package, each kept for a reader
+ALIASES = {
+    "world.py action_to_dict = value_to_dict":
+        "perfbench/test_perfbench.py reads engine.action_to_dict: the tracer leaves that "
+        "binding unwrapped, so the encoding inside Progression.key is no codec span",
+}
+
+
+def package_functions(texts) -> set[str]:
+    """The name of every function the package defines, at any depth."""
+    return {node.name for text in texts for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def function_aliases(text: str, functions: set[str]) -> list[str]:
+    """Every module-level or class-level binding of a public name to one of
+    ``functions``, bare or as an attribute, as ``line N: name = function``;
+    a name that starts with ``_``, a dunder among them, is no public name."""
+    tree = ast.parse(text)
+    found = []
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]:
+        for statement in scope.body:
+            if isinstance(statement, ast.Assign):
+                targets = statement.targets
+            elif isinstance(statement, ast.AnnAssign) and statement.value is not None:
+                targets = [statement.target]
+            else:
+                continue
+            value = statement.value
+            if getattr(value, "id", getattr(value, "attr", None)) not in functions:
+                continue
+            found += [(statement.lineno, f"{target.id} = {ast.unparse(value)}")
+                      for target in targets
+                      if isinstance(target, ast.Name) and not target.id.startswith("_")]
+    return [f"line {line}: {entry}" for line, entry in sorted(found)]
+
+
+def test_each_function_has_one_public_name():
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    functions = package_functions(texts.values())
+    assert {f"{module} {entry.split(': ', 1)[1]}" for module, text in texts.items()
+            for entry in function_aliases(text, functions)} == set(ALIASES)
+    assert all(reason.strip() for reason in ALIASES.values())
+
+
+def test_the_gate_sees_a_second_name_for_a_function():
+    text = ("def encode(value):\n"
+            "    return value\n"
+            "class Row:\n"
+            "    to_dict = encode\n"
+            "    __call__ = encode\n"
+            "    def as_json(self):\n"
+            "        again = encode\n"
+            "        return again\n"
+            "dump = dumps = encode\n"
+            "_private = encode\n"
+            "typed: object = codec.encode\n"
+            "LIMIT = 8\n"
+            "size = len\n")
+    assert package_functions([text]) == {"encode", "as_json"}
+    assert function_aliases(text, {"encode", "as_json"}) == [
+        "line 4: to_dict = encode", "line 9: dump = encode", "line 9: dumps = encode",
+        "line 11: typed = codec.encode"]
+
+
 def declared_fields(text: str) -> dict[str, list[str]]:
     """Each class's annotated names in body order: a record's fields."""
     return {node.name: [s.target.id for s in node.body

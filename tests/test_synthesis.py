@@ -256,6 +256,15 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="empty perspective"):
             check_perspective(perspective, ("X", "Y", "Z"))
 
+    def test_a_name_is_the_perspective_of_its_one_agent(self):
+        # a string other than "all" names one agent, not one per character
+        target = canonical([Flow("BANK", "A", q(100), 0), Flow("A", "BANK", q(110), 365)])
+        named, listed = (synthesize(target, ["spot-sale", "credit-sale", "prepare-good"],
+                                    agents=("BANK", "A"), bound=3, perspective=perspective)
+                         for perspective in ("BANK", ("BANK",)))
+        assert named.found
+        assert (named.explored, named.witnesses) == (listed.explored, listed.witnesses)
+
     def test_perspective_is_read_once(self):
         # an iterator of names is the same perspective as their tuple
         result = synthesize(savings_target(), ["spot-sale", "credit-sale", "prepare-good"],

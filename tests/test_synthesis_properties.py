@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from rpsf import synthesis  # noqa: E402
 from rpsf.money import ZERO, Quantity  # noqa: E402
-from rpsf.synthesis import ALL_AGENTS, Flow, canonical, net_positions, synthesize  # noqa: E402
+from rpsf.synthesis import (  # noqa: E402
+    ALL_AGENTS, Flow, canonical, equivalent, net_positions, synthesize)
 from rpsf.world import ActionKind, Agent, Good, apply_event, make_world  # noqa: E402
 
 AGENTS = ("X", "Y", "Z")
@@ -157,3 +158,20 @@ def test_net_positions_match_the_fold_in_order(drawn):
     got = net_positions(trace)
     assert list(got.items()) == list(want.items())
     assert as_lists(got) == as_lists(want)
+
+
+# names that are each other's characters, so a name read one character at a
+# time would be a perspective of other agents
+NAMES = ("Bob", "Al", "B", "o", "b")
+named_flows = st.builds(
+    lambda pair, num, day: Flow(pair[0], pair[1], Quantity(num), day),
+    st.permutations(NAMES).map(lambda names: names[:2]), st.integers(1, 9),
+    st.sampled_from((0, 1)))
+
+
+@given(st.lists(named_flows, max_size=4), st.lists(named_flows, max_size=4),
+       st.sampled_from(NAMES))
+@example([Flow("Bob", "Al", Quantity(100), 0)], [Flow("Bob", "Al", Quantity(5), 0)], "Bob")
+def test_a_name_is_the_perspective_of_its_one_agent(a, b, name):
+    a, b = canonical(a), canonical(b)
+    assert equivalent(a, b, name) == equivalent(a, b, (name,))
