@@ -25,14 +25,15 @@ Strategies differ only in which plans get a chance to step:
                    enumerate_interleavings); run() under this strategy
                    returns the canonically least progression of that set.
 
-Cost: a step pops the head of its plan's stack, which shares the rest,
-and a wait on an AfterEvent pattern tests one bit. Each call gives every
+Cost: a step pops the head of its plan's stack, which shares the rest, and
+a wait on an AfterEvent pattern tests one bit. Each call gives every
 pattern its plans wait on a bit, and a line of history carries the waits it
-has fired as one int, updated once per event (``_Waits``). Neither grows
-with the history; what does is ``apply_event`` copying the history tuple to
-append to it. Enumeration walks the lattice of distinct states, not the
-tree of interleavings (``_Lattice``): it steps and settles each edge of the
-lattice once, making each child from its parent's values and copying
+has fired as one int, updated once per event (``_Waits``). None of this
+grows with the history, nor does ``apply_event``: it copies only the map
+its event changes and appends to a history that shares its buffer
+(``world.History``). Enumeration walks the lattice of distinct states, not
+the tree of interleavings (``_Lattice``): it steps and settles each edge of
+the lattice once, making each child from its parent's values and copying
 nothing, then reads every trace off as a path. A (3,3,3) plan set with one
 wait takes 100 steps for its 840 traces, not 2,655. The paths come in
 canonical order, so no trace is keyed, deduplicated or sorted unless
@@ -47,7 +48,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .money import fields, fields_getter, record, replace
+from .money import fields, fields_getter, record
 from .world import (
     Action,
     ActionTemplate,
@@ -251,19 +252,14 @@ class _Waits:
                 if type(trigger) is not AfterEvent or id(trigger.pattern) in bits:
                     continue
                 pattern = trigger.pattern
-                names, values = [], []
-                for name in _PATTERN_FIELDS:
-                    value = getattr(pattern, name)
-                    if value is not None:
-                        names.append(name)
-                        values.append(value)
-                constrained = tuple(names)
+                every = _pattern_values(pattern)
+                constrained = tuple([n for n, v in zip(_PATTERN_FIELDS, every) if v is not None])
                 entry = table.get(constrained)
                 if entry is None:
-                    at = constrained.index("contract_id") if "contract_id" in names else None
+                    at = constrained.index("contract_id") if "contract_id" in constrained else None
                     entry = table[constrained] = (fields_getter(constrained), at, {})
                 bit = bits[id(pattern)] = 1 << len(bits)
-                wanted, key = entry[2], tuple(values)
+                wanted, key = entry[2], tuple([v for v in every if v is not None])
                 if wanted.setdefault(key, bit) != bit:  # an equal pattern came first
                     wanted[key] |= bit
         self.bit, self.table = bits, table
@@ -282,6 +278,7 @@ class _Waits:
 
 
 _PATTERN_FIELDS = tuple(f.name for f in fields(ActionTemplate))
+_pattern_values = fields_getter(_PATTERN_FIELDS)
 
 
 def _settle(stack: _Stack, world: WorldState, fired: int, choices: Mapping[str, bool],
@@ -324,10 +321,11 @@ def _step(world: WorldState, fired: int, stacks: tuple[_Stack, ...], i: Optional
     one.
     """
     if i is None:
-        world = replace(world, clock=_wake(world, stacks))
+        world = WorldState(world.agents, world.accounts, world.goods, world.contracts,
+                           world.history, _wake(world, stacks), world.overdraft_allowed)
     else:
         world = apply_event(world, stacks[i][0].action, world.clock)
-        fired = waits.fold(fired, world.history[-1:])
+        fired = waits.fold(fired, (world.history[-1],))
         stacks = (*stacks[:i], stacks[i][1], *stacks[i + 1:])
     return world, fired, tuple([_settle(s, world, fired, choices, waits) for s in stacks])
 

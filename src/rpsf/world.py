@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from itertools import islice
 from math import lcm
 from operator import attrgetter
 from types import UnionType
@@ -402,7 +403,63 @@ class Event:
     delta: str = ""
 
 
-HistoryLog = tuple[Event, ...]
+class History:
+    """A world's event log: the first ``len`` events of a buffer that only
+    grows, so a log shares its buffer with every log appended to it.
+
+    It reads as the tuple of its events: ``len``, iteration, indexing,
+    slices (tuples), ``==`` and ``hash`` against tuples, ``+``, ``bool``
+    and ``repr`` give what the tuple would.
+    """
+
+    __slots__ = ("_events", "_len")
+
+    def __init__(self, events: list[Event], length: int):
+        self._events, self._len = events, length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return islice(self._events, self._len)
+
+    def __getitem__(self, index):
+        if index.__class__ is slice:
+            return tuple(self._events[:self._len][index])
+        if not -self._len <= index < self._len:
+            raise IndexError("tuple index out of range")
+        return self._events[index % self._len]
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, History)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + (tuple(other) if other.__class__ is History else other)
+
+    def __radd__(self, other: tuple) -> tuple:
+        return other + tuple(self)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+HistoryLog = Union[tuple[Event, ...], History]
+
+
+def _appended(history: HistoryLog, event: Event) -> History:
+    """``history`` and then ``event``. A log that holds its buffer's newest
+    event appends to the buffer, and keeps it if its event landed in the
+    slot after its own; another thread may have appended there first. Any
+    other log copies its events."""
+    length = len(history)
+    if history.__class__ is History and len(history._events) == length:
+        history._events.append(event)
+        if history._events[length] is event:
+            return History(history._events, length + 1)
+    return History([*history, event], length + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +470,11 @@ HistoryLog = tuple[Event, ...]
 class WorldState:
     """Immutable snapshot of ground + contract + history levels.
 
-    Never mutated in place; apply_event returns a fresh snapshot, so
-    snapshots are safe to share across concurrent evaluation contexts.
+    Never mutated in place. ``apply_event`` returns a new snapshot that
+    shares with this one every map its event leaves as it is; ``history``
+    is a tuple or a ``History``, whose shared buffer only grows, so no
+    snapshot sees another's events and snapshots are safe to share across
+    concurrent evaluation contexts.
     """
 
     agents: Mapping[str, Agent] = field(default_factory=dict)
@@ -433,9 +493,6 @@ class WorldState:
         for value in self.accounts.values():
             total = total + value
         return total
-
-    def next_seq(self) -> int:
-        return len(self.history) + 1
 
 
 def make_world(
@@ -577,68 +634,43 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
     ValidationError; on success the event gets the next gap-free sequence
     number and total money across accounts is unchanged except by explicit
     opening endowments (payments and sales are zero-sum by construction).
+    The successor shares with ``world`` every map the event leaves as it is,
+    and the history's buffer (``History``).
     """
     if date < world.clock:
         raise ValidationError(f"event date {date} precedes world clock {world.clock}")
     _need(action)
     _validate_common(world, action)
 
-    accounts = dict(world.accounts)
-    goods = dict(world.goods)
-    contracts = dict(world.contracts)
-    seq = world.next_seq()
+    accounts, goods, contracts = world.accounts, world.goods, world.contracts
+    seq = len(world.history) + 1
     deltas: list[str] = []
-
-    def move_cash(payer: str, payee: str, amount: Quantity) -> None:
-        if not world.overdraft_allowed and accounts[payer] < amount:
-            raise InsufficientFunds(
-                f"{payer} holds {accounts[payer]}, cannot pay {amount}"
-            )
-        if amount == ZERO:
-            return
-        accounts[payer] = accounts[payer] - amount
-        accounts[payee] = accounts[payee] + amount
-        deltas.append(f"{payer} -{amount}; {payee} +{amount}")
-
-    def move_good(good_id: str, seller: str, buyer: str) -> None:
-        good = goods.get(good_id)
-        if good is None:
-            raise UnknownReference(f"unknown good {good_id!r}")
-        if good.owner != seller:
-            raise NotOwner(f"{seller} does not own {good_id} (owner: {good.owner})")
-        goods[good_id] = replace(good, owner=buyer)
-        deltas.append(f"{good_id} owner: {seller} -> {buyer}")
-
-    def add_contract(record: ContractRecord) -> None:
-        if record.contract_id in contracts:
-            raise ValidationError(f"contract id {record.contract_id!r} already exists")
-        contracts[record.contract_id] = record
-        deltas.append(f"contract {record.contract_id} {record.stage.value}")
-
     kind = action.kind
     if kind in CASH_LEGS:
         payer, payee, paid = CASH_LEGS[kind](action)
     if kind == ActionKind.PAY or kind == ActionKind.RECEIVE_PAYMENT:
-        move_cash(payer, payee, paid)
+        accounts = _move_cash(accounts, payer, payee, paid, world.overdraft_allowed, deltas)
     elif kind == ActionKind.SPOT_SALE:
-        move_good(action.good_id, payee, payer)
-        move_cash(payer, payee, paid)
+        goods = _move_good(goods, action.good_id, payee, payer, deltas)
+        accounts = _move_cash(accounts, payer, payee, paid, world.overdraft_allowed, deltas)
     elif kind == ActionKind.BUY_ON_CREDIT:
         if action.due_date < date:
             raise ValidationError("credit due date precedes the sale date")
         down = paid or ZERO
         if down > action.amount:
             raise ValidationError("down payment exceeds the credit price")
-        move_good(action.good_id, payee, payer)
+        goods = _move_good(goods, action.good_id, payee, payer, deltas)
         if down > ZERO:
-            move_cash(payer, payee, down)
+            accounts = _move_cash(accounts, payer, payee, down, world.overdraft_allowed, deltas)
         # the settlement: a promise to pay the rest by the due date, signed by both, no terms
-        add_contract(promise_to_contract(replace(
+        contracts = _add_contract(contracts, promise_to_contract(replace(
             action, kind=ActionKind.PROMISE_PAY, amount=action.amount - down, down_payment=None,
-            good_id=None, contract_id=action.contract_id or seq_named_contract(action, seq))))
+            good_id=None, contract_id=action.contract_id or seq_named_contract(action, seq))),
+            deltas)
     elif kind in PROMISE_KINDS:
-        add_contract(promise_to_contract(
-            replace(action, contract_id=action.contract_id or seq_named_contract(action, seq))))
+        contracts = _add_contract(contracts, promise_to_contract(
+            replace(action, contract_id=action.contract_id or seq_named_contract(action, seq))),
+            deltas)
     elif kind == ActionKind.PREPARE_CONTRACT:
         parties = action.parties or ((action.actor, action.counterparty) if action.counterparty else (action.actor,))
         for clause in action.clauses:
@@ -646,17 +678,15 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
                 raise ValidationError(
                     f"clause obliges {clause.obliged_party!r}, not a party to {action.contract_id!r}"
                 )
-        add_contract(
-            ContractRecord(
-                contract_id=action.contract_id,
-                parties=frozenset(parties),
-                initiator=action.actor,
-                clauses=action.clauses,
-                references=frozenset(action.references),
-                stage=Stage.PREPARED,
-                terms=action.terms,
-            )
-        )
+        contracts = _add_contract(contracts, ContractRecord(
+            contract_id=action.contract_id,
+            parties=frozenset(parties),
+            initiator=action.actor,
+            clauses=action.clauses,
+            references=frozenset(action.references),
+            stage=Stage.PREPARED,
+            terms=action.terms,
+        ), deltas)
     elif kind == ActionKind.SIGN_CONTRACT:
         record = contracts.get(action.contract_id)
         if record is None:
@@ -671,33 +701,63 @@ def apply_event(world: WorldState, action: Action, date: int) -> WorldState:
             raise StageViolation(f"{action.actor} already signed {action.contract_id}")
         signatures = record.signatures | {action.actor}
         stage = Stage.ACTIVE if signatures == record.parties else Stage.PARTIALLY_SIGNED
-        contracts[action.contract_id] = replace(record, signatures=signatures, stage=stage)
+        contracts = {**contracts,
+                     action.contract_id: replace(record, signatures=signatures, stage=stage)}
         deltas.append(f"contract {action.contract_id} {stage.value}")
     elif kind == ActionKind.PREPARE_GOOD:
         if action.good_id in goods:
             raise ValidationError(f"good id {action.good_id!r} already exists")
         spec = action.good_spec
         _check_good_value(spec.market_value, spec.block_size, action.good_id)
-        goods[action.good_id] = Good(
+        goods = {**goods, action.good_id: Good(
             good_id=action.good_id,
             kind=spec.kind,
             owner=action.actor,
             market_value=spec.market_value,
             block_size=spec.block_size,
             is_money=spec.is_money,
-        )
+        )}
         deltas.append(f"{action.good_id} prepared by {action.actor}")
 
-    event = Event(seq=seq, date=date, action=action, delta="; ".join(deltas))
-    return WorldState(
-        agents=world.agents,
-        accounts=accounts,
-        goods=goods,
-        contracts=contracts,
-        history=world.history + (event,),
-        clock=date,
-        overdraft_allowed=world.overdraft_allowed,
-    )
+    event = Event(seq, date, action, "; ".join(deltas))
+    return WorldState(world.agents, accounts, goods, contracts, _appended(world.history, event),
+                      date, world.overdraft_allowed)
+
+
+# Each move returns a new map, leaves the one it is given to the world before
+# the event and adds the text of its change to ``deltas``.
+
+def _move_cash(accounts: Mapping[str, Quantity], payer: str, payee: str, amount: Quantity,
+               overdraft: bool, deltas: list[str]) -> Mapping[str, Quantity]:
+    if not overdraft and accounts[payer] < amount:
+        raise InsufficientFunds(f"{payer} holds {accounts[payer]}, cannot pay {amount}")
+    if amount == ZERO:
+        return accounts
+    accounts = dict(accounts)
+    accounts[payer] = accounts[payer] - amount
+    accounts[payee] = accounts[payee] + amount
+    text = str(amount)
+    deltas.append(f"{payer} -{text}; {payee} +{text}")
+    return accounts
+
+
+def _move_good(goods: Mapping[str, Good], good_id: str, seller: str, buyer: str,
+               deltas: list[str]) -> Mapping[str, Good]:
+    good = goods.get(good_id)
+    if good is None:
+        raise UnknownReference(f"unknown good {good_id!r}")
+    if good.owner != seller:
+        raise NotOwner(f"{seller} does not own {good_id} (owner: {good.owner})")
+    deltas.append(f"{good_id} owner: {seller} -> {buyer}")
+    return {**goods, good_id: replace(good, owner=buyer)}
+
+
+def _add_contract(contracts: Mapping[str, ContractRecord], record: ContractRecord,
+                  deltas: list[str]) -> Mapping[str, ContractRecord]:
+    if record.contract_id in contracts:
+        raise ValidationError(f"contract id {record.contract_id!r} already exists")
+    deltas.append(f"contract {record.contract_id} {record.stage.value}")
+    return {**contracts, record.contract_id: record}
 
 
 # The kinds that name the contract they add after their event's sequence
@@ -977,7 +1037,7 @@ def _json_value(value: object) -> object:
         if not row.keys:
             return {tag: True}
         return {tag: out if len(row.keys) > 1 else out[row.keys[0][0]]}
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, (tuple, list, History)):
         return [_json_value(item) for item in value]
     if isinstance(value, frozenset):
         return sorted(_json_value(item) for item in value)
@@ -1235,7 +1295,7 @@ def render_json(value: object) -> str:
                 else:
                     emit(item, inner)
             append(newline + "}")
-        elif isinstance(value, (list, tuple)):
+        elif isinstance(value, (list, tuple, History)):
             if not value:
                 append("[]")
                 return

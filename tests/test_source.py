@@ -619,3 +619,44 @@ def test_the_gate_sees_a_copy_and_a_clone():
             "    return list(stack), stack[:], copy\n")
     assert copies(text) == ["line 3: def clone", "line 4: copy", "line 6: clone",
                             "line 6: copy", "line 6: deepcopy"]
+
+
+HISTORY_COPY = re.compile(r"\bhistory\s*\+\s*\(")
+
+
+def per_event_copies(text: str) -> list[str]:
+    """Every ``history + (``, which copies a log to append to it, and every
+    function defined inside ``apply_event``, which each event would build
+    again, as ``line N: history + (`` or ``line N: def name``."""
+    found = [(i, "history + (") for i, line in enumerate(text.splitlines(), 1)
+             if HISTORY_COPY.search(line)]
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.FunctionDef) and node.name == "apply_event":
+            found += [(inner.lineno, f"def {getattr(inner, 'name', 'lambda')}")
+                      for inner in ast.walk(node) if inner is not node and isinstance(
+                          inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    return [f"line {line}: {entry}" for line, entry in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_an_event_neither_copies_the_history_nor_builds_closures(module):
+    # apply_event appends to a shared history and moves through module-level
+    # helpers, so an event's cost does not grow with the history
+    assert per_event_copies((PACKAGE / module).read_text()) == []
+
+
+def test_the_gate_sees_a_history_copy_and_a_nested_function():
+    text = ("def apply_event(world, action, date):\n"
+            "    def move_cash(payer):\n"
+            "        return payer\n"
+            "    key = lambda event: event.seq\n"
+            "    return world.history + (action,)\n"
+            "def replay(history, events):\n"
+            "    extended = history+(events[0],)\n"
+            "    return history + events, list(history) + [events]\n"
+            "def helper():\n"
+            "    def inner():\n"
+            "        return 1\n"
+            "    return inner\n")
+    assert per_event_copies(text) == ["line 2: def move_cash", "line 4: def lambda",
+                                      "line 5: history + (", "line 7: history + ("]

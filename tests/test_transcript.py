@@ -15,16 +15,22 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rpsf.cli import POSITION_NAMES, main
-from rpsf.money import fields
-from rpsf.scenarios import scenario_names
-from rpsf.world import _FIELDS, Action
+# run as a script, this file still tests this tree's rpsf, not an installed one
+SRC = Path(__file__).parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from rpsf.cli import POSITION_NAMES, main  # noqa: E402
+from rpsf.money import fields  # noqa: E402
+from rpsf.scenarios import scenario_names  # noqa: E402
+from rpsf.world import _FIELDS, Action  # noqa: E402
 
 PINS = Path(__file__).with_name("transcript_pins.json")
 FORMATS = ("text", "json")
@@ -349,6 +355,16 @@ def directory(tmp_path_factory) -> Path:
 @pytest.fixture(scope="module")
 def pins() -> dict[str, str]:
     return json.loads(PINS.read_text())
+
+
+def test_the_script_imports_this_trees_rpsf(tmp_path):
+    # as ``python tests/test_transcript.py`` does: no PYTHONPATH, and not from the root
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    probe = ("import runpy, sys; runpy.run_path(sys.argv[1]); "
+             "print(sys.modules['rpsf'].__file__)")
+    done = subprocess.run([sys.executable, "-c", probe, __file__], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert Path(done.stdout.strip()).resolve().is_relative_to(SRC.resolve())
 
 
 def test_the_pins_name_the_corpus(pins):
