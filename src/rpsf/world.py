@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from functools import cache
 from itertools import islice
 from math import lcm
 from operator import attrgetter
@@ -972,7 +973,6 @@ class _Row:
 _ROWS: dict[type, _Row] = {}
 _UNIONS: dict[frozenset, dict[str, type]] = {}  # member classes -> {tag: member}
 _TAGS: dict[type, str] = {}
-_CODECS: dict[object, Callable] = {}  # type -> decoder
 _KEEP = object()  # the "default" of a field that is written whatever it holds
 
 
@@ -1061,13 +1061,6 @@ def value_from_dict(tp: object, data: object, path: str = "") -> object:
         raise _fail(path, "nested too deeply") from None
 
 
-def _codec(tp: object) -> Callable:
-    """The decoder of a type, built on first use; it takes (data, path)."""
-    if tp not in _CODECS:
-        _CODECS[tp] = _build_codec(tp)
-    return _CODECS[tp]
-
-
 def _non_none(args: tuple) -> object:
     members = tuple(a for a in args if a is not type(None))
     return members[0] if len(members) == 1 else Union[members]
@@ -1101,7 +1094,9 @@ def _expect(data: object, kind: type, what: str, path: str) -> object:
 _JSON_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
 
 
-def _build_codec(tp: object) -> Callable:
+@cache
+def _codec(tp: object) -> Callable:
+    """The decoder of a type, built on first use; it takes (data, path)."""
     if tp in _ROWS:
         return _row_codec(tp)
     origin, args = get_origin(tp), get_args(tp)
@@ -1269,62 +1264,12 @@ def render_json(value: object) -> str:
     ``value_to_dict``.
 
     json's C encoder ignores ``indent``, so json renders indented output
-    with its pure-Python encoder. This walks the containers itself, hands
+    with its pure-Python encoder. ``_write`` walks the value instead, hands
     each leaf to json's C functions and writes each record through its
     row's writer, so a record becomes text without becoming a dict first.
     Like json, it raises TypeError for a key or a leaf that JSON cannot hold.
     """
-    out: list[str] = []
-    append = out.append
-
-    def emit(value: object, newline: str) -> None:
-        if value.__class__ in _ROWS:
-            append(_write(value, newline))
-        elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = newline + "  "
-            comma = "," + inner
-            sep = "{" + inner
-            for key, item in value.items():
-                append(sep + _encode_str(key if key.__class__ is str else _json_key(key)) + ": ")
-                sep = comma
-                if item.__class__ is str:
-                    append(_encode_str(item))
-                else:
-                    emit(item, inner)
-            append(newline + "}")
-        elif isinstance(value, (list, tuple, History)):
-            if not value:
-                append("[]")
-                return
-            inner = newline + "  "
-            comma = "," + inner
-            sep = "[" + inner
-            for item in value:
-                append(sep)
-                sep = comma
-                if item.__class__ is str:
-                    append(_encode_str(item))
-                else:
-                    emit(item, inner)
-            append(newline + "]")
-        elif isinstance(value, str):
-            append(_encode_str(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(_int_repr(value))
-        else:
-            append(json.dumps(value))
-
-    emit(value, "\n")
-    return "".join(out)
+    return _write(value, "\n")
 
 
 def _json_key(key: object) -> str:
@@ -1337,18 +1282,41 @@ def _json_key(key: object) -> str:
 
 
 def _write(value: object, newline: str) -> str:
-    """The text of a record whose class has a row, through that row's writer."""
+    """The JSON text of ``value`` on a line that ``newline`` opens: a record
+    through its row's writer, a container through ``_block``, as the row
+    writers write theirs."""
     cls = value.__class__
-    return (_WRITERS.get(cls) or _row_writer(cls))(value, newline)
+    if cls is str:
+        return _encode_str(value)
+    if cls in _ROWS:
+        return (_WRITERS.get(cls) or _row_writer(cls))(value, newline)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        return _block([_encode_str(_json_key(key)) + ": " + _write(item, inner)
+                       for key, item in value.items()], newline, "{}")
+    if isinstance(value, (list, tuple, History)):
+        return _block([_write(item, inner) for item in value], newline, "[]")
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_repr(value)
+    return json.dumps(value)
 
 
 def _block(texts: list, newline: str, brackets: str) -> str:
     """A JSON array or object of item texts placed on lines that ``newline +
-    "  "`` opens; ``brackets`` is ``[]`` or ``{}``."""
+    "  "`` opens; ``brackets`` is ``[]`` or ``{}``. One f-string brackets the
+    joined items: each ``+`` would copy the whole text again."""
     if not texts:
         return brackets
     inner = newline + "  "
-    return brackets[0] + inner + ("," + inner).join(texts) + newline + brackets[1]
+    return f"{brackets[0]}{inner}{(',' + inner).join(texts)}{newline}{brackets[1]}"
 
 
 def _text_of(tp: object, var: str, newline: str, env: dict) -> str:

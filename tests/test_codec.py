@@ -175,7 +175,8 @@ WRITTEN = {cls.__name__: cls for cls in world._ROWS} \
 def test_writer_writes_what_json_writes_of_the_encoding(tp, data):
     value = data.draw(values_of(tp))
     encoded = value_to_dict(value)
-    for place in (lambda v: v, lambda v: {"k": v, "l": [v]}, lambda v: [[v], v]):
+    for place in (lambda v: v, lambda v: {"k": v, "l": [v]}, lambda v: [[v], v],
+                  lambda v: {1: (v,), None: [{"k": v}]}):
         assert render_json(place(value)) == json.dumps(place(encoded), indent=2)
 
 

@@ -630,12 +630,17 @@ def per_event_copies(text: str) -> list[str]:
     again, as ``line N: history + (`` or ``line N: def name``."""
     found = [(i, "history + (") for i, line in enumerate(text.splitlines(), 1)
              if HISTORY_COPY.search(line)]
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.FunctionDef) and node.name == "apply_event":
-            found += [(inner.lineno, f"def {getattr(inner, 'name', 'lambda')}")
-                      for inner in ast.walk(node) if inner is not node and isinstance(
-                          inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    found += nested_functions(ast.parse(text), "apply_event")
     return [f"line {line}: {entry}" for line, entry in sorted(found)]
+
+
+def nested_functions(tree: ast.AST, *names: str) -> list[tuple[int, str]]:
+    """``(line, "def name")`` for every function or lambda defined inside a
+    function named in ``names``; a lambda's name is ``lambda``."""
+    return [(inner.lineno, f"def {getattr(inner, 'name', 'lambda')}")
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in names
+            for inner in ast.walk(node) if inner is not node and isinstance(
+                inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
 
 
 @pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
@@ -660,3 +665,39 @@ def test_the_gate_sees_a_history_copy_and_a_nested_function():
             "    return inner\n")
     assert per_event_copies(text) == ["line 2: def move_cash", "line 4: def lambda",
                                       "line 5: history + (", "line 7: history + ("]
+
+
+JSON_WALK = ("render_json", "_write")
+
+
+def json_walk_closures(text: str) -> list[str]:
+    """Every function or lambda defined inside ``render_json`` or ``_write``,
+    as ``line N: def name``, after ``no def name`` for either that the
+    module does not define."""
+    tree = ast.parse(text)
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return [f"no def {name}" for name in JSON_WALK if name not in defined] + \
+        [f"line {line}: {entry}" for line, entry in nested_functions(tree, *JSON_WALK)]
+
+
+def test_one_recursive_function_walks_json_text():
+    # render_json is _write(value, "\n"), and _write recurses through its own
+    # name, so every container is written by _block, as the row writers write theirs
+    assert json_walk_closures((PACKAGE / "world.py").read_text()) == []
+
+
+def test_the_gate_sees_a_closure_in_the_json_walk_and_a_missing_walk():
+    text = ("def render_json(value):\n"
+            "    out = []\n"
+            "    def emit(value, newline):\n"
+            "        out.append(value)\n"
+            "    emit(value, '\\n')\n"
+            "    return ''.join(out)\n"
+            "def _write(value, newline):\n"
+            "    return sorted(value, key=lambda item: item)\n"
+            "def _row_writer(cls):\n"
+            "    def label(key):\n"
+            "        return key\n"
+            "    return label\n")
+    assert json_walk_closures(text) == ["line 3: def emit", "line 8: def lambda"]
+    assert json_walk_closures("def render_json(value):\n    return value\n") == ["no def _write"]
