@@ -5,12 +5,12 @@ joint behaviour is their interleaving. Modeled threads are data, not
 execution threads: the engine is logically sequential and every strategy is
 deterministic given its inputs.
 
-Every scheduler moves through one successor step, ``_step``: either one
-plan applies and pops its head Do, or, when no plan can act, the clock
-advances to the earliest by-date wait after it (``_wake``). Then every plan
-settles against the new state (branches resolve, satisfied waits pass,
-stops end the plan), so no plan skips a state and day-0 activity always
-completes before later-dated activity starts. When no plan can act and no
+Every scheduler moves through one successor step: either one plan
+applies and pops its head Do (``_step``), or, when no plan can act, the
+clock advances to the earliest by-date wait after it (``_advance``). Then
+every plan settles against the new state (branches resolve, satisfied
+waits pass, stops end the plan), so no plan skips a state and day-0
+activity always completes before later-dated activity starts. When no plan can act and no
 wait has a later date, the plans are blocked: ``run`` reports a deadlock
 naming each blocked plan's trigger, and enumeration keeps the trace.
 
@@ -44,8 +44,7 @@ tuple of events and its world.
 from __future__ import annotations
 
 import random
-from itertools import groupby
-from operator import itemgetter
+from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .money import fields, fields_getter, record
@@ -309,24 +308,37 @@ def _settle(stack: _Stack, world: WorldState, fired: int, choices: Mapping[str, 
     return None
 
 
-def _step(world: WorldState, fired: int, stacks: tuple[_Stack, ...], i: Optional[int],
+def _step(world: WorldState, fired: int, stacks: tuple[_Stack, ...], i: int,
           choices: Mapping[str, bool],
           waits: _Waits) -> tuple[WorldState, int, tuple[_Stack, ...]]:
-    """The one successor step every scheduler takes, from one line's
+    """The successor step in which plan ``i`` acts, from one line's
     ``(world, fired, stacks)`` to the next.
 
-    Plan ``i`` applies and pops its head ``Do``; with no ``i``, the clock
-    advances to ``_wake``. Then every plan settles against the new state,
-    so that none skips a state and every scheduled trace is an enumerated
-    one.
+    Plan ``i`` applies and pops its head ``Do``. Then every plan settles
+    against the new state, so that none skips a state and every scheduled
+    trace is an enumerated one.
     """
-    if i is None:
-        world = WorldState(world.agents, world.accounts, world.goods, world.contracts,
-                           world.history, _wake(world, stacks), world.overdraft_allowed)
-    else:
-        world = apply_event(world, stacks[i][0].action, world.clock)
-        fired = waits.fold(fired, (world.history[-1],))
-        stacks = (*stacks[:i], stacks[i][1], *stacks[i + 1:])
+    world = apply_event(world, stacks[i][0].action, world.clock)
+    fired = waits.fold(fired, (world.history[-1],))
+    stacks = (*stacks[:i], stacks[i][1], *stacks[i + 1:])
+    return world, fired, tuple([_settle(s, world, fired, choices, waits) for s in stacks])
+
+
+def _advance(world: WorldState, fired: int, stacks: tuple[_Stack, ...],
+             choices: Mapping[str, bool], waits: _Waits,
+             horizon: Optional[int]) -> Optional[tuple[WorldState, int, tuple[_Stack, ...]]]:
+    """The successor step when no plan can act: the next line, with the
+    clock at the earliest by-date wait after it and every plan settled, or
+    None when no plan waits for a later day. A day past ``horizon`` raises
+    HorizonExceeded."""
+    day = min((h.trigger.day for h in map(_head, stacks) if isinstance(h, WaitFor)
+               and isinstance(h.trigger, ByDate) and h.trigger.day > world.clock), default=None)
+    if day is None:
+        return None
+    if horizon is not None and day > horizon:
+        raise HorizonExceeded(f"next scheduled activity at day {day} exceeds horizon {horizon}")
+    world = WorldState(world.agents, world.accounts, world.goods, world.contracts,
+                       world.history, day, world.overdraft_allowed)
     return world, fired, tuple([_settle(s, world, fired, choices, waits) for s in stacks])
 
 
@@ -361,7 +373,7 @@ class _Lattice:
     the identity of its steps, and the key order of goods and contracts.
 
     Every path to one key reaches a state that ``apply_event``, ``_settle``
-    and ``_wake`` cannot tell apart from the node's, so the node's children
+    and ``_advance`` cannot tell apart from the node's, so the node's children
     serve every path. They read the clock, the choices, agents, overdraft
     flag, the three maps, the history's length and which actions the history
     holds; the fired waits are a function of those actions, as patterns read
@@ -420,7 +432,7 @@ class _Lattice:
         no key twice. Two paths first part at an edge out of one node, and
         both events there are dated with the node's clock. Their actors
         differ: each child of a node is a step of a different plan, and
-        every plan acts for its own agent only (``_check_actors``), while a
+        every plan acts for its own agent only (``_count_steps``), while a
         clock advance is always a node's only child. A frozen action starts
         with ``("actor", name)``, as ``actor`` is the least key of
         ``Action``'s codec row and has no default, so the lower-named actor's
@@ -453,13 +465,8 @@ class _Lattice:
         world, fired, stacks, applied = node.world, node.fired, node.stacks, node.applied
         enabled = [i for i, s in enumerate(stacks) if isinstance(_head(s), Do)]
         if not enabled:
-            wake = _wake(world, stacks)
-            if wake is None:
-                node.children = ()
-                return
-            _check_horizon(wake, self.horizon)
-            child = _step(world, fired, stacks, None, self.choices, self.waits)
-            node.children = ((None, self.node(*child, applied)),)
+            line = _advance(world, fired, stacks, self.choices, self.waits, self.horizon)
+            node.children = () if line is None else ((None, self.node(*line, applied)),)
             return
         children = []
         for i in reversed(enabled):
@@ -470,38 +477,38 @@ class _Lattice:
         node.children = tuple(children)
 
 
-def _wake(world: WorldState, stacks: Sequence[_Stack]) -> Optional[int]:
-    """The earliest by-date wait after the clock, or None."""
-    heads = [_head(s) for s in stacks]
-    return min((h.trigger.day for h in heads if isinstance(h, WaitFor)
-                and isinstance(h.trigger, ByDate) and h.trigger.day > world.clock), default=None)
-
-
-def _validate_plans(world: WorldState, plans: Iterable[Plan]) -> list[Plan]:
+def _validate_plans(world: WorldState, plans: Iterable[Plan]) -> tuple[list[Plan], int]:
+    """The plans in agent order, and the steps they hold."""
     ordered = sorted(plans, key=lambda p: p.agent)
     seen = set()
+    total = 0
     for plan in ordered:
         if plan.agent in seen:
             raise EngineError(f"two plans for agent {plan.agent!r}")
         seen.add(plan.agent)
         if plan.agent not in world.agents:
             raise EngineError(f"plan for unknown agent {plan.agent!r}")
-        _check_actors(plan.agent, plan.steps)
-    return ordered
+        total += _count_steps(plan.agent, plan.steps)
+    return ordered, total
 
 
-def _check_actors(agent: str, steps: Sequence[PlanStep], branches: tuple = ()) -> None:
-    """Reject a ``Do``, at any depth of branches, that acts for another agent.
-    ``branches`` holds the (index, arm) of each branch around ``steps``; the
-    error's path is spelt from it only when there is an error."""
+def _count_steps(agent: str, steps: Sequence[PlanStep], branches: tuple = ()) -> int:
+    """The steps a plan takes at most, through the longer arm of each
+    branch; a ``Do``, at any depth of branches, that acts for another agent
+    is rejected. ``branches`` holds the (index, arm) of each branch around
+    ``steps``; the error's path is spelt from it only when there is an
+    error."""
+    total = 0
     for i, step in enumerate(steps):
+        total += 1
         if isinstance(step, Do) and step.action.actor != agent:
             path = "".join(f"[{j}].{arm}" for j, arm in branches)
             raise EngineError(f"plan for {agent!r}: steps{path}[{i}] is an action by "
                               f"{step.action.actor!r}; a plan acts for its own agent only")
         if isinstance(step, Branch):
-            _check_actors(agent, step.then_steps, (*branches, (i, "then_steps")))
-            _check_actors(agent, step.else_steps, (*branches, (i, "else_steps")))
+            total += max(_count_steps(agent, step.then_steps, (*branches, (i, "then_steps"))),
+                         _count_steps(agent, step.else_steps, (*branches, (i, "else_steps"))))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +533,9 @@ def run(
     if horizon < world.clock:
         raise EngineError(f"horizon {horizon} precedes world clock {world.clock}")
     choices = dict(choices or {})
-    ordered = _validate_plans(world, plans)
+    ordered, total = _validate_plans(world, plans)
     if isinstance(strategy, Exhaustive):
-        return enumerate_interleavings(world, ordered, bound=_total_steps(ordered), choices=choices,
+        return enumerate_interleavings(world, ordered, bound=total, choices=choices,
                                        horizon=horizon)[0]
 
     waits = _Waits(ordered)
@@ -559,30 +566,12 @@ def run(
         # nothing moved: finish, release a by-date wait, or report deadlock
         if not any(stacks):
             break
-        wake = _wake(world, stacks)
-        if wake is None:
+        line = _advance(world, fired, stacks, choices, waits, horizon)
+        if line is None:
             raise DeadlockDetected({p.agent: s[0].trigger for p, s in zip(ordered, stacks) if s})
-        _check_horizon(wake, horizon)
-        world, fired, stacks = _step(world, fired, stacks, None, choices, waits)
+        world, fired, stacks = line
 
     return Progression(events=world.history[start:], world=world, schedule=tuple(schedule))
-
-
-def _check_horizon(wake: int, horizon: Optional[int]) -> None:
-    if horizon is not None and wake > horizon:
-        raise HorizonExceeded(f"next scheduled activity at day {wake} exceeds horizon {horizon}")
-
-
-def _total_steps(plans: Sequence[Plan]) -> int:
-    def count(steps: Sequence[PlanStep]) -> int:
-        total = 0
-        for step in steps:
-            total += 1
-            if isinstance(step, Branch):
-                total += max(count(step.then_steps), count(step.else_steps))
-        return total
-
-    return sum(count(p.steps) for p in plans)
 
 
 # ---------------------------------------------------------------------------
@@ -612,26 +601,22 @@ def enumerate_interleavings(
     ``horizon``, an interleaving that must advance the clock past it raises
     HorizonExceeded, as ``run`` does.
     """
-    ordered = _validate_plans(world, plans)
-    total = _total_steps(ordered)
+    ordered, total = _validate_plans(world, plans)
     if total > bound:
         raise BoundExceeded(f"plans hold {total} steps, bound is {bound}")
 
+    # every assignment of the choice points, the first sorted name flipping fastest
     fixed = dict(choices or {})
-    points = dict(choice_points or {})
-    assignments: list[dict[str, bool]] = []
-    names = sorted(points)
-    for mask in range(2 ** len(names)):
-        assignment = dict(fixed)
-        for i, name in enumerate(names):
-            assignment[name] = bool(mask >> i & 1)
-        assignments.append(assignment)
+    names = sorted(choice_points or {})
+    assignments = [{**fixed, **dict(zip(names, reversed(values)))}
+                   for values in product((False, True), repeat=len(names))]
 
     # the plans' stacks and wait table, shared by every choice assignment
     waits = _Waits(ordered)
     fired = waits.fold(0, world.history)
     unsettled = [_push(p.steps, None) for p in ordered]
-    runs: list[list[Progression]] = []
+    keys: dict[int, tuple[Action, tuple]] = {}
+    merged: dict[tuple, Progression] = {}
     for assignment in assignments:
         stacks = tuple([_settle(s, world, fired, assignment, waits) for s in unsettled])
         traces = []
@@ -640,20 +625,12 @@ def enumerate_interleavings(
             traces.append(Progression(events=events, world=WorldState(
                 state.agents, state.accounts, state.goods, state.contracts,
                 world.history + events, state.clock, state.overdraft_allowed)))
-        runs.append(traces)
-    if len(runs) == 1:
-        return tuple(runs[0])
-
-    # imported here: only a merge needs it, and importing it adds about
-    # 0.5 ms (1%) to every command's import of ``rpsf.cli``
-    import heapq
-
-    # each run is in key order with no key twice; of equal keys, the merge
-    # keeps the first run's trace, the lowest assignment's
-    keys: dict[int, tuple[Action, tuple]] = {}
-    merged = heapq.merge(*([(t.key(keys), t) for t in traces] for traces in runs),
-                         key=itemgetter(0))
-    return tuple(next(same)[1] for _, same in groupby(merged, key=itemgetter(0)))
+        if len(assignments) == 1:
+            return tuple(traces)
+        # of equal keys, the merge keeps the lowest assignment's trace
+        for trace in traces:
+            merged.setdefault(trace.key(keys), trace)
+    return tuple(merged[key] for key in sorted(merged))
 
 
 # ---------------------------------------------------------------------------

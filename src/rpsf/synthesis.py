@@ -169,11 +169,15 @@ def equivalent(a: FlowTrace, b: FlowTrace, perspective=ALL_AGENTS) -> bool:
     It sees flows, not agents: a name that appears in neither trace has no
     nets on either side, so it compares equal. The CLI checks the names
     against both products' agents (``check_perspective``) before calling.
+
+    a's flows and b's reversed are netted together, once: a cell is a's net
+    less b's, so the traces are equivalent when every cell in view is 0.
     """
-    nets_a, nets_b = net_positions(a), net_positions(b)
-    agents = (set(nets_a) | set(nets_b) if perspective == ALL_AGENTS
-              else _perspective_agents(perspective))
-    return all(nets_a.get(agent, {}) == nets_b.get(agent, {}) for agent in agents)
+    rows = list(map(_flow_row, a))
+    rows += [(payee, payer, amount, day) for payer, payee, amount, day in map(_flow_row, b)]
+    sums = net_cells(rows)[1]
+    agents = sums if perspective == ALL_AGENTS else _perspective_agents(perspective)
+    return not any(any(sums.get(agent, {}).values()) for agent in agents)
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,8 @@ class Clause:
     is active from the start; a by-date trigger activates on that day); it
     is discharged by a history event matching the obliged action, no later
     than the deadline when one is set. A clause whose after-event trigger
-    never fired is dormant: it neither blocks honouring nor breaches.
+    never fired, or whose by-date trigger's day is still to come, is
+    dormant: it neither blocks honouring nor breaches.
     """
 
     obliged_party: str
@@ -904,20 +905,18 @@ def honour_status(contract: ContractRecord, history: HistoryLog, now: int) -> St
 
     Honoured when every live clause has a discharging event; partially
     honoured when some do; breached when a live clause's deadline passed
-    undischarged. Clauses whose after-event trigger never fired stay
-    dormant and are ignored. The stored stage is returned unchanged when
-    nothing has been discharged yet.
+    undischarged. Clauses whose after-event trigger never fired, and
+    clauses whose by-date trigger's day is still to come, stay dormant and
+    are ignored; a condition-met clause is always live. The stored stage is
+    returned unchanged when nothing has been discharged yet.
     """
     if contract.stage in (Stage.DRAFTED, Stage.PREPARED, Stage.PARTIALLY_SIGNED):
         raise StageViolation(
             f"contract {contract.contract_id} is {contract.stage.value}; honour status "
             "applies to active contracts"
         )
-    live: list[Clause] = []
-    for clause in contract.clauses:
-        if isinstance(clause.trigger, AfterEvent) and not trigger_fired(clause.trigger, history, now):
-            continue
-        live.append(clause)
+    live = [c for c in contract.clauses
+            if isinstance(c.trigger, ConditionMet) or trigger_fired(c.trigger, history, now)]
     if not live:
         return contract.stage
     discharged = [c for c in live if _clause_discharged(c, history)]

@@ -29,6 +29,7 @@ from rpsf.world import (
     Agent,
     BalanceAtLeast,
     ByDate,
+    ChoiceIs,
     apply_event,
     make_world,
     world_to_json,
@@ -283,8 +284,6 @@ class TestEnumerate:
         assert [e.action.message for e in traces[0].events] == ["A-0", "A-1", "B-0"]
 
     def test_choice_points_are_branched_over(self):
-        from rpsf.world import ChoiceIs
-
         world = make_world(agents=[Agent("A")])
         plans = [Plan("A", (Branch(ChoiceIs("flag"),
                                    (Do(Action(kind=ActionKind.ACKNOWLEDGE_RECEIPT,
@@ -335,15 +334,21 @@ class TestAppliedOnce:
     def stepped(monkeypatch):
         """The numbers of successor steps (a step of one plan, or a clock
         advance, and a settling of every plan), of enumeration nodes and of
-        ``Progression.key`` calls."""
+        ``Progression.key`` calls. An ``_advance`` that finds no later day
+        takes no step."""
         from rpsf import engine
 
         made = {"steps": 0, "nodes": 0, "keys": 0}
-        original, key = engine._step, engine.Progression.key
+        original, advance, key = engine._step, engine._advance, engine.Progression.key
 
         def counting(*args):
             made["steps"] += 1
             return original(*args)
+
+        def advancing(*args):
+            line = advance(*args)
+            made["steps"] += line is not None
+            return line
 
         def keying(*args):
             made["keys"] += 1
@@ -357,6 +362,7 @@ class TestAppliedOnce:
                 super().__init__(*args)
 
         monkeypatch.setattr(engine, "_step", counting)
+        monkeypatch.setattr(engine, "_advance", advancing)
         monkeypatch.setattr(engine, "_Node", Node)
         monkeypatch.setattr(engine.Progression, "key", keying)
         return made
@@ -397,13 +403,33 @@ class TestAppliedOnce:
         assert len(calls) == 100
         assert made == {"steps": 100, "nodes": 48, "keys": 0}
 
+    def test_a_choice_between_a_dated_arm_and_an_undated_one(self, trio, monkeypatch):
+        """A's second step is one payment, made at once under not-x and after
+        a wait for day 2 under x: each assignment's lattice has its own
+        nodes, the dated arm's clock advance is a step, and the two
+        assignments' five traces are each keyed once to merge them."""
+        def pay(actor, payee):
+            return Do(Action(kind=ActionKind.PAY, actor=actor, counterparty=payee, amount=q(1)))
+
+        shared = pay("A", "B")
+        plans = [Plan("A", (pay("A", "C"),
+                            Branch(ChoiceIs("x"), (WaitFor(ByDate(2)), shared), (shared,)))),
+                 Plan("B", (pay("B", "C"),))]
+        made = self.stepped(monkeypatch)
+        traces = enumerate_interleavings(trio, plans, bound=10, choice_points={"x": True})
+        assert [tuple(e.date for e in t.events) for t in traces] == [
+            (0, 0, 0), (0, 0, 0), (0, 0, 2), (0, 0, 0), (0, 0, 2)]
+        assert made == {"steps": 13, "nodes": 12, "keys": 5}
+
     @pytest.mark.parametrize("strategy", [RoundRobin(), SeededRandom(7)])
     def test_run_applies_each_event_once(self, trio, monkeypatch, strategy):
         plans = [chat("A", 3), chat("B", 2), Plan("C", (WaitFor(ByDate(12)),) + chat("C", 2).steps)]
-        calls = self.counted(monkeypatch)
+        calls, made = self.counted(monkeypatch), self.stepped(monkeypatch)
         progression = run(trio, plans, strategy)
         assert calls == [event.action for event in progression.events]
         assert len(calls) == 7
+        # the seven events and one clock advance to day 12
+        assert made["steps"] == 8 and progression.world.clock == 12
 
 
 class TestWaitCost:

@@ -122,8 +122,8 @@ def promise(actor, counterparty, signing):
 def features(draw):
     """One feature, by name: (agent, steps) pairs, each appended to that
     agent's plan."""
-    name = draw(st.sampled_from(("relay", "credit", "promises", "sign-pc",
-                                 "prepare", "twice", "branch", "choice", "armed", "date")))
+    name = draw(st.sampled_from(("relay", "credit", "promises", "sign-pc", "prepare", "twice",
+                                 "branch", "choice", "choice-y", "armed", "date")))
     other = st.sampled_from(AGENTS)
 
     def not_(agent):
@@ -171,6 +171,14 @@ def features(draw):
         waiting = (WaitFor(ByDate(draw(st.integers(1, 3)))), step)
         arms = (waiting, (step,)) if draw(st.booleans()) else ((step,), waiting)
         return name, [(agent, (Branch(condition, *arms),))]
+    if name == "choice-y":  # a second choice point, whose arms pay different agents
+        agent = draw(other)
+        first, second = draw(st.permutations([a for a in AGENTS if a != agent]))
+        then = (do(PAY, agent, counterparty=first, amount=Quantity(1), message="y"),)
+        if draw(st.booleans()):
+            then = (WaitFor(ByDate(draw(st.integers(1, 3)))),) + then
+        else_ = (do(PAY, agent, counterparty=second, amount=Quantity(1), message="not-y"),)
+        return name, [(agent, (Branch(ChoiceIs("y"), then, else_),))]
     if name == "armed":  # a wait for another plan's payment, inside one arm of a branch
         agent = draw(other)
         payer = draw(not_(agent))
@@ -200,10 +208,11 @@ def count_do(steps):
 def plan_sets(draw):
     """Up to seven Do steps over three plans: perhaps a signature of a
     seq-named promise first, then perhaps a payment in each plan, then the
-    features above, then perhaps a choice whose arms differ only by a
-    trailing wait for a date. Under that choice both assignments give the
-    same keys at different final clocks where the wait is still to come, so
-    the merge of the assignments' traces must keep the lower assignment's."""
+    features above, then perhaps a choice, on x or y, whose arms differ only
+    by a trailing wait for a date. Under that choice two assignments give
+    the same keys at different final clocks where the wait is still to
+    come, so the merge of the assignments' traces must keep the lower
+    assignment's."""
     steps = {agent: () for agent in AGENTS}
     if draw(st.booleans()):
         # A's and C's promises are the first two events, in either order, so
@@ -226,7 +235,8 @@ def plan_sets(draw):
     if draw(st.booleans()):
         wait = (WaitFor(ByDate(draw(st.integers(1, 4)))),)
         arms = (wait, ()) if draw(st.booleans()) else ((), wait)
-        steps[draw(st.sampled_from(AGENTS))] += (Branch(ChoiceIs("x"), *arms),)
+        steps[draw(st.sampled_from(AGENTS))] += (Branch(ChoiceIs(draw(st.sampled_from("xy"))),
+                                                        *arms),)
     return [Plan(agent, s) for agent, s in steps.items() if s]
 
 
@@ -316,27 +326,36 @@ crossed = [Plan("A", (Branch(ChoiceIs("x"), (do(PAY, "A", counterparty="B", amou
 waited = [Plan("A", (do(PAY, "A", counterparty="B", amount=Quantity(1)),
                      Branch(ChoiceIs("x"), (WaitFor(ByDate(2)),)))),
           Plan("B", (do(PAY, "B", counterparty="A", amount=Quantity(1)),))]
-# and a choice point that no plan reads, so that both assignments give every
-# trace (duplicates kept): ``prepared`` with x.
+# a choice point that no plan reads, so that both assignments give every
+# trace (duplicates kept): ``prepared`` with x; and two choice points, where
+# A pays under x, waiting for day 2 after, or else under y, waiting for day
+# 3, so that three of the four assignments give every key of A's payment
+# and the first of them, x without y, must be kept (the assignments in the
+# wrong order).
+_either = do(PAY, "A", counterparty="C", amount=Quantity(1), message="either")
+forked = [Plan("A", (Branch(ChoiceIs("x"), (_either, WaitFor(ByDate(2))),
+                            (Branch(ChoiceIs("y"), (_either, WaitFor(ByDate(3)))),)),)),
+          Plan("B", (do(PAY, "B", counterparty="A", amount=Quantity(1)),))]
 
 
 @settings(max_examples=150)
-@given(plan_sets(), st.booleans())
-@example(relabelled, False)
-@example(repeated, False)
-@example(dated, True)
-@example(branched, False)
-@example(prepared, False)
-@example(timed, False)
-@example(late, False)
-@example(crossed, True)
-@example(waited, True)
-@example(prepared, True)
-@example(shared, False)
-@example(twins, False)
-@example(armed, False)
-def test_every_trace_is_the_reference_trace_byte_for_byte(plans, choose):
-    agree(plans, {"x": True} if choose else None)
+@given(plan_sets(), st.sampled_from(("", "x", "xy")))
+@example(relabelled, "")
+@example(repeated, "")
+@example(dated, "x")
+@example(branched, "")
+@example(prepared, "")
+@example(timed, "")
+@example(late, "")
+@example(crossed, "x")
+@example(waited, "x")
+@example(prepared, "x")
+@example(shared, "")
+@example(twins, "")
+@example(armed, "")
+@example(forked, "xy")
+def test_every_trace_is_the_reference_trace_byte_for_byte(plans, points):
+    agree(plans, dict.fromkeys(points, True))
 
 
 def test_the_examples_reach_what_they_stand_for():
@@ -364,6 +383,9 @@ def test_the_examples_reach_what_they_stand_for():
     assert [t.key() for t in traces] == [t.key() for t in waiting]
     assert {t.world.clock for t in traces} == {0} and {t.world.clock for t in waiting} == {2}
     assert agree(prepared, {"x": True}) == agree(prepared)
+    traces = enumerated(opening_world(), forked, {"x": True, "y": True})
+    assert len(agree(forked, {"x": True, "y": True})) == len(traces) == 3
+    assert {t.world.clock for t in traces if len(t.events) == 2} == {2}
     for plans in (shared, twins):
         # C's payment comes first in every trace, as both other plans wait for it
         assert {trace[0][0][1][0] for trace in agree(plans)} == {("actor", "C")}

@@ -1,6 +1,7 @@
 """The synthesis search's state tuples, (owner, home, nets, used, depth,
 mismatch), against the world transition and against a from-scratch recount,
-and net positions against the Quantity-by-Quantity fold."""
+and net positions against the Quantity-by-Quantity fold, and equivalence
+against the net positions."""
 
 import pytest
 
@@ -175,3 +176,16 @@ named_flows = st.builds(
 def test_a_name_is_the_perspective_of_its_one_agent(a, b, name):
     a, b = canonical(a), canonical(b)
     assert equivalent(a, b, name) == equivalent(a, b, (name,))
+
+
+@given(st.lists(named_flows, max_size=4), st.lists(named_flows, max_size=4),
+       st.sampled_from(NAMES))
+@example([Flow("Bob", "Al", Quantity(2), 0)],
+         [Flow("Bob", "B", Quantity(2), 0), Flow("B", "Al", Quantity(2), 0)], "Bob")
+def test_equivalent_compares_the_net_positions_agent_by_agent(a, b, name):
+    # "Carol" is in neither trace, so it has no nets on either side
+    nets_a, nets_b = net_positions(a), net_positions(b)
+    for perspective, agents in ((ALL_AGENTS, {*nets_a, *nets_b}), (name, (name,)),
+                                ((name, "Carol"), (name, "Carol"))):
+        want = all(nets_a.get(agent) == nets_b.get(agent) for agent in agents)
+        assert equivalent(a, b, perspective) == want

@@ -604,6 +604,29 @@ class TestContractLifecycle:
         record = world.contracts["ins"]
         assert honour_status(record, world.history, 1000) == Stage.ACTIVE
 
+    def test_a_by_date_clause_is_dormant_until_its_day(self):
+        # X pays at once; Y's payment falls due only from day 200
+        world = make_world(agents=[Agent("X"), Agent("Y")],
+                           balances={"X": q(100), "Y": q(10)})
+        clauses = (
+            Clause("X", ActionTemplate(kind=ActionKind.PAY, actor="X", counterparty="Y",
+                                       amount=q(100), contract_id="c")),
+            Clause("Y", ActionTemplate(kind=ActionKind.PAY, actor="Y", counterparty="X",
+                                       amount=q(10), contract_id="c"),
+                   trigger=ByDate(200), deadline=210),
+        )
+        world = apply_event(world, Action(kind=ActionKind.PREPARE_CONTRACT, actor="X",
+                                          counterparty="Y", contract_id="c",
+                                          parties=("X", "Y"), clauses=clauses), 0)
+        for agent in "XY":
+            world = apply_event(world, Action(kind=ActionKind.SIGN_CONTRACT, actor=agent,
+                                              contract_id="c"), 0)
+        world = apply_event(world, pay("X", "Y", 100, reason=Reason(contract_ids=("c",))), 0)
+        record = world.contracts["c"]
+        assert honour_status(record, world.history, 100) == Stage.HONOURED
+        assert honour_status(record, world.history, 200) == Stage.PARTIALLY_HONOURED
+        assert honour_status(record, world.history, 211) == Stage.BREACHED
+
     def test_stage_transition_relation(self):
         assert stage_transition_allowed(Stage.DRAFTED, Stage.PREPARED)
         assert stage_transition_allowed(Stage.ACTIVE, Stage.PARTIALLY_HONOURED)
