@@ -23,11 +23,13 @@ expanded once, into its subtree's node count and the moves under which a
 witness lies; ``explored`` still counts every node of the tree, and each
 witness is built once, from the moves along its path. A state's candidate
 moves are built once per call and shared by every state with the same
-owner, used agents and depth. A witness is a sequence whose projection is
-equivalent to the target and whose good returns to its initial owner.
-A witness is re-executed through the engine only when its result is asked
-to replay it. Exhaustion within the bound makes found=False a
-bound-relative non-existence certificate.
+owner, used agents and depth. Each carries its effect: the new owner and
+used agents, and the signed price in each perspective cell its payment
+reaches, so a step only adds deltas to the nets. A witness is a sequence
+whose projection is equivalent to the target and whose good returns to
+its initial owner. A witness is re-executed through the engine only when
+its result is asked to replay it. Exhaustion within the bound makes
+found=False a bound-relative non-existence certificate.
 
 Grounding (disclosed in SynthesisResult.grounding): trade prices come from
 the target's amount set; every primitive executes at the inception date,
@@ -259,7 +261,8 @@ class SynthesisResult:
 # its subproblem, is (owner, home, nets, used, depth, mismatch): the good's
 # owner and the owner it must end with (both None until it is prepared), the
 # net cash x scale per frame place, the agents used, the depth, and the
-# places where nets and target differ.
+# places where nets and target differ. A move carries its effect, built once
+# with its action, so a step (``_successor``) only adds its deltas.
 #
 # A solved subproblem: the nodes of its subtree, whether its root is a
 # witness, and the (action, child subtree) moves under which a witness lies
@@ -310,6 +313,10 @@ def synthesize(
 
     amounts = tuple(sorted({f.amount for f in target}))
     future_dates = tuple(sorted({f.date for f in target if f.date > 0}))
+    # no trial trade reaches apply_event, which would reject a negative price;
+    # checked before make_world, which would reject a negative endowment
+    if amounts and amounts[0] < ZERO:
+        raise ValidationError("sums must be nonnegative")
     # every trade price is a target amount, so the search's nets are integers
     # over the target's scale
     scale, sums = net_cells(list(map(_flow_row, target)))
@@ -336,17 +343,16 @@ def synthesize(
         goods=[Good(good_id="g0", kind="asset", owner=home, market_value=good_value,
                     block_size=block)] if home else [],
     )
-    # no trial trade reaches apply_event, which would reject a negative price
-    if amounts and amounts[0] < ZERO:
-        raise ValidationError("sums must be nonnegative")
     used0 = persp | {home} if home else persp
     # a trade moves cash for two agents at one date, so it can fix at most
     # one mismatched cell per perspective agent (max two overall)
     per_action = 1 if len(persp) == 1 else 2
 
-    # the candidate moves of a state, by everything ``candidates`` reads:
-    # the good's owner, the used agents and the depth (which names a credit
-    # sale's settlement contract)
+    # the candidate moves of a state, by everything ``candidates`` reads (the
+    # good's owner, the used agents, and the depth that names a credit sale's
+    # settlement contract), each with its effect: (action, owner, home (None: a
+    # trade keeps it), used agents, changes), where changes are (place, signed
+    # price x scale) for the perspective cells its payment reaches
     moves: dict[tuple, tuple[tuple, ...]] = {}
     solved: dict[tuple, _Subtree] = {}  # state -> its subtree
 
@@ -363,6 +369,13 @@ def synthesize(
                 return False
         return True
 
+    def changes(payer: str, payee: str, price: Quantity, day: int) -> tuple:
+        paid = price.num * (scale // price.den)
+        pay, get = cells.get((payer, day)), cells.get((payee, day))
+        if pay is None:
+            return () if get is None else ((get, paid),)
+        return ((pay, -paid),) if get is None else ((pay, -paid), (get, paid))
+
     def candidates(owner: Optional[str], used: frozenset[str], depth: int):
         if owner is None:
             if "prepare-good" in kinds:
@@ -370,22 +383,25 @@ def synthesize(
                     if allowed_participants(used, [actor]):
                         yield Action(kind=ActionKind.PREPARE_GOOD, actor=actor, good_id="g0",
                                      good_spec=GoodSpec(kind="asset", market_value=good_value,
-                                                        block_size=block)), None, None
+                                                        block_size=block)
+                                     ), actor, actor, used | {actor}, ()
             return
         for buyer in agents:
             if buyer == owner or not allowed_participants(used, [owner, buyer]):
                 continue
+            after = used | {buyer}  # the owner is used
             if "spot-sale" in kinds:
                 for price in amounts:
                     yield Action(kind=ActionKind.SPOT_SALE, actor=owner, counterparty=buyer,
-                                 amount=price, good_id="g0"), buyer, owner
+                                 amount=price, good_id="g0"
+                                 ), buyer, None, after, changes(buyer, owner, price, 0)
             if "credit-sale" in kinds:
                 for price in amounts:
                     for due in future_dates:
                         yield Action(kind=ActionKind.BUY_ON_CREDIT, actor=buyer,
                                      counterparty=owner, amount=price, down_payment=ZERO,
-                                     due_date=due, good_id="g0",
-                                     contract_id=f"settle-{depth}"), buyer, owner
+                                     due_date=due, good_id="g0", contract_id=f"settle-{depth}"
+                                     ), buyer, None, after, changes(buyer, owner, price, due)
 
     def solve(state: tuple) -> _Subtree:
         """The state's subtree, solved once per state (see the module
@@ -402,11 +418,11 @@ def synthesize(
             children = moves.get(move_key)
             if children is None:
                 children = moves[move_key] = tuple(candidates(owner, used, depth))
-            for action, buyer, seller in children:
-                child = solve(_successor(frame, state, action, buyer, seller))
+            for move in children:
+                child = solve(_successor(frame, state, move))
                 nodes += child[0]
                 if child[1] or child[2]:
-                    live.append((action, child))
+                    live.append((move[0], child))
         subtree = solved[state] = (nodes, not mismatch and not displaced, tuple(live))
         return subtree
 
@@ -445,37 +461,20 @@ def _witness_paths(root: _Subtree) -> Iterator[tuple[Action, ...]]:
             stack.append((child, trades + (action,)))
 
 
-def _successor(frame: tuple, state: tuple, action: Action, buyer: Optional[str],
-               seller: Optional[str]) -> tuple:
-    """The search state after one trial step; no ``WorldState`` is touched.
-
-    In a trade ``buyer`` pays ``seller``, as the candidate that built it says:
-    a spot sale now, a credit sale at its due date. It changes the good's
-    owner and at most two places in the perspective's nets.
-    """
-    _, home, nets, used, depth, mismatch = state
-    if action.kind is ActionKind.PREPARE_GOOD:
-        actor = action.actor
-        return actor, actor, nets, used | {actor}, depth + 1, mismatch
-    if buyer not in used or seller not in used:
-        used = used | {buyer, seller}
-    scale, cells, target = frame
-    date = 0 if action.kind is ActionKind.SPOT_SALE else action.due_date
-    paying, paid = cells.get((buyer, date)), cells.get((seller, date))
-    if paying is not None or paid is not None:
-        price = action.amount
-        scaled = price.num * (scale // price.den)
+def _successor(frame: tuple, state: tuple, move: tuple) -> tuple:
+    """The search state after one trial step, by the effect its move carries
+    (see ``moves`` in ``synthesize``); no ``WorldState`` is touched."""
+    _, home, nets, _, depth, mismatch = state
+    _, owner, moved_home, used, changes = move
+    if changes:
+        target = frame[2]
         places = list(nets)
-        if paying is not None:
-            old = places[paying]
-            places[paying] = new = old - scaled
-            mismatch += (new != target[paying]) - (old != target[paying])
-        if paid is not None:
-            old = places[paid]
-            places[paid] = new = old + scaled
-            mismatch += (new != target[paid]) - (old != target[paid])
+        for place, delta in changes:
+            old = places[place]
+            places[place] = new = old + delta
+            mismatch += (new != target[place]) - (old != target[place])
         nets = tuple(places)
-    return buyer, home, nets, used, depth + 1, mismatch
+    return owner, moved_home or home, nets, used, depth + 1, mismatch
 
 
 def _due_order(pending: Iterable[tuple]) -> list[tuple]:

@@ -306,6 +306,12 @@ class TestSynthesize:
         for bound in (0, 3):
             with pytest.raises(ValidationError, match="sums must be nonnegative"):
                 synthesize(target, ["spot-sale", "credit-sale"], bound=bound)
+        # amounts that sum below zero would make a negative opening balance,
+        # which make_world rejects under its own message
+        for amounts, catalogue in (((-5,), "spot-sale"), ((-5, 3), "credit-sale")):
+            target = canonical([Flow("X", "Y", q(a), 0) for a in amounts])
+            with pytest.raises(ValidationError, match="sums must be nonnegative"):
+                synthesize(target, [catalogue], bound=2)
 
     def test_one_agent_is_rejected(self):
         with pytest.raises(ValueError) as exc:
@@ -416,3 +422,24 @@ class TestSearchWork:
         result = synthesize(savings_target(), catalogue, ("X", "Y", "Z"), bound=bound)
         assert result.explored == explored
         assert calls == built
+
+    @pytest.mark.parametrize("catalogue,bound,explored,taken", [
+        (("spot-sale", "credit-sale", "prepare-good", "contracts", "inform"), 5, 2095, 742),
+        (("spot-sale",), 6, 1877, 192),
+    ])
+    def test_each_step_is_taken_once_per_subproblem(self, monkeypatch, catalogue, bound,
+                                                    explored, taken):
+        # one step per move of each distinct subproblem: a step taken twice,
+        # or a memo that stops hitting, moves the count
+        calls = 0
+        original = synthesis._successor
+
+        def counted(frame, state, move):
+            nonlocal calls
+            calls += 1
+            return original(frame, state, move)
+
+        monkeypatch.setattr(synthesis, "_successor", counted)
+        result = synthesize(savings_target(), catalogue, ("X", "Y", "Z"), bound=bound)
+        assert result.explored == explored
+        assert calls == taken

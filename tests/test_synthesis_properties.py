@@ -31,13 +31,16 @@ def search_steps(target, catalogue, bound, perspective):
 
     The search expands each distinct subproblem once, from the first state
     that reaches it, so the steps cover every distinct subproblem, not
-    every path.
+    every path. A search with more than its root node must have taken a
+    step through the hook, or the properties that read the steps would
+    check nothing.
     """
     steps, paths = [], {}
     successor = synthesis._successor
 
-    def recording(frame, state, action, *roles):
-        child = successor(frame, state, action, *roles)
+    def recording(frame, state, move):
+        child = successor(frame, state, move)
+        action = move[0]
         # ``steps`` keeps every state alive, so no id is reused
         path = paths.get(id(state), ())
         paths[id(child)] = path + (action,)
@@ -46,7 +49,8 @@ def search_steps(target, catalogue, bound, perspective):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synthesis, "_successor", recording)
-        synthesize(target, catalogue, AGENTS, bound=bound, perspective=perspective)
+        result = synthesize(target, catalogue, AGENTS, bound=bound, perspective=perspective)
+    assert steps or result.explored <= 1, f"{result.explored} nodes but no recorded step"
     return steps
 
 
@@ -94,6 +98,9 @@ def reference_mismatch(nets, target_nets, perspective):
        st.sampled_from((None, ALL_AGENTS, ("X", "Y"), ("Z",))))
 @example([Flow("X", "Y", Quantity(1, 2), 0), Flow("Y", "X", Quantity(1, 3), 0)],
          {"spot-sale"}, 1, None)
+# the perspective holds both cells of a trade, so a move has two changes
+@example([Flow("X", "Y", Quantity(5), 0), Flow("Y", "X", Quantity(7), 30)],
+         {"spot-sale", "credit-sale"}, 2, ("X", "Y"))
 def test_carried_counts_match_a_recount_along_every_path(target, catalogue, bound,
                                                          perspective):
     target = canonical(target)
