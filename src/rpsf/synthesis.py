@@ -250,8 +250,7 @@ class SynthesisResult:
 
     def replay(self, index: int) -> Progression:
         """Witness ``index`` re-executed through the engine from the opening world."""
-        witness = self.witnesses[index]
-        return _replay_witness(self.world, witness.trades, witness.pending)
+        return _replay_witness(self.world, *witness_plans(self.witnesses[index]))
 
 
 # What every state of one search shares is its frame, (scale, cells,
@@ -356,19 +355,6 @@ def synthesize(
     moves: dict[tuple, tuple[tuple, ...]] = {}
     solved: dict[tuple, _Subtree] = {}  # state -> its subtree
 
-    def next_fresh(used: frozenset[str]) -> Optional[str]:
-        for name in agents:
-            if name not in used:
-                return name
-        return None
-
-    def allowed_participants(used: frozenset[str], names: Iterable[str]) -> bool:
-        fresh = next_fresh(used)
-        for name in names:
-            if name not in used and name != fresh:
-                return False
-        return True
-
     def changes(payer: str, payee: str, price: Quantity, day: int) -> tuple:
         paid = price.num * (scale // price.den)
         pay, get = cells.get((payer, day)), cells.get((payee, day))
@@ -377,19 +363,22 @@ def synthesize(
         return ((pay, -paid),) if get is None else ((pay, -paid), (get, paid))
 
     def candidates(owner: Optional[str], used: frozenset[str], depth: int):
+        # role symmetry: a move names the used agents and at most the first
+        # unused one, in ``agents`` order; the good's owner is always used
+        fresh = [name for name in agents if name not in used][:1]
+        names = [name for name in agents if name in used or name in fresh]
         if owner is None:
             if "prepare-good" in kinds:
-                for actor in agents:
-                    if allowed_participants(used, [actor]):
-                        yield Action(kind=ActionKind.PREPARE_GOOD, actor=actor, good_id="g0",
-                                     good_spec=GoodSpec(kind="asset", market_value=good_value,
-                                                        block_size=block)
-                                     ), actor, actor, used | {actor}, ()
+                for actor in names:
+                    yield Action(kind=ActionKind.PREPARE_GOOD, actor=actor, good_id="g0",
+                                 good_spec=GoodSpec(kind="asset", market_value=good_value,
+                                                    block_size=block)
+                                 ), actor, actor, used | {actor}, ()
             return
-        for buyer in agents:
-            if buyer == owner or not allowed_participants(used, [owner, buyer]):
+        for buyer in names:
+            if buyer == owner:
                 continue
-            after = used | {buyer}  # the owner is used
+            after = used | {buyer}
             if "spot-sale" in kinds:
                 for price in amounts:
                     yield Action(kind=ActionKind.SPOT_SALE, actor=owner, counterparty=buyer,
@@ -482,16 +471,14 @@ def _due_order(pending: Iterable[tuple]) -> list[tuple]:
     return sorted(pending, key=itemgetter(3, 4))
 
 
-def _replay_witness(world0: WorldState, actions: tuple[Action, ...],
-                    pending: tuple) -> Progression:
-    """Re-execute a witness through the engine for the official progression."""
-    horizon = max([due for _, _, _, due, _ in pending], default=0)
-    return run(world0, witness_plans(actions, pending), RoundRobin(), horizon=horizon)
+def _replay_witness(world0: WorldState, plans: tuple[Plan, ...], horizon: int) -> Progression:
+    """Re-execute a witness's plans through the engine for the official progression."""
+    return run(world0, plans, RoundRobin(), horizon=horizon)
 
 
-def witness_plans(actions: Sequence[Action],
-                  pending: Sequence[tuple[str, str, Quantity, int, str]]) -> tuple[Plan, ...]:
-    """Turn a witness action sequence into per-agent plans.
+def witness_plans(witness: Witness) -> tuple[tuple[Plan, ...], int]:
+    """A witness's per-agent plans, and their horizon: its last settlement's
+    due date, or 0.
 
     Cross-agent order is preserved by waiting on the previous action's
     event; each step carries a unique step tag in its message field so
@@ -500,30 +487,31 @@ def witness_plans(actions: Sequence[Action],
     """
     parts: list[Part] = []
     prev: Optional[Action] = None
-    for index, action in enumerate(actions):
+    for index, action in enumerate(witness.trades):
         tagged = replace(action, message=f"step-{index + 1}")
         if prev is not None and prev.actor != tagged.actor:
             parts.append(wait(tagged.actor, kind=prev.kind, actor=prev.actor,
                               message=prev.message))
         parts.append([(tagged.actor, Do(tagged))])
         prev = tagged
-    for payer, payee, amount, due, settle_id in _due_order(pending):
+    pending = _due_order(witness.pending)
+    for payer, payee, amount, due, settle_id in pending:
         parts.append(payment(payer, payee, amount, settle_id, day=due))
-    return compose(sorted({agent for part in parts for agent, _ in part}), *parts)
+    plans = compose(sorted({agent for part in parts for agent, _ in part}), *parts)
+    return plans, pending[-1][3] if pending else 0  # the last in due order is due latest
 
 
 def witness_scenario(result: SynthesisResult, index: int) -> dict:
     """Render one witness as scenario-file text, re-runnable as a scenario:
     the search's opening world, led by its first agent, with the least
     balances that keep the replay solvent."""
-    witness = result.witnesses[index]
     world0 = result.world
-    accounts = _least_balances(world0.agents, monetary_projection(result.replay(index)))
+    plans, horizon = witness_plans(result.witnesses[index])
+    trace = monetary_projection(_replay_witness(world0, plans, horizon))
     return instance_to_dict(ScenarioInstance(
-        name=f"witness-{index}", params={}, world=replace(world0, accounts=accounts),
-        plans=witness_plans(witness.trades, witness.pending),
-        principals=(next(iter(world0.agents)),),
-        horizon=max([due for _, _, _, due, _ in witness.pending], default=0)))
+        name=f"witness-{index}", params={},
+        world=replace(world0, accounts=_least_balances(world0.agents, trace)),
+        plans=plans, principals=(next(iter(world0.agents)),), horizon=horizon))
 
 
 def _least_balances(agents: Iterable[str], trace: FlowTrace) -> dict[str, Quantity]:

@@ -521,6 +521,34 @@ def test_the_gate_sees_each_caller_of_a_name():
     assert callers(text, "apply_event") == ["<module>", "_step", "Memo.keep.again", "Memo.keep"]
 
 
+def plan_builders(text: str) -> dict[str, list[str]]:
+    """The callers of ``run``, ``payment`` and ``compose``, by name."""
+    return {name: callers(text, name) for name in ("run", "payment", "compose")}
+
+
+def test_a_witness_becomes_plans_in_one_place():
+    # witness_plans alone turns a witness into plans and a horizon, and
+    # _replay_witness alone runs them, for a replay and a scenario alike
+    assert plan_builders((PACKAGE / "synthesis.py").read_text()) == {
+        "run": ["_replay_witness"], "payment": ["witness_plans"], "compose": ["witness_plans"]}
+
+
+def test_the_gate_sees_plans_built_twice():
+    text = ("class SynthesisResult:\n"
+            "    def replay(self, index):\n"
+            "        plans = compose(agents, *parts(self.witnesses[index]))\n"
+            "        return run(self.world, plans, RoundRobin())\n"
+            "def witness_plans(witness):\n"
+            "    return compose(agents, *parts(witness), payment(X, Y, 1, 's', day=7))\n"
+            "def witness_scenario(result, index):\n"
+            "    trace = monetary_projection(engine.run(result.world, plans))\n"
+            "    return scenarios.payment(X, Y, 1, 's', day=7), run\n")
+    assert plan_builders(text) == {
+        "run": ["SynthesisResult.replay", "witness_scenario"],
+        "payment": ["witness_plans", "witness_scenario"],
+        "compose": ["SynthesisResult.replay", "witness_plans"]}
+
+
 def seq_spelt_ids(text: str) -> list[str]:
     """The functions that spell an id from a sequence number: an f-string
     in which ``seq`` or some ``x.seq`` follows a hyphen, as in
