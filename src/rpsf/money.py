@@ -301,9 +301,7 @@ class Quantity:
             return self.num == other.num and self.den == other.den
         if isinstance(other, int) and not isinstance(other, bool):
             return self.den == 1 and self.num == other
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.den == 1:

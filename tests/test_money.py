@@ -113,6 +113,11 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             Quantity(1) + True
 
+    @pytest.mark.parametrize("other", [1.0, "1", None, True, (1, 1)])
+    def test_anything_but_a_quantity_or_an_int_is_left_to_the_other_side(self, other):
+        assert Quantity(1).__eq__(other) is NotImplemented
+        assert Quantity(1) != other and other != Quantity(1)
+
     def test_closure_under_operations(self):
         rng = random.Random(7)
         for _ in range(500):
