@@ -310,16 +310,19 @@ def synthesize(
         check_perspective(names, agents)
         persp = frozenset(names)
 
-    amounts = tuple(sorted({f.amount for f in target}))
-    future_dates = tuple(sorted({f.date for f in target if f.date > 0}))
     # no trial trade reaches apply_event, which would reject a negative price;
-    # checked before make_world, which would reject a negative endowment
-    if amounts and amounts[0] < ZERO:
+    # checked on the raw flows, which abs() would hide, before make_world
+    if any(f.amount < ZERO for f in target):
         raise ValidationError("sums must be nonnegative")
-    # every trade price is a target amount, so the search's nets are integers
-    # over the target's scale
+    # grounded on the perspective's nonzero nets, so equivalent targets get one
+    # answer: prices are their absolute values, settlement dates their days
+    # after 0, and the search's nets are integers over the target's scale
     scale, sums = net_cells(list(map(_flow_row, target)))
-    days = sorted({0, *(f.date for f in target)})
+    nets = [(day, abs(total)) for agent in persp
+            for day, total in sums.get(agent, {}).items() if total]
+    amounts = tuple(sorted({Quantity(total, scale) for _, total in nets}))
+    days = sorted({0, *(day for day, _ in nets)})
+    future_dates = tuple(day for day in days if day > 0)
     cells = {(agent, day): i for i, (agent, day) in
              enumerate((agent, day) for agent in sorted(persp) for day in days)}
     target_nets = tuple(sums.get(agent, {}).get(day, 0) for agent, day in cells)

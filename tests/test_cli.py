@@ -311,8 +311,8 @@ class TestSynthesize:
         assert err == "error: unknown perspective agent 'W'; known agents: ['X', 'Y', 'Z']\n"
 
     @pytest.mark.parametrize("target, principal, agents, first_line", [
-        ("murabaha", "A", "A,B,BANK", "found=False witnesses=0 explored=87789"),
-        ("contractus_trinus", "A", "A,B", "found=True witnesses=8 explored=3519")],
+        ("murabaha", "A", "A,B,BANK", "found=False witnesses=0 explored=18159"),
+        ("contractus_trinus", "A", "A,B", "found=True witnesses=26 explored=1035")],
         ids=["murabaha", "contractus_trinus"])
     def test_a_target_without_agent_x_searches_from_its_first_principal(
             self, capsys, target, principal, agents, first_line):

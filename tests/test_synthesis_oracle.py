@@ -86,8 +86,15 @@ def shape(trades, names=None):
 
 
 def oracle(target, catalogue, bound, perspective):
-    prices = sorted({f.amount for f in target})
-    dues = sorted({f.date for f in target if f.date > 0})
+    # grounded on the perspective's nonzero nets: prices are their absolute
+    # values, and dues their days after 0
+    nets = {}
+    for f in target:
+        for agent, signed in ((f.payer, -f.amount), (f.payee, f.amount)):
+            if agent in perspective:
+                nets[agent, f.date] = nets.get((agent, f.date), Quantity(0)) + signed
+    prices = sorted({abs(net) for net in nets.values() if net})
+    dues = sorted({day for (_, day), net in nets.items() if net and day > 0})
     preowned = "prepare-good" not in catalogue and bool({"spot-sale", "credit-sale"} & catalogue)
     goods = [Good("g0", "asset", AGENTS[1], None)] if preowned else []
     world0 = make_world([Agent(name) for name in AGENTS],
@@ -119,8 +126,13 @@ def oracle(target, catalogue, bound, perspective):
        st.sampled_from((None, ALL_AGENTS, ("X", "Y"), ("Z",))))
 @example([Flow("X", "Y", Quantity(5), 0), Flow("Y", "X", Quantity(7), 30)],
          {"spot-sale", "credit-sale"}, 3, None)
-# zero prices let one good's round trips reach the same owners and nets
-# from different homes, and a credit sale fall due on either date
+# round trips at one price reach the same owners and nets from different
+# homes, and a credit sale falls due on either date; zero flows net to
+# nothing, so they ground no price at all
+@example([Flow("X", "Y", Quantity(5), 0)], {"spot-sale", "credit-sale", "prepare-good"}, 3,
+         ALL_AGENTS)
+@example([Flow("X", "Y", Quantity(5), day) for day in (0, 7)] + [Flow("Y", "X", Quantity(5), 30)],
+         {"credit-sale"}, 2, None)
 @example([Flow("X", "Y", Quantity(0), 0)], {"spot-sale", "credit-sale", "prepare-good"}, 3,
          ALL_AGENTS)
 @example([Flow("X", "Y", Quantity(0), day) for day in (0, 7, 30)], {"credit-sale"}, 2, None)

@@ -127,6 +127,32 @@ def test_carried_counts_match_a_recount_along_every_path(target, catalogue, boun
                 for d, v in per_day.items()}
 
 
+@given(st.lists(flows, min_size=1, max_size=3), catalogues, st.integers(0, 3),
+       st.sampled_from((None, ("X", "Y"), ("Z",), AGENTS)), st.integers(0, 2),
+       st.sampled_from(("route", Quantity(1, 2), Quantity(1, 3))))
+@example([Flow("X", "Y", Quantity(5), 0), Flow("Y", "X", Quantity(7), 30)],
+         {"spot-sale", "credit-sale"}, 3, None, 1, Quantity(1, 2))
+def test_equivalent_targets_get_one_answer(target, catalogue, bound, perspective, index,
+                                           rebooking):
+    # B books one of A's flows either through W, an agent outside every
+    # perspective, or as two flows on its day that sum to it
+    flow = target[index % len(target)]
+    rest = [f for i, f in enumerate(target) if i != index % len(target)]
+    if rebooking == "route":
+        pieces = [Flow(flow.payer, "W", flow.amount, flow.date),
+                  Flow("W", flow.payee, flow.amount, flow.date)]
+    else:
+        part = flow.amount * rebooking
+        pieces = [Flow(flow.payer, flow.payee, amount, flow.date)
+                  for amount in (part, flow.amount - part)]
+    a, b = canonical(target), canonical(rest + pieces)
+    assert equivalent(a, b, perspective or AGENTS[:1])
+    one, other = (synthesize(t, catalogue, AGENTS, bound=bound, perspective=perspective)
+                  for t in (a, b))
+    assert (one.found, one.explored, one.witnesses) == (
+        other.found, other.explored, other.witnesses)
+
+
 def reference_net_positions(trace):
     """Net positions as a fold of Quantity sums, one flow at a time."""
     nets = {}
