@@ -31,15 +31,18 @@ its initial owner. A witness is re-executed through the engine only when
 its result is asked to replay it. Exhaustion within the bound makes
 found=False a bound-relative non-existence certificate.
 
-Grounding (disclosed in SynthesisResult.grounding): trade prices come from
-the target's amount set; every primitive executes at the inception date,
-and only credit-sale settlements fall later, on the target's own future
-dates - which is why spot sales alone cannot defer payment; one good is
-traded, prepared at most once (pre-owned instead when preparation is not
-in the catalogue); non-perspective agents enter in canonical order
-(role symmetry); coordination actions (inform, contract preparation and
+Grounding (disclosed in SynthesisResult.grounding): trade prices are the
+absolute values of the perspective's nonzero nets in the target, so
+targets equivalent from the perspective get one answer; every primitive
+executes at the inception date, and only credit-sale settlements fall
+later, on those nets' days after it - which is why spot sales alone
+cannot defer payment; one good is traded, prepared at most once (pre-owned
+instead when preparation is not in the catalogue); a move names the used
+agents and at most the first unused one, in ``agents`` order (role
+symmetry); coordination actions (inform, contract preparation and
 signing) produce no flows, so sequences differing only by them are folded
-into their trade skeletons.
+into their trade skeletons. A witness's plans and horizon are built in one
+place, ``witness_plans``.
 """
 
 from __future__ import annotations

@@ -295,10 +295,21 @@ class TestSynthesize:
                               horizon=loaded.horizon)
             assert equivalent(monetary_projection(progression), target, ("X",))
 
-    def test_grounding_is_disclosed(self):
-        result = synthesize(savings_target(), ["spot-sale"], bound=2)
-        assert result.grounding["amounts"] == ["1000", "1048"]
-        assert result.grounding["settlement_dates"] == [365]
+    # the grounding is the perspective's nonzero nets: in the second target,
+    # the 5 that reaches Y through W nets to nothing for W
+    @pytest.mark.parametrize("target,perspective,amounts,dates", [
+        (None, None, ["1000", "1048"], [365]),
+        ("routed", None, ["5", "7"], [30]),
+        ("routed", ("Y",), ["5", "9"], [30]),
+        ("routed", ("Z", "W"), ["2"], [30, 40])])
+    def test_grounding_is_disclosed(self, target, perspective, amounts, dates):
+        target = savings_target() if target is None else canonical([
+            Flow("X", "W", q(5), 0), Flow("W", "Y", q(5), 0), Flow("Y", "X", q(7), 30),
+            Flow("Y", "Z", q(2), 30), Flow("Z", "W", q(2), 40)])
+        result = synthesize(target, ["spot-sale"], ("X", "Y", "Z", "W"), bound=2,
+                            perspective=perspective)
+        assert result.grounding["amounts"] == amounts
+        assert result.grounding["settlement_dates"] == dates
         assert "agent_symmetry" in result.grounding
 
     def test_negative_target_amount_is_rejected_before_the_search(self):
@@ -466,16 +477,3 @@ class TestGroundingOnNets:
             assert equivalent(target, savings_target(), ("X",))
             savings = synthesize(savings_target(), FULL_CATALOGUE, ("X", "Y", "Z"), bound=bound)
             assert result.witnesses == savings.witnesses
-
-    def test_grounding_is_the_perspectives_nets(self):
-        # Y's 5 passes through W, which only X's perspective leaves out
-        target = canonical([Flow("X", "W", q(5), 0), Flow("W", "Y", q(5), 0),
-                            Flow("Y", "X", q(7), 30), Flow("Y", "Z", q(2), 30),
-                            Flow("Z", "W", q(2), 40)])
-        for perspective, amounts, dates in ((None, ["5", "7"], [30]),
-                                            (("Y",), ["5", "9"], [30]),
-                                            (("Z", "W"), ["2"], [30, 40])):
-            result = synthesize(target, ["spot-sale"], ("X", "Y", "Z", "W"), bound=1,
-                                perspective=perspective)
-            assert result.grounding["amounts"] == amounts
-            assert result.grounding["settlement_dates"] == dates
