@@ -314,7 +314,8 @@ def _cmd_synthesize(args) -> int:
         "bound": result.bound,
         "grounding": dict(result.grounding),
         "target": instance.name,
-        "witness_scenarios": [witness_scenario(result, i) for i in range(len(shown))],
+        "witness_scenarios": [witness_scenario(result, i, witness=witness)
+                              for i, witness in enumerate(shown)],
     }, lines)
     return EXIT_OK
 

@@ -19,17 +19,22 @@ descendants are witnesses and how many nodes lie below it, and the count
 follows from the nets, so it splits no subproblem. The settlements still
 due and the nets of agents outside the perspective change only a
 witness's text, so they stay out of the state. Each subproblem is
-expanded once, into its subtree's node count and the moves under which a
-witness lies; ``explored`` still counts every node of the tree, and each
-witness is built once, from the moves along its path. A state's candidate
-moves are built once per call and shared by every state with the same
-owner, used agents and depth. Each carries its effect: the new owner and
-used agents, and the signed price in each perspective cell its payment
-reaches, so a step only adds deltas to the nets. A witness is a sequence
-whose projection is equivalent to the target and whose good returns to
-its initial owner. A witness is re-executed through the engine only when
-its result is asked to replay it. Exhaustion within the bound makes
-found=False a bound-relative non-existence certificate.
+expanded once, into its subtree's node and witness counts and the moves
+under which a witness lies; ``explored`` still counts every node of the
+tree. No witness is built in the search: ``SynthesisResult.witnesses`` is a
+sequence over the solved tree whose length is the root's witness count, and
+a witness is built when it is read, by walking down the tree by the
+subtrees' counts. A state's candidate moves are built once per call and
+shared by every state with the same owner, used agents and depth. Each
+carries its effect: the new owner and used agents, and the signed price in
+each perspective cell its payment reaches, so a step only adds deltas to
+the nets. A move carries its trade as the keywords of its ``Action``, which
+is built the first time a witness through the move is read; moves that
+make the same trade share it. A witness is a sequence whose projection is
+equivalent to the target and whose good returns to its initial owner. A
+witness is re-executed through the engine only when its result is asked to
+replay it. Exhaustion within the bound makes found=False a bound-relative
+non-existence certificate.
 
 Grounding (disclosed in SynthesisResult.grounding): trade prices are the
 absolute values of the perspective's nonzero nets in the target, so
@@ -47,8 +52,9 @@ place, ``witness_plans``.
 
 from __future__ import annotations
 
+from collections import abc
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import BoundExceeded, Do, Plan, Progression, RoundRobin, run
@@ -237,11 +243,79 @@ class Witness:
             for payer, payee, amount, _, settle_id in _due_order(self.pending))
 
 
+class _Trade(dict):
+    """A candidate move's trade: the keywords of its ``Action``, which
+    ``_step`` builds the first time a witness through the move is read."""
+
+    step: Optional[tuple[Action]] = None
+
+
+def _step(trade: _Trade) -> tuple[Action]:
+    """The trade's ``Action`` as the one-tuple a witness's path extends by,
+    built on the first read and kept on the move. Two threads reading at
+    once may each build one; the two are equal, and either may be kept."""
+    step = trade.step
+    if step is None:
+        step = trade.step = (Action(**trade),)
+    return step
+
+
+class Witnesses(abc.Sequence):
+    """The witnesses of a solved search tree, in depth-first order, each
+    built when it is read.
+
+    Its length is the root's witness count. Item ``i`` walks down the tree
+    by the subtrees' counts and builds one ``Witness``; a slice reads its
+    items one by one, into a tuple. Concurrent readers may build a move's
+    ``Action`` twice (``_step``), but never a different one. It equals any
+    ``Witnesses`` or tuple of equal witnesses, so a ``SynthesisResult``
+    still compares its witnesses by value; its repr gives the count, not
+    every witness.
+    """
+
+    __slots__ = ("_root",)
+
+    def __init__(self, root: _Subtree) -> None:
+        self._root = root
+
+    def __len__(self) -> int:
+        return self._root[1]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(map(self.__getitem__, range(len(self))[key]))
+        position = index(key)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError(f"witness index {key} out of range for {len(self)} witnesses")
+        return Witness(next(_witness_paths(self._root, position)))
+
+    def __iter__(self) -> Iterator[Witness]:
+        return map(Witness, _witness_paths(self._root))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Witnesses, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} witnesses>"
+
+
 @record
 class SynthesisResult:
-    """What a search found; ``world`` is its opening world, every witness's start."""
+    """What a search found; ``world`` is its opening world, every witness's start.
 
-    witnesses: tuple[Witness, ...]
+    ``witnesses`` reads the solved tree (see ``Witnesses``): its length and
+    ``found`` come from the counts the search kept, and a witness is built
+    only when it is read.
+    """
+
+    witnesses: Witnesses
     explored: int
     bound: int
     world: WorldState
@@ -249,7 +323,7 @@ class SynthesisResult:
 
     @property
     def found(self) -> bool:
-        return bool(self.witnesses)
+        return len(self.witnesses) > 0
 
     def replay(self, index: int) -> Progression:
         """Witness ``index`` re-executed through the engine from the opening world."""
@@ -264,11 +338,12 @@ class SynthesisResult:
 # owner and the owner it must end with (both None until it is prepared), the
 # net cash x scale per frame place, the agents used, the depth, and the
 # places where nets and target differ. A move carries its effect, built once
-# with its action, so a step (``_successor``) only adds its deltas.
+# with its trade, so a step (``_successor``) only adds its deltas.
 #
-# A solved subproblem: the nodes of its subtree, whether its root is a
-# witness, and the (action, child subtree) moves under which a witness lies
-_Subtree = tuple[int, bool, tuple]
+# A solved subproblem: the nodes of its subtree, the witnesses in it, whether
+# its root is one, and the (trade, child subtree) moves under which a witness
+# lies
+_Subtree = tuple[int, int, bool, tuple]
 
 
 def synthesize(
@@ -291,8 +366,10 @@ def synthesize(
     Each subproblem is searched once (the module docstring says what keys
     it), yet ``explored`` counts every node of the tree and the witnesses
     come out in depth-first order; no trial trade touches a
-    ``WorldState``, and no witness is replayed: ``result.replay(i)`` runs
-    witness ``i`` through ``run``.
+    ``WorldState``. The search builds no witness and no trade ``Action``:
+    ``result.witnesses`` counts them from the solved tree and builds each
+    one when it is read, and ``result.replay(i)`` runs witness ``i``
+    through ``run``.
     """
     if bound > DESK_SCALE_LIMIT:
         raise BoundExceeded(f"bound {bound} exceeds desk-scale limit {DESK_SCALE_LIMIT}")
@@ -355,11 +432,33 @@ def synthesize(
 
     # the candidate moves of a state, by everything ``candidates`` reads (the
     # good's owner, the used agents, and the depth that names a credit sale's
-    # settlement contract), each with its effect: (action, owner, home (None: a
+    # settlement contract), each with its effect: (trade, owner, home (None: a
     # trade keeps it), used agents, changes), where changes are (place, signed
     # price x scale) for the perspective cells its payment reaches
     moves: dict[tuple, tuple[tuple, ...]] = {}
+    trades: dict[tuple, _Trade] = {}  # trade's arguments -> the trade
     solved: dict[tuple, _Subtree] = {}  # state -> its subtree
+
+    def trade(kind: ActionKind, actor: str, counterparty: Optional[str] = None,
+              price: Optional[int] = None, due: Optional[int] = None,
+              depth: Optional[int] = None) -> _Trade:
+        # one trade per distinct arguments, so the moves that make it share
+        # its Action when witnesses are read; it is built from its arguments
+        # alone, which makes them a complete key. ``price`` is a place in
+        # ``amounts``, and ``depth`` names a credit sale's settlement contract
+        key = (kind, actor, counterparty, price, due, depth)
+        made = trades.get(key)
+        if made is None:
+            if kind is ActionKind.PREPARE_GOOD:
+                made = _Trade(good_spec=GoodSpec(kind="asset", market_value=good_value,
+                                                 block_size=block))
+            else:
+                made = _Trade(counterparty=counterparty, amount=amounts[price])
+                if due is not None:
+                    made.update(down_payment=ZERO, due_date=due, contract_id=f"settle-{depth}")
+            made.update(kind=kind, actor=actor, good_id="g0")
+            trades[key] = made
+        return made
 
     def changes(payer: str, payee: str, price: Quantity, day: int) -> tuple:
         paid = price.num * (scale // price.den)
@@ -376,27 +475,21 @@ def synthesize(
         if owner is None:
             if "prepare-good" in kinds:
                 for actor in names:
-                    yield Action(kind=ActionKind.PREPARE_GOOD, actor=actor, good_id="g0",
-                                 good_spec=GoodSpec(kind="asset", market_value=good_value,
-                                                    block_size=block)
-                                 ), actor, actor, used | {actor}, ()
+                    yield trade(ActionKind.PREPARE_GOOD, actor), actor, actor, used | {actor}, ()
             return
         for buyer in names:
             if buyer == owner:
                 continue
             after = used | {buyer}
             if "spot-sale" in kinds:
-                for price in amounts:
-                    yield Action(kind=ActionKind.SPOT_SALE, actor=owner, counterparty=buyer,
-                                 amount=price, good_id="g0"
-                                 ), buyer, None, after, changes(buyer, owner, price, 0)
+                for i, price in enumerate(amounts):
+                    yield (trade(ActionKind.SPOT_SALE, owner, buyer, i),
+                           buyer, None, after, changes(buyer, owner, price, 0))
             if "credit-sale" in kinds:
-                for price in amounts:
+                for i, price in enumerate(amounts):
                     for due in future_dates:
-                        yield Action(kind=ActionKind.BUY_ON_CREDIT, actor=buyer,
-                                     counterparty=owner, amount=price, down_payment=ZERO,
-                                     due_date=due, good_id="g0", contract_id=f"settle-{depth}"
-                                     ), buyer, None, after, changes(buyer, owner, price, due)
+                        yield (trade(ActionKind.BUY_ON_CREDIT, buyer, owner, i, due, depth),
+                               buyer, None, after, changes(buyer, owner, price, due))
 
     def solve(state: tuple) -> _Subtree:
         """The state's subtree, solved once per state (see the module
@@ -406,7 +499,8 @@ def synthesize(
             return subtree
         owner, home, _, used, depth, mismatch = state
         displaced = owner != home
-        nodes, live = 1, []
+        witness = not mismatch and not displaced
+        nodes, count, live = 1, int(witness), []
         remaining = bound - depth
         if remaining and max(-(-mismatch // per_action), displaced) <= remaining:
             move_key = (owner, used, depth)
@@ -416,9 +510,10 @@ def synthesize(
             for move in children:
                 child = solve(_successor(frame, state, move))
                 nodes += child[0]
-                if child[1] or child[2]:
+                if child[1]:
+                    count += child[1]
                     live.append((move[0], child))
-        subtree = solved[state] = (nodes, not mismatch and not displaced, tuple(live))
+        subtree = solved[state] = (nodes, count, witness, tuple(live))
         return subtree
 
     root = solve((home, home, (0,) * len(cells), used0, 0, sum(map(bool, target_nets))))
@@ -436,7 +531,7 @@ def synthesize(
         "coordination_note": "flow-inert actions are folded into trade skeletons",
     }
     return SynthesisResult(
-        witnesses=tuple(map(Witness, _witness_paths(root))),
+        witnesses=Witnesses(root),
         explored=root[0],
         bound=bound,
         world=world0,
@@ -444,16 +539,43 @@ def synthesize(
     )
 
 
-def _witness_paths(root: _Subtree) -> Iterator[tuple[Action, ...]]:
-    """The trades of every witness in a solved tree, in depth-first order;
-    a path's tuple is built once, by extending its parent's."""
-    stack = [(root, ())]
-    while stack:
-        (_, witness, live), trades = stack.pop()
+def _witness_paths(root: _Subtree, start: int = 0) -> Iterator[tuple[Action, ...]]:
+    """The trades of the witnesses in a solved tree from index ``start`` on,
+    in depth-first order.
+
+    The walk goes down to witness ``start`` by the subtrees' counts, then on
+    depth first. The stack holds, per level, the path so far and an
+    iterator over the moves not yet taken there. A path's tuple is built
+    once, when the walk takes its last move, by extending its parent's.
+    """
+    trades, (_, count, witness, live) = (), root
+    if start >= count:
+        return
+    stack = []
+    while start or not witness:
         if witness:
-            yield trades
-        for action, child in reversed(live):
-            stack.append((child, trades + (action,)))
+            start -= 1
+        moves = iter(live)
+        for trade, child in moves:
+            if start < child[1]:
+                break
+            start -= child[1]
+        stack.append((trades, moves))
+        trades += _step(trade)
+        _, _, witness, live = child
+    yield trades
+    stack.append((trades, iter(live)))
+    while stack:
+        trades, moves = stack[-1]
+        for trade, (_, _, witness, live) in moves:
+            path = trades + (trade.step or _step(trade))
+            if witness:
+                yield path
+            if live:
+                stack.append((path, iter(live)))
+                break
+        else:
+            stack.pop()
 
 
 def _successor(frame: tuple, state: tuple, move: tuple) -> tuple:
@@ -507,12 +629,17 @@ def witness_plans(witness: Witness) -> tuple[tuple[Plan, ...], int]:
     return plans, pending[-1][3] if pending else 0  # the last in due order is due latest
 
 
-def witness_scenario(result: SynthesisResult, index: int) -> dict:
+def witness_scenario(result: SynthesisResult, index: int, *,
+                     witness: Optional[Witness] = None) -> dict:
     """Render one witness as scenario-file text, re-runnable as a scenario:
     the search's opening world, led by its first agent, with the least
-    balances that keep the replay solvent."""
+    balances that keep the replay solvent.
+
+    ``witness`` is ``result.witnesses[index]``, passed when the caller has
+    already read it so it is not built again.
+    """
     world0 = result.world
-    plans, horizon = witness_plans(result.witnesses[index])
+    plans, horizon = witness_plans(witness or result.witnesses[index])
     trace = monetary_projection(_replay_witness(world0, plans, horizon))
     return instance_to_dict(ScenarioInstance(
         name=f"witness-{index}", params={},

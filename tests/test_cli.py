@@ -389,6 +389,24 @@ class TestSynthesize:
         assert payload["grounding"]["settlement_dates"] == [365]
         assert payload["witness_scenarios"]  # re-runnable scenario text
 
+    def test_each_shown_witness_is_built_once(self, capsys, monkeypatch):
+        # the text, the actions and the scenario of a witness read one build
+        from rpsf import synthesis
+        built = []
+        original = synthesis.Witness
+
+        def counted(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(synthesis, "Witness", counted)
+        code, out, _ = invoke(
+            capsys, "synthesize", "--target", "savings_account_with_interest",
+            "--bound", "6", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["witness_count"] == 926
+        assert len(built) == len(payload["witness_scenarios"]) == 3
+
     def test_fractional_target_finds_credit_sales_that_rerun(self, capsys, tmp_path):
         code, out, _ = invoke(
             capsys, "synthesize", "--target", "savings_account_with_interest", "p=1001",

@@ -1,12 +1,14 @@
 """Flow projection, equivalence relation, and the bounded synthesis search."""
 
 import random
+import sys
+import threading
 
 import pytest
 
 from rpsf import synthesis
 from rpsf.engine import BoundExceeded, Progression, RoundRobin, run
-from rpsf.money import Quantity
+from rpsf.money import Quantity, replace
 from rpsf.scenarios import instance_from_dict, instantiate
 from rpsf.synthesis import (
     ALL_AGENTS,
@@ -411,16 +413,16 @@ class TestLeastBalances:
 
 
 class TestSearchWork:
-    @pytest.mark.parametrize("catalogue,bound,explored,built", [
-        (("spot-sale", "credit-sale", "prepare-good", "contracts", "inform"), 5, 2095, 118),
-        (("spot-sale",), 6, 1877, 68),
+    @pytest.mark.parametrize("catalogue,bound,explored,read", [
+        (("spot-sale", "credit-sale", "prepare-good", "contracts", "inform"), 5, 2095, 50),
+        (("spot-sale",), 6, 1877, 0),
     ])
     def test_each_move_is_built_once_per_call(self, monkeypatch, catalogue, bound,
-                                              explored, built):
-        # a candidate move is built once per distinct (owners, used agents,
-        # depth), and no settlement payment is built until a witness's
-        # actions are read; one Action per child and per witness payment
-        # was 2,338 and 1,876
+                                              explored, read):
+        # the search builds no Action; reading every witness builds one per
+        # distinct move on a witness's path, and no settlement payment until
+        # a witness's actions are read; one Action per child and per witness
+        # payment was 2,338 and 1,876, and one per candidate move 118 and 68
         calls = 0
         original = synthesis.Action
 
@@ -432,7 +434,11 @@ class TestSearchWork:
         monkeypatch.setattr(synthesis, "Action", counted)
         result = synthesize(savings_target(), catalogue, ("X", "Y", "Z"), bound=bound)
         assert result.explored == explored
-        assert calls == built
+        assert calls == 0
+        list(result.witnesses)
+        assert calls == read
+        list(result.witnesses)
+        assert calls == read
 
     @pytest.mark.parametrize("catalogue,bound,explored,taken", [
         (("spot-sale", "credit-sale", "prepare-good", "contracts", "inform"), 5, 2095, 742),
@@ -454,6 +460,57 @@ class TestSearchWork:
         result = synthesize(savings_target(), catalogue, ("X", "Y", "Z"), bound=bound)
         assert result.explored == explored
         assert calls == taken
+
+    def test_a_search_builds_no_witness_until_one_is_read(self, monkeypatch):
+        # at the desk-scale limit the tree holds 51,510 witnesses and the CLI
+        # prints three, so the search builds none and a slice only its own
+        built = {"Action": 0, "Witness": 0}
+        for name in built:
+            original = getattr(synthesis, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                built[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(synthesis, name, counted)
+        result = synthesize(savings_target(), FULL_CATALOGUE, ("X", "Y", "Z"),
+                            bound=synthesis.DESK_SCALE_LIMIT)
+        assert (result.found, len(result.witnesses), result.explored) == (True, 51510, 1035151)
+        assert built == {"Action": 0, "Witness": 0}
+        shown = result.witnesses[:3]
+        assert len(shown) == 3 and built["Witness"] == 3
+        assert 0 < built["Action"] <= sum(len(w.trades) for w in shown)
+
+    def test_concurrent_readers_read_the_same_witnesses(self):
+        # readers share the moves' Actions, each built on its first read; two
+        # readers may both build one, but never a different one
+        result, fresh = (synthesize(savings_target(), FULL_CATALOGUE, ("X", "Y", "Z"), bound=5)
+                         for _ in range(2))
+        want = tuple(fresh.witnesses)
+        got = []
+        readers = [threading.Thread(target=lambda: got.append(tuple(result.witnesses)))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert got == [want] * 4
+
+    def test_a_result_compares_its_witnesses_by_value(self):
+        # two searches build two trees, and their Actions apart, yet the
+        # results are equal; the repr counts the witnesses, not lists them
+        one, other = (synthesize(savings_target(), FULL_CATALOGUE, ("X", "Y", "Z"), bound=4)
+                      for _ in range(2))
+        assert one.witnesses is not other.witnesses
+        assert one == other and one.witnesses == tuple(other.witnesses)
+        assert one != replace(other, witnesses=other.witnesses[1:])
+        assert f"witnesses=<{len(one.witnesses)} witnesses>" in repr(one)
 
 
 MONETIZATIONS = ("tawarruq_pi", "tawarruq_pi_prime", "tawarruq_pi_double_prime",

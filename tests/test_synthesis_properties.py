@@ -1,7 +1,8 @@
 """The synthesis search's state tuples, (owner, home, nets, used, depth,
-mismatch), against the world transition and against a from-scratch recount,
-and net positions against the Quantity-by-Quantity fold, and equivalence
-against the net positions."""
+mismatch), against the world transition and against a from-scratch recount;
+the lazy witness sequence against an eager walk of the same solved tree; net
+positions against the Quantity-by-Quantity fold, and equivalence against
+the net positions."""
 
 import pytest
 
@@ -27,7 +28,8 @@ catalogues = st.sets(st.sampled_from(("spot-sale", "credit-sale", "prepare-good"
 
 def search_steps(target, catalogue, bound, perspective):
     """Every (frame, state, path, action, child) ``_successor`` steps in one
-    search, where ``path`` is the trades that lead to ``state``.
+    search, where ``path`` is the trades that lead to ``state``; a move's
+    action is built by ``_step``, as a witness's are.
 
     The search expands each distinct subproblem once, from the first state
     that reaches it, so the steps cover every distinct subproblem, not
@@ -40,7 +42,7 @@ def search_steps(target, catalogue, bound, perspective):
 
     def recording(frame, state, move):
         child = successor(frame, state, move)
-        action = move[0]
+        action = synthesis._step(move[0])[0]
         # ``steps`` keeps every state alive, so no id is reused
         path = paths.get(id(state), ())
         paths[id(child)] = path + (action,)
@@ -151,6 +153,49 @@ def test_equivalent_targets_get_one_answer(target, catalogue, bound, perspective
                   for t in (a, b))
     assert (one.found, one.explored, one.witnesses) == (
         other.found, other.explored, other.witnesses)
+
+
+def reference_witnesses(root):
+    """Every witness of a solved tree, built eagerly in one recursive
+    depth-first walk; also checks that each subtree counts its witnesses."""
+    built = []
+
+    def walk(subtree, trades):
+        _, count, witness, live = subtree
+        assert count == witness + sum(child[1] for _, child in live)
+        if witness:
+            built.append(synthesis.Witness(trades))
+        for trade, child in live:
+            walk(child, trades + synthesis._step(trade))
+
+    walk(root, ())
+    return tuple(built)
+
+
+@given(st.lists(flows, max_size=3), catalogues, st.integers(0, 4),
+       st.sampled_from((None, ALL_AGENTS, ("X", "Y"))), st.data())
+@example([Flow("X", "Y", Quantity(5), 0), Flow("Y", "X", Quantity(7), 30)],
+         {"spot-sale", "credit-sale", "prepare-good"}, 4, None, None)
+def test_the_witness_sequence_matches_an_eager_walk(target, catalogue, bound, perspective,
+                                                     data):
+    witnesses = synthesize(canonical(target), catalogue, AGENTS, bound=bound,
+                           perspective=perspective).witnesses
+    want = reference_witnesses(witnesses._root)
+    count = len(want)
+    assert len(witnesses) == count and list(witnesses) == list(want)
+    assert [witnesses[i] for i in range(-count, count)] == list(want + want)
+    for k in range(count + 2):
+        assert witnesses[:k] == want[:k] and witnesses[k:] == want[k:]
+    if data is not None:
+        picked = slice(*data.draw(st.tuples(*[st.none() | st.integers(-count - 2, count + 2)] * 2,
+                                             st.sampled_from((None, 1, 2, -1, -3)))))
+        assert witnesses[picked] == want[picked]
+    for past in (count, count + 1, -count - 1):
+        with pytest.raises(IndexError):
+            witnesses[past]
+    assert witnesses == want and want == witnesses and not witnesses != want
+    assert hash(witnesses) == hash(want)
+    assert repr(witnesses) == f"<{count} witnesses>"
 
 
 def reference_net_positions(trace):
