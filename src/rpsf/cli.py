@@ -73,21 +73,7 @@ def _count(text: str) -> int:
 
 
 def _load_extras(path: Optional[str]):
-    if not path:
-        return {}, {}
-    specs, position_defs = load_scenario_file(path)
-    positions = {}
-    if position_defs:
-        from .legality import position_from_dict
-    for i, entry in enumerate(position_defs):
-        position = position_from_dict(entry, f"positions[{i}]")
-        if position.name in POSITION_NAMES or position.name in positions:
-            taken = ("an earlier file position" if position.name in positions
-                     else "a built-in position")
-            raise ValueError(f"positions[{i}].name: {position.name!r} names {taken}; a file "
-                             "position needs a name of its own")
-        positions[position.name] = position
-    return specs, positions
+    return load_scenario_file(path) if path else ({}, {})
 
 
 def _perspective(text: str):

@@ -308,13 +308,12 @@ def judge(position: LegalPosition, instance: ScenarioInstance, progression: Prog
 
 CONVENTIONAL = LegalPosition(name="CONVENTIONAL", rules=())
 
-STRICT_DESCRIPTIVE = LegalPosition(
-    name="STRICT_DESCRIPTIVE",
-    rules=(
-        Rule("riba", "riba"),
-        Rule("ethical-tags", "ethical-tags"),
-    ),
-)
+# STRICT_DESCRIPTIVE's rules, which MAJORITY and MALAYSIA extend, and the
+# rule those two share for goods traded without a stated value.
+_DESCRIPTIVE = (Rule("riba", "riba"), Rule("ethical-tags", "ethical-tags"))
+_VALUATION = Rule("good-valuation-missing", "unvalued-goods", Verdict.UNDECIDED)
+
+STRICT_DESCRIPTIVE = LegalPosition(name="STRICT_DESCRIPTIVE", rules=_DESCRIPTIVE)
 
 STRICT_FUNCTIONAL = LegalPosition(
     name="STRICT_FUNCTIONAL",
@@ -323,22 +322,12 @@ STRICT_FUNCTIONAL = LegalPosition(
 
 MAJORITY = LegalPosition(
     name="MAJORITY",
-    rules=(
-        Rule("riba", "riba"),
-        Rule("ethical-tags", "ethical-tags"),
-        Rule("good-valuation-missing", "unvalued-goods", Verdict.UNDECIDED),
-        Rule("same-item-round-trip", "ina"),
-    ),
+    rules=(*_DESCRIPTIVE, _VALUATION, Rule("same-item-round-trip", "ina")),
 )
 
 MALAYSIA = LegalPosition(
     name="MALAYSIA",
-    rules=(
-        Rule("riba", "riba"),
-        Rule("ethical-tags", "ethical-tags"),
-        Rule("good-valuation-missing", "unvalued-goods", Verdict.UNDECIDED),
-        Rule("single-contract-round-trip", "ina-single-contract"),
-    ),
+    rules=(*_DESCRIPTIVE, _VALUATION, Rule("single-contract-round-trip", "ina-single-contract")),
 )
 
 BUILTIN_POSITIONS: dict[str, LegalPosition] = {

@@ -21,8 +21,8 @@ which ``instantiate`` supplies, fills in the catalogue name and the
 resolved parameters.
 
 Scenario instantiation is deterministic and pure; instances are immutable.
-Custom scenarios can be loaded from JSON files mirroring the same shapes
-(see ``load_scenario_file``).
+Custom scenarios and legal positions can be loaded from JSON files
+mirroring the same shapes (see ``load_scenario_file``).
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def _as_quantity(name: str, value: object) -> Quantity:
 
 def _as_duration(name: str, value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ParameterViolation(f"parameter {name} must be a day count")
+        raise ParameterViolation(f"parameter {name} must be a day count, got {value!r}")
     try:
         days = int(value)
     except ValueError:
@@ -1009,14 +1009,14 @@ def instance_from_dict(data: Mapping) -> ScenarioInstance:
     return scenario.instance(partial(ScenarioInstance, name=scenario.name, params={}))
 
 
-def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
-    """Load user scenarios (and custom legal positions) from a JSON file.
+def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], dict]:
+    """Load user scenarios and custom legal positions from a JSON file.
 
-    Every scenario is decoded and checked here, whether or not a command
-    uses it, and none may take the name of a built-in, of an alias or of an
-    earlier scenario of the file.
-    Returns (scenario specs by name, raw position definitions); position
-    dicts are interpreted by the legality module.
+    Each scenario and position is decoded and checked here, used or not.
+    No scenario may take the name of a built-in, an alias or an earlier file
+    scenario, nor a position that of a built-in or an earlier file position.
+    Returns (scenario specs by name, ``legality.LegalPosition`` by name);
+    ``legality`` is imported only for a file that holds a position.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -1056,4 +1056,15 @@ def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], list[dict]]:
             name=scenario.name, family=scenario.family, summary=scenario.summary, params=(),
             build=scenario.instance,
         )
-    return specs, positions
+    by_name = {}
+    if positions:
+        from .legality import BUILTIN_POSITIONS, position_from_dict
+    for i, entry in enumerate(positions):
+        position = position_from_dict(entry, f"positions[{i}]")
+        if position.name in BUILTIN_POSITIONS or position.name in by_name:
+            taken = ("an earlier file position" if position.name in by_name
+                     else "a built-in position")
+            raise ValueError(f"positions[{i}].name: {position.name!r} names {taken}; a file "
+                             "position needs a name of its own")
+        by_name[position.name] = position
+    return specs, by_name

@@ -144,21 +144,22 @@ def net_positions(trace: Iterable[Flow]) -> dict[str, dict[int, Quantity]]:
     return nets
 
 
-def check_perspective(perspective, agents: Iterable[str]) -> None:
-    """Reject an empty perspective and names that are not among ``agents``;
-    "all" passes.
+def check_perspective(perspective, agents: Iterable[str]) -> tuple[str, ...]:
+    """The names the perspective checks, every agent for "all"; an empty
+    perspective and names that are not among ``agents`` are rejected.
 
     An empty perspective, or a name outside the agents, has no flows, so it
     would make any two traces equivalent from its point of view.
     """
     if perspective == ALL_AGENTS:
-        return
+        return tuple(agents)
     names = _perspective_agents(perspective)
     known = set(agents)
     for name in names:
         if name not in known:
             raise ValueError(f"unknown perspective agent {name!r}; "
                              f"known agents: {sorted(known)}")
+    return names
 
 
 def _perspective_agents(perspective: Iterable[str]) -> tuple[str, ...]:
@@ -381,14 +382,7 @@ def synthesize(
         if not name:
             raise ValueError(f"agent {i + 1} of {list(agents)} has an empty name")
     kinds = normalize_catalogue(catalogue)
-    if perspective is None:
-        persp = frozenset([agents[0]])
-    elif perspective == ALL_AGENTS:
-        persp = frozenset(agents)
-    else:
-        names = _perspective_agents(perspective)
-        check_perspective(names, agents)
-        persp = frozenset(names)
+    persp = frozenset(check_perspective(agents[:1] if perspective is None else perspective, agents))
 
     # no trial trade reaches apply_event, which would reject a negative price;
     # checked on the raw flows, which abs() would hide, before make_world

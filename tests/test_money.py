@@ -53,6 +53,10 @@ class TestWorkedValues:
         assert total_div(ONE, ZERO) == ZERO
         assert total_div(q(-7, 3), ZERO) == ZERO
 
+    def test_a_number_divided_by_a_quantity(self):
+        assert 1 / q(3) == q(1, 3)
+        assert 2 / ZERO == ZERO
+
     def test_identity_divisor(self):
         for value in (q(0), q(42), q(-5, 7)):
             assert total_div(value, ONE) == value

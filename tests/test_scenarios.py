@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rpsf.engine import Do, Plan, RoundRobin, WaitFor, run
+from rpsf.legality import LegalPosition, Rule, Verdict
 from rpsf.money import Quantity
 from rpsf.scenarios import (
     _SEEN_BY,
@@ -91,6 +92,24 @@ class TestCatalogue:
         with pytest.raises(ParameterViolation) as exc:
             instantiate("loan_with_interest", {"t": text})
         assert str(exc.value) == f"parameter t must be at least one day, got {int(text)}"
+
+    def test_an_int_quantity_is_a_whole_quantity(self):
+        instance = instantiate("loan_with_interest", {"p": 200})
+        assert instance.params["p"] == Quantity(200)
+        assert type(instance.params["p"]) is Quantity
+
+    # a library caller passes Python values, which the CLI's strings never reach
+    @pytest.mark.parametrize("value", [1.5, True, None])
+    def test_a_value_that_is_not_a_quantity_names_itself(self, value):
+        with pytest.raises(ParameterViolation) as exc:
+            instantiate("loan_with_interest", {"p": value})
+        assert str(exc.value) == f"parameter p must be a quantity, got {value!r}"
+
+    @pytest.mark.parametrize("value", [Quantity(30), True, 2.0])
+    def test_a_period_that_is_not_a_day_count_names_itself(self, value):
+        with pytest.raises(ParameterViolation) as exc:
+            instantiate("loan_with_interest", {"t": value})
+        assert str(exc.value) == f"parameter t must be a day count, got {value!r}"
 
 
 class TestTawarruqClassic:
@@ -407,7 +426,7 @@ class TestScenarioFiles:
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(payload))
         specs, positions = load_scenario_file(str(path))
-        assert positions == []
+        assert positions == {}
         loaded = instantiate("ina_copy", {}, extra=specs)
         progression = run(loaded.world, loaded.plans, RoundRobin(),
                           horizon=loaded.horizon)
@@ -441,3 +460,30 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match=r"^plans\[0\]\.steps\[0\]\.do\.due_date: "
                                              r"expected an integer, got \"5\"$"):
             instance_from_dict(entry)
+
+    def test_file_positions_are_decoded_by_name(self, tmp_path):
+        # a rule without a name is named after its detector
+        path = tmp_path / "positions.json"
+        path.write_text(json.dumps({"positions": [
+            {"name": "WARY", "rules": [{"detector": "ina"}]},
+            {"name": "LAX", "rules": [], "default": "undecided"}]}))
+        specs, positions = load_scenario_file(str(path))
+        assert specs == {}
+        assert positions == {
+            "WARY": LegalPosition("WARY", (Rule("ina", "ina"),)),
+            "LAX": LegalPosition("LAX", (), Verdict.UNDECIDED),
+        }
+
+    @pytest.mark.parametrize("positions, taken", [
+        ([{"name": "STRICT_FUNCTIONAL", "rules": []}], "a built-in position"),
+        ([{"name": "P", "rules": []}, {"name": "P", "rules": [{"detector": "ina"}]}],
+         "an earlier file position"),
+    ])
+    def test_a_file_position_needs_a_name_of_its_own(self, tmp_path, positions, taken):
+        path = tmp_path / "positions.json"
+        path.write_text(json.dumps({"positions": positions}))
+        i, name = len(positions) - 1, positions[-1]["name"]
+        with pytest.raises(ValueError) as exc:
+            load_scenario_file(str(path))
+        assert str(exc.value) == (f"positions[{i}].name: {name!r} names {taken}; a file "
+                                  "position needs a name of its own")

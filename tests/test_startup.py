@@ -4,6 +4,7 @@ Each check runs a fresh interpreter, since this process has every module
 loaded already.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -119,6 +120,17 @@ def test_a_command_loads_only_the_modules_it_uses(argv, absent):
 
 def test_judge_loads_legality():
     assert "rpsf.legality" in _loaded_after("judge", "ina_two_party")
+
+
+@pytest.mark.parametrize("positions, loads", [([], False),
+                                              ([{"name": "P", "rules": []}], True)])
+def test_a_scenario_file_loads_legality_only_for_its_positions(tmp_path, positions, loads):
+    # the loader decodes a file's positions, so only a file that holds one
+    # makes a command that judges nothing read legality
+    path = tmp_path / "extras.json"
+    path.write_text(json.dumps({"scenarios": [], "positions": positions}))
+    loaded = _loaded_after("run", "loan_with_interest", "--scenario-file", str(path))
+    assert ("rpsf.legality" in loaded) is loads
 
 
 def test_every_package_name_still_imports():

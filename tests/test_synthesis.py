@@ -258,6 +258,13 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="empty perspective"):
             check_perspective(perspective, ("X", "Y", "Z"))
 
+    @pytest.mark.parametrize("perspective, names", [
+        (ALL_AGENTS, ("X", "Y", "Z")), ("Y", ("Y",)), (["Z", "X"], ("Z", "X")),
+        (iter(("X",)), ("X",)),
+    ])
+    def test_a_checked_perspective_gives_its_names(self, perspective, names):
+        assert check_perspective(perspective, ("X", "Y", "Z")) == names
+
     def test_a_name_is_the_perspective_of_its_one_agent(self):
         # a string other than "all" names one agent, not one per character
         target = canonical([Flow("BANK", "A", q(100), 0), Flow("A", "BANK", q(110), 365)])
@@ -511,6 +518,13 @@ class TestSearchWork:
         assert one == other and one.witnesses == tuple(other.witnesses)
         assert one != replace(other, witnesses=other.witnesses[1:])
         assert f"witnesses=<{len(one.witnesses)} witnesses>" in repr(one)
+
+    @pytest.mark.parametrize("other", [None, 0, "witnesses", [], frozenset()])
+    def test_witnesses_leave_another_kind_of_value_to_the_other_side(self, other):
+        witnesses = synthesize(savings_target(), FULL_CATALOGUE, ("X", "Y", "Z"),
+                               bound=2).witnesses
+        assert witnesses.__eq__(other) is NotImplemented
+        assert witnesses != other and other != witnesses
 
 
 MONETIZATIONS = ("tawarruq_pi", "tawarruq_pi_prime", "tawarruq_pi_double_prime",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rpsf.engine import Plan, PlanStep, Stop
 from rpsf.money import Quantity, ZERO, fields, replace
 from rpsf.world import (
     _FIELDS,
@@ -39,6 +40,7 @@ from rpsf.world import (
     promise_to_contract,
     replay,
     stage_transition_allowed,
+    value_from_dict,
     value_to_dict,
     world_to_json,
 )
@@ -586,6 +588,11 @@ class TestContractLifecycle:
         record = world.contracts["loan"]
         assert honour_status(record, world.history, 366) == Stage.BREACHED
 
+    def test_honour_status_before_anything_is_due_is_the_stored_stage(self):
+        # both clauses are live, neither is discharged, and no deadline has passed
+        world = self.make_loan_world()
+        assert honour_status(world.contracts["loan"], world.history, 0) == Stage.ACTIVE
+
     def test_honour_status_requires_active(self):
         world = make_world(agents=[Agent("X"), Agent("Y")])
         world = apply_event(world, Action(
@@ -705,6 +712,19 @@ class TestRemainingVocabulary:
     def test_payment_channel_is_recorded(self, two_agents):
         world = apply_event(two_agents, pay("Y", "X", 10, channel="wire"), 0)
         assert world.history[-1].action.channel == "wire"
+
+
+class TestDecoding:
+    # a bare tagged member, such as a plan's stop step, is written as {tag: true}
+    @pytest.mark.parametrize("tp, data, message", [
+        (PlanStep, {"stop": False}, "stop: expected true, got false"),
+        (Plan, {"agent": "X", "steps": [{"stop": None}]}, "steps[0].stop: expected true, got null"),
+    ])
+    def test_a_bare_member_must_hold_true(self, tp, data, message):
+        with pytest.raises(ValueError) as exc:
+            value_from_dict(tp, data)
+        assert str(exc.value) == message
+        assert value_from_dict(PlanStep, {"stop": True}) == Stop()
 
 
 class TestReplay:
