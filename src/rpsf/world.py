@@ -1256,6 +1256,10 @@ _int_repr = int.__repr__
 
 _WRITERS: dict[type, Callable[[object, str], str]] = {}
 
+# the action texts of the last two renders, older first: id(action) ->
+# (action, newline, text); swapped in place, so no global is rebound
+_kept: list[dict[int, tuple[Action, str, str]]] = [{}, {}]
+
 
 def render_json(value: object) -> str:
     """Exactly ``json.dumps(value, indent=2)``, without json's pure-Python
@@ -1267,7 +1271,12 @@ def render_json(value: object) -> str:
     each leaf to json's C functions and writes each record through its
     row's writer, so a record becomes text without becoming a dict first.
     Like json, it raises TypeError for a key or a leaf that JSON cannot hold.
+
+    Each action's text is kept for the next render (``_keeping``): every
+    event of a run, its replay and each interleaving holds its plan's own
+    ``Action``. Each call drops what neither it nor the one before wrote.
     """
+    _kept[:] = _kept[1], {}
     return _write(value, "\n")
 
 
@@ -1331,7 +1340,8 @@ def _text_of(tp: object, var: str, newline: str, env: dict) -> str:
     if tp is bool:
         return f"('true' if {var} else 'false')"
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return f"{_bind(env, {member: render_json(member.value) for member in tp})}[{var}]"
+        texts = {member: _write(member.value, "\n") for member in tp}  # not a render: no swap
+        return f"{_bind(env, texts)}[{var}]"
     if tp in _ROWS:
         name = _bind(env, None)
         env[name] = _first_write(env, name, tp)
@@ -1406,8 +1416,22 @@ def _row_writer(cls: type) -> Callable[[object, str], str]:
                      else "return body")
     source = "".join(f"    {line}\n" for line in lines)
     exec(compile(f"def write(obj, nl):\n{source}", f"<codec writer {cls.__name__}>", "exec"), env)
-    write = _WRITERS[cls] = env["write"]
+    write = _WRITERS[cls] = _keeping(env["write"]) if cls is Action else env["write"]
     return write
+
+
+def _keeping(write: Callable[[object, str], str]) -> Callable[[object, str], str]:
+    """``write`` for actions, reusing a text that this render or the last
+    one wrote on the same ``newline``; a hit moves into this render's
+    texts. The entry holds the action, so its id names no other object."""
+    def keep(action: Action, newline: str) -> str:
+        key = id(action)
+        entry = _kept[1].get(key) or _kept[0].get(key)
+        if entry is None or entry[1] != newline:
+            entry = (action, newline, write(action, newline))
+        _kept[1][key] = entry
+        return entry[2]
+    return keep
 
 
 def _first_write(env: dict, name: str, cls: type) -> Callable[[object, str], str]:

@@ -484,12 +484,23 @@ class TestEnumerate:
                        "exceeds horizon 10\n")
 
 
-@pytest.mark.parametrize("argv, code", [
-    (("enumerate", "tawarruq_pi_triple_prime", "-v", "--format", "json"), 0),
+# one invocation of each command, with its exit code
+EVERY_COMMAND = [
+    (("list-scenarios", "--format", "json"), 0),
+    (("run", "tawarruq_classic", "-v"), 0),
     (("judge", "savings_account_with_interest", "--position", "STRICT_DESCRIPTIVE"), 3),
-])
-def test_closed_stdout_keeps_the_exit_code_without_a_traceback(argv, code):
+    (("compare", "pi_prime", "savings_account_with_interest", "--perspective", "all"), 5),
+    (("enumerate", "tawarruq_pi_triple_prime", "-v", "--format", "json"), 0),
+    (("synthesize", "--target", "savings_account_with_interest", "--bound", "4",
+      "--format", "json"), 0),
+]
+COMMAND_IDS = [argv[0] for argv, _ in EVERY_COMMAND]
+
+
+@pytest.mark.parametrize("argv, code", EVERY_COMMAND, ids=COMMAND_IDS)
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(capsys, argv, code):
     # the reader of the pipe has gone before the first write, as under `| head`
+    assert invoke(capsys, *argv)[0] == code
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).parents[1] / "src")]
@@ -502,6 +513,18 @@ def test_closed_stdout_keeps_the_exit_code_without_a_traceback(argv, code):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (code, b"")
+
+
+@pytest.mark.parametrize("argv, code", EVERY_COMMAND, ids=COMMAND_IDS)
+def test_closed_stdout_in_process_points_stdout_at_devnull(capsys, monkeypatch, argv, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(list(argv)) == code
+        stdout.write("x" * 100_000)  # the handler pointed the descriptor at devnull
+        stdout.flush()
+    assert capsys.readouterr().err == ""
 
 
 _GOOD = {"name": "p", "agents": [{"name": "X"}]}

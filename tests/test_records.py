@@ -213,3 +213,7 @@ def test_a_default_may_not_precede_a_required_field():
     body = {"__annotations__": {"x": int, "y": int}, "x": 0}
     with pytest.raises(TypeError, match="non-default argument 'y' follows default argument"):
         record(type("R", (), body))
+
+
+def test_missing_reads_as_its_name():
+    assert repr(MISSING) == "MISSING"

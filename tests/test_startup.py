@@ -144,6 +144,12 @@ def test_every_package_name_still_imports():
     assert _python(code) == "0.1.0"
 
 
+def test_dir_lists_every_package_name():
+    import rpsf
+
+    assert set(rpsf.__all__) <= set(dir(rpsf))
+
+
 def test_names_resolve_in_their_modules():
     import rpsf
 

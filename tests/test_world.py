@@ -16,8 +16,10 @@ from rpsf.world import (
     AfterEvent,
     Agent,
     Always,
+    BalanceAtLeast,
     ByDate,
     Clause,
+    ConditionMet,
     ContractRecord,
     EthicalTag,
     Good,
@@ -40,6 +42,7 @@ from rpsf.world import (
     promise_to_contract,
     replay,
     stage_transition_allowed,
+    trigger_fired,
     value_from_dict,
     value_to_dict,
     world_to_json,
@@ -753,3 +756,10 @@ class TestReplay:
         for k in range(10):
             world = apply_event(world, pay("Y", "X", 1), k)
         assert [e.seq for e in world.history] == list(range(1, 11))
+
+
+def test_a_condition_trigger_without_a_world_has_not_fired(two_agents):
+    # the condition reads the ground state, so a history alone cannot fire it
+    trigger = ConditionMet(BalanceAtLeast("Y", q(0)))
+    assert trigger_fired(trigger, two_agents.history, 5, two_agents) is True
+    assert trigger_fired(trigger, two_agents.history, 5) is False
