@@ -44,6 +44,7 @@ tuple of events and its world.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -223,44 +224,34 @@ def _ids(stack: _Stack) -> tuple[int, ...]:
 
 
 class _Waits:
-    """The AfterEvent patterns that one call's plans wait on, branch arms
-    included: ``bit`` gives each pattern object a bit of an int, and the
-    waits one line of history has fired are one int, which ``fold`` updates
-    once per event. ``table`` holds, per set of fields that some pattern
-    constrains, a getter of those fields, the place of ``contract_id`` among
-    them (or None), and the bits of the patterns that want each tuple of
-    values. A ``contract_id`` matches the action's own and each id its
-    reason cites, as ``ActionTemplate.matches`` reads it.
+    """The AfterEvent patterns of one call's waits, branch arms included, as
+    ``_count_steps`` collects them: ``bit`` gives each pattern object a bit
+    of an int, and the waits one line of history has fired are one int, which
+    ``fold`` updates once per event. ``table`` holds, per set of fields that
+    some pattern constrains, a getter of those fields, the place of
+    ``contract_id`` among them (or None), and the bits of the patterns that
+    want each tuple of values. A ``contract_id`` matches the action's own
+    and each id its reason cites, as ``ActionTemplate.matches`` reads it.
     """
 
     __slots__ = ("bit", "table")
 
-    def __init__(self, plans: Iterable[Plan]):
+    def __init__(self, patterns: Iterable[ActionTemplate]):
         bits: dict[int, int] = {}
         table: dict[tuple[str, ...], tuple] = {}
-        arms = [p.steps for p in plans]
-        while arms:
-            # exact type tests, as the codec's: this visits every step of every plan
-            for step in arms.pop():
-                kind = type(step)
-                if kind is Branch:
-                    arms += (step.then_steps, step.else_steps)
-                if kind is not WaitFor:
-                    continue
-                trigger = step.trigger
-                if type(trigger) is not AfterEvent or id(trigger.pattern) in bits:
-                    continue
-                pattern = trigger.pattern
-                every = _pattern_values(pattern)
-                constrained = tuple([n for n, v in zip(_PATTERN_FIELDS, every) if v is not None])
-                entry = table.get(constrained)
-                if entry is None:
-                    at = constrained.index("contract_id") if "contract_id" in constrained else None
-                    entry = table[constrained] = (fields_getter(constrained), at, {})
-                bit = bits[id(pattern)] = 1 << len(bits)
-                wanted, key = entry[2], tuple([v for v in every if v is not None])
-                if wanted.setdefault(key, bit) != bit:  # an equal pattern came first
-                    wanted[key] |= bit
+        for pattern in patterns:
+            if id(pattern) in bits:
+                continue
+            every = _pattern_values(pattern)
+            constrained = tuple([n for n, v in zip(_PATTERN_FIELDS, every) if v is not None])
+            entry = table.get(constrained)
+            if entry is None:
+                at = constrained.index("contract_id") if "contract_id" in constrained else None
+                entry = table[constrained] = (fields_getter(constrained), at, {})
+            bit = bits[id(pattern)] = 1 << len(bits)
+            wanted, key = entry[2], tuple([v for v in every if v is not None])
+            if wanted.setdefault(key, bit) != bit:  # an equal pattern came first
+                wanted[key] |= bit
         self.bit, self.table = bits, table
 
     def fold(self, fired: int, events: Iterable[Event]) -> int:
@@ -477,27 +468,29 @@ class _Lattice:
         node.children = tuple(children)
 
 
-def _validate_plans(world: WorldState, plans: Iterable[Plan]) -> tuple[list[Plan], int]:
-    """The plans in agent order, and the steps they hold."""
+def _validate_plans(world: WorldState, plans: Iterable[Plan]) -> tuple[list[Plan], int, _Waits]:
+    """The plans in agent order, the steps they hold and their waits, in one walk."""
     ordered = sorted(plans, key=lambda p: p.agent)
     seen = set()
     total = 0
+    patterns: list[ActionTemplate] = []
     for plan in ordered:
         if plan.agent in seen:
             raise EngineError(f"two plans for agent {plan.agent!r}")
         seen.add(plan.agent)
         if plan.agent not in world.agents:
             raise EngineError(f"plan for unknown agent {plan.agent!r}")
-        total += _count_steps(plan.agent, plan.steps)
-    return ordered, total
+        total += _count_steps(plan.agent, plan.steps, patterns)
+    return ordered, total, _Waits(patterns)
 
 
-def _count_steps(agent: str, steps: Sequence[PlanStep], branches: tuple = ()) -> int:
+def _count_steps(agent: str, steps: Sequence[PlanStep], patterns: list[ActionTemplate],
+                 branches: tuple = ()) -> int:
     """The steps a plan takes at most, through the longer arm of each
-    branch; a ``Do``, at any depth of branches, that acts for another agent
-    is rejected. ``branches`` holds the (index, arm) of each branch around
-    ``steps``; the error's path is spelt from it only when there is an
-    error."""
+    branch; each AfterEvent wait's pattern, in both arms, goes to
+    ``patterns``, and a ``Do`` at any depth that acts for another agent is
+    rejected. ``branches`` holds the (index, arm) of each branch around
+    ``steps``, to spell the error's path."""
     total = 0
     for i, step in enumerate(steps):
         total += 1
@@ -505,9 +498,12 @@ def _count_steps(agent: str, steps: Sequence[PlanStep], branches: tuple = ()) ->
             path = "".join(f"[{j}].{arm}" for j, arm in branches)
             raise EngineError(f"plan for {agent!r}: steps{path}[{i}] is an action by "
                               f"{step.action.actor!r}; a plan acts for its own agent only")
+        if isinstance(step, WaitFor) and isinstance(step.trigger, AfterEvent):
+            patterns.append(step.trigger.pattern)
         if isinstance(step, Branch):
-            total += max(_count_steps(agent, step.then_steps, (*branches, (i, "then_steps"))),
-                         _count_steps(agent, step.else_steps, (*branches, (i, "else_steps"))))
+            total += max(
+                _count_steps(agent, step.then_steps, patterns, (*branches, (i, "then_steps"))),
+                _count_steps(agent, step.else_steps, patterns, (*branches, (i, "else_steps"))))
     return total
 
 
@@ -533,12 +529,11 @@ def run(
     if horizon < world.clock:
         raise EngineError(f"horizon {horizon} precedes world clock {world.clock}")
     choices = dict(choices or {})
-    ordered, total = _validate_plans(world, plans)
-    if isinstance(strategy, Exhaustive):
-        return enumerate_interleavings(world, ordered, bound=total, choices=choices,
+    if isinstance(strategy, Exhaustive):  # enumeration walks the plans, under no bound
+        return enumerate_interleavings(world, plans, bound=sys.maxsize, choices=choices,
                                        horizon=horizon)[0]
 
-    waits = _Waits(ordered)
+    ordered, _, waits = _validate_plans(world, plans)
     fired = waits.fold(0, world.history)
     stacks = tuple([_settle(_push(p.steps, None), world, fired, choices, waits) for p in ordered])
     rng = random.Random(strategy.seed) if isinstance(strategy, SeededRandom) else None
@@ -601,7 +596,7 @@ def enumerate_interleavings(
     ``horizon``, an interleaving that must advance the clock past it raises
     HorizonExceeded, as ``run`` does.
     """
-    ordered, total = _validate_plans(world, plans)
+    ordered, total, waits = _validate_plans(world, plans)
     if total > bound:
         raise BoundExceeded(f"plans hold {total} steps, bound is {bound}")
 
@@ -612,7 +607,6 @@ def enumerate_interleavings(
                    for values in product((False, True), repeat=len(names))]
 
     # the plans' stacks and wait table, shared by every choice assignment
-    waits = _Waits(ordered)
     fired = waits.fold(0, world.history)
     unsettled = [_push(p.steps, None) for p in ordered]
     keys: dict[int, tuple[Action, tuple]] = {}

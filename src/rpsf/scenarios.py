@@ -1004,11 +1004,6 @@ def instance_to_dict(instance: ScenarioInstance) -> dict:
     ))
 
 
-def instance_from_dict(data: Mapping) -> ScenarioInstance:
-    scenario = value_from_dict(_FileScenario, data)
-    return scenario.instance(partial(ScenarioInstance, name=scenario.name, params={}))
-
-
 def load_scenario_file(path: str) -> tuple[dict[str, ScenarioSpec], dict]:
     """Load user scenarios and custom legal positions from a JSON file.
 

@@ -537,39 +537,24 @@ def _witness_paths(root: _Subtree, start: int = 0) -> Iterator[tuple[Action, ...
     """The trades of the witnesses in a solved tree from index ``start`` on,
     in depth-first order.
 
-    The walk goes down to witness ``start`` by the subtrees' counts, then on
-    depth first. The stack holds, per level, the path so far and an
-    iterator over the moves not yet taken there. A path's tuple is built
-    once, when the walk takes its last move, by extending its parent's.
+    One loop walks the tree depth first. A move whose subtree holds no more
+    witnesses than are still to be skipped is skipped by its count. The
+    stack holds the moves not yet taken, each with the path to its parent;
+    a path's tuple is built once, when the walk takes its last move, by
+    extending its parent's.
     """
-    trades, (_, count, witness, live) = (), root
-    if start >= count:
-        return
-    stack = []
-    while start or not witness:
-        if witness:
-            start -= 1
-        moves = iter(live)
-        for trade, child in moves:
-            if start < child[1]:
-                break
-            start -= child[1]
-        stack.append((trades, moves))
-        trades += _step(trade)
-        _, _, witness, live = child
-    yield trades
-    stack.append((trades, iter(live)))
+    stack: list[tuple[tuple, Optional[_Trade], _Subtree]] = [((), None, root)]
     while stack:
-        trades, moves = stack[-1]
-        for trade, (_, _, witness, live) in moves:
-            path = trades + (trade.step or _step(trade))
-            if witness:
+        trades, trade, (_, count, witness, live) = stack.pop()
+        if start >= count:
+            start -= count
+            continue
+        path = trades if trade is None else trades + (trade.step or _step(trade))
+        if witness:
+            if not start:
                 yield path
-            if live:
-                stack.append((path, iter(live)))
-                break
-        else:
-            stack.pop()
+            start = max(start - 1, 0)
+        stack += [(path, *move) for move in reversed(live)]
 
 
 def _successor(frame: tuple, state: tuple, move: tuple) -> tuple:

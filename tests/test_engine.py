@@ -432,6 +432,34 @@ class TestAppliedOnce:
         assert made["steps"] == 8 and progression.world.clock == 12
 
 
+class TestOneWalk:
+    """Each call walks its plans once: one ``_count_steps`` call per plan and
+    two per branch, the walk that also collects the waits' patterns."""
+
+    @pytest.mark.parametrize("call", [
+        lambda loan: run(loan.world, loan.plans, RoundRobin(), horizon=loan.horizon),
+        lambda loan: run(loan.world, loan.plans, Exhaustive(), horizon=loan.horizon),
+        lambda loan: enumerate_interleavings(loan.world, loan.plans, bound=26,
+                                             choice_points=loan.choice_points),
+    ], ids=["round-robin", "exhaustive", "enumerate"])
+    def test_brokered_loan_is_walked_once(self, monkeypatch, call):
+        from rpsf import engine
+        from rpsf.scenarios import instantiate
+
+        loan = instantiate("brokered_loan")
+        walks = []
+        original = engine._count_steps
+
+        def counting(agent, steps, *rest):
+            walks.append(agent)
+            return original(agent, steps, *rest)
+
+        monkeypatch.setattr(engine, "_count_steps", counting)
+        call(loan)
+        # three plans, each holding one branch
+        assert sorted(walks) == ["X", "X", "X", "Y", "Y", "Y", "Z", "Z", "Z"]
+
+
 class TestWaitCost:
     """Wait checks read an index of the history, not the history itself."""
 

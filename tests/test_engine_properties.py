@@ -20,8 +20,9 @@ from rpsf.engine import (  # noqa: E402
     Progression,
     RoundRobin,
     SeededRandom,
+    Stop,
     WaitFor,
-    _Waits,
+    _validate_plans,
     enumerate_interleavings,
     run,
 )
@@ -101,12 +102,21 @@ def history_of(acts):
     return tuple(Event(seq=i + 1, date=0, action=a) for i, a in enumerate(acts))
 
 
+WAITERS = make_world(agents=[Agent(name) for name in AGENTS])
+
+
 def wait_table(patterns):
-    """The wait table of two plans that wait on ``patterns``, every other
-    one inside a branch arm."""
+    """The wait table of three plans that wait on ``patterns``, as the one
+    walk of the plans (``_validate_plans``) builds it. A waits on every
+    third pattern; B on the next ones in a branch's then arm, and on the
+    rest in a branch nested in its else arm; C waits on the first pattern
+    too, so one pattern object is in two plans."""
     waits = [WaitFor(AfterEvent(p)) for p in patterns]
-    return _Waits([Plan("A", tuple(waits[::2])),
-                   Plan("B", (Branch(ChoiceIs("x"), (), tuple(waits[1::2])),))])
+    nested = Branch(ChoiceIs("y"), (Stop(),), (Branch(ChoiceIs("z"), tuple(waits[2::3])),))
+    plans = [Plan("A", tuple(waits[::3])),
+             Plan("B", (Branch(ChoiceIs("x"), tuple(waits[1::3]), (nested,)),)),
+             Plan("C", (WaitFor(AfterEvent(patterns[0])),))]
+    return _validate_plans(WAITERS, plans)[2]
 
 
 def agrees(table, fired, pattern, history):

@@ -16,7 +16,6 @@ from rpsf.scenarios import (
     act,
     compose,
     contract,
-    instance_from_dict,
     instance_to_dict,
     instantiate,
     load_scenario_file,
@@ -444,22 +443,30 @@ class TestScenarioFiles:
 
     @pytest.mark.parametrize(("name", "params"), [(name, {}) for name in ALL_SCENARIOS]
                              + [("ina_two_party", {"single_contract": "true"})])
-    def test_written_instance_loads_back_identical(self, name, params):
+    def test_written_instance_loads_back_identical(self, name, params, tmp_path):
         instance = instantiate(name, params)
         written = json.dumps(instance_to_dict(instance))
-        loaded = instance_from_dict(json.loads(written))
+        # loaded as a file scenario, which needs a name of its own
+        path = tmp_path / "written.json"
+        path.write_text(json.dumps({"scenarios": [{**json.loads(written), "name": "copy"}]}))
+        specs, _ = load_scenario_file(str(path))
+        loaded = instantiate("copy", extra=specs)
+        assert loaded.name == "copy"
         assert loaded.world == instance.world
         assert loaded.plans == instance.plans
         assert (loaded.principals, loaded.horizon, dict(loaded.choice_points)) == \
             (instance.principals, instance.horizon, dict(instance.choice_points))
-        assert json.dumps(instance_to_dict(loaded)) == written
+        assert json.dumps({**instance_to_dict(loaded), "name": instance.name}) == written
 
-    def test_decoding_errors_name_the_json_path(self):
+    def test_decoding_errors_name_the_json_path(self, tmp_path):
         entry = {"name": "p", "agents": [{"name": "X"}], "plans": [
             {"agent": "X", "steps": [{"do": {"kind": "pay", "actor": "X", "due_date": "5"}}]}]}
-        with pytest.raises(ValueError, match=r"^plans\[0\]\.steps\[0\]\.do\.due_date: "
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"scenarios": [entry]}))
+        with pytest.raises(ValueError, match=r"^file scenario 'p': scenarios\[0\]\.plans\[0\]"
+                                             r"\.steps\[0\]\.do\.due_date: "
                                              r"expected an integer, got \"5\"$"):
-            instance_from_dict(entry)
+            load_scenario_file(str(path))
 
     def test_file_positions_are_decoded_by_name(self, tmp_path):
         # a rule without a name is named after its detector

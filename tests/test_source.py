@@ -521,6 +521,34 @@ def test_the_gate_sees_each_caller_of_a_name():
     assert callers(text, "apply_event") == ["<module>", "_step", "Memo.keep.again", "Memo.keep"]
 
 
+def arm_readers(text: str) -> list[str]:
+    """The functions that read a ``then_steps`` or ``else_steps``
+    attribute, once each in the order of their first read."""
+    found = [owner for node, owner in _owned_nodes(text) if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load) and node.attr in ("then_steps", "else_steps")]
+    return list(dict.fromkeys(found))
+
+
+def test_one_walk_of_a_plan_reads_its_branch_arms():
+    # _count_steps walks each plan once per call, counting its steps and
+    # collecting its waits; _settle resolves a branch when it reaches the head
+    assert arm_readers((PACKAGE / "engine.py").read_text()) == ["_settle", "_count_steps"]
+
+
+def test_the_gate_sees_a_second_walk_of_the_arms():
+    text = ("def _settle(stack, world):\n"
+            "    return head.then_steps if ok else head.else_steps\n"
+            "class _Waits:\n"
+            "    def __init__(self, plans):\n"
+            "        arms += (step.then_steps, step.else_steps)\n"
+            "def _count_steps(agent, steps):\n"
+            "    return max(map(lambda step: step.else_steps, steps))\n"
+            "def build(branch, then_steps):\n"
+            "    branch.then_steps = then_steps\n"
+            "    return codec_row(Branch, 'then=then_steps else=else_steps')\n")
+    assert arm_readers(text) == ["_settle", "_Waits.__init__", "_count_steps"]
+
+
 def plan_builders(text: str) -> dict[str, list[str]]:
     """The callers of ``run``, ``payment`` and ``compose``, by name."""
     return {name: callers(text, name) for name in ("run", "payment", "compose")}

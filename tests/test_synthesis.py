@@ -1,5 +1,6 @@
 """Flow projection, equivalence relation, and the bounded synthesis search."""
 
+import json
 import random
 import sys
 import threading
@@ -9,7 +10,7 @@ import pytest
 from rpsf import synthesis
 from rpsf.engine import BoundExceeded, Progression, RoundRobin, run
 from rpsf.money import Quantity, replace
-from rpsf.scenarios import instance_from_dict, instantiate
+from rpsf.scenarios import instantiate, load_scenario_file
 from rpsf.synthesis import (
     ALL_AGENTS,
     Flow,
@@ -291,15 +292,19 @@ class TestSynthesize:
         with pytest.raises(BoundExceeded):
             synthesize((), ["spot-sale"], bound=9)
 
-    def test_every_witness_scenario_is_rerunnable(self):
+    def test_every_witness_scenario_is_rerunnable(self, tmp_path):
         target = savings_target()
         result = synthesize(
             target, ["spot-sale", "credit-sale", "prepare-good"],
             agents=("X", "Y", "Z"), bound=5, perspective=("X",))
         assert result.witnesses
-        for index in range(len(result.witnesses)):
-            payload = witness_scenario(result, index)
-            loaded = instance_from_dict(payload)
+        path = tmp_path / "witnesses.json"
+        path.write_text(json.dumps({"scenarios": [
+            witness_scenario(result, index) for index in range(len(result.witnesses))]}))
+        specs, _ = load_scenario_file(str(path))
+        assert list(specs) == [f"witness-{index}" for index in range(len(result.witnesses))]
+        for name in specs:
+            loaded = instantiate(name, extra=specs)
             progression = run(loaded.world, loaded.plans, RoundRobin(),
                               horizon=loaded.horizon)
             assert equivalent(monetary_projection(progression), target, ("X",))
@@ -487,6 +492,28 @@ class TestSearchWork:
         shown = result.witnesses[:3]
         assert len(shown) == 3 and built["Witness"] == 3
         assert 0 < built["Action"] <= sum(len(w.trades) for w in shown)
+
+    def test_reading_one_witness_builds_only_the_moves_on_its_path(self, monkeypatch):
+        # a subtree that holds no more witnesses than are left to skip is
+        # skipped by its count, unread; so reading any one witness of a fresh
+        # result builds at most one Action per trade of that witness
+        calls = 0
+        original = synthesis.Action
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "Action", counted)
+        catalogue = ("spot-sale", "credit-sale", "prepare-good")
+        count = len(synthesize(savings_target(), catalogue, ("X", "Y", "Z"), bound=5).witnesses)
+        assert count == 126
+        for index in range(-count, count):
+            result = synthesize(savings_target(), catalogue, ("X", "Y", "Z"), bound=5)
+            calls = 0
+            witness = result.witnesses[index]
+            assert 0 < calls <= len(witness.trades)
 
     def test_concurrent_readers_read_the_same_witnesses(self):
         # readers share the moves' Actions, each built on its first read; two

@@ -3,11 +3,13 @@
 import random
 import re
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
+from rpsf import world as world_module
 from rpsf.engine import Plan, PlanStep, Stop
-from rpsf.money import Quantity, ZERO, fields, replace
+from rpsf.money import Quantity, ZERO, fields, record, replace
 from rpsf.world import (
     _FIELDS,
     Action,
@@ -37,6 +39,7 @@ from rpsf.world import (
     ValidationError,
     WorldError,
     apply_event,
+    eval_condition,
     honour_status,
     make_world,
     promise_to_contract,
@@ -763,3 +766,44 @@ def test_a_condition_trigger_without_a_world_has_not_fired(two_agents):
     trigger = ConditionMet(BalanceAtLeast("Y", q(0)))
     assert trigger_fired(trigger, two_agents.history, 5, two_agents) is True
     assert trigger_fired(trigger, two_agents.history, 5) is False
+
+
+@record
+class _Share:
+    """A record whose one field has no JSON form."""
+
+    share: float
+
+
+class TestProgrammerErrors:
+    """A condition, trigger, row or union that the package never builds is
+    a programmer's error: each raises TypeError and leaves the tables as
+    they were."""
+
+    def test_an_unknown_condition_and_trigger(self, two_agents):
+        with pytest.raises(TypeError, match=r"^unknown condition 'rich'$"):
+            eval_condition("rich", two_agents, {})
+        with pytest.raises(TypeError, match=r"^unknown trigger 'soon'$"):
+            trigger_fired("soon", two_agents.history, 0, two_agents)
+
+    def test_a_row_must_name_each_field_once(self):
+        with pytest.raises(TypeError, match=r"^codec row of _Share must name each field once$"):
+            world_module.codec_row(_Share, "share share")
+        assert _Share not in world_module._ROWS
+
+    def test_a_union_must_tag_each_member_once(self):
+        tags = dict(world_module._UNIONS[frozenset(get_args(PlanStep))])
+        with pytest.raises(TypeError, match=r"^codec union .* must tag each member once$"):
+            world_module.codec_union(PlanStep, stop=Stop)
+        assert frozenset({Stop}) not in world_module._UNIONS
+        assert world_module._UNIONS[frozenset(get_args(PlanStep))] == tags
+
+    def test_a_type_without_a_json_form_is_neither_read_nor_written(self, monkeypatch):
+        with pytest.raises(TypeError, match=r"^no JSON form for <class 'float'>$"):
+            value_from_dict(float, 0.5)
+        with monkeypatch.context() as patch:
+            patch.setattr(world_module, "_ROWS", dict(world_module._ROWS))
+            world_module.codec_row(_Share)
+            with pytest.raises(TypeError, match=r"^no JSON text for <class 'float'>$"):
+                world_module.render_json(_Share(0.5))
+        assert _Share not in world_module._ROWS and _Share not in world_module._WRITERS
